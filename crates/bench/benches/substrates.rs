@@ -1,11 +1,13 @@
-//! Criterion benchmark B4: the substrate layers — unique shortest paths,
-//! replacement distances and Algorithm `Pcons` — measured in isolation.
+//! Criterion benchmark B4: the substrate layers — the canonical
+//! shortest-path tree, replacement distances and Algorithm `Pcons` —
+//! measured in isolation. CI gates the tree, replacement-distance and
+//! `Pcons` entries against `crates/bench/baselines/substrates.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftb_graph::VertexId;
 use ftb_par::ParallelConfig;
 use ftb_rp::ReplacementPaths;
-use ftb_sp::{LexSearch, ReplacementDistances, ShortestPathTree, TieBreakWeights};
+use ftb_sp::{ReplacementDistances, ShortestPathTree, TieBreakWeights};
 use ftb_tree::HeavyPathDecomposition;
 use ftb_workloads::{Workload, WorkloadFamily};
 use std::hint::black_box;
@@ -19,10 +21,6 @@ fn bench_substrates(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(3));
-
-    group.bench_function("lex_sssp_n400", |b| {
-        b.iter(|| black_box(LexSearch::run(&graph, &weights, VertexId(0))));
-    });
 
     group.bench_function("sp_tree_n400", |b| {
         b.iter(|| black_box(ShortestPathTree::build(&graph, &weights, VertexId(0))));

@@ -27,6 +27,8 @@
 #![warn(missing_docs)]
 
 pub mod interference;
+#[cfg(test)]
+mod oracle;
 pub mod pair;
 pub mod pcons;
 

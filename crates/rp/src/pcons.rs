@@ -1,10 +1,44 @@
 //! Algorithm `Pcons` (Phase S0): canonical replacement paths for all pairs.
+//!
+//! For a pair `⟨v, e⟩` with `target = dist(s, v, G ∖ {e})`, Pcons first
+//! asks whether a replacement path can end with a tree edge (the covered
+//! check, in `G'(v) ∖ {e}`), and otherwise binary-searches the smallest `j`
+//! such that a replacement path survives the removal of the interior of
+//! `π(u_j, v)`. Every one of those `1 + O(log depth)` questions has the same
+//! shape: *is `v` within `target` hops of `s` in some subgraph of
+//! `G ∖ {e}`?* No subgraph path can be shorter than `target`, so the answer
+//! is a plain BFS that stops as soon as `v` is discovered or the frontier
+//! passes `target` — no tie weights, no heap. Only the view finally chosen
+//! for the pair gets the canonical `(hops, Σ tie, parent id)` parent sweep,
+//! once, restricted to the vertices shallower than `v` plus `v` itself
+//! (the only vertices a `target`-hop path to `v` can use).
+//!
+//! Both sweeps run on one per-worker
+//! [`CanonicalScratch`], which resets only what
+//! the previous probe touched, and the views are inline `O(1)` filters on
+//! the edge `(w, f)` a search is about to enter `w` through:
+//!
+//! * the failing edge: `f ≠ e`;
+//! * `G'(v)`, "no non-tree edge incident to `v`": `w ≠ v ∨ f ∈ T0`. This
+//!   filter is keyed on the edge *entering* `v`, not on `v` itself (tree
+//!   edges still enter `v`), and it never needs to look at edges leaving
+//!   `v`: the BFS stops when `v` is discovered and the parent sweep only
+//!   settles vertices above `v`'s depth, so no search ever continues past
+//!   `v`. Applying the same predicate in both sweeps keeps the feasibility
+//!   answer and the settled path on the same graph;
+//! * the interior of `π(u_j, v)`: `w` is removed iff
+//!   `j < depth(w) < k ∧ π[depth(w)] = w`, where `k = depth(v)` — `π` is a
+//!   shortest path, so its `i`-th vertex has depth `i`.
+//!
+//! The output is identical, path for path, to the heap-based
+//! [`LexSearch`](ftb_sp::LexSearch) formulation over masked views, which is
+//! kept as the test oracle.
 
 use crate::pair::{PairId, ReplacementPath, VePair};
-use ftb_graph::{EdgeMask, Graph, SubgraphView, VertexId, VertexMask};
-use ftb_par::{parallel_map, ParallelConfig};
+use ftb_graph::{EdgeId, Graph, VertexId};
+use ftb_par::{parallel_map_init, ParallelConfig};
 use ftb_sp::{
-    LexSearch, Path, ReplacementDistances, ShortestPathTree, TieBreakWeights, UNREACHABLE,
+    CanonicalScratch, Path, ReplacementDistances, ShortestPathTree, TieBreakWeights, UNREACHABLE,
 };
 use std::collections::HashMap;
 
@@ -22,7 +56,8 @@ pub struct ReplacementPaths {
 }
 
 impl ReplacementPaths {
-    /// Run Algorithm `Pcons` for every pair, in parallel over terminals.
+    /// Run Algorithm `Pcons` for every pair, in parallel over terminals
+    /// (one [`CanonicalScratch`] per worker).
     pub fn compute(
         graph: &Graph,
         weights: &TieBreakWeights,
@@ -36,9 +71,12 @@ impl ReplacementPaths {
             .into_iter()
             .filter(|&v| v != source)
             .collect();
-        let per_terminal: Vec<Vec<ReplacementPath>> = parallel_map(config, terminals.len(), |i| {
-            compute_for_terminal(graph, weights, tree, dists, terminals[i])
-        });
+        let per_terminal: Vec<Vec<ReplacementPath>> = parallel_map_init(
+            config,
+            terminals.len(),
+            || CanonicalScratch::new(graph.num_vertices()),
+            |scratch, i| compute_for_terminal(graph, weights, tree, dists, terminals[i], scratch),
+        );
 
         let mut paths = Vec::new();
         let mut index = HashMap::new();
@@ -133,26 +171,17 @@ fn compute_for_terminal(
     tree: &ShortestPathTree,
     dists: &ReplacementDistances,
     v: VertexId,
+    scratch: &mut CanonicalScratch,
 ) -> Vec<ReplacementPath> {
     let source = tree.source();
     let Some(pi) = tree.path_to(v) else {
         return Vec::new();
     };
-    let pi_vertices = pi.vertices().to_vec();
-    let pi_edges = pi.edges().to_vec();
-    let k = pi_edges.len(); // depth of v
-
-    // G'(v): the graph with every non-tree edge incident to v removed. Any
-    // replacement path ending with a tree edge lives entirely inside G'(v).
-    let mut gprime_mask = EdgeMask::none(graph);
-    for (_, e) in graph.neighbors(v) {
-        if !tree.is_tree_edge(e) {
-            gprime_mask.remove(e);
-        }
-    }
+    let pi_vertices = pi.vertices();
+    let k = pi.len(); // depth of v
 
     let mut out = Vec::with_capacity(k);
-    for (idx, &e) in pi_edges.iter().enumerate() {
+    for (idx, &e) in pi.edges().iter().enumerate() {
         let Some(target) = dists.dist(e, v) else {
             continue;
         };
@@ -167,13 +196,12 @@ fn compute_for_terminal(
             failing_edge: e,
         };
 
-        // Step 1: try to find a replacement path whose last edge is in T0.
-        let view = SubgraphView::full(graph)
-            .without_edge(e)
-            .with_edge_mask(&gprime_mask);
-        let covered_search = LexSearch::run_view_target(&view, weights, source, v);
-        if covered_search.hops(v) == Some(target) {
-            let path = covered_search.path_to(v).expect("target settled");
+        // Step 1: try to find a replacement path whose last edge is in T0,
+        // i.e. one inside G'(v) \ {e}.
+        let covered = |w: VertexId, f: EdgeId| f != e && (w != v || tree.is_tree_edge(f));
+        if scratch.reaches_within(graph, source, v, target, covered) {
+            scratch.settle_target(graph, weights, v, covered);
+            let path = scratch.path_to(v).expect("target settled");
             let last_edge = path.last_edge().expect("non-trivial path");
             debug_assert!(tree.is_tree_edge(last_edge));
             out.push(ReplacementPath {
@@ -194,31 +222,33 @@ fn compute_for_terminal(
         // close to the source as possible: binary-search the minimal prefix
         // index j such that removing the interior of π(u_j, v) still allows
         // a path of the optimal length.
-        let probe = |j: usize| -> LexSearch {
-            let removed = pi_vertices[j + 1..k].iter().copied();
-            let vmask = VertexMask::removing(graph, removed);
-            let view = SubgraphView::full(graph)
-                .without_edge(e)
-                .with_vertex_mask(&vmask);
-            LexSearch::run_view_target(&view, weights, source, v)
+        let without_interior = |j: usize| {
+            move |w: VertexId, f: EdgeId| {
+                f != e
+                    && !tree.depth(w).is_some_and(|d| {
+                        let d = d as usize;
+                        j < d && d < k && pi_vertices[d] == w
+                    })
+            }
         };
-        let feasible = |s: &LexSearch| s.hops(v) == Some(target);
+        let mut probe =
+            |j: usize| scratch.reaches_within(graph, source, v, target, without_interior(j));
 
         // The predicate is monotone in j and true at j = idx (Lemma 4.3);
         // binary-search the smallest feasible index.
-        if !feasible(&probe(idx)) {
+        if !probe(idx) {
             // Defensive fallback (should not happen): take the unconstrained
             // canonical replacement path.
-            let view = SubgraphView::full(graph).without_edge(e);
-            let fallback = LexSearch::run_view_target(&view, weights, source, v);
-            if !feasible(&fallback) {
+            let unconstrained = |_: VertexId, f: EdgeId| f != e;
+            if !scratch.reaches_within(graph, source, v, target, unconstrained) {
                 continue;
             }
+            scratch.settle_target(graph, weights, v, unconstrained);
             push_new_ending(
                 &mut out,
                 pair,
-                &pi_vertices,
-                fallback.path_to(v).unwrap(),
+                pi_vertices,
+                scratch.path_to(v).expect("target settled"),
                 failing_edge_depth,
                 k as u32,
                 tree,
@@ -227,22 +257,27 @@ fn compute_for_terminal(
         }
         let mut lo = 0usize;
         let mut hi = idx;
+        // Whether the scratch still holds the probe of `hi`.
+        let mut holds_hi = true;
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if feasible(&probe(mid)) {
+            holds_hi = probe(mid);
+            if holds_hi {
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
         }
-        let chosen = probe(hi);
-        debug_assert!(feasible(&chosen));
-        let path = chosen.path_to(v).expect("feasible probe reaches v");
+        if !holds_hi {
+            let feasible = probe(hi);
+            debug_assert!(feasible);
+        }
+        scratch.settle_target(graph, weights, v, without_interior(hi));
         push_new_ending(
             &mut out,
             pair,
-            &pi_vertices,
-            path,
+            pi_vertices,
+            scratch.path_to(v).expect("feasible probe reaches v"),
             failing_edge_depth,
             k as u32,
             tree,
@@ -252,7 +287,7 @@ fn compute_for_terminal(
 }
 
 /// Record a new-ending replacement path, computing its divergence point.
-fn push_new_ending(
+pub(crate) fn push_new_ending(
     out: &mut Vec<ReplacementPath>,
     pair: VePair,
     pi_vertices: &[VertexId],

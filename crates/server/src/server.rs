@@ -253,14 +253,34 @@ impl Server {
         let metrics = ServerMetrics::new(options.slow_log_capacity);
         let engine_obs = EngineObs::register(metrics.registry());
         // Preprocessing provenance as scrape-time gauges: how this core
-        // came to exist, phase by phase (a snapshot-restored server shows
-        // a single `snapshot_load` phase).
-        for &(phase, nanos) in core.build_timings() {
+        // came to exist, phase by phase. An in-process build also exports
+        // the structure's construction phases from its `BuildStats`; a
+        // snapshot-restored server shows a single `snapshot_load` phase.
+        let mut phases: Vec<(&'static str, f64)> = Vec::new();
+        let restored = core
+            .build_timings()
+            .iter()
+            .any(|&(phase, _)| phase == "snapshot_load");
+        if !restored {
+            let stats = core.structure().stats();
+            phases.extend([
+                ("s0", stats.s0_ms / 1e3),
+                ("s1", stats.s1_ms / 1e3),
+                ("s2", stats.s2_ms / 1e3),
+                ("reinforce", stats.reinforce_ms / 1e3),
+            ]);
+        }
+        phases.extend(
+            core.build_timings()
+                .iter()
+                .map(|&(phase, nanos)| (phase, nanos as f64 / 1e9)),
+        );
+        for (phase, seconds) in phases {
             metrics.registry().gauge_fn(
                 "ftb_build_phase_seconds",
-                "Wall time of each engine preprocessing phase",
+                "Wall time of each structure construction and engine preprocessing phase",
                 &[("phase", phase)],
-                Box::new(move || nanos as f64 / 1e9),
+                Box::new(move || seconds),
             );
         }
         let shared = Arc::new(Shared {

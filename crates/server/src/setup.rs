@@ -13,8 +13,8 @@
 //! provenance.
 
 use ftb_core::{
-    build_augmented_structure, BuildConfig, BuildPlan, EngineCore, EngineOptions, FtbfsError,
-    SnapshotError, Sources, StructureBuilder, TradeoffBuilder,
+    build_augmented_structure, AugmentCoverage, BuildConfig, BuildPlan, EngineCore, EngineOptions,
+    FtbfsError, SnapshotError, Sources, StructureBuilder, TradeoffBuilder,
 };
 use ftb_graph::{Graph, VertexId};
 use ftb_io::{Reader, Writer};
@@ -79,7 +79,9 @@ impl EngineSpec {
     ) -> Result<Arc<EngineCore>, FtbfsError> {
         let sources = Sources::single(self.source());
         let core = if self.augment {
-            let config = BuildConfig::new(self.eps).with_seed(self.seed);
+            let config = BuildConfig::new(self.eps)
+                .with_seed(self.seed)
+                .with_augment(AugmentCoverage::SingleFault);
             let augmented = build_augmented_structure(
                 graph,
                 &sources,
@@ -282,6 +284,29 @@ mod tests {
             ..EngineSpec::default()
         };
         assert_eq!(spec.graph().fingerprint(), spec.graph().fingerprint());
+    }
+
+    #[test]
+    fn augment_spec_builds_an_augmented_tier() {
+        let spec = EngineSpec {
+            n: 120,
+            augment: true,
+            ..EngineSpec::default()
+        };
+        let core = spec
+            .build_core(&spec.graph(), EngineOptions::default())
+            .expect("spec graphs are valid input");
+        assert_eq!(core.augment_coverage(), AugmentCoverage::SingleFault);
+        assert!(core.augmented_edges().is_some_and(|k| k > 0));
+
+        let plain = EngineSpec {
+            augment: false,
+            ..spec
+        };
+        let core = plain
+            .build_core(&plain.graph(), EngineOptions::default())
+            .unwrap();
+        assert_eq!(core.augmented_edges(), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! slow-query frames, version gating for v2 sessions, the per-connection
 //! cell merge, and the plaintext HTTP scrape endpoint.
 
-use ftb_core::EngineOptions;
+use ftb_core::{EngineCore, EngineOptions};
 use ftb_graph::{EdgeId, FaultSet, VertexId};
 use ftb_server::protocol::{
     decode_response, encode_request, read_frame, write_frame, ErrorCode, MetricsFormat, Request,
@@ -81,8 +81,20 @@ fn metrics_frame_reflects_served_queries() {
         text.contains("ftb_query_tier_latency_seconds_count"),
         "{text}"
     );
-    // Build-phase provenance gauges.
-    assert!(text.contains("ftb_build_phase_seconds"), "{text}");
+    // Build-phase provenance gauges: the structure's construction phases
+    // and the engine's preprocessing phases of this in-process build.
+    for phase in [
+        "s0",
+        "s1",
+        "s2",
+        "reinforce",
+        "compact_h",
+        "fault_free_rows",
+    ] {
+        let series = format!("ftb_build_phase_seconds{{phase=\"{phase}\"}}");
+        assert!(text.contains(&series), "missing {series}: {text}");
+    }
+    assert!(!text.contains("phase=\"snapshot_load\""), "{text}");
 
     // JSON exposition of the same registry.
     let json = client.metrics_json().expect("metrics json");
@@ -95,6 +107,37 @@ fn metrics_frame_reflects_served_queries() {
     let handle_count = server.metrics().handle.count();
     assert_eq!(handle_count, 2, "two query jobs were handled");
 
+    server.shutdown();
+    drop(client);
+    server.join().expect("clean join");
+}
+
+/// A snapshot-restored server did not construct anything: it reports the
+/// single `snapshot_load` phase and none of the construction phases its
+/// snapshot's `BuildStats` still carry.
+#[test]
+fn snapshot_restored_server_reports_only_the_load_phase() {
+    let spec = EngineSpec {
+        n: 80,
+        ..EngineSpec::default()
+    };
+    let built = spec
+        .build_core(&spec.graph(), EngineOptions::new().serial())
+        .expect("spec builds");
+    assert!(built.structure().stats().s0_ms > 0.0);
+    let (core, _) = EngineCore::read_snapshot(&built.write_snapshot(&[]), EngineOptions::new())
+        .expect("round trip");
+    let server = Server::bind("127.0.0.1:0", Arc::new(core), ServeOptions::default())
+        .expect("ephemeral bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let text = client.metrics_text().expect("metrics frame");
+    assert!(
+        text.contains("ftb_build_phase_seconds{phase=\"snapshot_load\"}"),
+        "{text}"
+    );
+    for phase in ["s0", "s1", "s2", "reinforce", "compact_h"] {
+        assert!(!text.contains(&format!("phase=\"{phase}\"")), "{text}");
+    }
     server.shutdown();
     drop(client);
     server.join().expect("clean join");

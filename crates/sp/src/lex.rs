@@ -1,12 +1,19 @@
-//! Lexicographic `(hops, tie-weight)` shortest paths.
+//! The reference oracle for canonical `(hops, tie-weight)` shortest paths.
 //!
-//! This is the computational realisation of the paper's `SP(s, v, G', W)`:
-//! paths are compared first by hop count (the true BFS distance) and then by
-//! the sum of the per-edge tie weights from [`crate::TieBreakWeights`], so
-//! that in every (masked) subgraph the shortest path between two vertices is
-//! unique. A final tie-break on predecessor vertex id makes the search fully
-//! deterministic even in the (astronomically unlikely) event of a weight
-//! collision.
+//! This is the textbook realisation of the paper's `SP(s, v, G', W)`: a
+//! heap-based Dijkstra over a masked [`SubgraphView`] comparing paths first
+//! by hop count (the true BFS distance) and then by the sum of the per-edge
+//! tie weights from [`crate::TieBreakWeights`], so that in every (masked)
+//! subgraph the shortest path between two vertices is unique. A final
+//! tie-break on predecessor vertex id makes the search fully deterministic
+//! even in the (astronomically unlikely) event of a weight collision.
+//!
+//! Production code does not call it: every canonical path the construction
+//! needs comes from the two-sweep [`crate::CanonicalScratch`], which is
+//! faster and allocation-free. [`LexSearch`] stays because it is the
+//! obviously-correct statement of the objective, and the differential tests
+//! of [`crate::CanonicalScratch`], [`crate::ShortestPathTree`] and Algorithm
+//! `Pcons` check the fast kernel against it on masked views.
 
 use crate::path::Path;
 use crate::weights::TieBreakWeights;
@@ -17,20 +24,15 @@ use std::collections::BinaryHeap;
 /// The cost of a path under the lexicographic order: hop count first, then
 /// the accumulated tie weight.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct PathCost {
-    /// Number of edges on the path (the paper's `dist` in edges).
-    pub hops: u32,
-    /// Sum of the tie weights along the path.
-    pub tie: u64,
+struct PathCost {
+    hops: u32,
+    tie: u64,
 }
 
 impl PathCost {
-    /// Cost of the empty path.
-    pub const ZERO: PathCost = PathCost { hops: 0, tie: 0 };
+    const ZERO: PathCost = PathCost { hops: 0, tie: 0 };
 
-    /// Extend by one edge of tie weight `w`.
-    #[inline]
-    pub fn step(self, w: u64) -> PathCost {
+    fn step(self, w: u64) -> PathCost {
         PathCost {
             hops: self.hops + 1,
             tie: self.tie + w,
@@ -85,9 +87,9 @@ impl LexSearch {
     ///
     /// Costs and parents are exact for every settled vertex (in particular
     /// for `target` if it is reachable); vertices that were not reached
-    /// before termination report as unreachable. This is the hot entry point
-    /// of Algorithm `Pcons`, which issues one bounded search per
-    /// (terminal, failing edge) probe.
+    /// before termination report as unreachable. This is the oracle for the
+    /// bounded single-target probes of
+    /// [`CanonicalScratch`](crate::CanonicalScratch).
     pub fn run_view_target(
         view: &SubgraphView<'_>,
         weights: &TieBreakWeights,
@@ -157,11 +159,6 @@ impl LexSearch {
     /// The search source.
     pub fn source(&self) -> VertexId {
         self.source
-    }
-
-    /// Optimal cost to `v`, if reachable.
-    pub fn cost(&self, v: VertexId) -> Option<PathCost> {
-        self.dist[v.index()]
     }
 
     /// Hop distance to `v`, if reachable.
@@ -239,7 +236,7 @@ mod tests {
         let view = SubgraphView::full(&g).without_edge(e);
         let w = TieBreakWeights::generate(&g, 1);
         let search = LexSearch::run_view(&view, &w, VertexId(0));
-        assert!(search.cost(VertexId(3)).is_none());
+        assert!(search.hops(VertexId(3)).is_none());
         assert!(search.path_to(VertexId(4)).is_none());
         assert!(search.parent(VertexId(3)).is_none());
         assert_eq!(search.reachable_count(), 3);
@@ -279,7 +276,7 @@ mod tests {
             VertexId(3)
         };
         assert_eq!(p.vertices()[1], expected_mid);
-        assert_eq!(search.cost(VertexId(2)).unwrap().tie, via1.min(via3));
+        assert_eq!(search.dist[2].unwrap().tie, via1.min(via3));
     }
 
     #[test]
@@ -290,7 +287,7 @@ mod tests {
         for v in g.vertices() {
             let view = SubgraphView::full(&g);
             let bounded = LexSearch::run_view_target(&view, &w, VertexId(0), v);
-            assert_eq!(bounded.cost(v), full.cost(v));
+            assert_eq!(bounded.dist[v.index()], full.dist[v.index()]);
             assert_eq!(bounded.path_to(v), full.path_to(v));
         }
     }
@@ -302,7 +299,7 @@ mod tests {
         let view = SubgraphView::full(&g).without_edge(e);
         let w = TieBreakWeights::generate(&g, 2);
         let bounded = LexSearch::run_view_target(&view, &w, VertexId(0), VertexId(4));
-        assert!(bounded.cost(VertexId(4)).is_none());
+        assert!(bounded.hops(VertexId(4)).is_none());
         assert_eq!(bounded.hops(VertexId(1)), Some(1));
     }
 
@@ -323,8 +320,8 @@ mod tests {
         let view = SubgraphView::full(&g).with_vertex_mask(&mask);
         let w = TieBreakWeights::generate(&g, 9);
         let search = LexSearch::run_view(&view, &w, VertexId(0));
-        assert!(search.cost(VertexId(1)).is_none());
-        assert!(search.cost(VertexId(2)).is_none());
+        assert!(search.hops(VertexId(1)).is_none());
+        assert!(search.hops(VertexId(2)).is_none());
         assert_eq!(search.hops(VertexId(3)), Some(1));
         let p = search.path_to(VertexId(4)).unwrap();
         assert!(!p.contains_vertex(VertexId(1)));

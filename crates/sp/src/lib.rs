@@ -6,11 +6,13 @@
 //!
 //! * [`TieBreakWeights`] — the per-edge tie-breaking weights `W`,
 //! * [`bfs`] — plain hop-count BFS over (masked) graphs,
-//! * [`lex`] — lexicographic `(hops, Σ tie-weights)` Dijkstra implementing
-//!   `SP(·, ·, ·, W)` with forbidden edges/vertices,
-//! * [`canonical`] — the allocation-free two-sweep variant of the same
-//!   search over reusable scratch, built for the replacement-path
-//!   augmentation's `Θ(n²)` per-fault-set tree computations,
+//! * [`canonical`] — the canonical `(hops, Σ tie-weights)` search
+//!   implementing `SP(·, ·, ·, W)`: an allocation-free two-sweep kernel over
+//!   reusable scratch with inline edge filters and bounded single-target
+//!   probes. It builds `T0`, runs every Algorithm `Pcons` probe and every
+//!   per-fault-set tree of the replacement-path augmentation,
+//! * [`lex`] — the heap-based lexicographic Dijkstra the kernel is tested
+//!   against (a reference oracle; no production caller),
 //! * [`ShortestPathTree`] — the BFS tree `T0 = ⋃_v π(s, v)` rooted at the
 //!   source, with parent pointers, depths, and path extraction,
 //! * [`replacement`] — batched replacement distances `dist(s, ·, G \ {e})`
@@ -32,7 +34,7 @@ pub mod weights;
 
 pub use bfs::{bfs_distances, bfs_distances_view};
 pub use canonical::CanonicalScratch;
-pub use lex::{LexSearch, PathCost};
+pub use lex::LexSearch;
 pub use path::Path;
 pub use replacement::ReplacementDistances;
 pub use sp_tree::ShortestPathTree;

@@ -1,6 +1,6 @@
 //! The BFS tree `T0 = ⋃_v π(s, v)` of unique shortest paths.
 
-use crate::lex::{LexSearch, PathCost};
+use crate::canonical::CanonicalScratch;
 use crate::path::Path;
 use crate::weights::TieBreakWeights;
 use ftb_graph::{BitSet, EdgeId, Graph, VertexId};
@@ -17,7 +17,6 @@ pub struct ShortestPathTree {
     source: VertexId,
     parent: Vec<Option<(VertexId, EdgeId)>>,
     depth: Vec<Option<u32>>,
-    cost: Vec<Option<PathCost>>,
     children: Vec<Vec<VertexId>>,
     tree_edges: Vec<EdgeId>,
     tree_edge_set: BitSet,
@@ -28,40 +27,34 @@ pub struct ShortestPathTree {
 
 impl ShortestPathTree {
     /// Build the tree of unique shortest paths from `source`.
+    ///
+    /// One [`CanonicalScratch`] run yields every vertex's canonical parent;
+    /// the per-vertex tables, the children lists and the tree-edge list are
+    /// then filled in vertex-id order.
     pub fn build(graph: &Graph, weights: &TieBreakWeights, source: VertexId) -> Self {
-        let search = LexSearch::run(graph, weights, source);
-        Self::from_search(graph, &search)
-    }
-
-    /// Build from a pre-computed [`LexSearch`].
-    pub fn from_search(graph: &Graph, search: &LexSearch) -> Self {
         let n = graph.num_vertices();
-        let source = search.source();
+        let mut search = CanonicalScratch::new(n);
+        search.run(graph, weights, source, &[]);
         let mut parent = vec![None; n];
         let mut depth = vec![None; n];
-        let mut cost = vec![None; n];
         let mut children: Vec<Vec<VertexId>> = vec![Vec::new(); n];
         let mut tree_edges = Vec::new();
         let mut tree_edge_set = BitSet::new(graph.num_edges());
         let mut child_of_edge = vec![None; graph.num_edges()];
         for v in graph.vertices() {
-            cost[v.index()] = search.cost(v);
-            depth[v.index()] = search.hops(v);
-            if v != source {
-                if let Some((p, e)) = search.parent(v) {
-                    parent[v.index()] = Some((p, e));
-                    children[p.index()].push(v);
-                    tree_edges.push(e);
-                    tree_edge_set.insert(e.index());
-                    child_of_edge[e.index()] = Some(v);
-                }
+            depth[v.index()] = search.dist(v);
+            if let Some((p, e)) = search.parent(v) {
+                parent[v.index()] = Some((p, e));
+                children[p.index()].push(v);
+                tree_edges.push(e);
+                tree_edge_set.insert(e.index());
+                child_of_edge[e.index()] = Some(v);
             }
         }
         ShortestPathTree {
             source,
             parent,
             depth,
-            cost,
             children,
             tree_edges,
             tree_edge_set,
@@ -88,11 +81,6 @@ impl ShortestPathTree {
     /// Hop depth of `v` (`dist(s, v, G)`), if reachable.
     pub fn depth(&self, v: VertexId) -> Option<u32> {
         self.depth[v.index()]
-    }
-
-    /// Full lexicographic cost of `π(s, v)`, if reachable.
-    pub fn cost(&self, v: VertexId) -> Option<PathCost> {
-        self.cost[v.index()]
     }
 
     /// `true` if `v` is reachable from the source.
@@ -220,6 +208,33 @@ mod tests {
     fn tree_of(g: &Graph, seed: u64, s: u32) -> ShortestPathTree {
         let w = TieBreakWeights::generate(g, seed);
         ShortestPathTree::build(g, &w, VertexId(s))
+    }
+
+    /// The tree is the reference `LexSearch`'s, and its edge list runs in
+    /// vertex-id order of the child endpoint.
+    #[test]
+    fn tree_matches_the_lex_search_oracle() {
+        let mut split = ftb_graph::GraphBuilder::new(7);
+        for (a, b) in [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6)] {
+            split.add_edge(VertexId(a), VertexId(b));
+        }
+        for (g, seed, s) in [
+            (generators::grid(6, 7), 3u64, 0u32),
+            (generators::hypercube(5), 5, 9),
+            (generators::complete(12), 7, 4),
+            (split.build(), 9, 1),
+        ] {
+            let w = TieBreakWeights::generate(&g, seed);
+            let t = ShortestPathTree::build(&g, &w, VertexId(s));
+            let lex = crate::LexSearch::run(&g, &w, VertexId(s));
+            let mut edges = Vec::new();
+            for v in g.vertices() {
+                assert_eq!(t.depth(v), lex.hops(v), "depth of {v:?}");
+                assert_eq!(t.parent(v), lex.parent(v), "parent of {v:?}");
+                edges.extend(lex.parent(v).map(|(_, e)| e));
+            }
+            assert_eq!(t.tree_edges(), &edges[..]);
+        }
     }
 
     #[test]
