@@ -201,13 +201,7 @@ fn main() {
         // Counter consistency: every answer the instrumented engine gave
         // (warmup and trials alike, all with sampling on) produced exactly
         // one tier histogram sample.
-        let t = instrumented.query_stats().tiers;
-        let answers = (t.fault_free_row
-            + t.unaffected_fast_path
-            + t.batched_unaffected
-            + t.sparse_h_bfs
-            + t.augmented_bfs
-            + t.full_graph_bfs) as u64;
+        let answers = instrumented.query_stats().tiers.total() as u64;
         assert_eq!(
             obs.tier_sample_count(),
             answers,

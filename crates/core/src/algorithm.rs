@@ -194,26 +194,6 @@ pub(crate) fn build_tradeoff_impl(
     FtBfsStructure::new(source, config.eps, h, reinforced, stats)
 }
 
-/// Build an FT-BFS structure, panicking on invalid input.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `TradeoffBuilder` (or `try_build_ft_bfs`) which reports \
-            invalid input as `FtbfsError` instead of panicking"
-)]
-pub fn build_ft_bfs(graph: &Graph, source: VertexId, config: &BuildConfig) -> FtBfsStructure {
-    try_build_ft_bfs(graph, source, config).expect("invalid FT-BFS construction input")
-}
-
-/// Convenience wrapper: build with default configuration for a given `ε`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `TradeoffBuilder::new(eps)` (or `try_build_ft_bfs`) instead"
-)]
-pub fn build_ft_bfs_with_eps(graph: &Graph, source: VertexId, eps: f64) -> FtBfsStructure {
-    try_build_ft_bfs(graph, source, &BuildConfig::new(eps))
-        .expect("invalid FT-BFS construction input")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,20 +324,6 @@ mod tests {
         assert_eq!(ss.num_edges(), sp.num_edges());
         assert_eq!(ss.num_reinforced(), sp.num_reinforced());
         assert_eq!(ss.edge_set().to_vec(), sp.edge_set().to_vec());
-    }
-
-    #[test]
-    fn deprecated_wrappers_match_the_checked_api() {
-        let g = generators::grid(5, 5);
-        #[allow(deprecated)]
-        let a = build_ft_bfs_with_eps(&g, VertexId(0), 0.3);
-        #[allow(deprecated)]
-        let b = build_ft_bfs(&g, VertexId(0), &BuildConfig::new(0.3));
-        let c = try_build_ft_bfs(&g, VertexId(0), &BuildConfig::new(0.3)).expect("valid input");
-        assert_eq!(a.num_edges(), b.num_edges());
-        assert_eq!(a.num_reinforced(), b.num_reinforced());
-        assert_eq!(b.num_edges(), c.num_edges());
-        assert_eq!(b.num_reinforced(), c.num_reinforced());
     }
 
     #[test]

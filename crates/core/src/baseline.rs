@@ -122,34 +122,6 @@ pub(crate) fn build_reinforced_tree_impl(
     FtBfsStructure::new(source, 0.0, edges, reinforced, stats)
 }
 
-/// Build the ESA'13 baseline, panicking on invalid input.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `BaselineBuilder` (or `try_build_baseline_ftbfs`) which \
-            reports invalid input as `FtbfsError` instead of panicking"
-)]
-pub fn build_baseline_ftbfs(
-    graph: &Graph,
-    source: VertexId,
-    config: &BuildConfig,
-) -> FtBfsStructure {
-    try_build_baseline_ftbfs(graph, source, config).expect("invalid FT-BFS construction input")
-}
-
-/// Build the reinforced BFS tree, panicking on invalid input.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ReinforcedTreeBuilder` (or `try_build_reinforced_tree`) \
-            which reports invalid input as `FtbfsError` instead of panicking"
-)]
-pub fn build_reinforced_tree(
-    graph: &Graph,
-    source: VertexId,
-    config: &BuildConfig,
-) -> FtBfsStructure {
-    try_build_reinforced_tree(graph, source, config).expect("invalid FT-BFS construction input")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,6 +155,9 @@ mod tests {
             assert_eq!(s.num_reinforced(), 0, "{name}");
             assert!(s.stats().used_baseline);
         }
+        let config = BuildConfig::new(1.0).serial();
+        let bad = try_build_baseline_ftbfs(&generators::grid(4, 5), VertexId(1000), &config);
+        assert!(matches!(bad, Err(FtbfsError::SourceOutOfRange { .. })));
     }
 
     #[test]
@@ -207,6 +182,8 @@ mod tests {
         let report = verify_structure(&g, &tree, &s, &ParallelConfig::serial(), false);
         assert!(report.is_valid());
         assert_eq!(report.checked_edges, 0);
+        let bad = try_build_reinforced_tree(&g, VertexId(1000), &config);
+        assert!(matches!(bad, Err(FtbfsError::SourceOutOfRange { .. })));
     }
 
     #[test]
@@ -219,20 +196,5 @@ mod tests {
         let config = BuildConfig::new(1.0).serial();
         let s = try_build_baseline_ftbfs(&g, VertexId(0), &config).expect("valid input");
         assert!(s.num_edges() < g.num_edges());
-    }
-
-    #[test]
-    fn checked_and_deprecated_entry_points_agree() {
-        let g = generators::grid(4, 5);
-        let config = BuildConfig::new(1.0).serial();
-        let a = try_build_baseline_ftbfs(&g, VertexId(0), &config).expect("valid input");
-        #[allow(deprecated)]
-        let b = build_baseline_ftbfs(&g, VertexId(0), &config);
-        assert_eq!(a.num_edges(), b.num_edges());
-
-        let bad = try_build_baseline_ftbfs(&g, VertexId(1000), &config);
-        assert!(matches!(bad, Err(FtbfsError::SourceOutOfRange { .. })));
-        let bad = try_build_reinforced_tree(&g, VertexId(1000), &config);
-        assert!(matches!(bad, Err(FtbfsError::SourceOutOfRange { .. })));
     }
 }

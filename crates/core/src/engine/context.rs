@@ -333,14 +333,7 @@ fn record_tier_latency(obs: &EngineObs, delta: &TierCounters, elapsed: u64) {
         return;
     }
     let per = elapsed / total;
-    for (histogram, answers) in [
-        (&obs.tier_fault_free_row, delta.fault_free_row),
-        (&obs.tier_unaffected_fast_path, delta.unaffected_fast_path),
-        (&obs.tier_batched_unaffected, delta.batched_unaffected),
-        (&obs.tier_sparse_h_bfs, delta.sparse_h_bfs),
-        (&obs.tier_augmented_bfs, delta.augmented_bfs),
-        (&obs.tier_full_graph_bfs, delta.full_graph_bfs),
-    ] {
+    for (histogram, answers) in obs.tier_latency.iter().zip(delta.to_array()) {
         if answers > 0 {
             histogram.record_n(per, answers as u64);
         }

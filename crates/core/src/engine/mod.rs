@@ -141,7 +141,7 @@ pub use self::core::{EngineCore, EngineOptions, FORCE_FULL_SWEEP_ENV};
 pub use context::QueryContext;
 pub use facade::FaultQueryEngine;
 pub use multi::MultiSourceEngine;
-pub use obs::{EngineObs, STAGE_SECONDS_METRIC, TIER_LATENCY_METRIC};
+pub use obs::{EngineObs, STAGE_SECONDS_METRIC, TIER_ANSWERS_METRIC, TIER_LATENCY_METRIC};
 
 /// The answering tier a fault set routes to (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -203,34 +203,53 @@ pub struct TierCounters {
 }
 
 impl TierCounters {
+    /// The one tier-name table, in field order: the `tier` label of the
+    /// engine's metric families and the index order of
+    /// [`TierCounters::to_array`].
+    pub const NAMES: [&'static str; 6] = [
+        "fault_free_row",
+        "unaffected_fast_path",
+        "batched_unaffected",
+        "sparse_h_bfs",
+        "augmented_bfs",
+        "full_graph_bfs",
+    ];
+
+    /// The counters in [`TierCounters::NAMES`] order.
+    pub fn to_array(&self) -> [usize; 6] {
+        [
+            self.fault_free_row,
+            self.unaffected_fast_path,
+            self.batched_unaffected,
+            self.sparse_h_bfs,
+            self.augmented_bfs,
+            self.full_graph_bfs,
+        ]
+    }
+
+    /// Inverse of [`TierCounters::to_array`].
+    fn from_array(a: [usize; 6]) -> TierCounters {
+        TierCounters {
+            fault_free_row: a[0],
+            unaffected_fast_path: a[1],
+            batched_unaffected: a[2],
+            sparse_h_bfs: a[3],
+            augmented_bfs: a[4],
+            full_graph_bfs: a[5],
+        }
+    }
+
     /// Sum of all tiers (equals the total query count).
     pub fn total(&self) -> usize {
-        self.fault_free_row
-            + self.unaffected_fast_path
-            + self.batched_unaffected
-            + self.sparse_h_bfs
-            + self.augmented_bfs
-            + self.full_graph_bfs
+        self.to_array().iter().sum()
     }
 
     fn merge(&mut self, other: &TierCounters) {
-        self.fault_free_row += other.fault_free_row;
-        self.unaffected_fast_path += other.unaffected_fast_path;
-        self.batched_unaffected += other.batched_unaffected;
-        self.sparse_h_bfs += other.sparse_h_bfs;
-        self.augmented_bfs += other.augmented_bfs;
-        self.full_graph_bfs += other.full_graph_bfs;
+        *self = Self::from_array(zip_with(self.to_array(), other.to_array(), |a, b| a + b));
     }
 
     fn delta_since(&self, earlier: &TierCounters) -> TierCounters {
-        TierCounters {
-            fault_free_row: self.fault_free_row - earlier.fault_free_row,
-            unaffected_fast_path: self.unaffected_fast_path - earlier.unaffected_fast_path,
-            batched_unaffected: self.batched_unaffected - earlier.batched_unaffected,
-            sparse_h_bfs: self.sparse_h_bfs - earlier.sparse_h_bfs,
-            augmented_bfs: self.augmented_bfs - earlier.augmented_bfs,
-            full_graph_bfs: self.full_graph_bfs - earlier.full_graph_bfs,
-        }
+        Self::from_array(zip_with(self.to_array(), earlier.to_array(), |a, b| a - b))
     }
 }
 
@@ -267,124 +286,75 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
+    /// The one name table of the scalar counters, in field order: the
+    /// `ftb_engine_<name>_total` metric names and the index order of
+    /// [`QueryStats::to_array`]. The tiers have their own table,
+    /// [`TierCounters::NAMES`].
+    pub const NAMES: [&'static str; 7] = [
+        "queries",
+        "structure_bfs_runs",
+        "augmented_bfs_runs",
+        "full_graph_bfs_runs",
+        "cached_answers",
+        "repaired_rows",
+        "restricted_repairs",
+    ];
+
+    /// The scalar counters in [`QueryStats::NAMES`] order.
+    pub fn to_array(&self) -> [usize; 7] {
+        [
+            self.queries,
+            self.structure_bfs_runs,
+            self.augmented_bfs_runs,
+            self.full_graph_bfs_runs,
+            self.cached_answers,
+            self.repaired_rows,
+            self.restricted_repairs,
+        ]
+    }
+
+    /// Inverse of [`QueryStats::to_array`] plus the tier block.
+    fn from_array(a: [usize; 7], tiers: TierCounters) -> QueryStats {
+        QueryStats {
+            queries: a[0],
+            structure_bfs_runs: a[1],
+            augmented_bfs_runs: a[2],
+            full_graph_bfs_runs: a[3],
+            cached_answers: a[4],
+            repaired_rows: a[5],
+            restricted_repairs: a[6],
+            tiers,
+        }
+    }
+
     /// Accumulate another stats block into this one (used when merging the
     /// counters of per-worker contexts after a sharded batch).
     pub fn merge(&mut self, other: &QueryStats) {
-        self.queries += other.queries;
-        self.structure_bfs_runs += other.structure_bfs_runs;
-        self.augmented_bfs_runs += other.augmented_bfs_runs;
-        self.full_graph_bfs_runs += other.full_graph_bfs_runs;
-        self.cached_answers += other.cached_answers;
-        self.repaired_rows += other.repaired_rows;
-        self.restricted_repairs += other.restricted_repairs;
-        self.tiers.merge(&other.tiers);
+        let mut tiers = self.tiers;
+        tiers.merge(&other.tiers);
+        *self = Self::from_array(
+            zip_with(self.to_array(), other.to_array(), |a, b| a + b),
+            tiers,
+        );
     }
 
     /// The counter increments accumulated since `earlier` was captured
     /// (both snapshots must come from the same context/engine).
     pub fn delta_since(&self, earlier: &QueryStats) -> QueryStats {
-        QueryStats {
-            queries: self.queries - earlier.queries,
-            structure_bfs_runs: self.structure_bfs_runs - earlier.structure_bfs_runs,
-            augmented_bfs_runs: self.augmented_bfs_runs - earlier.augmented_bfs_runs,
-            full_graph_bfs_runs: self.full_graph_bfs_runs - earlier.full_graph_bfs_runs,
-            cached_answers: self.cached_answers - earlier.cached_answers,
-            repaired_rows: self.repaired_rows - earlier.repaired_rows,
-            restricted_repairs: self.restricted_repairs - earlier.restricted_repairs,
-            tiers: self.tiers.delta_since(&earlier.tiers),
-        }
+        Self::from_array(
+            zip_with(self.to_array(), earlier.to_array(), |a, b| a - b),
+            self.tiers.delta_since(&earlier.tiers),
+        )
     }
 }
 
-/// A lock-free publication cell for one worker's [`QueryStats`].
-///
-/// The serving pattern behind it: each worker thread owns a
-/// [`QueryContext`] (not shared, not lockable without poisoning the hot
-/// path) and, after finishing a request, *publishes* its context's counter
-/// totals into its own `AtomicQueryStats` slot with
-/// [`AtomicQueryStats::store`]. Any other thread — a `Stats`-op handler, a
-/// metrics scraper — calls [`AtomicQueryStats::snapshot`] on every slot and
-/// folds the results with [`QueryStats::merge`], aggregating per-worker
-/// counters without taking a single lock on the serve path.
-///
-/// Consistency contract: every field is an independent relaxed atomic, so a
-/// snapshot racing a store may mix fields from two adjacent publications —
-/// but each field is monotonically non-decreasing and every published value
-/// was true at some point, which is exactly what monitoring counters need.
-/// A snapshot never observes a *torn* field and never goes backwards
-/// field-wise.
-#[derive(Debug, Default)]
-pub struct AtomicQueryStats {
-    queries: std::sync::atomic::AtomicUsize,
-    structure_bfs_runs: std::sync::atomic::AtomicUsize,
-    augmented_bfs_runs: std::sync::atomic::AtomicUsize,
-    full_graph_bfs_runs: std::sync::atomic::AtomicUsize,
-    cached_answers: std::sync::atomic::AtomicUsize,
-    repaired_rows: std::sync::atomic::AtomicUsize,
-    restricted_repairs: std::sync::atomic::AtomicUsize,
-    tier_fault_free_row: std::sync::atomic::AtomicUsize,
-    tier_unaffected_fast_path: std::sync::atomic::AtomicUsize,
-    tier_batched_unaffected: std::sync::atomic::AtomicUsize,
-    tier_sparse_h_bfs: std::sync::atomic::AtomicUsize,
-    tier_augmented_bfs: std::sync::atomic::AtomicUsize,
-    tier_full_graph_bfs: std::sync::atomic::AtomicUsize,
-}
-
-impl AtomicQueryStats {
-    /// An all-zero cell.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Publish `stats` (a context's running totals) into this cell.
-    pub fn store(&self, stats: &QueryStats) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.queries.store(stats.queries, Relaxed);
-        self.structure_bfs_runs
-            .store(stats.structure_bfs_runs, Relaxed);
-        self.augmented_bfs_runs
-            .store(stats.augmented_bfs_runs, Relaxed);
-        self.full_graph_bfs_runs
-            .store(stats.full_graph_bfs_runs, Relaxed);
-        self.cached_answers.store(stats.cached_answers, Relaxed);
-        self.repaired_rows.store(stats.repaired_rows, Relaxed);
-        self.restricted_repairs
-            .store(stats.restricted_repairs, Relaxed);
-        self.tier_fault_free_row
-            .store(stats.tiers.fault_free_row, Relaxed);
-        self.tier_unaffected_fast_path
-            .store(stats.tiers.unaffected_fast_path, Relaxed);
-        self.tier_batched_unaffected
-            .store(stats.tiers.batched_unaffected, Relaxed);
-        self.tier_sparse_h_bfs
-            .store(stats.tiers.sparse_h_bfs, Relaxed);
-        self.tier_augmented_bfs
-            .store(stats.tiers.augmented_bfs, Relaxed);
-        self.tier_full_graph_bfs
-            .store(stats.tiers.full_graph_bfs, Relaxed);
-    }
-
-    /// Read the last published totals as a plain [`QueryStats`] value.
-    pub fn snapshot(&self) -> QueryStats {
-        use std::sync::atomic::Ordering::Relaxed;
-        QueryStats {
-            queries: self.queries.load(Relaxed),
-            structure_bfs_runs: self.structure_bfs_runs.load(Relaxed),
-            augmented_bfs_runs: self.augmented_bfs_runs.load(Relaxed),
-            full_graph_bfs_runs: self.full_graph_bfs_runs.load(Relaxed),
-            cached_answers: self.cached_answers.load(Relaxed),
-            repaired_rows: self.repaired_rows.load(Relaxed),
-            restricted_repairs: self.restricted_repairs.load(Relaxed),
-            tiers: TierCounters {
-                fault_free_row: self.tier_fault_free_row.load(Relaxed),
-                unaffected_fast_path: self.tier_unaffected_fast_path.load(Relaxed),
-                batched_unaffected: self.tier_batched_unaffected.load(Relaxed),
-                sparse_h_bfs: self.tier_sparse_h_bfs.load(Relaxed),
-                augmented_bfs: self.tier_augmented_bfs.load(Relaxed),
-                full_graph_bfs: self.tier_full_graph_bfs.load(Relaxed),
-            },
-        }
-    }
+/// Combine two counter arrays element-wise.
+fn zip_with<const N: usize>(
+    a: [usize; N],
+    b: [usize; N],
+    f: impl Fn(usize, usize) -> usize,
+) -> [usize; N] {
+    std::array::from_fn(|i| f(a[i], b[i]))
 }
 
 /// Borrowed distance + parent rows of one BFS sweep.

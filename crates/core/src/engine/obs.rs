@@ -1,6 +1,7 @@
-//! Engine-side observability: per-tier latency histograms and per-stage
-//! timing breakdowns, recorded by [`QueryContext`](super::QueryContext)
-//! when an [`EngineObs`] is attached and `ftb_obs` sampling is on.
+//! Engine-side observability: the published query counters, plus
+//! per-tier latency histograms and per-stage timing breakdowns recorded by
+//! [`QueryContext`](super::QueryContext) when an [`EngineObs`] is attached
+//! and `ftb_obs` sampling is on.
 //!
 //! # Where the clock is read
 //!
@@ -33,7 +34,8 @@
 //! uninstrumented (the serving stack times whole requests at the server
 //! layer instead).
 
-use ftb_obs::{Histogram, Registry};
+use super::{QueryStats, TierCounters};
+use ftb_obs::{Counter, Histogram, Registry};
 use std::fmt;
 use std::sync::Arc;
 
@@ -41,25 +43,31 @@ use std::sync::Arc;
 pub const TIER_LATENCY_METRIC: &str = "ftb_query_tier_latency_seconds";
 /// Metric name of the per-stage timing histograms.
 pub const STAGE_SECONDS_METRIC: &str = "ftb_query_stage_seconds";
+/// Metric name of the per-tier answer counters (same `tier` labels as
+/// [`TIER_LATENCY_METRIC`]).
+pub const TIER_ANSWERS_METRIC: &str = "ftb_query_answers_total";
 
-/// The engine's metric handles: six per-tier latency histograms (one per
-/// [`TierCounters`](super::TierCounters) field) and five per-stage timing
-/// histograms. Attach one to a [`QueryContext`](super::QueryContext) with
-/// [`attach_obs`](super::QueryContext::attach_obs); recording only happens
-/// while [`ftb_obs::sampling_enabled`] is on.
+/// The engine's metric handles: the published [`QueryStats`] counters
+/// (one `ftb_engine_<name>_total` per [`QueryStats::NAMES`] entry and one
+/// [`TIER_ANSWERS_METRIC`] series per tier), six per-tier latency
+/// histograms and five per-stage timing histograms.
+///
+/// Latency recording happens inside a [`QueryContext`](super::QueryContext)
+/// the bundle is attached to with
+/// [`attach_obs`](super::QueryContext::attach_obs), and only while
+/// [`ftb_obs::sampling_enabled`] is on. The counters are fed by
+/// [`EngineObs::publish`], which a serving worker calls with the counter
+/// delta of each job it answered; they count whether sampling is on or
+/// not.
 pub struct EngineObs {
-    /// `tier="fault_free_row"` — answered from the preprocessed row.
-    pub tier_fault_free_row: Arc<Histogram>,
-    /// `tier="unaffected_fast_path"` — targeted `O(|F|)` fast path.
-    pub tier_unaffected_fast_path: Arc<Histogram>,
-    /// `tier="batched_unaffected"` — one-to-many interval classification.
-    pub tier_batched_unaffected: Arc<Histogram>,
-    /// `tier="sparse_h_bfs"` — rows over `H ∖ {e}`.
-    pub tier_sparse_h_bfs: Arc<Histogram>,
-    /// `tier="augmented_bfs"` — rows over `H⁺ ∖ F`.
-    pub tier_augmented_bfs: Arc<Histogram>,
-    /// `tier="full_graph_bfs"` — recomputed rows over `G ∖ F`.
-    pub tier_full_graph_bfs: Arc<Histogram>,
+    /// `ftb_engine_<name>_total`, in [`QueryStats::NAMES`] order.
+    pub totals: [Arc<Counter>; 7],
+    /// `ftb_query_answers_total{tier=...}`, in [`TierCounters::NAMES`]
+    /// order.
+    pub answers: [Arc<Counter>; 6],
+    /// `ftb_query_tier_latency_seconds{tier=...}`, in
+    /// [`TierCounters::NAMES`] order.
+    pub tier_latency: [Arc<Histogram>; 6],
 
     /// `stage="classify"` — the one-to-many interval classification.
     pub stage_classify: Arc<Histogram>,
@@ -78,6 +86,15 @@ impl EngineObs {
     /// Register the engine's metric families in `registry` (get-or-register:
     /// repeated calls share the same cells) and return the handle bundle.
     pub fn register(registry: &Registry) -> Arc<EngineObs> {
+        let total = |name: &str| {
+            registry.counter(
+                &format!("ftb_engine_{name}_total"),
+                "Engine query counters, published by the workers after each job",
+                &[],
+            )
+        };
+        let answers_help = "Answers produced, by routing tier";
+        let answers = |t: &str| registry.counter(TIER_ANSWERS_METRIC, answers_help, &[("tier", t)]);
         let tier_help = "Per-answer latency by routing tier (entry-point wall \
                          time attributed evenly across the answers of a call)";
         let tier = |t: &str| registry.histogram(TIER_LATENCY_METRIC, tier_help, &[("tier", t)]);
@@ -85,12 +102,9 @@ impl EngineObs {
                           restricted sweeps, row materialisation)";
         let stage = |s: &str| registry.histogram(STAGE_SECONDS_METRIC, stage_help, &[("stage", s)]);
         Arc::new(EngineObs {
-            tier_fault_free_row: tier("fault_free_row"),
-            tier_unaffected_fast_path: tier("unaffected_fast_path"),
-            tier_batched_unaffected: tier("batched_unaffected"),
-            tier_sparse_h_bfs: tier("sparse_h_bfs"),
-            tier_augmented_bfs: tier("augmented_bfs"),
-            tier_full_graph_bfs: tier("full_graph_bfs"),
+            totals: QueryStats::NAMES.map(total),
+            answers: TierCounters::NAMES.map(answers),
+            tier_latency: TierCounters::NAMES.map(tier),
             stage_classify: stage("classify"),
             stage_unaffected_fast_path: stage("unaffected_fast_path"),
             stage_restricted_sweep: stage("restricted_sweep"),
@@ -103,13 +117,11 @@ impl EngineObs {
     /// overhead measurement, where the histograms are inspected directly.
     pub fn detached() -> Arc<EngineObs> {
         let h = || Arc::new(Histogram::new());
+        let c = || Arc::new(Counter::new());
         Arc::new(EngineObs {
-            tier_fault_free_row: h(),
-            tier_unaffected_fast_path: h(),
-            tier_batched_unaffected: h(),
-            tier_sparse_h_bfs: h(),
-            tier_augmented_bfs: h(),
-            tier_full_graph_bfs: h(),
+            totals: std::array::from_fn(|_| c()),
+            answers: std::array::from_fn(|_| c()),
+            tier_latency: std::array::from_fn(|_| h()),
             stage_classify: h(),
             stage_unaffected_fast_path: h(),
             stage_restricted_sweep: h(),
@@ -118,27 +130,41 @@ impl EngineObs {
         })
     }
 
+    /// Add a counter delta (typically
+    /// [`QueryStats::delta_since`] around one job) to the published
+    /// counters. Only non-zero fields touch their cell, so a job answered
+    /// from the fault-free row costs a few relaxed adds. Cells only ever
+    /// grow, so the totals stay monotone across worker panics and respawns.
+    pub fn publish(&self, delta: &QueryStats) {
+        let cells = self.totals.iter().zip(delta.to_array());
+        for (cell, n) in cells.chain(self.answers.iter().zip(delta.tiers.to_array())) {
+            if n > 0 {
+                cell.add(n as u64);
+            }
+        }
+    }
+
+    /// Everything [`EngineObs::publish`] has added so far, read back as a
+    /// [`QueryStats`].
+    pub fn published(&self) -> QueryStats {
+        let read = |cell: &Arc<Counter>| cell.get() as usize;
+        QueryStats::from_array(
+            self.totals.each_ref().map(read),
+            TierCounters::from_array(self.answers.each_ref().map(read)),
+        )
+    }
+
     /// Total samples across the six tier histograms (equals the number of
     /// answers produced while sampling was on — the counter-consistency
     /// invariant).
     pub fn tier_sample_count(&self) -> u64 {
-        self.tier_fault_free_row.count()
-            + self.tier_unaffected_fast_path.count()
-            + self.tier_batched_unaffected.count()
-            + self.tier_sparse_h_bfs.count()
-            + self.tier_augmented_bfs.count()
-            + self.tier_full_graph_bfs.count()
+        self.tier_latency.iter().map(|h| h.count()).sum()
     }
 
     /// Sum of recorded nanoseconds across the six tier histograms (the
     /// measured entry-point wall time, up to per-answer integer division).
     pub fn tier_sample_sum(&self) -> u64 {
-        self.tier_fault_free_row.snapshot().sum()
-            + self.tier_unaffected_fast_path.snapshot().sum()
-            + self.tier_batched_unaffected.snapshot().sum()
-            + self.tier_sparse_h_bfs.snapshot().sum()
-            + self.tier_augmented_bfs.snapshot().sum()
-            + self.tier_full_graph_bfs.snapshot().sum()
+        self.tier_latency.iter().map(|h| h.snapshot().sum()).sum()
     }
 
     /// Sum of recorded nanoseconds across the five stage histograms.

@@ -1288,10 +1288,20 @@ fn query_stats_merge_and_delta_are_inverse_fieldwise() {
     let mut z = zero;
     z.merge(&merged);
     assert_eq!(z, merged);
+    // The name tables follow field order.
+    let at = |names: &[&str], name| names.iter().position(|&n| n == name).unwrap();
+    assert_eq!(
+        a.tiers.to_array()[at(&TierCounters::NAMES, "sparse_h_bfs")],
+        3
+    );
+    assert_eq!(
+        b.to_array()[at(&QueryStats::NAMES, "full_graph_bfs_runs")],
+        2
+    );
 }
 
 #[test]
-fn atomic_stats_roundtrip_and_lock_free_aggregation() {
+fn published_counters_roundtrip_and_lock_free_aggregation() {
     let graph = generators::hypercube(4);
     let mut engine = engine_for(&graph, 0.3, 77);
     for e in [EdgeId(0), EdgeId(3), EdgeId(7)] {
@@ -1302,35 +1312,31 @@ fn atomic_stats_roundtrip_and_lock_free_aggregation() {
     let live = engine.query_stats();
     assert!(live.queries > 0);
 
-    // store → snapshot is the identity on QueryStats values.
-    let cell = AtomicQueryStats::new();
-    assert_eq!(cell.snapshot(), QueryStats::default());
-    cell.store(&live);
-    assert_eq!(cell.snapshot(), live);
+    // publish → published is the identity on QueryStats values.
+    let obs = EngineObs::detached();
+    assert_eq!(obs.published(), QueryStats::default());
+    obs.publish(&live);
+    assert_eq!(obs.published(), live);
 
-    // The Stats-op aggregation pattern: per-worker cells published by
-    // worker threads, snapshotted and merged by a reader with no locks.
-    let cells: Vec<AtomicQueryStats> = (0..4).map(|_| AtomicQueryStats::new()).collect();
-    let cells = Arc::new(cells);
+    // The serving aggregation pattern: worker threads publish the delta of
+    // each job into shared counter cells; a reader sums them with no locks.
+    let obs = EngineObs::detached();
     let core = engine.core().clone();
     std::thread::scope(|scope| {
-        for (w, cell) in cells.iter().enumerate() {
+        for w in 0..4u32 {
             let core = core.clone();
-            let graph = &graph;
+            let (graph, obs) = (&graph, &obs);
             scope.spawn(move || {
                 let mut ctx = core.new_context();
                 for v in graph.vertices() {
-                    ctx.dist_after_fault(&core, v, EdgeId(w as u32))
-                        .expect("in range");
-                    cell.store(&ctx.stats());
+                    let before = ctx.stats();
+                    ctx.dist_after_fault(&core, v, EdgeId(w)).expect("in range");
+                    obs.publish(&ctx.stats().delta_since(&before));
                 }
             });
         }
     });
-    let mut total = QueryStats::default();
-    for cell in cells.iter() {
-        total.merge(&cell.snapshot());
-    }
+    let total = obs.published();
     assert_eq!(total.queries, 4 * graph.num_vertices());
     assert_eq!(total.tiers.total(), total.queries, "tiers sum to queries");
 }

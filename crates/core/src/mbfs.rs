@@ -205,20 +205,6 @@ pub(crate) fn try_build_ft_mbfs_plan(
     })
 }
 
-/// Build an ε FT-MBFS structure, panicking on invalid input.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `MultiSourceBuilder` (or `try_build_ft_mbfs`) which reports \
-            invalid input as `FtbfsError` instead of panicking"
-)]
-pub fn build_ft_mbfs(
-    graph: &Graph,
-    sources: &[VertexId],
-    config: &BuildConfig,
-) -> MultiSourceStructure {
-    try_build_ft_mbfs(graph, sources, config).expect("invalid FT-MBFS construction input")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,23 +288,6 @@ mod tests {
         );
         let bad = try_build_ft_mbfs(&g, &[VertexId(0), VertexId(500)], &config);
         assert!(matches!(bad, Err(FtbfsError::SourceOutOfRange { .. })));
-    }
-
-    #[test]
-    fn deprecated_shim_matches_the_checked_api_and_panics_on_bad_input() {
-        let g = families::erdos_renyi_gnp(30, 0.2, 5);
-        let config = BuildConfig::new(0.3).serial();
-        #[allow(deprecated)]
-        let shim = build_ft_mbfs(&g, &[VertexId(0), VertexId(5)], &config);
-        let checked =
-            try_build_ft_mbfs(&g, &[VertexId(0), VertexId(5)], &config).expect("valid input");
-        assert_eq!(shim.num_edges(), checked.num_edges());
-        assert_eq!(shim.num_reinforced(), checked.num_reinforced());
-        let panicked = std::panic::catch_unwind(|| {
-            #[allow(deprecated)]
-            build_ft_mbfs(&g, &[], &config)
-        });
-        assert!(panicked.is_err(), "the 0.1 shim must panic on bad input");
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!    convention (default 4) so CI can pin it.
 
 use ftb_core::{
-    EngineObs, EngineOptions, FaultQueryEngine, Sources, StructureBuilder, TradeoffBuilder,
+    EngineObs, EngineOptions, FaultQueryEngine, Sources, StructureBuilder, TierCounters,
+    TradeoffBuilder,
 };
 use ftb_graph::{FaultSet, Graph, VertexId};
 use ftb_workloads::{FaultScenario, Workload, WorkloadFamily};
@@ -79,42 +80,13 @@ fn instrumented_replay(family: WorkloadFamily) -> (Arc<EngineObs>, ftb_core::Que
 fn tier_histogram_counts_equal_tier_counters_per_family() {
     for &family in WorkloadFamily::all() {
         let (obs, stats, _) = instrumented_replay(family);
-        let t = stats.tiers;
-        let pairs = [
-            (
-                "fault_free_row",
-                obs.tier_fault_free_row.count(),
-                t.fault_free_row,
-            ),
-            (
-                "unaffected_fast_path",
-                obs.tier_unaffected_fast_path.count(),
-                t.unaffected_fast_path,
-            ),
-            (
-                "batched_unaffected",
-                obs.tier_batched_unaffected.count(),
-                t.batched_unaffected,
-            ),
-            (
-                "sparse_h_bfs",
-                obs.tier_sparse_h_bfs.count(),
-                t.sparse_h_bfs,
-            ),
-            (
-                "augmented_bfs",
-                obs.tier_augmented_bfs.count(),
-                t.augmented_bfs,
-            ),
-            (
-                "full_graph_bfs",
-                obs.tier_full_graph_bfs.count(),
-                t.full_graph_bfs,
-            ),
-        ];
-        for (tier, sampled, counted) in pairs {
+        let pairs = TierCounters::NAMES
+            .iter()
+            .zip(&obs.tier_latency)
+            .zip(stats.tiers.to_array());
+        for ((tier, histogram), counted) in pairs {
             assert_eq!(
-                sampled,
+                histogram.count(),
                 counted as u64,
                 "{}: tier {tier} histogram samples diverge from the counter",
                 family.name()

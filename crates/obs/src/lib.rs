@@ -13,6 +13,7 @@
 //! - The [`Registry`]: named, labelled metric families rendered in the
 //!   Prometheus text exposition format or as JSON. Registration locks a
 //!   mutex once; recording through the returned `Arc` handles never does.
+//!   [`Scrape`] reads the text format back into samples.
 //! - [`Span`] + the process-wide sampling switch
 //!   ([`set_sampling`]/[`sampling_enabled`]): RAII stage timers that are
 //!   one atomic load — no clock read — when sampling is off.
@@ -31,6 +32,6 @@ mod slowlog;
 mod span;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-pub use registry::{GaugeFn, HistogramFn, Registry};
+pub use registry::{GaugeFn, HistogramFn, Registry, Scrape};
 pub use slowlog::SlowLog;
 pub use span::{sampling_enabled, set_sampling, Span};

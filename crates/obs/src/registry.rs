@@ -340,6 +340,44 @@ impl Registry {
     }
 }
 
+/// A Prometheus text payload read back into its samples: the reader that
+/// pairs with [`Registry::render_prometheus`], so one module knows the
+/// exposition format. Samples are keyed by series exactly as rendered
+/// (`name{k="v",...}`); lookups render their label set the same way
+/// registration does. A histogram reads back through its `_count`,
+/// `_sum` and `_bucket` series.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Scrape {
+    samples: BTreeMap<String, f64>,
+}
+
+impl Scrape {
+    /// Read every sample line of `text`; comments and lines that are not
+    /// `series value` are skipped.
+    pub fn parse(text: &str) -> Scrape {
+        let samples = text
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .filter_map(|line| {
+                let (series, value) = line.rsplit_once(' ')?;
+                Some((series.to_string(), value.parse().ok()?))
+            })
+            .collect();
+        Scrape { samples }
+    }
+
+    /// The value of series `name{labels}`, if the payload carried it.
+    pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
+        let key = format!("{name}{}", render_labels(labels));
+        self.samples.get(&key).copied()
+    }
+
+    /// The value of a counter series, or 0 if the payload lacks it.
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
+        self.get(name, labels).map_or(0, |v| v as u64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,6 +418,44 @@ mod tests {
             .rfind(|l| l.starts_with("ftb_latency_seconds_bucket"))
             .unwrap();
         assert!(last_bucket.ends_with(" 2"));
+    }
+
+    #[test]
+    fn scrape_reads_back_what_the_renderer_writes() {
+        let r = Registry::new();
+        r.counter("ftb_plain_total", "plain", &[]).add(41);
+        r.counter("ftb_answers_total", "by tier", &[("tier", "sparse_h_bfs")])
+            .add(5);
+        r.counter(
+            "ftb_answers_total",
+            "by tier",
+            &[("tier", "full_graph_bfs")],
+        );
+        r.gauge("ftb_depth", "depth", &[]).set(-3);
+        r.gauge_fn("ftb_startup_seconds", "startup", &[], Box::new(|| 1.25));
+        let h = r.histogram("ftb_wait_seconds", "wait", &[("stage", "queue")]);
+        h.record(1_000_000);
+        h.record(3_000_000);
+
+        let scrape = Scrape::parse(&r.render_prometheus());
+        assert_eq!(scrape.counter("ftb_plain_total", &[]), 41);
+        let tier = |t| scrape.counter("ftb_answers_total", &[("tier", t)]);
+        assert_eq!(tier("sparse_h_bfs"), 5);
+        assert_eq!(
+            scrape.get("ftb_answers_total", &[("tier", "full_graph_bfs")]),
+            Some(0.0)
+        );
+        assert_eq!(scrape.get("ftb_answers_total", &[("tier", "nope")]), None);
+        assert_eq!(scrape.get("ftb_depth", &[]), Some(-3.0));
+        assert_eq!(scrape.get("ftb_startup_seconds", &[]), Some(1.25));
+        let labels = [("stage", "queue")];
+        assert_eq!(scrape.counter("ftb_wait_seconds_count", &labels), 2);
+        let sum = scrape.get("ftb_wait_seconds_sum", &labels).unwrap();
+        assert!((sum - 0.004).abs() < 1e-12, "sum {sum}");
+        let inf = [("stage", "queue"), ("le", "+Inf")];
+        assert_eq!(scrape.counter("ftb_wait_seconds_bucket", &inf), 2);
+        // Absent series read as zero counters.
+        assert_eq!(scrape.counter("ftb_missing_total", &[]), 0);
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //! control refused.
 
 use ftb_bench::LatencyHistogram;
-use ftb_server::{Client, EngineSpec, Request, Response, RetryPolicy, RetryStats};
+use ftb_core::engine::TIER_ANSWERS_METRIC;
+use ftb_core::TierCounters;
+use ftb_obs::Scrape;
+use ftb_server::{Client, EngineSpec, MetricsFormat, Request, Response, RetryPolicy, RetryStats};
 use ftb_workloads::{ArrivalProcess, ArrivalSchedule, FaultScenario};
 use std::process::exit;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,8 +51,7 @@ struct Args {
     /// Retries per request beyond the first attempt; 0 keeps the old
     /// fire-once behaviour (failures count once and move on).
     retries: u32,
-    /// Client-supplied per-request budget (protocol ≥ 4); `None` sends
-    /// bare requests.
+    /// Client-supplied per-request budget; `None` sends bare requests.
     deadline: Option<Duration>,
 }
 
@@ -268,42 +270,43 @@ fn main() {
         args.spec.describe(),
     );
 
-    // The probe's counter fetches ride the same retry machinery as the
-    // load itself: Stats is an idempotent read, and against a server under
-    // chaos (or genuine duress) a single torn connection must not abort
-    // the whole run.
+    // The probe's metrics scrapes ride the same retry machinery as the
+    // load itself: Metrics is an idempotent read, and against a server
+    // under chaos (or genuine duress) a single torn connection must not
+    // abort the whole run.
     let probe_policy = RetryPolicy {
         max_retries: args.retries.max(3),
         seed: args.spec.seed ^ 0x5747_5453, // "STAT", distinct from load seeds
         ..RetryPolicy::default()
     };
     let mut probe_retry = RetryStats::default();
-    let fetch_stats = |probe: &mut Client, retry: &mut RetryStats| match probe.request_with_retry(
-        &Request::Stats,
+    let metrics = Request::Metrics {
+        format: MetricsFormat::Prometheus,
+    };
+    let scrape = |probe: &mut Client, retry: &mut RetryStats| match probe.request_with_retry(
+        &metrics,
         &probe_policy,
         retry,
     )? {
-        Response::Stats(report) => Ok(report),
+        Response::MetricsText(text) => Ok(Scrape::parse(&text)),
         other => Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("unexpected stats reply: {other:?}"),
+            format!("unexpected metrics reply: {other:?}"),
         )),
     };
 
-    let before = fetch_stats(&mut probe, &mut probe_retry).unwrap_or_else(|e| {
-        eprintln!("ftb-loadgen: stats failed: {e}");
+    let before = scrape(&mut probe, &mut probe_retry).unwrap_or_else(|e| {
+        eprintln!("ftb-loadgen: metrics scrape failed: {e}");
         exit(1)
     });
+    let from_snapshot = before.get("ftb_engine_from_snapshot", &[]) == Some(1.0);
     println!(
         "server engine: source={} startup={:.1}ms{}",
-        if before.engine_source == 1 {
-            "snapshot"
-        } else {
-            "built"
-        },
-        before.startup_micros as f64 / 1e3,
-        if before.engine_source == 1 {
-            format!(" snapshot_format=v{}", before.snapshot_format_version)
+        if from_snapshot { "snapshot" } else { "built" },
+        before.get("ftb_engine_startup_seconds", &[]).unwrap_or(0.0) * 1e3,
+        if from_snapshot {
+            let version = before.counter("ftb_snapshot_format_version", &[]);
+            format!(" snapshot_format=v{version}")
         } else {
             String::new()
         },
@@ -342,7 +345,6 @@ fn main() {
                         return (hist, tally);
                     }
                 };
-                let v4 = client.info().version >= 4;
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= requests.len() {
@@ -355,7 +357,7 @@ fn main() {
                     }
                     let request;
                     let request = match deadline {
-                        Some(budget) if v4 => {
+                        Some(budget) => {
                             request = Request::Deadline {
                                 budget_ms: budget.as_millis().min(u32::MAX as u128) as u32,
                                 inner: Box::new(requests[i].clone()),
@@ -463,30 +465,31 @@ fn main() {
         }
     }
 
-    match fetch_stats(&mut probe, &mut probe_retry) {
+    match scrape(&mut probe, &mut probe_retry) {
         Ok(after) => {
+            let delta = |name: &str, labels: &[(&str, &str)]| {
+                after
+                    .counter(name, labels)
+                    .saturating_sub(before.counter(name, labels))
+            };
+            let engine = |name: &str| delta(&format!("ftb_engine_{name}_total"), &[]);
             println!(
                 "server deltas: queries={} cached={} repaired_rows={} restricted_repairs={} \
                  accepted={} shed={}",
-                after.queries - before.queries,
-                after.cached_answers - before.cached_answers,
-                after.repaired_rows - before.repaired_rows,
-                after.restricted_repairs - before.restricted_repairs,
-                after.accepted - before.accepted,
-                after.shed - before.shed,
+                engine("queries"),
+                engine("cached_answers"),
+                engine("repaired_rows"),
+                engine("restricted_repairs"),
+                delta("ftb_requests_admitted_total", &[]),
+                delta("ftb_requests_shed_total", &[]),
             );
-            println!(
-                "server tiers: fault_free_row={} unaffected_fast_path={} batched_unaffected={} \
-                 sparse_h_bfs={} augmented_bfs={} full_graph_bfs={}",
-                after.tier_fault_free_row - before.tier_fault_free_row,
-                after.tier_unaffected_fast_path - before.tier_unaffected_fast_path,
-                after.tier_batched_unaffected - before.tier_batched_unaffected,
-                after.tier_sparse_h_bfs - before.tier_sparse_h_bfs,
-                after.tier_augmented_bfs - before.tier_augmented_bfs,
-                after.tier_full_graph_bfs - before.tier_full_graph_bfs,
-            );
+            let tiers: Vec<String> = TierCounters::NAMES
+                .iter()
+                .map(|&t| format!("{t}={}", delta(TIER_ANSWERS_METRIC, &[("tier", t)])))
+                .collect();
+            println!("server tiers: {}", tiers.join(" "));
         }
-        Err(e) => eprintln!("ftb-loadgen: final stats failed: {e}"),
+        Err(e) => eprintln!("ftb-loadgen: final metrics scrape failed: {e}"),
     }
 
     if let Some(path) = &args.metrics_out {

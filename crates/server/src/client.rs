@@ -5,7 +5,7 @@
 
 use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, MetricsFormat, Request, Response,
-    SlowQueryReport, StatsReport, PROTOCOL_VERSION,
+    SlowQueryReport, PROTOCOL_VERSION,
 };
 use crate::retry::{classify, failure_is_retryable, request_is_idempotent, RetryState};
 use crate::{RetryPolicy, RetryStats};
@@ -17,7 +17,8 @@ use std::time::Duration;
 /// What the server declared about itself in the handshake.
 #[derive(Clone, Debug)]
 pub struct ServerInfo {
-    /// The server's protocol version.
+    /// The server's protocol version (always [`PROTOCOL_VERSION`]: the
+    /// handshake rejects any other).
     pub version: u16,
     /// Fingerprint of the served graph
     /// ([`Graph::fingerprint`](ftb_graph::Graph::fingerprint)).
@@ -48,7 +49,8 @@ impl Client {
     /// Connect and perform the hello handshake.
     ///
     /// Fails with `InvalidData` if the server rejects the handshake (e.g. a
-    /// protocol version mismatch) or answers with anything but `HelloOk`.
+    /// protocol version mismatch), answers with anything but `HelloOk`, or
+    /// answers `HelloOk` with a version other than [`PROTOCOL_VERSION`].
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -73,6 +75,9 @@ impl Client {
         match self.request(&Request::Hello {
             client_version: PROTOCOL_VERSION,
         })? {
+            Response::HelloOk { version, .. } if version != PROTOCOL_VERSION => Err(bad_data(
+                format!("server speaks protocol version {version}, client {PROTOCOL_VERSION}"),
+            )),
             Response::HelloOk {
                 version,
                 fingerprint,
@@ -135,22 +140,15 @@ impl Client {
         decode_response(&payload).map_err(bad_data)
     }
 
-    /// Send one request under a client-supplied deadline (protocol ≥ 4).
+    /// Send one request under a client-supplied deadline.
     ///
     /// The request is wrapped in [`Request::Deadline`]; the budget starts
-    /// when the server admits the job, so queue time counts against it. If
-    /// the negotiated session is older than v4 the wrapper would be a
-    /// protocol violation, so the request is sent bare and the budget is
-    /// silently best-effort (the server may still apply its own
-    /// `--request-timeout-ms`).
+    /// when the server admits the job, so queue time counts against it.
     pub fn request_with_deadline(
         &mut self,
         req: &Request,
         budget: Duration,
     ) -> io::Result<Response> {
-        if self.info.version < 4 {
-            return self.request(req);
-        }
         let budget_ms = budget.as_millis().min(u32::MAX as u128) as u32;
         self.request(&Request::Deadline {
             budget_ms,
@@ -230,22 +228,14 @@ impl Client {
         })
     }
 
-    /// Fetch the server's counters.
-    pub fn stats(&mut self) -> io::Result<StatsReport> {
-        match self.request(&Request::Stats)? {
-            Response::Stats(report) => Ok(report),
-            other => Err(bad_data(format!("unexpected stats reply: {other:?}"))),
-        }
-    }
-
     /// Fetch the server's metrics snapshot in the Prometheus text
-    /// exposition format (protocol ≥ 3).
+    /// exposition format; [`ftb_obs::Scrape::parse`] reads it back.
     pub fn metrics_text(&mut self) -> io::Result<String> {
         self.metrics(MetricsFormat::Prometheus)
     }
 
     /// Fetch the server's metrics snapshot as a JSON object keyed by
-    /// `name{labels}` (protocol ≥ 3) — the payload
+    /// `name{labels}` — the payload
     /// `ftb-loadgen --metrics-out` writes.
     pub fn metrics_json(&mut self) -> io::Result<String> {
         self.metrics(MetricsFormat::Json)
@@ -258,7 +248,7 @@ impl Client {
         }
     }
 
-    /// Fetch the slow-query board, slowest first (protocol ≥ 3).
+    /// Fetch the slow-query board, slowest first.
     pub fn slow_queries(&mut self) -> io::Result<Vec<SlowQueryReport>> {
         match self.request(&Request::SlowQueries)? {
             Response::SlowQueries(board) => Ok(board),

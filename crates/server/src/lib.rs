@@ -24,10 +24,11 @@
 //!   then restores it in milliseconds instead of rebuilding, turning
 //!   server restarts from a preprocessing event into a file read.
 //!
-//! Both speak the versioned length-prefixed binary protocol of
-//! [`protocol`], whose hello handshake carries the served graph's
-//! [fingerprint](ftb_graph::Graph::fingerprint) so a client regenerating
-//! the workload locally can prove it is naming the same graph.
+//! Both speak the length-prefixed binary protocol of [`protocol`], whose
+//! hello handshake checks the one protocol version and carries the served
+//! graph's [fingerprint](ftb_graph::Graph::fingerprint) so a client
+//! regenerating the workload locally can prove it is naming the same
+//! graph.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,8 +44,8 @@ pub use client::{Client, ServerInfo};
 pub use metrics::{ConnCell, ServerMetrics, DEFAULT_SLOW_LOG_CAPACITY};
 pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    DecodeError, ErrorCode, MetricsFormat, Request, Response, SlowQueryReport, StatsReport,
-    WirePath, MAX_FRAME_LEN, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    DecodeError, ErrorCode, MetricsFormat, Request, Response, SlowQueryReport, WirePath,
+    MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 pub use retry::{RetryPolicy, RetryStats};
 pub use server::{

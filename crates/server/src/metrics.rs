@@ -1,17 +1,21 @@
-//! The server's metric surface: one [`Registry`] holding the request
-//! counters, connection/queue gauges, per-stage latency histograms, the
-//! engine's [`EngineObs`] families, and the slow-query board.
+//! The server's metric surface: one [`Registry`] holding every counter the
+//! server keeps — request, admission and connection counters, the
+//! engine's [`EngineObs`] families (query counters by name and by tier,
+//! tier latency, stage timings), connection/queue gauges, per-stage
+//! latency histograms — and the slow-query board. There is no second copy
+//! of any of them: the `Metrics` wire frame and the HTTP listener render
+//! this registry, and in-process readers use the handles below.
 //!
 //! # Where each number comes from
 //!
 //! * **Workers** record queue wait (enqueue → pickup) and handle time
-//!   into shared registry histograms — lock-free relaxed atomics, safe on
-//!   the job path.
-//! * **Connection threads** get a private [`ConnCell`] each: decode and
-//!   encode time land in per-thread histogram cells, not shared series.
-//!   This closes the old blind spot where connection-thread work was
-//!   invisible to `Stats` (which is answered *on* the connection thread):
-//!   the cells are merged into the registry snapshot at scrape time via
+//!   into shared registry histograms, and publish each job's engine
+//!   counter delta through [`EngineObs::publish`] — lock-free relaxed
+//!   atomics, safe on the job path.
+//! * **Connection threads** bump the request, admission and shed counters
+//!   and get a private [`ConnCell`] each: decode and encode time land in
+//!   per-thread histogram cells, not shared series. The cells are merged
+//!   into the registry snapshot at scrape time via
 //!   [`Registry::histogram_fn`], live cells and retired (closed
 //!   connection) totals alike, so totals are monotone across connection
 //!   churn.
@@ -24,6 +28,7 @@
 //! and JSON for `ftb-loadgen --metrics-out`.
 
 use crate::protocol::{Request, SlowQueryReport};
+use ftb_core::EngineObs;
 use ftb_obs::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, SlowLog};
 use std::sync::{Arc, Mutex};
 
@@ -97,9 +102,13 @@ impl Drop for ConnCell {
 }
 
 /// The server-layer metric handles, all registered in one [`Registry`]
-/// together with the engine's [`EngineObs`](ftb_core::EngineObs) families.
+/// together with the engine's [`EngineObs`] families.
 pub struct ServerMetrics {
     registry: Registry,
+
+    /// The engine's families: `ftb_engine_*_total`,
+    /// `ftb_query_answers_total{tier=...}`, tier latency and stage timing.
+    pub engine: Arc<EngineObs>,
 
     /// `ftb_requests_total{op=...}` — one counter per request kind.
     pub req_hello: Arc<Counter>,
@@ -112,14 +121,15 @@ pub struct ServerMetrics {
     /// See [`ServerMetrics::req_hello`].
     pub req_dist_many: Arc<Counter>,
     /// See [`ServerMetrics::req_hello`].
-    pub req_stats: Arc<Counter>,
-    /// See [`ServerMetrics::req_hello`].
     pub req_metrics: Arc<Counter>,
     /// See [`ServerMetrics::req_hello`].
     pub req_slow_queries: Arc<Counter>,
     /// See [`ServerMetrics::req_hello`].
     pub req_shutdown: Arc<Counter>,
 
+    /// `ftb_requests_admitted_total` — query requests admitted to the
+    /// bounded queue.
+    pub admitted_total: Arc<Counter>,
     /// `ftb_requests_shed_total` — answered `Overloaded` (queue full).
     pub shed_total: Arc<Counter>,
     /// `ftb_requests_deadline_exceeded_total` — shed with
@@ -204,15 +214,20 @@ impl ServerMetrics {
         );
 
         Arc::new(ServerMetrics {
+            engine: EngineObs::register(&r),
             req_hello: req("hello"),
             req_dist: req("dist"),
             req_path: req("path"),
             req_batch_dist: req("batch_dist"),
             req_dist_many: req("dist_many"),
-            req_stats: req("stats"),
             req_metrics: req("metrics"),
             req_slow_queries: req("slow_queries"),
             req_shutdown: req("shutdown"),
+            admitted_total: r.counter(
+                "ftb_requests_admitted_total",
+                "Query requests admitted to the bounded queue",
+                &[],
+            ),
             shed_total: r.counter(
                 "ftb_requests_shed_total",
                 "Requests shed with Overloaded (bounded queue full)",
@@ -277,8 +292,7 @@ impl ServerMetrics {
     }
 
     /// The registry everything is registered in — for adding more families
-    /// (the engine's [`EngineObs`](ftb_core::EngineObs), build-phase
-    /// gauges) and for rendering.
+    /// (build-phase and provenance gauges) and for rendering.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -302,7 +316,6 @@ impl ServerMetrics {
             Request::Path { .. } => self.req_path.inc(),
             Request::BatchDist { .. } => self.req_batch_dist.inc(),
             Request::DistMany { .. } => self.req_dist_many.inc(),
-            Request::Stats => self.req_stats.inc(),
             Request::Metrics { .. } => self.req_metrics.inc(),
             Request::SlowQueries => self.req_slow_queries.inc(),
             Request::Shutdown => self.req_shutdown.inc(),
@@ -349,12 +362,15 @@ mod tests {
     #[test]
     fn request_counters_by_op() {
         let m = ServerMetrics::new(4);
-        m.count_request(&Request::Stats);
-        m.count_request(&Request::Stats);
+        let metrics = Request::Metrics {
+            format: crate::protocol::MetricsFormat::Json,
+        };
+        m.count_request(&metrics);
+        m.count_request(&metrics);
         m.count_request(&Request::SlowQueries);
-        assert_eq!(m.req_stats.get(), 2);
+        assert_eq!(m.req_metrics.get(), 2);
         assert_eq!(m.req_slow_queries.get(), 1);
         let text = m.render_prometheus();
-        assert!(text.contains("ftb_requests_total{op=\"stats\"} 2"));
+        assert!(text.contains("ftb_requests_total{op=\"metrics\"} 2"));
     }
 }

@@ -1,5 +1,5 @@
-//! The versioned, length-prefixed binary wire protocol shared by
-//! `ftb-serve` and `ftb-loadgen`.
+//! The length-prefixed binary wire protocol shared by `ftb-serve` and
+//! `ftb-loadgen`.
 //!
 //! Every message travels as one *frame*: a 4-byte little-endian payload
 //! length followed by the payload, whose first byte is an opcode
@@ -9,13 +9,17 @@
 //! cannot balloon memory.
 //!
 //! The session starts with a handshake: the client sends
-//! [`Request::Hello`] carrying its [`PROTOCOL_VERSION`]; the server answers
-//! [`Response::HelloOk`] with its own version, the graph's
+//! [`Request::Hello`] carrying its [`PROTOCOL_VERSION`], which must equal
+//! the server's (there is one protocol version, no negotiation); the
+//! server answers [`Response::HelloOk`] with that version, the graph's
 //! [fingerprint](ftb_graph::Graph::fingerprint) and dimensions, and the
 //! served sources. The fingerprint is the load generator's correctness
 //! anchor: a client that regenerates the workload locally (same family /
 //! `n` / seed) verifies it is naming vertices and edges of the *same*
 //! graph before sending a single query.
+//!
+//! The server's counters are not a frame of their own: [`Request::Metrics`]
+//! returns the whole metrics registry, which `ftb_obs::Scrape` reads back.
 //!
 //! Decoding never panics: every malformed input maps to a typed
 //! [`DecodeError`], and a payload must be consumed exactly (trailing bytes
@@ -24,21 +28,10 @@
 use ftb_graph::{EdgeId, Fault, FaultSet, VertexId};
 use std::io::{Read, Write};
 
-/// Protocol version spoken by this build. Version 2 extended
-/// [`StatsReport`] with the engine-provenance fields (`engine_source`,
-/// `startup_micros`, `snapshot_format_version`). Version 3 added the
-/// observability frames: [`Request::Metrics`] → [`Response::MetricsText`]
-/// and [`Request::SlowQueries`] → [`Response::SlowQueries`]. Version 4
-/// added the [`Request::Deadline`] wrapper (a client-supplied per-request
-/// budget) and the [`ErrorCode::DeadlineExceeded`] error code.
-pub const PROTOCOL_VERSION: u16 = 4;
-
-/// Oldest client version the server still accepts. A v2 or v3 session
-/// works exactly as before — newer frames are *version-gated*: an older
-/// client sending [`Request::Metrics`], [`Request::SlowQueries`] or
-/// [`Request::Deadline`] gets [`ErrorCode::ProtocolViolation`], never a
-/// frame it cannot decode.
-pub const MIN_PROTOCOL_VERSION: u16 = 2;
+/// The protocol version spoken by this build. A [`Request::Hello`] naming
+/// any other version is answered with [`ErrorCode::ProtocolViolation`] and
+/// the connection closes.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Upper bound on a frame payload; length prefixes beyond it are rejected
 /// as [`DecodeError::FrameTooLarge`] before allocating.
@@ -91,20 +84,20 @@ pub enum Request {
         /// The failed edges/vertices, shared by the whole frame.
         faults: FaultSet,
     },
-    /// Ask for the server's aggregated query/admission counters.
-    Stats,
     /// Ask the server to shut down gracefully.
     Shutdown,
-    /// Ask for the full metrics snapshot (protocol ≥ 3). Answered inline
-    /// on the connection thread, like [`Request::Stats`].
+    /// Ask for the full metrics snapshot: every counter, gauge and
+    /// histogram of the server's registry. Answered inline on the
+    /// connection thread, so it stays responsive even when the query queue
+    /// is saturated.
     Metrics {
         /// Requested exposition format.
         format: MetricsFormat,
     },
-    /// Ask for the slow-query board (protocol ≥ 3): the top-K requests by
+    /// Ask for the slow-query board: the top-K requests by
     /// handle time, slowest first, with fault set and stage breakdown.
     SlowQueries,
-    /// A query request carrying a client-supplied deadline (protocol ≥ 4).
+    /// A query request carrying a client-supplied deadline.
     ///
     /// The budget starts when the server admits the job. A request whose
     /// budget expires while still queued (or between the fault-set groups
@@ -137,19 +130,6 @@ pub enum MetricsFormat {
     Json = 1,
 }
 
-impl Request {
-    /// The lowest protocol version a session must have negotiated for this
-    /// request to be legal; older sessions get
-    /// [`ErrorCode::ProtocolViolation`].
-    pub fn min_version(&self) -> u16 {
-        match self {
-            Request::Metrics { .. } | Request::SlowQueries => 3,
-            Request::Deadline { .. } => 4,
-            _ => MIN_PROTOCOL_VERSION,
-        }
-    }
-}
-
 /// A server-to-client message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Response {
@@ -175,8 +155,6 @@ pub enum Response {
     BatchDist(Vec<Option<u32>>),
     /// One-to-many distance answers, in target order.
     DistMany(Vec<Option<u32>>),
-    /// Aggregated server counters.
-    Stats(StatsReport),
     /// Acknowledgement of a [`Request::Shutdown`]; the connection closes
     /// after this frame.
     ShuttingDown,
@@ -190,10 +168,9 @@ pub enum Response {
         /// Human-readable context.
         message: String,
     },
-    /// The rendered metrics snapshot (protocol ≥ 3), in the format the
-    /// request named.
+    /// The rendered metrics snapshot, in the format the request named.
     MetricsText(String),
-    /// The slow-query board (protocol ≥ 3), slowest first.
+    /// The slow-query board, slowest first.
     SlowQueries(Vec<SlowQueryReport>),
 }
 
@@ -218,9 +195,8 @@ pub struct SlowQueryReport {
     pub handle_nanos: u64,
     /// Nanoseconds the connection thread spent encoding the response.
     pub encode_nanos: u64,
-    /// Per-tier answer counts, in [`StatsReport`] tier order:
-    /// `fault_free_row`, `unaffected_fast_path`, `batched_unaffected`,
-    /// `sparse_h_bfs`, `augmented_bfs`, `full_graph_bfs`.
+    /// Per-tier answer counts, in
+    /// [`TierCounters::NAMES`](ftb_core::TierCounters::NAMES) order.
     pub tiers: [u64; 6],
 }
 
@@ -233,58 +209,6 @@ pub struct WirePath {
     pub vertices: Vec<VertexId>,
     /// Edge ids connecting consecutive vertices.
     pub edges: Vec<EdgeId>,
-}
-
-/// The counters a [`Request::Stats`] returns: the merged
-/// [`QueryStats`](ftb_core::QueryStats) of every worker plus the server's
-/// admission counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsReport {
-    /// Total queries answered.
-    pub queries: u64,
-    /// BFS sweeps over the structure CSR.
-    pub structure_bfs_runs: u64,
-    /// BFS sweeps over the augmented CSR.
-    pub augmented_bfs_runs: u64,
-    /// Full-graph BFS fallback sweeps.
-    pub full_graph_bfs_runs: u64,
-    /// Queries answered from an already-computed row.
-    pub cached_answers: u64,
-    /// Cache misses served by incremental row repair.
-    pub repaired_rows: u64,
-    /// Cache misses served by a target-restricted repair sweep (one-to-many
-    /// queries whose affected targets were few).
-    pub restricted_repairs: u64,
-    /// Tier: answered from the fault-free row.
-    pub tier_fault_free_row: u64,
-    /// Tier: provably-unaffected fast path.
-    pub tier_unaffected_fast_path: u64,
-    /// Tier: targets classified unaffected by the batched one-to-many
-    /// interval search (counted per target).
-    pub tier_batched_unaffected: u64,
-    /// Tier: sparse BFS over `H ∖ {e}`.
-    pub tier_sparse_h_bfs: u64,
-    /// Tier: BFS over the augmented CSR `H⁺ ∖ F`.
-    pub tier_augmented_bfs: u64,
-    /// Tier: full-graph fallback.
-    pub tier_full_graph_bfs: u64,
-    /// Requests admitted to the queue.
-    pub accepted: u64,
-    /// Requests shed with [`Response::Overloaded`].
-    pub shed: u64,
-    /// Connections accepted over the server's lifetime.
-    pub connections: u64,
-    /// Where the engine came from: 0 = built in-process from the spec,
-    /// 1 = loaded from a persistent snapshot.
-    pub engine_source: u64,
-    /// Wall time from process start to ready-to-serve, in microseconds
-    /// (the preprocessing cost under `engine_source = 0`, the snapshot
-    /// load cost under `engine_source = 1`).
-    pub startup_micros: u64,
-    /// The snapshot container format version
-    /// ([`ftb_core::SNAPSHOT_FORMAT_VERSION`]) when loaded from one,
-    /// `0` when freshly built.
-    pub snapshot_format_version: u64,
 }
 
 /// Machine-readable error codes carried by [`Response::Error`].
@@ -482,7 +406,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
                 e.faults(faults);
             }
         }
-        Request::Stats => e = Enc::new(0x05),
         Request::Shutdown => e = Enc::new(0x06),
         Request::DistMany {
             source,
@@ -557,32 +480,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             e.u32(ds.len() as u32);
             for d in ds {
                 e.opt_u32(*d);
-            }
-        }
-        Response::Stats(s) => {
-            e = Enc::new(0x85);
-            for v in [
-                s.queries,
-                s.structure_bfs_runs,
-                s.augmented_bfs_runs,
-                s.full_graph_bfs_runs,
-                s.cached_answers,
-                s.repaired_rows,
-                s.restricted_repairs,
-                s.tier_fault_free_row,
-                s.tier_unaffected_fast_path,
-                s.tier_batched_unaffected,
-                s.tier_sparse_h_bfs,
-                s.tier_augmented_bfs,
-                s.tier_full_graph_bfs,
-                s.accepted,
-                s.shed,
-                s.connections,
-                s.engine_source,
-                s.startup_micros,
-                s.snapshot_format_version,
-            ] {
-                e.u64(v);
             }
         }
         Response::DistMany(ds) => {
@@ -723,7 +620,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
             }
             Request::BatchDist { source, queries }
         }
-        0x05 => Request::Stats,
         0x06 => Request::Shutdown,
         0x07 => {
             let source = VertexId(d.u32()?);
@@ -823,33 +719,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
                 ds.push(d.opt_u32()?);
             }
             Response::BatchDist(ds)
-        }
-        0x85 => {
-            let mut vals = [0u64; 19];
-            for v in vals.iter_mut() {
-                *v = d.u64()?;
-            }
-            Response::Stats(StatsReport {
-                queries: vals[0],
-                structure_bfs_runs: vals[1],
-                augmented_bfs_runs: vals[2],
-                full_graph_bfs_runs: vals[3],
-                cached_answers: vals[4],
-                repaired_rows: vals[5],
-                restricted_repairs: vals[6],
-                tier_fault_free_row: vals[7],
-                tier_unaffected_fast_path: vals[8],
-                tier_batched_unaffected: vals[9],
-                tier_sparse_h_bfs: vals[10],
-                tier_augmented_bfs: vals[11],
-                tier_full_graph_bfs: vals[12],
-                accepted: vals[13],
-                shed: vals[14],
-                connections: vals[15],
-                engine_source: vals[16],
-                startup_micros: vals[17],
-                snapshot_format_version: vals[18],
-            })
         }
         0x86 => Response::ShuttingDown,
         0x87 => {
@@ -995,7 +864,6 @@ mod tests {
                 targets: vec![],
                 faults: FaultSet::new(),
             },
-            Request::Stats,
             Request::Shutdown,
             Request::Metrics {
                 format: MetricsFormat::Prometheus,
@@ -1031,7 +899,6 @@ mod tests {
         // Control frames inside a deadline are rejected at decode time…
         for inner in [
             Request::Hello { client_version: 4 },
-            Request::Stats,
             Request::Shutdown,
             Request::Metrics {
                 format: MetricsFormat::Json,
@@ -1054,7 +921,7 @@ mod tests {
             budget_ms: 1,
             inner: Box::new(Request::Deadline {
                 budget_ms: 2,
-                inner: Box::new(Request::Stats),
+                inner: Box::new(Request::SlowQueries),
             }),
         });
         assert_eq!(decode_request(&nested), Err(DecodeError::BadTag(0x0A)));
@@ -1087,19 +954,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_is_version_gated_at_v4() {
-        let req = Request::Deadline {
-            budget_ms: 5,
-            inner: Box::new(Request::Dist {
-                source: VertexId(0),
-                target: VertexId(1),
-                faults: FaultSet::new(),
-            }),
-        };
-        assert_eq!(req.min_version(), 4);
-    }
-
-    #[test]
     fn response_round_trips() {
         let resps = vec![
             Response::HelloOk {
@@ -1118,16 +972,6 @@ mod tests {
             Response::Path(None),
             Response::BatchDist(vec![Some(1), None, Some(3)]),
             Response::DistMany(vec![None, Some(0), Some(7)]),
-            Response::Stats(StatsReport {
-                queries: 10,
-                restricted_repairs: 3,
-                tier_batched_unaffected: 5,
-                shed: 2,
-                engine_source: 1,
-                startup_micros: 12_345,
-                snapshot_format_version: 1,
-                ..Default::default()
-            }),
             Response::ShuttingDown,
             Response::Overloaded,
             Response::MetricsText("# HELP ftb_requests_total requests\n".to_string()),
@@ -1182,7 +1026,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = encode_request(&Request::Stats);
+        let mut bytes = encode_request(&Request::Shutdown);
         bytes.push(0);
         assert_eq!(
             decode_request(&bytes),
@@ -1199,6 +1043,15 @@ mod tests {
         assert_eq!(
             decode_response(&[0x01]),
             Err(DecodeError::UnknownOpcode(0x01))
+        );
+        // Opcodes 0x05 and 0x85 are unassigned.
+        assert_eq!(
+            decode_request(&[0x05]),
+            Err(DecodeError::UnknownOpcode(0x05))
+        );
+        assert_eq!(
+            decode_response(&[0x85]),
+            Err(DecodeError::UnknownOpcode(0x85))
         );
         // Dist with a fault of kind 9.
         let mut bytes = vec![0x02];
@@ -1222,30 +1075,6 @@ mod tests {
         let huge = (MAX_FRAME_LEN as u32 + 1).to_le_bytes();
         let mut cursor = std::io::Cursor::new(&huge[..]);
         assert!(read_frame(&mut cursor).is_err(), "oversized length prefix");
-    }
-
-    #[test]
-    fn v3_frames_are_version_gated() {
-        assert_eq!(
-            Request::Metrics {
-                format: MetricsFormat::Prometheus
-            }
-            .min_version(),
-            3
-        );
-        assert_eq!(Request::SlowQueries.min_version(), 3);
-        for v2_req in [
-            Request::Hello { client_version: 2 },
-            Request::Stats,
-            Request::Shutdown,
-            Request::Dist {
-                source: VertexId(0),
-                target: VertexId(1),
-                faults: FaultSet::new(),
-            },
-        ] {
-            assert_eq!(v2_req.min_version(), MIN_PROTOCOL_VERSION, "{v2_req:?}");
-        }
     }
 
     #[test]

@@ -93,7 +93,6 @@ pub(crate) fn request_is_idempotent(req: &Request) -> bool {
         | Request::Path { .. }
         | Request::DistMany { .. }
         | Request::BatchDist { .. }
-        | Request::Stats
         | Request::Metrics { .. }
         | Request::SlowQueries => true,
         Request::Deadline { inner, .. } => request_is_idempotent(inner),
@@ -230,7 +229,7 @@ mod tests {
         assert!(!request_is_idempotent(&Request::Hello {
             client_version: 4
         }));
-        assert!(request_is_idempotent(&Request::Stats));
+        assert!(request_is_idempotent(&Request::SlowQueries));
         assert!(request_is_idempotent(&Request::Dist {
             source: VertexId::new(0),
             target: VertexId::new(1),
@@ -239,7 +238,7 @@ mod tests {
         // Idempotence looks through the deadline wrapper.
         assert!(request_is_idempotent(&Request::Deadline {
             budget_ms: 5,
-            inner: Box::new(Request::Stats),
+            inner: Box::new(Request::SlowQueries),
         }));
         assert!(!request_is_idempotent(&Request::Deadline {
             budget_ms: 5,

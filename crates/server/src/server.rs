@@ -7,11 +7,12 @@
 //!   shutdown flag, so a shutdown request never waits on a new client;
 //! * one **connection thread** per client — reads frames (with an idle
 //!   timeout so a wedged client cannot pin the thread forever), answers
-//!   handshake/stats/shutdown inline, and submits query work to the
+//!   handshake/metrics/shutdown inline, and submits query work to the
 //!   bounded job queue with `try_send`;
 //! * a fixed pool of **workers** — each owns its private
-//!   [`QueryContext`] (BFS scratch + row cache) and an
-//!   [`AtomicQueryStats`] slot it publishes counters to after every job.
+//!   [`QueryContext`] (BFS scratch + row cache) and, after every job,
+//!   adds the context's counter delta to the shared engine counters of
+//!   the metrics registry ([`EngineObs::publish`](ftb_core::EngineObs::publish)).
 //!
 //! Admission control is the load-bearing design point: the job queue is a
 //! *bounded* MPMC channel, and a full queue means the connection thread
@@ -20,24 +21,27 @@
 //! clients observe overload as an explicit, countable signal rather than
 //! as silently growing latency.
 //!
-//! [`Request::Stats`] is answered on the connection thread from the
-//! workers' atomic counter cells — it stays responsive even when the
-//! query queue is saturated, which is exactly when you want to read it.
+//! Every counter the server keeps lives once, in the
+//! [`ServerMetrics`] registry: engine counters by name and by tier,
+//! admitted/shed/connection counters, and the engine provenance gauges
+//! registered at bind. [`Request::Metrics`] renders it on the connection
+//! thread, so it stays responsive even when the query queue is saturated,
+//! which is exactly when you want to read it.
 
 use crate::metrics::{ServerMetrics, DEFAULT_SLOW_LOG_CAPACITY};
 use crate::protocol::{
     decode_request, encode_response, write_frame, DecodeError, ErrorCode, MetricsFormat, Request,
-    Response, SlowQueryReport, StatsReport, WirePath, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    Response, SlowQueryReport, WirePath, PROTOCOL_VERSION,
 };
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use ftb_chaos::{Chaos, IoFault, WorkerFault};
-use ftb_core::{AtomicQueryStats, EngineCore, EngineObs, FtbfsError, QueryContext, QueryStats};
+use ftb_core::{EngineCore, FtbfsError, QueryContext};
 use ftb_graph::FaultSet;
 use std::collections::BTreeMap;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -45,8 +49,9 @@ use std::time::{Duration, Instant};
 /// Where the served engine came from and what it cost to get ready.
 ///
 /// Filled in by the binary that assembled the engine (built in-process or
-/// loaded from a snapshot) and reported verbatim through the
-/// [`StatsReport`] provenance fields, so operators can tell a
+/// loaded from a snapshot) and published at bind as the
+/// `ftb_engine_from_snapshot`, `ftb_engine_startup_seconds` and
+/// `ftb_snapshot_format_version` gauges, so operators can tell a
 /// snapshot-restored server from a cold-built one over the wire.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Provenance {
@@ -71,7 +76,7 @@ pub struct ServeOptions {
     /// A connection idle (no bytes) for this long is closed. Also bounds
     /// how long a half-sent frame can pin a connection thread.
     pub idle_timeout: Duration,
-    /// Engine startup provenance echoed in [`StatsReport`].
+    /// Engine startup provenance, published as gauges at bind.
     pub provenance: Provenance,
     /// Capacity of the slow-query board (top-K by handle time; 0 disables).
     pub slow_log_capacity: usize,
@@ -161,15 +166,10 @@ struct Shared {
     core: Arc<EngineCore>,
     shutdown: AtomicBool,
     idle_timeout: Duration,
-    /// Per-worker stats cells; index = worker id.
-    worker_stats: Vec<AtomicQueryStats>,
-    accepted: AtomicU64,
-    shed: AtomicU64,
-    connections: AtomicU64,
+    /// The configured worker pool size.
+    workers: usize,
     active_connections: AtomicUsize,
-    provenance: Provenance,
     metrics: Arc<ServerMetrics>,
-    engine_obs: Arc<EngineObs>,
     /// Server-side per-request budget (see [`ServeOptions::request_timeout`]).
     request_timeout: Option<Duration>,
     /// Fault injection hook; `None` in production.
@@ -183,38 +183,10 @@ struct Shared {
 }
 
 impl Shared {
-    fn stats_report(&self) -> StatsReport {
-        let mut total = QueryStats::default();
-        for cell in &self.worker_stats {
-            total.merge(&cell.snapshot());
-        }
-        StatsReport {
-            queries: total.queries as u64,
-            structure_bfs_runs: total.structure_bfs_runs as u64,
-            augmented_bfs_runs: total.augmented_bfs_runs as u64,
-            full_graph_bfs_runs: total.full_graph_bfs_runs as u64,
-            cached_answers: total.cached_answers as u64,
-            repaired_rows: total.repaired_rows as u64,
-            restricted_repairs: total.restricted_repairs as u64,
-            tier_fault_free_row: total.tiers.fault_free_row as u64,
-            tier_unaffected_fast_path: total.tiers.unaffected_fast_path as u64,
-            tier_batched_unaffected: total.tiers.batched_unaffected as u64,
-            tier_sparse_h_bfs: total.tiers.sparse_h_bfs as u64,
-            tier_augmented_bfs: total.tiers.augmented_bfs as u64,
-            tier_full_graph_bfs: total.tiers.full_graph_bfs as u64,
-            accepted: self.accepted.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
-            engine_source: self.provenance.from_snapshot as u64,
-            startup_micros: self.provenance.startup_micros,
-            snapshot_format_version: self.provenance.snapshot_format_version as u64,
-        }
-    }
-
-    fn hello_ok(&self, negotiated: u16) -> Response {
+    fn hello_ok(&self) -> Response {
         let graph = self.core.graph();
         Response::HelloOk {
-            version: negotiated,
+            version: PROTOCOL_VERSION,
             fingerprint: graph.fingerprint(),
             num_vertices: graph.num_vertices() as u32,
             num_edges: graph.num_edges() as u32,
@@ -251,7 +223,28 @@ impl Server {
         let workers = options.workers.max(1);
         ftb_obs::set_sampling(options.sampling);
         let metrics = ServerMetrics::new(options.slow_log_capacity);
-        let engine_obs = EngineObs::register(metrics.registry());
+        let provenance = options.provenance;
+        for (name, help, value) in [
+            (
+                "ftb_engine_from_snapshot",
+                "1 when the engine was loaded from a snapshot, 0 when built in-process",
+                f64::from(u8::from(provenance.from_snapshot)),
+            ),
+            (
+                "ftb_engine_startup_seconds",
+                "Wall time from process start to ready-to-serve",
+                provenance.startup_micros as f64 / 1e6,
+            ),
+            (
+                "ftb_snapshot_format_version",
+                "Snapshot container format version the engine was loaded from (0 when built)",
+                f64::from(provenance.snapshot_format_version),
+            ),
+        ] {
+            metrics
+                .registry()
+                .gauge_fn(name, help, &[], Box::new(move || value));
+        }
         // Preprocessing provenance as scrape-time gauges: how this core
         // came to exist, phase by phase. An in-process build also exports
         // the structure's construction phases from its `BuildStats`; a
@@ -287,14 +280,9 @@ impl Server {
             core,
             shutdown: AtomicBool::new(false),
             idle_timeout: options.idle_timeout.max(Duration::from_millis(1)),
-            worker_stats: (0..workers).map(|_| AtomicQueryStats::new()).collect(),
-            accepted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
+            workers,
             active_connections: AtomicUsize::new(0),
-            provenance: options.provenance,
             metrics,
-            engine_obs,
             request_timeout: options.request_timeout,
             chaos: options.chaos.clone(),
             workers_alive: AtomicUsize::new(0),
@@ -370,11 +358,6 @@ impl Server {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// The same counters [`Request::Stats`] reports, read in-process.
-    pub fn stats(&self) -> StatsReport {
-        self.shared.stats_report()
-    }
-
     /// Worker threads currently running (the supervisor respawns crashed
     /// ones, so this converges back to [`Server::workers_configured`]
     /// after a panic).
@@ -384,7 +367,7 @@ impl Server {
 
     /// The worker pool size the server was built with.
     pub fn workers_configured(&self) -> usize {
-        self.shared.worker_stats.len()
+        self.shared.workers
     }
 
     /// Block until the server has fully stopped (all connections closed,
@@ -464,7 +447,6 @@ fn accept_requests(listener: &TcpListener, shared: &Arc<Shared>, job_tx: &Sender
                 }
                 let conn_shared = Arc::clone(shared);
                 let jobs = job_tx.clone();
-                shared.connections.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.connections_total.inc();
                 shared.active_connections.fetch_add(1, Ordering::SeqCst);
                 shared.metrics.connections_active.inc();
@@ -507,7 +489,7 @@ fn spawn_worker(
     let shared = Arc::clone(shared);
     thread::Builder::new()
         .name(format!("ftb-worker-{slot}"))
-        .spawn(move || worker_loop(shared, jobs, slot))
+        .spawn(move || worker_loop(shared, jobs))
 }
 
 /// Watches the worker pool: a slot whose thread exits by panic (an
@@ -551,16 +533,13 @@ impl Drop for WorkerAlive {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, jobs: Receiver<Job>, slot: usize) {
+fn worker_loop(shared: Arc<Shared>, jobs: Receiver<Job>) {
     shared.workers_alive.fetch_add(1, Ordering::SeqCst);
     let _alive = WorkerAlive(Arc::clone(&shared));
-    // The slot's already-published totals (from a predecessor incarnation,
-    // when this is a respawn) are the base the fresh context accumulates
-    // on, so the merged stats stay monotone across panics and respawns.
-    let mut base: QueryStats = shared.worker_stats[slot].snapshot();
+    let engine = &shared.metrics.engine;
     'context: loop {
         let mut ctx = shared.core.new_context();
-        ctx.attach_obs(Arc::clone(&shared.engine_obs));
+        ctx.attach_obs(Arc::clone(engine));
         while let Ok(job) = jobs.recv() {
             shared.metrics.queue_depth.dec();
             let fault = match &shared.chaos {
@@ -590,7 +569,7 @@ fn worker_loop(shared: Arc<Shared>, jobs: Receiver<Job>, slot: usize) {
                 });
                 continue;
             }
-            let before = ctx.stats().tiers;
+            let before = ctx.stats();
             let started = Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 if matches!(fault, WorkerFault::Panic) {
@@ -599,24 +578,16 @@ fn worker_loop(shared: Arc<Shared>, jobs: Receiver<Job>, slot: usize) {
                 answer(&shared.core, &mut ctx, &job.request, job.deadline)
             }));
             let handle_nanos = started.elapsed().as_nanos() as u64;
+            // Published whatever the outcome: work a panicking job did
+            // before it panicked still counts, as it did in its context.
+            let delta = ctx.stats().delta_since(&before);
+            engine.publish(&delta);
             match outcome {
                 Ok(response) => {
                     shared.metrics.handle.record(handle_nanos);
                     if is_deadline_exceeded(&response) {
                         shared.metrics.deadline_exceeded_total.inc();
                     }
-                    let after = ctx.stats().tiers;
-                    let tiers = [
-                        (after.fault_free_row - before.fault_free_row) as u64,
-                        (after.unaffected_fast_path - before.unaffected_fast_path) as u64,
-                        (after.batched_unaffected - before.batched_unaffected) as u64,
-                        (after.sparse_h_bfs - before.sparse_h_bfs) as u64,
-                        (after.augmented_bfs - before.augmented_bfs) as u64,
-                        (after.full_graph_bfs - before.full_graph_bfs) as u64,
-                    ];
-                    let mut published = base;
-                    published.merge(&ctx.stats());
-                    shared.worker_stats[slot].store(&published);
                     // A send failure means the connection died while its
                     // request was queued; the answer is simply dropped.
                     let _ = job.reply.send(JobDone {
@@ -624,7 +595,7 @@ fn worker_loop(shared: Arc<Shared>, jobs: Receiver<Job>, slot: usize) {
                         response,
                         queue_nanos,
                         handle_nanos,
-                        tiers,
+                        tiers: delta.tiers.to_array().map(|n| n as u64),
                     });
                 }
                 Err(_) => {
@@ -644,8 +615,6 @@ fn worker_loop(shared: Arc<Shared>, jobs: Receiver<Job>, slot: usize) {
                         handle_nanos,
                         tiers: [0; 6],
                     });
-                    base.merge(&ctx.stats());
-                    shared.worker_stats[slot].store(&base);
                     continue 'context;
                 }
             }
@@ -762,7 +731,6 @@ fn answer(
         },
         // Routed inline by the connection thread; reaching a worker is a bug.
         Request::Hello { .. }
-        | Request::Stats
         | Request::Metrics { .. }
         | Request::SlowQueries
         | Request::Shutdown => Response::Error {
@@ -909,7 +877,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, jobs: &Sender<Job>) 
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(read_tick(shared)))?;
     let cell = shared.metrics.conn_cell();
-    let mut session_version: Option<u16> = None;
+    let mut handshaken = false;
     loop {
         let payload = match read_frame_idle(&mut stream, shared)? {
             FrameRead::Frame(p) => p,
@@ -941,48 +909,30 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, jobs: &Sender<Job>) 
         };
         shared.metrics.count_request(&request);
         let mut close_after_reply = false;
-        // Version-gate before routing: a session that has not negotiated
-        // the frame's protocol level gets a typed violation, whatever the
-        // frame is.
-        let gate = match session_version {
-            None if !matches!(request, Request::Hello { .. }) => Some(Response::Error {
+        let (response, done) = if !handshaken && !matches!(request, Request::Hello { .. }) {
+            let resp = Response::Error {
                 code: ErrorCode::ProtocolViolation as u16,
                 message: "requests before Hello handshake".to_string(),
-            }),
-            Some(v) if v < request.min_version() => Some(Response::Error {
-                code: ErrorCode::ProtocolViolation as u16,
-                message: format!(
-                    "request needs protocol version {}, session negotiated {v}",
-                    request.min_version()
-                ),
-            }),
-            _ => None,
-        };
-        let (response, done) = if let Some(resp) = gate {
+            };
             (resp, None)
         } else {
             match request {
                 Request::Hello { client_version } => {
-                    let resp =
-                        if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&client_version) {
-                            // Speak the client's (older or equal) version for
-                            // the rest of the session.
-                            session_version = Some(client_version);
-                            shared.hello_ok(client_version)
-                        } else {
-                            close_after_reply = true;
-                            Response::Error {
-                                code: ErrorCode::ProtocolViolation as u16,
-                                message: format!(
-                                    "server speaks protocol versions \
-                                 {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}, \
+                    let resp = if client_version == PROTOCOL_VERSION {
+                        handshaken = true;
+                        shared.hello_ok()
+                    } else {
+                        close_after_reply = true;
+                        Response::Error {
+                            code: ErrorCode::ProtocolViolation as u16,
+                            message: format!(
+                                "server speaks protocol version {PROTOCOL_VERSION}, \
                                  client sent {client_version}"
-                                ),
-                            }
-                        };
+                            ),
+                        }
+                    };
                     (resp, None)
                 }
-                Request::Stats => (Response::Stats(shared.stats_report()), None),
                 Request::Metrics { format } => {
                     let text = match format {
                         MetricsFormat::Prometheus => shared.metrics.render_prometheus(),
@@ -1094,7 +1044,7 @@ fn submit(
         reply: reply_tx,
     }) {
         Ok(()) => {
-            shared.accepted.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.admitted_total.inc();
             shared.metrics.queue_depth.inc();
             // The worker holds the only sender; RecvError means it dropped
             // the job — during a shutdown drain that is the expected path,
@@ -1116,7 +1066,6 @@ fn submit(
             }
         }
         Err(TrySendError::Full(_)) => {
-            shared.shed.fetch_add(1, Ordering::Relaxed);
             shared.metrics.shed_total.inc();
             Submitted::Refused(Response::Overloaded)
         }
@@ -1253,7 +1202,7 @@ fn serve_metrics_http(mut stream: TcpStream, shared: &Shared) -> io::Result<()> 
                  \"worker_panics\":{},\"worker_respawns\":{},\
                  \"accept_panics\":{},\"metrics_panics\":{}}}\n",
                 shared.workers_alive.load(Ordering::SeqCst),
-                shared.worker_stats.len(),
+                shared.workers,
                 shared.metrics.thread_panics_worker.get(),
                 shared.metrics.worker_respawns.get(),
                 shared.metrics.thread_panics_accept.get(),

@@ -1,14 +1,13 @@
-//! End-to-end tests of the observability surface: the v3 metrics and
-//! slow-query frames, version gating for v2 sessions, the per-connection
-//! cell merge, and the plaintext HTTP scrape endpoint.
+//! End-to-end tests of the observability surface: the metrics and
+//! slow-query frames, the engine counters published into the registry,
+//! the per-connection cell merge, and the plaintext HTTP scrape endpoint.
 
-use ftb_core::{EngineCore, EngineOptions};
-use ftb_graph::{EdgeId, FaultSet, VertexId};
-use ftb_server::protocol::{
-    decode_response, encode_request, read_frame, write_frame, ErrorCode, MetricsFormat, Request,
-    Response, MIN_PROTOCOL_VERSION,
-};
-use ftb_server::{Client, EngineSpec, ServeOptions, Server};
+use ftb_core::engine::TIER_ANSWERS_METRIC;
+use ftb_core::{EngineCore, EngineOptions, QueryStats, TierCounters};
+use ftb_graph::{EdgeId, Fault, FaultSet, VertexId};
+use ftb_obs::Scrape;
+use ftb_server::protocol::{Request, Response};
+use ftb_server::{Client, EngineSpec, Provenance, ServeOptions, Server};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -25,16 +24,6 @@ fn start_server(options: ServeOptions) -> (Server, EngineSpec) {
         .expect("spec builds");
     let server = Server::bind("127.0.0.1:0", Arc::clone(&core), options).expect("ephemeral bind");
     (server, spec)
-}
-
-fn send_raw(stream: &mut TcpStream, req: &Request) {
-    write_frame(stream, &encode_request(req)).expect("write frame");
-}
-
-fn recv_raw(stream: &mut TcpStream) -> Option<Response> {
-    read_frame(stream)
-        .expect("read frame")
-        .map(|payload| decode_response(&payload).expect("decode response"))
 }
 
 #[test]
@@ -175,59 +164,163 @@ fn slow_query_board_reports_shape_and_stages() {
     server.join().expect("clean join");
 }
 
+/// The engine counters the workers publish are the numbers a single
+/// in-process context reports for the same request stream. One worker
+/// means one context and one row cache see the stream in order, so even
+/// the cache and sweep counters must agree exactly.
 #[test]
-fn v2_sessions_work_but_cannot_use_v3_frames() {
-    let (server, spec) = start_server(ServeOptions {
-        workers: 1,
-        queue_depth: 8,
-        idle_timeout: Duration::from_secs(5),
-        ..ServeOptions::default()
-    });
-    let mut v2 = TcpStream::connect(server.local_addr()).expect("connect");
-
-    // A v2 hello negotiates version 2 and the session serves queries.
-    send_raw(
-        &mut v2,
-        &Request::Hello {
-            client_version: MIN_PROTOCOL_VERSION,
+fn scraped_engine_counters_equal_an_in_process_replay() {
+    let spec = EngineSpec {
+        n: 80,
+        augment: true,
+        ..EngineSpec::default()
+    };
+    let graph = spec.graph();
+    let core = spec
+        .build_core(&graph, EngineOptions::new().serial())
+        .expect("spec builds");
+    let provenance = Provenance {
+        from_snapshot: true,
+        startup_micros: 1_500,
+        snapshot_format_version: 3,
+    };
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(&core),
+        ServeOptions {
+            workers: 1,
+            queue_depth: 8,
+            idle_timeout: Duration::from_secs(5),
+            provenance,
+            ..ServeOptions::default()
         },
-    );
-    match recv_raw(&mut v2) {
-        Some(Response::HelloOk { version, .. }) => assert_eq!(version, MIN_PROTOCOL_VERSION),
-        other => panic!("v2 hello rejected: {other:?}"),
+    )
+    .expect("ephemeral bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let engine_total = |name: &str| format!("ftb_engine_{name}_total");
+
+    // Every series is registered at bind, so it reads 0 before any query.
+    let idle = Scrape::parse(&client.metrics_text().expect("metrics"));
+    for name in QueryStats::NAMES {
+        assert_eq!(idle.get(&engine_total(name), &[]), Some(0.0), "{name}");
     }
-    send_raw(
-        &mut v2,
-        &Request::Dist {
-            source: spec.source(),
-            target: VertexId(3),
-            faults: FaultSet::new(),
-        },
-    );
-    assert!(matches!(recv_raw(&mut v2), Some(Response::Dist(Some(_)))));
+    for tier in TierCounters::NAMES {
+        let answers = idle.get(TIER_ANSWERS_METRIC, &[("tier", tier)]);
+        assert_eq!(answers, Some(0.0), "{tier}");
+    }
+    for name in ["ftb_requests_admitted_total", "ftb_requests_shed_total"] {
+        assert_eq!(idle.get(name, &[]), Some(0.0), "{name}");
+    }
+    assert_eq!(idle.counter("ftb_connections_total", &[]), 1);
+    assert_eq!(idle.get("ftb_engine_from_snapshot", &[]), Some(1.0));
+    assert_eq!(idle.get("ftb_engine_startup_seconds", &[]), Some(0.0015));
+    assert_eq!(idle.get("ftb_snapshot_format_version", &[]), Some(3.0));
 
-    // ...but the v3 observability frames are version-gated.
-    for req in [
-        Request::Metrics {
-            format: MetricsFormat::Prometheus,
-        },
-        Request::SlowQueries,
-    ] {
-        send_raw(&mut v2, &req);
-        match recv_raw(&mut v2) {
-            Some(Response::Error { code, .. }) => {
-                assert_eq!(code, ErrorCode::ProtocolViolation as u16, "{req:?}")
+    // A fixed stream over every request shape and fault kind, with fault
+    // sets recurring so the row cache hits as well as misses.
+    let source = spec.source();
+    let n = graph.num_vertices() as u32;
+    let stream: Vec<Request> = (0..60u32)
+        .map(|i| {
+            let mut faults = FaultSet::new();
+            match i % 4 {
+                0 => {}
+                1 => {
+                    faults.insert(Fault::Edge(EdgeId(i % 5)));
+                }
+                2 => {
+                    faults.insert(Fault::Vertex(VertexId(1 + i % 7)));
+                }
+                _ => {
+                    faults.insert(Fault::Edge(EdgeId(i % 3)));
+                    faults.insert(Fault::Edge(EdgeId(10 + i % 3)));
+                }
             }
-            other => panic!("expected version gate for {req:?}, got {other:?}"),
+            let target = VertexId((i * 13) % n);
+            match i % 3 {
+                0 => Request::Dist {
+                    source,
+                    target,
+                    faults,
+                },
+                1 => Request::Path {
+                    source,
+                    target,
+                    faults,
+                },
+                _ => Request::DistMany {
+                    source,
+                    targets: (0..20).map(|t| VertexId((i + 7 * t) % n)).collect(),
+                    faults,
+                },
+            }
+        })
+        .collect();
+    for request in &stream {
+        let reply = client.request(request).expect("io");
+        assert!(
+            matches!(
+                reply,
+                Response::Dist(_) | Response::Path(_) | Response::DistMany(_)
+            ),
+            "{reply:?}"
+        );
+    }
+
+    let mut ctx = core.new_context();
+    for request in &stream {
+        match request {
+            Request::Dist {
+                source,
+                target,
+                faults,
+            } => {
+                ctx.dist_after_faults_from(&core, *source, *target, faults)
+                    .expect("valid");
+            }
+            Request::Path {
+                source,
+                target,
+                faults,
+            } => {
+                ctx.path_after_faults_from(&core, *source, *target, faults)
+                    .expect("valid");
+            }
+            Request::DistMany {
+                source,
+                targets,
+                faults,
+            } => {
+                ctx.dist_many_after_faults_from(&core, *source, targets, faults)
+                    .expect("valid");
+            }
+            other => unreachable!("not in the stream: {other:?}"),
         }
     }
+    let want = ctx.stats();
+    assert!(want.tiers.augmented_bfs > 0 && want.cached_answers > 0);
 
-    // The gate is a reply, not a hangup: the session still answers.
-    send_raw(&mut v2, &Request::Stats);
-    assert!(matches!(recv_raw(&mut v2), Some(Response::Stats(_))));
+    let served = Scrape::parse(&client.metrics_text().expect("metrics"));
+    for (name, value) in QueryStats::NAMES.iter().zip(want.to_array()) {
+        let scraped = served.counter(&engine_total(name), &[]);
+        assert_eq!(scraped, value as u64, "{name}");
+    }
+    let mut tier_sum = 0;
+    for (tier, value) in TierCounters::NAMES.iter().zip(want.tiers.to_array()) {
+        let scraped = served.counter(TIER_ANSWERS_METRIC, &[("tier", tier)]);
+        assert_eq!(scraped, value as u64, "{tier}");
+        tier_sum += scraped;
+    }
+    assert_eq!(tier_sum, served.counter("ftb_engine_queries_total", &[]));
+    assert_eq!(
+        served.counter("ftb_requests_admitted_total", &[]),
+        stream.len() as u64
+    );
+    // The in-process handles read the same cells.
+    assert_eq!(server.metrics().engine.published(), want);
 
     server.shutdown();
-    drop(v2);
+    drop(client);
     server.join().expect("clean join");
 }
 

@@ -5,7 +5,7 @@
 use ftb_graph::{EdgeId, Fault, FaultSet, VertexId};
 use ftb_server::protocol::{
     decode_request, decode_response, encode_request, encode_response, DecodeError, ErrorCode,
-    MetricsFormat, Request, Response, SlowQueryReport, StatsReport, WirePath,
+    MetricsFormat, Request, Response, SlowQueryReport, WirePath,
 };
 use proptest::collection;
 use proptest::prelude::*;
@@ -47,27 +47,26 @@ fn make_request(tag: u8, a: u32, b: u32, faults: FaultSet, batch: &[(u32, u32)])
                 .map(|&(t, e)| (VertexId(t), FaultSet::from(EdgeId(e))))
                 .collect(),
         },
-        4 => Request::Stats,
-        5 => Request::Shutdown,
-        6 => Request::Metrics {
+        4 => Request::Shutdown,
+        5 => Request::Metrics {
             format: if a.is_multiple_of(2) {
                 MetricsFormat::Prometheus
             } else {
                 MetricsFormat::Json
             },
         },
-        7 => Request::SlowQueries,
-        8 => Request::DistMany {
+        6 => Request::SlowQueries,
+        7 => Request::DistMany {
             source: VertexId(a),
             targets: batch.iter().map(|&(t, _)| VertexId(t)).collect(),
             faults,
         },
-        // The v4 deadline wrapper around each query shape it may carry
+        // The deadline wrapper around each query shape it may carry
         // (plain and batched distances, paths, one-to-many).
         _ => Request::Deadline {
             budget_ms: a,
             inner: Box::new(make_request(
-                [1, 2, 3, 8][(b % 4) as usize],
+                [1, 2, 3, 7][(b % 4) as usize],
                 b,
                 a,
                 faults,
@@ -99,25 +98,19 @@ fn make_response(tag: u8, a: u32, b: u32, path_len: usize, batch: &[(u32, u32)])
                 .map(|&(d, flag)| (flag % 2 == 0).then_some(d))
                 .collect(),
         ),
-        6 => Response::Stats(StatsReport {
-            queries: a as u64,
-            cached_answers: b as u64,
-            shed: (a ^ b) as u64,
-            ..Default::default()
-        }),
-        7 => Response::ShuttingDown,
-        8 => Response::Overloaded,
-        9 => Response::DistMany(
+        6 => Response::ShuttingDown,
+        7 => Response::Overloaded,
+        8 => Response::DistMany(
             batch
                 .iter()
                 .map(|&(d, flag)| (flag % 2 == 1).then_some(d))
                 .collect(),
         ),
-        10 => Response::MetricsText(format!(
+        9 => Response::MetricsText(format!(
             "# HELP ftb_requests_total requests\n# TYPE ftb_requests_total counter\n\
              ftb_requests_total{{op=\"dist\"}} {a}\n"
         )),
-        11 => Response::SlowQueries(
+        10 => Response::SlowQueries(
             batch
                 .iter()
                 .map(|&(t, e)| SlowQueryReport {
@@ -144,7 +137,7 @@ proptest! {
 
     #[test]
     fn requests_reencode_byte_identically(
-        tag in 0u8..10,
+        tag in 0u8..9,
         a in 0u32..65536,
         b in 0u32..50_000,
         kinds in collection::vec(0u8..2, 0..6),
@@ -160,7 +153,7 @@ proptest! {
 
     #[test]
     fn responses_reencode_byte_identically(
-        tag in 0u8..13,
+        tag in 0u8..12,
         a in 0u32..65536,
         b in 0u32..50_000,
         path_len in 0usize..12,
@@ -175,7 +168,7 @@ proptest! {
 
     #[test]
     fn every_strict_prefix_is_truncated(
-        tag in 0u8..10,
+        tag in 0u8..9,
         a in 0u32..65536,
         kinds in collection::vec(0u8..2, 0..6),
         ids in collection::vec(0u32..100_000, 0..6),
@@ -191,7 +184,7 @@ proptest! {
     #[test]
     fn corrupt_and_garbage_bytes_never_panic(
         garbage in collection::vec(0u32..256, 0..64),
-        tag in 0u8..13,
+        tag in 0u8..12,
         a in 0u32..65536,
         flip_pos in 0u32..10_000,
         flip_bit in 0u8..8,

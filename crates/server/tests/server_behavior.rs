@@ -4,9 +4,10 @@
 
 use ftb_core::EngineOptions;
 use ftb_graph::{FaultSet, VertexId};
+use ftb_obs::Scrape;
 use ftb_server::protocol::{
-    decode_response, encode_request, read_frame, write_frame, ErrorCode, Request, Response,
-    PROTOCOL_VERSION,
+    decode_response, encode_request, encode_response, read_frame, write_frame, ErrorCode, Request,
+    Response, PROTOCOL_VERSION,
 };
 use ftb_server::{wait_until_stopped, Client, EngineSpec, ServeOptions, Server};
 use std::io::Write;
@@ -133,8 +134,8 @@ fn idle_and_wedged_connections_are_reaped() {
 
     // The server is still healthy for well-behaved clients afterwards.
     let mut c = Client::connect(server.local_addr()).expect("connect after reaps");
-    let stats = c.stats().expect("stats");
-    assert!(stats.connections >= 3);
+    let scrape = Scrape::parse(&c.metrics_text().expect("metrics"));
+    assert!(scrape.counter("ftb_connections_total", &[]) >= 3);
 
     server.shutdown();
     drop(c);
@@ -196,6 +197,65 @@ fn protocol_state_violations_get_typed_errors() {
 
     server.shutdown();
     server.join().expect("clean join");
+}
+
+#[test]
+fn every_other_protocol_version_is_rejected_then_closed() {
+    let (server, _spec) = start_server(ServeOptions {
+        workers: 1,
+        queue_depth: 4,
+        idle_timeout: Duration::from_secs(5),
+        ..ServeOptions::default()
+    });
+    // One version, no negotiation: every other version is refused,
+    // however close to the current one.
+    for version in [0, 2, 3, PROTOCOL_VERSION - 1, u16::MAX] {
+        let mut stream = raw_connect(&server);
+        send_raw(
+            &mut stream,
+            &Request::Hello {
+                client_version: version,
+            },
+        );
+        match recv_raw(&mut stream) {
+            Some(Response::Error { code, message }) => {
+                assert_eq!(code, ErrorCode::ProtocolViolation as u16);
+                assert!(message.contains(&version.to_string()), "{message:?}");
+            }
+            other => panic!("expected rejection of v{version}, got {other:?}"),
+        }
+        assert!(recv_raw(&mut stream).is_none(), "closed after v{version}");
+    }
+    // The current version still handshakes.
+    let client = Client::connect(server.local_addr()).expect("current version");
+    assert_eq!(client.info().version, PROTOCOL_VERSION);
+    server.shutdown();
+    drop(client);
+    server.join().expect("clean join");
+}
+
+#[test]
+fn client_rejects_a_hello_ok_naming_another_version() {
+    // A peer that answers the handshake with a version other than ours.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        read_frame(&mut stream).expect("read hello").expect("hello");
+        let reply = Response::HelloOk {
+            version: PROTOCOL_VERSION - 1,
+            fingerprint: 0,
+            num_vertices: 1,
+            num_edges: 0,
+            sources: vec![VertexId(0)],
+        };
+        write_frame(&mut stream, &encode_response(&reply)).expect("write");
+    });
+    match Client::connect(addr) {
+        Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}"),
+        Ok(_) => panic!("accepted a HelloOk naming another version"),
+    }
+    peer.join().expect("peer");
 }
 
 #[test]

@@ -66,34 +66,6 @@
 //!     assert!(engine.dist_after_fault(VertexId(4), e).unwrap().is_some());
 //! }
 //! ```
-//!
-//! # Migrating from the 0.1 free functions
-//!
-//! The original free functions remain available but are deprecated:
-//!
-//! | deprecated                | replacement                                      |
-//! |---------------------------|--------------------------------------------------|
-//! | `build_ft_bfs`            | [`TradeoffBuilder`] / [`core::try_build_ft_bfs`] |
-//! | `build_ft_bfs_with_eps`   | [`TradeoffBuilder::new`]                         |
-//! | `build_baseline_ftbfs`    | [`BaselineBuilder`]                              |
-//! | `build_reinforced_tree`   | [`ReinforcedTreeBuilder`]                        |
-//! | `build_ft_mbfs`           | [`MultiSourceBuilder`]                           |
-//!
-//! The shims call the checked `try_*` functions and turn every error into a
-//! panic. Note that validation is stricter than in 0.1: inputs the old code
-//! silently tolerated (e.g. `eps = 2.0`, which ran the baseline branch) now
-//! panic through the shims — migrate to the builders to handle them as
-//! [`FtbfsError`] values instead:
-//!
-//! ```
-//! use ftbfs::{build_ft_bfs, BuildConfig};
-//! use ftbfs::graph::{generators, VertexId};
-//!
-//! let g = generators::hypercube(4);
-//! #[allow(deprecated)]
-//! let structure = build_ft_bfs(&g, VertexId(0), &BuildConfig::new(0.3));
-//! assert!(structure.num_backup() + structure.num_reinforced() == structure.num_edges());
-//! ```
 
 #![forbid(unsafe_code)]
 
@@ -124,8 +96,3 @@ pub use ftb_core::{
 };
 
 pub use ftb_core::{SnapshotError, SnapshotStore, SNAPSHOT_FORMAT_VERSION};
-
-#[allow(deprecated)]
-pub use ftb_core::{
-    build_baseline_ftbfs, build_ft_bfs, build_ft_bfs_with_eps, build_ft_mbfs, build_reinforced_tree,
-};

@@ -3,8 +3,10 @@
 //! direct in-process engine produces, and a tiny queue bound makes the
 //! admission control's `Overloaded` reply observable.
 
-use ftb_core::EngineOptions;
+use ftb_core::engine::TIER_ANSWERS_METRIC;
+use ftb_core::{EngineOptions, TierCounters};
 use ftb_graph::{FaultSet, VertexId};
+use ftb_obs::Scrape;
 use ftb_server::protocol::{encode_response, Request, Response};
 use ftb_server::{wait_until_ready, Client, EngineSpec, ServeOptions, Server};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,19 +141,22 @@ fn wire_answers_are_byte_identical_to_in_process_answers() {
     // The fingerprint in the handshake names the same graph.
     let mut probe = Client::connect(addr).expect("probe");
     assert_eq!(probe.info().fingerprint, graph.fingerprint());
-    let stats = probe.stats().expect("stats");
-    assert!(stats.queries > 0, "workers published per-tier counters");
+    let scrape = Scrape::parse(&probe.metrics_text().expect("metrics"));
+    let queries = scrape.counter("ftb_engine_queries_total", &[]);
+    assert!(queries > 0, "workers published per-tier counters");
     assert_eq!(
-        stats.queries,
-        stats.tier_fault_free_row
-            + stats.tier_unaffected_fast_path
-            + stats.tier_batched_unaffected
-            + stats.tier_sparse_h_bfs
-            + stats.tier_augmented_bfs
-            + stats.tier_full_graph_bfs,
+        queries,
+        TierCounters::NAMES
+            .iter()
+            .map(|&t| scrape.counter(TIER_ANSWERS_METRIC, &[("tier", t)]))
+            .sum::<u64>(),
         "tier counters account for every query"
     );
-    assert_eq!(stats.shed, 0, "an uncontended run sheds nothing");
+    assert_eq!(
+        scrape.counter("ftb_requests_shed_total", &[]),
+        0,
+        "an uncontended run sheds nothing"
+    );
 
     probe.shutdown().expect("graceful shutdown");
     server.join().expect("clean join");
@@ -223,9 +228,8 @@ fn tiny_queue_bound_sheds_with_overloaded() {
         oks.load(Ordering::Relaxed)
     );
     assert!(oks.load(Ordering::Relaxed) > 0, "some requests succeeded");
-    let report = server.stats();
     assert_eq!(
-        report.shed,
+        server.metrics().shed_total.get(),
         sheds.load(Ordering::Relaxed),
         "shed counter matches"
     );
