@@ -66,6 +66,30 @@
 //!     assert!(engine.dist_after_fault(VertexId(4), e).unwrap().is_some());
 //! }
 //! ```
+//!
+//! # Checked free functions
+//!
+//! Each builder also has a free function ([`try_build_ft_bfs`],
+//! [`try_build_baseline_ftbfs`], [`try_build_reinforced_tree`],
+//! [`try_build_ft_mbfs`]) with the same validation. Inputs outside the
+//! paper's parameter range, such as `eps = 2.0`, are rejected rather than
+//! silently run through another branch:
+//!
+//! ```
+//! use ftbfs::graph::{generators, VertexId};
+//! use ftbfs::{try_build_ft_bfs, BuildConfig, FtbfsError};
+//!
+//! let g = generators::hypercube(4);
+//! let structure = try_build_ft_bfs(&g, VertexId(0), &BuildConfig::new(0.3))
+//!     .expect("hypercube input is valid");
+//! assert_eq!(
+//!     structure.num_backup() + structure.num_reinforced(),
+//!     structure.num_edges()
+//! );
+//!
+//! let err = try_build_ft_bfs(&g, VertexId(0), &BuildConfig::new(2.0)).unwrap_err();
+//! assert!(matches!(err, FtbfsError::InvalidEps { .. }));
+//! ```
 
 #![forbid(unsafe_code)]
 
