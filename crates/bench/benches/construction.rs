@@ -3,8 +3,8 @@
 //! the query engine's build-once/query-many serving path.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use ftb_core::{BaselineBuilder, FaultQueryEngine, Sources, StructureBuilder, TradeoffBuilder};
-use ftb_graph::VertexId;
+use ftb_core::{BaselineBuilder, EngineCore, Sources, StructureBuilder, TradeoffBuilder};
+use ftb_graph::{FaultSet, VertexId};
 use ftb_workloads::{Workload, WorkloadFamily};
 use std::hint::black_box;
 
@@ -63,7 +63,10 @@ fn bench_query_engine(c: &mut Criterion) {
         .build(&graph, &Sources::single(VertexId(0)))
         .expect("valid input");
     let far = VertexId((graph.num_vertices() - 1) as u32);
-    let queries: Vec<_> = graph.edge_ids().map(|e| (far, e)).collect();
+    let queries: Vec<_> = graph
+        .edge_ids()
+        .map(|e| (VertexId(0), far, FaultSet::from(e)))
+        .collect();
 
     let mut group = c.benchmark_group("query/engine_n400");
     group.sample_size(10);
@@ -73,13 +76,18 @@ fn bench_query_engine(c: &mut Criterion) {
         // The structure clone is setup, not preprocessing — keep it untimed.
         b.iter_batched(
             || structure.clone(),
-            |s| black_box(FaultQueryEngine::new(&graph, s).unwrap()),
+            |s| {
+                let core = EngineCore::build(&graph, s).unwrap();
+                let ctx = core.new_context();
+                black_box((core, ctx))
+            },
             BatchSize::PerIteration,
         );
     });
     group.bench_function("query_many_all_edges", |b| {
-        let mut engine = FaultQueryEngine::new(&graph, structure.clone()).unwrap();
-        b.iter(|| black_box(engine.query_many(&queries).expect("in range")));
+        let core = EngineCore::build(&graph, structure.clone()).unwrap();
+        let mut ctx = core.new_context();
+        b.iter(|| black_box(ctx.query_many_faults(&core, &queries).expect("in range")));
     });
     group.finish();
 }

@@ -11,8 +11,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftb_core::{
-    build_augmented_structure, AugmentCoverage, BuildConfig, BuildPlan, EngineOptions,
-    FaultQueryEngine, Sources,
+    build_augmented_structure, AugmentCoverage, BuildConfig, BuildPlan, EngineCore, EngineOptions,
+    Sources,
 };
 use ftb_graph::{Fault, FaultSet, Graph, VertexId};
 use ftb_workloads::{Workload, WorkloadFamily};
@@ -68,17 +68,17 @@ fn bench_ftbfs_augment(c: &mut Criterion) {
         .step_by(stride)
         .map(VertexId::new)
         .collect();
-    let vertex_faults: Vec<(VertexId, FaultSet)> = (1..33u32)
+    let vertex_faults: Vec<(VertexId, VertexId, FaultSet)> = (1..33u32)
         .flat_map(|v| {
             let fs = FaultSet::single_vertex(VertexId(v * 7 % graph.num_vertices() as u32));
             vertices
                 .iter()
-                .map(move |&q| (q, fs.clone()))
+                .map(move |&q| (VertexId(0), q, fs.clone()))
                 .collect::<Vec<_>>()
         })
         .collect();
     let m = graph.num_edges() as u32;
-    let dual_edges: Vec<(VertexId, FaultSet)> = (0..32u32)
+    let dual_edges: Vec<(VertexId, VertexId, FaultSet)> = (0..32u32)
         .flat_map(|i| {
             let fs: FaultSet = [
                 Fault::Edge(ftb_graph::EdgeId(i * 13 % m)),
@@ -88,7 +88,7 @@ fn bench_ftbfs_augment(c: &mut Criterion) {
             .collect();
             vertices
                 .iter()
-                .map(move |&q| (q, fs.clone()))
+                .map(move |&q| (VertexId(0), q, fs.clone()))
                 .collect::<Vec<_>>()
         })
         .collect();
@@ -97,32 +97,46 @@ fn bench_ftbfs_augment(c: &mut Criterion) {
         ("vertex-faults", &vertex_faults),
         ("dual-edges", &dual_edges),
     ] {
-        let mut aug_engine = FaultQueryEngine::from_augmented_with_options(
+        let aug_core = EngineCore::build_augmented_with(
             &graph,
             augmented.clone(),
             EngineOptions::new().serial(),
         )
         .expect("matching graph");
+        let mut aug_ctx = aug_core.new_context();
         group.bench_with_input(
             BenchmarkId::new("serve-augmented", label),
             batch,
             |b, batch| {
-                b.iter(|| black_box(aug_engine.query_many_faults(batch).expect("in range")));
+                b.iter(|| {
+                    black_box(
+                        aug_ctx
+                            .query_many_faults(&aug_core, batch)
+                            .expect("in range"),
+                    )
+                });
             },
         );
         // The fallback engine serves the seed structure the augmentation
         // started from — no second build.
-        let mut plain_engine = FaultQueryEngine::with_options(
+        let plain_core = EngineCore::build_with(
             &graph,
             augmented.base().clone(),
             EngineOptions::new().serial(),
         )
         .expect("matching graph");
+        let mut plain_ctx = plain_core.new_context();
         group.bench_with_input(
             BenchmarkId::new("serve-fallback", label),
             batch,
             |b, batch| {
-                b.iter(|| black_box(plain_engine.query_many_faults(batch).expect("in range")));
+                b.iter(|| {
+                    black_box(
+                        plain_ctx
+                            .query_many_faults(&plain_core, batch)
+                            .expect("in range"),
+                    )
+                });
             },
         );
     }

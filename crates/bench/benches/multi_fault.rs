@@ -1,15 +1,15 @@
 //! Criterion benchmark B5: multi-fault batched serving per scenario family.
 //!
 //! One preprocessed engine answers a per-scenario batch of
-//! `(vertex, fault set)` queries for `f ∈ {1, 2}`; single-edge batches on
+//! `(source, vertex, fault set)` queries for `f ∈ {1, 2}`; single-edge batches on
 //! the same engine are benchmarked alongside as the reference the fault-set
 //! machinery must not slow down. Run with `FTBFS_BENCH_JSON` to dump a
 //! baseline and `FTBFS_BENCH_BASELINE` to gate on a committed one (see the
 //! criterion shim docs); CI fails this bench on a >25% regression.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ftb_core::{EngineOptions, FaultQueryEngine, Sources, StructureBuilder, TradeoffBuilder};
-use ftb_graph::{EdgeId, FaultSet, VertexId};
+use ftb_core::{EngineCore, EngineOptions, Sources, StructureBuilder, TradeoffBuilder};
+use ftb_graph::{FaultSet, VertexId};
 use ftb_workloads::{FaultScenario, Workload, WorkloadFamily};
 use std::hint::black_box;
 
@@ -21,6 +21,8 @@ fn bench_multi_fault_scenarios(c: &mut Criterion) {
         .with_config(|cfg| cfg.with_seed(seed).serial())
         .build(&graph, &Sources::single(source))
         .expect("valid input");
+    let core = EngineCore::build_with(&graph, structure, EngineOptions::new().serial())
+        .expect("matching graph");
     let stride = (graph.num_vertices() / 16).max(1);
     let vertices: Vec<VertexId> = (0..graph.num_vertices())
         .step_by(stride)
@@ -33,37 +35,39 @@ fn bench_multi_fault_scenarios(c: &mut Criterion) {
     group.sample_size(40);
     group.warm_up_time(std::time::Duration::from_millis(500));
 
-    // Reference: the historic single-edge batch on the same engine.
-    let single_queries: Vec<(VertexId, EdgeId)> = graph
+    // Reference: the paper's single-edge batch on the same core.
+    let single_queries: Vec<(VertexId, VertexId, FaultSet)> = graph
         .edge_ids()
         .step_by(3)
-        .flat_map(|e| vertices.iter().map(move |&v| (v, e)))
+        .flat_map(|e| {
+            vertices
+                .iter()
+                .map(move |&v| (source, v, FaultSet::from(e)))
+        })
         .collect();
-    let mut engine =
-        FaultQueryEngine::with_options(&graph, structure.clone(), EngineOptions::new().serial())
-            .expect("matching graph");
+    let mut ctx = core.new_context();
     group.bench_function("single-edge-reference", |b| {
-        b.iter(|| black_box(engine.query_many(&single_queries).expect("in range")));
+        b.iter(|| {
+            black_box(
+                ctx.query_many_faults(&core, &single_queries)
+                    .expect("in range"),
+            )
+        });
     });
 
     for &scenario in FaultScenario::all() {
         for f in [1usize, 2] {
             let fault_sets = scenario.generate(&graph, source, f, 48, seed);
-            let queries: Vec<(VertexId, FaultSet)> = fault_sets
+            let queries: Vec<(VertexId, VertexId, FaultSet)> = fault_sets
                 .iter()
-                .flat_map(|fs| vertices.iter().map(move |&v| (v, fs.clone())))
+                .flat_map(|fs| vertices.iter().map(move |&v| (source, v, fs.clone())))
                 .collect();
-            let mut engine = FaultQueryEngine::with_options(
-                &graph,
-                structure.clone(),
-                EngineOptions::new().serial(),
-            )
-            .expect("matching graph");
+            let mut ctx = core.new_context();
             group.bench_with_input(
                 BenchmarkId::new(scenario.name(), format!("f={f}")),
                 &queries,
                 |b, queries| {
-                    b.iter(|| black_box(engine.query_many_faults(queries).expect("in range")));
+                    b.iter(|| black_box(ctx.query_many_faults(&core, queries).expect("in range")));
                 },
             );
         }

@@ -29,7 +29,7 @@
 //! shim docs); CI fails this bench on a >25% regression.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ftb_core::{EngineOptions, FaultQueryEngine, Sources, StructureBuilder, TradeoffBuilder};
+use ftb_core::{EngineCore, EngineOptions, Sources, StructureBuilder, TradeoffBuilder};
 use ftb_graph::{FaultSet, VertexId};
 use ftb_workloads::{FaultScenario, Workload, WorkloadFamily};
 use std::hint::black_box;
@@ -43,6 +43,8 @@ fn bench_one_to_many(c: &mut Criterion) {
         .with_config(|cfg| cfg.with_seed(seed).serial())
         .build(&graph, &Sources::single(source))
         .expect("valid input");
+    let core = EngineCore::build_with(&graph, structure, EngineOptions::new().serial())
+        .expect("matching graph");
 
     let fault_sets: Vec<FaultSet> = FaultScenario::TreeConcentrated
         .generate(&graph, source, 1, 32, seed)
@@ -60,13 +62,8 @@ fn bench_one_to_many(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
 
     for (shape, targets) in [("sparse-t16", &sparse), ("dense-all", &dense)] {
-        // Fresh engine per side: the two paths must not share an LRU.
-        let mut per_target = FaultQueryEngine::with_options(
-            &graph,
-            structure.clone(),
-            EngineOptions::new().serial(),
-        )
-        .expect("matching graph");
+        // Fresh context per side: the two paths must not share an LRU.
+        let mut per_target = core.new_context();
         group.bench_with_input(
             BenchmarkId::new(shape, "per-target"),
             &fault_sets,
@@ -74,19 +71,18 @@ fn bench_one_to_many(c: &mut Criterion) {
                 b.iter(|| {
                     for fs in sets {
                         for &v in targets {
-                            black_box(per_target.dist_after_faults(v, fs).expect("in range"));
+                            black_box(
+                                per_target
+                                    .dist_after_faults(&core, v, fs)
+                                    .expect("in range"),
+                            );
                         }
                     }
                 });
             },
         );
 
-        let mut batched = FaultQueryEngine::with_options(
-            &graph,
-            structure.clone(),
-            EngineOptions::new().serial(),
-        )
-        .expect("matching graph");
+        let mut batched = core.new_context();
         group.bench_with_input(
             BenchmarkId::new(shape, "batched"),
             &fault_sets,
@@ -95,7 +91,7 @@ fn bench_one_to_many(c: &mut Criterion) {
                     for fs in sets {
                         black_box(
                             batched
-                                .dist_many_after_faults(targets, fs)
+                                .dist_many_after_faults(&core, targets, fs)
                                 .expect("in range"),
                         );
                     }

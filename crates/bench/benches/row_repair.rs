@@ -29,8 +29,8 @@
 //! shim docs); CI fails this bench on a >25% regression.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ftb_core::{EngineOptions, FaultQueryEngine, Sources, StructureBuilder, TradeoffBuilder};
-use ftb_graph::{EdgeId, FaultSet, VertexId};
+use ftb_core::{EngineCore, EngineOptions, Sources, StructureBuilder, TradeoffBuilder};
+use ftb_graph::{FaultSet, VertexId};
 use ftb_workloads::{FaultScenario, Workload, WorkloadFamily};
 use std::hint::black_box;
 
@@ -52,30 +52,35 @@ fn bench_row_repair(c: &mut Criterion) {
     group.sample_size(40);
     group.warm_up_time(std::time::Duration::from_millis(500));
 
-    let engines = |force: bool| -> FaultQueryEngine<'_> {
-        FaultQueryEngine::with_options(
+    let core = |force: bool| {
+        EngineCore::build_with(
             &graph,
             structure.clone(),
             EngineOptions::new().serial().with_force_full_sweep(force),
         )
         .expect("matching graph")
     };
+    let sides = [("repaired", core(false)), ("full-sweep", core(true))];
 
     // Single structure-edge failures (the seed paper's regime): every
     // distinct backup edge is one cache miss on the sparse-H tier.
-    let single_queries: Vec<(VertexId, EdgeId)> = structure
+    let single_queries: Vec<(VertexId, VertexId, FaultSet)> = structure
         .backup_edges()
         .step_by(2)
         .take(32)
-        .flat_map(|e| targeted.iter().map(move |&v| (v, e)))
+        .flat_map(|e| {
+            targeted
+                .iter()
+                .map(move |&v| (source, v, FaultSet::from(e)))
+        })
         .collect();
-    for (label, force) in [("repaired", false), ("full-sweep", true)] {
-        let mut engine = engines(force);
+    for (label, core) in &sides {
+        let mut ctx = core.new_context();
         group.bench_with_input(
             BenchmarkId::new("single-edge", label),
             &single_queries,
             |b, queries| {
-                b.iter(|| black_box(engine.query_many(queries).expect("in range")));
+                b.iter(|| black_box(ctx.query_many_faults(core, queries).expect("in range")));
             },
         );
     }
@@ -86,17 +91,19 @@ fn bench_row_repair(c: &mut Criterion) {
     for &scenario in &[FaultScenario::TreeConcentrated, FaultScenario::RandomEdges] {
         for f in [1usize, 2] {
             let fault_sets = scenario.generate(&graph, source, f, 32, seed);
-            let queries: Vec<(VertexId, FaultSet)> = fault_sets
+            let queries: Vec<(VertexId, VertexId, FaultSet)> = fault_sets
                 .iter()
-                .flat_map(|fs| targeted.iter().map(move |&v| (v, fs.clone())))
+                .flat_map(|fs| targeted.iter().map(move |&v| (source, v, fs.clone())))
                 .collect();
-            for (label, force) in [("repaired", false), ("full-sweep", true)] {
-                let mut engine = engines(force);
+            for (label, core) in &sides {
+                let mut ctx = core.new_context();
                 group.bench_with_input(
                     BenchmarkId::new(scenario.name(), format!("f={f}/{label}")),
                     &queries,
                     |b, queries| {
-                        b.iter(|| black_box(engine.query_many_faults(queries).expect("in range")));
+                        b.iter(|| {
+                            black_box(ctx.query_many_faults(core, queries).expect("in range"))
+                        });
                     },
                 );
             }
@@ -107,17 +114,17 @@ fn bench_row_repair(c: &mut Criterion) {
     // materialize a row — repair vs full sweep head to head.
     let all_vertices: Vec<VertexId> = graph.vertices().collect();
     let dense_sets = FaultScenario::TreeConcentrated.generate(&graph, source, 1, 32, seed);
-    let dense_queries: Vec<(VertexId, FaultSet)> = dense_sets
+    let dense_queries: Vec<(VertexId, VertexId, FaultSet)> = dense_sets
         .iter()
-        .flat_map(|fs| all_vertices.iter().map(move |&v| (v, fs.clone())))
+        .flat_map(|fs| all_vertices.iter().map(move |&v| (source, v, fs.clone())))
         .collect();
-    for (label, force) in [("repaired", false), ("full-sweep", true)] {
-        let mut engine = engines(force);
+    for (label, core) in &sides {
+        let mut ctx = core.new_context();
         group.bench_with_input(
             BenchmarkId::new("tree-concentrated-dense", format!("f=1/{label}")),
             &dense_queries,
             |b, queries| {
-                b.iter(|| black_box(engine.query_many_faults(queries).expect("in range")));
+                b.iter(|| black_box(ctx.query_many_faults(core, queries).expect("in range")));
             },
         );
     }

@@ -6,8 +6,8 @@
 //! (asserted once outside the timed loop).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ftb_core::{EngineOptions, FaultQueryEngine, Sources, StructureBuilder, TradeoffBuilder};
-use ftb_graph::{EdgeId, VertexId};
+use ftb_core::{EngineCore, EngineOptions, Sources, StructureBuilder, TradeoffBuilder};
+use ftb_graph::{FaultSet, VertexId};
 use ftb_par::ParallelConfig;
 use ftb_workloads::{Workload, WorkloadFamily};
 use std::hint::black_box;
@@ -19,28 +19,32 @@ fn bench_query_many_sharding(c: &mut Criterion) {
         .build(&graph, &Sources::single(VertexId(0)))
         .expect("valid input");
     let stride = (graph.num_vertices() / 12).max(1);
-    let queries: Vec<(VertexId, EdgeId)> = graph
+    let queries: Vec<(VertexId, VertexId, FaultSet)> = graph
         .edge_ids()
         .flat_map(|e| {
             (0..graph.num_vertices())
                 .step_by(stride)
-                .map(move |v| (VertexId::new(v), e))
+                .map(move |v| (VertexId(0), VertexId::new(v), FaultSet::from(e)))
         })
         .collect();
     assert!(queries.len() >= 10_000);
 
-    let mut serial =
-        FaultQueryEngine::with_options(&graph, structure.clone(), EngineOptions::new().serial())
-            .expect("matching graph");
-    let mut sharded = FaultQueryEngine::with_options(
+    let serial = EngineCore::build_with(&graph, structure.clone(), EngineOptions::new().serial())
+        .expect("matching graph");
+    let sharded = EngineCore::build_with(
         &graph,
         structure,
         EngineOptions::new().with_parallel(ParallelConfig::with_threads(4)),
     )
     .expect("matching graph");
+    let (mut serial_ctx, mut sharded_ctx) = (serial.new_context(), sharded.new_context());
     assert_eq!(
-        serial.query_many(&queries).expect("in range"),
-        sharded.query_many(&queries).expect("in range"),
+        serial_ctx
+            .query_many_faults(&serial, &queries)
+            .expect("in range"),
+        sharded_ctx
+            .query_many_faults(&sharded, &queries)
+            .expect("in range"),
         "sharding must not change answers"
     );
 
@@ -49,10 +53,22 @@ fn bench_query_many_sharding(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(3));
     group.bench_function("serial", |b| {
-        b.iter(|| black_box(serial.query_many(&queries).expect("in range")));
+        b.iter(|| {
+            black_box(
+                serial_ctx
+                    .query_many_faults(&serial, &queries)
+                    .expect("in range"),
+            )
+        });
     });
     group.bench_function("sharded_4_threads", |b| {
-        b.iter(|| black_box(sharded.query_many(&queries).expect("in range")));
+        b.iter(|| {
+            black_box(
+                sharded_ctx
+                    .query_many_faults(&sharded, &queries)
+                    .expect("in range"),
+            )
+        });
     });
     group.finish();
 }

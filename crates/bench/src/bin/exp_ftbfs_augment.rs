@@ -15,7 +15,7 @@
 use ftb_bench::Table;
 use ftb_core::{
     build_augmented_structure, cross_check_fault_sets, AugmentCoverage, BuildConfig, BuildPlan,
-    EngineCore, EngineOptions, FaultQueryEngine, Sources,
+    EngineCore, EngineOptions, Sources,
 };
 use ftb_graph::{enumerate_fault_sets, FaultSet, Graph, VertexId};
 use ftb_par::ParallelConfig;
@@ -149,12 +149,12 @@ fn main() {
                 .into_iter()
                 .filter(|fs| !fs.is_empty() && fs.vertices().count() <= 1)
                 .collect();
-            let queries: Vec<(VertexId, FaultSet)> = fault_sets
+            let queries: Vec<(VertexId, VertexId, FaultSet)> = fault_sets
                 .iter()
                 .flat_map(|fs| {
                     (0..graph.num_vertices())
                         .step_by(stride)
-                        .map(move |v| (VertexId::new(v), fs.clone()))
+                        .map(move |v| (source, VertexId::new(v), fs.clone()))
                 })
                 .collect();
             if queries.is_empty() {
@@ -165,19 +165,20 @@ fn main() {
             // started from — same graph, same seed, no second build.
             let run = |use_augmentation: bool| {
                 let options = EngineOptions::new().serial();
-                let mut engine = if use_augmentation {
-                    FaultQueryEngine::from_augmented_with_options(&graph, aug.clone(), options)
+                let core = if use_augmentation {
+                    EngineCore::build_augmented_with(&graph, aug.clone(), options)
                         .expect("matching graph")
                 } else {
-                    FaultQueryEngine::with_options(&graph, aug.base().clone(), options)
+                    EngineCore::build_with(&graph, aug.base().clone(), options)
                         .expect("matching graph")
                 };
-                let _ = engine.query_many_faults(&queries).expect("in range");
-                let warm = engine.query_stats();
+                let mut ctx = core.new_context();
+                let _ = ctx.query_many_faults(&core, &queries).expect("in range");
+                let warm = ctx.stats();
                 let t = Instant::now();
-                let results = engine.query_many_faults(&queries).expect("in range");
+                let results = ctx.query_many_faults(&core, &queries).expect("in range");
                 let ms = t.elapsed().as_secs_f64() * 1e3;
-                (results, ms, engine.query_stats().delta_since(&warm))
+                (results, ms, ctx.stats().delta_since(&warm))
             };
 
             let (plain_results, plain_ms, plain_stats) = run(false);

@@ -12,8 +12,7 @@
 
 use ftb_bench::Table;
 use ftb_core::{
-    cross_check_fault_sets, EngineCore, EngineOptions, FaultQueryEngine, Sources, StructureBuilder,
-    TradeoffBuilder,
+    cross_check_fault_sets, EngineCore, EngineOptions, Sources, StructureBuilder, TradeoffBuilder,
 };
 use ftb_graph::{enumerate_fault_sets, FaultSet, VertexId};
 use ftb_par::ParallelConfig;
@@ -85,26 +84,27 @@ fn main() {
     for &scenario in FaultScenario::all() {
         for f in [1usize, 2] {
             let fault_sets = scenario.generate(&graph, source, f, 96, seed);
-            let queries: Vec<(VertexId, FaultSet)> = fault_sets
+            let queries: Vec<(VertexId, VertexId, FaultSet)> = fault_sets
                 .iter()
                 .flat_map(|fs| {
                     (0..graph.num_vertices())
                         .step_by(stride)
-                        .map(move |v| (VertexId::new(v), fs.clone()))
+                        .map(move |v| (source, VertexId::new(v), fs.clone()))
                 })
                 .collect();
 
             let run = |options: EngineOptions| {
-                let mut engine = FaultQueryEngine::with_options(&graph, structure.clone(), options)
+                let core = EngineCore::build_with(&graph, structure.clone(), options)
                     .expect("matching graph");
+                let mut ctx = core.new_context();
                 // Warm-up pass (first touch pays page faults), then the
                 // timed pass; report the timed pass's counter increments.
-                let _ = engine.query_many_faults(&queries).expect("in range");
-                let warm = engine.query_stats();
+                let _ = ctx.query_many_faults(&core, &queries).expect("in range");
+                let warm = ctx.stats();
                 let t = Instant::now();
-                let results = engine.query_many_faults(&queries).expect("in range");
+                let results = ctx.query_many_faults(&core, &queries).expect("in range");
                 let ms = t.elapsed().as_secs_f64() * 1e3;
-                let delta = engine.query_stats().delta_since(&warm);
+                let delta = ctx.stats().delta_since(&warm);
                 (results, ms, delta)
             };
 

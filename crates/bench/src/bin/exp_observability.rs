@@ -10,9 +10,9 @@
 //! 3%) slower than the uninstrumented one.
 //!
 //! Methodology: each shape replays an identical pre-minted request stream
-//! against two engines over the same core — one with sampling off and no
-//! [`EngineObs`] attached, one with sampling on and detached histogram
-//! handles attached (the exact serving configuration of `ftb-serve`).
+//! against two query contexts over the same core — one with sampling off
+//! and no [`EngineObs`] attached, one with sampling on and detached
+//! histogram handles attached (the exact serving configuration of `ftb-serve`).
 //! Both sides run `TRIALS` interleaved trials (A/B/A/B, so drift hits
 //! both) and are scored by their **minimum** trial time — the standard
 //! noise floor estimator: minima converge to the true cost while means
@@ -23,7 +23,7 @@
 
 use ftb_bench::Table;
 use ftb_core::{
-    EngineObs, EngineOptions, FaultQueryEngine, Sources, StructureBuilder, TradeoffBuilder,
+    EngineCore, EngineObs, EngineOptions, QueryContext, Sources, StructureBuilder, TradeoffBuilder,
 };
 use ftb_graph::{FaultSet, Graph, VertexId};
 use ftb_workloads::{FaultScenario, Workload, WorkloadFamily};
@@ -41,14 +41,6 @@ fn max_overhead() -> f64 {
         .unwrap_or(0.03)
 }
 
-fn fresh_engine<'g>(
-    graph: &'g Graph,
-    structure: &ftb_core::FtBfsStructure,
-) -> FaultQueryEngine<'g> {
-    FaultQueryEngine::with_options(graph, structure.clone(), EngineOptions::new().serial())
-        .expect("matching graph")
-}
-
 /// One replayable request stream: each entry pairs a fault set with the
 /// targets to resolve under it.
 struct Shape {
@@ -59,17 +51,16 @@ struct Shape {
     batched: bool,
 }
 
-fn replay(engine: &mut FaultQueryEngine<'_>, shape: &Shape) {
+fn replay(core: &EngineCore, ctx: &mut QueryContext, shape: &Shape) {
     for (faults, targets) in &shape.requests {
         if shape.batched {
             std::hint::black_box(
-                engine
-                    .dist_many_after_faults(targets, faults)
+                ctx.dist_many_after_faults(core, targets, faults)
                     .expect("in range"),
             );
         } else {
             for &v in targets {
-                std::hint::black_box(engine.dist_after_faults(v, faults).expect("in range"));
+                std::hint::black_box(ctx.dist_after_faults(core, v, faults).expect("in range"));
             }
         }
     }
@@ -93,9 +84,8 @@ fn main() {
     //
     // Both shapes share one pool of fault sets whose affected regions are
     // big enough (≥ 8 vertices) that every miss does real repair work.
-    let probe = fresh_engine(&graph, &structure);
-    let core = std::sync::Arc::clone(probe.core());
-    drop(probe);
+    let core = EngineCore::build_with(&graph, structure, EngineOptions::new().serial())
+        .expect("matching graph");
     let pool: Vec<(FaultSet, Vec<VertexId>)> = [
         FaultScenario::TreeConcentrated,
         FaultScenario::CorrelatedVertices,
@@ -166,8 +156,8 @@ fn main() {
             shape.name,
             shape.requests.len()
         );
-        let mut plain = fresh_engine(&graph, &structure);
-        let mut instrumented = fresh_engine(&graph, &structure);
+        let mut plain = core.new_context();
+        let mut instrumented = core.new_context();
         let obs = EngineObs::detached();
         instrumented.attach_obs(std::sync::Arc::clone(&obs));
 
@@ -175,10 +165,10 @@ fn main() {
         ftb_obs::set_sampling(true);
         for (faults, targets) in &shape.requests {
             let a = plain
-                .dist_many_after_faults(targets, faults)
+                .dist_many_after_faults(&core, targets, faults)
                 .expect("in range");
             let b = instrumented
-                .dist_many_after_faults(targets, faults)
+                .dist_many_after_faults(&core, targets, faults)
                 .expect("in range");
             assert_eq!(a, b, "{}: instrumented engine diverged", shape.name);
         }
@@ -188,12 +178,12 @@ fn main() {
         for _ in 0..TRIALS {
             ftb_obs::set_sampling(false);
             let t0 = Instant::now();
-            replay(&mut plain, shape);
+            replay(&core, &mut plain, shape);
             t_plain = t_plain.min(t0.elapsed());
 
             ftb_obs::set_sampling(true);
             let t0 = Instant::now();
-            replay(&mut instrumented, shape);
+            replay(&core, &mut instrumented, shape);
             t_instr = t_instr.min(t0.elapsed());
         }
         ftb_obs::set_sampling(true);
@@ -201,7 +191,7 @@ fn main() {
         // Counter consistency: every answer the instrumented engine gave
         // (warmup and trials alike, all with sampling on) produced exactly
         // one tier histogram sample.
-        let answers = instrumented.query_stats().tiers.total() as u64;
+        let answers = instrumented.stats().tiers.total() as u64;
         assert_eq!(
             obs.tier_sample_count(),
             answers,

@@ -28,21 +28,13 @@
 //! Answers are asserted identical between the two paths throughout.
 
 use ftb_bench::{median, Table};
-use ftb_core::{EngineOptions, FaultQueryEngine, Sources, StructureBuilder, TradeoffBuilder};
-use ftb_graph::{FaultSet, Graph, VertexId};
+use ftb_core::{EngineCore, EngineOptions, Sources, StructureBuilder, TradeoffBuilder};
+use ftb_graph::{FaultSet, VertexId};
 use ftb_workloads::{FaultScenario, Workload, WorkloadFamily};
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 21;
 const SOURCE: VertexId = VertexId(0);
-
-fn fresh_engine<'g>(
-    graph: &'g Graph,
-    structure: &ftb_core::FtBfsStructure,
-) -> FaultQueryEngine<'g> {
-    FaultQueryEngine::with_options(graph, structure.clone(), EngineOptions::new().serial())
-        .expect("matching graph")
-}
 
 /// Median wall time of `reps` runs of `f`.
 fn timed(reps: usize, mut f: impl FnMut()) -> Duration {
@@ -85,6 +77,8 @@ fn main() {
             .with_config(|c| c.with_seed(SEED).serial())
             .build(&graph, &Sources::single(SOURCE))
             .expect("valid input");
+        let core = EngineCore::build_with(&graph, structure, EngineOptions::new().serial())
+            .expect("matching graph");
 
         let sparse: Vec<VertexId> = (0..16u64)
             .map(|i| VertexId((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % n as u64) as u32))
@@ -98,28 +92,33 @@ fn main() {
                 .filter(|s| !s.is_empty())
                 .collect();
             for (shape, targets) in [("sparse-t16", &sparse), ("dense-all", &dense)] {
-                // One engine per side, reused across repeats: 32 distinct
-                // fault sets against an 8-row LRU miss on every pass, so
-                // the repeats re-measure the miss path without paying the
-                // structure clone inside the timed region.
-                let mut per_target = fresh_engine(&graph, &structure);
-                let mut batched = fresh_engine(&graph, &structure);
+                // One context per side, reused across repeats: 32
+                // distinct fault sets against an 8-row LRU miss on every
+                // pass, so the repeats re-measure the miss path.
+                let mut per_target = core.new_context();
+                let mut batched = core.new_context();
                 for fs in &sets {
                     let serial: Vec<Option<u32>> = targets
                         .iter()
-                        .map(|&v| per_target.dist_after_faults(v, fs).expect("in range"))
+                        .map(|&v| {
+                            per_target
+                                .dist_after_faults(&core, v, fs)
+                                .expect("in range")
+                        })
                         .collect();
                     let many = batched
-                        .dist_many_after_faults(targets, fs)
+                        .dist_many_after_faults(&core, targets, fs)
                         .expect("in range");
                     assert_eq!(many, serial, "batched diverged on {}", family.name());
                 }
-                let counters_before = batched.query_stats();
+                let counters_before = batched.stats();
                 let t_old = timed(5, || {
                     for fs in &sets {
                         for &v in targets {
                             std::hint::black_box(
-                                per_target.dist_after_faults(v, fs).expect("in range"),
+                                per_target
+                                    .dist_after_faults(&core, v, fs)
+                                    .expect("in range"),
                             );
                         }
                     }
@@ -128,14 +127,14 @@ fn main() {
                     for fs in &sets {
                         std::hint::black_box(
                             batched
-                                .dist_many_after_faults(targets, fs)
+                                .dist_many_after_faults(&core, targets, fs)
                                 .expect("in range"),
                         );
                     }
                 });
                 // Counter deltas over the 5 timed passes, reported per
                 // pass so the row reads as "per replay of the 32 sets".
-                let d = batched.query_stats().delta_since(&counters_before);
+                let d = batched.stats().delta_since(&counters_before);
                 shapes.add_row(vec![
                     family.name().to_string(),
                     f.to_string(),
@@ -155,9 +154,6 @@ fn main() {
         if crossover.is_some() {
             continue;
         }
-        let probe = fresh_engine(&graph, &structure);
-        let core = std::sync::Arc::clone(probe.core());
-        drop(probe);
         // Pool fault sets across scenarios until enough carry an affected
         // set big enough to sweep; more sets than the LRU holds keeps
         // every measurement on the miss path even when the dense side
@@ -233,18 +229,17 @@ fn main() {
                     )
                 })
                 .collect();
-            let mut engine = fresh_engine(&graph, &structure);
-            let before = engine.query_stats();
+            let mut ctx = core.new_context();
+            let before = ctx.stats();
             let t = timed(5, || {
                 for (fs, targets) in &requests {
                     std::hint::black_box(
-                        engine
-                            .dist_many_after_faults(targets, fs)
+                        ctx.dist_many_after_faults(&core, targets, fs)
                             .expect("in range"),
                     );
                 }
             });
-            let d = engine.query_stats().delta_since(&before);
+            let d = ctx.stats().delta_since(&before);
             // Restricted sweeps and full-row materialisations both run a
             // BFS of some tier; the sweeps column minus the restricted
             // column is the number of full rows built (by repair or by

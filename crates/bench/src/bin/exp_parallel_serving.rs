@@ -1,16 +1,14 @@
 //! Experiment E8 — parallel batched fault-query serving.
 //!
-//! Measures `FaultQueryEngine::query_many` on a ≥10k-query batch as the
-//! engine's worker-thread count grows, verifying on the way that every
-//! sharded run is byte-identical to the serial reference (the engine's
-//! determinism contract). Also exercises the multi-source engine: per-source
-//! batches against one shared core.
+//! Measures `QueryContext::query_many_faults` on a ≥10k-query batch of
+//! single-edge failures as the core's worker-thread count grows, verifying
+//! on the way that every sharded run is byte-identical to the serial
+//! reference (the engine's determinism contract). Also exercises a
+//! multi-source core: per-source batches against one shared core.
 
 use ftb_bench::{median, Table};
-use ftb_core::{
-    EngineOptions, FaultQueryEngine, MultiSourceEngine, Sources, StructureBuilder, TradeoffBuilder,
-};
-use ftb_graph::{EdgeId, VertexId};
+use ftb_core::{EngineCore, EngineOptions, Sources, StructureBuilder, TradeoffBuilder};
+use ftb_graph::{FaultSet, VertexId};
 use ftb_par::ParallelConfig;
 use ftb_workloads::{Workload, WorkloadFamily};
 use std::time::Instant;
@@ -40,12 +38,12 @@ fn main() {
     // vertices: every distinct structure edge becomes one BFS group, so the
     // batch exposes exactly the work the sharding distributes.
     let stride = (graph.num_vertices() / 8).max(1);
-    let queries: Vec<(VertexId, EdgeId)> = graph
+    let queries: Vec<(VertexId, VertexId, FaultSet)> = graph
         .edge_ids()
         .flat_map(|e| {
             (0..graph.num_vertices())
                 .step_by(stride)
-                .map(move |v| (VertexId::new(v), e))
+                .map(move |v| (VertexId(0), VertexId::new(v), FaultSet::from(e)))
         })
         .collect();
     assert!(queries.len() >= 10_000, "batch too small to be meaningful");
@@ -57,22 +55,23 @@ fn main() {
 
     let run = |parallel: ParallelConfig| {
         let options = EngineOptions::new().with_parallel(parallel);
-        let mut engine = FaultQueryEngine::with_options(&graph, structure.clone(), options)
-            .expect("matching graph");
+        let core =
+            EngineCore::build_with(&graph, structure.clone(), options).expect("matching graph");
+        let mut ctx = core.new_context();
         // Warm-up pass (first touch pays page faults), then the median of
         // several timed passes — robust against a one-off scheduler stall;
         // report only one pass's counter increments.
-        let _ = engine.query_many(&queries).expect("in range");
-        let warm = engine.query_stats();
+        let _ = ctx.query_many_faults(&core, &queries).expect("in range");
+        let warm = ctx.stats();
         let mut samples = Vec::with_capacity(REPS);
         let mut results = Vec::new();
         for _ in 0..REPS {
             let t = Instant::now();
-            results = engine.query_many(&queries).expect("in range");
+            results = ctx.query_many_faults(&core, &queries).expect("in range");
             samples.push(t.elapsed().as_secs_f64() * 1e3);
         }
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let total = engine.query_stats();
+        let total = ctx.stats();
         let sweeps = ((total.structure_bfs_runs - warm.structure_bfs_runs)
             + (total.full_graph_bfs_runs - warm.full_graph_bfs_runs))
             / REPS;
@@ -81,7 +80,7 @@ fn main() {
 
     let (reference, serial_ms, _) = run(ParallelConfig::serial());
     let mut table = Table::new(
-        &format!("E8: query_many sharding ({} queries)", queries.len()),
+        &format!("E8: query_many_faults sharding ({} queries)", queries.len()),
         &["threads", "time ms", "speedup", "BFS sweeps", "identical"],
     );
     for threads in [1usize, 2, 4, 8] {
@@ -112,26 +111,27 @@ fn main() {
         .with_config(|c| c.with_seed(seed).serial())
         .build_multi(&graph, &Sources::multi(sources.clone()))
         .expect("workload gateways are valid sources");
-    let ms_queries: Vec<(VertexId, VertexId, EdgeId)> = graph
+    let ms_queries: Vec<(VertexId, VertexId, FaultSet)> = graph
         .edge_ids()
         .enumerate()
         .flat_map(|(i, e)| {
             let s = sources[i % sources.len()];
             (0..graph.num_vertices())
                 .step_by(stride * 2)
-                .map(move |v| (s, VertexId::new(v), e))
+                .map(move |v| (s, VertexId::new(v), FaultSet::from(e)))
         })
         .collect();
     let run_multi = |parallel: ParallelConfig| {
         let options = EngineOptions::new().with_parallel(parallel);
-        let mut engine =
-            MultiSourceEngine::with_options(&graph, mbfs.clone(), options).expect("matching graph");
-        let _ = engine.query_many(&ms_queries).expect("in range");
+        let core =
+            EngineCore::build_multi_with(&graph, mbfs.clone(), options).expect("matching graph");
+        let mut ctx = core.new_context();
+        let _ = ctx.query_many_faults(&core, &ms_queries).expect("in range");
         let mut samples = Vec::with_capacity(REPS);
         let mut results = Vec::new();
         for _ in 0..REPS {
             let t = Instant::now();
-            results = engine.query_many(&ms_queries).expect("in range");
+            results = ctx.query_many_faults(&core, &ms_queries).expect("in range");
             samples.push(t.elapsed().as_secs_f64() * 1e3);
         }
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -140,7 +140,7 @@ fn main() {
     let (ms_reference, ms_serial) = run_multi(ParallelConfig::serial());
     let mut table = Table::new(
         &format!(
-            "E8b: multi-source query_many, {} sources ({} queries)",
+            "E8b: multi-source query_many_faults, {} sources ({} queries)",
             sources.len(),
             ms_queries.len()
         ),

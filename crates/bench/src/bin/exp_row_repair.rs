@@ -17,7 +17,7 @@
 //!    identical.
 
 use ftb_bench::{median, percentile, Table};
-use ftb_core::{EngineOptions, FaultQueryEngine, Sources, StructureBuilder, TradeoffBuilder};
+use ftb_core::{EngineCore, EngineOptions, Sources, StructureBuilder, TradeoffBuilder};
 use ftb_graph::{FaultSet, Graph, VertexId};
 use ftb_workloads::{FaultScenario, Workload, WorkloadFamily};
 use std::time::Instant;
@@ -48,7 +48,7 @@ fn main() {
             .with_config(|c| c.with_seed(seed).serial())
             .build(&graph, &Sources::single(source))
             .expect("workload graphs with source 0 are valid input");
-        let engine = FaultQueryEngine::new(&graph, structure).expect("matching graph");
+        let core = EngineCore::build(&graph, structure).expect("matching graph");
         for &scenario in &[
             FaultScenario::RandomEdges,
             FaultScenario::TreeConcentrated,
@@ -59,9 +59,7 @@ fn main() {
                 .iter()
                 .filter(|f| !f.is_empty())
                 .map(|f| {
-                    engine
-                        .core()
-                        .affected_vertex_count(source, f)
+                    core.affected_vertex_count(source, f)
                         .expect("generated sets are valid")
                 })
                 .collect();
@@ -95,6 +93,15 @@ fn main() {
         .step_by(stride)
         .map(VertexId::new)
         .collect();
+    let repaired_core =
+        EngineCore::build_with(&graph, structure.clone(), EngineOptions::new().serial())
+            .expect("matching graph");
+    let full_core = EngineCore::build_with(
+        &graph,
+        structure,
+        EngineOptions::new().serial().with_force_full_sweep(true),
+    )
+    .expect("matching graph");
 
     let mut serving = Table::new(
         &format!(
@@ -117,26 +124,20 @@ fn main() {
     for &scenario in FaultScenario::all() {
         for f in [1usize, 2] {
             let sets = scenario.generate(&graph, source, f, 48, seed);
-            let queries: Vec<(VertexId, FaultSet)> = sets
+            let queries: Vec<(VertexId, VertexId, FaultSet)> = sets
                 .iter()
                 .filter(|s| !s.is_empty())
-                .flat_map(|fs| vertices.iter().map(move |&v| (v, fs.clone())))
+                .flat_map(|fs| vertices.iter().map(move |&v| (source, v, fs.clone())))
                 .collect();
-            let mut repaired = FaultQueryEngine::with_options(
-                &graph,
-                structure.clone(),
-                EngineOptions::new().serial(),
-            )
-            .expect("matching graph");
-            let mut full = FaultQueryEngine::with_options(
-                &graph,
-                structure.clone(),
-                EngineOptions::new().serial().with_force_full_sweep(true),
-            )
-            .expect("matching graph");
+            let mut repaired = repaired_core.new_context();
+            let mut full = full_core.new_context();
             // Warm once (answers asserted identical), then time.
-            let a = repaired.query_many_faults(&queries).expect("in range");
-            let b = full.query_many_faults(&queries).expect("in range");
+            let a = repaired
+                .query_many_faults(&repaired_core, &queries)
+                .expect("in range");
+            let b = full
+                .query_many_faults(&full_core, &queries)
+                .expect("in range");
             assert_eq!(a, b, "repaired batch diverged from full sweeps");
             // Median of independent repeats: one slow outlier (page fault,
             // scheduler hiccup) cannot skew the reported time the way a
@@ -145,21 +146,28 @@ fn main() {
             let mut rep_samples = Vec::with_capacity(reps);
             for _ in 0..reps {
                 let t0 = Instant::now();
-                std::hint::black_box(repaired.query_many_faults(&queries).expect("in range"));
+                std::hint::black_box(
+                    repaired
+                        .query_many_faults(&repaired_core, &queries)
+                        .expect("in range"),
+                );
                 rep_samples.push(t0.elapsed());
             }
             let mut full_samples = Vec::with_capacity(reps);
             for _ in 0..reps {
                 let t0 = Instant::now();
-                std::hint::black_box(full.query_many_faults(&queries).expect("in range"));
+                std::hint::black_box(
+                    full.query_many_faults(&full_core, &queries)
+                        .expect("in range"),
+                );
                 full_samples.push(t0.elapsed());
             }
             rep_samples.sort_unstable();
             full_samples.sort_unstable();
             let t_rep = median(&rep_samples);
             let t_full = median(&full_samples);
-            let rs = repaired.query_stats();
-            let fs_ = full.query_stats();
+            let rs = repaired.stats();
+            let fs_ = full.stats();
             let sweeps = |s: &ftb_core::QueryStats| s.structure_bfs_runs + s.full_graph_bfs_runs;
             serving.add_row(vec![
                 scenario.name().to_string(),
@@ -199,25 +207,20 @@ fn main() {
                 .into_iter()
                 .filter(|s| !s.is_empty())
                 .collect();
-            let mut per_target = FaultQueryEngine::with_options(
-                &graph,
-                structure.clone(),
-                EngineOptions::new().serial(),
-            )
-            .expect("matching graph");
-            let mut batched = FaultQueryEngine::with_options(
-                &graph,
-                structure.clone(),
-                EngineOptions::new().serial(),
-            )
-            .expect("matching graph");
+            let core = &repaired_core;
+            let mut per_target = core.new_context();
+            let mut batched = core.new_context();
             for fs_set in &sets {
                 let a: Vec<Option<u32>> = all_targets
                     .iter()
-                    .map(|&v| per_target.dist_after_faults(v, fs_set).expect("in range"))
+                    .map(|&v| {
+                        per_target
+                            .dist_after_faults(core, v, fs_set)
+                            .expect("in range")
+                    })
                     .collect();
                 let b = batched
-                    .dist_many_after_faults(&all_targets, fs_set)
+                    .dist_many_after_faults(core, &all_targets, fs_set)
                     .expect("in range");
                 assert_eq!(a, b, "one-to-many diverged from the per-target loop");
             }
@@ -236,7 +239,9 @@ fn main() {
                 for fs_set in &sets {
                     for &v in &all_targets {
                         std::hint::black_box(
-                            per_target.dist_after_faults(v, fs_set).expect("in range"),
+                            per_target
+                                .dist_after_faults(core, v, fs_set)
+                                .expect("in range"),
                         );
                     }
                 }
@@ -245,7 +250,7 @@ fn main() {
                 for fs_set in &sets {
                     std::hint::black_box(
                         batched
-                            .dist_many_after_faults(&all_targets, fs_set)
+                            .dist_many_after_faults(core, &all_targets, fs_set)
                             .expect("in range"),
                     );
                 }

@@ -47,9 +47,8 @@ pub struct BuildConfig {
     /// carry their config, so this does **not** flow into an engine
     /// automatically: lift it with
     /// [`EngineOptions::from_build_config`](crate::engine::EngineOptions::from_build_config)
-    /// and pass the result to `FaultQueryEngine::with_options` /
-    /// `EngineCore::build_with`. Minimum 1 (enforced at engine
-    /// construction).
+    /// and pass the result to `EngineCore::build_with`. Minimum 1 (enforced
+    /// at engine construction).
     pub engine_lru_rows: usize,
     /// Maximum fault-set size (`|F|`) engines configured from this build
     /// configuration accept; larger sets are rejected with

@@ -6,6 +6,7 @@ use super::{bfs_sweep, finite, ParentEntry, QueryStats, SweepScratch, Tier, Tier
 use crate::error::FtbfsError;
 use ftb_graph::{CompactSubgraph, EdgeId, Fault, FaultSet, VertexId};
 use ftb_obs::Span;
+use ftb_par::parallel_map_init;
 use ftb_sp::{Path, TimestampedVector, UNREACHABLE};
 use std::sync::Arc;
 use std::time::Instant;
@@ -387,9 +388,10 @@ impl BannedEdges {
 /// by is a [`FtbfsError::ContextMismatch`].
 ///
 /// The LRU holds up to [`EngineOptions::lru_rows`](super::EngineOptions)
-/// rows keyed by **fault set** (a single-edge query and its singleton-set
-/// twin share one row); repeated and interleaved queries against that many
-/// distinct failure patterns are answered without repeating a BFS.
+/// rows keyed by (source, canonical **fault set**), so distance, path and
+/// batch queries naming the same failure pattern share one row; repeated
+/// and interleaved queries against that many distinct failure patterns are
+/// answered without repeating a BFS.
 #[derive(Clone, Debug)]
 pub struct QueryContext {
     /// Token of the core this context was created by.
@@ -480,7 +482,7 @@ impl QueryContext {
         self.stats = QueryStats::default();
     }
 
-    pub(super) fn merge_stats(&mut self, other: &QueryStats) {
+    fn merge_stats(&mut self, other: &QueryStats) {
         self.stats.merge(other);
     }
 
@@ -490,44 +492,6 @@ impl QueryContext {
             return Err(FtbfsError::ContextMismatch);
         }
         Ok(())
-    }
-
-    /// Post-failure distance `dist(s, v, G ∖ {e})` from the primary source.
-    ///
-    /// Returns `Ok(None)` when the failure disconnects `v` from the source.
-    ///
-    /// # Errors
-    ///
-    /// [`FtbfsError::VertexOutOfRange`] / [`FtbfsError::EdgeOutOfRange`] for
-    /// ids outside the core's graph, [`FtbfsError::ContextMismatch`] for a
-    /// foreign core.
-    pub fn dist_after_fault(
-        &mut self,
-        core: &EngineCore,
-        v: VertexId,
-        e: EdgeId,
-    ) -> Result<Option<u32>, FtbfsError> {
-        self.checked(core, v, e)?;
-        Ok(self.with_tier_obs(|ctx| ctx.answer_unchecked(core, 0, v, &FaultSet::from(e))))
-    }
-
-    /// Post-failure distance from an explicit source of a multi-source core.
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryContext::dist_after_fault`], plus
-    /// [`FtbfsError::SourceNotServed`] for a source the core was not built
-    /// for.
-    pub fn dist_after_fault_from(
-        &mut self,
-        core: &EngineCore,
-        source: VertexId,
-        v: VertexId,
-        e: EdgeId,
-    ) -> Result<Option<u32>, FtbfsError> {
-        self.checked(core, v, e)?;
-        let slot = core.source_slot(source)?;
-        Ok(self.with_tier_obs(|ctx| ctx.answer_unchecked(core, slot, v, &FaultSet::from(e))))
     }
 
     /// Post-failure distance `dist(s, v, G ∖ F)` from the primary source,
@@ -612,36 +576,6 @@ impl QueryContext {
     }
 
     /// A concrete post-failure shortest path from the primary source to `v`
-    /// in `G ∖ {e}`, or `Ok(None)` when the failure disconnects `v`.
-    ///
-    /// The path runs inside `H ∖ {e}` except for the hypothetical failure of
-    /// a reinforced edge, where it runs inside `G ∖ {e}` (see the module
-    /// docs). Path extraction allocates the returned [`Path`]; the search
-    /// itself reuses the context's scratch state.
-    pub fn path_after_fault(
-        &mut self,
-        core: &EngineCore,
-        v: VertexId,
-        e: EdgeId,
-    ) -> Result<Option<Path>, FtbfsError> {
-        self.checked(core, v, e)?;
-        Ok(self.with_tier_obs(|ctx| ctx.path_unchecked(core, 0, v, &FaultSet::from(e))))
-    }
-
-    /// Post-failure path from an explicit source of a multi-source core.
-    pub fn path_after_fault_from(
-        &mut self,
-        core: &EngineCore,
-        source: VertexId,
-        v: VertexId,
-        e: EdgeId,
-    ) -> Result<Option<Path>, FtbfsError> {
-        self.checked(core, v, e)?;
-        let slot = core.source_slot(source)?;
-        Ok(self.with_tier_obs(|ctx| ctx.path_unchecked(core, slot, v, &FaultSet::from(e))))
-    }
-
-    /// A concrete post-failure shortest path from the primary source to `v`
     /// in `G ∖ F`, avoiding every failed edge and vertex, or `Ok(None)` when
     /// the faults disconnect `v`. Errors as
     /// [`QueryContext::dist_after_faults`].
@@ -669,68 +603,64 @@ impl QueryContext {
         Ok(self.with_tier_obs(|ctx| ctx.path_unchecked(core, slot, v, faults)))
     }
 
-    /// Answer a batch of `(vertex, failing edge)` queries against the
-    /// primary source, on the calling thread.
+    /// Answer a batch of `(source, vertex, fault set)` queries — the one
+    /// batch entry point, for single- and multi-source cores alike (name
+    /// [`EngineCore::primary_source`] on a single-source core).
     ///
-    /// The batch is grouped by failing edge internally, so each distinct
-    /// failure triggers at most one BFS regardless of how many vertices are
-    /// probed against it. Results are returned in input order; `None` marks
-    /// a disconnected vertex. (The facades' `query_many` additionally shards
-    /// edge-groups across threads; a context is the single-thread
-    /// primitive.)
-    pub fn query_many(
-        &mut self,
-        core: &EngineCore,
-        queries: &[(VertexId, EdgeId)],
-    ) -> Result<Vec<Option<u32>>, FtbfsError> {
-        self.check_core(core)?;
-        for &(v, e) in queries {
-            core.check_vertex(v)?;
-            core.check_edge(e)?;
-        }
-        let fault_sets: Vec<FaultSet> = queries.iter().map(|&(_, e)| FaultSet::from(e)).collect();
-        // Same grouping/answering code as the facades, pinned to the calling
-        // thread — a context is per-thread by contract.
-        self.with_tier_obs(|ctx| {
-            super::facade::query_many_sharded(
-                core,
-                ctx,
-                &ftb_par::ParallelConfig::serial(),
-                queries.len(),
-                |i| (0, queries[i].0, &fault_sets[i]),
-            )
-        })
-    }
-
-    /// Answer a batch of `(vertex, fault set)` queries against the primary
-    /// source, on the calling thread. Grouped by fault set like
-    /// [`QueryContext::query_many`].
+    /// The batch is grouped by (source, canonical fault set), so each
+    /// distinct failure pattern triggers at most one search per worker
+    /// regardless of how many vertices are probed against it. Groups that
+    /// need a search are sharded across the core's
+    /// [`EngineOptions::parallel`](super::EngineOptions) workers, each with
+    /// its own fresh context; oversized groups (one hot fault probed by a
+    /// large slice of the batch) are split across workers so a skewed batch
+    /// does not serialise on one thread. Within a group, provably
+    /// unaffected targets take the fault-free fast path and the group's
+    /// row is repaired, not re-swept, when an affected target needs it.
+    /// Results are returned in input order and are byte-identical to the
+    /// serial path and to `queries.len()` separate
+    /// [`QueryContext::dist_after_faults_from`] calls; `None` marks a
+    /// disconnected vertex. Worker counters are merged into this context.
+    ///
+    /// # Errors
+    ///
+    /// As [`QueryContext::dist_after_faults_from`], for the first invalid
+    /// query of the batch.
     pub fn query_many_faults(
         &mut self,
         core: &EngineCore,
-        queries: &[(VertexId, FaultSet)],
+        queries: &[(VertexId, VertexId, FaultSet)],
     ) -> Result<Vec<Option<u32>>, FtbfsError> {
         self.check_core(core)?;
-        for (v, faults) in queries {
+        for (source, v, faults) in queries {
             core.check_vertex(*v)?;
             core.check_fault_set(faults)?;
+            core.source_slot(*source)?;
         }
+        let parallel = &core.options().parallel;
+        if core.sources().len() == 1 {
+            // Every validated query of a single-source core is slot 0. The
+            // constant keeps a per-query slot lookup out of the grouping
+            // sort and the answer loop: the lookup cost ~13% of the minimum
+            // batch time on 13k single-edge queries (ErdosRenyi n = 600,
+            // 2-vCPU x86-64).
+            return self.with_tier_obs(|ctx| {
+                query_many_sharded(core, ctx, parallel, queries.len(), |i| {
+                    (0, queries[i].1, &queries[i].2)
+                })
+            });
+        }
+        // Resolve sources to slots up front so the sharded path only deals
+        // in validated slots.
+        let slots: Vec<usize> = queries
+            .iter()
+            .map(|(source, _, _)| core.source_slot(*source).expect("validated above"))
+            .collect();
         self.with_tier_obs(|ctx| {
-            super::facade::query_many_sharded(
-                core,
-                ctx,
-                &ftb_par::ParallelConfig::serial(),
-                queries.len(),
-                |i| (0, queries[i].0, &queries[i].1),
-            )
+            query_many_sharded(core, ctx, parallel, queries.len(), |i| {
+                (slots[i], queries[i].1, &queries[i].2)
+            })
         })
-    }
-
-    fn checked(&self, core: &EngineCore, v: VertexId, e: EdgeId) -> Result<(), FtbfsError> {
-        self.check_core(core)?;
-        core.check_vertex(v)?;
-        core.check_edge(e)?;
-        Ok(())
     }
 
     fn checked_faults(
@@ -760,7 +690,7 @@ impl QueryContext {
     }
 
     /// Distance answer with validation already done (shared by the single
-    /// query paths and the facades' batch shards). Counts one query.
+    /// query paths and the batch shards). Counts one query.
     ///
     /// Targeted queries get the **unaffected fast path**: when the target's
     /// canonical tree path provably avoids every failed element, the
@@ -789,7 +719,7 @@ impl QueryContext {
     }
 
     /// One-to-many answer with validation already done (shared by the
-    /// public entry points, the facades and the server's batch grouping).
+    /// public entry points and the server's batch grouping).
     /// Counts `targets.len()` queries; results are in input order.
     ///
     /// Under [`EngineOptions::force_full_sweep`](super::EngineOptions) the
@@ -1268,4 +1198,175 @@ impl QueryContext {
             Tier::FullGraph => self.stats.tiers.full_graph_bfs += n,
         }
     }
+}
+
+/// One unit of sharded batch work: a contiguous range of the sorted index
+/// order whose queries all share a source slot and fault set. Usually a
+/// whole fault-group; oversized groups are split into several units (see
+/// [`split_threshold`]).
+struct WorkUnit {
+    slot: usize,
+    /// Range into the sorted index order.
+    start: usize,
+    end: usize,
+}
+
+/// Above this many queries, a single fault-group is split into multiple
+/// work units so one hot fault cannot serialise a skewed batch on one
+/// worker. Each unit re-resolves the group's row in its worker's context —
+/// at most one extra BFS per worker that touches the fault (the LRU absorbs
+/// the rest) in exchange for spreading the row lookups.
+fn split_threshold(bfs_queries: usize, workers: usize) -> usize {
+    const MIN_SPLIT: usize = 64;
+    MIN_SPLIT.max(bfs_queries.div_ceil(4 * workers.max(1)))
+}
+
+/// The batch orchestration behind [`QueryContext::query_many_faults`].
+///
+/// `query_at` maps a batch index to `(source slot, vertex, fault set)`; the
+/// **caller validates** slots, vertices and fault sets before calling.
+/// Queries are grouped by (slot, canonical fault set), distance-preserving
+/// groups (every fault an edge outside `H`) are answered inline from the
+/// core's rows, and the remaining groups — each needing one BFS per worker
+/// that touches it — are sharded over `parallel` workers, one fresh context
+/// per worker, with oversized groups split across several units. Results
+/// land in input order; worker counters are merged into `ctx` so the
+/// caller's stats stay complete.
+fn query_many_sharded<'q, Q>(
+    core: &EngineCore,
+    ctx: &mut QueryContext,
+    parallel: &ftb_par::ParallelConfig,
+    len: usize,
+    query_at: Q,
+) -> Result<Vec<Option<u32>>, FtbfsError>
+where
+    Q: Fn(usize) -> (usize, VertexId, &'q FaultSet) + Sync,
+{
+    let mut order: Vec<u32> = (0..len as u32).collect();
+    order.sort_by(|&a, &b| {
+        let (slot_a, _, f_a) = query_at(a as usize);
+        let (slot_b, _, f_b) = query_at(b as usize);
+        (slot_a, f_a).cmp(&(slot_b, f_b))
+    });
+
+    // Cut the sorted order into (slot, fault set) groups.
+    let mut groups: Vec<WorkUnit> = Vec::new();
+    for (pos, &qi) in order.iter().enumerate() {
+        let (slot, _, faults) = query_at(qi as usize);
+        let same = match groups.last() {
+            Some(g) => {
+                let (pslot, _, pfaults) = query_at(order[g.start] as usize);
+                pslot == slot && pfaults == faults
+            }
+            None => false,
+        };
+        match groups.last_mut() {
+            Some(g) if same => g.end = pos + 1,
+            _ => groups.push(WorkUnit {
+                slot,
+                start: pos,
+                end: pos + 1,
+            }),
+        }
+    }
+
+    let mut results = vec![None; len];
+    // Fault-free-routed groups (every fault an edge outside H) read
+    // straight off the core's preprocessed rows — no BFS, no sharding
+    // needed. Routing goes through the same `route` function as single
+    // queries so the two paths can never drift apart.
+    let mut inline = QueryStats::default();
+    let mut bfs_units: Vec<WorkUnit> = Vec::new();
+    for g in groups {
+        let (_, _, faults) = query_at(order[g.start] as usize);
+        if core.route(faults) != Tier::FaultFree {
+            bfs_units.push(g);
+            continue;
+        }
+        let (dist, _) = core.fault_free_row(g.slot);
+        for &qi in &order[g.start..g.end] {
+            let (_, v, _) = query_at(qi as usize);
+            results[qi as usize] = finite(dist[v.index()]);
+        }
+        inline.queries += g.end - g.start;
+        inline.cached_answers += g.end - g.start;
+        inline.tiers.fault_free_row += g.end - g.start;
+    }
+    ctx.merge_stats(&inline);
+
+    // Shard the BFS units: each is one BFS (in its worker's context) plus
+    // its row lookups, so chunk size 1 balances skew between cheap and
+    // expensive failures.
+    let parallel = parallel.clone().with_chunk_size(1);
+    if parallel.is_serial() {
+        for g in &bfs_units {
+            for &qi in &order[g.start..g.end] {
+                let (slot, v, faults) = query_at(qi as usize);
+                results[qi as usize] = ctx.answer_unchecked(core, slot, v, faults);
+            }
+        }
+        return Ok(results);
+    }
+
+    // Split oversized groups so a single hot fault is shared by several
+    // workers instead of serialising on one. This must happen before the
+    // too-little-work bailout below: the skewed extreme — every BFS query
+    // in the batch naming one fault — is exactly one group.
+    let bfs_queries: usize = bfs_units.iter().map(|g| g.end - g.start).sum();
+    let threshold = split_threshold(bfs_queries, parallel.threads());
+    let mut units: Vec<WorkUnit> = Vec::with_capacity(bfs_units.len());
+    for g in bfs_units {
+        let mut start = g.start;
+        while g.end - start > threshold {
+            units.push(WorkUnit {
+                slot: g.slot,
+                start,
+                end: start + threshold,
+            });
+            start += threshold;
+        }
+        units.push(WorkUnit {
+            slot: g.slot,
+            start,
+            end: g.end,
+        });
+    }
+
+    // Not enough independent units to pay for worker spawn-up.
+    if units.len() < 2 {
+        for g in &units {
+            for &qi in &order[g.start..g.end] {
+                let (slot, v, faults) = query_at(qi as usize);
+                results[qi as usize] = ctx.answer_unchecked(core, slot, v, faults);
+            }
+        }
+        return Ok(results);
+    }
+
+    let sharded = parallel_map_init(
+        &parallel,
+        units.len(),
+        || (core.new_context(), QueryStats::default()),
+        |(wctx, seen), gi| {
+            let g = &units[gi];
+            let mut answers: Vec<(u32, Option<u32>)> = Vec::with_capacity(g.end - g.start);
+            for &qi in &order[g.start..g.end] {
+                let (slot, v, faults) = query_at(qi as usize);
+                answers.push((qi, wctx.answer_unchecked(core, slot, v, faults)));
+            }
+            // Report only this unit's counter increments; the worker
+            // context (and its running totals) persists across units.
+            let total = wctx.stats();
+            let delta = total.delta_since(seen);
+            *seen = total;
+            (answers, delta)
+        },
+    );
+    for (answers, delta) in sharded {
+        for (qi, d) in answers {
+            results[qi as usize] = d;
+        }
+        ctx.merge_stats(&delta);
+    }
+    Ok(results)
 }

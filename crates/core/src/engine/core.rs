@@ -34,17 +34,18 @@ fn force_full_sweep_from_env() -> bool {
 
 /// Serving-side tuning knobs, independent of how the structure was built.
 ///
-/// Pass to [`EngineCore::build_with`] (or
-/// [`FaultQueryEngine::with_options`](super::FaultQueryEngine::with_options));
-/// [`EngineOptions::from_build_config`] lifts the engine-relevant fields out
-/// of a [`BuildConfig`](crate::BuildConfig).
+/// Pass to [`EngineCore::build_with`] (or its `build_multi_with` /
+/// `build_augmented_with` siblings); [`EngineOptions::from_build_config`]
+/// lifts the engine-relevant fields out of a
+/// [`BuildConfig`](crate::BuildConfig).
 #[derive(Clone, Debug)]
 pub struct EngineOptions {
     /// Capacity, in distance rows, of each context's LRU of post-failure
     /// rows (keyed by fault set and source). Each row costs `O(n)` memory
     /// per context; minimum 1 (the 0.2 one-row cache behaviour).
     pub lru_rows: usize,
-    /// Thread configuration for sharded `query_many` batches. Groups of
+    /// Thread configuration for sharded
+    /// [`QueryContext::query_many_faults`] batches. Groups of
     /// queries sharing a fault set are distributed over this many
     /// workers, each with its own [`QueryContext`]. A serial configuration
     /// answers the whole batch on the calling thread.
@@ -519,6 +520,24 @@ impl EngineCore {
         &self.build_timings
     }
 
+    /// Fault-free distance `dist(source, v, G)` (`None` if `v` is
+    /// unreachable), read from the preprocessed row — no search.
+    ///
+    /// # Errors
+    ///
+    /// [`FtbfsError::VertexOutOfRange`] for a bad vertex,
+    /// [`FtbfsError::SourceNotServed`] for a source the core was not built
+    /// for.
+    pub fn fault_free_dist(
+        &self,
+        source: VertexId,
+        v: VertexId,
+    ) -> Result<Option<u32>, FtbfsError> {
+        self.check_vertex(v)?;
+        let slot = self.source_slot(source)?;
+        Ok(self.fault_free_dist_slot(slot, v))
+    }
+
     /// Fault-free distance `dist(s, v, G)` from the slot-`slot` source
     /// (`None` if `v` is unreachable).
     pub(super) fn fault_free_dist_slot(&self, slot: usize, v: VertexId) -> Option<u32> {
@@ -693,16 +712,6 @@ impl EngineCore {
             return Err(FtbfsError::VertexOutOfRange {
                 vertex: v,
                 num_vertices: self.graph.num_vertices(),
-            });
-        }
-        Ok(())
-    }
-
-    pub(super) fn check_edge(&self, e: EdgeId) -> Result<(), FtbfsError> {
-        if e.index() >= self.graph.num_edges() {
-            return Err(FtbfsError::EdgeOutOfRange {
-                edge: e,
-                num_edges: self.graph.num_edges(),
             });
         }
         Ok(())

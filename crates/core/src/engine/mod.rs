@@ -7,36 +7,39 @@
 //! post-failure distance/path query runs against reusable scratch state with
 //! no per-query allocation.
 //!
-//! # The three layers
+//! # The two layers
 //!
 //! * [`EngineCore`] — the **immutable** preprocessed data: an owned copy of
 //!   the parent graph, the structure's edge/reinforcement sets, a compact CSR
 //!   of `H`, and one fault-free distance/parent row per served source.
 //!   `EngineCore` is `Send + Sync`; wrap it in an `Arc` and any number of
-//!   threads can serve queries from the same core concurrently.
-//! * [`QueryContext`] — the cheap **per-thread** mutable state: BFS scratch
-//!   rows, a visit queue, an LRU of recently computed post-failure distance
-//!   rows (keyed by fault set, capacity [`EngineOptions::lru_rows`]), and
-//!   query counters. Create one per worker with [`EngineCore::new_context`];
-//!   contexts are *not* shared between threads.
-//! * Facades — [`FaultQueryEngine`] (single source, the 0.2 API) and
-//!   [`MultiSourceEngine`] (per-source queries against one shared core) own
-//!   an `Arc<EngineCore>` plus one context and add batch orchestration:
-//!   their `query_many` groups a batch by fault set and shards the groups
-//!   across threads via [`ftb_par::parallel_map_init`], one fresh context per
-//!   worker, with deterministic input-order results; oversized groups are
-//!   split so one hot fault cannot serialise a skewed batch on one worker.
+//!   threads can serve queries from the same core concurrently. Single-source
+//!   ([`EngineCore::build`]), multi-source ([`EngineCore::build_multi`]) and
+//!   augmented ([`EngineCore::build_augmented`]) structures all build the
+//!   same core type; a query names its source explicitly through the
+//!   `*_from` methods, or implicitly means [`EngineCore::primary_source`].
+//! * [`QueryContext`] — the cheap **per-thread** mutable state and the one
+//!   query entry point: BFS scratch rows, a visit queue, an LRU of recently
+//!   computed post-failure distance rows (keyed by fault set, capacity
+//!   [`EngineOptions::lru_rows`]), and query counters. Create one per worker
+//!   with [`EngineCore::new_context`]; contexts are *not* shared between
+//!   threads. Every query method takes the core by shared reference.
+//!   [`QueryContext::query_many_faults`] groups a batch by (source, fault
+//!   set) and shards the groups across the core's
+//!   [`EngineOptions::parallel`] workers via
+//!   [`ftb_par::parallel_map_init`], one fresh context per worker, with
+//!   deterministic input-order results; oversized groups are split so one
+//!   hot fault cannot serialise a skewed batch on one worker.
 //!
 //! # Fault model
 //!
 //! Queries name their failures as a
 //! [`FaultSet`](ftb_graph::FaultSet) — a small canonical set of
 //! [`Fault`](ftb_graph::Fault)s, each a failed **edge** or a failed
-//! **vertex** (the vertex and all incident edges disappear). The historic
-//! single-edge methods (`dist_after_fault` & friends) are thin delegations
-//! onto the same machinery with a singleton set and return byte-identical
-//! results. Sets larger than [`EngineOptions::max_faults`] (default 2) are
-//! rejected with
+//! **vertex** (the vertex and all incident edges disappear). The paper's
+//! single-edge failure is the singleton set `FaultSet::from(e)`, which
+//! routes to the `sparse_h_bfs` tier below. Sets larger than
+//! [`EngineOptions::max_faults`] (default 2) are rejected with
 //! [`FtbfsError::FaultSetTooLarge`](crate::FtbfsError::FaultSetTooLarge).
 //!
 //! # Answering model
@@ -111,11 +114,11 @@
 //! gates the ≥ 2× serving gap between the two modes in CI.
 //!
 //! Each context keeps the last [`EngineOptions::lru_rows`] computed rows
-//! keyed by (source, fault set) — a single-edge query and its
-//! singleton-set twin share one row — so interleaved queries against a
-//! small working set of failure patterns never repeat a search; batches
-//! additionally group by fault set so each distinct failure pattern is
-//! searched at most once per worker per batch.
+//! keyed by (source, canonical fault set) — distance, path and batch
+//! queries naming the same failures share one row — so interleaved
+//! queries against a small working set of failure patterns never repeat a
+//! search; batches additionally group by fault set so each distinct
+//! failure pattern is searched at most once per worker per batch.
 //!
 //! # Thread-safety contract
 //!
@@ -128,8 +131,6 @@
 
 mod context;
 mod core;
-mod facade;
-mod multi;
 mod obs;
 mod snapshot;
 #[cfg(test)]
@@ -139,8 +140,6 @@ pub use snapshot::engine_layout_hash;
 
 pub use self::core::{EngineCore, EngineOptions, FORCE_FULL_SWEEP_ENV};
 pub use context::QueryContext;
-pub use facade::FaultQueryEngine;
-pub use multi::MultiSourceEngine;
 pub use obs::{EngineObs, STAGE_SECONDS_METRIC, TIER_ANSWERS_METRIC, TIER_LATENCY_METRIC};
 
 /// The answering tier a fault set routes to (see the module docs).

@@ -29,8 +29,8 @@
 //! from the unaffected fast path) reuse the already-measured window for
 //! the `unaffected_fast_path` stage instead of reading the clock again.
 //!
-//! Sharded batch facades hand work to per-worker contexts created fresh
-//! per batch; those contexts carry no `EngineObs` and are deliberately
+//! Sharded batches hand work to per-worker contexts created fresh per
+//! batch; those contexts carry no `EngineObs` and are deliberately
 //! uninstrumented (the serving stack times whole requests at the server
 //! layer instead).
 

@@ -9,12 +9,12 @@ use ftb_par::ParallelConfig;
 use ftb_sp::{bfs_distances_view, UNREACHABLE};
 use std::sync::Arc;
 
-fn engine_for(graph: &Graph, eps: f64, seed: u64) -> FaultQueryEngine<'_> {
+fn core_for(graph: &Graph, eps: f64, seed: u64) -> EngineCore {
     let s = TradeoffBuilder::new(eps)
         .with_config(|c| c.with_seed(seed).serial())
         .build(graph, &Sources::single(VertexId(0)))
         .expect("valid input");
-    FaultQueryEngine::new(graph, s).expect("matching graph")
+    EngineCore::build(graph, s).expect("matching graph")
 }
 
 fn brute_force_from(graph: &Graph, s: VertexId, v: VertexId, e: EdgeId) -> Option<u32> {
@@ -34,6 +34,22 @@ fn brute_force(graph: &Graph, v: VertexId, e: EdgeId) -> Option<u32> {
 fn brute_faults(graph: &Graph, s: VertexId, v: VertexId, faults: &FaultSet) -> Option<u32> {
     let d = dist_after_faults_brute(graph, s, faults)[v.index()];
     (d != UNREACHABLE).then_some(d)
+}
+
+/// Every `(source, vertex, single failing edge)` query of `graph`, edge-major.
+fn all_single_edge_queries(
+    graph: &Graph,
+    sources: &[VertexId],
+) -> Vec<(VertexId, VertexId, FaultSet)> {
+    let mut queries = Vec::new();
+    for e in graph.edge_ids() {
+        for &s in sources {
+            for v in graph.vertices() {
+                queries.push((s, v, FaultSet::from(e)));
+            }
+        }
+    }
+    queries
 }
 
 /// Options with the repair/fast path pinned **on**, so these tests keep
@@ -60,10 +76,13 @@ fn distances_match_brute_force_on_all_pairs() {
         ("clique_pendant", generators::clique_with_pendant(10)),
         ("cycle", generators::cycle(12)),
     ] {
-        let mut engine = engine_for(&graph, 0.3, 7);
+        let core = core_for(&graph, 0.3, 7);
+        let mut ctx = core.new_context();
         for e in graph.edge_ids() {
             for v in graph.vertices() {
-                let got = engine.dist_after_fault(v, e).expect("in range");
+                let got = ctx
+                    .dist_after_faults(&core, v, &e.into())
+                    .expect("in range");
                 let want = brute_force(&graph, v, e);
                 assert_eq!(got, want, "{name}: vertex {v:?}, edge {e:?}");
             }
@@ -74,11 +93,16 @@ fn distances_match_brute_force_on_all_pairs() {
 #[test]
 fn paths_are_valid_witnesses_of_the_distances() {
     let graph = generators::grid(4, 5);
-    let mut engine = engine_for(&graph, 0.25, 3);
+    let core = core_for(&graph, 0.25, 3);
+    let mut ctx = core.new_context();
     for e in graph.edge_ids() {
         for v in graph.vertices() {
-            let d = engine.dist_after_fault(v, e).expect("in range");
-            let p = engine.path_after_fault(v, e).expect("in range");
+            let d = ctx
+                .dist_after_faults(&core, v, &e.into())
+                .expect("in range");
+            let p = ctx
+                .path_after_faults(&core, v, &e.into())
+                .expect("in range");
             match (d, p) {
                 (None, None) => {}
                 (Some(d), Some(p)) => {
@@ -102,19 +126,21 @@ fn paths_are_valid_witnesses_of_the_distances() {
 #[test]
 fn batched_queries_match_single_queries() {
     let graph = generators::hypercube(4);
-    let mut engine = engine_for(&graph, 0.3, 5);
-    let queries: Vec<(VertexId, EdgeId)> = graph
-        .edge_ids()
-        .flat_map(|e| graph.vertices().map(move |v| (v, e)))
-        .collect();
-    let batch = engine.query_many(&queries).expect("in range");
-    let mut engine2 = engine_for(&graph, 0.3, 5);
-    for (i, &(v, e)) in queries.iter().enumerate() {
-        assert_eq!(batch[i], engine2.dist_after_fault(v, e).expect("in range"));
+    let core = core_for(&graph, 0.3, 5);
+    let mut ctx = core.new_context();
+    let queries = all_single_edge_queries(&graph, &[VertexId(0)]);
+    let batch = ctx.query_many_faults(&core, &queries).expect("in range");
+    let core2 = core_for(&graph, 0.3, 5);
+    let mut ctx2 = core2.new_context();
+    for (i, (_, v, f)) in queries.iter().enumerate() {
+        assert_eq!(
+            batch[i],
+            ctx2.dist_after_faults(&core2, *v, f).expect("in range")
+        );
     }
     // grouping by edge keeps the number of sweeps at one per distinct
     // structure edge at most
-    let stats = engine.query_stats();
+    let stats = ctx.stats();
     assert!(stats.structure_bfs_runs + stats.full_graph_bfs_runs <= graph.num_edges());
     assert_eq!(stats.queries, queries.len());
 }
@@ -126,41 +152,42 @@ fn sharded_and_serial_batches_are_identical() {
         .with_config(|c| c.with_seed(9).serial())
         .build(&graph, &Sources::single(VertexId(0)))
         .expect("valid input");
-    let queries: Vec<(VertexId, EdgeId)> = graph
-        .edge_ids()
-        .flat_map(|e| graph.vertices().map(move |v| (v, e)))
-        .collect();
-    let mut serial =
-        FaultQueryEngine::with_options(&graph, s.clone(), EngineOptions::new().serial())
-            .expect("matching graph");
-    let mut sharded = FaultQueryEngine::with_options(
+    let queries = all_single_edge_queries(&graph, &[VertexId(0)]);
+    let serial =
+        EngineCore::build_with(&graph, s.clone(), EngineOptions::new().serial()).expect("matching");
+    let sharded = EngineCore::build_with(
         &graph,
         s,
         EngineOptions::new().with_parallel(ParallelConfig::with_threads(4)),
     )
     .expect("matching graph");
-    let a = serial.query_many(&queries).expect("in range");
-    let b = sharded.query_many(&queries).expect("in range");
+    let (mut sctx, mut pctx) = (serial.new_context(), sharded.new_context());
+    let a = sctx.query_many_faults(&serial, &queries).expect("in range");
+    let b = pctx
+        .query_many_faults(&sharded, &queries)
+        .expect("in range");
     assert_eq!(a, b, "sharded batch diverged from the serial path");
     // Both paths account for every query in their counters.
-    assert_eq!(serial.query_stats().queries, queries.len());
-    assert_eq!(sharded.query_stats().queries, queries.len());
+    assert_eq!(sctx.stats().queries, queries.len());
+    assert_eq!(pctx.stats().queries, queries.len());
 }
 
 #[test]
 fn repeated_edge_queries_hit_the_row_cache() {
     let graph = generators::grid(5, 5);
-    let mut engine = engine_for(&graph, 0.3, 11);
-    let e = *engine
+    let core = core_for(&graph, 0.3, 11);
+    let mut ctx = core.new_context();
+    let e = *core
         .structure()
         .edges()
         .collect::<Vec<_>>()
         .first()
         .expect("structure has edges");
     for v in graph.vertices() {
-        engine.dist_after_fault(v, e).expect("in range");
+        ctx.dist_after_faults(&core, v, &e.into())
+            .expect("in range");
     }
-    let stats = engine.query_stats();
+    let stats = ctx.stats();
     assert!(stats.structure_bfs_runs + stats.full_graph_bfs_runs <= 1);
     assert!(stats.cached_answers >= graph.num_vertices() - 1);
 }
@@ -174,12 +201,14 @@ fn lru_capacity_bounds_recomputation() {
         .expect("valid input");
     let edges: Vec<EdgeId> = s.edges().take(3).collect();
     assert!(edges.len() >= 3, "structure too small for the LRU test");
+    let runs =
+        |ctx: &QueryContext| ctx.stats().structure_bfs_runs + ctx.stats().full_graph_bfs_runs;
 
     // Force full sweeps: this test counts one search per miss, and the
     // unaffected fast path would answer some probes without any row.
     // Capacity 1 (the 0.2 one-row behaviour): a round-robin over three
     // failures evicts on every step, so every query repeats its BFS.
-    let mut one = FaultQueryEngine::with_options(
+    let one = EngineCore::build_with(
         &graph,
         s.clone(),
         EngineOptions::new()
@@ -188,16 +217,22 @@ fn lru_capacity_bounds_recomputation() {
             .with_force_full_sweep(true),
     )
     .expect("matching graph");
+    let mut one_ctx = one.new_context();
     for _ in 0..4 {
         for &e in &edges {
-            one.dist_after_fault(VertexId(1), e).expect("in range");
+            one_ctx
+                .dist_after_faults(&one, VertexId(1), &e.into())
+                .expect("in range");
         }
     }
-    let one_runs = one.query_stats().structure_bfs_runs + one.query_stats().full_graph_bfs_runs;
-    assert_eq!(one_runs, 12, "capacity 1 must recompute on every rotation");
+    assert_eq!(
+        runs(&one_ctx),
+        12,
+        "capacity 1 must recompute on every rotation"
+    );
 
     // Capacity 4: the working set fits, so each failure is searched once.
-    let mut four = FaultQueryEngine::with_options(
+    let four = EngineCore::build_with(
         &graph,
         s,
         EngineOptions::new()
@@ -206,30 +241,39 @@ fn lru_capacity_bounds_recomputation() {
             .with_force_full_sweep(true),
     )
     .expect("matching graph");
+    let mut four_ctx = four.new_context();
     for _ in 0..4 {
         for &e in &edges {
-            four.dist_after_fault(VertexId(1), e).expect("in range");
+            four_ctx
+                .dist_after_faults(&four, VertexId(1), &e.into())
+                .expect("in range");
         }
     }
-    let four_runs = four.query_stats().structure_bfs_runs + four.query_stats().full_graph_bfs_runs;
-    assert_eq!(four_runs, 3, "capacity 4 must keep the working set cached");
-    assert_eq!(four.query_stats().cached_answers, 9);
+    assert_eq!(
+        runs(&four_ctx),
+        3,
+        "capacity 4 must keep the working set cached"
+    );
+    assert_eq!(four_ctx.stats().cached_answers, 9);
 }
 
 #[test]
 fn non_structure_edges_answer_from_the_fault_free_row() {
     let graph = generators::complete(8);
-    let mut engine = engine_for(&graph, 0.3, 13);
+    let core = core_for(&graph, 0.3, 13);
+    let mut ctx = core.new_context();
     let outside = graph
         .edge_ids()
-        .find(|&e| !engine.structure().contains_edge(e))
+        .find(|&e| !core.structure().contains_edge(e))
         .expect("K8 structure is sparse");
-    let before = engine.query_stats();
+    let before = ctx.stats();
     for v in graph.vertices() {
-        let d = engine.dist_after_fault(v, outside).expect("in range");
-        assert_eq!(d, engine.fault_free_dist(v).expect("in range"));
+        let d = ctx
+            .dist_after_faults(&core, v, &outside.into())
+            .expect("in range");
+        assert_eq!(d, core.fault_free_dist(VertexId(0), v).expect("in range"));
     }
-    let after = engine.query_stats();
+    let after = ctx.stats();
     assert_eq!(before.structure_bfs_runs, after.structure_bfs_runs);
     assert_eq!(before.full_graph_bfs_runs, after.full_graph_bfs_runs);
 }
@@ -237,22 +281,27 @@ fn non_structure_edges_answer_from_the_fault_free_row() {
 #[test]
 fn out_of_range_queries_are_typed_errors() {
     let graph = generators::grid(3, 3);
-    let mut engine = engine_for(&graph, 0.3, 1);
+    let core = core_for(&graph, 0.3, 1);
+    let mut ctx = core.new_context();
     assert!(matches!(
-        engine.dist_after_fault(VertexId(99), EdgeId(0)),
+        ctx.dist_after_faults(&core, VertexId(99), &EdgeId(0).into()),
         Err(FtbfsError::VertexOutOfRange { .. })
     ));
     assert!(matches!(
-        engine.dist_after_fault(VertexId(0), EdgeId(999)),
-        Err(FtbfsError::EdgeOutOfRange { .. })
+        ctx.dist_after_faults(&core, VertexId(0), &EdgeId(999).into()),
+        Err(FtbfsError::InvalidFault { .. })
     ));
     assert!(matches!(
-        engine.path_after_fault(VertexId(99), EdgeId(0)),
+        ctx.path_after_faults(&core, VertexId(99), &EdgeId(0).into()),
         Err(FtbfsError::VertexOutOfRange { .. })
     ));
     assert!(matches!(
-        engine.query_many(&[(VertexId(0), EdgeId(999))]),
-        Err(FtbfsError::EdgeOutOfRange { .. })
+        ctx.query_many_faults(&core, &[(VertexId(0), VertexId(0), EdgeId(999).into())]),
+        Err(FtbfsError::InvalidFault { .. })
+    ));
+    assert!(matches!(
+        core.fault_free_dist(VertexId(0), VertexId(99)),
+        Err(FtbfsError::VertexOutOfRange { .. })
     ));
 }
 
@@ -270,15 +319,14 @@ fn contexts_are_tied_to_their_core() {
     let core1 = build(&g1);
     let core2 = build(&g2);
     let mut ctx1 = core1.new_context();
-    assert!(ctx1
-        .dist_after_fault(&core1, VertexId(1), EdgeId(0))
-        .is_ok());
+    let e0 = FaultSet::from(EdgeId(0));
+    assert!(ctx1.dist_after_faults(&core1, VertexId(1), &e0).is_ok());
     assert_eq!(
-        ctx1.dist_after_fault(&core2, VertexId(1), EdgeId(0)),
+        ctx1.dist_after_faults(&core2, VertexId(1), &e0),
         Err(FtbfsError::ContextMismatch)
     );
     assert_eq!(
-        ctx1.query_many(&core2, &[(VertexId(1), EdgeId(0))]),
+        ctx1.query_many_faults(&core2, &[(VertexId(0), VertexId(1), e0)]),
         Err(FtbfsError::ContextMismatch)
     );
 }
@@ -292,7 +340,7 @@ fn mismatched_structure_is_rejected() {
         .build(&g1, &Sources::single(VertexId(0)))
         .expect("valid input");
     assert!(matches!(
-        FaultQueryEngine::new(&g2, s),
+        EngineCore::build(&g2, s),
         Err(FtbfsError::StructureMismatch { .. })
     ));
 }
@@ -315,7 +363,7 @@ fn mismatched_structure_with_equal_edge_count_is_rejected() {
         "K7 structure must be sparse"
     );
     assert!(matches!(
-        FaultQueryEngine::new(&cycle, s),
+        EngineCore::build(&cycle, s),
         Err(FtbfsError::FaultFreeDistanceMismatch { .. })
     ));
 }
@@ -323,20 +371,26 @@ fn mismatched_structure_with_equal_edge_count_is_rejected() {
 #[test]
 fn disconnecting_failures_return_none() {
     let graph = generators::path(5);
-    let mut engine = engine_for(&graph, 0.3, 2);
-    let e = graph
-        .find_edge(VertexId(1), VertexId(2))
-        .expect("path edge");
+    let core = core_for(&graph, 0.3, 2);
+    let mut ctx = core.new_context();
+    let e = FaultSet::from(
+        graph
+            .find_edge(VertexId(1), VertexId(2))
+            .expect("path edge"),
+    );
     assert_eq!(
-        engine.dist_after_fault(VertexId(4), e).expect("in range"),
+        ctx.dist_after_faults(&core, VertexId(4), &e)
+            .expect("in range"),
         None
     );
     assert_eq!(
-        engine.path_after_fault(VertexId(4), e).expect("in range"),
+        ctx.path_after_faults(&core, VertexId(4), &e)
+            .expect("in range"),
         None
     );
     assert_eq!(
-        engine.dist_after_fault(VertexId(1), e).expect("in range"),
+        ctx.dist_after_faults(&core, VertexId(1), &e)
+            .expect("in range"),
         Some(1)
     );
 }
@@ -352,34 +406,34 @@ fn reinforced_edge_fallback_is_exact() {
         &BuildConfig::new(0.0).serial(),
     )
     .expect("valid input");
-    let mut engine = FaultQueryEngine::new(&graph, s).expect("matching graph");
+    let core = EngineCore::build(&graph, s).expect("matching graph");
+    let mut ctx = core.new_context();
     for e in graph.edge_ids() {
         for v in graph.vertices() {
             assert_eq!(
-                engine.dist_after_fault(v, e).expect("in range"),
+                ctx.dist_after_faults(&core, v, &e.into())
+                    .expect("in range"),
                 brute_force(&graph, v, e)
             );
         }
     }
-    assert!(engine.query_stats().full_graph_bfs_runs > 0);
+    assert!(ctx.stats().full_graph_bfs_runs > 0);
 }
 
 #[test]
-fn shared_core_serves_a_second_facade() {
+fn shared_core_serves_a_second_context() {
     let graph = generators::grid(4, 4);
-    let mut a = engine_for(&graph, 0.3, 21);
-    let mut b = FaultQueryEngine::from_core(&graph, a.core().clone()).expect("same graph");
+    let core = Arc::new(core_for(&graph, 0.3, 21));
+    let shared = Arc::clone(&core);
+    let (mut a, mut b) = (core.new_context(), shared.new_context());
     for e in graph.edge_ids().take(6) {
         assert_eq!(
-            a.dist_after_fault(VertexId(9), e).expect("in range"),
-            b.dist_after_fault(VertexId(9), e).expect("in range"),
+            a.dist_after_faults(&core, VertexId(9), &e.into())
+                .expect("in range"),
+            b.dist_after_faults(&shared, VertexId(9), &e.into())
+                .expect("in range"),
         );
     }
-    let other = generators::complete(9);
-    assert!(matches!(
-        FaultQueryEngine::from_core(&other, a.core().clone()),
-        Err(FtbfsError::CoreGraphMismatch { .. })
-    ));
 }
 
 #[test]
@@ -392,12 +446,15 @@ fn multi_source_engine_is_exact_per_source() {
         &BuildConfig::new(0.3).with_seed(3).serial(),
     )
     .expect("valid input");
-    let mut engine = MultiSourceEngine::new(&graph, m).expect("matching graph");
-    assert_eq!(engine.sources(), &sources);
+    let core = EngineCore::build_multi(&graph, m).expect("matching graph");
+    let mut ctx = core.new_context();
+    assert_eq!(core.sources(), &sources);
     for &s in &sources {
         for e in graph.edge_ids() {
             for v in graph.vertices() {
-                let got = engine.dist_after_fault(s, v, e).expect("in range");
+                let got = ctx
+                    .dist_after_faults_from(&core, s, v, &e.into())
+                    .expect("in range");
                 let want = brute_force_from(&graph, s, v, e);
                 assert_eq!(got, want, "source {s:?}, vertex {v:?}, edge {e:?}");
             }
@@ -415,38 +472,43 @@ fn multi_source_batches_match_singles_and_check_sources() {
         &BuildConfig::new(0.3).with_seed(5).serial(),
     )
     .expect("valid input");
-    let mut engine = MultiSourceEngine::with_options(
+    let sharded = EngineCore::build_multi_with(
         &graph,
         m.clone(),
         EngineOptions::new().with_parallel(ParallelConfig::with_threads(4)),
     )
     .expect("matching graph");
-    let mut queries: Vec<(VertexId, VertexId, EdgeId)> = Vec::new();
-    for e in graph.edge_ids() {
-        for &s in &sources {
-            for v in graph.vertices() {
-                queries.push((s, v, e));
-            }
-        }
-    }
-    let batch = engine.query_many(&queries).expect("in range");
-    let mut single = MultiSourceEngine::new(&graph, m).expect("matching graph");
-    for (i, &(s, v, e)) in queries.iter().enumerate() {
+    let queries = all_single_edge_queries(&graph, &sources);
+    let batch = sharded
+        .new_context()
+        .query_many_faults(&sharded, &queries)
+        .expect("in range");
+    let single = EngineCore::build_multi(&graph, m).expect("matching graph");
+    let mut ctx = single.new_context();
+    for (i, (s, v, f)) in queries.iter().enumerate() {
         assert_eq!(
             batch[i],
-            single.dist_after_fault(s, v, e).expect("in range")
+            ctx.dist_after_faults_from(&single, *s, *v, f)
+                .expect("in range")
         );
     }
+    let e0 = FaultSet::from(EdgeId(0));
     assert_eq!(
-        single.dist_after_fault(VertexId(7), VertexId(0), EdgeId(0)),
+        ctx.dist_after_faults_from(&single, VertexId(7), VertexId(0), &e0),
         Err(FtbfsError::SourceNotServed {
             source: VertexId(7)
         })
     );
     assert!(matches!(
-        single.query_many(&[(VertexId(7), VertexId(0), EdgeId(0))]),
+        ctx.query_many_faults(&single, &[(VertexId(7), VertexId(0), e0)]),
         Err(FtbfsError::SourceNotServed { .. })
     ));
+    assert_eq!(
+        single.fault_free_dist(VertexId(7), VertexId(0)),
+        Err(FtbfsError::SourceNotServed {
+            source: VertexId(7)
+        })
+    );
 }
 
 #[test]
@@ -459,12 +521,18 @@ fn multi_source_paths_are_witnesses() {
         &BuildConfig::new(0.25).with_seed(7).serial(),
     )
     .expect("valid input");
-    let mut engine = MultiSourceEngine::new(&graph, m).expect("matching graph");
+    let core = EngineCore::build_multi(&graph, m).expect("matching graph");
+    let mut ctx = core.new_context();
     for &s in &sources {
         for e in graph.edge_ids() {
             for v in graph.vertices() {
-                let d = engine.dist_after_fault(s, v, e).expect("in range");
-                let p = engine.path_after_fault(s, v, e).expect("in range");
+                let f = FaultSet::from(e);
+                let d = ctx
+                    .dist_after_faults_from(&core, s, v, &f)
+                    .expect("in range");
+                let p = ctx
+                    .path_after_faults_from(&core, s, v, &f)
+                    .expect("in range");
                 match (d, p) {
                     (None, None) => {}
                     (Some(d), Some(p)) => {
@@ -491,15 +559,15 @@ fn concurrent_contexts_share_one_core() {
         .build(&graph, &Sources::single(VertexId(0)))
         .expect("valid input");
     let core = Arc::new(EngineCore::build(&graph, s).expect("matching graph"));
-    let queries: Vec<(VertexId, EdgeId)> = graph
+    let queries: Vec<(VertexId, FaultSet)> = graph
         .edge_ids()
-        .flat_map(|e| graph.vertices().map(move |v| (v, e)))
+        .flat_map(|e| graph.vertices().map(move |v| (v, FaultSet::from(e))))
         .collect();
     let expected: Vec<Option<u32>> = {
         let mut ctx = core.new_context();
         queries
             .iter()
-            .map(|&(v, e)| ctx.dist_after_fault(&core, v, e).expect("in range"))
+            .map(|(v, f)| ctx.dist_after_faults(&core, *v, f).expect("in range"))
             .collect()
     };
     let mut handles = Vec::new();
@@ -513,8 +581,8 @@ fn concurrent_contexts_share_one_core() {
             // LRU states genuinely diverge.
             let n = queries.len();
             for i in 0..n {
-                let (v, e) = queries[(i + t * n / 4) % n];
-                let got = ctx.dist_after_fault(&core, v, e).expect("in range");
+                let (v, f) = &queries[(i + t * n / 4) % n];
+                let got = ctx.dist_after_faults(&core, *v, f).expect("in range");
                 assert_eq!(got, expected[(i + t * n / 4) % n]);
             }
             ctx.stats().queries
@@ -554,10 +622,11 @@ fn fault_set_queries_match_brute_force_on_all_pairs_and_singletons() {
         ("grid", generators::grid(4, 4)),
         ("clique_pendant", generators::clique_with_pendant(8)),
     ] {
-        let mut engine = engine_for(&graph, 0.3, 7);
+        let core = core_for(&graph, 0.3, 7);
+        let mut ctx = core.new_context();
         for faults in ftb_graph::enumerate_fault_sets(&graph, 2) {
             for v in graph.vertices() {
-                let got = engine.dist_after_faults(v, &faults).expect("in range");
+                let got = ctx.dist_after_faults(&core, v, &faults).expect("in range");
                 let want = brute_faults(&graph, VertexId(0), v, &faults);
                 assert_eq!(got, want, "{name}: vertex {v:?}, faults {faults}");
             }
@@ -566,48 +635,54 @@ fn fault_set_queries_match_brute_force_on_all_pairs_and_singletons() {
 }
 
 #[test]
-fn single_edge_api_and_singleton_sets_are_byte_identical() {
+fn primary_and_explicit_source_forms_are_byte_identical() {
     let graph = generators::grid(5, 4);
-    let mut a = engine_for(&graph, 0.3, 9);
-    let mut b = engine_for(&graph, 0.3, 9);
+    let core = core_for(&graph, 0.3, 9);
+    let (mut a, mut b) = (core.new_context(), core.new_context());
+    let s = core.primary_source();
     for e in graph.edge_ids() {
         let singleton = FaultSet::from(e);
         for v in graph.vertices() {
             assert_eq!(
-                a.dist_after_fault(v, e).expect("in range"),
-                b.dist_after_faults(v, &singleton).expect("in range"),
+                a.dist_after_faults(&core, v, &singleton).expect("in range"),
+                b.dist_after_faults_from(&core, s, v, &singleton)
+                    .expect("in range"),
             );
             assert_eq!(
-                a.path_after_fault(v, e).expect("in range"),
-                b.path_after_faults(v, &singleton).expect("in range"),
+                a.path_after_faults(&core, v, &singleton).expect("in range"),
+                b.path_after_faults_from(&core, s, v, &singleton)
+                    .expect("in range"),
             );
         }
     }
-    // Both engines did exactly the same work: the singleton-set path is the
-    // single-edge path.
-    assert_eq!(a.query_stats(), b.query_stats());
+    // Both contexts did exactly the same work: the primary-source form is
+    // the explicit-source form at slot 0.
+    assert_eq!(a.stats(), b.stats());
 }
 
 #[test]
-fn single_edge_and_singleton_set_share_one_lru_row() {
+fn equal_singleton_sets_share_one_lru_row() {
     let graph = generators::grid(5, 5);
-    let mut engine = engine_for(&graph, 0.3, 11);
-    let e = engine
+    let core = core_for(&graph, 0.3, 11);
+    let mut ctx = core.new_context();
+    let e = core
         .structure()
         .backup_edges()
         .next()
         .expect("structure has backup edges");
-    engine.dist_after_fault(VertexId(1), e).expect("in range");
-    let after_first = engine.query_stats();
-    // The singleton-set twin of the same failure must hit the cached row.
-    engine
-        .dist_after_faults(VertexId(2), &FaultSet::from(e))
+    ctx.dist_after_faults(&core, VertexId(1), &FaultSet::from(e))
         .expect("in range");
-    let after_second = engine.query_stats();
+    let after_first = ctx.stats();
+    // The same failure, collected from an iterator instead of converted
+    // from the edge id, canonicalises to the same key and hits the row.
+    let collected: FaultSet = [Fault::Edge(e)].into_iter().collect();
+    ctx.dist_after_faults(&core, VertexId(2), &collected)
+        .expect("in range");
+    let after_second = ctx.stats();
     assert_eq!(
         after_first.structure_bfs_runs + after_first.full_graph_bfs_runs,
         after_second.structure_bfs_runs + after_second.full_graph_bfs_runs,
-        "singleton set must not recompute the single-edge row"
+        "an equal singleton set must not recompute the row"
     );
     assert_eq!(after_second.cached_answers, after_first.cached_answers + 1);
 }
@@ -615,25 +690,39 @@ fn single_edge_and_singleton_set_share_one_lru_row() {
 #[test]
 fn vertex_faults_disconnect_target_and_source() {
     let graph = generators::path(5); // 0-1-2-3-4
-    let mut engine = engine_for(&graph, 0.3, 3);
+    let core = core_for(&graph, 0.3, 3);
+    let mut ctx = core.new_context();
     // Failing vertex 2 cuts the suffix off.
     let mid = FaultSet::single_vertex(VertexId(2));
     assert_eq!(
-        engine.dist_after_faults(VertexId(1), &mid).unwrap(),
+        ctx.dist_after_faults(&core, VertexId(1), &mid).unwrap(),
         Some(1)
     );
-    assert_eq!(engine.dist_after_faults(VertexId(2), &mid).unwrap(), None);
-    assert_eq!(engine.dist_after_faults(VertexId(4), &mid).unwrap(), None);
-    assert_eq!(engine.path_after_faults(VertexId(4), &mid).unwrap(), None);
+    assert_eq!(
+        ctx.dist_after_faults(&core, VertexId(2), &mid).unwrap(),
+        None
+    );
+    assert_eq!(
+        ctx.dist_after_faults(&core, VertexId(4), &mid).unwrap(),
+        None
+    );
+    assert_eq!(
+        ctx.path_after_faults(&core, VertexId(4), &mid).unwrap(),
+        None
+    );
     // Failing the source disconnects everything, the source included — and
     // the all-unreachable row is a fill, not a search, so no sweep is
     // counted.
-    let before = engine.query_stats();
+    let before = ctx.stats();
     let src = FaultSet::single_vertex(VertexId(0));
     for v in graph.vertices() {
-        assert_eq!(engine.dist_after_faults(v, &src).unwrap(), None, "{v:?}");
+        assert_eq!(
+            ctx.dist_after_faults(&core, v, &src).unwrap(),
+            None,
+            "{v:?}"
+        );
     }
-    let after = engine.query_stats();
+    let after = ctx.stats();
     assert_eq!(after.structure_bfs_runs, before.structure_bfs_runs);
     assert_eq!(after.full_graph_bfs_runs, before.full_graph_bfs_runs);
 }
@@ -641,11 +730,12 @@ fn vertex_faults_disconnect_target_and_source() {
 #[test]
 fn fault_paths_avoid_every_failed_element() {
     let graph = generators::grid(4, 4);
-    let mut engine = engine_for(&graph, 0.25, 13);
+    let core = core_for(&graph, 0.25, 13);
+    let mut ctx = core.new_context();
     for faults in ftb_graph::enumerate_fault_sets(&graph, 2) {
         for v in graph.vertices() {
-            let d = engine.dist_after_faults(v, &faults).expect("in range");
-            let p = engine.path_after_faults(v, &faults).expect("in range");
+            let d = ctx.dist_after_faults(&core, v, &faults).expect("in range");
+            let p = ctx.path_after_faults(&core, v, &faults).expect("in range");
             match (d, p) {
                 (None, None) => {}
                 (Some(d), Some(p)) => {
@@ -671,23 +761,24 @@ fn fault_paths_avoid_every_failed_element() {
 #[test]
 fn fault_set_cap_and_invalid_faults_are_typed_errors() {
     let graph = generators::grid(3, 3);
-    let mut engine = engine_for(&graph, 0.3, 1);
+    let core = core_for(&graph, 0.3, 1);
+    let mut ctx = core.new_context();
     let three: FaultSet = (0..3).map(|i| Fault::Edge(EdgeId(i))).collect();
     assert_eq!(
-        engine.dist_after_faults(VertexId(1), &three),
+        ctx.dist_after_faults(&core, VertexId(1), &three),
         Err(FtbfsError::FaultSetTooLarge { got: 3, max: 2 })
     );
     assert!(matches!(
-        engine.path_after_faults(VertexId(1), &three),
+        ctx.path_after_faults(&core, VertexId(1), &three),
         Err(FtbfsError::FaultSetTooLarge { .. })
     ));
     assert!(matches!(
-        engine.query_many_faults(&[(VertexId(1), three)]),
+        ctx.query_many_faults(&core, &[(VertexId(0), VertexId(1), three)]),
         Err(FtbfsError::FaultSetTooLarge { .. })
     ));
     let bad_vertex = FaultSet::single_vertex(VertexId(500));
     assert!(matches!(
-        engine.dist_after_faults(VertexId(1), &bad_vertex),
+        ctx.dist_after_faults(&core, VertexId(1), &bad_vertex),
         Err(FtbfsError::InvalidFault {
             fault: Fault::Vertex(VertexId(500)),
             ..
@@ -695,7 +786,7 @@ fn fault_set_cap_and_invalid_faults_are_typed_errors() {
     ));
     let bad_edge = FaultSet::single_edge(EdgeId(500));
     assert!(matches!(
-        engine.dist_after_faults(VertexId(1), &bad_edge),
+        ctx.dist_after_faults(&core, VertexId(1), &bad_edge),
         Err(FtbfsError::InvalidFault { .. })
     ));
 }
@@ -707,9 +798,9 @@ fn raising_max_faults_accepts_larger_sets() {
         .with_config(|c| c.with_seed(17).serial())
         .build(&graph, &Sources::single(VertexId(0)))
         .expect("valid input");
-    let mut engine =
-        FaultQueryEngine::with_options(&graph, s, EngineOptions::new().with_max_faults(4).serial())
-            .expect("matching graph");
+    let core = EngineCore::build_with(&graph, s, EngineOptions::new().with_max_faults(4).serial())
+        .expect("matching graph");
+    let mut ctx = core.new_context();
     let faults: FaultSet = [
         Fault::Edge(EdgeId(0)),
         Fault::Edge(EdgeId(5)),
@@ -720,7 +811,7 @@ fn raising_max_faults_accepts_larger_sets() {
     .collect();
     for v in graph.vertices() {
         assert_eq!(
-            engine.dist_after_faults(v, &faults).expect("in range"),
+            ctx.dist_after_faults(&core, v, &faults).expect("in range"),
             brute_faults(&graph, VertexId(0), v, &faults),
             "{v:?}"
         );
@@ -746,7 +837,7 @@ fn lru_eviction_order_under_fault_set_keying() {
     ];
     // Forced full sweeps: the probes below count one search per miss, which
     // the unaffected fast path would short-circuit for some vertices.
-    let mut engine = FaultQueryEngine::with_options(
+    let core = EngineCore::build_with(
         &graph,
         s,
         EngineOptions::new()
@@ -755,24 +846,25 @@ fn lru_eviction_order_under_fault_set_keying() {
             .with_force_full_sweep(true),
     )
     .expect("matching graph");
-    let runs = |e: &FaultQueryEngine| {
-        let st = e.query_stats();
+    let mut ctx = core.new_context();
+    let runs = |ctx: &QueryContext| {
+        let st = ctx.stats();
         st.structure_bfs_runs + st.full_graph_bfs_runs
     };
     // Fill the two slots with keys[0], keys[1]: two sweeps.
-    engine.dist_after_faults(VertexId(1), &keys[0]).unwrap();
-    engine.dist_after_faults(VertexId(1), &keys[1]).unwrap();
-    assert_eq!(runs(&engine), 2);
+    ctx.dist_after_faults(&core, VertexId(1), &keys[0]).unwrap();
+    ctx.dist_after_faults(&core, VertexId(1), &keys[1]).unwrap();
+    assert_eq!(runs(&ctx), 2);
     // Touch keys[0] so keys[1] becomes the least recently used…
-    engine.dist_after_faults(VertexId(2), &keys[0]).unwrap();
-    assert_eq!(runs(&engine), 2, "touch must be a cache hit");
+    ctx.dist_after_faults(&core, VertexId(2), &keys[0]).unwrap();
+    assert_eq!(runs(&ctx), 2, "touch must be a cache hit");
     // …then insert keys[2]: evicts keys[1], keeps keys[0].
-    engine.dist_after_faults(VertexId(1), &keys[2]).unwrap();
-    assert_eq!(runs(&engine), 3);
-    engine.dist_after_faults(VertexId(3), &keys[0]).unwrap();
-    assert_eq!(runs(&engine), 3, "recently used key must survive eviction");
-    engine.dist_after_faults(VertexId(3), &keys[1]).unwrap();
-    assert_eq!(runs(&engine), 4, "evicted key must recompute");
+    ctx.dist_after_faults(&core, VertexId(1), &keys[2]).unwrap();
+    assert_eq!(runs(&ctx), 3);
+    ctx.dist_after_faults(&core, VertexId(3), &keys[0]).unwrap();
+    assert_eq!(runs(&ctx), 3, "recently used key must survive eviction");
+    ctx.dist_after_faults(&core, VertexId(3), &keys[1]).unwrap();
+    assert_eq!(runs(&ctx), 4, "evicted key must recompute");
 }
 
 #[test]
@@ -784,16 +876,18 @@ fn query_many_faults_matches_singles_serial_and_sharded() {
         .expect("valid input");
     let sets = ftb_graph::enumerate_fault_sets(&graph, 2);
     // A spread of fault sets of all shapes, every vertex probed.
-    let queries: Vec<(VertexId, FaultSet)> = sets
+    let queries: Vec<(VertexId, VertexId, FaultSet)> = sets
         .iter()
         .step_by(7)
-        .flat_map(|f| graph.vertices().map(move |v| (v, f.clone())))
+        .flat_map(|f| graph.vertices().map(move |v| (VertexId(0), v, f.clone())))
         .collect();
-    let mut serial =
-        FaultQueryEngine::with_options(&graph, s.clone(), EngineOptions::new().serial())
-            .expect("matching graph");
-    let expected = serial.query_many_faults(&queries).expect("in range");
-    for (i, (v, f)) in queries.iter().enumerate() {
+    let serial =
+        EngineCore::build_with(&graph, s.clone(), EngineOptions::new().serial()).expect("matching");
+    let expected = serial
+        .new_context()
+        .query_many_faults(&serial, &queries)
+        .expect("in range");
+    for (i, (_, v, f)) in queries.iter().enumerate() {
         assert_eq!(
             expected[i],
             brute_faults(&graph, VertexId(0), *v, f),
@@ -801,15 +895,16 @@ fn query_many_faults_matches_singles_serial_and_sharded() {
         );
     }
     for threads in [2usize, 4] {
-        let mut sharded = FaultQueryEngine::with_options(
+        let sharded = EngineCore::build_with(
             &graph,
             s.clone(),
             EngineOptions::new().with_parallel(ParallelConfig::with_threads(threads)),
         )
         .expect("matching graph");
-        let got = sharded.query_many_faults(&queries).expect("in range");
+        let mut ctx = sharded.new_context();
+        let got = ctx.query_many_faults(&sharded, &queries).expect("in range");
         assert_eq!(got, expected, "{threads}-thread batch diverged");
-        assert_eq!(sharded.query_stats().queries, queries.len());
+        assert_eq!(ctx.stats().queries, queries.len());
     }
 }
 
@@ -824,29 +919,35 @@ fn skewed_batches_split_across_workers_and_stay_identical() {
         .expect("valid input");
     let hot = s.backup_edges().next().expect("structure has backup edges");
     let hot_set = FaultSet::from(hot);
-    let queries: Vec<(VertexId, FaultSet)> = (0..600)
-        .map(|i| (VertexId::new(i % graph.num_vertices()), hot_set.clone()))
+    let queries: Vec<(VertexId, VertexId, FaultSet)> = (0..600)
+        .map(|i| {
+            let v = VertexId::new(i % graph.num_vertices());
+            (VertexId(0), v, hot_set.clone())
+        })
         .collect();
 
-    let mut serial =
-        FaultQueryEngine::with_options(&graph, s.clone(), EngineOptions::new().serial())
-            .expect("matching graph");
-    let expected = serial.query_many_faults(&queries).expect("in range");
+    let serial =
+        EngineCore::build_with(&graph, s.clone(), EngineOptions::new().serial()).expect("matching");
+    let mut sctx = serial.new_context();
+    let expected = sctx.query_many_faults(&serial, &queries).expect("in range");
     let serial_sweeps = {
-        let st = serial.query_stats();
+        let st = sctx.stats();
         st.structure_bfs_runs + st.full_graph_bfs_runs
     };
     assert_eq!(serial_sweeps, 1, "serial path still runs one BFS");
 
-    let mut sharded = FaultQueryEngine::with_options(
+    let sharded = EngineCore::build_with(
         &graph,
         s,
         EngineOptions::new().with_parallel(ParallelConfig::with_threads(4)),
     )
     .expect("matching graph");
-    let got = sharded.query_many_faults(&queries).expect("in range");
+    let mut pctx = sharded.new_context();
+    let got = pctx
+        .query_many_faults(&sharded, &queries)
+        .expect("in range");
     assert_eq!(got, expected, "split batch diverged from serial");
-    let st = sharded.query_stats();
+    let st = pctx.stats();
     assert_eq!(st.queries, queries.len());
     // The group was split into several units; each worker that touched the
     // hot fault ran its own BFS (bounded by the worker count), and the LRU
@@ -868,7 +969,8 @@ fn multi_source_fault_sets_are_exact_per_source() {
         &BuildConfig::new(0.3).with_seed(29).serial(),
     )
     .expect("valid input");
-    let mut engine = MultiSourceEngine::new(&graph, m.clone()).expect("matching graph");
+    let core = EngineCore::build_multi(&graph, m.clone()).expect("matching graph");
+    let mut ctx = core.new_context();
     let sets = ftb_graph::enumerate_fault_sets(&graph, 2);
     let mut queries: Vec<(VertexId, VertexId, FaultSet)> = Vec::new();
     for f in sets.iter().step_by(5) {
@@ -878,7 +980,7 @@ fn multi_source_fault_sets_are_exact_per_source() {
             }
         }
     }
-    let batch = engine.query_many_faults(&queries).expect("in range");
+    let batch = ctx.query_many_faults(&core, &queries).expect("in range");
     for (i, (s, v, f)) in queries.iter().enumerate() {
         assert_eq!(
             batch[i],
@@ -887,23 +989,32 @@ fn multi_source_fault_sets_are_exact_per_source() {
         );
         assert_eq!(
             batch[i],
-            engine.dist_after_faults(*s, *v, f).expect("in range")
+            ctx.dist_after_faults_from(&core, *s, *v, f)
+                .expect("in range")
         );
     }
     // Sharded agrees with the serial reference.
-    let mut sharded = MultiSourceEngine::with_options(
+    let sharded = EngineCore::build_multi_with(
         &graph,
         m,
         EngineOptions::new().with_parallel(ParallelConfig::with_threads(4)),
     )
     .expect("matching graph");
     assert_eq!(
-        sharded.query_many_faults(&queries).expect("in range"),
+        sharded
+            .new_context()
+            .query_many_faults(&sharded, &queries)
+            .expect("in range"),
         batch
     );
     // Unserved sources stay typed errors on the fault-set path too.
     assert!(matches!(
-        engine.dist_after_faults(VertexId(7), VertexId(0), &FaultSet::single_edge(EdgeId(0))),
+        ctx.dist_after_faults_from(
+            &core,
+            VertexId(7),
+            VertexId(0),
+            &FaultSet::single_edge(EdgeId(0))
+        ),
         Err(FtbfsError::SourceNotServed { .. })
     ));
 }
@@ -917,30 +1028,32 @@ fn tier_counters_sum_to_queries_and_attribute_lru_hits() {
         .with_config(|c| c.with_seed(31).serial())
         .build(&graph, &Sources::single(VertexId(0)))
         .expect("valid input");
-    let mut engine = FaultQueryEngine::with_options(
+    let core = EngineCore::build_with(
         &graph,
         s,
         EngineOptions::new().serial().with_force_full_sweep(true),
     )
     .expect("matching graph");
+    let mut ctx = core.new_context();
     let outside = graph
         .edge_ids()
-        .find(|&e| !engine.structure().contains_edge(e))
+        .find(|&e| !core.structure().contains_edge(e))
         .expect("a sparse structure leaves edges out");
-    let inside = engine
+    let inside = core
         .structure()
         .backup_edges()
         .next()
         .expect("structure has backup edges");
     // Fault-free tier, then sparse-H tier twice (second is an LRU hit) and
     // a vertex fault on the full-graph tier (no augmentation here).
-    let _ = engine.dist_after_fault(VertexId(7), outside).unwrap();
-    let _ = engine.dist_after_fault(VertexId(7), inside).unwrap();
-    let _ = engine.dist_after_fault(VertexId(8), inside).unwrap();
-    let _ = engine
-        .dist_after_faults(VertexId(7), &FaultSet::single_vertex(VertexId(3)))
+    let (outside, inside) = (FaultSet::from(outside), FaultSet::from(inside));
+    let _ = ctx.dist_after_faults(&core, VertexId(7), &outside).unwrap();
+    let _ = ctx.dist_after_faults(&core, VertexId(7), &inside).unwrap();
+    let _ = ctx.dist_after_faults(&core, VertexId(8), &inside).unwrap();
+    let _ = ctx
+        .dist_after_faults(&core, VertexId(7), &FaultSet::single_vertex(VertexId(3)))
         .unwrap();
-    let stats = engine.query_stats();
+    let stats = ctx.stats();
     assert_eq!(stats.queries, 4);
     assert_eq!(stats.tiers.total(), stats.queries);
     assert_eq!(stats.tiers.fault_free_row, 1);
@@ -953,19 +1066,21 @@ fn tier_counters_sum_to_queries_and_attribute_lru_hits() {
 #[test]
 fn stats_delta_since_subtracts_fieldwise() {
     let graph = generators::grid(4, 5);
-    let mut engine = engine_for(&graph, 0.3, 33);
-    let e = engine
-        .structure()
-        .backup_edges()
-        .next()
-        .expect("structure has backup edges");
-    let _ = engine.dist_after_fault(VertexId(3), e).unwrap();
-    let before = engine.query_stats();
-    let _ = engine.dist_after_fault(VertexId(4), e).unwrap();
-    let _ = engine
-        .dist_after_faults(VertexId(4), &FaultSet::single_vertex(VertexId(2)))
+    let core = core_for(&graph, 0.3, 33);
+    let mut ctx = core.new_context();
+    let e = FaultSet::from(
+        core.structure()
+            .backup_edges()
+            .next()
+            .expect("structure has backup edges"),
+    );
+    let _ = ctx.dist_after_faults(&core, VertexId(3), &e).unwrap();
+    let before = ctx.stats();
+    let _ = ctx.dist_after_faults(&core, VertexId(4), &e).unwrap();
+    let _ = ctx
+        .dist_after_faults(&core, VertexId(4), &FaultSet::single_vertex(VertexId(2)))
         .unwrap();
-    let delta = engine.query_stats().delta_since(&before);
+    let delta = ctx.stats().delta_since(&before);
     assert_eq!(delta.queries, 2);
     assert_eq!(delta.cached_answers, 1);
     assert_eq!(delta.tiers.sparse_h_bfs, 1);
@@ -974,7 +1089,7 @@ fn stats_delta_since_subtracts_fieldwise() {
     assert_eq!(delta.full_graph_bfs_runs, 1);
     let mut merged = before;
     merged.merge(&delta);
-    assert_eq!(merged, engine.query_stats());
+    assert_eq!(merged, ctx.stats());
 }
 
 #[test]
@@ -1050,7 +1165,9 @@ fn forced_full_sweeps_disable_fast_path_and_repair() {
         .next()
         .expect("structure has backup edges");
     for v in graph.vertices() {
-        let got = ctx.dist_after_fault(&core, v, e).expect("in range");
+        let got = ctx
+            .dist_after_faults(&core, v, &e.into())
+            .expect("in range");
         assert_eq!(got, brute_force(&graph, v, e));
     }
     let stats = ctx.stats();
@@ -1101,7 +1218,7 @@ fn unaffected_path_queries_take_the_fast_path() {
         })
         .expect("grid structures have partial failures");
     let p = ctx
-        .path_after_fault(&core, unaffected, e)
+        .path_after_faults(&core, unaffected, &e.into())
         .expect("in range")
         .expect("reachable");
     assert_eq!(p.last(), unaffected);
@@ -1111,7 +1228,7 @@ fn unaffected_path_queries_take_the_fast_path() {
     // For the SparseH tier the fault-free chain IS the T0 chain, so the
     // extracted path must equal the materialized row's path exactly.
     let fp = fctx
-        .path_after_fault(&forced, unaffected, e)
+        .path_after_faults(&forced, unaffected, &e.into())
         .expect("in range")
         .expect("reachable");
     assert_eq!(p.vertices(), fp.vertices());
@@ -1121,7 +1238,8 @@ fn unaffected_path_queries_take_the_fast_path() {
         .vertices()
         .find(|&v| !core.target_unaffected(0, v, &FaultSet::from(e)))
         .expect("the failed tree edge affects its subtree");
-    ctx.path_after_fault(&core, affected, e).expect("in range");
+    ctx.path_after_faults(&core, affected, &e.into())
+        .expect("in range");
     let stats = ctx.stats();
     assert_eq!(stats.tiers.unaffected_fast_path, 1);
     assert_eq!(stats.structure_bfs_runs, 1, "fallback computed the row");
@@ -1146,13 +1264,13 @@ fn batched_queries_use_the_fast_path_per_target() {
         .take(4)
         .collect();
     assert!(!faults.is_empty());
-    let queries: Vec<(VertexId, FaultSet)> = faults
+    let queries: Vec<(VertexId, VertexId, FaultSet)> = faults
         .iter()
-        .flat_map(|f| graph.vertices().map(move |v| (v, f.clone())))
+        .flat_map(|f| graph.vertices().map(move |v| (VertexId(0), v, f.clone())))
         .collect();
     let mut ctx = core.new_context();
     let got = ctx.query_many_faults(&core, &queries).expect("in range");
-    for (i, (v, f)) in queries.iter().enumerate() {
+    for (i, (_, v, f)) in queries.iter().enumerate() {
         assert_eq!(got[i], brute_faults(&graph, VertexId(0), *v, f));
     }
     let stats = ctx.stats();
@@ -1303,13 +1421,15 @@ fn query_stats_merge_and_delta_are_inverse_fieldwise() {
 #[test]
 fn published_counters_roundtrip_and_lock_free_aggregation() {
     let graph = generators::hypercube(4);
-    let mut engine = engine_for(&graph, 0.3, 77);
+    let core = Arc::new(core_for(&graph, 0.3, 77));
+    let mut ctx = core.new_context();
     for e in [EdgeId(0), EdgeId(3), EdgeId(7)] {
         for v in graph.vertices() {
-            engine.dist_after_fault(v, e).expect("in range");
+            ctx.dist_after_faults(&core, v, &e.into())
+                .expect("in range");
         }
     }
-    let live = engine.query_stats();
+    let live = ctx.stats();
     assert!(live.queries > 0);
 
     // publish → published is the identity on QueryStats values.
@@ -1321,7 +1441,6 @@ fn published_counters_roundtrip_and_lock_free_aggregation() {
     // The serving aggregation pattern: worker threads publish the delta of
     // each job into shared counter cells; a reader sums them with no locks.
     let obs = EngineObs::detached();
-    let core = engine.core().clone();
     std::thread::scope(|scope| {
         for w in 0..4u32 {
             let core = core.clone();
@@ -1330,7 +1449,8 @@ fn published_counters_roundtrip_and_lock_free_aggregation() {
                 let mut ctx = core.new_context();
                 for v in graph.vertices() {
                     let before = ctx.stats();
-                    ctx.dist_after_fault(&core, v, EdgeId(w)).expect("in range");
+                    ctx.dist_after_faults(&core, v, &EdgeId(w).into())
+                        .expect("in range");
                     obs.publish(&ctx.stats().delta_since(&before));
                 }
             });

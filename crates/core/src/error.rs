@@ -1,10 +1,10 @@
 //! Typed errors for construction and querying.
 //!
 //! Every entry point of the redesigned API ([`crate::StructureBuilder`],
-//! [`crate::FaultQueryEngine`], the `try_*` construction functions) reports
+//! [`crate::QueryContext`], the `try_*` construction functions) reports
 //! invalid input through [`FtbfsError`] instead of panicking.
 
-use ftb_graph::{EdgeId, Fault, VertexId};
+use ftb_graph::{Fault, VertexId};
 use std::fmt;
 
 /// Errors produced by the FT-BFS builders and the fault-query engine.
@@ -47,13 +47,6 @@ pub enum FtbfsError {
         /// Number of vertices of the graph.
         num_vertices: usize,
     },
-    /// A query refers to an edge outside the engine's graph.
-    EdgeOutOfRange {
-        /// The offending edge.
-        edge: EdgeId,
-        /// Number of edges of the graph.
-        num_edges: usize,
-    },
     /// A fault set refers to a vertex or edge outside the engine's graph.
     InvalidFault {
         /// The offending fault.
@@ -90,8 +83,8 @@ pub enum FtbfsError {
     /// A query context was used with an engine core it was not created by
     /// (`EngineCore::new_context` ties each context to its core).
     ContextMismatch,
-    /// A facade was attached to a shared engine core whose graph does not
-    /// match the supplied one.
+    /// A shared engine core (e.g. one restored from a snapshot) was paired
+    /// with a graph that does not match the core's own.
     CoreGraphMismatch {
         /// Vertex count of the core's graph.
         core_vertices: usize,
@@ -142,10 +135,6 @@ impl fmt::Display for FtbfsError {
             } => write!(
                 f,
                 "vertex {vertex:?} is out of range for a graph with {num_vertices} vertices"
-            ),
-            FtbfsError::EdgeOutOfRange { edge, num_edges } => write!(
-                f,
-                "edge {edge:?} is out of range for a graph with {num_edges} edges"
             ),
             FtbfsError::InvalidFault {
                 fault,
@@ -205,6 +194,7 @@ impl std::error::Error for FtbfsError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftb_graph::EdgeId;
 
     #[test]
     fn display_mentions_the_payload() {
@@ -215,9 +205,9 @@ mod tests {
             num_vertices: 4,
         };
         assert!(e.to_string().contains('9') && e.to_string().contains('4'));
-        let e = FtbfsError::EdgeOutOfRange {
-            edge: EdgeId(77),
-            num_edges: 10,
+        let e = FtbfsError::VertexOutOfRange {
+            vertex: VertexId(77),
+            num_vertices: 10,
         };
         assert!(e.to_string().contains("77"));
     }

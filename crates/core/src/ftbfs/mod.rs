@@ -17,10 +17,9 @@
 //!   (its new parent edge) to the structure;
 //! * [`AugmentedStructure`] — the result `H⁺ ⊇ H`, carrying the declared
 //!   [`AugmentCoverage`] and [`AugmentStats`];
-//! * the serving side — [`EngineCore::build_augmented`] and the facades'
-//!   `from_augmented` constructors — answers every covered fault set with a
-//!   banned-element BFS over the compact CSR of `H⁺ ∖ F` instead of a
-//!   full-graph recomputation.
+//! * the serving side — [`EngineCore::build_augmented`] — answers every
+//!   covered fault set with a banned-element BFS over the compact CSR of
+//!   `H⁺ ∖ F` instead of a full-graph recomputation.
 //!
 //! [`EngineCore::build_augmented`]: crate::engine::EngineCore::build_augmented
 //!

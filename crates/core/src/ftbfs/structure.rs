@@ -96,8 +96,8 @@ impl AugmentStats {
 /// augmented structure `H⁺ ⊇ H`.
 ///
 /// Built by [`FtBfsAugmenter`](super::FtBfsAugmenter); served by
-/// [`EngineCore::build_augmented`](crate::engine::EngineCore::build_augmented)
-/// and the facades' `from_augmented` constructors. The exactness guarantee:
+/// [`EngineCore::build_augmented`](crate::engine::EngineCore::build_augmented).
+/// The exactness guarantee:
 /// for every fault set `F` accepted by [`AugmentedStructure::covers`] and
 /// every vertex `v`,
 ///

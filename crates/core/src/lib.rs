@@ -42,33 +42,35 @@
 //!
 //! # Serving queries
 //!
-//! A built structure becomes a server through the [`engine`] module: an
-//! immutable [`EngineCore`] (shareable across threads via `Arc`), cheap
-//! per-thread [`QueryContext`]s, and the [`FaultQueryEngine`] /
-//! [`MultiSourceEngine`] facades. Build once, then answer
-//! `dist_after_fault` / `path_after_fault` /
-//! [`FaultQueryEngine::query_many`] with no per-query allocation; batches
-//! are grouped by fault and sharded across worker threads. Beyond single
-//! edge failures, the engines accept arbitrary [`FaultSet`]s (edges *and*
-//! vertices, up to [`engine::EngineOptions::max_faults`] simultaneous
-//! faults) through `dist_after_faults` / `path_after_faults` /
-//! `query_many_faults`; see the [`engine`] module docs for the answering
-//! model. To serve vertex faults, dual failures and reinforced-edge
-//! hypotheticals by **sparse** search instead of full-graph recomputation,
-//! run the [`ftbfs`] replacement-path augmentation stage
+//! A built structure becomes a server through the [`engine`] module's two
+//! layers: an immutable [`EngineCore`] (shareable across threads via
+//! `Arc`) and cheap per-thread [`QueryContext`]s, the one query entry
+//! point. Build once, then answer `dist_after_faults` /
+//! `dist_many_after_faults` / `path_after_faults` (and their `*_from`
+//! forms naming a source of a multi-source core) with no per-query
+//! allocation; [`QueryContext::query_many_faults`] groups a batch by fault
+//! set and shards it across worker threads. Queries name arbitrary
+//! [`FaultSet`]s — edges *and* vertices, up to
+//! [`engine::EngineOptions::max_faults`] simultaneous faults; the paper's
+//! single edge failure is `FaultSet::from(e)`. See the [`engine`] module
+//! docs for the answering model. To serve vertex faults, dual failures and
+//! reinforced-edge hypotheticals by **sparse** search instead of full-graph
+//! recomputation, run the [`ftbfs`] replacement-path augmentation stage
 //! ([`build_augmented_structure`] or [`FtBfsAugmenter`]) and build the
-//! engine from the resulting [`AugmentedStructure`].
+//! core from the resulting [`AugmentedStructure`].
 //!
 //! ```
-//! use ftb_core::{FaultQueryEngine, Sources, StructureBuilder, TradeoffBuilder};
+//! use ftb_core::{EngineCore, FaultSet, Sources, StructureBuilder, TradeoffBuilder};
 //! use ftb_graph::{generators, EdgeId, VertexId};
 //!
 //! let graph = generators::hypercube(4);
 //! let structure = TradeoffBuilder::new(0.3)
 //!     .build(&graph, &Sources::single(VertexId(0)))
 //!     .expect("valid input");
-//! let mut engine = FaultQueryEngine::new(&graph, structure).expect("matching graph");
-//! let d = engine.dist_after_fault(VertexId(9), EdgeId(0)).expect("in range");
+//! let core = EngineCore::build(&graph, structure).expect("matching graph");
+//! let mut ctx = core.new_context();
+//! let e = FaultSet::from(EdgeId(0));
+//! let d = ctx.dist_after_faults(&core, VertexId(9), &e).expect("in range");
 //! assert!(d.is_some(), "one hypercube failure never disconnects");
 //! ```
 //!
@@ -111,8 +113,8 @@ pub use builder::{
 pub use config::BuildConfig;
 pub use cost::CostModel;
 pub use engine::{
-    engine_layout_hash, EngineCore, EngineObs, EngineOptions, FaultQueryEngine, MultiSourceEngine,
-    QueryContext, QueryStats, TierCounters, FORCE_FULL_SWEEP_ENV,
+    engine_layout_hash, EngineCore, EngineObs, EngineOptions, QueryContext, QueryStats,
+    TierCounters, FORCE_FULL_SWEEP_ENV,
 };
 pub use error::FtbfsError;
 pub use ftbfs::{AugmentCoverage, AugmentStats, AugmentedStructure, FtBfsAugmenter};

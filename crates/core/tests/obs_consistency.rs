@@ -18,8 +18,7 @@
 //!    convention (default 4) so CI can pin it.
 
 use ftb_core::{
-    EngineObs, EngineOptions, FaultQueryEngine, Sources, StructureBuilder, TierCounters,
-    TradeoffBuilder,
+    EngineCore, EngineObs, EngineOptions, Sources, StructureBuilder, TierCounters, TradeoffBuilder,
 };
 use ftb_graph::{FaultSet, Graph, VertexId};
 use ftb_workloads::{FaultScenario, Workload, WorkloadFamily};
@@ -40,11 +39,11 @@ fn instrumented_replay(family: WorkloadFamily) -> (Arc<EngineObs>, ftb_core::Que
         .with_config(|c| c.with_seed(SEED).serial())
         .build(&graph, &Sources::single(SOURCE))
         .expect("workload graphs are valid input");
-    let mut engine =
-        FaultQueryEngine::with_options(&graph, structure, EngineOptions::new().serial())
-            .expect("matching graph");
+    let core = EngineCore::build_with(&graph, structure, EngineOptions::new().serial())
+        .expect("matching graph");
+    let mut ctx = core.new_context();
     let obs = EngineObs::detached();
-    engine.attach_obs(Arc::clone(&obs));
+    ctx.attach_obs(Arc::clone(&obs));
     ftb_obs::set_sampling(true);
 
     let mut sets: Vec<FaultSet> = [
@@ -65,15 +64,15 @@ fn instrumented_replay(family: WorkloadFamily) -> (Arc<EngineObs>, ftb_core::Que
     let t0 = Instant::now();
     for fs in &sets {
         for &v in &sparse {
-            engine.dist_after_faults(v, fs).expect("in range");
+            ctx.dist_after_faults(&core, v, fs).expect("in range");
         }
-        engine
-            .dist_many_after_faults(&sparse, fs)
+        ctx.dist_many_after_faults(&core, &sparse, fs)
             .expect("in range");
-        engine.dist_many_after_faults(&dense, fs).expect("in range");
+        ctx.dist_many_after_faults(&core, &dense, fs)
+            .expect("in range");
     }
     let wall = t0.elapsed().as_nanos() as u64;
-    (obs, engine.query_stats(), wall)
+    (obs, ctx.stats(), wall)
 }
 
 #[test]
@@ -126,15 +125,14 @@ fn detached_contexts_record_nothing() {
         .with_config(|c| c.with_seed(SEED).serial())
         .build(&graph, &Sources::single(SOURCE))
         .expect("valid input");
-    let mut engine =
-        FaultQueryEngine::with_options(&graph, structure, EngineOptions::new().serial())
-            .expect("matching graph");
+    let core = EngineCore::build_with(&graph, structure, EngineOptions::new().serial())
+        .expect("matching graph");
+    let mut ctx = core.new_context();
     // No obs attached: queries run regardless of the sampling flag.
     ftb_obs::set_sampling(true);
-    engine
-        .dist_after_fault(VertexId(7), ftb_graph::EdgeId(0))
+    ctx.dist_after_faults(&core, VertexId(7), &ftb_graph::EdgeId(0).into())
         .expect("in range");
-    assert!(engine.query_stats().tiers.total() > 0);
+    assert!(ctx.stats().tiers.total() > 0);
 }
 
 #[test]

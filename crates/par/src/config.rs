@@ -13,7 +13,7 @@ pub struct ParallelConfig {
 /// [`ParallelConfig::new`] / [`ParallelConfig::default`].
 ///
 /// CI sets this to force the multi-threaded code paths (construction sweeps,
-/// sharded `query_many`) even where a default would pick the core count, and
+/// sharded `query_many_faults`) even where a default would pick the core count, and
 /// to pin them to a known width. Explicit configurations
 /// ([`ParallelConfig::serial`], [`ParallelConfig::with_threads`]) are never
 /// overridden.

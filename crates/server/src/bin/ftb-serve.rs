@@ -152,8 +152,7 @@ fn main() {
         if args.spec_given {
             // Spec flags alongside --snapshot are a cross-check, not a
             // build request: the snapshot must serve the exact graph the
-            // flags name, reported through the same error queries would
-            // see if a facade were attached to the wrong core.
+            // flags name, reported as a core/graph mismatch.
             let local = args.spec.graph();
             let served = core.graph();
             if local.fingerprint() != served.fingerprint() {

@@ -217,8 +217,8 @@ pub struct WirePath {
 pub enum ErrorCode {
     /// A vertex id outside the graph.
     VertexOutOfRange = 1,
-    /// An edge id outside the graph.
-    EdgeOutOfRange = 2,
+    // Code 2 is unassigned: every wire query names its failures as a fault
+    // set, so an out-of-range edge is an `InvalidFault`.
     /// A fault naming a vertex/edge outside the graph.
     InvalidFault = 3,
     /// More simultaneous faults than the engine's configured cap.
@@ -244,7 +244,6 @@ impl ErrorCode {
     pub fn from_u16(code: u16) -> Option<ErrorCode> {
         Some(match code {
             1 => ErrorCode::VertexOutOfRange,
-            2 => ErrorCode::EdgeOutOfRange,
             3 => ErrorCode::InvalidFault,
             4 => ErrorCode::FaultSetTooLarge,
             5 => ErrorCode::SourceNotServed,
@@ -261,7 +260,6 @@ impl ErrorCode {
         use ftb_core::FtbfsError::*;
         match err {
             VertexOutOfRange { .. } => ErrorCode::VertexOutOfRange,
-            EdgeOutOfRange { .. } => ErrorCode::EdgeOutOfRange,
             InvalidFault { .. } => ErrorCode::InvalidFault,
             FaultSetTooLarge { .. } => ErrorCode::FaultSetTooLarge,
             SourceNotServed { .. } => ErrorCode::SourceNotServed,
@@ -1111,10 +1109,11 @@ mod tests {
             ErrorCode::from_engine_error(&err),
             ErrorCode::VertexOutOfRange
         );
-        for code in [1u16, 2, 3, 4, 5, 6, 7, 8, 9] {
+        for code in [1u16, 3, 4, 5, 6, 7, 8, 9] {
             let ec = ErrorCode::from_u16(code).expect("defined code");
             assert_eq!(ec as u16, code);
         }
+        assert_eq!(ErrorCode::from_u16(2), None, "code 2 is unassigned");
         assert_eq!(ErrorCode::from_u16(999), None);
     }
 }

@@ -118,7 +118,6 @@ pub(crate) fn failure_is_retryable(outcome: &Attempt) -> bool {
             // Deterministic rejections: identical resend, identical answer.
             Some(
                 ErrorCode::VertexOutOfRange
-                | ErrorCode::EdgeOutOfRange
                 | ErrorCode::InvalidFault
                 | ErrorCode::FaultSetTooLarge
                 | ErrorCode::SourceNotServed

@@ -36,36 +36,6 @@ pub fn bfs_distances_view(view: &SubgraphView<'_>, source: VertexId) -> Vec<u32>
     dist
 }
 
-/// Hop distances from `source`, reusing caller-provided scratch buffers.
-///
-/// `dist` is resized/reset by the callee; `queue` is cleared. This avoids
-/// per-call allocations in the hot per-failing-edge loops.
-pub fn bfs_distances_into(
-    view: &SubgraphView<'_>,
-    source: VertexId,
-    dist: &mut Vec<u32>,
-    queue: &mut VecDeque<VertexId>,
-) {
-    let n = view.graph().num_vertices();
-    dist.clear();
-    dist.resize(n, UNREACHABLE);
-    queue.clear();
-    if !view.allows_vertex(source) {
-        return;
-    }
-    dist[source.index()] = 0;
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
-        let dv = dist[v.index()];
-        for (w, _) in view.neighbors(v) {
-            if dist[w.index()] == UNREACHABLE {
-                dist[w.index()] = dv + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-}
-
 /// Eccentricity of `source` (maximum finite hop distance), if any vertex is
 /// reachable besides `source` itself.
 pub fn eccentricity(graph: &Graph, source: VertexId) -> Option<u32> {
@@ -79,7 +49,6 @@ pub fn eccentricity(graph: &Graph, source: VertexId) -> Option<u32> {
 mod tests {
     use super::*;
     use ftb_graph::generators;
-    use ftb_graph::EdgeId;
 
     #[test]
     fn distances_on_a_path() {
@@ -127,17 +96,5 @@ mod tests {
         let view = SubgraphView::full(&g).with_vertex_mask(&mask);
         let d = bfs_distances_view(&view, VertexId(0));
         assert!(d.iter().all(|&x| x == UNREACHABLE));
-    }
-
-    #[test]
-    fn scratch_variant_matches_allocating_variant() {
-        let g = generators::grid(5, 7);
-        let e = EdgeId(3);
-        let view = SubgraphView::full(&g).without_edge(e);
-        let expected = bfs_distances_view(&view, VertexId(2));
-        let mut dist = Vec::new();
-        let mut queue = VecDeque::new();
-        bfs_distances_into(&view, VertexId(2), &mut dist, &mut queue);
-        assert_eq!(dist, expected);
     }
 }

@@ -12,7 +12,7 @@
 use ftbfs::graph::{Fault, FaultSet, VertexId};
 use ftbfs::workloads::families;
 use ftbfs::{
-    build_augmented_structure, AugmentCoverage, BuildConfig, BuildPlan, FaultQueryEngine, Sources,
+    build_augmented_structure, AugmentCoverage, BuildConfig, BuildPlan, EngineCore, Sources,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,7 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         augmented.stats().augment_ms
     );
 
-    let mut engine = FaultQueryEngine::from_augmented(&graph, augmented)?;
+    let core = EngineCore::build_augmented(&graph, augmented)?;
+    let mut ctx = core.new_context();
 
     // A vertex outage, a double link failure, and a mixed one — all inside
     // the dual-failure coverage, so none of them recomputes over G.
@@ -63,13 +64,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("site 60 dark + link 55 cut", &mixed),
     ] {
         let probe = VertexId(150);
-        match engine.dist_after_faults(probe, faults)? {
+        match ctx.dist_after_faults(&core, probe, faults)? {
             Some(d) => println!("{label}: site {probe} now {d} hops from the head-end"),
             None => println!("{label}: site {probe} disconnected"),
         }
     }
 
-    let stats = engine.query_stats();
+    let stats = ctx.stats();
     println!(
         "tier counters: fault-free row {}, unaffected fast path {}, sparse H {}, \
          augmented H+ {}, full graph {}",

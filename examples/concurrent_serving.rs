@@ -54,7 +54,7 @@ fn main() {
             let mut disconnected = 0usize;
             for &e in &shard {
                 match ctx
-                    .dist_after_fault(&core, far, e)
+                    .dist_after_faults(&core, far, &e.into())
                     .expect("shard queries are in range")
                 {
                     Some(d) => worst = Some(worst.map_or(d, |w| w.max(d))),

@@ -9,7 +9,7 @@
 //! Run with `cargo run --example multi_fault_outage`.
 
 use ftbfs::graph::{Fault, FaultSet, GraphBuilder, VertexId};
-use ftbfs::{EngineOptions, FaultQueryEngine, Sources, StructureBuilder, TradeoffBuilder};
+use ftbfs::{EngineCore, EngineOptions, Sources, StructureBuilder, TradeoffBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 12-node ring (head-end = 0) with a few cross-town chords.
@@ -35,12 +35,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         structure.num_reinforced()
     );
 
-    let mut engine = FaultQueryEngine::with_options(
+    let core = EngineCore::build_with(
         &graph,
         structure,
         // default cap is 2 simultaneous faults; this outage needs exactly 2
         EngineOptions::new().with_max_faults(2),
     )?;
+    let mut ctx = core.new_context();
 
     // The outage: cabinet 7 is dark, and the 5–10 chord is cut.
     let cut = graph
@@ -54,11 +55,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("site | before | after | detour");
     println!("---- | ------ | ----- | ------");
     for v in graph.vertices().filter(|&v| v != head_end) {
-        let before = engine.fault_free_dist(v)?.expect("ring is connected");
-        match engine.dist_after_faults(v, &outage)? {
+        let before = core
+            .fault_free_dist(head_end, v)?
+            .expect("ring is connected");
+        match ctx.dist_after_faults(&core, v, &outage)? {
             Some(after) => {
-                let path = engine
-                    .path_after_faults(v, &outage)?
+                let path = ctx
+                    .path_after_faults(&core, v, &outage)?
                     .expect("reachable sites have witness paths");
                 let hops: Vec<String> = path.vertices().iter().map(|w| w.to_string()).collect();
                 println!("{v:>4} | {before:>6} | {after:>5} | {}", hops.join("→"));
@@ -67,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let stats = engine.query_stats();
+    let stats = ctx.stats();
     println!(
         "\n{} queries; {} cached, {} structure sweeps, {} full-graph sweeps",
         stats.queries, stats.cached_answers, stats.structure_bfs_runs, stats.full_graph_bfs_runs

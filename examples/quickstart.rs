@@ -9,7 +9,8 @@ use ftbfs::graph::VertexId;
 use ftbfs::sp::{ShortestPathTree, TieBreakWeights};
 use ftbfs::workloads::{Workload, WorkloadFamily};
 use ftbfs::{
-    verify_structure, EngineOptions, FaultQueryEngine, Sources, StructureBuilder, TradeoffBuilder,
+    verify_structure, EngineCore, EngineOptions, FaultSet, Sources, StructureBuilder,
+    TradeoffBuilder,
 };
 
 fn main() {
@@ -63,17 +64,23 @@ fn main() {
     // the build configuration; see the concurrent_serving example for
     // serving one shared EngineCore from many threads.
     let options = EngineOptions::from_build_config(builder.config());
-    let mut engine =
-        FaultQueryEngine::with_options(&graph, structure, options).expect("matching graph");
+    let core = EngineCore::build_with(&graph, structure, options).expect("matching graph");
+    let mut ctx = core.new_context();
     let far = VertexId((graph.num_vertices() - 1) as u32);
-    let probes: Vec<_> = graph.edge_ids().take(64).map(|e| (far, e)).collect();
-    let answers = engine.query_many(&probes).expect("probes are in range");
+    let probes: Vec<_> = graph
+        .edge_ids()
+        .take(64)
+        .map(|e| (source, far, FaultSet::from(e)))
+        .collect();
+    let answers = ctx
+        .query_many_faults(&core, &probes)
+        .expect("probes are in range");
     let worst = answers.iter().flatten().max();
     println!(
         "served {} queries ({} BFS sweeps inside H, {} cache hits); worst probed distance: {:?}",
         answers.len(),
-        engine.query_stats().structure_bfs_runs,
-        engine.query_stats().cached_answers,
+        ctx.stats().structure_bfs_runs,
+        ctx.stats().cached_answers,
         worst
     );
     println!("OK: the structure is a valid (b, r) FT-BFS structure.");

@@ -49,21 +49,26 @@
 //!
 //! # Serving queries
 //!
-//! Preprocess once into a [`FaultQueryEngine`], then answer many
-//! post-failure distance/path queries with no per-query allocation:
+//! Preprocess once into an [`EngineCore`] (immutable, shareable across
+//! threads via `Arc`), then answer many post-failure distance/path queries
+//! through a per-thread [`QueryContext`] with no per-query allocation.
+//! Failures are named as a [`FaultSet`]; the paper's single edge failure is
+//! `FaultSet::from(e)`:
 //!
 //! ```
 //! use ftbfs::graph::{generators, VertexId};
-//! use ftbfs::{FaultQueryEngine, Sources, StructureBuilder, TradeoffBuilder};
+//! use ftbfs::{EngineCore, FaultSet, Sources, StructureBuilder, TradeoffBuilder};
 //!
 //! let g = generators::cycle(8);
 //! let structure = TradeoffBuilder::new(0.3)
 //!     .build(&g, &Sources::single(VertexId(0)))
 //!     .expect("valid input");
-//! let mut engine = FaultQueryEngine::new(&g, structure).expect("matching graph");
+//! let core = EngineCore::build(&g, structure).expect("matching graph");
+//! let mut ctx = core.new_context();
 //! for e in g.edge_ids() {
 //!     // a single failure never disconnects a cycle
-//!     assert!(engine.dist_after_fault(VertexId(4), e).unwrap().is_some());
+//!     let d = ctx.dist_after_faults(&core, VertexId(4), &FaultSet::from(e));
+//!     assert!(d.unwrap().is_some());
 //! }
 //! ```
 //!
@@ -106,11 +111,10 @@ pub use ftb_workloads as workloads;
 pub use ftb_core::{
     build_augmented_structure, build_structure, cross_check_fault_sets, dist_after_faults_brute,
     verify_structure, AugmentCoverage, AugmentStats, AugmentedStructure, BaselineBuilder,
-    BuildConfig, BuildPlan, BuildStats, CostModel, EngineCore, EngineOptions, Fault,
-    FaultQueryEngine, FaultSet, FaultSetMismatch, FtBfsAugmenter, FtBfsStructure, FtbfsError,
-    MultiSourceBuilder, MultiSourceEngine, MultiSourceStructure, QueryContext, QueryStats,
-    ReinforcedTreeBuilder, Sources, StructureBuilder, TierCounters, TradeoffBuilder,
-    FORCE_FULL_SWEEP_ENV,
+    BuildConfig, BuildPlan, BuildStats, CostModel, EngineCore, EngineOptions, Fault, FaultSet,
+    FaultSetMismatch, FtBfsAugmenter, FtBfsStructure, FtbfsError, MultiSourceBuilder,
+    MultiSourceStructure, QueryContext, QueryStats, ReinforcedTreeBuilder, Sources,
+    StructureBuilder, TierCounters, TradeoffBuilder, FORCE_FULL_SWEEP_ENV,
 };
 
 pub use ftb_core::EngineObs;

@@ -1,6 +1,7 @@
 //! Round-trip tests of the redesigned public API: every [`StructureBuilder`]
 //! implementation over several generator families, the definition-level
-//! verifier, the [`FaultQueryEngine`] cross-checked against from-scratch BFS
+//! verifier, the [`EngineCore`] + `QueryContext` serving path cross-checked
+//! against from-scratch BFS
 //! on small graphs, and the typed error paths.
 
 use ftbfs::graph::{enumerate_fault_sets, generators, EdgeId, Graph, SubgraphView, VertexId};
@@ -9,13 +10,25 @@ use ftbfs::sp::{bfs_distances_view, ShortestPathTree, TieBreakWeights, UNREACHAB
 use ftbfs::workloads::{Workload, WorkloadFamily};
 use ftbfs::{
     build_structure, dist_after_faults_brute, verify_structure, BaselineBuilder, BuildConfig,
-    BuildPlan, EngineCore, EngineOptions, FaultQueryEngine, FaultSet, FtbfsError,
-    MultiSourceBuilder, MultiSourceEngine, ReinforcedTreeBuilder, Sources, StructureBuilder,
-    TradeoffBuilder,
+    BuildPlan, EngineCore, EngineOptions, FaultSet, FtbfsError, MultiSourceBuilder,
+    ReinforcedTreeBuilder, Sources, StructureBuilder, TradeoffBuilder,
 };
 use std::sync::Arc;
 
 const SEED: u64 = 0xA11CE;
+
+/// Every `(source, vertex, single failing edge)` query of `graph`.
+fn single_edge_queries(graph: &Graph, sources: &[VertexId]) -> Vec<(VertexId, VertexId, FaultSet)> {
+    let mut queries = Vec::new();
+    for &s in sources {
+        for e in graph.edge_ids() {
+            for v in graph.vertices() {
+                queries.push((s, v, FaultSet::from(e)));
+            }
+        }
+    }
+    queries
+}
 
 fn all_builders() -> Vec<Box<dyn StructureBuilder>> {
     vec![
@@ -107,7 +120,7 @@ fn build_plans_match_their_builders() {
     }
 }
 
-/// Acceptance criterion: `dist_after_fault(v, e)` agrees with a from-scratch
+/// Acceptance criterion: `dist_after_faults(v, {e})` agrees with a from-scratch
 /// BFS on `G \ {e}` for **all** `(v, e)` pairs on small graphs (n ≤ 64)
 /// across several workload families.
 #[test]
@@ -139,11 +152,13 @@ fn engine_agrees_with_brute_force_on_all_pairs() {
                 .with_config(|c| c.with_seed(SEED).serial())
                 .build(&graph, &Sources::single(VertexId(0)))
                 .expect("valid input");
-            let mut engine =
-                FaultQueryEngine::new(&graph, structure).expect("structure matches graph");
+            let core = EngineCore::build(&graph, structure).expect("structure matches graph");
+            let mut ctx = core.new_context();
             for e in graph.edge_ids() {
                 for v in graph.vertices() {
-                    let got = engine.dist_after_fault(v, e).expect("in range");
+                    let got = ctx
+                        .dist_after_faults(&core, v, &e.into())
+                        .expect("in range");
                     let view = SubgraphView::full(&graph).without_edge(e);
                     let brute = bfs_distances_view(&view, VertexId(0))[v.index()];
                     let want = (brute != UNREACHABLE).then_some(brute);
@@ -164,30 +179,28 @@ fn engine_batches_and_paths_are_consistent() {
         .with_config(|c| c.with_seed(SEED).serial())
         .build(&graph, &Sources::single(VertexId(0)))
         .expect("valid input");
-    let mut engine = FaultQueryEngine::new(&graph, structure).expect("matching graph");
-    let queries: Vec<(VertexId, EdgeId)> = graph
-        .edge_ids()
-        .flat_map(|e| graph.vertices().map(move |v| (v, e)))
-        .collect();
-    let batched = engine.query_many(&queries).expect("in range");
-    for (i, &(v, e)) in queries.iter().enumerate() {
+    let core = EngineCore::build(&graph, structure).expect("matching graph");
+    let mut ctx = core.new_context();
+    let queries = single_edge_queries(&graph, &[VertexId(0)]);
+    let batched = ctx.query_many_faults(&core, &queries).expect("in range");
+    for (i, (_, v, f)) in queries.iter().enumerate() {
         assert_eq!(
             batched[i],
-            engine.dist_after_fault(v, e).expect("in range"),
-            "batched vs single mismatch at ({v:?}, {e:?})"
+            ctx.dist_after_faults(&core, *v, f).expect("in range"),
+            "batched vs single mismatch at ({v:?}, {f})"
         );
         if let Some(d) = batched[i] {
-            let p = engine
-                .path_after_fault(v, e)
+            let p = ctx
+                .path_after_faults(&core, *v, f)
                 .expect("in range")
                 .expect("reachable vertices have witness paths");
             assert_eq!(p.len() as u32, d);
-            assert!(!p.contains_edge(e));
+            assert!(f.edges().all(|e| !p.contains_edge(e)));
         }
     }
 }
 
-/// Acceptance criterion: parallel `query_many` (2+ worker threads, multi-row
+/// Acceptance criterion: parallel `query_many_faults` (2+ worker threads, multi-row
 /// LRU enabled) agrees with brute-force BFS **and** with the serial path on
 /// all `(v, e)` pairs of several generated graphs.
 #[test]
@@ -209,21 +222,21 @@ fn parallel_query_many_agrees_with_brute_force_and_serial() {
             .with_config(|c| c.with_seed(SEED).serial())
             .build(&graph, &Sources::single(VertexId(0)))
             .expect("valid input");
-        let queries: Vec<(VertexId, EdgeId)> = graph
-            .edge_ids()
-            .flat_map(|e| graph.vertices().map(move |v| (v, e)))
-            .collect();
+        let queries = single_edge_queries(&graph, &[VertexId(0)]);
 
-        let mut serial = FaultQueryEngine::with_options(
+        let serial = EngineCore::build_with(
             &graph,
             structure.clone(),
             EngineOptions::new().with_lru_rows(4).serial(),
         )
         .expect("matching graph");
-        let serial_answers = serial.query_many(&queries).expect("in range");
+        let serial_answers = serial
+            .new_context()
+            .query_many_faults(&serial, &queries)
+            .expect("in range");
 
         for threads in [2usize, 4] {
-            let mut sharded = FaultQueryEngine::with_options(
+            let sharded = EngineCore::build_with(
                 &graph,
                 structure.clone(),
                 EngineOptions::new()
@@ -231,13 +244,17 @@ fn parallel_query_many_agrees_with_brute_force_and_serial() {
                     .with_parallel(ParallelConfig::with_threads(threads)),
             )
             .expect("matching graph");
-            let answers = sharded.query_many(&queries).expect("in range");
+            let answers = sharded
+                .new_context()
+                .query_many_faults(&sharded, &queries)
+                .expect("in range");
             assert_eq!(
                 answers, serial_answers,
                 "{name}: {threads}-thread batch diverged from serial"
             );
         }
-        for (i, &(v, e)) in queries.iter().enumerate() {
+        for (i, (_, v, f)) in queries.iter().enumerate() {
+            let e = f.as_single_edge().expect("single-edge batch");
             let view = SubgraphView::full(&graph).without_edge(e);
             let brute = bfs_distances_view(&view, VertexId(0))[v.index()];
             let want = (brute != UNREACHABLE).then_some(brute);
@@ -261,13 +278,10 @@ fn two_contexts_serve_concurrently_from_one_shared_core() {
     let core = Arc::new(EngineCore::build(&graph, structure).expect("matching graph"));
 
     // Expected answers from a plain serial context.
-    let queries: Vec<(VertexId, EdgeId)> = graph
-        .edge_ids()
-        .flat_map(|e| graph.vertices().map(move |v| (v, e)))
-        .collect();
+    let queries = single_edge_queries(&graph, &[VertexId(0)]);
     let expected: Vec<Option<u32>> = {
         let mut ctx = core.new_context();
-        ctx.query_many(&core, &queries).expect("in range")
+        ctx.query_many_faults(&core, &queries).expect("in range")
     };
 
     // Two real threads, one context each, interleaved access patterns: the
@@ -279,7 +293,7 @@ fn two_contexts_serve_concurrently_from_one_shared_core() {
             let mut ctx = core.new_context();
             queries
                 .iter()
-                .map(|&(v, e)| ctx.dist_after_fault(&core, v, e).expect("in range"))
+                .map(|(_, v, f)| ctx.dist_after_faults(&core, *v, f).expect("in range"))
                 .collect::<Vec<_>>()
         })
     };
@@ -291,7 +305,7 @@ fn two_contexts_serve_concurrently_from_one_shared_core() {
             let mut answers: Vec<Option<u32>> = queries
                 .iter()
                 .rev()
-                .map(|&(v, e)| ctx.dist_after_fault(&core, v, e).expect("in range"))
+                .map(|(_, v, f)| ctx.dist_after_faults(&core, *v, f).expect("in range"))
                 .collect();
             answers.reverse();
             answers
@@ -309,41 +323,39 @@ fn multi_source_engine_serves_each_source_exactly() {
         .with_config(|c| c.with_seed(SEED).serial())
         .build_multi(&graph, &Sources::multi(sources.clone()))
         .expect("valid input");
-    let mut engine = MultiSourceEngine::with_options(
+    let core = EngineCore::build_multi_with(
         &graph,
         mbfs,
         EngineOptions::new().with_parallel(ParallelConfig::with_threads(2)),
     )
     .expect("matching graph");
-    assert_eq!(engine.sources(), sources.as_slice());
-    let mut queries = Vec::new();
-    for &s in &sources {
-        for e in graph.edge_ids() {
-            for v in graph.vertices() {
-                queries.push((s, v, e));
-            }
-        }
-    }
-    let batch = engine.query_many(&queries).expect("in range");
-    for (i, &(s, v, e)) in queries.iter().enumerate() {
+    let mut ctx = core.new_context();
+    assert_eq!(core.sources(), sources.as_slice());
+    let queries = single_edge_queries(&graph, &sources);
+    let batch = ctx.query_many_faults(&core, &queries).expect("in range");
+    for (i, (s, v, f)) in queries.iter().enumerate() {
+        let (s, v) = (*s, *v);
+        let e = f.as_single_edge().expect("single-edge batch");
         let view = SubgraphView::full(&graph).without_edge(e);
         let brute = bfs_distances_view(&view, s)[v.index()];
         let want = (brute != UNREACHABLE).then_some(brute);
         assert_eq!(batch[i], want, "source {s:?}, vertex {v:?}, edge {e:?}");
     }
     assert!(matches!(
-        engine.dist_after_fault(VertexId(1), VertexId(0), EdgeId(0)),
+        ctx.dist_after_faults_from(&core, VertexId(1), VertexId(0), &EdgeId(0).into()),
         Err(FtbfsError::SourceNotServed { .. })
     ));
 }
 
-/// Acceptance criterion: single-edge queries through the old API return
-/// byte-identical results to pre-refactor behaviour — which was exactly
-/// brute-force BFS on `G ∖ {e}` (asserted above in
-/// `engine_agrees_with_brute_force_on_all_pairs`) — and the singleton
-/// fault-set API is the same code path: same answers, same work counters.
+/// Acceptance criterion: a single edge failure returns byte-identical
+/// results whichever entry form names it — which is exactly brute-force BFS
+/// on `G ∖ {e}` (asserted above in
+/// `engine_agrees_with_brute_force_on_all_pairs`): the primary-source and
+/// explicit-source forms, `FaultSet::from(e)` and
+/// `FaultSet::single_edge(e)`, single queries and batches are one code
+/// path — same answers, same work counters.
 #[test]
-fn old_single_edge_api_is_byte_identical_to_singleton_fault_sets() {
+fn single_edge_failures_are_byte_identical_across_entry_forms() {
     for family in [WorkloadFamily::ErdosRenyi, WorkloadFamily::GridChords] {
         let w = Workload::new(family, 40, SEED);
         let graph = w.generate();
@@ -351,38 +363,37 @@ fn old_single_edge_api_is_byte_identical_to_singleton_fault_sets() {
             .with_config(|c| c.with_seed(SEED).serial())
             .build(&graph, &Sources::single(VertexId(0)))
             .expect("valid input");
-        let mut old = FaultQueryEngine::new(&graph, structure.clone()).expect("matching graph");
-        let mut new = FaultQueryEngine::new(&graph, structure).expect("matching graph");
+        let core = EngineCore::build(&graph, structure).expect("matching graph");
+        let (mut a, mut b) = (core.new_context(), core.new_context());
+        let s = core.primary_source();
         for e in graph.edge_ids() {
-            let singleton = FaultSet::from(e);
             for v in graph.vertices() {
                 assert_eq!(
-                    old.dist_after_fault(v, e).expect("in range"),
-                    new.dist_after_faults(v, &singleton).expect("in range"),
+                    a.dist_after_faults(&core, v, &FaultSet::from(e))
+                        .expect("in range"),
+                    b.dist_after_faults_from(&core, s, v, &FaultSet::single_edge(e))
+                        .expect("in range"),
                     "{}: ({v:?}, {e:?})",
                     w.label()
                 );
             }
         }
         assert_eq!(
-            old.query_stats(),
-            new.query_stats(),
-            "{}: the two APIs must do identical work",
+            a.stats(),
+            b.stats(),
+            "{}: the two forms must do identical work",
             w.label()
         );
-        // Batches too: (v, e) pairs and their singleton-set twins.
-        let queries: Vec<(VertexId, EdgeId)> = graph
-            .edge_ids()
-            .flat_map(|e| graph.vertices().map(move |v| (v, e)))
-            .collect();
-        let set_queries: Vec<(VertexId, FaultSet)> = queries
+        // Batches too: one batch equals the single queries it bundles.
+        let queries = single_edge_queries(&graph, &[s]);
+        let singles: Vec<Option<u32>> = queries
             .iter()
-            .map(|&(v, e)| (v, FaultSet::from(e)))
+            .map(|(_, v, f)| a.dist_after_faults(&core, *v, f).expect("in range"))
             .collect();
         assert_eq!(
-            old.query_many(&queries).expect("in range"),
-            new.query_many_faults(&set_queries).expect("in range"),
-            "{}: batched single-edge vs singleton-set mismatch",
+            b.query_many_faults(&core, &queries).expect("in range"),
+            singles,
+            "{}: batched vs single-query mismatch",
             w.label()
         );
     }
@@ -401,29 +412,32 @@ fn fault_set_queries_match_brute_force_on_all_sets_up_to_two() {
         .build(&graph, &Sources::single(VertexId(0)))
         .expect("valid input");
     let sets = enumerate_fault_sets(&graph, 2);
-    let mut serial =
-        FaultQueryEngine::with_options(&graph, structure.clone(), EngineOptions::new().serial())
-            .expect("matching graph");
-    let mut sharded = FaultQueryEngine::with_options(
+    let serial = EngineCore::build_with(&graph, structure.clone(), EngineOptions::new().serial())
+        .expect("matching graph");
+    let sharded = EngineCore::build_with(
         &graph,
         structure,
         EngineOptions::new().with_parallel(ParallelConfig::with_threads(4)),
     )
     .expect("matching graph");
-    let queries: Vec<(VertexId, FaultSet)> = sets
+    let queries: Vec<(VertexId, VertexId, FaultSet)> = sets
         .iter()
-        .flat_map(|fs| graph.vertices().map(move |v| (v, fs.clone())))
+        .flat_map(|fs| graph.vertices().map(move |v| (VertexId(0), v, fs.clone())))
         .collect();
-    let serial_answers = serial.query_many_faults(&queries).expect("in range");
-    let sharded_answers = sharded.query_many_faults(&queries).expect("in range");
+    let mut ctx = serial.new_context();
+    let serial_answers = ctx.query_many_faults(&serial, &queries).expect("in range");
+    let sharded_answers = sharded
+        .new_context()
+        .query_many_faults(&sharded, &queries)
+        .expect("in range");
     assert_eq!(serial_answers, sharded_answers, "sharded diverged");
-    for (i, (v, fs)) in queries.iter().enumerate() {
+    for (i, (_, v, fs)) in queries.iter().enumerate() {
         let brute = dist_after_faults_brute(&graph, VertexId(0), fs)[v.index()];
         let want = (brute != UNREACHABLE).then_some(brute);
         assert_eq!(serial_answers[i], want, "{}: {v:?} under {fs}", w.label());
         if let Some(d) = want {
-            let p = serial
-                .path_after_faults(*v, fs)
+            let p = ctx
+                .path_after_faults(&serial, *v, fs)
                 .expect("in range")
                 .expect("reachable vertices have witness paths");
             assert_eq!(p.len() as u32, d);
@@ -438,7 +452,7 @@ fn fault_set_queries_match_brute_force_on_all_sets_up_to_two() {
 }
 
 #[test]
-fn fault_set_error_paths_are_typed_through_the_facade() {
+fn fault_set_error_paths_are_typed_through_the_context() {
     let graph = generators::grid(4, 4);
     let structure = TradeoffBuilder::new(0.3)
         .with_config(|c| c.serial())
@@ -446,20 +460,22 @@ fn fault_set_error_paths_are_typed_through_the_facade() {
         .expect("valid input");
     // Default cap is 2; a 3-set is rejected, and the cap is configurable.
     let three: FaultSet = (0..3).map(|i| ftbfs::Fault::Edge(EdgeId(i))).collect();
-    let mut engine = FaultQueryEngine::new(&graph, structure.clone()).expect("matching graph");
+    let core = EngineCore::build(&graph, structure.clone()).expect("matching graph");
     assert_eq!(
-        engine.dist_after_faults(VertexId(1), &three),
+        core.new_context()
+            .dist_after_faults(&core, VertexId(1), &three),
         Err(FtbfsError::FaultSetTooLarge { got: 3, max: 2 })
     );
-    let mut wide = FaultQueryEngine::with_options(
+    let wide = EngineCore::build_with(
         &graph,
         structure,
         EngineOptions::from_build_config(&BuildConfig::new(0.3).with_max_faults(3).serial()),
     )
     .expect("matching graph");
-    assert!(wide.dist_after_faults(VertexId(1), &three).is_ok());
+    let mut ctx = wide.new_context();
+    assert!(ctx.dist_after_faults(&wide, VertexId(1), &three).is_ok());
     assert!(matches!(
-        wide.dist_after_faults(VertexId(1), &FaultSet::single_vertex(VertexId(99))),
+        ctx.dist_after_faults(&wide, VertexId(1), &FaultSet::single_vertex(VertexId(99))),
         Err(FtbfsError::InvalidFault { .. })
     ));
 }
@@ -565,18 +581,19 @@ fn engine_rejects_foreign_structures_and_bad_queries() {
         .build(&g1, &Sources::single(VertexId(0)))
         .expect("valid input");
     assert!(matches!(
-        FaultQueryEngine::new(&g2, s.clone()),
+        EngineCore::build(&g2, s.clone()),
         Err(FtbfsError::StructureMismatch { .. })
     ));
 
-    let mut engine = FaultQueryEngine::new(&g1, s).expect("matching graph");
+    let core = EngineCore::build(&g1, s).expect("matching graph");
+    let mut ctx = core.new_context();
     assert!(matches!(
-        engine.dist_after_fault(VertexId(500), EdgeId(0)),
+        ctx.dist_after_faults(&core, VertexId(500), &EdgeId(0).into()),
         Err(FtbfsError::VertexOutOfRange { .. })
     ));
     assert!(matches!(
-        engine.dist_after_fault(VertexId(0), EdgeId(500)),
-        Err(FtbfsError::EdgeOutOfRange { .. })
+        ctx.dist_after_faults(&core, VertexId(0), &EdgeId(500).into()),
+        Err(FtbfsError::InvalidFault { .. })
     ));
 }
 

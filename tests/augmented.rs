@@ -14,9 +14,8 @@ use ftbfs::sp::UNREACHABLE;
 use ftbfs::workloads::{FaultScenario, Workload, WorkloadFamily};
 use ftbfs::{
     build_augmented_structure, cross_check_fault_sets, dist_after_faults_brute, AugmentCoverage,
-    AugmentedStructure, BuildConfig, BuildPlan, EngineCore, EngineOptions, FaultQueryEngine,
-    FtBfsAugmenter, MultiSourceBuilder, MultiSourceEngine, ReinforcedTreeBuilder, Sources,
-    StructureBuilder,
+    AugmentedStructure, BuildConfig, BuildPlan, EngineCore, EngineOptions, FtBfsAugmenter,
+    MultiSourceBuilder, ReinforcedTreeBuilder, Sources, StructureBuilder,
 };
 
 const SEED: u64 = 0xA462;
@@ -78,14 +77,15 @@ fn covered_fault_sets_never_touch_the_full_graph_tier() {
         let w = Workload::new(family, 30, SEED);
         let (name, graph) = (w.label(), w.generate());
         let aug = augmented(&graph, AugmentCoverage::DualFailure);
-        let mut engine = FaultQueryEngine::from_augmented(&graph, aug).expect("matching graph");
+        let core = EngineCore::build_augmented(&graph, aug).expect("matching graph");
+        let mut ctx = core.new_context();
         let mut queries = 0usize;
         for faults in enumerate_fault_sets(&graph, 2)
             .iter()
             .filter(|f| covered(f))
         {
             for v in graph.vertices().step_by(3) {
-                let got = engine.dist_after_faults(v, faults).expect("in range");
+                let got = ctx.dist_after_faults(&core, v, faults).expect("in range");
                 assert_eq!(
                     got,
                     brute(&graph, VertexId(0), v, faults),
@@ -94,7 +94,7 @@ fn covered_fault_sets_never_touch_the_full_graph_tier() {
                 queries += 1;
             }
         }
-        let stats = engine.query_stats();
+        let stats = ctx.stats();
         assert_eq!(stats.queries, queries);
         assert_eq!(
             stats.tiers.full_graph_bfs, 0,
@@ -120,13 +120,16 @@ fn covered_fault_sets_never_touch_the_full_graph_tier() {
 fn vertex_and_dual_edge_faults_route_to_the_augmented_tier() {
     let graph = Workload::new(WorkloadFamily::LayeredDeep, 36, SEED).generate();
     let aug = augmented(&graph, AugmentCoverage::DualFailure);
-    let mut engine = FaultQueryEngine::from_augmented(&graph, aug).expect("matching graph");
+    let core = EngineCore::build_augmented(&graph, aug).expect("matching graph");
+    let mut ctx = core.new_context();
 
     // every single vertex fault
     for v in graph.vertices().skip(1) {
         let faults = FaultSet::single_vertex(v);
         for probe in graph.vertices().step_by(5) {
-            let got = engine.dist_after_faults(probe, &faults).expect("in range");
+            let got = ctx
+                .dist_after_faults(&core, probe, &faults)
+                .expect("in range");
             assert_eq!(got, brute(&graph, VertexId(0), probe, &faults));
         }
     }
@@ -140,11 +143,13 @@ fn vertex_and_dual_edge_faults_route_to_the_augmented_tier() {
         .into_iter()
         .collect();
         for probe in graph.vertices().step_by(9) {
-            let got = engine.dist_after_faults(probe, &faults).expect("in range");
+            let got = ctx
+                .dist_after_faults(&core, probe, &faults)
+                .expect("in range");
             assert_eq!(got, brute(&graph, VertexId(0), probe, &faults));
         }
     }
-    let stats = engine.query_stats();
+    let stats = ctx.stats();
     assert_eq!(stats.tiers.full_graph_bfs, 0);
     assert_eq!(stats.full_graph_bfs_runs, 0);
     assert!(stats.tiers.augmented_bfs > 0);
@@ -157,15 +162,16 @@ fn vertex_and_dual_edge_faults_route_to_the_augmented_tier() {
 fn dual_vertex_faults_fall_back_to_the_full_graph_tier() {
     let graph = Workload::new(WorkloadFamily::GridChords, 25, SEED).generate();
     let aug = augmented(&graph, AugmentCoverage::DualFailure);
-    let mut engine = FaultQueryEngine::from_augmented(&graph, aug).expect("matching graph");
+    let core = EngineCore::build_augmented(&graph, aug).expect("matching graph");
+    let mut ctx = core.new_context();
     let faults: FaultSet = [Fault::Vertex(VertexId(3)), Fault::Vertex(VertexId(7))]
         .into_iter()
         .collect();
     for v in graph.vertices() {
-        let got = engine.dist_after_faults(v, &faults).expect("in range");
+        let got = ctx.dist_after_faults(&core, v, &faults).expect("in range");
         assert_eq!(got, brute(&graph, VertexId(0), v, &faults));
     }
-    let stats = engine.query_stats();
+    let stats = ctx.stats();
     // Dual vertex faults never use the augmented tier: every query is
     // either answered by the exact full-graph fallback or — for targets
     // whose tree path provably avoids both vertices — by the O(1)
@@ -186,16 +192,17 @@ fn single_fault_coverage_serves_singles_but_not_duals() {
     let graph = Workload::new(WorkloadFamily::Hypercube, 32, SEED).generate();
     let aug = augmented(&graph, AugmentCoverage::SingleFault);
     assert_eq!(aug.coverage(), AugmentCoverage::SingleFault);
-    let mut engine = FaultQueryEngine::from_augmented(&graph, aug).expect("matching graph");
+    let core = EngineCore::build_augmented(&graph, aug).expect("matching graph");
+    let mut ctx = core.new_context();
 
     let vertex_fault = FaultSet::single_vertex(VertexId(5));
     for v in graph.vertices() {
-        let got = engine
-            .dist_after_faults(v, &vertex_fault)
+        let got = ctx
+            .dist_after_faults(&core, v, &vertex_fault)
             .expect("in range");
         assert_eq!(got, brute(&graph, VertexId(0), v, &vertex_fault));
     }
-    let after_singles = engine.query_stats();
+    let after_singles = ctx.stats();
     assert_eq!(after_singles.tiers.full_graph_bfs, 0);
     assert!(after_singles.tiers.augmented_bfs > 0);
 
@@ -206,10 +213,10 @@ fn single_fault_coverage_serves_singles_but_not_duals() {
     .into_iter()
     .collect();
     for v in graph.vertices() {
-        let got = engine.dist_after_faults(v, &dual).expect("in range");
+        let got = ctx.dist_after_faults(&core, v, &dual).expect("in range");
         assert_eq!(got, brute(&graph, VertexId(0), v, &dual));
     }
-    let stats = engine.query_stats();
+    let stats = ctx.stats();
     assert!(
         stats.tiers.full_graph_bfs > 0,
         "dual failures are outside SingleFault coverage"
@@ -234,15 +241,16 @@ fn reinforced_edge_hypotheticals_use_the_augmented_tier() {
         .serial()
         .augment(&graph, base)
         .expect("matching graph");
-    let mut engine = FaultQueryEngine::from_augmented(&graph, aug).expect("matching graph");
+    let core = EngineCore::build_augmented(&graph, aug).expect("matching graph");
+    let mut ctx = core.new_context();
     for &e in reinforced.iter().step_by(3) {
         let faults = FaultSet::single_edge(e);
         for v in graph.vertices().step_by(4) {
-            let got = engine.dist_after_faults(v, &faults).expect("in range");
+            let got = ctx.dist_after_faults(&core, v, &faults).expect("in range");
             assert_eq!(got, brute(&graph, VertexId(0), v, &faults), "edge {e:?}");
         }
     }
-    let stats = engine.query_stats();
+    let stats = ctx.stats();
     assert_eq!(stats.tiers.full_graph_bfs, 0);
     assert_eq!(
         stats.tiers.sparse_h_bfs, 0,
@@ -265,21 +273,24 @@ fn scenario_batches_on_augmented_builds_avoid_full_graph_bfs() {
                 .into_iter()
                 .filter(|fs| covered(fs) && !fs.is_empty())
                 .collect();
-            let queries: Vec<(VertexId, FaultSet)> = fault_sets
+            let queries: Vec<(VertexId, VertexId, FaultSet)> = fault_sets
                 .iter()
-                .flat_map(|fs| graph.vertices().map(move |v| (v, fs.clone())))
+                .flat_map(|fs| graph.vertices().map(move |v| (VertexId(0), v, fs.clone())))
                 .collect();
             if queries.is_empty() {
                 continue;
             }
-            let mut serial = FaultQueryEngine::from_augmented_with_options(
+            let serial = EngineCore::build_augmented_with(
                 &graph,
                 aug.clone(),
                 EngineOptions::new().serial(),
             )
             .expect("matching graph");
-            let expected = serial.query_many_faults(&queries).expect("in range");
-            for (i, (v, fs)) in queries.iter().enumerate() {
+            let mut serial_ctx = serial.new_context();
+            let expected = serial_ctx
+                .query_many_faults(&serial, &queries)
+                .expect("in range");
+            for (i, (_, v, fs)) in queries.iter().enumerate() {
                 assert_eq!(
                     expected[i],
                     brute(&graph, VertexId(0), *v, fs),
@@ -287,26 +298,29 @@ fn scenario_batches_on_augmented_builds_avoid_full_graph_bfs() {
                     scenario.name()
                 );
             }
-            let serial_stats = serial.query_stats();
+            let serial_stats = serial_ctx.stats();
             assert_eq!(
                 serial_stats.tiers.full_graph_bfs,
                 0,
                 "{}: f={f} full-graph tier on covered sets",
                 scenario.name()
             );
-            let mut sharded = FaultQueryEngine::from_augmented_with_options(
+            let sharded = EngineCore::build_augmented_with(
                 &graph,
                 aug.clone(),
                 EngineOptions::new().with_parallel(ParallelConfig::with_threads(4)),
             )
             .expect("matching graph");
+            let mut sharded_ctx = sharded.new_context();
             assert_eq!(
-                sharded.query_many_faults(&queries).expect("in range"),
+                sharded_ctx
+                    .query_many_faults(&sharded, &queries)
+                    .expect("in range"),
                 expected,
                 "{}: f={f} sharded diverged",
                 scenario.name()
             );
-            let sharded_stats = sharded.query_stats();
+            let sharded_stats = sharded_ctx.stats();
             assert_eq!(sharded_stats.tiers.full_graph_bfs, 0);
             assert_eq!(sharded_stats.queries, serial_stats.queries);
             assert_eq!(sharded_stats.tiers.total(), sharded_stats.queries);
@@ -330,11 +344,14 @@ fn multi_source_augmented_engine_is_exact_for_every_source() {
         .augment_multi(&graph, mbfs)
         .expect("matching graph");
     assert_eq!(aug.sources(), &sources[..]);
-    let mut engine = MultiSourceEngine::from_augmented(&graph, aug).expect("matching graph");
+    let core = EngineCore::build_augmented(&graph, aug).expect("matching graph");
+    let mut ctx = core.new_context();
     for faults in enumerate_fault_sets(&graph, 2).iter().step_by(5) {
         for &s in &sources {
             for v in graph.vertices().step_by(3) {
-                let got = engine.dist_after_faults(s, v, faults).expect("in range");
+                let got = ctx
+                    .dist_after_faults_from(&core, s, v, faults)
+                    .expect("in range");
                 assert_eq!(
                     got,
                     brute(&graph, s, v, faults),
@@ -343,7 +360,7 @@ fn multi_source_augmented_engine_is_exact_for_every_source() {
             }
         }
     }
-    let stats = engine.query_stats();
+    let stats = ctx.stats();
     assert_eq!(stats.tiers.total(), stats.queries);
     // Only sets with two vertex faults may have used the fallback; targets
     // provably unaffected by them are answered by the fast path instead,

@@ -11,8 +11,8 @@ use ftbfs::par::ParallelConfig;
 use ftbfs::sp::UNREACHABLE;
 use ftbfs::workloads::{FaultScenario, Workload, WorkloadFamily};
 use ftbfs::{
-    cross_check_fault_sets, dist_after_faults_brute, EngineCore, EngineOptions, FaultQueryEngine,
-    MultiSourceBuilder, MultiSourceEngine, Sources, StructureBuilder, TradeoffBuilder,
+    cross_check_fault_sets, dist_after_faults_brute, EngineCore, EngineOptions, MultiSourceBuilder,
+    Sources, StructureBuilder, TradeoffBuilder,
 };
 
 const SEED: u64 = 0xFA17;
@@ -67,18 +67,21 @@ fn scenario_batches_are_exact_and_shard_deterministically() {
         for &scenario in FaultScenario::all() {
             for f in [1usize, 2] {
                 let fault_sets = scenario.generate(&graph, VertexId(0), f, 12, SEED);
-                let queries: Vec<(VertexId, FaultSet)> = fault_sets
+                let queries: Vec<(VertexId, VertexId, FaultSet)> = fault_sets
                     .iter()
-                    .flat_map(|fs| graph.vertices().map(move |v| (v, fs.clone())))
+                    .flat_map(|fs| graph.vertices().map(move |v| (VertexId(0), v, fs.clone())))
                     .collect();
-                let mut serial = FaultQueryEngine::with_options(
+                let serial = EngineCore::build_with(
                     &graph,
                     structure.clone(),
                     EngineOptions::new().serial(),
                 )
                 .expect("matching graph");
-                let expected = serial.query_many_faults(&queries).expect("in range");
-                for (i, (v, fs)) in queries.iter().enumerate() {
+                let expected = serial
+                    .new_context()
+                    .query_many_faults(&serial, &queries)
+                    .expect("in range");
+                for (i, (_, v, fs)) in queries.iter().enumerate() {
                     assert_eq!(
                         expected[i],
                         brute(&graph, VertexId(0), *v, fs),
@@ -86,14 +89,17 @@ fn scenario_batches_are_exact_and_shard_deterministically() {
                         scenario.name()
                     );
                 }
-                let mut sharded = FaultQueryEngine::with_options(
+                let sharded = EngineCore::build_with(
                     &graph,
                     structure.clone(),
                     EngineOptions::new().with_parallel(ParallelConfig::with_threads(4)),
                 )
                 .expect("matching graph");
                 assert_eq!(
-                    sharded.query_many_faults(&queries).expect("in range"),
+                    sharded
+                        .new_context()
+                        .query_many_faults(&sharded, &queries)
+                        .expect("in range"),
                     expected,
                     "{name}/{}: f={f} sharded diverged",
                     scenario.name()
@@ -122,10 +128,12 @@ fn multi_source_engine_is_exact_on_all_fault_sets_up_to_two() {
             }
         }
     }
-    let mut serial =
-        MultiSourceEngine::with_options(&graph, mbfs.clone(), EngineOptions::new().serial())
-            .expect("matching graph");
-    let expected = serial.query_many_faults(&queries).expect("in range");
+    let serial = EngineCore::build_multi_with(&graph, mbfs.clone(), EngineOptions::new().serial())
+        .expect("matching graph");
+    let expected = serial
+        .new_context()
+        .query_many_faults(&serial, &queries)
+        .expect("in range");
     for (i, (s, v, fs)) in queries.iter().enumerate() {
         assert_eq!(
             expected[i],
@@ -133,14 +141,17 @@ fn multi_source_engine_is_exact_on_all_fault_sets_up_to_two() {
             "source {s:?}, vertex {v:?}, faults {fs}"
         );
     }
-    let mut sharded = MultiSourceEngine::with_options(
+    let sharded = EngineCore::build_multi_with(
         &graph,
         mbfs,
         EngineOptions::new().with_parallel(ParallelConfig::with_threads(4)),
     )
     .expect("matching graph");
     assert_eq!(
-        sharded.query_many_faults(&queries).expect("in range"),
+        sharded
+            .new_context()
+            .query_many_faults(&sharded, &queries)
+            .expect("in range"),
         expected,
         "multi-source sharded batch diverged"
     );
@@ -167,20 +178,27 @@ fn skewed_single_fault_batches_are_deterministic() {
     ]
     .into_iter()
     .collect();
-    let queries: Vec<(VertexId, FaultSet)> = (0..2000)
-        .map(|i| (VertexId::new(i % graph.num_vertices()), hot.clone()))
+    let queries: Vec<(VertexId, VertexId, FaultSet)> = (0..2000)
+        .map(|i| {
+            let v = VertexId::new(i % graph.num_vertices());
+            (VertexId(0), v, hot.clone())
+        })
         .collect();
-    let mut serial =
-        FaultQueryEngine::with_options(&graph, structure.clone(), EngineOptions::new().serial())
-            .expect("matching graph");
-    let expected = serial.query_many_faults(&queries).expect("in range");
+    let serial = EngineCore::build_with(&graph, structure.clone(), EngineOptions::new().serial())
+        .expect("matching graph");
+    let expected = serial
+        .new_context()
+        .query_many_faults(&serial, &queries)
+        .expect("in range");
     // Default options pick up FTBFS_FORCE_THREADS in CI.
-    let mut engine = FaultQueryEngine::new(&graph, structure).expect("matching graph");
+    let core = EngineCore::build(&graph, structure).expect("matching graph");
     assert_eq!(
-        engine.query_many_faults(&queries).expect("in range"),
+        core.new_context()
+            .query_many_faults(&core, &queries)
+            .expect("in range"),
         expected
     );
-    for (i, (v, fs)) in queries.iter().enumerate() {
+    for (i, (_, v, fs)) in queries.iter().enumerate() {
         assert_eq!(
             expected[i],
             brute(&graph, VertexId(0), *v, fs),

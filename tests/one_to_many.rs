@@ -14,8 +14,7 @@
 use ftbfs::graph::{FaultSet, VertexId};
 use ftbfs::workloads::{FaultScenario, Workload, WorkloadFamily};
 use ftbfs::{
-    EngineOptions, FaultQueryEngine, MultiSourceBuilder, MultiSourceEngine, Sources,
-    StructureBuilder, TradeoffBuilder,
+    EngineCore, EngineOptions, MultiSourceBuilder, Sources, StructureBuilder, TradeoffBuilder,
 };
 
 const SEED: u64 = 0x12A7;
@@ -38,12 +37,12 @@ fn small_workloads(target_n: usize) -> Vec<(String, ftbfs::graph::Graph)> {
         .collect()
 }
 
-fn build_engine(graph: &ftbfs::graph::Graph, options: EngineOptions) -> FaultQueryEngine<'_> {
+fn build_core(graph: &ftbfs::graph::Graph, options: EngineOptions) -> EngineCore {
     let structure = TradeoffBuilder::new(0.3)
         .with_config(|c| c.with_seed(SEED).serial())
         .build(graph, &Sources::single(VertexId(0)))
         .expect("valid input");
-    FaultQueryEngine::with_options(graph, structure, options).expect("matching graph")
+    EngineCore::build_with(graph, structure, options).expect("matching graph")
 }
 
 /// The target shapes every identity check runs: a sparse spread-out list,
@@ -75,11 +74,12 @@ fn target_shapes(graph: &ftbfs::graph::Graph, faults: &FaultSet) -> Vec<Vec<Vert
 #[test]
 fn dist_many_matches_per_target_on_every_family_and_scenario() {
     for (name, graph) in small_workloads(26) {
-        // Separate engines so the reference answers cannot share LRU or
+        // Separate contexts so the reference answers cannot share LRU or
         // scratch state with the batched path.
-        let mut batched = build_engine(&graph, repaired_options());
-        let mut reference = build_engine(&graph, repaired_options());
-        let mut forced = build_engine(&graph, forced_options());
+        let core = build_core(&graph, repaired_options());
+        let forced_core = build_core(&graph, forced_options());
+        let (mut batched, mut reference) = (core.new_context(), core.new_context());
+        let mut forced = forced_core.new_context();
         for &scenario in FaultScenario::all() {
             for f in [1usize, 2] {
                 for faults in scenario
@@ -89,14 +89,18 @@ fn dist_many_matches_per_target_on_every_family_and_scenario() {
                 {
                     for targets in target_shapes(&graph, faults) {
                         let many = batched
-                            .dist_many_after_faults(&targets, faults)
+                            .dist_many_after_faults(&core, &targets, faults)
                             .expect("in range");
                         let forced_many = forced
-                            .dist_many_after_faults(&targets, faults)
+                            .dist_many_after_faults(&forced_core, &targets, faults)
                             .expect("in range");
                         let serial: Vec<Option<u32>> = targets
                             .iter()
-                            .map(|&v| reference.dist_after_faults(v, faults).expect("in range"))
+                            .map(|&v| {
+                                reference
+                                    .dist_after_faults(&core, v, faults)
+                                    .expect("in range")
+                            })
                             .collect();
                         assert_eq!(
                             many,
@@ -127,10 +131,9 @@ fn multi_source_dist_many_matches_per_target() {
         .with_config(|c| c.with_seed(SEED).serial())
         .build_multi(&graph, &Sources::multi(sources.clone()))
         .expect("valid input");
-    let mut batched = MultiSourceEngine::with_options(&graph, mbfs.clone(), repaired_options())
-        .expect("matching graph");
-    let mut reference =
-        MultiSourceEngine::with_options(&graph, mbfs, repaired_options()).expect("matching graph");
+    let core =
+        EngineCore::build_multi_with(&graph, mbfs, repaired_options()).expect("matching graph");
+    let (mut batched, mut reference) = (core.new_context(), core.new_context());
     let targets: Vec<VertexId> = graph.vertices().collect();
     for &s in &sources {
         for faults in FaultScenario::TreeConcentrated
@@ -139,11 +142,15 @@ fn multi_source_dist_many_matches_per_target() {
             .filter(|f| !f.is_empty())
         {
             let many = batched
-                .dist_many_after_faults(s, &targets, faults)
+                .dist_many_after_faults_from(&core, s, &targets, faults)
                 .expect("in range");
             let serial: Vec<Option<u32>> = targets
                 .iter()
-                .map(|&v| reference.dist_after_faults(s, v, faults).expect("in range"))
+                .map(|&v| {
+                    reference
+                        .dist_after_faults_from(&core, s, v, faults)
+                        .expect("in range")
+                })
                 .collect();
             assert_eq!(many, serial, "source {s:?} under {faults}");
         }
@@ -157,8 +164,8 @@ fn multi_source_dist_many_matches_per_target() {
 #[test]
 fn all_unaffected_target_sets_run_zero_sweeps() {
     let graph = Workload::new(WorkloadFamily::LayeredDeep, 40, SEED).generate();
-    let mut engine = build_engine(&graph, repaired_options());
-    let core = std::sync::Arc::clone(engine.core());
+    let core = build_core(&graph, repaired_options());
+    let mut ctx = core.new_context();
     let mut proven = 0usize;
     for faults in FaultScenario::TreeConcentrated
         .generate(&graph, VertexId(0), 2, 8, SEED)
@@ -176,11 +183,11 @@ fn all_unaffected_target_sets_run_zero_sweeps() {
             continue;
         }
         proven += 1;
-        let before = engine.query_stats();
-        let answers = engine
-            .dist_many_after_faults(&targets, faults)
+        let before = ctx.stats();
+        let answers = ctx
+            .dist_many_after_faults(&core, &targets, faults)
             .expect("in range");
-        let after = engine.query_stats();
+        let after = ctx.stats();
         let delta = after.delta_since(&before);
         assert_eq!(answers.len(), targets.len());
         assert_eq!(delta.queries, targets.len(), "one query per target");
@@ -209,7 +216,11 @@ fn all_unaffected_target_sets_run_zero_sweeps() {
         // Cross-check the answers themselves against the fault-free row:
         // unaffected means the fault-free distance survives.
         for (&v, &d) in targets.iter().zip(&answers) {
-            assert_eq!(d, engine.fault_free_dist(v).expect("in range"), "{v:?}");
+            assert_eq!(
+                d,
+                core.fault_free_dist(VertexId(0), v).expect("in range"),
+                "{v:?}"
+            );
         }
     }
     assert!(
@@ -224,9 +235,8 @@ fn all_unaffected_target_sets_run_zero_sweeps() {
 #[test]
 fn sparse_affected_targets_take_the_restricted_sweep() {
     let graph = Workload::new(WorkloadFamily::GridChords, 120, SEED).generate();
-    let mut engine = build_engine(&graph, repaired_options());
-    let mut reference = build_engine(&graph, repaired_options());
-    let core = std::sync::Arc::clone(engine.core());
+    let core = build_core(&graph, repaired_options());
+    let (mut ctx, mut reference) = (core.new_context(), core.new_context());
     let mut exercised = 0usize;
     for faults in FaultScenario::TreeConcentrated
         .generate(&graph, VertexId(0), 2, 12, SEED)
@@ -248,11 +258,11 @@ fn sparse_affected_targets_take_the_restricted_sweep() {
         }
         exercised += 1;
         let targets = vec![affected[affected.len() / 2]];
-        let before = engine.query_stats();
-        let many = engine
-            .dist_many_after_faults(&targets, faults)
+        let before = ctx.stats();
+        let many = ctx
+            .dist_many_after_faults(&core, &targets, faults)
             .expect("in range");
-        let delta = engine.query_stats().delta_since(&before);
+        let delta = ctx.stats().delta_since(&before);
         assert_eq!(
             delta.restricted_repairs, 1,
             "restricted sweep not taken under {faults}"
@@ -260,7 +270,11 @@ fn sparse_affected_targets_take_the_restricted_sweep() {
         assert_eq!(delta.repaired_rows, 0, "full repair must not also run");
         let serial: Vec<Option<u32>> = targets
             .iter()
-            .map(|&v| reference.dist_after_faults(v, faults).expect("in range"))
+            .map(|&v| {
+                reference
+                    .dist_after_faults(&core, v, faults)
+                    .expect("in range")
+            })
             .collect();
         assert_eq!(
             many, serial,

@@ -96,7 +96,7 @@ proptest! {
         use ftbfs::sp::UNREACHABLE;
         use ftbfs::{
             build_augmented_structure, dist_after_faults_brute, AugmentCoverage, BuildConfig,
-            BuildPlan, FaultQueryEngine,
+            BuildPlan, EngineCore,
         };
 
         let m = n * avg_degree / 2;
@@ -114,15 +114,15 @@ proptest! {
         .expect("generated workloads are valid input");
         prop_assert!(augmented.num_edges() <= graph.num_edges());
         prop_assert!(augmented.num_edges() >= augmented.base().num_edges());
-        let mut engine =
-            FaultQueryEngine::from_augmented(&graph, augmented).expect("matching graph");
+        let core = EngineCore::build_augmented(&graph, augmented).expect("matching graph");
+        let mut ctx = core.new_context();
         let sets = enumerate_fault_sets(&graph, 2);
         let mut fallback_queries = 0usize;
         for faults in sets.iter().step_by(13) {
             let brute = dist_after_faults_brute(&graph, VertexId(0), faults);
             let is_covered = faults.len() <= 2 && faults.vertices().count() <= 1;
             for v in graph.vertices().step_by(2) {
-                let got = engine.dist_after_faults(v, faults).expect("in range");
+                let got = ctx.dist_after_faults(&core, v, faults).expect("in range");
                 let want = (brute[v.index()] != UNREACHABLE).then_some(brute[v.index()]);
                 prop_assert_eq!(
                     got, want,
@@ -133,7 +133,7 @@ proptest! {
                 }
             }
         }
-        let stats = engine.query_stats();
+        let stats = ctx.stats();
         // Covered sets must stay off the full-graph tier; uncovered-set
         // queries split between the fallback and the unaffected fast path
         // (targets whose tree path provably avoids both faults), so the
@@ -159,7 +159,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         use ftbfs::graph::enumerate_fault_sets;
-        use ftbfs::{EngineOptions, FaultQueryEngine};
+        use ftbfs::{EngineCore, EngineOptions};
 
         let m = n * avg_degree / 2;
         let graph = families::erdos_renyi_gnm(n, m, seed);
@@ -169,40 +169,42 @@ proptest! {
             .expect("generated workloads are valid input");
         // Repair pinned on so the differential survives a test run under
         // FTBFS_FORCE_FULL_SWEEP=1 (CI covers that mode for the whole suite).
-        let mut repaired = FaultQueryEngine::with_options(
+        let repaired = EngineCore::build_with(
             &graph,
             structure.clone(),
             EngineOptions::new().serial().with_force_full_sweep(false),
         )
         .expect("matching graph");
-        let mut full = FaultQueryEngine::with_options(
+        let full = EngineCore::build_with(
             &graph,
             structure,
             EngineOptions::new().serial().with_force_full_sweep(true),
         )
         .expect("matching graph");
+        let (mut rctx, mut fctx) = (repaired.new_context(), full.new_context());
         for faults in enumerate_fault_sets(&graph, 2).iter().step_by(9) {
             for v in graph.vertices().step_by(2) {
                 prop_assert_eq!(
-                    repaired.dist_after_faults(v, faults).expect("in range"),
-                    full.dist_after_faults(v, faults).expect("in range"),
+                    rctx.dist_after_faults(&repaired, v, faults).expect("in range"),
+                    fctx.dist_after_faults(&full, v, faults).expect("in range"),
                     "eps={}, seed={}: dist({:?}) under {}", eps, seed, v, faults
                 );
                 prop_assert_eq!(
-                    repaired.path_after_faults(v, faults).expect("in range"),
-                    full.path_after_faults(v, faults).expect("in range"),
+                    rctx.path_after_faults(&repaired, v, faults).expect("in range"),
+                    fctx.path_after_faults(&full, v, faults).expect("in range"),
                     "eps={}, seed={}: path({:?}) under {}", eps, seed, v, faults
                 );
             }
         }
-        prop_assert_eq!(full.query_stats().repaired_rows, 0);
-        let stats = repaired.query_stats();
+        prop_assert_eq!(fctx.stats().repaired_rows, 0);
+        let stats = rctx.stats();
         prop_assert_eq!(stats.tiers.total(), stats.queries);
     }
 
     /// The generalised fault model: on random graphs with random ε, every
     /// fault set of size ≤ 2 (edges, vertices and mixed) answers exactly
-    /// like brute-force BFS over the masked graph.
+    /// like brute-force BFS over the masked graph — per query, and again as
+    /// one batch sharded over four workers.
     #[test]
     fn fault_set_queries_agree_with_brute_force(
         n in 16usize..40,
@@ -212,7 +214,8 @@ proptest! {
     ) {
         use ftbfs::graph::{enumerate_fault_sets, Graph};
         use ftbfs::sp::UNREACHABLE;
-        use ftbfs::{dist_after_faults_brute, FaultQueryEngine};
+        use ftbfs::par::ParallelConfig;
+        use ftbfs::{dist_after_faults_brute, EngineCore, EngineOptions};
 
         let m = n * avg_degree / 2;
         let graph: Graph = families::erdos_renyi_gnm(n, m, seed);
@@ -220,20 +223,37 @@ proptest! {
             .with_config(|c| c.with_seed(seed).serial())
             .build(&graph, &Sources::single(VertexId(0)))
             .expect("generated workloads are valid input");
-        let mut engine = FaultQueryEngine::new(&graph, structure).expect("matching graph");
+        let core = EngineCore::build(&graph, structure.clone()).expect("matching graph");
+        let mut ctx = core.new_context();
         // Sample the |F| ≤ 2 space: checking every set of every case would
         // dominate the whole suite's runtime.
         let sets = enumerate_fault_sets(&graph, 2);
+        let mut queries = Vec::new();
+        let mut answers = Vec::new();
         for faults in sets.iter().step_by(11) {
             let brute = dist_after_faults_brute(&graph, VertexId(0), faults);
             for v in graph.vertices() {
-                let got = engine.dist_after_faults(v, faults).expect("in range");
+                let got = ctx.dist_after_faults(&core, v, faults).expect("in range");
                 let want = (brute[v.index()] != UNREACHABLE).then_some(brute[v.index()]);
                 prop_assert_eq!(
                     got, want,
                     "eps={}, seed={}: {:?} under {}", eps, seed, v, faults
                 );
+                queries.push((VertexId(0), v, faults.clone()));
+                answers.push(got);
             }
         }
+        // The same queries as one batch, sharded over four workers.
+        let sharded = EngineCore::build_with(
+            &graph,
+            structure,
+            EngineOptions::new().with_parallel(ParallelConfig::with_threads(4)),
+        )
+        .expect("matching graph");
+        let batch = sharded
+            .new_context()
+            .query_many_faults(&sharded, &queries)
+            .expect("in range");
+        prop_assert_eq!(batch, answers, "eps={}, seed={}: sharded batch", eps, seed);
     }
 }

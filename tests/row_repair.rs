@@ -17,9 +17,8 @@
 use ftbfs::graph::{enumerate_fault_sets, Fault, FaultSet, VertexId};
 use ftbfs::workloads::{FaultScenario, Workload, WorkloadFamily};
 use ftbfs::{
-    build_augmented_structure, AugmentCoverage, BuildConfig, BuildPlan, EngineOptions,
-    FaultQueryEngine, MultiSourceBuilder, MultiSourceEngine, Sources, StructureBuilder,
-    TradeoffBuilder,
+    build_augmented_structure, AugmentCoverage, BuildConfig, BuildPlan, EngineCore, EngineOptions,
+    MultiSourceBuilder, QueryContext, Sources, StructureBuilder, TradeoffBuilder,
 };
 
 /// The "repaired" side of every comparison pins the repair path **on**
@@ -42,22 +41,33 @@ fn small_workloads(target_n: usize) -> Vec<(String, ftbfs::graph::Graph)> {
         .collect()
 }
 
+/// A core plus one context on it: one side of a repaired-vs-forced
+/// comparison.
+fn side(core: EngineCore) -> (EngineCore, QueryContext) {
+    let ctx = core.new_context();
+    (core, ctx)
+}
+
 /// Assert the repaired engine and the forced-full-sweep engine agree on
 /// every vertex's distance and path under `faults` — i.e. the underlying
 /// rows are byte-identical.
 fn assert_rows_identical(
     name: &str,
     graph: &ftbfs::graph::Graph,
-    repaired: &mut FaultQueryEngine<'_>,
-    full: &mut FaultQueryEngine<'_>,
+    (repaired, rctx): &mut (EngineCore, QueryContext),
+    (full, fctx): &mut (EngineCore, QueryContext),
     faults: &FaultSet,
 ) {
     for v in graph.vertices() {
-        let d_rep = repaired.dist_after_faults(v, faults).expect("in range");
-        let d_full = full.dist_after_faults(v, faults).expect("in range");
+        let d_rep = rctx
+            .dist_after_faults(repaired, v, faults)
+            .expect("in range");
+        let d_full = fctx.dist_after_faults(full, v, faults).expect("in range");
         assert_eq!(d_rep, d_full, "{name}: dist({v:?}) under {faults}");
-        let p_rep = repaired.path_after_faults(v, faults).expect("in range");
-        let p_full = full.path_after_faults(v, faults).expect("in range");
+        let p_rep = rctx
+            .path_after_faults(repaired, v, faults)
+            .expect("in range");
+        let p_full = fctx.path_after_faults(full, v, faults).expect("in range");
         assert_eq!(p_rep, p_full, "{name}: path({v:?}) under {faults}");
     }
 }
@@ -71,22 +81,25 @@ fn sparse_tier_repairs_are_byte_identical_on_every_workload_family() {
             .with_config(|c| c.with_seed(SEED).serial())
             .build(&graph, &Sources::single(VertexId(0)))
             .unwrap_or_else(|e| panic!("{name}: build failed: {e}"));
-        let mut repaired =
-            FaultQueryEngine::with_options(&graph, structure.clone(), repaired_options())
-                .expect("matching graph");
-        let mut full = FaultQueryEngine::with_options(
-            &graph,
-            structure,
-            EngineOptions::new().serial().with_force_full_sweep(true),
-        )
-        .expect("matching graph");
+        let mut repaired = side(
+            EngineCore::build_with(&graph, structure.clone(), repaired_options())
+                .expect("matching graph"),
+        );
+        let mut full = side(
+            EngineCore::build_with(
+                &graph,
+                structure,
+                EngineOptions::new().serial().with_force_full_sweep(true),
+            )
+            .expect("matching graph"),
+        );
         for e in graph.edge_ids() {
             assert_rows_identical(&name, &graph, &mut repaired, &mut full, &FaultSet::from(e));
         }
-        let stats = repaired.query_stats();
+        let stats = repaired.1.stats();
         assert!(stats.repaired_rows > 0, "{name}: the repair path never ran");
         assert_eq!(
-            full.query_stats().repaired_rows,
+            full.1.stats().repaired_rows,
             0,
             "{name}: the forced engine must never repair"
         );
@@ -112,22 +125,22 @@ fn augmented_tier_repairs_are_byte_identical() {
             &config,
         )
         .expect("valid input");
-        let mut repaired = FaultQueryEngine::from_augmented_with_options(
-            &graph,
-            augmented.clone(),
-            repaired_options(),
-        )
-        .expect("matching graph");
-        let mut full = FaultQueryEngine::from_augmented_with_options(
-            &graph,
-            augmented,
-            EngineOptions::new().serial().with_force_full_sweep(true),
-        )
-        .expect("matching graph");
+        let mut repaired = side(
+            EngineCore::build_augmented_with(&graph, augmented.clone(), repaired_options())
+                .expect("matching graph"),
+        );
+        let mut full = side(
+            EngineCore::build_augmented_with(
+                &graph,
+                augmented,
+                EngineOptions::new().serial().with_force_full_sweep(true),
+            )
+            .expect("matching graph"),
+        );
         for faults in enumerate_fault_sets(&graph, 2).iter().step_by(3) {
             assert_rows_identical(&name, &graph, &mut repaired, &mut full, faults);
         }
-        let stats = repaired.query_stats();
+        let stats = repaired.1.stats();
         assert!(stats.repaired_rows > 0, "{name}: repair never ran");
         assert!(
             stats.augmented_bfs_runs > 0,
@@ -148,22 +161,28 @@ fn scenario_batches_match_forced_full_sweeps() {
         for &scenario in FaultScenario::all() {
             for f in [1usize, 2] {
                 let sets = scenario.generate(&graph, VertexId(0), f, 12, SEED);
-                let queries: Vec<(VertexId, FaultSet)> = sets
+                let queries: Vec<(VertexId, VertexId, FaultSet)> = sets
                     .iter()
                     .filter(|s| !s.is_empty())
-                    .flat_map(|fs| graph.vertices().map(move |v| (v, fs.clone())))
+                    .flat_map(|fs| graph.vertices().map(move |v| (VertexId(0), v, fs.clone())))
                     .collect();
-                let mut repaired =
-                    FaultQueryEngine::with_options(&graph, structure.clone(), repaired_options())
+                let repaired =
+                    EngineCore::build_with(&graph, structure.clone(), repaired_options())
                         .expect("matching graph");
-                let mut full = FaultQueryEngine::with_options(
+                let full = EngineCore::build_with(
                     &graph,
                     structure.clone(),
                     EngineOptions::new().serial().with_force_full_sweep(true),
                 )
                 .expect("matching graph");
-                let a = repaired.query_many_faults(&queries).expect("in range");
-                let b = full.query_many_faults(&queries).expect("in range");
+                let a = repaired
+                    .new_context()
+                    .query_many_faults(&repaired, &queries)
+                    .expect("in range");
+                let b = full
+                    .new_context()
+                    .query_many_faults(&full, &queries)
+                    .expect("in range");
                 assert_eq!(a, b, "{name}/{}/f={f}", scenario.name());
             }
         }
@@ -181,32 +200,37 @@ fn multi_source_repairs_are_byte_identical_per_source() {
         .with_config(|c| c.with_seed(SEED).serial())
         .build_multi(&graph, &Sources::multi(sources.clone()))
         .expect("valid input");
-    let mut repaired = MultiSourceEngine::with_options(&graph, mbfs.clone(), repaired_options())
+    let repaired = EngineCore::build_multi_with(&graph, mbfs.clone(), repaired_options())
         .expect("matching graph");
-    let mut full = MultiSourceEngine::with_options(
+    let full = EngineCore::build_multi_with(
         &graph,
         mbfs,
         EngineOptions::new().serial().with_force_full_sweep(true),
     )
     .expect("matching graph");
+    let (mut rctx, mut fctx) = (repaired.new_context(), full.new_context());
     for e in graph.edge_ids() {
         let faults = FaultSet::from(e);
         for &s in &sources {
             for v in graph.vertices() {
                 assert_eq!(
-                    repaired.dist_after_faults(s, v, &faults).expect("in range"),
-                    full.dist_after_faults(s, v, &faults).expect("in range"),
+                    rctx.dist_after_faults_from(&repaired, s, v, &faults)
+                        .expect("in range"),
+                    fctx.dist_after_faults_from(&full, s, v, &faults)
+                        .expect("in range"),
                     "source {s:?}, vertex {v:?}, edge {e:?}"
                 );
                 assert_eq!(
-                    repaired.path_after_faults(s, v, &faults).expect("in range"),
-                    full.path_after_faults(s, v, &faults).expect("in range"),
+                    rctx.path_after_faults_from(&repaired, s, v, &faults)
+                        .expect("in range"),
+                    fctx.path_after_faults_from(&full, s, v, &faults)
+                        .expect("in range"),
                     "source {s:?}, vertex {v:?}, edge {e:?}"
                 );
             }
         }
     }
-    assert!(repaired.query_stats().repaired_rows > 0);
+    assert!(rctx.stats().repaired_rows > 0);
 }
 
 /// Targeted queries on provably unaffected vertices run **zero** BFS
@@ -219,22 +243,22 @@ fn unaffected_targeted_queries_run_zero_sweeps() {
         .with_config(|c| c.with_seed(SEED).serial())
         .build(&graph, &Sources::single(VertexId(0)))
         .expect("valid input");
-    let mut engine = FaultQueryEngine::with_options(&graph, structure, repaired_options())
-        .expect("matching graph");
+    let core =
+        EngineCore::build_with(&graph, structure, repaired_options()).expect("matching graph");
+    let mut ctx = core.new_context();
     // Tree-concentrated single faults guarantee the fault always touches
     // the BFS tree, so "unaffected" is never vacuous fault-free routing.
     let sets = FaultScenario::TreeConcentrated.generate(&graph, VertexId(0), 1, 16, SEED);
     let mut fast_path_hits = 0usize;
     for faults in &sets {
-        let affected = engine
-            .core()
+        let affected = core
             .affected_vertex_count(VertexId(0), faults)
             .expect("valid faults");
         assert!(affected > 0, "a tree fault must affect its subtree");
         for v in graph.vertices() {
-            let before = engine.query_stats();
-            let d = engine.dist_after_faults(v, faults).expect("in range");
-            let delta = engine.query_stats().delta_since(&before);
+            let before = ctx.stats();
+            let d = ctx.dist_after_faults(&core, v, faults).expect("in range");
+            let delta = ctx.stats().delta_since(&before);
             if delta.tiers.unaffected_fast_path == 1 {
                 fast_path_hits += 1;
                 assert_eq!(
@@ -246,7 +270,7 @@ fn unaffected_targeted_queries_run_zero_sweeps() {
                 assert_eq!(delta.cached_answers, 1);
                 assert_eq!(
                     d,
-                    engine.fault_free_dist(v).expect("in range"),
+                    core.fault_free_dist(VertexId(0), v).expect("in range"),
                     "fast path must answer the fault-free distance"
                 );
             }
@@ -256,7 +280,7 @@ fn unaffected_targeted_queries_run_zero_sweeps() {
         fast_path_hits > 0,
         "tree faults must leave some vertex provably unaffected"
     );
-    let stats = engine.query_stats();
+    let stats = ctx.stats();
     assert_eq!(stats.tiers.total(), stats.queries);
 }
 
@@ -269,8 +293,7 @@ fn affected_vertex_count_matches_tree_structure() {
         .with_config(|c| c.with_seed(SEED).serial())
         .build(&graph, &Sources::single(VertexId(0)))
         .expect("valid input");
-    let engine = FaultQueryEngine::new(&graph, structure).expect("matching graph");
-    let core = engine.core();
+    let core = EngineCore::build(&graph, structure).expect("matching graph");
     let e23 = graph
         .find_edge(VertexId(2), VertexId(3))
         .expect("path edge");

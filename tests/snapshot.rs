@@ -5,7 +5,7 @@
 //! the server exposes (single dist, path, batched dist, one-to-many), in
 //! both the normal tiered regime and the forced-full-sweep regime.
 
-use ftb_core::{EngineCore, EngineOptions, FaultQueryEngine, FaultSet};
+use ftb_core::{EngineCore, EngineOptions, FaultSet};
 use ftb_graph::{EdgeId, Fault, Graph, VertexId};
 use ftb_server::{setup, EngineSpec};
 use ftb_workloads::WorkloadFamily;
@@ -110,18 +110,21 @@ fn assert_answer_identical(graph: &Graph, built: &Arc<EngineCore>, restored: &Ar
         assert_eq!(ma.unwrap(), mb.unwrap(), "dist_many {faults:?}");
     }
 
-    // Batched mixed-fault queries through the facade (grouped + sharded).
-    let batch: Vec<(VertexId, FaultSet)> = ts
+    // Batched mixed-fault queries on fresh contexts (grouped + sharded).
+    let batch: Vec<(VertexId, VertexId, FaultSet)> = ts
         .iter()
         .enumerate()
-        .map(|(i, &t)| (t, sets[i % sets.len()].clone()))
+        .map(|(i, &t)| (source, t, sets[i % sets.len()].clone()))
         .collect();
-    let mut eng_a = FaultQueryEngine::from_core(graph, Arc::clone(built)).expect("facade on built");
-    let mut eng_b =
-        FaultQueryEngine::from_core(graph, Arc::clone(restored)).expect("facade on restored");
     assert_eq!(
-        eng_a.query_many_faults(&batch).unwrap(),
-        eng_b.query_many_faults(&batch).unwrap(),
+        built
+            .new_context()
+            .query_many_faults(built, &batch)
+            .unwrap(),
+        restored
+            .new_context()
+            .query_many_faults(restored, &batch)
+            .unwrap(),
         "batched answers"
     );
 }
