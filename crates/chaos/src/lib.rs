@@ -1,6 +1,6 @@
 //! Seeded, deterministic fault injection for the serving tier.
 //!
-//! The server threads a [`Chaos`] handle through its IO and worker hot
+//! The server threads a [`Chaos`] handle through its IO and query hot
 //! paths. In production the handle is `None` and every hook site is a
 //! single branch on an absent `Option` — no drawing, no atomics, no
 //! allocation. Under test, [`SeededChaos`] turns each hook call into a
@@ -19,8 +19,8 @@
 //! | connection reset| [`Chaos::on_read`]        | errors the read             |
 //! | partial write   | [`Chaos::on_write`]       | writes a prefix, then errors|
 //! | accept error    | [`Chaos::on_accept`]      | treats accept as failed     |
-//! | worker panic    | [`Chaos::on_job`]         | panics in/around a job      |
-//! | queue stall     | [`Chaos::on_job`]         | sleeps before the job       |
+//! | worker panic    | [`Chaos::on_job`]         | panics in/around a query    |
+//! | queue stall     | [`Chaos::on_job`]         | sleeps holding a context    |
 //!
 //! Every injection is counted in [`ChaosStats`], so a chaos suite can
 //! assert it actually exercised each kind instead of trusting
@@ -47,19 +47,23 @@ pub enum IoFault {
     Reset,
 }
 
-/// What the worker hook ([`Chaos::on_job`]) injects at job pickup.
+/// What the query hook ([`Chaos::on_job`]) injects right after a
+/// connection checks out a query context.
+///
+/// Both panic kinds end the same way: the connection thread catches the
+/// panic, replies a typed `Internal` frame on a connection that stays
+/// usable, and the pool replaces the context with a fresh one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkerFault {
-    /// No fault: handle the job normally.
+    /// No fault: handle the query normally.
     None,
-    /// Panic *inside* the request handler — exercises the server's
-    /// `catch_unwind` isolation (typed `Internal` reply, context rebuilt).
+    /// Panic *inside* the request handler, after the deadline check.
     Panic,
-    /// Panic *outside* the handler's catch — kills the worker thread and
-    /// exercises the supervisor's respawn path.
+    /// Panic right after checkout, before the deadline check and the
+    /// handler: queries run on connection threads, so none dies.
     PanicUncaught,
-    /// Sleep before handling, backing the queue up — exercises
-    /// `Overloaded` shedding and in-queue `DeadlineExceeded`.
+    /// Sleep while holding the context, making other connections wait —
+    /// exercises `Overloaded` shedding and `DeadlineExceeded` for waiters.
     Stall(Duration),
 }
 
@@ -81,11 +85,12 @@ pub struct ChaosConfig {
     pub partial_write: f64,
     /// P(fail an accept).
     pub accept_error: f64,
-    /// P(panic at job pickup) — split evenly between caught and uncaught.
+    /// P(panic after a context checkout) — split evenly between the two
+    /// panic sites.
     pub worker_panic: f64,
-    /// P(stall at job pickup).
+    /// P(stall after a context checkout).
     pub queue_stall: f64,
-    /// Upper bound of an injected job-pickup stall.
+    /// Upper bound of an injected stall.
     pub queue_stall_max: Duration,
 }
 
@@ -136,7 +141,7 @@ pub struct ChaosStats {
     pub accept_errors: AtomicU64,
     /// Worker panics injected (caught + uncaught).
     pub worker_panics: AtomicU64,
-    /// Job-pickup stalls injected.
+    /// Stalls injected while holding a query context.
     pub queue_stalls: AtomicU64,
 }
 
@@ -154,7 +159,7 @@ pub struct ChaosStatsSnapshot {
     pub accept_errors: u64,
     /// Worker panics injected (caught + uncaught).
     pub worker_panics: u64,
-    /// Job-pickup stalls injected.
+    /// Stalls injected while holding a query context.
     pub queue_stalls: u64,
 }
 
@@ -198,7 +203,7 @@ pub trait Chaos: Send + Sync {
     fn on_accept(&self) -> bool {
         false
     }
-    /// Called at worker job pickup.
+    /// Called right after a query checks out a context.
     fn on_job(&self) -> WorkerFault {
         WorkerFault::None
     }
@@ -305,9 +310,9 @@ impl Chaos for SeededChaos {
         let u = Self::unit(self.draw());
         if u < self.config.worker_panic {
             self.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-            // Split the panic budget between the caught path (handler
-            // panic → Internal frame) and the uncaught path (thread death
-            // → supervisor respawn), so both stay exercised.
+            // Split the panic budget between a panic inside the handler
+            // and one right after checkout, so both sites stay exercised;
+            // each ends in an Internal frame and a replaced context.
             if self.draw().is_multiple_of(2) {
                 WorkerFault::Panic
             } else {

@@ -45,7 +45,10 @@ fn usage() -> ! {
          \x20                [--workers W] [--queue-depth D] [--idle-timeout-ms MS]\n\
          \x20                [--request-timeout-ms MS] [--chaos-seed S]\n\
          \x20                [--metrics-addr HOST:PORT] [--slow-log K] [--no-sampling]\n\
-         \x20                {}",
+         \x20                {}\n\
+         \x20 --workers W      query contexts, i.e. queries computed at once\n\
+         \x20 --queue-depth D  connections allowed to wait for a context; the\n\
+         \x20                  next one is answered Overloaded",
         EngineSpec::cli_usage()
     );
     exit(2)

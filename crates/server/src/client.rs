@@ -143,7 +143,8 @@ impl Client {
     /// Send one request under a client-supplied deadline.
     ///
     /// The request is wrapped in [`Request::Deadline`]; the budget starts
-    /// when the server admits the job, so queue time counts against it.
+    /// when the server admits the request, so time spent waiting for a
+    /// query context counts against it.
     pub fn request_with_deadline(
         &mut self,
         req: &Request,

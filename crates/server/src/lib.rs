@@ -7,11 +7,12 @@
 //! answer cheap queries forever. This crate turns that observation into a
 //! deployable pair of binaries:
 //!
-//! * **`ftb-serve`** — owns one `Arc<EngineCore>`; a thread-per-worker pool
-//!   drains a *bounded* request queue, each worker holding its private
-//!   [`QueryContext`](ftb_core::QueryContext). A full queue is answered
-//!   with an `Overloaded` frame instead of unbounded buffering (see
-//!   [`server`]).
+//! * **`ftb-serve`** — owns one `Arc<EngineCore>`; each connection thread
+//!   answers its queries itself on a
+//!   [`QueryContext`](ftb_core::QueryContext) checked out of a *bounded*
+//!   pool, with a bounded waiting room. When both are full the request is
+//!   answered with an `Overloaded` frame instead of unbounded buffering
+//!   (see [`server`]).
 //! * **`ftb-loadgen`** — an open-loop load generator: request send times
 //!   are fixed *before* the run by an
 //!   [`ArrivalSchedule`](ftb_workloads::ArrivalSchedule), and latency is

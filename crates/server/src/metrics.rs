@@ -8,12 +8,12 @@
 //!
 //! # Where each number comes from
 //!
-//! * **Workers** record queue wait (enqueue → pickup) and handle time
-//!   into shared registry histograms, and publish each job's engine
-//!   counter delta through [`EngineObs::publish`] — lock-free relaxed
-//!   atomics, safe on the job path.
-//! * **Connection threads** bump the request, admission and shed counters
-//!   and get a private [`ConnCell`] each: decode and encode time land in
+//! * **Connection threads** answer queries on a checked-out context: they
+//!   record the checkout wait and the compute time into shared registry
+//!   histograms, and publish each query's engine counter delta through
+//!   [`EngineObs::publish`] — lock-free relaxed atomics, safe on the query
+//!   path. They also bump the request, admission and shed counters and
+//!   get a private [`ConnCell`] each: decode and encode time land in
 //!   per-thread histogram cells, not shared series. The cells are merged
 //!   into the registry snapshot at scrape time via
 //!   [`Registry::histogram_fn`], live cells and retired (closed
@@ -127,24 +127,25 @@ pub struct ServerMetrics {
     /// See [`ServerMetrics::req_hello`].
     pub req_shutdown: Arc<Counter>,
 
-    /// `ftb_requests_admitted_total` — query requests admitted to the
-    /// bounded queue.
+    /// `ftb_requests_admitted_total` — query requests that checked out a
+    /// context or took a place in the waiting room.
     pub admitted_total: Arc<Counter>,
-    /// `ftb_requests_shed_total` — answered `Overloaded` (queue full).
+    /// `ftb_requests_shed_total` — answered `Overloaded` (every context
+    /// busy and the waiting room full).
     pub shed_total: Arc<Counter>,
     /// `ftb_requests_deadline_exceeded_total` — shed with
-    /// `DeadlineExceeded` before compute (expired in queue or mid-batch).
+    /// `DeadlineExceeded` before compute (expired while waiting for a
+    /// context, or mid-batch).
     pub deadline_exceeded_total: Arc<Counter>,
     /// `ftb_thread_panics_total{thread="accept"}`.
     pub thread_panics_accept: Arc<Counter>,
-    /// `ftb_thread_panics_total{thread="worker"}` — caught in the request
-    /// handler or fatal to the worker thread alike.
+    /// `ftb_thread_panics_total{thread="worker"}` — panics of a query
+    /// step on a checked-out context, caught by the connection thread.
     pub thread_panics_worker: Arc<Counter>,
     /// `ftb_thread_panics_total{thread="metrics"}`.
     pub thread_panics_metrics: Arc<Counter>,
-    /// `ftb_worker_respawns_total` — workers given a fresh `QueryContext`
-    /// after a panic (in-place after a caught handler panic, or a full
-    /// thread respawn by the supervisor).
+    /// `ftb_worker_respawns_total` — pool contexts replaced with a fresh
+    /// `QueryContext` after a panic.
     pub worker_respawns: Arc<Counter>,
     /// `ftb_accept_errors_total` — failed `accept` calls (transient OS
     /// errors and injected faults); the loop keeps serving through them.
@@ -162,12 +163,12 @@ pub struct ServerMetrics {
 
     /// `ftb_connections_active` — currently-open connections.
     pub connections_active: Arc<Gauge>,
-    /// `ftb_queue_depth` — jobs admitted and not yet picked up.
+    /// `ftb_queue_depth` — connections waiting for a context.
     pub queue_depth: Arc<Gauge>,
 
-    /// `ftb_request_queue_wait_seconds` — enqueue → worker pickup.
+    /// `ftb_request_queue_wait_seconds` — admission → context checkout.
     pub queue_wait: Arc<Histogram>,
-    /// `ftb_request_handle_seconds` — worker compute time per job.
+    /// `ftb_request_handle_seconds` — engine compute time per query.
     pub handle: Arc<Histogram>,
 
     decode_cells: Arc<CellSet>,
@@ -225,12 +226,12 @@ impl ServerMetrics {
             req_shutdown: req("shutdown"),
             admitted_total: r.counter(
                 "ftb_requests_admitted_total",
-                "Query requests admitted to the bounded queue",
+                "Query requests admitted: a context checked out or a waiting-room place taken",
                 &[],
             ),
             shed_total: r.counter(
                 "ftb_requests_shed_total",
-                "Requests shed with Overloaded (bounded queue full)",
+                "Requests shed with Overloaded (every context busy, waiting room full)",
                 &[],
             ),
             deadline_exceeded_total: r.counter(
@@ -243,7 +244,7 @@ impl ServerMetrics {
             thread_panics_metrics: panics("metrics"),
             worker_respawns: r.counter(
                 "ftb_worker_respawns_total",
-                "Workers respawned with a fresh QueryContext after a panic",
+                "Pool contexts replaced with a fresh QueryContext after a panic",
                 &[],
             ),
             accept_errors_total: r.counter(
@@ -271,17 +272,17 @@ impl ServerMetrics {
             ),
             queue_depth: r.gauge(
                 "ftb_queue_depth",
-                "Jobs admitted to the bounded queue and not yet picked up",
+                "Connections waiting for a query context",
                 &[],
             ),
             queue_wait: r.histogram(
                 "ftb_request_queue_wait_seconds",
-                "Time from queue admission to worker pickup",
+                "Time from admission to query-context checkout",
                 &[],
             ),
             handle: r.histogram(
                 "ftb_request_handle_seconds",
-                "Worker compute time per job",
+                "Engine compute time per query on a checked-out context",
                 &[],
             ),
             decode_cells,

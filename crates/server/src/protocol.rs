@@ -88,8 +88,8 @@ pub enum Request {
     Shutdown,
     /// Ask for the full metrics snapshot: every counter, gauge and
     /// histogram of the server's registry. Answered inline on the
-    /// connection thread, so it stays responsive even when the query queue
-    /// is saturated.
+    /// connection thread without a query context, so it stays responsive
+    /// even when every context is busy.
     Metrics {
         /// Requested exposition format.
         format: MetricsFormat,
@@ -99,16 +99,16 @@ pub enum Request {
     SlowQueries,
     /// A query request carrying a client-supplied deadline.
     ///
-    /// The budget starts when the server admits the job. A request whose
-    /// budget expires while still queued (or between the fault-set groups
-    /// of a batch) is shed with [`ErrorCode::DeadlineExceeded`] instead of
-    /// burning a BFS on an answer nobody is waiting for. When the server
-    /// also has a `--request-timeout-ms` budget, the *smaller* of the two
-    /// wins.
+    /// The budget starts when the server admits the request. A request
+    /// whose budget expires while it waits for a query context (or between
+    /// the fault-set groups of a batch) is shed with
+    /// [`ErrorCode::DeadlineExceeded`] instead of burning a BFS on an
+    /// answer nobody is waiting for. When the server also has a
+    /// `--request-timeout-ms` budget, the *smaller* of the two wins.
     ///
     /// Only query opcodes may be wrapped ([`Request::Dist`],
     /// [`Request::Path`], [`Request::BatchDist`], [`Request::DistMany`]) —
-    /// control frames are answered inline and never queue, so a deadline
+    /// control frames are answered inline and never wait, so a deadline
     /// on them is meaningless and decoding rejects it (this also rules out
     /// nested wrappers, keeping decode depth constant).
     Deadline {
@@ -158,8 +158,8 @@ pub enum Response {
     /// Acknowledgement of a [`Request::Shutdown`]; the connection closes
     /// after this frame.
     ShuttingDown,
-    /// The bounded request queue was full: the request was **shed**, not
-    /// buffered. The client may retry; the server made no progress on it.
+    /// Every query context was busy and the waiting room full: the request
+    /// was **shed**, not buffered. The client may retry; the server made no progress on it.
     Overloaded,
     /// The request was invalid; `code` is an [`ErrorCode`] discriminant.
     Error {
@@ -175,8 +175,7 @@ pub enum Response {
 }
 
 /// One slow-query board entry: which request it was, what it touched, and
-/// where its nanoseconds went (queue wait / worker handle / response
-/// encode) plus the per-tier answer counts the engine recorded for it.
+/// where its nanoseconds went (context wait / compute / response encode) plus the per-tier answer counts the engine recorded for it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SlowQueryReport {
     /// Request opcode (`0x02` Dist, `0x03` Path, `0x04` BatchDist,
@@ -188,9 +187,9 @@ pub struct SlowQueryReport {
     pub targets: u32,
     /// The fault set the request named.
     pub faults: FaultSet,
-    /// Nanoseconds spent queued before a worker picked the job up.
+    /// Nanoseconds from admission until a query context was checked out.
     pub queue_nanos: u64,
-    /// Nanoseconds the worker spent computing the answer (the board's
+    /// Nanoseconds spent computing the answer on the context (the board's
     /// ranking key).
     pub handle_nanos: u64,
     /// Nanoseconds the connection thread spent encoding the response.
@@ -235,7 +234,7 @@ pub enum ErrorCode {
     /// The request's deadline (client-supplied or `--request-timeout-ms`)
     /// expired before the server computed the answer; no work was wasted
     /// on it. Distinct from [`ErrorCode::Internal`] (something broke) and
-    /// from [`Response::Overloaded`] (the queue refused admission).
+    /// from [`Response::Overloaded`] (admission was refused).
     DeadlineExceeded = 9,
 }
 
@@ -646,7 +645,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
             let budget_ms = d.u32()?;
             // Check the wrapped opcode *before* recursing: only query
             // opcodes are legal inside a deadline, which both enforces the
-            // protocol rule (control frames never queue) and bounds decode
+            // protocol rule (control frames never wait) and bounds decode
             // depth at one — a nested-0x0A bomb cannot recurse.
             let rest = &payload[d.pos..];
             match rest.first() {

@@ -1,7 +1,7 @@
 //! Client-side retry with bounded exponential backoff and decorrelated
 //! jitter.
 //!
-//! The serving tier deliberately sheds load (`Overloaded`), isolates worker
+//! The serving tier deliberately sheds load (`Overloaded`), isolates query
 //! panics (`Internal`), and injects faults under chaos testing (connection
 //! resets, partial writes). All three look like transient failures from the
 //! client's seat, and all three are safe to retry **for idempotent reads**:
@@ -74,7 +74,7 @@ pub(crate) enum Attempt {
     /// dead and must be re-dialed before the next attempt. The underlying
     /// error stays in the `io::Result` the retry loop already holds.
     Io,
-    /// The bounded queue refused admission; connection is fine.
+    /// The server refused admission; connection is fine.
     Overloaded,
     /// The server answered a typed error frame; `None` means the code was
     /// not one this client knows. Connection is fine either way.
@@ -109,8 +109,8 @@ pub(crate) fn failure_is_retryable(outcome: &Attempt) -> bool {
         // Explicit shedding is the canonical transient failure.
         Attempt::Overloaded => true,
         Attempt::ServerError(code) => match code {
-            // An isolated crash (worker panic) is transient: a fresh
-            // worker is already being respawned.
+            // An isolated crash (a panicked query) is transient: its
+            // context was already replaced with a fresh one.
             Some(ErrorCode::Internal) => true,
             // The budget already expired once; retrying re-spends a
             // budget the caller declared exhausted.

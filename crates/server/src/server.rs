@@ -1,48 +1,48 @@
 //! The blocking TCP query server.
 //!
-//! One process owns one immutable [`EngineCore`] behind an `Arc`. Requests
-//! flow through three kinds of threads:
+//! One process owns one immutable [`EngineCore`] behind an `Arc`. A query
+//! never changes threads between its request and its reply:
 //!
-//! * the **accept loop** — a non-blocking `accept` polled alongside the
-//!   shutdown flag, so a shutdown request never waits on a new client;
-//! * one **connection thread** per client — reads frames (with an idle
+//! * the **accept loop** blocks in `accept`; a shutdown sets the flag and
+//!   wakes it with a loopback connect, so nothing polls;
+//! * one **connection thread** per client reads frames (with an idle
 //!   timeout so a wedged client cannot pin the thread forever), answers
-//!   handshake/metrics/shutdown inline, and submits query work to the
-//!   bounded job queue with `try_send`;
-//! * a fixed pool of **workers** — each owns its private
-//!   [`QueryContext`] (BFS scratch + row cache) and, after every job,
-//!   adds the context's counter delta to the shared engine counters of
-//!   the metrics registry ([`EngineObs::publish`](ftb_core::EngineObs::publish)).
+//!   handshake/metrics/shutdown inline, and answers each query itself on
+//!   a [`QueryContext`] checked out of the pool;
+//! * the **context pool** holds `workers` contexts (BFS scratch + row
+//!   cache each). After every query the connection thread adds the
+//!   context's counter delta to the shared engine counters of the metrics
+//!   registry ([`EngineObs::publish`](ftb_core::EngineObs::publish)) and
+//!   returns the context.
 //!
-//! Admission control is the load-bearing design point: the job queue is a
-//! *bounded* MPMC channel, and a full queue means the connection thread
-//! replies [`Response::Overloaded`] immediately instead of buffering. The
-//! server's memory is therefore constant under any offered load, and
-//! clients observe overload as an explicit, countable signal rather than
-//! as silently growing latency.
+//! Admission control is the load-bearing design point: at most `workers`
+//! queries run at once, at most `queue_depth` connections wait for a
+//! context, and the next one is answered [`Response::Overloaded`]
+//! immediately instead of buffering. The server's memory is therefore
+//! constant under any offered load, and clients observe overload as an
+//! explicit, countable signal rather than as silently growing latency.
 //!
 //! Every counter the server keeps lives once, in the
 //! [`ServerMetrics`] registry: engine counters by name and by tier,
 //! admitted/shed/connection counters, and the engine provenance gauges
 //! registered at bind. [`Request::Metrics`] renders it on the connection
-//! thread, so it stays responsive even when the query queue is saturated,
-//! which is exactly when you want to read it.
+//! thread without a context, so it stays responsive even when every
+//! context is busy, which is exactly when you want to read it.
 
 use crate::metrics::{ServerMetrics, DEFAULT_SLOW_LOG_CAPACITY};
 use crate::protocol::{
     decode_request, encode_response, write_frame, DecodeError, ErrorCode, MetricsFormat, Request,
     Response, SlowQueryReport, WirePath, PROTOCOL_VERSION,
 };
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use ftb_chaos::{Chaos, IoFault, WorkerFault};
-use ftb_core::{EngineCore, FtbfsError, QueryContext};
+use ftb_core::{EngineCore, FtbfsError, QueryContext, QueryStats};
 use ftb_graph::FaultSet;
 use std::collections::BTreeMap;
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -67,11 +67,12 @@ pub struct Provenance {
 /// Tuning knobs of [`Server::bind`].
 #[derive(Clone)]
 pub struct ServeOptions {
-    /// Worker threads draining the job queue (each with its own
-    /// [`QueryContext`]). Clamped to at least 1.
+    /// Pooled [`QueryContext`]s, i.e. queries computed at once.
+    /// Clamped to at least 1.
     pub workers: usize,
-    /// Capacity of the bounded job queue; a full queue sheds with
-    /// [`Response::Overloaded`]. Clamped to at least 1.
+    /// Connections allowed to wait for a context when all are busy; the
+    /// next one is shed with [`Response::Overloaded`]. Clamped to at
+    /// least 1.
     pub queue_depth: usize,
     /// A connection idle (no bytes) for this long is closed. Also bounds
     /// how long a half-sent frame can pin a connection thread.
@@ -89,15 +90,15 @@ pub struct ServeOptions {
     /// spans record only while it is on. Off still counts requests and
     /// connection/queue activity — only the clock-reading paths stop.
     pub sampling: bool,
-    /// Server-side per-request budget, measured from queue admission. A
-    /// request that exceeds it while still queued (or between the
+    /// Server-side per-request budget, measured from admission. A request
+    /// that exceeds it while waiting for a context (or between the
     /// fault-set groups of a batch) is shed with
     /// [`ErrorCode::DeadlineExceeded`] instead of burning compute on an
     /// answer nobody is waiting for. `None` disables the budget. When a
     /// request also carries its own [`Request::Deadline`] budget, the
     /// smaller of the two wins.
     pub request_timeout: Option<Duration>,
-    /// Fault injection hook threaded through the accept, IO and worker hot
+    /// Fault injection hook threaded through the accept, IO and query hot
     /// paths. `None` (the production default) makes every hook site a
     /// single branch on an absent `Option` — no drawing, no atomics.
     pub chaos: Option<Arc<dyn Chaos>>,
@@ -135,51 +136,46 @@ impl Default for ServeOptions {
     }
 }
 
-/// One unit of queued work: a decoded query request plus the rendezvous
-/// channel its answer travels back on. `enqueued` anchors the queue-wait
-/// stage measurement.
-struct Job {
-    request: Request,
-    enqueued: Instant,
-    /// When (if ever) the request stops being worth answering: queue
-    /// admission plus the effective budget (the smaller of the server's
-    /// `--request-timeout-ms` and the client's [`Request::Deadline`]).
-    deadline: Option<Instant>,
-    reply: mpsc::SyncSender<JobDone>,
-}
-
-/// What a worker hands back: the answer plus the stage timings and the
-/// per-tier answer counts this job produced — the raw material of the
-/// queue-wait/handle histograms and the slow-query board. The request
-/// rides back so the connection thread can describe the job (opcode,
-/// fault set) without cloning it on the way in.
-struct JobDone {
-    request: Request,
-    response: Response,
-    queue_nanos: u64,
-    handle_nanos: u64,
-    tiers: [u64; 6],
-}
-
-/// State shared by the accept loop, connection threads and workers.
+/// State shared by the accept loops and the connection threads.
 struct Shared {
     core: Arc<EngineCore>,
     shutdown: AtomicBool,
     idle_timeout: Duration,
-    /// The configured worker pool size.
+    /// The configured pool size.
     workers: usize,
+    /// Connections allowed to wait for a context.
+    queue_depth: usize,
     active_connections: AtomicUsize,
     metrics: Arc<ServerMetrics>,
     /// Server-side per-request budget (see [`ServeOptions::request_timeout`]).
     request_timeout: Option<Duration>,
     /// Fault injection hook; `None` in production.
     chaos: Option<Arc<dyn Chaos>>,
-    /// Worker threads currently running their loop — maintained by the
-    /// workers themselves (guard-decremented even on panic), read by
-    /// `/healthz` and tests proving respawn.
-    workers_alive: AtomicUsize,
+    pool: Mutex<Pool>,
+    /// Signalled when a context is checked in while connections wait.
+    checked_in: Condvar,
     /// `false` once the accept loop has exited; `/healthz` readiness.
     accept_live: AtomicBool,
+    /// Where a loopback `connect` reaches each bound listener, to wake its
+    /// blocking `accept` at shutdown.
+    wake_addrs: Vec<SocketAddr>,
+}
+
+/// The query contexts not checked out, and the waiting room.
+struct Pool {
+    idle: Vec<QueryContext>,
+    /// Contexts checked out; `idle.len() + in_use` is the pool size.
+    in_use: usize,
+    /// Connections waiting for a context.
+    waiting: usize,
+}
+
+/// Why admission control gave a query no context.
+enum Refused {
+    /// The deadline passed while the connection waited.
+    Expired,
+    /// Every context busy and the waiting room full.
+    Shed,
 }
 
 impl Shared {
@@ -193,6 +189,143 @@ impl Shared {
             sources: self.core.sources().to_vec(),
         }
     }
+
+    /// A fresh context that reports into the shared engine metrics.
+    fn new_context(&self) -> QueryContext {
+        let mut ctx = self.core.new_context();
+        ctx.attach_obs(Arc::clone(&self.metrics.engine));
+        ctx
+    }
+
+    /// Pool contexts, idle or checked out.
+    fn live_contexts(&self) -> usize {
+        let pool = self.pool();
+        pool.idle.len() + pool.in_use
+    }
+
+    fn pool(&self) -> MutexGuard<'_, Pool> {
+        // Every update under the lock leaves the pool valid, and the
+        // checkout guard's `Drop` must not panic: recover a poisoned lock.
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Set the shutdown flag, then wake every blocking `accept` with a
+    /// loopback connect; each accept loop drops what arrives after the
+    /// flag and exits.
+    fn begin_shutdown(&self) {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        for addr in &self.wake_addrs {
+            let _ = TcpStream::connect_timeout(addr, Duration::from_secs(1));
+        }
+    }
+
+    /// Admission control: check out an idle context, or wait for one if
+    /// fewer than `queue_depth` connections already wait, until
+    /// `deadline`. Connections already waiting have first claim on a
+    /// checked-in context.
+    fn checkout(&self, deadline: Option<Instant>) -> Result<Checkout<'_>, Refused> {
+        let mut pool = self.pool();
+        let ctx = if pool.idle.len() > pool.waiting {
+            pool.idle.pop()
+        } else if pool.waiting >= self.queue_depth {
+            drop(pool);
+            self.metrics.shed_total.inc();
+            return Err(Refused::Shed);
+        } else {
+            pool.waiting += 1;
+            self.metrics.queue_depth.inc();
+            let ctx = loop {
+                if let Some(ctx) = pool.idle.pop() {
+                    break Some(ctx);
+                }
+                let now = Instant::now();
+                pool = match deadline {
+                    None => self
+                        .checked_in
+                        .wait(pool)
+                        .unwrap_or_else(PoisonError::into_inner),
+                    Some(d) if now >= d => break None,
+                    Some(d) => {
+                        self.checked_in
+                            .wait_timeout(pool, d - now)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0
+                    }
+                };
+            };
+            pool.waiting -= 1;
+            self.metrics.queue_depth.dec();
+            ctx
+        };
+        if ctx.is_some() {
+            pool.in_use += 1;
+        }
+        drop(pool);
+        self.metrics.admitted_total.inc();
+        let ctx = ctx.ok_or(Refused::Expired)?;
+        Ok(Checkout {
+            shared: self,
+            before: ctx.stats(),
+            ctx: Some(ctx),
+        })
+    }
+
+    fn check_in(&self, ctx: QueryContext) {
+        let mut pool = self.pool();
+        pool.idle.push(ctx);
+        pool.in_use -= 1;
+        let waiting = pool.waiting > 0;
+        drop(pool);
+        if waiting {
+            self.checked_in.notify_one();
+        }
+    }
+}
+
+/// A context checked out of the pool. Dropping it checks the context back
+/// in; dropping it while unwinding from a panic checks in a fresh context
+/// instead, since the old one may be mid-update.
+struct Checkout<'a> {
+    shared: &'a Shared,
+    /// `Some` until the drop.
+    ctx: Option<QueryContext>,
+    /// The context's counters when last published.
+    before: QueryStats,
+}
+
+impl Checkout<'_> {
+    fn ctx(&mut self) -> &mut QueryContext {
+        self.ctx
+            .as_mut()
+            .expect("checked-out context is present until drop")
+    }
+
+    /// Add the context's counter delta since the last publish to the
+    /// shared engine counters, and return it.
+    fn publish(&mut self) -> QueryStats {
+        let now = self.ctx().stats();
+        let delta = now.delta_since(&self.before);
+        self.shared.metrics.engine.publish(&delta);
+        self.before = now;
+        delta
+    }
+}
+
+impl Drop for Checkout<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            // Work the request did before it panicked still counts.
+            self.publish();
+            self.shared.metrics.thread_panics_worker.inc();
+            self.shared.metrics.worker_respawns.inc();
+            self.ctx = Some(self.shared.new_context());
+        }
+        if let Some(ctx) = self.ctx.take() {
+            self.shared.check_in(ctx);
+        }
+    }
 }
 
 /// A running query server. Dropping the handle does **not** stop it; call
@@ -203,7 +336,6 @@ pub struct Server {
     metrics_local_addr: Option<SocketAddr>,
     shared: Arc<Shared>,
     accept_handle: JoinHandle<()>,
-    supervisor_handle: JoinHandle<()>,
     metrics_handle: Option<JoinHandle<()>>,
 }
 
@@ -217,8 +349,12 @@ impl Server {
         options: ServeOptions,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let metrics_listener = options.metrics_addr.map(TcpListener::bind).transpose()?;
+        let metrics_local_addr = metrics_listener
+            .as_ref()
+            .map(TcpListener::local_addr)
+            .transpose()?;
 
         let workers = options.workers.max(1);
         ftb_obs::set_sampling(options.sampling);
@@ -281,44 +417,41 @@ impl Server {
             shutdown: AtomicBool::new(false),
             idle_timeout: options.idle_timeout.max(Duration::from_millis(1)),
             workers,
+            queue_depth: options.queue_depth.max(1),
             active_connections: AtomicUsize::new(0),
             metrics,
             request_timeout: options.request_timeout,
             chaos: options.chaos.clone(),
-            workers_alive: AtomicUsize::new(0),
+            pool: Mutex::new(Pool {
+                idle: Vec::new(),
+                in_use: 0,
+                waiting: 0,
+            }),
+            checked_in: Condvar::new(),
             accept_live: AtomicBool::new(true),
+            wake_addrs: [Some(local_addr), metrics_local_addr]
+                .into_iter()
+                .flatten()
+                .map(loopback)
+                .collect(),
         });
-
-        let (job_tx, job_rx) = bounded::<Job>(options.queue_depth.max(1));
-        let worker_handles: Vec<Option<JoinHandle<()>>> = (0..workers)
-            .map(|slot| spawn_worker(&shared, job_rx.clone(), slot).map(Some))
-            .collect::<io::Result<_>>()?;
-        // The supervisor keeps a receiver so it can respawn crashed workers
-        // onto the same queue; receivers do not keep the channel alive, so
-        // the drain (all senders dropped) still terminates the workers.
-        let supervisor_shared = Arc::clone(&shared);
-        let supervisor_handle = thread::Builder::new()
-            .name("ftb-supervisor".to_string())
-            .spawn(move || supervisor_loop(supervisor_shared, job_rx, worker_handles))?;
+        let contexts = (0..workers).map(|_| shared.new_context()).collect();
+        shared.pool().idle = contexts;
 
         let accept_shared = Arc::clone(&shared);
         let accept_handle = thread::Builder::new()
             .name("ftb-accept".to_string())
-            .spawn(move || {
-                accept_loop(listener, accept_shared, job_tx);
-            })?;
+            .spawn(move || accept_loop(listener, accept_shared))?;
 
-        let (metrics_local_addr, metrics_handle) = match options.metrics_addr {
-            None => (None, None),
-            Some(addr) => {
-                let listener = TcpListener::bind(addr)?;
-                listener.set_nonblocking(true)?;
-                let local = listener.local_addr()?;
+        let metrics_handle = match metrics_listener {
+            None => None,
+            Some(listener) => {
                 let http_shared = Arc::clone(&shared);
-                let handle = thread::Builder::new()
-                    .name("ftb-metrics-http".to_string())
-                    .spawn(move || metrics_http_loop(listener, http_shared))?;
-                (Some(local), Some(handle))
+                Some(
+                    thread::Builder::new()
+                        .name("ftb-metrics-http".to_string())
+                        .spawn(move || metrics_http_loop(listener, http_shared))?,
+                )
             }
         };
 
@@ -327,7 +460,6 @@ impl Server {
             metrics_local_addr,
             shared,
             accept_handle,
-            supervisor_handle,
             metrics_handle,
         })
     }
@@ -347,10 +479,10 @@ impl Server {
         &self.shared.metrics
     }
 
-    /// Request a graceful shutdown: stop accepting, let in-flight requests
-    /// complete, drain the queue, stop the workers.
+    /// Request a graceful shutdown: stop accepting, let in-flight and
+    /// waiting requests complete, close every connection.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.begin_shutdown();
     }
 
     /// `true` once a shutdown (local or wire-requested) has been triggered.
@@ -358,32 +490,29 @@ impl Server {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Worker threads currently running (the supervisor respawns crashed
-    /// ones, so this converges back to [`Server::workers_configured`]
-    /// after a panic).
+    /// Live pool contexts, idle or checked out. A context discarded after
+    /// a panic is replaced in the same step, so this stays at
+    /// [`Server::workers_configured`].
     pub fn workers_alive(&self) -> usize {
-        self.shared.workers_alive.load(Ordering::SeqCst)
+        self.shared.live_contexts()
     }
 
-    /// The worker pool size the server was built with.
+    /// The context pool size the server was built with.
     pub fn workers_configured(&self) -> usize {
         self.shared.workers
     }
 
-    /// Block until the server has fully stopped (all connections closed,
-    /// queue drained, workers joined). Only returns after a shutdown has
-    /// been triggered by [`Server::shutdown`] or a wire request.
+    /// Block until the server has fully stopped (both listeners closed,
+    /// all connections closed). Only returns after a shutdown has been
+    /// triggered by [`Server::shutdown`] or a wire request.
     ///
     /// Panics inside the serving threads are contained *before* this
     /// point (counted in `ftb_thread_panics_total`, loops re-entered,
-    /// workers respawned); an error here means containment itself failed.
+    /// contexts replaced); an error here means containment itself failed.
     pub fn join(self) -> io::Result<()> {
         self.accept_handle
             .join()
             .map_err(|_| io::Error::other("server accept thread panicked"))?;
-        self.supervisor_handle
-            .join()
-            .map_err(|_| io::Error::other("server supervisor thread panicked"))?;
         if let Some(handle) = self.metrics_handle {
             handle
                 .join()
@@ -393,30 +522,34 @@ impl Server {
     }
 }
 
-/// Poll interval of the accept loop: the latency bound on noticing the
-/// shutdown flag with no client activity.
-const ACCEPT_TICK: Duration = Duration::from_millis(10);
+/// Pause after a failed `accept`, so a persistent error (out of file
+/// descriptors) backs off instead of spinning.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
-/// Poll interval of the worker supervisor.
-const SUPERVISOR_TICK: Duration = Duration::from_millis(5);
+/// The address a loopback `connect` reaches a listener bound on `addr`
+/// through: a wildcard bind is reached on its family's loopback.
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, job_tx: Sender<Job>) {
-    // Panic containment: a panic anywhere in the polling loop is counted
-    // and the loop re-entered, so one bad connection setup cannot silently
-    // kill the accept thread — the old behaviour was an opaque io::Error
-    // surfacing only at `Server::join`.
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     loop {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            accept_requests(&listener, &shared, &job_tx)
-        }));
-        match outcome {
-            Ok(()) => break,
-            Err(_) => {
-                shared.metrics.thread_panics_accept.inc();
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            // Whatever arrived after the flag, the shutdown's own wake-up
+            // included, is dropped.
+            break;
+        }
+        // Panic containment: a panic while starting one connection is
+        // counted and the loop goes on, so it cannot kill the accept thread.
+        if catch_unwind(AssertUnwindSafe(|| start_connection(accepted, &shared))).is_err() {
+            shared.metrics.thread_panics_accept.inc();
         }
     }
     shared.accept_live.store(false, Ordering::SeqCst);
@@ -426,201 +559,128 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, job_tx: Sender<Job>) 
     while shared.active_connections.load(Ordering::SeqCst) > 0 {
         thread::sleep(Duration::from_millis(2));
     }
-    // Last sender gone → workers drain the remaining queue and stop; the
-    // supervisor joins them and exits once every slot is done.
-    drop(job_tx);
 }
 
-/// The accept polling loop proper; returns on shutdown.
-fn accept_requests(listener: &TcpListener, shared: &Arc<Shared>, job_tx: &Sender<Job>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if let Some(chaos) = &shared.chaos {
-                    if chaos.on_accept() {
-                        // Injected accept failure: drop the connection the
-                        // way an aborted handshake would.
-                        shared.metrics.accept_errors_total.inc();
-                        drop(stream);
-                        continue;
-                    }
-                }
-                let conn_shared = Arc::clone(shared);
-                let jobs = job_tx.clone();
-                shared.metrics.connections_total.inc();
-                shared.active_connections.fetch_add(1, Ordering::SeqCst);
-                shared.metrics.connections_active.inc();
-                let spawned =
-                    thread::Builder::new()
-                        .name("ftb-conn".to_string())
-                        .spawn(move || {
-                            if serve_connection(stream, &conn_shared, &jobs).is_err() {
-                                conn_shared.metrics.reaped_io_error.inc();
-                            }
-                            conn_shared
-                                .active_connections
-                                .fetch_sub(1, Ordering::SeqCst);
-                            conn_shared.metrics.connections_active.dec();
-                        });
-                if spawned.is_err() {
-                    // Thread spawn failed (resource exhaustion): the guard
-                    // above never ran, undo the active count and drop the
-                    // stream, refusing the connection.
-                    shared.active_connections.fetch_sub(1, Ordering::SeqCst);
-                    shared.metrics.connections_active.dec();
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_TICK),
-            // Transient accept errors (aborted handshake etc.): counted,
-            // survived.
-            Err(_) => {
-                shared.metrics.accept_errors_total.inc();
-                thread::sleep(ACCEPT_TICK);
-            }
-        }
-    }
-}
-
-fn spawn_worker(
-    shared: &Arc<Shared>,
-    jobs: Receiver<Job>,
-    slot: usize,
-) -> io::Result<JoinHandle<()>> {
-    let shared = Arc::clone(shared);
-    thread::Builder::new()
-        .name(format!("ftb-worker-{slot}"))
-        .spawn(move || worker_loop(shared, jobs))
-}
-
-/// Watches the worker pool: a slot whose thread exits by panic (an
-/// *uncaught* panic — handler panics are caught in [`worker_loop`]) is
-/// counted and respawned with a fresh [`QueryContext`] on the same queue.
-/// Exits once every slot has drained cleanly at shutdown.
-fn supervisor_loop(
-    shared: Arc<Shared>,
-    jobs: Receiver<Job>,
-    mut handles: Vec<Option<JoinHandle<()>>>,
-) {
-    loop {
-        let mut all_done = true;
-        for (slot, entry) in handles.iter_mut().enumerate() {
-            if entry.as_ref().is_some_and(|h| h.is_finished()) {
-                let handle = entry.take().expect("slot checked non-empty");
-                if handle.join().is_err() {
-                    shared.metrics.thread_panics_worker.inc();
-                    shared.metrics.worker_respawns.inc();
-                    *entry = spawn_worker(&shared, jobs.clone(), slot).ok();
-                }
-            }
-            if entry.is_some() {
-                all_done = false;
-            }
-        }
-        if all_done {
+/// Serve one accepted connection on a thread of its own.
+fn start_connection(accepted: io::Result<(TcpStream, SocketAddr)>, shared: &Arc<Shared>) {
+    let stream = match accepted {
+        Ok((stream, _peer)) => stream,
+        // Transient accept errors (aborted handshake etc.): counted,
+        // survived.
+        Err(_) => {
+            shared.metrics.accept_errors_total.inc();
+            thread::sleep(ACCEPT_ERROR_BACKOFF);
             return;
         }
-        thread::sleep(SUPERVISOR_TICK);
-    }
-}
-
-/// Decrements `workers_alive` when the worker exits — by clean drain or
-/// by uncaught panic alike, so `/healthz` never overcounts.
-struct WorkerAlive(Arc<Shared>);
-
-impl Drop for WorkerAlive {
-    fn drop(&mut self) {
-        self.0.workers_alive.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>, jobs: Receiver<Job>) {
-    shared.workers_alive.fetch_add(1, Ordering::SeqCst);
-    let _alive = WorkerAlive(Arc::clone(&shared));
-    let engine = &shared.metrics.engine;
-    'context: loop {
-        let mut ctx = shared.core.new_context();
-        ctx.attach_obs(Arc::clone(engine));
-        while let Ok(job) = jobs.recv() {
-            shared.metrics.queue_depth.dec();
-            let fault = match &shared.chaos {
-                Some(chaos) => chaos.on_job(),
-                None => WorkerFault::None,
-            };
-            match fault {
-                // Outside any catch: kills this thread, exercising the
-                // supervisor (the connection sees the dropped reply sender
-                // as a typed Internal frame).
-                WorkerFault::PanicUncaught => panic!("chaos: injected uncaught worker panic"),
-                WorkerFault::Stall(d) => thread::sleep(d),
-                WorkerFault::None | WorkerFault::Panic => {}
-            }
-            let queue_nanos = job.enqueued.elapsed().as_nanos() as u64;
-            shared.metrics.queue_wait.record(queue_nanos);
-            // Deadline check at dequeue: stale work is shed before any
-            // compute, so the engine's tier counters are untouched.
-            if job.deadline.is_some_and(|d| Instant::now() >= d) {
-                shared.metrics.deadline_exceeded_total.inc();
-                let _ = job.reply.send(JobDone {
-                    request: job.request,
-                    response: deadline_exceeded("expired while queued; the query was not run"),
-                    queue_nanos,
-                    handle_nanos: 0,
-                    tiers: [0; 6],
-                });
-                continue;
-            }
-            let before = ctx.stats();
-            let started = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if matches!(fault, WorkerFault::Panic) {
-                    panic!("chaos: injected handler panic");
-                }
-                answer(&shared.core, &mut ctx, &job.request, job.deadline)
-            }));
-            let handle_nanos = started.elapsed().as_nanos() as u64;
-            // Published whatever the outcome: work a panicking job did
-            // before it panicked still counts, as it did in its context.
-            let delta = ctx.stats().delta_since(&before);
-            engine.publish(&delta);
-            match outcome {
-                Ok(response) => {
-                    shared.metrics.handle.record(handle_nanos);
-                    if is_deadline_exceeded(&response) {
-                        shared.metrics.deadline_exceeded_total.inc();
-                    }
-                    // A send failure means the connection died while its
-                    // request was queued; the answer is simply dropped.
-                    let _ = job.reply.send(JobDone {
-                        request: job.request,
-                        response,
-                        queue_nanos,
-                        handle_nanos,
-                        tiers: delta.tiers.to_array().map(|n| n as u64),
-                    });
-                }
-                Err(_) => {
-                    // The handler panicked mid-request: the connection gets
-                    // a typed Internal frame (the connection survives), and
-                    // this worker discards its possibly-inconsistent
-                    // context for a fresh one — an in-place respawn.
-                    shared.metrics.thread_panics_worker.inc();
-                    shared.metrics.worker_respawns.inc();
-                    let _ = job.reply.send(JobDone {
-                        request: job.request,
-                        response: Response::Error {
-                            code: ErrorCode::Internal as u16,
-                            message: "worker panicked while handling the request".to_string(),
-                        },
-                        queue_nanos,
-                        handle_nanos,
-                        tiers: [0; 6],
-                    });
-                    continue 'context;
-                }
-            }
-        }
+    };
+    if shared.chaos.as_ref().is_some_and(|chaos| chaos.on_accept()) {
+        // Injected accept failure: drop the connection the way an aborted
+        // handshake would.
+        shared.metrics.accept_errors_total.inc();
         return;
     }
+    let conn_shared = Arc::clone(shared);
+    shared.metrics.connections_total.inc();
+    shared.active_connections.fetch_add(1, Ordering::SeqCst);
+    shared.metrics.connections_active.inc();
+    let spawned = thread::Builder::new()
+        .name("ftb-conn".to_string())
+        .spawn(move || {
+            if serve_connection(stream, &conn_shared).is_err() {
+                conn_shared.metrics.reaped_io_error.inc();
+            }
+            conn_shared
+                .active_connections
+                .fetch_sub(1, Ordering::SeqCst);
+            conn_shared.metrics.connections_active.dec();
+        });
+    if spawned.is_err() {
+        // Thread spawn failed (resource exhaustion): the closure above
+        // never ran, undo the active count and drop the stream, refusing
+        // the connection.
+        shared.active_connections.fetch_sub(1, Ordering::SeqCst);
+        shared.metrics.connections_active.dec();
+    }
+}
+
+/// The stage timings and per-tier answer counts of an admitted query:
+/// the raw material of the slow-query board.
+struct Timings {
+    queue_nanos: u64,
+    handle_nanos: u64,
+    tiers: [u64; 6],
+}
+
+/// Answer one query on this connection thread: check out a context (or
+/// wait for one), then compute on it. The budget is anchored at
+/// admission: the smaller of the server's
+/// [`ServeOptions::request_timeout`] and the client's own
+/// [`Request::Deadline`] budget, when either is present. Timings are
+/// `None` for a request that was shed or panicked.
+fn run_query(
+    shared: &Shared,
+    request: &Request,
+    client_budget: Option<Duration>,
+) -> (Response, Option<Timings>) {
+    let budget = match (shared.request_timeout, client_budget) {
+        (Some(server), Some(client)) => Some(server.min(client)),
+        (server, client) => server.or(client),
+    };
+    let admitted = Instant::now();
+    let deadline = budget.map(|b| admitted + b);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let admission = shared.checkout(deadline);
+        let queue_nanos = admitted.elapsed().as_nanos() as u64;
+        if matches!(admission, Err(Refused::Shed)) {
+            return (Response::Overloaded, None);
+        }
+        shared.metrics.queue_wait.record(queue_nanos);
+        let mut timings = Timings {
+            queue_nanos,
+            handle_nanos: 0,
+            tiers: [0; 6],
+        };
+        let expired = || deadline_exceeded("expired while queued; the query was not run");
+        let Ok(mut checkout) = admission else {
+            return (expired(), Some(timings));
+        };
+        let fault = match &shared.chaos {
+            Some(chaos) => chaos.on_job(),
+            None => WorkerFault::None,
+        };
+        match fault {
+            WorkerFault::PanicUncaught => panic!("chaos: injected panic after checkout"),
+            WorkerFault::Stall(d) => thread::sleep(d),
+            WorkerFault::None | WorkerFault::Panic => {}
+        }
+        // Deadline check before any compute: stale work is shed with the
+        // engine's tier counters untouched.
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return (expired(), Some(timings));
+        }
+        let started = Instant::now();
+        if fault == WorkerFault::Panic {
+            panic!("chaos: injected handler panic");
+        }
+        let response = answer(&shared.core, checkout.ctx(), request, deadline);
+        timings.handle_nanos = started.elapsed().as_nanos() as u64;
+        shared.metrics.handle.record(timings.handle_nanos);
+        timings.tiers = checkout.publish().tiers.to_array().map(|n| n as u64);
+        (response, Some(timings))
+    }));
+    let (response, timings) = outcome.unwrap_or_else(|_| {
+        // The checkout guard already swapped in a fresh context; the
+        // connection gets a typed Internal frame and survives.
+        let response = Response::Error {
+            code: ErrorCode::Internal as u16,
+            message: "worker panicked while handling the request".to_string(),
+        };
+        (response, None)
+    });
+    if is_deadline_exceeded(&response) {
+        shared.metrics.deadline_exceeded_total.inc();
+    }
+    (response, timings)
 }
 
 /// The typed shed reply for an expired budget, distinct from
@@ -647,7 +707,7 @@ fn engine_error(err: &FtbfsError) -> Response {
     }
 }
 
-/// Compute the answer to one query request on the worker's context.
+/// Compute the answer to one query request on a checked-out context.
 ///
 /// `deadline` is re-checked between the fault-set groups of a batch —
 /// the natural preemption points of the only request kind whose compute
@@ -723,19 +783,18 @@ fn answer(
             Ok(ds) => Response::DistMany(ds),
             Err(e) => engine_error(&e),
         },
-        // Unwrapped by the connection thread before submission; reaching a
-        // worker still wrapped is a bug.
+        // Unwrapped before the query step; reaching here wrapped is a bug.
         Request::Deadline { .. } => Response::Error {
             code: ErrorCode::Internal as u16,
-            message: "deadline wrapper routed to a worker unwrapped".to_string(),
+            message: "deadline wrapper reached the engine unwrapped".to_string(),
         },
-        // Routed inline by the connection thread; reaching a worker is a bug.
+        // Answered without a context; reaching here is a bug.
         Request::Hello { .. }
         | Request::Metrics { .. }
         | Request::SlowQueries
         | Request::Shutdown => Response::Error {
             code: ErrorCode::Internal as u16,
-            message: "control request routed to a worker".to_string(),
+            message: "control request routed to the engine".to_string(),
         },
     }
 }
@@ -779,9 +838,8 @@ fn read_frame_idle(stream: &mut TcpStream, shared: &Shared) -> io::Result<FrameR
         }
     }
     let mut len_bytes = [0u8; 4];
-    match fill_with_idle(stream, shared, &mut len_bytes, true)? {
-        FillOutcome::Done => {}
-        FillOutcome::Closed(reason) => return Ok(FrameRead::Closed(reason)),
+    if let Some(reason) = fill_with_idle(stream, shared, &mut len_bytes, true)? {
+        return Ok(FrameRead::Closed(reason));
     }
     let len = u32::from_le_bytes(len_bytes) as usize;
     if len > crate::protocol::MAX_FRAME_LEN {
@@ -791,23 +849,19 @@ fn read_frame_idle(stream: &mut TcpStream, shared: &Shared) -> io::Result<FrameR
         ));
     }
     let mut payload = vec![0u8; len];
-    match fill_with_idle(stream, shared, &mut payload, false)? {
-        FillOutcome::Done => Ok(FrameRead::Frame(payload)),
-        FillOutcome::Closed(reason) => Ok(FrameRead::Closed(reason)),
-    }
+    Ok(match fill_with_idle(stream, shared, &mut payload, false)? {
+        None => FrameRead::Frame(payload),
+        Some(reason) => FrameRead::Closed(reason),
+    })
 }
 
-enum FillOutcome {
-    Done,
-    Closed(CloseReason),
-}
-
+/// Fill `buf`; `Some(reason)` when the connection closed first.
 fn fill_with_idle(
     stream: &mut TcpStream,
     shared: &Shared,
     buf: &mut [u8],
     at_frame_boundary: bool,
-) -> io::Result<FillOutcome> {
+) -> io::Result<Option<CloseReason>> {
     let mut filled = 0usize;
     let mut idle = Duration::ZERO;
     while filled < buf.len() {
@@ -815,7 +869,7 @@ fn fill_with_idle(
             Ok(0) => {
                 // Clean close at a frame boundary; truncation inside one.
                 return if at_frame_boundary && filled == 0 {
-                    Ok(FillOutcome::Closed(CloseReason::CleanEof))
+                    Ok(Some(CloseReason::CleanEof))
                 } else {
                     Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
@@ -831,18 +885,18 @@ fn fill_with_idle(
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 if at_frame_boundary && filled == 0 && shared.shutdown.load(Ordering::SeqCst) {
-                    return Ok(FillOutcome::Closed(CloseReason::Shutdown));
+                    return Ok(Some(CloseReason::Shutdown));
                 }
                 idle += read_tick(shared);
                 if idle >= shared.idle_timeout {
-                    return Ok(FillOutcome::Closed(CloseReason::Idle));
+                    return Ok(Some(CloseReason::Idle));
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(FillOutcome::Done)
+    Ok(None)
 }
 
 /// Read-timeout tick: short enough to notice shutdown promptly, never
@@ -873,7 +927,7 @@ fn slow_query_shape(request: &Request) -> Option<(u8, ftb_graph::VertexId, u32, 
     }
 }
 
-fn serve_connection(mut stream: TcpStream, shared: &Shared, jobs: &Sender<Job>) -> io::Result<()> {
+fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(read_tick(shared)))?;
     let cell = shared.metrics.conn_cell();
@@ -951,7 +1005,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, jobs: &Sender<Job>) 
                     (Response::SlowQueries(board), None)
                 }
                 Request::Shutdown => {
-                    shared.shutdown.store(true, Ordering::SeqCst);
+                    shared.begin_shutdown();
                     close_after_reply = true;
                     (Response::ShuttingDown, None)
                 }
@@ -960,8 +1014,8 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, jobs: &Sender<Job>) 
                 | Request::BatchDist { .. }
                 | Request::DistMany { .. }
                 | Request::Deadline { .. }) => {
-                    // Unwrap a client deadline here so workers only ever
-                    // see bare query requests; decode already guarantees
+                    // Unwrap a client deadline here so the engine only ever
+                    // sees bare query requests; decode already guarantees
                     // the wrapped opcode is a query.
                     let (work, client_budget) = match work {
                         Request::Deadline { budget_ms, inner } => {
@@ -969,16 +1023,8 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, jobs: &Sender<Job>) 
                         }
                         bare => (bare, None),
                     };
-                    match submit(shared, jobs, work, client_budget) {
-                        Submitted::Answered(JobDone {
-                            request,
-                            response,
-                            queue_nanos,
-                            handle_nanos,
-                            tiers,
-                        }) => (response, Some((request, queue_nanos, handle_nanos, tiers))),
-                        Submitted::Refused(resp) => (resp, None),
-                    }
+                    let (response, timings) = run_query(shared, &work, client_budget);
+                    (response, timings.map(|t| (work, t)))
                 }
             }
         };
@@ -986,19 +1032,19 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, jobs: &Sender<Job>) 
         let encoded = encode_response(&response);
         let encode_nanos = encode_started.elapsed().as_nanos() as u64;
         cell.encode.record(encode_nanos);
-        if let Some((request, queue_nanos, handle_nanos, tiers)) = done {
+        if let Some((request, t)) = done {
             if let Some((opcode, source, targets, faults)) = slow_query_shape(&request) {
                 shared.metrics.slow_log.offer(
-                    handle_nanos,
+                    t.handle_nanos,
                     SlowQueryReport {
                         opcode,
                         source,
                         targets,
                         faults,
-                        queue_nanos,
-                        handle_nanos,
+                        queue_nanos: t.queue_nanos,
+                        handle_nanos: t.handle_nanos,
                         encode_nanos,
-                        tiers,
+                        tiers: t.tiers,
                     },
                 );
             }
@@ -1009,70 +1055,6 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared, jobs: &Sender<Job>) 
             // the accept loop's drain can complete.
             return Ok(());
         }
-    }
-}
-
-/// What admission control produced: a worker's finished job (with stage
-/// timings for the slow-query board) or a refusal answered inline.
-enum Submitted {
-    Answered(JobDone),
-    Refused(Response),
-}
-
-/// Admission control: offer the job to the bounded queue without blocking.
-///
-/// The job's deadline is anchored at admission: the smaller of the
-/// server's [`ServeOptions::request_timeout`] and the client's own
-/// [`Request::Deadline`] budget, when either is present.
-fn submit(
-    shared: &Shared,
-    jobs: &Sender<Job>,
-    request: Request,
-    client_budget: Option<Duration>,
-) -> Submitted {
-    let budget = match (shared.request_timeout, client_budget) {
-        (Some(server), Some(client)) => Some(server.min(client)),
-        (server, client) => server.or(client),
-    };
-    let enqueued = Instant::now();
-    let deadline = budget.map(|b| enqueued + b);
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    match jobs.try_send(Job {
-        request,
-        enqueued,
-        deadline,
-        reply: reply_tx,
-    }) {
-        Ok(()) => {
-            shared.metrics.admitted_total.inc();
-            shared.metrics.queue_depth.inc();
-            // The worker holds the only sender; RecvError means it dropped
-            // the job — during a shutdown drain that is the expected path,
-            // otherwise the worker crashed hard (its respawn is already
-            // under way) and the client gets a typed, retryable frame.
-            match reply_rx.recv() {
-                Ok(done) => Submitted::Answered(done),
-                Err(_) => {
-                    let message = if shared.shutdown.load(Ordering::SeqCst) {
-                        "server shut down before answering"
-                    } else {
-                        "worker crashed while handling the request; a fresh worker is starting"
-                    };
-                    Submitted::Refused(Response::Error {
-                        code: ErrorCode::Internal as u16,
-                        message: message.to_string(),
-                    })
-                }
-            }
-        }
-        Err(TrySendError::Full(_)) => {
-            shared.metrics.shed_total.inc();
-            Submitted::Refused(Response::Overloaded)
-        }
-        Err(TrySendError::Disconnected(_)) => Submitted::Refused(Response::Error {
-            code: ErrorCode::Internal as u16,
-            message: "server is shutting down".to_string(),
-        }),
     }
 }
 
@@ -1119,8 +1101,14 @@ fn write_response_frame(stream: &mut TcpStream, payload: &[u8], shared: &Shared)
 /// slow-query board as JSON), and `/healthz` (readiness/liveness). One
 /// request per connection.
 fn metrics_http_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            // Scrapes arriving after the flag, the wake-up included, are
+            // dropped.
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 // Scrapes are rare and the payload is small: handle inline
                 // so a scraper cannot fork unbounded threads — but
@@ -1132,8 +1120,7 @@ fn metrics_http_loop(listener: TcpListener, shared: Arc<Shared>) {
                     shared.metrics.thread_panics_metrics.inc();
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_TICK),
-            Err(_) => thread::sleep(ACCEPT_TICK),
+            Err(_) => thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }
@@ -1201,7 +1188,7 @@ fn serve_metrics_http(mut stream: TcpStream, shared: &Shared) -> io::Result<()> 
                  \"workers_alive\":{},\"workers_configured\":{},\
                  \"worker_panics\":{},\"worker_respawns\":{},\
                  \"accept_panics\":{},\"metrics_panics\":{}}}\n",
-                shared.workers_alive.load(Ordering::SeqCst),
+                shared.live_contexts(),
                 shared.workers,
                 shared.metrics.thread_panics_worker.get(),
                 shared.metrics.worker_respawns.get(),

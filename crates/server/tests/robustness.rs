@@ -1,7 +1,8 @@
-//! Failure-domain tests for the serving tier: a worker panic is a typed
-//! reply and a respawn, never a dead server; an expired deadline is shed
-//! before compute; a reset connection is something the retry policy heals
-//! through; and the health endpoint tells the truth about all of it.
+//! Failure-domain tests for the serving tier: a panicked query is a typed
+//! reply and a replaced pool context, never a dead server; an expired
+//! deadline is shed before compute; a reset connection is something the
+//! retry policy heals through; and the health endpoint tells the truth
+//! about all of it.
 
 use ftb_chaos::{Chaos, IoFault, WorkerFault};
 use ftb_core::EngineOptions;
@@ -38,8 +39,8 @@ fn bind(options: ServeOptions) -> (Server, EngineSpec) {
     (server, spec)
 }
 
-/// Injects one worker fault of the given flavour on the Nth job pickup,
-/// then goes quiet. Everything else is a no-op.
+/// Injects one query fault of the given flavour on the Nth context
+/// checkout, then goes quiet. Everything else is a no-op.
 struct NthJobFault {
     fire_on: u64,
     flavour: WorkerFault,
@@ -91,7 +92,7 @@ fn dist_request(spec: &EngineSpec) -> Request {
 
 #[test]
 fn caught_worker_panic_is_a_typed_reply_and_the_connection_survives() {
-    // The very first job pickup panics *inside* the handler.
+    // The very first checkout panics *inside* the handler.
     let chaos = Arc::new(NthJobFault::new(1, WorkerFault::Panic));
     let (server, spec) = bind(ServeOptions {
         workers: 1,
@@ -111,7 +112,7 @@ fn caught_worker_panic_is_a_typed_reply_and_the_connection_survives() {
         other => panic!("expected Internal error frame, got {other:?}"),
     }
 
-    // Same connection, same (rebuilt-in-place) worker: next query answers.
+    // Same connection, replaced context: the next query answers.
     match client.request(&dist_request(&spec)).expect("io survives") {
         Response::Dist(d) => assert!(d.is_some(), "connected graph, no faults"),
         other => panic!("expected a distance, got {other:?}"),
@@ -122,7 +123,8 @@ fn caught_worker_panic_is_a_typed_reply_and_the_connection_survives() {
     assert_eq!(server.workers_alive(), server.workers_configured());
 
     // The panicked request never produced an answer, the follow-up did:
-    // worker stats survived the context rebuild monotonically.
+    // the published counters survived the context replacement
+    // monotonically.
     assert_eq!(server.metrics().engine.published().queries, 1);
 
     client.shutdown().expect("graceful shutdown");
@@ -131,7 +133,8 @@ fn caught_worker_panic_is_a_typed_reply_and_the_connection_survives() {
 
 #[test]
 fn uncaught_worker_panic_respawns_the_worker_and_answers_internal() {
-    // The panic fires *outside* the catch, killing the worker thread.
+    // The panic fires right after checkout, before the handler. There is
+    // no worker thread to kill: the connection thread catches it too.
     let chaos = Arc::new(NthJobFault::new(1, WorkerFault::PanicUncaught));
     let (server, spec) = bind(ServeOptions {
         workers: 2,
@@ -140,18 +143,14 @@ fn uncaught_worker_panic_respawns_the_worker_and_answers_internal() {
     });
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
-    // The connection holding the doomed job still gets a typed answer: the
-    // reply channel drops with the thread and the connection maps that to
-    // Internal.
+    // The connection that drew the fault gets a typed answer.
     match client.request(&dist_request(&spec)).expect("io survives") {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::Internal as u16),
         other => panic!("expected Internal error frame, got {other:?}"),
     }
 
-    // The supervisor notices the corpse and replaces it. The Internal
-    // reply above races the supervisor's join (the connection learns of
-    // the death first, through the dropped reply channel), so poll until
-    // the respawn is recorded rather than asserting instantly.
+    // The context was replaced while the panic unwound, before the reply
+    // was written; the poll passes on its first check.
     let deadline = Instant::now() + Duration::from_secs(5);
     while server.metrics().worker_respawns.get() < 1
         || server.workers_alive() < server.workers_configured()
@@ -162,7 +161,7 @@ fn uncaught_worker_panic_respawns_the_worker_and_answers_internal() {
     assert_eq!(server.metrics().thread_panics_worker.get(), 1);
     assert_eq!(server.metrics().worker_respawns.get(), 1);
 
-    // The replacement drains jobs like any other worker.
+    // The replacement context answers like any other.
     match client.request(&dist_request(&spec)).expect("io survives") {
         Response::Dist(d) => assert!(d.is_some()),
         other => panic!("expected a distance, got {other:?}"),
@@ -174,8 +173,8 @@ fn uncaught_worker_panic_respawns_the_worker_and_answers_internal() {
 
 #[test]
 fn deadline_expired_in_queue_is_shed_without_running_a_bfs() {
-    // A zero budget expires the instant the job is admitted: every request
-    // must come back DeadlineExceeded and no query may ever run.
+    // A zero budget expires the instant the request is admitted: every
+    // request must come back DeadlineExceeded and no query may ever run.
     let (server, spec) = bind(ServeOptions {
         workers: 1,
         request_timeout: Some(Duration::ZERO),
@@ -199,6 +198,61 @@ fn deadline_expired_in_queue_is_shed_without_running_a_bfs() {
     assert_eq!(server.metrics().deadline_exceeded_total.get(), 10);
 
     client.shutdown().expect("graceful shutdown");
+    server.join().expect("clean join");
+}
+
+#[test]
+fn a_waiter_gives_up_at_its_own_deadline_not_when_the_holder_finishes() {
+    // One context, held for 300 ms by the first query's injected stall.
+    let stall = WorkerFault::Stall(Duration::from_millis(300));
+    let (server, spec) = bind(ServeOptions {
+        workers: 1,
+        chaos: Some(Arc::new(NthJobFault::new(1, stall))),
+        ..ServeOptions::default()
+    });
+    let addr = server.local_addr();
+    let request = dist_request(&spec);
+    let holder = std::thread::spawn({
+        let request = request.clone();
+        move || {
+            let mut client = Client::connect(addr).expect("connect");
+            let response = client.request(&request).expect("io survives");
+            (client, response)
+        }
+    });
+
+    std::thread::sleep(Duration::from_millis(50));
+    let mut waiter = Client::connect(addr).expect("connect");
+    let sent = Instant::now();
+    match waiter
+        .request_with_deadline(&request, Duration::from_millis(20))
+        .expect("io survives")
+    {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::DeadlineExceeded as u16);
+            assert!(message.contains("queued"), "got {message:?}");
+        }
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    }
+    let waited = sent.elapsed();
+    assert!(
+        waited < Duration::from_millis(150),
+        "the waiter answered after {waited:?}, not at its own 20 ms deadline"
+    );
+
+    let (mut holder, response) = holder.join().expect("holder thread");
+    match response {
+        Response::Dist(d) => assert!(d.is_some(), "connected graph, no faults"),
+        other => panic!("expected a distance, got {other:?}"),
+    }
+    assert_eq!(
+        server.metrics().engine.published().queries,
+        1,
+        "only the holder's query ran"
+    );
+
+    holder.shutdown().expect("graceful shutdown");
+    drop(waiter);
     server.join().expect("clean join");
 }
 

@@ -1,15 +1,12 @@
 //! Offline stand-in for the subset of `crossbeam` this workspace uses:
 //! the `crossbeam::scope` API, backed by `std::thread::scope` (stable since
-//! Rust 1.63), and the bounded MPMC [`channel`] the query server's
-//! admission-controlled request queue is built on.
+//! Rust 1.63).
 //!
-//! For scopes, only `crossbeam::scope(|s| { s.spawn(|_| ...); })` returning
-//! a `Result` that is `Ok` when no worker panicked is provided. Worker
-//! panics propagate out of `std::thread::scope` as a panic of the scope call
+//! Only `crossbeam::scope(|s| { s.spawn(|_| ...); })` returning a `Result`
+//! that is `Ok` when no worker panicked is provided. Worker panics
+//! propagate out of `std::thread::scope` as a panic of the scope call
 //! itself, which we surface through `catch_unwind` to match crossbeam's
 //! `Err` contract (callers `.expect(...)` on it).
-
-pub mod channel;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread;

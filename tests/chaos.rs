@@ -1,14 +1,15 @@
 //! Seeded chaos harness for the serving tier: a storm of injected faults
-//! (slow reads, connection resets, partial writes, accept failures, worker
-//! panics both caught and uncaught, queue stalls) hammers a live server
+//! (slow reads, connection resets, partial writes, accept failures, query
+//! panics inside the handler and right after checkout, context stalls)
+//! hammers a live server
 //! while retrying clients replay a precomputed workload. The invariants:
 //!
 //! * every answer that *does* arrive is byte-identical to the in-process
 //!   engine's answer — faults may slow or kill a request, never corrupt it;
 //! * every failure is a typed frame or a clean connection error — no hangs,
 //!   no desynchronized frames, no garbage;
-//! * the worker pool heals: panics are counted and every corpse is
-//!   replaced, so the pool ends the storm at full strength;
+//! * the context pool heals: panics are counted and every panicked
+//!   context is replaced, so the pool ends the storm at full strength;
 //! * the server still drains and shuts down cleanly afterwards.
 //!
 //! The fault schedule is a pure function of the seed, so a failing seed
@@ -187,8 +188,8 @@ fn run_storm(
         "seed {seed:#x}: the storm drowned every single request"
     );
 
-    // The pool heals: every injected panic was counted, every corpse
-    // replaced. (The supervisor races the last reply, so poll.)
+    // The pool heals: every injected panic was counted, every panicked
+    // context replaced.
     let injected = chaos.stats();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
