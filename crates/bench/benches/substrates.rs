@@ -1,14 +1,17 @@
 //! Criterion benchmark B4: the substrate layers — the canonical
-//! shortest-path tree, replacement distances and Algorithm `Pcons` —
-//! measured in isolation. CI gates the tree, replacement-distance and
-//! `Pcons` entries against `crates/bench/baselines/substrates.json`.
+//! shortest-path tree, replacement distances, Algorithm `Pcons`, the
+//! interference split and Phase S1 — measured in isolation. CI gates every
+//! entry but the heavy-path one against
+//! `crates/bench/baselines/substrates.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ftb_graph::VertexId;
+use ftb_core::phase_s1::run_phase_s1;
+use ftb_core::BuildConfig;
+use ftb_graph::{BitSet, VertexId};
 use ftb_par::ParallelConfig;
-use ftb_rp::ReplacementPaths;
+use ftb_rp::{InterferenceIndex, ReplacementPaths};
 use ftb_sp::{ReplacementDistances, ShortestPathTree, TieBreakWeights};
-use ftb_tree::HeavyPathDecomposition;
+use ftb_tree::{HeavyPathDecomposition, TreeIndex};
 use ftb_workloads::{Workload, WorkloadFamily};
 use std::hint::black_box;
 
@@ -56,6 +59,29 @@ fn bench_substrates(c: &mut Criterion) {
             },
         );
     }
+
+    let rp = ReplacementPaths::compute(&graph, &weights, &tree, &dists, &ParallelConfig::default());
+    let tree_index = TreeIndex::build(&tree);
+    group.bench_function("interference_split_n400", |b| {
+        b.iter(|| {
+            let index = InterferenceIndex::build(&rp, &tree, &tree_index);
+            black_box(index.split_i1_i2())
+        });
+    });
+
+    let index = InterferenceIndex::build(&rp, &tree, &tree_index);
+    let (i1, _) = index.split_i1_i2();
+    let config = BuildConfig::new(0.3).serial();
+    group.bench_function("s1_n400", |b| {
+        b.iter(|| {
+            let mut h = BitSet::new(graph.num_edges());
+            for &e in tree.tree_edges() {
+                h.insert(e.index());
+            }
+            let n = graph.num_vertices();
+            black_box(run_phase_s1(&rp, &index, &config, n, i1.clone(), &mut h))
+        });
+    });
     group.finish();
 }
 

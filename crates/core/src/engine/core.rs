@@ -4,7 +4,7 @@
 use super::context::QueryContext;
 use super::{ParentEntry, SweepScratch, Tier};
 use crate::error::FtbfsError;
-use crate::ftbfs::{AugmentCoverage, AugmentedStructure};
+use crate::ftbfs::{AugmentCoverage, AugmentStats, AugmentedStructure};
 use crate::mbfs::MultiSourceStructure;
 use crate::structure::FtBfsStructure;
 use ftb_graph::{CompactSubgraph, EdgeId, Fault, FaultSet, Graph, VertexId};
@@ -243,6 +243,10 @@ pub struct EngineCore {
     /// order ([`EngineCore::build_timings`]). Not persisted in snapshots; a
     /// loaded core reports a single `snapshot_load` phase instead.
     pub(super) build_timings: Vec<(&'static str, u64)>,
+    /// Counters of the augmentation run an in-process
+    /// [`EngineCore::build_augmented`] core was built from; `None` for
+    /// plain and snapshot-loaded cores.
+    pub(super) augment_stats: Option<AugmentStats>,
     /// Identity tying contexts to the core that created them.
     pub(super) token: u64,
 }
@@ -302,10 +306,12 @@ impl EngineCore {
             edges,
             sources,
             coverage,
-            stats: _,
+            stats,
         } = augmented;
         let aug = (coverage != AugmentCoverage::Off).then_some((edges, coverage));
-        Self::assemble(graph, base, sources, options, aug)
+        let mut core = Self::assemble(graph, base, sources, options, aug)?;
+        core.augment_stats = Some(stats);
+        Ok(core)
     }
 
     /// Preprocess a multi-source structure into one shared core: the union
@@ -470,6 +476,7 @@ impl EngineCore {
             slot_of,
             options,
             build_timings,
+            augment_stats: None,
             token: next_core_token(),
         })
     }
@@ -518,6 +525,14 @@ impl EngineCore {
     /// [`BuildStats`](crate::BuildStats)).
     pub fn build_timings(&self) -> &[(&'static str, u64)] {
         &self.build_timings
+    }
+
+    /// Counters of the augmentation this core was built from, including
+    /// its wall time [`AugmentStats::augment_ms`]. `None` unless the core
+    /// came from [`EngineCore::build_augmented`] in this process: snapshots
+    /// do not persist them.
+    pub fn augment_stats(&self) -> Option<&AugmentStats> {
+        self.augment_stats.as_ref()
     }
 
     /// Fault-free distance `dist(source, v, G)` (`None` if `v` is

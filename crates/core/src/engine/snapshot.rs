@@ -349,6 +349,7 @@ impl EngineCore {
                 slot_of,
                 options,
                 build_timings: vec![("snapshot_load", t_load.elapsed().as_nanos() as u64)],
+                augment_stats: None,
                 token: next_core_token(),
             },
             note,

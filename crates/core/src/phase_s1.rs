@@ -13,9 +13,8 @@
 //! zero on all tested workloads and the paper's regime).
 
 use crate::config::BuildConfig;
-use ftb_graph::{BitSet, VertexId};
+use ftb_graph::{BitSet, EdgeId};
 use ftb_rp::{InterferenceIndex, PairId, ReplacementPaths};
-use std::collections::HashMap;
 
 /// Outcome of Phase S1.
 #[derive(Clone, Debug, Default)]
@@ -52,58 +51,52 @@ pub fn run_phase_s1(
             break;
         }
         outcome.iterations += 1;
-        let (type_a, type_b, type_c) = interference.classify(&current);
+        let (type_a, type_b, type_c) = interference.classify(&current, &config.parallel);
         if !type_c.is_empty() {
             outcome.sim_sets.push(type_c);
         }
 
         // Per terminal, deepest failing edges first, add up to `budget`
-        // distinct last edges for the A pairs and for the B pairs.
-        let mut survivors: Vec<PairId> = Vec::new();
-        let mut handled: Vec<PairId> = Vec::new();
+        // distinct last edges for the A pairs and for the B pairs. A
+        // terminal's failing edges have distinct depths, so the sort key is
+        // unique and the order is total.
+        let mut distinct: Vec<EdgeId> = Vec::new();
         for class in [&type_a, &type_b] {
-            let mut by_terminal: HashMap<VertexId, Vec<PairId>> = HashMap::new();
-            for &p in class.iter() {
-                by_terminal
-                    .entry(rp.get(p).pair.terminal)
-                    .or_default()
-                    .push(p);
-            }
-            for (_v, mut pairs) in by_terminal {
-                // increasing distance of the failing edge from the terminal
-                // = deepest failing edges first
-                pairs.sort_by_key(|&p| {
-                    let item = rp.get(p);
-                    (item.edge_to_terminal_distance(), item.failing_edge_depth)
-                });
-                let mut distinct: std::collections::HashSet<usize> =
-                    std::collections::HashSet::new();
-                for &p in &pairs {
+            let mut order = class.clone();
+            order.sort_unstable_by_key(|&p| {
+                let item = rp.get(p);
+                (
+                    item.pair.terminal,
+                    item.edge_to_terminal_distance(),
+                    item.failing_edge_depth,
+                )
+            });
+            for group in order.chunk_by(|&p, &q| rp.get(p).pair.terminal == rp.get(q).pair.terminal)
+            {
+                distinct.clear();
+                for &p in group {
                     let le = rp.get(p).last_edge;
-                    if distinct.contains(&le.index()) {
-                        handled.push(p);
+                    if distinct.contains(&le) {
                         continue;
                     }
                     if distinct.len() >= budget {
                         break;
                     }
-                    distinct.insert(le.index());
+                    distinct.push(le);
                     if h.insert(le.index()) {
                         outcome.added_edges += 1;
                     }
-                    handled.push(p);
                 }
             }
         }
-        let _ = handled;
 
         // Pairs of type A/B whose last edge is still missing survive.
-        for &p in type_a.iter().chain(type_b.iter()) {
-            if !h.contains(rp.get(p).last_edge.index()) {
-                survivors.push(p);
-            }
-        }
-        current = survivors;
+        current = type_a
+            .iter()
+            .chain(&type_b)
+            .copied()
+            .filter(|&p| !h.contains(rp.get(p).last_edge.index()))
+            .collect();
     }
 
     // Defensive completion: any pair surviving all K rounds gets its last
@@ -120,7 +113,7 @@ pub fn run_phase_s1(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftb_graph::Graph;
+    use ftb_graph::{Graph, VertexId};
     use ftb_par::ParallelConfig;
     use ftb_sp::{ReplacementDistances, ShortestPathTree, TieBreakWeights};
     use ftb_tree::TreeIndex;
@@ -232,7 +225,7 @@ mod tests {
             k_override: Some(1),
             ..BuildConfig::new(0.2)
         };
-        let (a, b, _c) = interference.classify(&i1);
+        let (a, b, _c) = interference.classify(&i1, &config.parallel);
         let terminals_a: std::collections::HashSet<VertexId> =
             a.iter().map(|&p| f.rp.get(p).pair.terminal).collect();
         let terminals_b: std::collections::HashSet<VertexId> =

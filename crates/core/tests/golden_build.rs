@@ -1,0 +1,109 @@
+//! Golden builds: the exact output of the `(b, r)` construction on a few
+//! fixed workloads at ε = 0.3.
+//!
+//! Each line pins the structure edge set `H` and the reinforced set (count
+//! plus an FNV-1a hash of the sorted edge ids) and every `BuildStats`
+//! count. A change to the interference split, the A/B/C typing or the
+//! Phase S1/S2 bookkeeping that alters which edges are chosen fails here,
+//! not only in the end-to-end benchmark's `backup_edges`.
+
+use ftb_core::{try_build_ft_bfs, BuildConfig, FtBfsStructure};
+use ftb_graph::{BitSet, VertexId};
+use ftb_par::ParallelConfig;
+use ftb_workloads::{Workload, WorkloadFamily};
+
+/// Count and FNV-1a hash of the ids in `set`.
+fn fingerprint(set: &BitSet) -> String {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for id in set.iter() {
+        for byte in (id as u64).to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    format!("{}#{hash:016x}", set.len())
+}
+
+fn render(
+    family: WorkloadFamily,
+    n: usize,
+    seed: u64,
+    tight: Option<usize>,
+    s: &FtBfsStructure,
+) -> String {
+    let st = s.stats();
+    format!(
+        "{}/{n}/{seed}/tight={tight:?}: H={} R={} | vertices={} graph_edges={} tree_edges={} pairs={} \
+         uncovered={} i1={} i2={} s1_iterations={} s1_added={} s1_leftover={} s2_glue={} \
+         s2_added={} s2_sim_sets={} reinforced={} hld_levels={} k_rounds={} baseline={}",
+        family.name(),
+        fingerprint(s.edge_set()),
+        fingerprint(s.reinforced_set()),
+        st.num_vertices,
+        st.num_graph_edges,
+        st.num_tree_edges,
+        st.num_pairs,
+        st.num_uncovered_pairs,
+        st.num_i1_pairs,
+        st.num_i2_pairs,
+        st.s1_iterations,
+        st.s1_added_edges,
+        st.s1_leftover_pairs,
+        st.s2_glue_added_edges,
+        st.s2_added_edges,
+        st.s2_sim_sets,
+        st.reinforced_edges,
+        st.hld_levels,
+        st.k_rounds,
+        st.used_baseline,
+    )
+}
+
+/// `(family, n, seed, tight)`. At ε = 0.3 the default budget `⌈n^ε⌉`
+/// handles every pair in one Phase S1 round on these sizes. A tight build
+/// `Some(k)` (budget 1, K = k, no Phase S2) reaches a second round and
+/// reinforcement.
+const CASES: [(WorkloadFamily, usize, u64, Option<usize>); 6] = [
+    (WorkloadFamily::ErdosRenyi, 400, 7, None),
+    (WorkloadFamily::LayeredDeep, 400, 7, None),
+    (WorkloadFamily::PreferentialAttachment, 200, 3, None),
+    (WorkloadFamily::GridChords, 200, 1, None),
+    (WorkloadFamily::ErdosRenyi, 400, 7, Some(2)),
+    (WorkloadFamily::PreferentialAttachment, 200, 3, Some(1)),
+];
+
+const GOLDEN: [&str; 6] = [
+    "erdos-renyi/400/7/tight=None: H=759#118363d43f9b4087 R=0#cbf29ce484222325 | vertices=400 graph_edges=1653 tree_edges=399 pairs=1183 uncovered=806 i1=806 i2=0 s1_iterations=1 s1_added=352 s1_leftover=0 s2_glue=7 s2_added=1 s2_sim_sets=2 reinforced=0 hld_levels=5 k_rounds=6 baseline=false",
+    "layered-deep/400/7/tight=None: H=785#47d17cef74427a60 R=0#cbf29ce484222325 | vertices=401 graph_edges=1264 tree_edges=400 pairs=4200 uncovered=410 i1=401 i2=9 s1_iterations=1 s1_added=384 s1_leftover=0 s2_glue=1 s2_added=0 s2_sim_sets=1 reinforced=0 hld_levels=5 k_rounds=6 baseline=false",
+    "pref-attach/200/3/tight=None: H=380#7884a8b3d4fc2a53 R=0#cbf29ce484222325 | vertices=200 graph_edges=594 tree_edges=199 pairs=459 uncovered=290 i1=285 i2=5 s1_iterations=1 s1_added=179 s1_leftover=0 s2_glue=1 s2_added=1 s2_sim_sets=2 reinforced=0 hld_levels=4 k_rounds=6 baseline=false",
+    "grid-chords/200/1/tight=None: H=407#3900d68269165e96 R=0#cbf29ce484222325 | vertices=225 graph_edges=439 tree_edges=224 pairs=1448 uncovered=411 i1=405 i2=6 s1_iterations=1 s1_added=161 s1_leftover=0 s2_glue=9 s2_added=13 s2_sim_sets=2 reinforced=0 hld_levels=5 k_rounds=6 baseline=false",
+    "erdos-renyi/400/7/tight=Some(2): H=750#e0d620077cd9a789 R=15#8475d51d9e8ca46f | vertices=400 graph_edges=1653 tree_edges=399 pairs=1183 uncovered=806 i1=806 i2=0 s1_iterations=2 s1_added=351 s1_leftover=0 s2_glue=0 s2_added=0 s2_sim_sets=0 reinforced=15 hld_levels=0 k_rounds=2 baseline=false",
+    "pref-attach/200/3/tight=Some(1): H=378#0db22b88da6296d7 R=4#e819540606a35e42 | vertices=200 graph_edges=594 tree_edges=199 pairs=459 uncovered=290 i1=285 i2=5 s1_iterations=1 s1_added=179 s1_leftover=0 s2_glue=0 s2_added=0 s2_sim_sets=0 reinforced=4 hld_levels=0 k_rounds=1 baseline=false",
+];
+
+fn check(parallel: ParallelConfig) {
+    for ((family, n, seed, tight), expected) in CASES.into_iter().zip(GOLDEN) {
+        let graph = Workload::new(family, n, seed).generate();
+        let config = BuildConfig::new(0.3).with_parallel(parallel.clone());
+        let config = match tight {
+            Some(k) => BuildConfig {
+                budget_override: Some(1),
+                k_override: Some(k),
+                enable_phase_s2: false,
+                ..config
+            },
+            None => config,
+        };
+        let s = try_build_ft_bfs(&graph, VertexId(0), &config).expect("valid input");
+        assert_eq!(render(family, n, seed, tight, &s), expected);
+    }
+}
+
+#[test]
+fn golden_builds_serial() {
+    check(ParallelConfig::serial());
+}
+
+#[test]
+fn golden_builds_four_threads() {
+    check(ParallelConfig::with_threads(4).with_chunk_size(4));
+}

@@ -117,6 +117,54 @@ where
         .collect()
 }
 
+/// Call `f(s, i, chunk)` for every `chunk_len`-long chunk `i` of `data`
+/// (the last one may be shorter), in parallel, where `s` is a per-worker
+/// state created once by `init`.
+///
+/// The caller allocates `data`, so the results land in one buffer owned by
+/// the calling thread instead of in per-item allocations made (and later
+/// freed) on short-lived worker threads. Workers take one chunk at a time.
+pub fn parallel_chunks_mut_init<T, S, I, F>(
+    config: &ParallelConfig,
+    data: &mut [T],
+    chunk_len: usize,
+    init: I,
+    f: F,
+) where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &mut [T]) + Sync,
+{
+    let chunk_len = chunk_len.max(1);
+    let len = data.len().div_ceil(chunk_len);
+    if len == 0 {
+        return;
+    }
+    if config.is_serial() || len <= config.chunk_size() {
+        let mut state = init();
+        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
+            f(&mut state, i, chunk);
+        }
+        return;
+    }
+    let chunks = Mutex::new(data.chunks_mut(chunk_len).enumerate());
+    let workers = config.threads().min(len);
+    crossbeam::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|_| {
+                let mut state = init();
+                loop {
+                    let Some((i, chunk)) = chunks.lock().next() else {
+                        break;
+                    };
+                    f(&mut state, i, chunk);
+                }
+            });
+        }
+    })
+    .expect("parallel_chunks_mut worker panicked");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,5 +320,42 @@ mod tests {
             let got = parallel_map(&cfg, len, |i| i ^ 0xABCD);
             prop_assert_eq!(got, expected);
         }
+    }
+
+    #[test]
+    fn chunks_mut_fills_every_chunk_once_in_place() {
+        let n = 1003usize;
+        let fill = |cfg: &ParallelConfig| {
+            let inits = AtomicU64::new(0);
+            let mut data = vec![0usize; n];
+            parallel_chunks_mut_init(
+                cfg,
+                &mut data,
+                10,
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |_, i, chunk| {
+                    assert!(chunk.len() == 10 || (i == n / 10 && chunk.len() == n % 10));
+                    for (k, x) in chunk.iter_mut().enumerate() {
+                        *x += i * 10 + k + 1;
+                    }
+                },
+            );
+            assert!(inits.load(Ordering::Relaxed) <= cfg.threads() as u64);
+            data
+        };
+        let expected: Vec<usize> = (1..=n).collect();
+        assert_eq!(fill(&ParallelConfig::serial()), expected);
+        assert_eq!(
+            fill(&ParallelConfig::with_threads(4).with_chunk_size(2)),
+            expected
+        );
+        let mut empty: Vec<u32> = Vec::new();
+        parallel_chunks_mut_init(
+            &ParallelConfig::with_threads(4),
+            &mut empty,
+            3,
+            || (),
+            |_, _, _| panic!("must not be called"),
+        );
     }
 }

@@ -16,371 +16,308 @@
 //!   the set,
 //! * type **C** — everything else; the C pairs form a `(∼)`-set and are
 //!   deferred to Phase S2.
+//!
+//! # The index
+//!
+//! [`InterferenceIndex`] stores, for every vertex `z`, the uncovered pairs
+//! whose detour interior holds `z`, as one CSR (`offsets`/`ids`) filled in
+//! [`ReplacementPaths::uncovered`] order. Two pairs interfere exactly when
+//! they appear in a common list, so the `(≁)`-partners of `p` are the pairs
+//! of `p`'s interior lists with another terminal and a failing edge not
+//! `∼`-related to `p`'s. Both tests read per-pair arrays: the terminal, and
+//! the Euler preorder interval of the failing edge's child endpoint (`e ∼ e'`
+//! iff one interval contains the other's start).
+//!
+//! No query needs the whole partner set, only whether one with some
+//! property exists, so every scan stops at its **first witness**: a pair is
+//! in `I1` at its first partner, type A at its first π-intersected partner
+//! in the subset, and type B at its first non-A partner in the subset. A
+//! per-scan generation-stamped `seen` mark visits each partner once.
+//!
+//! π-intersection needs no LCA. Let `v = term(p)`, `t = term(q)` and
+//! `ℓ = LCA(v, t)`. A tree vertex `z` lies on `π(ℓ, t) ∖ {ℓ}` iff `z` is an
+//! ancestor of `t` and not an ancestor of `v`. So `p` π-intersects `q` iff
+//! the preorder number of `t` falls into the subtree interval of some detour
+//! vertex of `p` that is not an ancestor of `v`. Those intervals are laminar;
+//! the index keeps the maximal ones per pair, sorted and disjoint, and
+//! answers each test with one `partition_point`, memoised per terminal
+//! within one pair's scan.
+//!
+//! [`InterferenceIndex::classify`] shards the subset over worker threads;
+//! the index is read-only and each worker owns its scan marks.
 
 use crate::pair::PairId;
 use crate::pcons::ReplacementPaths;
-use ftb_graph::{EdgeId, VertexId};
-use ftb_sp::ShortestPathTree;
-use ftb_tree::TreeIndex;
-use std::collections::HashMap;
+use ftb_graph::VertexId;
+use ftb_par::{parallel_map_init, ParallelConfig};
+use ftb_sp::{ShortestPathTree, TimestampedVector};
+use ftb_tree::{EulerTourIndex, TreeIndex};
 
-/// The Phase S1 type of a pair within a working set.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PairType {
-    /// π-intersects a `(≁)`-interfering path of the set (Eq. 2).
-    A,
-    /// `(≁)`-interferes with another non-A path of the set (Eq. 3).
-    B,
-    /// Neither A nor B; deferred to Phase S2 as part of a `(∼)`-set.
-    C,
-}
-
-/// Index over the detours of the uncovered pairs, supporting interference
-/// queries and the A/B/C classification.
+/// Index over the detours of the uncovered pairs, answering the `I1`/`I2`
+/// split and the A/B/C classification (see the module docs).
 pub struct InterferenceIndex<'a> {
     rp: &'a ReplacementPaths,
-    tree: &'a ShortestPathTree,
-    index: &'a TreeIndex,
-    /// internal detour vertex -> uncovered pairs whose detour interior
-    /// contains it.
-    interior_map: HashMap<VertexId, Vec<PairId>>,
+    /// CSR row starts: the pairs whose detour interior holds vertex `z` are
+    /// `ids[offsets[z] .. offsets[z + 1]]`.
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+    /// Terminal vertex of every pair.
+    terminal: Vec<u32>,
+    /// Preorder number of every pair's terminal.
+    terminal_pre: Vec<u32>,
+    /// Preorder subtree interval of every pair's failing-edge child endpoint.
+    edge_span: Vec<(u32, u32)>,
+    /// CSR row starts of the π-intersection intervals per pair.
+    pi_offsets: Vec<u32>,
+    /// Sorted, disjoint preorder intervals of the detour vertices that are
+    /// not ancestors of the pair's terminal.
+    pi_spans: Vec<(u32, u32)>,
+}
+
+/// Per-worker marks of one partner scan.
+struct Scan {
+    /// Pairs already visited in the current scan.
+    seen: TimestampedVector<bool>,
+    /// π-intersection answers per terminal vertex for the current scan.
+    pi_memo: TimestampedVector<bool>,
+}
+
+/// Outcome of a type-A scan.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum ScanA {
+    /// No `(≁)`-partner in the subset: type C.
+    NoPartner,
+    /// Partners, none π-intersected: type B or C.
+    Partner,
+    /// Type A.
+    A,
 }
 
 impl<'a> InterferenceIndex<'a> {
     /// Build the index over all uncovered (new-ending) pairs.
-    pub fn build(
-        rp: &'a ReplacementPaths,
-        tree: &'a ShortestPathTree,
-        index: &'a TreeIndex,
-    ) -> Self {
-        let mut interior_map: HashMap<VertexId, Vec<PairId>> = HashMap::new();
-        for &id in rp.uncovered() {
-            for &z in rp.get(id).detour_interior() {
-                interior_map.entry(z).or_default().push(id);
+    pub fn build(rp: &'a ReplacementPaths, tree: &ShortestPathTree, index: &TreeIndex) -> Self {
+        let n = tree.num_vertices();
+        let parents: Vec<_> = (0..n).map(|v| tree.parent(VertexId::new(v))).collect();
+        let euler = EulerTourIndex::from_parents(tree.source(), &parents);
+        let span = |v: VertexId| {
+            let r = euler.subtree(v);
+            (r.start as u32, r.end as u32)
+        };
+
+        let mut offsets = vec![0u32; n + 1];
+        for &p in rp.uncovered() {
+            for z in rp.get(p).detour_interior() {
+                offsets[z.index() + 1] += 1;
             }
         }
+        for z in 0..n {
+            offsets[z + 1] += offsets[z];
+        }
+        let mut cursor = offsets.clone();
+        let mut ids = vec![0u32; offsets[n] as usize];
+        for &p in rp.uncovered() {
+            for z in rp.get(p).detour_interior() {
+                ids[cursor[z.index()] as usize] = p as u32;
+                cursor[z.index()] += 1;
+            }
+        }
+
+        let pairs = rp.all();
+        let terminal = pairs.iter().map(|r| r.pair.terminal.0).collect();
+        let terminal_pre = pairs
+            .iter()
+            .map(|r| euler.preorder(r.pair.terminal).unwrap_or(u32::MAX))
+            .collect();
+        let edge_span = pairs
+            .iter()
+            .map(|r| {
+                tree.child_endpoint(r.pair.failing_edge)
+                    .map_or((0, 0), span)
+            })
+            .collect();
+        let mut pi_offsets = Vec::with_capacity(pairs.len() + 1);
+        let mut pi_spans: Vec<(u32, u32)> = Vec::new();
+        let mut spans = Vec::new();
+        pi_offsets.push(0u32);
+        for r in pairs {
+            let v = r.pair.terminal;
+            spans.clear();
+            spans.extend(
+                r.detour_vertices()
+                    .iter()
+                    .filter(|&&z| index.in_tree(z) && !index.is_ancestor(z, v))
+                    .map(|&z| span(z)),
+            );
+            // Laminar intervals: after sorting by (start, widest first), an
+            // interval starting inside the last kept one is nested in it.
+            spans.sort_unstable_by_key(|&(lo, hi)| (lo, std::cmp::Reverse(hi)));
+            let row_start = pi_spans.len();
+            for &(lo, hi) in &spans {
+                if pi_spans.len() == row_start || lo >= pi_spans[pi_spans.len() - 1].1 {
+                    pi_spans.push((lo, hi));
+                }
+            }
+            pi_offsets.push(pi_spans.len() as u32);
+        }
+
         InterferenceIndex {
             rp,
-            tree,
-            index,
-            interior_map,
+            offsets,
+            ids,
+            terminal,
+            terminal_pre,
+            edge_span,
+            pi_offsets,
+            pi_spans,
         }
     }
 
-    /// The paper's `∼` relation on failing (tree) edges.
-    pub fn edges_related(&self, e: EdgeId, e_prime: EdgeId) -> bool {
-        self.index.edges_related(self.tree, e, e_prime)
-    }
-
-    /// Eq. (1): do the detours of `p` and `q` share a vertex internal to
-    /// both (and are the terminals distinct)?
-    pub fn interferes(&self, p: PairId, q: PairId) -> bool {
-        let a = self.rp.get(p);
-        let b = self.rp.get(q);
-        if a.pair.terminal == b.pair.terminal {
-            return false;
+    fn scan(&self) -> Scan {
+        Scan {
+            seen: TimestampedVector::new(self.terminal.len(), false),
+            pi_memo: TimestampedVector::new(self.offsets.len() - 1, false),
         }
-        // Iterate over the shorter interior for the membership test.
-        let (short, long) = if a.detour_interior().len() <= b.detour_interior().len() {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let long_set: std::collections::HashSet<VertexId> =
-            long.detour_interior().iter().copied().collect();
-        short.detour_interior().iter().any(|z| long_set.contains(z))
     }
 
-    /// `(≁)`-interference: [`Self::interferes`] and the failing edges are not
-    /// `∼`-related.
-    pub fn non_sim_interferes(&self, p: PairId, q: PairId) -> bool {
-        let a = self.rp.get(p);
-        let b = self.rp.get(q);
-        !self.edges_related(a.pair.failing_edge, b.pair.failing_edge) && self.interferes(p, q)
+    /// Membership marks of `subset`, indexed by pair id.
+    fn members(&self, subset: &[PairId]) -> Vec<bool> {
+        let mut marks = vec![false; self.terminal.len()];
+        for &p in subset {
+            marks[p] = true;
+        }
+        marks
     }
 
-    /// All uncovered pairs that `(≁)`-interfere with `p` (the paper's
-    /// `I_{≁}(⟨v, e⟩)`), optionally restricted to a membership predicate.
-    pub fn non_sim_interference_set(
+    /// The paper's `∼` relation on the failing edges of two pairs.
+    fn edges_related(&self, p: PairId, q: PairId) -> bool {
+        let (a, b) = (self.edge_span[p], self.edge_span[q]);
+        (a.0 <= b.0 && b.0 < a.1) || (b.0 <= a.0 && a.0 < b.1)
+    }
+
+    /// π-intersection (Fig. 2) of `p` with the tree path of `q`'s terminal.
+    fn pi_intersects(&self, p: PairId, q: PairId) -> bool {
+        let t = self.terminal_pre[q];
+        let row = &self.pi_spans[self.pi_offsets[p] as usize..self.pi_offsets[p + 1] as usize];
+        let i = row.partition_point(|&(lo, _)| lo <= t);
+        i > 0 && t < row[i - 1].1
+    }
+
+    /// Visit the distinct `(≁)`-interference partners of `p` until `accept`
+    /// returns `true` for one of them; returns whether it did.
+    fn find_partner(
         &self,
+        seen: &mut TimestampedVector<bool>,
         p: PairId,
-        restrict: Option<&dyn Fn(PairId) -> bool>,
-    ) -> Vec<PairId> {
-        let mut out = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        let a = self.rp.get(p);
-        for z in a.detour_interior() {
-            if let Some(candidates) = self.interior_map.get(z) {
-                for &q in candidates {
-                    if q == p || seen.contains(&q) {
-                        continue;
-                    }
-                    if let Some(f) = restrict {
-                        if !f(q) {
-                            continue;
-                        }
-                    }
-                    let b = self.rp.get(q);
-                    if b.pair.terminal == a.pair.terminal {
-                        continue;
-                    }
-                    if self.edges_related(a.pair.failing_edge, b.pair.failing_edge) {
-                        continue;
-                    }
-                    // sharing `z`, which is internal to both, certifies Eq. (1)
-                    seen.insert(q);
-                    out.push(q);
+        mut accept: impl FnMut(PairId) -> bool,
+    ) -> bool {
+        seen.reset();
+        let terminal = self.terminal[p];
+        for z in self.rp.get(p).detour_interior() {
+            let row =
+                &self.ids[self.offsets[z.index()] as usize..self.offsets[z.index() + 1] as usize];
+            for &q in row {
+                let q = q as PairId;
+                if seen.is_set(q) {
+                    continue;
+                }
+                seen.set(q, true);
+                if q == p || self.terminal[q] == terminal || self.edges_related(p, q) {
+                    continue;
+                }
+                if accept(q) {
+                    return true;
                 }
             }
         }
-        out
-    }
-
-    /// π-intersection (Fig. 2): the detour of `p` touches a vertex of
-    /// `π(LCA(v,t), t) ∖ {LCA(v,t)}`, where `v` is `p`'s terminal and `t` is
-    /// `q`'s terminal. Not symmetric.
-    pub fn pi_intersects(&self, p: PairId, q: PairId) -> bool {
-        let a = self.rp.get(p);
-        let b = self.rp.get(q);
-        let v = a.pair.terminal;
-        let t = b.pair.terminal;
-        let Some(l) = self.index.lca(v, t) else {
-            return false;
-        };
-        let l_depth = self.index.depth(l);
-        a.detour_vertices().iter().any(|&z| {
-            self.index.in_tree(z) && self.index.depth(z) > l_depth && self.index.is_ancestor(z, t)
-        })
+        false
     }
 
     /// Split the uncovered pairs into `I1` (pairs with at least one
     /// `(≁)`-interfering partner among all uncovered pairs) and `I2` (the
     /// rest, which by construction is a `(∼)`-set).
     pub fn split_i1_i2(&self) -> (Vec<PairId>, Vec<PairId>) {
-        let mut i1 = Vec::new();
-        let mut i2 = Vec::new();
-        for &p in self.rp.uncovered() {
-            if self.non_sim_interference_set(p, None).is_empty() {
-                i2.push(p);
-            } else {
-                i1.push(p);
-            }
-        }
-        (i1, i2)
+        let mut scan = self.scan();
+        self.rp
+            .uncovered()
+            .iter()
+            .partition(|&&p| self.find_partner(&mut scan.seen, p, |_| true))
     }
 
     /// Classify each pair of `subset` into type A, B or C with respect to the
     /// subset (Eq. 2–3). Returns `(type_a, type_b, type_c)` preserving the
-    /// subset order inside each class.
-    pub fn classify(&self, subset: &[PairId]) -> (Vec<PairId>, Vec<PairId>, Vec<PairId>) {
-        let member: std::collections::HashSet<PairId> = subset.iter().copied().collect();
-        let in_subset = |q: PairId| member.contains(&q);
+    /// subset order inside each class. The subset is sharded over
+    /// `parallel`; the result does not depend on it.
+    pub fn classify(
+        &self,
+        subset: &[PairId],
+        parallel: &ParallelConfig,
+    ) -> (Vec<PairId>, Vec<PairId>, Vec<PairId>) {
+        let in_subset = self.members(subset);
 
-        // Pre-compute I_{≁}(p) ∩ subset for every subset pair.
-        let neighbors: HashMap<PairId, Vec<PairId>> = subset
-            .iter()
-            .map(|&p| (p, self.non_sim_interference_set(p, Some(&in_subset))))
-            .collect();
-
-        // Type A (Eq. 2).
-        let mut type_a = Vec::new();
-        let mut is_a: std::collections::HashSet<PairId> = std::collections::HashSet::new();
-        for &p in subset {
-            let interfering = &neighbors[&p];
-            if interfering.iter().any(|&q| self.pi_intersects(p, q)) {
-                type_a.push(p);
-                is_a.insert(p);
+        // Type A (Eq. 2), recording on the way whether any partner exists.
+        let scan_a = parallel_map_init(
+            parallel,
+            subset.len(),
+            || self.scan(),
+            |scan, i| {
+                let p = subset[i];
+                let Scan { seen, pi_memo } = scan;
+                pi_memo.reset();
+                let mut partner = false;
+                let a = self.find_partner(seen, p, |q| {
+                    if !in_subset[q] {
+                        return false;
+                    }
+                    partner = true;
+                    let t = self.terminal[q] as usize;
+                    if !pi_memo.is_set(t) {
+                        pi_memo.set(t, self.pi_intersects(p, q));
+                    }
+                    pi_memo.get(t)
+                });
+                match (a, partner) {
+                    (true, _) => ScanA::A,
+                    (false, true) => ScanA::Partner,
+                    (false, false) => ScanA::NoPartner,
+                }
+            },
+        );
+        let mut non_a = in_subset;
+        for (&p, &s) in subset.iter().zip(&scan_a) {
+            if s == ScanA::A {
+                non_a[p] = false;
             }
         }
 
-        // Type B (Eq. 3): not A, and (≁)-interferes with some non-A subset pair.
-        let mut type_b = Vec::new();
-        let mut is_b: std::collections::HashSet<PairId> = std::collections::HashSet::new();
-        for &p in subset {
-            if is_a.contains(&p) {
-                continue;
-            }
-            if neighbors[&p].iter().any(|q| !is_a.contains(q)) {
-                type_b.push(p);
-                is_b.insert(p);
+        // Type B (Eq. 3): not A, and (≁)-interferes with a non-A subset pair.
+        let is_b = parallel_map_init(
+            parallel,
+            subset.len(),
+            || self.scan(),
+            |scan, i| {
+                scan_a[i] == ScanA::Partner
+                    && self.find_partner(&mut scan.seen, subset[i], |q| non_a[q])
+            },
+        );
+
+        let (mut type_a, mut type_b, mut type_c) = (Vec::new(), Vec::new(), Vec::new());
+        for ((&p, &s), &b) in subset.iter().zip(&scan_a).zip(&is_b) {
+            match (s, b) {
+                (ScanA::A, _) => type_a.push(p),
+                (_, true) => type_b.push(p),
+                _ => type_c.push(p),
             }
         }
-
-        // Type C: the rest.
-        let type_c = subset
-            .iter()
-            .copied()
-            .filter(|p| !is_a.contains(p) && !is_b.contains(p))
-            .collect();
         (type_a, type_b, type_c)
     }
 
     /// `true` if `subset` is a `(∼)`-set: no two of its pairs
     /// `(≁)`-interfere.
     pub fn is_sim_set(&self, subset: &[PairId]) -> bool {
-        let member: std::collections::HashSet<PairId> = subset.iter().copied().collect();
-        let in_subset = |q: PairId| member.contains(&q);
-        subset.iter().all(|&p| {
-            self.non_sim_interference_set(p, Some(&in_subset))
-                .is_empty()
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ftb_graph::Graph;
-    use ftb_par::ParallelConfig;
-    use ftb_sp::{ReplacementDistances, TieBreakWeights};
-    use ftb_workloads::families;
-
-    struct Fixture {
-        tree: ShortestPathTree,
-        rp: ReplacementPaths,
-        index: TreeIndex,
-    }
-
-    fn fixture(graph: &Graph, seed: u64) -> Fixture {
-        let weights = TieBreakWeights::generate(graph, seed);
-        let tree = ShortestPathTree::build(graph, &weights, VertexId(0));
-        let dists = ReplacementDistances::compute(graph, &tree, &ParallelConfig::serial());
-        let rp =
-            ReplacementPaths::compute(graph, &weights, &tree, &dists, &ParallelConfig::serial());
-        let index = TreeIndex::build(&tree);
-        Fixture { tree, rp, index }
-    }
-
-    #[test]
-    fn interference_is_symmetric_and_irreflexive_per_terminal() {
-        let g = families::erdos_renyi_gnp(60, 0.12, 5);
-        let f = fixture(&g, 5);
-        let idx = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
-        let uncovered = f.rp.uncovered();
-        for &p in uncovered.iter().take(30) {
-            for &q in uncovered.iter().take(30) {
-                if f.rp.get(p).pair.terminal == f.rp.get(q).pair.terminal {
-                    assert!(!idx.interferes(p, q));
-                } else {
-                    assert_eq!(idx.interferes(p, q), idx.interferes(q, p));
-                    assert_eq!(idx.non_sim_interferes(p, q), idx.non_sim_interferes(q, p));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn non_sim_set_matches_pairwise_definition() {
-        let g = families::erdos_renyi_gnp(50, 0.15, 7);
-        let f = fixture(&g, 7);
-        let idx = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
-        for &p in f.rp.uncovered().iter().take(40) {
-            let set = idx.non_sim_interference_set(p, None);
-            for &q in f.rp.uncovered() {
-                let expected = idx.non_sim_interferes(p, q);
-                assert_eq!(set.contains(&q), expected, "pair ({p}, {q})");
-            }
-        }
-    }
-
-    #[test]
-    fn i1_i2_partition_covers_all_uncovered_pairs() {
-        let g = families::layered_random(6, 10, 3, 0.4, 3);
-        let f = fixture(&g, 3);
-        let idx = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
-        let (i1, i2) = idx.split_i1_i2();
-        assert_eq!(i1.len() + i2.len(), f.rp.uncovered().len());
-        // I2 is a (∼)-set by construction
-        assert!(idx.is_sim_set(&i2));
-        // every I1 member has a witness
-        for &p in i1.iter().take(50) {
-            assert!(!idx.non_sim_interference_set(p, None).is_empty());
-        }
-    }
-
-    #[test]
-    fn classification_is_a_partition_and_c_is_a_sim_set() {
-        let g = families::erdos_renyi_gnp(70, 0.1, 11);
-        let f = fixture(&g, 11);
-        let idx = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
-        let (i1, _i2) = idx.split_i1_i2();
-        let (a, b, c) = idx.classify(&i1);
-        assert_eq!(a.len() + b.len() + c.len(), i1.len());
-        // Observation 4.11: the C class is a (∼)-set.
-        assert!(idx.is_sim_set(&c));
-        // no overlaps
-        let sa: std::collections::HashSet<_> = a.iter().collect();
-        let sb: std::collections::HashSet<_> = b.iter().collect();
-        assert!(sa.is_disjoint(&sb));
-    }
-
-    #[test]
-    fn type_b_pairs_interfere_with_non_a_pairs_mutually() {
-        // By Eq. 3, if p is type B its witness q is also non-A, so q is type
-        // B as well (the relation restricted to non-A pairs is symmetric).
-        let g = families::erdos_renyi_gnp(80, 0.09, 13);
-        let f = fixture(&g, 13);
-        let idx = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
-        let (i1, _) = idx.split_i1_i2();
-        let (a, b, _c) = idx.classify(&i1);
-        let is_a: std::collections::HashSet<_> = a.iter().copied().collect();
-        let is_b: std::collections::HashSet<_> = b.iter().copied().collect();
-        let member: std::collections::HashSet<PairId> = i1.iter().copied().collect();
-        let in_subset = |q: PairId| member.contains(&q);
-        for &p in &b {
-            let witnesses = idx.non_sim_interference_set(p, Some(&in_subset));
-            let has_non_a_witness = witnesses.iter().any(|q| !is_a.contains(q));
-            assert!(has_non_a_witness);
-            for q in witnesses.iter().filter(|q| !is_a.contains(*q)) {
-                assert!(
-                    is_b.contains(q),
-                    "witness {q} of type-B pair {p} must be type B"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pi_intersection_requires_touching_the_other_root_path() {
-        let g = families::erdos_renyi_gnp(60, 0.12, 17);
-        let f = fixture(&g, 17);
-        let idx = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
-        let uncovered = f.rp.uncovered();
-        for &p in uncovered.iter().take(25) {
-            for &q in uncovered.iter().take(25) {
-                if p == q {
-                    continue;
-                }
-                let a = f.rp.get(p);
-                let b = f.rp.get(q);
-                if a.pair.terminal == b.pair.terminal {
-                    continue;
-                }
-                let expected = {
-                    let v = a.pair.terminal;
-                    let t = b.pair.terminal;
-                    let l = f.index.lca(v, t).unwrap();
-                    // brute force: walk π(s, t) below the LCA and test membership
-                    let pi_t: Vec<VertexId> = f.tree.path_to(t).unwrap().vertices().to_vec();
-                    pi_t.iter()
-                        .filter(|&&z| f.index.depth(z) > f.index.depth(l))
-                        .any(|z| a.detour_vertices().contains(z))
-                };
-                assert_eq!(idx.pi_intersects(p, q), expected);
-            }
-        }
-    }
-
-    #[test]
-    fn graphs_without_uncovered_pairs_classify_trivially() {
-        let g = ftb_graph::generators::path(12);
-        let f = fixture(&g, 19);
-        let idx = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
-        let (i1, i2) = idx.split_i1_i2();
-        assert!(i1.is_empty());
-        assert!(i2.is_empty());
-        let (a, b, c) = idx.classify(&[]);
-        assert!(a.is_empty() && b.is_empty() && c.is_empty());
-        assert!(idx.is_sim_set(&[]));
+        let in_subset = self.members(subset);
+        let mut scan = self.scan();
+        !subset
+            .iter()
+            .any(|&p| self.find_partner(&mut scan.seen, p, |q| in_subset[q]))
     }
 }

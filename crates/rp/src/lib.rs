@@ -28,10 +28,12 @@
 
 pub mod interference;
 #[cfg(test)]
+mod interference_oracle;
+#[cfg(test)]
 mod oracle;
 pub mod pair;
 pub mod pcons;
 
-pub use interference::{InterferenceIndex, PairType};
+pub use interference::InterferenceIndex;
 pub use pair::{PairId, ReplacementPath, VePair};
 pub use pcons::ReplacementPaths;

@@ -383,8 +383,9 @@ impl Server {
         }
         // Preprocessing provenance as scrape-time gauges: how this core
         // came to exist, phase by phase. An in-process build also exports
-        // the structure's construction phases from its `BuildStats`; a
-        // snapshot-restored server shows a single `snapshot_load` phase.
+        // the structure's construction phases from its `BuildStats` (and
+        // `AugmentStats`, when augmented); a snapshot-restored server shows
+        // a single `snapshot_load` phase.
         let mut phases: Vec<(&'static str, f64)> = Vec::new();
         let restored = core
             .build_timings()
@@ -398,6 +399,9 @@ impl Server {
                 ("s2", stats.s2_ms / 1e3),
                 ("reinforce", stats.reinforce_ms / 1e3),
             ]);
+            if let Some(aug) = core.augment_stats() {
+                phases.push(("augment", aug.augment_ms / 1e3));
+            }
         }
         phases.extend(
             core.build_timings()

@@ -16,6 +16,7 @@ use std::time::Duration;
 fn start_server(options: ServeOptions) -> (Server, EngineSpec) {
     let spec = EngineSpec {
         n: 80,
+        augment: true,
         ..EngineSpec::default()
     };
     let graph = spec.graph();
@@ -70,15 +71,18 @@ fn metrics_frame_reflects_served_queries() {
         text.contains("ftb_query_tier_latency_seconds_count"),
         "{text}"
     );
-    // Build-phase provenance gauges: the structure's construction phases
-    // and the engine's preprocessing phases of this in-process build.
+    // Build-phase provenance gauges: the structure's construction and
+    // augmentation phases and the engine's preprocessing phases of this
+    // in-process build.
     for phase in [
         "s0",
         "s1",
         "s2",
         "reinforce",
+        "augment",
         "compact_h",
         "fault_free_rows",
+        "augmented_tier",
     ] {
         let series = format!("ftb_build_phase_seconds{{phase=\"{phase}\"}}");
         assert!(text.contains(&series), "missing {series}: {text}");
@@ -108,12 +112,14 @@ fn metrics_frame_reflects_served_queries() {
 fn snapshot_restored_server_reports_only_the_load_phase() {
     let spec = EngineSpec {
         n: 80,
+        augment: true,
         ..EngineSpec::default()
     };
     let built = spec
         .build_core(&spec.graph(), EngineOptions::new().serial())
         .expect("spec builds");
     assert!(built.structure().stats().s0_ms > 0.0);
+    assert!(built.augment_stats().is_some_and(|a| a.augment_ms > 0.0));
     let (core, _) = EngineCore::read_snapshot(&built.write_snapshot(&[]), EngineOptions::new())
         .expect("round trip");
     let server = Server::bind("127.0.0.1:0", Arc::new(core), ServeOptions::default())
@@ -124,7 +130,7 @@ fn snapshot_restored_server_reports_only_the_load_phase() {
         text.contains("ftb_build_phase_seconds{phase=\"snapshot_load\"}"),
         "{text}"
     );
-    for phase in ["s0", "s1", "s2", "reinforce", "compact_h"] {
+    for phase in ["s0", "s1", "s2", "reinforce", "augment", "compact_h"] {
         assert!(!text.contains(&format!("phase=\"{phase}\"")), "{text}");
     }
     server.shutdown();

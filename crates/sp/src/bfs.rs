@@ -16,12 +16,24 @@ pub fn bfs_distances(graph: &Graph, source: VertexId) -> Vec<u32> {
 
 /// Hop distances from `source` in a masked [`SubgraphView`].
 pub fn bfs_distances_view(view: &SubgraphView<'_>, source: VertexId) -> Vec<u32> {
-    let n = view.graph().num_vertices();
-    let mut dist = vec![UNREACHABLE; n];
+    let mut dist = vec![UNREACHABLE; view.graph().num_vertices()];
+    bfs_distances_view_into(view, source, &mut dist, &mut VecDeque::new());
+    dist
+}
+
+/// [`bfs_distances_view`] into a caller-provided row with one entry per
+/// vertex, with a reusable queue.
+pub(crate) fn bfs_distances_view_into(
+    view: &SubgraphView<'_>,
+    source: VertexId,
+    dist: &mut [u32],
+    queue: &mut VecDeque<VertexId>,
+) {
+    dist.fill(UNREACHABLE);
+    queue.clear();
     if !view.allows_vertex(source) {
-        return dist;
+        return;
     }
-    let mut queue = VecDeque::new();
     dist[source.index()] = 0;
     queue.push_back(source);
     while let Some(v) = queue.pop_front() {
@@ -33,7 +45,6 @@ pub fn bfs_distances_view(view: &SubgraphView<'_>, source: VertexId) -> Vec<u32>
             }
         }
     }
-    dist
 }
 
 /// Eccentricity of `source` (maximum finite hop distance), if any vertex is

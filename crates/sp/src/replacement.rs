@@ -6,20 +6,26 @@
 //! only tree edges matter because removing a non-tree edge never changes a
 //! distance from the source (the shortest-path tree survives intact).
 
-use crate::bfs::bfs_distances_view;
+use crate::bfs::bfs_distances_view_into;
 use crate::sp_tree::ShortestPathTree;
 use crate::UNREACHABLE;
 use ftb_graph::{EdgeId, Graph, SubgraphView, VertexId};
-use ftb_par::{parallel_map, ParallelConfig};
-use std::collections::HashMap;
+use ftb_par::{parallel_chunks_mut_init, ParallelConfig};
+use std::collections::{HashMap, VecDeque};
 
 /// Post-failure hop distances `dist(s, v, G \ {e})` for every tree edge `e`.
 #[derive(Clone, Debug)]
 pub struct ReplacementDistances {
     /// Maps a tree edge id to its row index in `rows`.
     index_of_edge: HashMap<EdgeId, usize>,
-    /// `rows[i][v]` = `dist(s, v, G \ {e_i})` in hops (`UNREACHABLE` if cut off).
-    rows: Vec<Vec<u32>>,
+    /// Row-major `(edges × n)` table: `rows[i * n + v]` =
+    /// `dist(s, v, G \ {e_i})` in hops (`UNREACHABLE` if cut off). One
+    /// buffer allocated on the calling thread: rows allocated on the
+    /// short-lived worker threads stayed resident in their allocator arenas
+    /// after being freed, by an amount that varied from run to run.
+    rows: Vec<u32>,
+    /// Row length: the number of vertices.
+    n: usize,
     /// The tree edges in row order.
     edges: Vec<EdgeId>,
 }
@@ -29,28 +35,38 @@ impl ReplacementDistances {
     pub fn compute(graph: &Graph, tree: &ShortestPathTree, config: &ParallelConfig) -> Self {
         let edges: Vec<EdgeId> = tree.tree_edges().to_vec();
         let source = tree.source();
-        let rows = parallel_map(config, edges.len(), |i| {
+        let n = graph.num_vertices();
+        let mut rows = vec![UNREACHABLE; edges.len() * n];
+        parallel_chunks_mut_init(config, &mut rows, n, VecDeque::new, |queue, i, row| {
             let view = SubgraphView::full(graph).without_edge(edges[i]);
-            bfs_distances_view(&view, source)
+            bfs_distances_view_into(&view, source, row, queue);
         });
         let index_of_edge = edges.iter().enumerate().map(|(i, &e)| (e, i)).collect();
         ReplacementDistances {
             index_of_edge,
             rows,
+            n,
             edges,
         }
+    }
+
+    /// Row `i` of the table.
+    fn row_at(&self, i: usize) -> &[u32] {
+        &self.rows[i * self.n..(i + 1) * self.n]
     }
 
     /// `dist(s, v, G \ {e})` in hops, or `None` if `e` is not a tree edge.
     ///
     /// [`UNREACHABLE`] means the failure disconnects `v` from the source.
     pub fn dist(&self, e: EdgeId, v: VertexId) -> Option<u32> {
-        self.index_of_edge.get(&e).map(|&i| self.rows[i][v.index()])
+        self.index_of_edge
+            .get(&e)
+            .map(|&i| self.row_at(i)[v.index()])
     }
 
     /// The whole post-failure distance row for edge `e`.
     pub fn row(&self, e: EdgeId) -> Option<&[u32]> {
-        self.index_of_edge.get(&e).map(|&i| self.rows[i].as_slice())
+        self.index_of_edge.get(&e).map(|&i| self.row_at(i))
     }
 
     /// Tree edges covered, in row order.
@@ -73,8 +89,8 @@ impl ReplacementDistances {
     /// which the failure genuinely matters.
     pub fn count_affected_pairs(&self, tree: &ShortestPathTree) -> usize {
         let mut count = 0;
-        for (i, &_e) in self.edges.iter().enumerate() {
-            for (vi, &d) in self.rows[i].iter().enumerate() {
+        for i in 0..self.edges.len() {
+            for (vi, &d) in self.row_at(i).iter().enumerate() {
                 if let Some(d0) = tree.depth(VertexId::new(vi)) {
                     if d != UNREACHABLE && d > d0 {
                         count += 1;
