@@ -3,7 +3,7 @@
 //! the query engine's build-once/query-many serving path.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use ftb_core::{BaselineBuilder, EngineCore, Sources, StructureBuilder, TradeoffBuilder};
+use ftb_core::{EngineCore, Sources, StructureBuilder, TradeoffBuilder};
 use ftb_graph::{FaultSet, VertexId};
 use ftb_workloads::{Workload, WorkloadFamily};
 use std::hint::black_box;
@@ -48,7 +48,7 @@ fn bench_baseline(c: &mut Criterion) {
     for n in [200usize, 400] {
         let graph = Workload::new(WorkloadFamily::ErdosRenyi, n, 3).generate();
         group.bench_with_input(BenchmarkId::from_parameter(n), &graph, |b, graph| {
-            let builder = BaselineBuilder::new().with_config(|c| c.with_seed(3));
+            let builder = TradeoffBuilder::new(1.0).with_config(|c| c.with_seed(3));
             let sources = Sources::single(VertexId(0));
             b.iter(|| black_box(builder.build(graph, &sources).expect("valid input")));
         });

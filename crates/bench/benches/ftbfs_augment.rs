@@ -11,8 +11,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftb_core::{
-    build_augmented_structure, AugmentCoverage, BuildConfig, BuildPlan, EngineCore, EngineOptions,
-    Sources,
+    AugmentCoverage, BuildConfig, EngineCore, EngineOptions, FtBfsAugmenter, Sources,
+    StructureBuilder, TradeoffBuilder,
 };
 use ftb_graph::{Fault, FaultSet, Graph, VertexId};
 use ftb_workloads::{Workload, WorkloadFamily};
@@ -27,13 +27,12 @@ fn build_augmented(
         .with_seed(seed)
         .serial()
         .with_augment(coverage);
-    build_augmented_structure(
-        graph,
-        &Sources::single(VertexId(0)),
-        BuildPlan::Tradeoff { eps: 0.3 },
-        &config,
-    )
-    .expect("valid input")
+    let structure = TradeoffBuilder::from_config(config.clone())
+        .build(graph, &Sources::single(VertexId(0)))
+        .expect("valid input");
+    FtBfsAugmenter::from_build_config(&config)
+        .augment(graph, structure)
+        .expect("matching graph")
 }
 
 fn bench_ftbfs_augment(c: &mut Criterion) {

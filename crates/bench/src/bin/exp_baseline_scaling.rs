@@ -6,7 +6,7 @@
 //! 3/2; sparse random graphs are easy instances and stay near 1.
 
 use ftb_bench::{log_log_slope, Table};
-use ftb_core::{BaselineBuilder, Sources, StructureBuilder};
+use ftb_core::{Sources, StructureBuilder, TradeoffBuilder};
 use ftb_graph::VertexId;
 use ftb_lower_bounds::esa13_lower_bound;
 use ftb_workloads::families;
@@ -14,7 +14,7 @@ use ftb_workloads::families;
 fn main() {
     let sizes = [200usize, 400, 800, 1600];
     let seed = 2u64;
-    let builder = BaselineBuilder::new().with_config(|c| c.with_seed(seed));
+    let builder = TradeoffBuilder::new(1.0).with_config(|c| c.with_seed(seed));
 
     // Hard instances.
     let mut hard_points = Vec::new();

@@ -5,7 +5,7 @@
 //! closed-form suggestion `ε ≈ log(R/B) / (2 log n)` (clamped to `[0, 1/2]`).
 
 use ftb_bench::Table;
-use ftb_core::{build_structure, BuildConfig, BuildPlan, CostModel, Sources};
+use ftb_core::{CostModel, Sources, StructureBuilder, TradeoffBuilder};
 use ftb_graph::VertexId;
 use ftb_workloads::{Workload, WorkloadFamily};
 
@@ -15,7 +15,6 @@ fn main() {
     let sources = Sources::single(VertexId(0));
     let n = graph.num_vertices();
     let eps_grid = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
-    let config = BuildConfig::new(0.0).with_seed(4);
     println!(
         "workload {}: n = {n}, m = {}",
         workload.label(),
@@ -26,7 +25,9 @@ fn main() {
     let structures: Vec<_> = eps_grid
         .iter()
         .map(|&eps| {
-            let s = build_structure(&graph, &sources, BuildPlan::Tradeoff { eps }, &config)
+            let s = TradeoffBuilder::new(eps)
+                .with_config(|c| c.with_seed(4))
+                .build(&graph, &sources)
                 .expect("workload graphs with source 0 are valid input");
             (eps, s)
         })

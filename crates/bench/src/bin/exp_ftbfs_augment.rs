@@ -14,8 +14,8 @@
 
 use ftb_bench::Table;
 use ftb_core::{
-    build_augmented_structure, cross_check_fault_sets, AugmentCoverage, BuildConfig, BuildPlan,
-    EngineCore, EngineOptions, Sources,
+    cross_check_fault_sets, AugmentCoverage, BuildConfig, EngineCore, EngineOptions,
+    FtBfsAugmenter, Sources, StructureBuilder, TradeoffBuilder,
 };
 use ftb_graph::{enumerate_fault_sets, FaultSet, Graph, VertexId};
 use ftb_par::ParallelConfig;
@@ -28,13 +28,12 @@ fn build_augmented(
     coverage: AugmentCoverage,
 ) -> ftb_core::AugmentedStructure {
     let config = BuildConfig::new(0.3).with_seed(seed).with_augment(coverage);
-    build_augmented_structure(
-        graph,
-        &Sources::single(VertexId(0)),
-        BuildPlan::Tradeoff { eps: 0.3 },
-        &config,
-    )
-    .expect("workload graphs with source 0 are valid input")
+    let structure = TradeoffBuilder::from_config(config.clone())
+        .build(graph, &Sources::single(VertexId(0)))
+        .expect("workload graphs with source 0 are valid input");
+    FtBfsAugmenter::from_build_config(&config)
+        .augment(graph, structure)
+        .expect("matching graph")
 }
 
 fn main() {

@@ -5,12 +5,12 @@
 //! structure.
 
 use ftb_bench::Table;
-use ftb_core::{BaselineBuilder, Sources, StructureBuilder, TradeoffBuilder};
+use ftb_core::{Sources, StructureBuilder, TradeoffBuilder};
 use ftb_graph::{generators, VertexId};
 
 fn main() {
     let mixed_builder = TradeoffBuilder::new(0.2).with_config(|c| c.with_seed(6));
-    let baseline_builder = BaselineBuilder::new().with_config(|c| c.with_seed(6));
+    let baseline_builder = TradeoffBuilder::new(1.0).with_config(|c| c.with_seed(6));
     let mut table = Table::new(
         "E6: clique-with-pendant — mixed model vs extremes",
         &[

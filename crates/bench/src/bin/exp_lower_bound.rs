@@ -7,12 +7,11 @@
 //! its actual reinforcement count.
 
 use ftb_bench::{log_log_slope, Table};
-use ftb_core::{build_structure, BuildConfig, BuildPlan, Sources};
+use ftb_core::{Sources, StructureBuilder, TradeoffBuilder};
 use ftb_lower_bounds::{certified_backup_lower_bound, single_source_lower_bound, verify_forcing};
 
 fn main() {
     let seed = 3u64;
-    let config = BuildConfig::new(0.0).with_seed(seed);
 
     // (a) eps sweep at fixed n.
     let n = 900usize;
@@ -34,13 +33,10 @@ fn main() {
         let budget = lb.reinforcement_budget();
         let certified = certified_backup_lower_bound(&lb, budget);
         let forcing = verify_forcing(&lb, 30);
-        let s = build_structure(
-            &lb.graph,
-            &Sources::single(lb.source),
-            BuildPlan::Tradeoff { eps },
-            &config,
-        )
-        .expect("the lower-bound instance is valid input");
+        let s = TradeoffBuilder::new(eps)
+            .with_config(|c| c.with_seed(seed))
+            .build(&lb.graph, &Sources::single(lb.source))
+            .expect("the lower-bound instance is valid input");
         table.add_row(vec![
             format!("{eps:.2}"),
             lb.graph.num_vertices().to_string(),

@@ -5,7 +5,7 @@
 //! certified forced-edge count with the measured structures.
 
 use ftb_bench::Table;
-use ftb_core::{MultiSourceBuilder, Sources};
+use ftb_core::{Sources, TradeoffBuilder};
 use ftb_graph::VertexId;
 use ftb_lower_bounds::multi_source_lower_bound;
 use ftb_workloads::{Workload, WorkloadFamily};
@@ -13,7 +13,7 @@ use ftb_workloads::{Workload, WorkloadFamily};
 fn main() {
     let eps = 0.3;
     let seed = 5u64;
-    let builder = MultiSourceBuilder::new(eps).with_config(|c| c.with_seed(seed));
+    let builder = TradeoffBuilder::new(eps).with_config(|c| c.with_seed(seed));
 
     // Hard instances: one per sigma.
     let mut table = Table::new(

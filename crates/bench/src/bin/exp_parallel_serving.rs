@@ -107,7 +107,7 @@ fn main() {
     let sources: Vec<VertexId> = (0..4)
         .map(|i| VertexId::new(i * graph.num_vertices() / 4))
         .collect();
-    let mbfs = ftb_core::MultiSourceBuilder::new(0.3)
+    let mbfs = ftb_core::TradeoffBuilder::new(0.3)
         .with_config(|c| c.with_seed(seed).serial())
         .build_multi(&graph, &Sources::multi(sources.clone()))
         .expect("workload gateways are valid sources");

@@ -5,7 +5,7 @@
 //! envelopes `b = O(1/ε · n^{1+ε} log n)` and `r = O(1/ε · n^{1-ε} log n)`.
 
 use ftb_bench::Table;
-use ftb_core::{build_structure, BuildConfig, BuildPlan, Sources};
+use ftb_core::{Sources, StructureBuilder, TradeoffBuilder};
 use ftb_graph::VertexId;
 use ftb_lower_bounds::esa13_lower_bound;
 use ftb_workloads::{Workload, WorkloadFamily};
@@ -14,7 +14,7 @@ fn main() {
     let eps_grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.75, 1.0];
     let n_target = 600usize;
     let seed = 1u64;
-    let config = BuildConfig::new(0.0).with_seed(seed);
+    let builder = |eps: f64| TradeoffBuilder::new(eps).with_config(|c| c.with_seed(seed));
 
     for family in [WorkloadFamily::LayeredDeep, WorkloadFamily::ErdosRenyi] {
         let workload = Workload::new(family, n_target, seed);
@@ -38,7 +38,8 @@ fn main() {
             ],
         );
         for &eps in &eps_grid {
-            let s = build_structure(&graph, &sources, BuildPlan::Tradeoff { eps }, &config)
+            let s = builder(eps)
+                .build(&graph, &sources)
                 .expect("workload graphs with source 0 are valid input");
             let (b_env, r_env) = if eps >= 0.5 {
                 (n.powf(1.5), 0.0)
@@ -85,7 +86,8 @@ fn main() {
         ],
     );
     for &eps in &eps_grid {
-        let s = build_structure(&lb.graph, &sources, BuildPlan::Tradeoff { eps }, &config)
+        let s = builder(eps)
+            .build(&lb.graph, &sources)
             .expect("the lower-bound instance is valid input");
         let (b_env, r_env) = if eps >= 0.5 {
             (n.powf(1.5), 0.0)

@@ -17,10 +17,8 @@
 //! `ε = 0` the reinforced BFS tree — matching the two extremes discussed in
 //! the paper.
 //!
-//! The canonical entry point is [`try_build_ft_bfs`], which validates its
-//! input and reports problems as [`FtbfsError`]; construction is normally
-//! driven through the [`crate::StructureBuilder`] implementations instead of
-//! calling this module directly.
+//! [`crate::TradeoffBuilder`] is the entry point: it validates the input,
+//! reports problems as [`FtbfsError`] and then runs this driver.
 
 use crate::baseline::{build_baseline_impl, build_reinforced_tree_impl};
 use crate::config::BuildConfig;
@@ -38,8 +36,7 @@ use std::time::Instant;
 
 /// Validate `(graph, source, config)` as a construction input.
 ///
-/// Shared by every [`crate::StructureBuilder`] implementation and the
-/// `try_*` construction functions.
+/// Every source a [`crate::TradeoffBuilder`] builds for passes through here.
 pub(crate) fn validate_input(
     graph: &Graph,
     source: VertexId,
@@ -66,31 +63,14 @@ pub(crate) fn validate_input(
 }
 
 /// Build an `ε` FT-BFS (equivalently, a `(b, r)` FT-BFS) structure for
-/// `graph` rooted at `source`, validating the input first.
+/// `graph` rooted at `source`. Callers must have validated the input with
+/// [`validate_input`].
 ///
 /// The returned structure satisfies
 /// `dist(s, v, H ∖ {e}) ≤ dist(s, v, G ∖ {e})` for every vertex `v` and every
 /// non-reinforced edge `e`, with `O(1/ε · n^{1+ε} · log n)` backup edges and
-/// `O(1/ε · n^{1-ε} · log n)` reinforced edges (Theorem 3.1).
-///
-/// # Errors
-///
-/// * [`FtbfsError::InvalidEps`] — `config.eps` outside `[0, 1]`,
-/// * [`FtbfsError::SourceOutOfRange`] — `source` not a vertex of `graph`,
-/// * [`FtbfsError::DisconnectedSource`] — only with
-///   [`BuildConfig::require_connected`],
-/// * [`FtbfsError::BudgetOverflow`] — degenerate or overflowing ablation
-///   overrides.
-pub fn try_build_ft_bfs(
-    graph: &Graph,
-    source: VertexId,
-    config: &BuildConfig,
-) -> Result<FtBfsStructure, FtbfsError> {
-    validate_input(graph, source, config)?;
-    Ok(build_tradeoff_impl(graph, source, config))
-}
-
-/// The unvalidated construction body; callers must have validated the input.
+/// `O(1/ε · n^{1-ε} · log n)` reinforced edges (Theorem 3.1). This is the one
+/// place that picks a branch from `ε`.
 pub(crate) fn build_tradeoff_impl(
     graph: &Graph,
     source: VertexId,
@@ -197,14 +177,23 @@ pub(crate) fn build_tradeoff_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{Sources, StructureBuilder, TradeoffBuilder};
     use crate::verify::verify_structure;
     use ftb_graph::generators;
     use ftb_par::ParallelConfig;
     use ftb_workloads::{families, Workload, WorkloadFamily};
 
+    fn build(
+        graph: &Graph,
+        source: VertexId,
+        config: &BuildConfig,
+    ) -> Result<FtBfsStructure, FtbfsError> {
+        TradeoffBuilder::from_config(config.clone()).build(graph, &Sources::single(source))
+    }
+
     fn check_valid(graph: &Graph, eps: f64, seed: u64) -> FtBfsStructure {
         let config = BuildConfig::new(eps).with_seed(seed).serial();
-        let s = try_build_ft_bfs(graph, VertexId(0), &config).expect("valid input");
+        let s = build(graph, VertexId(0), &config).expect("valid input");
         let weights = TieBreakWeights::generate(graph, seed);
         let tree = ShortestPathTree::build(graph, &weights, VertexId(0));
         let report = verify_structure(graph, &tree, &s, &ParallelConfig::serial(), false);
@@ -264,7 +253,7 @@ mod tests {
     fn structure_contains_the_bfs_tree() {
         let g = generators::hypercube(4);
         let config = BuildConfig::new(0.3).serial();
-        let s = try_build_ft_bfs(&g, VertexId(0), &config).expect("valid input");
+        let s = build(&g, VertexId(0), &config).expect("valid input");
         let weights = TieBreakWeights::generate(&g, config.seed);
         let tree = ShortestPathTree::build(&g, &weights, VertexId(0));
         for &e in tree.tree_edges() {
@@ -277,8 +266,8 @@ mod tests {
         let g = families::erdos_renyi_gnp(70, 0.1, 13);
         let approx = BuildConfig::new(0.25).with_seed(13).serial();
         let exact = approx.clone().with_exact_reinforcement(true);
-        let sa = try_build_ft_bfs(&g, VertexId(0), &approx).expect("valid input");
-        let se = try_build_ft_bfs(&g, VertexId(0), &exact).expect("valid input");
+        let sa = build(&g, VertexId(0), &approx).expect("valid input");
+        let se = build(&g, VertexId(0), &exact).expect("valid input");
         assert!(se.num_reinforced() <= sa.num_reinforced());
         let weights = TieBreakWeights::generate(&g, 13);
         let tree = ShortestPathTree::build(&g, &weights, VertexId(0));
@@ -290,8 +279,8 @@ mod tests {
         let g = families::layered_random(7, 10, 3, 0.4, 17);
         let full = BuildConfig::new(0.2).with_seed(17).serial();
         let ablated = full.clone().with_phase_s2(false);
-        let sf = try_build_ft_bfs(&g, VertexId(0), &full).expect("valid input");
-        let sa = try_build_ft_bfs(&g, VertexId(0), &ablated).expect("valid input");
+        let sf = build(&g, VertexId(0), &full).expect("valid input");
+        let sa = build(&g, VertexId(0), &ablated).expect("valid input");
         let weights = TieBreakWeights::generate(&g, 17);
         let tree = ShortestPathTree::build(&g, &weights, VertexId(0));
         assert!(verify_structure(&g, &tree, &sa, &ParallelConfig::serial(), false).is_valid());
@@ -302,13 +291,13 @@ mod tests {
     fn hld_levels_are_surfaced_when_phase_s2_runs() {
         let g = families::layered_random(7, 10, 3, 0.4, 23);
         let full = BuildConfig::new(0.2).with_seed(23).serial();
-        let s = try_build_ft_bfs(&g, VertexId(0), &full).expect("valid input");
+        let s = build(&g, VertexId(0), &full).expect("valid input");
         assert!(
             s.stats().hld_levels >= 1,
             "phase S2 ran, so the decomposition depth must be recorded"
         );
         let ablated = full.clone().with_phase_s2(false);
-        let sa = try_build_ft_bfs(&g, VertexId(0), &ablated).expect("valid input");
+        let sa = build(&g, VertexId(0), &ablated).expect("valid input");
         assert_eq!(sa.stats().hld_levels, 0, "no S2, no decomposition");
     }
 
@@ -319,8 +308,8 @@ mod tests {
         let parallel = BuildConfig::new(0.3)
             .with_seed(19)
             .with_parallel(ParallelConfig::with_threads(4));
-        let ss = try_build_ft_bfs(&g, VertexId(0), &serial).expect("valid input");
-        let sp = try_build_ft_bfs(&g, VertexId(0), &parallel).expect("valid input");
+        let ss = build(&g, VertexId(0), &serial).expect("valid input");
+        let sp = build(&g, VertexId(0), &parallel).expect("valid input");
         assert_eq!(ss.num_edges(), sp.num_edges());
         assert_eq!(ss.num_reinforced(), sp.num_reinforced());
         assert_eq!(ss.edge_set().to_vec(), sp.edge_set().to_vec());
@@ -329,10 +318,10 @@ mod tests {
     #[test]
     fn invalid_inputs_surface_as_typed_errors() {
         let g = generators::grid(4, 4);
-        let bad_eps = try_build_ft_bfs(&g, VertexId(0), &BuildConfig::new(2.0));
+        let bad_eps = build(&g, VertexId(0), &BuildConfig::new(2.0));
         assert!(matches!(bad_eps, Err(FtbfsError::InvalidEps { .. })));
 
-        let bad_source = try_build_ft_bfs(&g, VertexId(999), &BuildConfig::new(0.3));
+        let bad_source = build(&g, VertexId(999), &BuildConfig::new(0.3));
         assert!(matches!(
             bad_source,
             Err(FtbfsError::SourceOutOfRange { .. })
@@ -349,8 +338,8 @@ mod tests {
         let g = b.build();
         let lenient = BuildConfig::new(0.3).serial();
         let strict = lenient.clone().with_require_connected(true);
-        assert!(try_build_ft_bfs(&g, VertexId(0), &lenient).is_ok());
-        let err = try_build_ft_bfs(&g, VertexId(0), &strict).unwrap_err();
+        assert!(build(&g, VertexId(0), &lenient).is_ok());
+        let err = build(&g, VertexId(0), &strict).unwrap_err();
         assert_eq!(
             err,
             FtbfsError::DisconnectedSource {

@@ -1,18 +1,14 @@
 //! The two extreme points of the tradeoff:
 //!
-//! * `ε = 1` — the ESA'13 FT-BFS structure of [14]: no reinforcement,
-//!   `Θ(n^{3/2})` backup edges (this is also the branch Theorem 3.1 uses for
-//!   every `ε ≥ 1/2`),
+//! * `ε = 1` — the ESA'13 FT-BFS structure (Parter–Peleg, *Sparse
+//!   Fault-Tolerant BFS Trees*): no reinforcement, `Θ(n^{3/2})` backup
+//!   edges (this is also the branch Theorem 3.1 uses for every `ε ≥ 1/2`),
 //! * `ε = 0` — reinforce the `n − 1` BFS-tree edges, no backup at all.
 //!
-//! The checked entry points are [`try_build_baseline_ftbfs`] and
-//! [`try_build_reinforced_tree`]; the [`crate::BaselineBuilder`] and
-//! [`crate::ReinforcedTreeBuilder`] wrap them behind the
-//! [`crate::StructureBuilder`] trait.
+//! Both are branches of [`crate::TradeoffBuilder`]: the construction
+//! driver picks them from `ε`.
 
-use crate::algorithm::validate_input;
 use crate::config::BuildConfig;
-use crate::error::FtbfsError;
 use crate::stats::BuildStats;
 use crate::structure::FtBfsStructure;
 use ftb_graph::{BitSet, Graph, VertexId};
@@ -20,24 +16,9 @@ use ftb_rp::ReplacementPaths;
 use ftb_sp::{ReplacementDistances, ShortestPathTree, TieBreakWeights};
 use std::time::Instant;
 
-/// Build the ESA'13 baseline FT-BFS structure (the `ε ≥ 1/2` branch):
-/// `T0` plus the last edge of the canonical replacement path of **every**
-/// vertex–edge pair. No edge is reinforced.
-///
-/// # Errors
-///
-/// See [`crate::algorithm::try_build_ft_bfs`]; the same input validation
-/// applies.
-pub fn try_build_baseline_ftbfs(
-    graph: &Graph,
-    source: VertexId,
-    config: &BuildConfig,
-) -> Result<FtBfsStructure, FtbfsError> {
-    validate_input(graph, source, config)?;
-    Ok(build_baseline_impl(graph, source, config))
-}
-
-/// The unvalidated ESA'13 baseline body; callers must validate the input.
+/// The ESA'13 baseline FT-BFS structure (the `ε ≥ 1/2` branch): `T0` plus
+/// the last edge of the canonical replacement path of **every** vertex–edge
+/// pair. No edge is reinforced. Callers must validate the input.
 pub(crate) fn build_baseline_impl(
     graph: &Graph,
     source: VertexId,
@@ -81,23 +62,8 @@ pub(crate) fn build_baseline_impl(
     )
 }
 
-/// Build the `ε = 0` extreme: the BFS tree with every tree edge reinforced
-/// and no backup edges.
-///
-/// # Errors
-///
-/// See [`crate::algorithm::try_build_ft_bfs`]; the same input validation
-/// applies.
-pub fn try_build_reinforced_tree(
-    graph: &Graph,
-    source: VertexId,
-    config: &BuildConfig,
-) -> Result<FtBfsStructure, FtbfsError> {
-    validate_input(graph, source, config)?;
-    Ok(build_reinforced_tree_impl(graph, source, config))
-}
-
-/// The unvalidated `ε = 0` body; callers must validate the input.
+/// The `ε = 0` extreme: the BFS tree with every tree edge reinforced and no
+/// backup edges. Callers must validate the input.
 pub(crate) fn build_reinforced_tree_impl(
     graph: &Graph,
     source: VertexId,
@@ -125,10 +91,20 @@ pub(crate) fn build_reinforced_tree_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{Sources, StructureBuilder, TradeoffBuilder};
+    use crate::error::FtbfsError;
     use crate::verify::verify_structure;
     use ftb_graph::generators;
     use ftb_par::ParallelConfig;
     use ftb_workloads::families;
+
+    fn build(
+        graph: &Graph,
+        source: VertexId,
+        config: &BuildConfig,
+    ) -> Result<FtBfsStructure, FtbfsError> {
+        TradeoffBuilder::from_config(config.clone()).build(graph, &Sources::single(source))
+    }
 
     fn tree_of(graph: &Graph, config: &BuildConfig, source: VertexId) -> ShortestPathTree {
         let w = TieBreakWeights::generate(graph, config.seed);
@@ -144,7 +120,7 @@ mod tests {
             ("clique_pendant", generators::clique_with_pendant(20)),
         ] {
             let config = BuildConfig::new(1.0).serial();
-            let s = try_build_baseline_ftbfs(&graph, VertexId(0), &config).expect("valid input");
+            let s = build(&graph, VertexId(0), &config).expect("valid input");
             let tree = tree_of(&graph, &config, VertexId(0));
             let report = verify_structure(&graph, &tree, &s, &ParallelConfig::serial(), false);
             assert!(
@@ -156,7 +132,7 @@ mod tests {
             assert!(s.stats().used_baseline);
         }
         let config = BuildConfig::new(1.0).serial();
-        let bad = try_build_baseline_ftbfs(&generators::grid(4, 5), VertexId(1000), &config);
+        let bad = build(&generators::grid(4, 5), VertexId(1000), &config);
         assert!(matches!(bad, Err(FtbfsError::SourceOutOfRange { .. })));
     }
 
@@ -164,7 +140,7 @@ mod tests {
     fn baseline_size_is_subquadratic_on_dense_graphs() {
         let g = generators::complete(40);
         let config = BuildConfig::new(1.0).serial();
-        let s = try_build_baseline_ftbfs(&g, VertexId(0), &config).expect("valid input");
+        let s = build(&g, VertexId(0), &config).expect("valid input");
         // Θ(n^{3/2}) with a small constant; certainly far below the ~800
         // edges of K_40.
         assert!(s.num_edges() < g.num_edges() / 2);
@@ -175,14 +151,14 @@ mod tests {
     fn reinforced_tree_has_no_backup_and_is_valid() {
         let g = families::erdos_renyi_gnp(60, 0.1, 7);
         let config = BuildConfig::new(0.0).serial();
-        let s = try_build_reinforced_tree(&g, VertexId(0), &config).expect("valid input");
+        let s = build(&g, VertexId(0), &config).expect("valid input");
         assert_eq!(s.num_backup(), 0);
         assert_eq!(s.num_reinforced(), g.num_vertices() - 1);
         let tree = tree_of(&g, &config, VertexId(0));
         let report = verify_structure(&g, &tree, &s, &ParallelConfig::serial(), false);
         assert!(report.is_valid());
         assert_eq!(report.checked_edges, 0);
-        let bad = try_build_reinforced_tree(&g, VertexId(1000), &config);
+        let bad = build(&g, VertexId(1000), &config);
         assert!(matches!(bad, Err(FtbfsError::SourceOutOfRange { .. })));
     }
 
@@ -194,7 +170,7 @@ mod tests {
         let n = 40;
         let g = generators::clique_with_pendant(n);
         let config = BuildConfig::new(1.0).serial();
-        let s = try_build_baseline_ftbfs(&g, VertexId(0), &config).expect("valid input");
+        let s = build(&g, VertexId(0), &config).expect("valid input");
         assert!(s.num_edges() < g.num_edges());
     }
 }

@@ -1,9 +1,10 @@
-//! Unified construction: the [`StructureBuilder`] trait and its
-//! implementations.
+//! The one construction entry point: [`TradeoffBuilder`] behind the
+//! [`StructureBuilder`] trait.
 //!
-//! Every way of building a fault-tolerant BFS structure — the Theorem 3.1
-//! tradeoff, the ESA'13 baseline, the reinforced BFS tree and the
-//! multi-source union — is exposed through one interface:
+//! Theorem 3.1 is one construction parameterised by `ε`; its extremes are
+//! the ESA'13 baseline (`ε ≥ 1/2`) and the reinforced BFS tree (`ε = 0`),
+//! and several sources build the FT-MBFS union. All of them come from the
+//! same builder:
 //!
 //! ```
 //! use ftb_core::{BuildConfig, Sources, StructureBuilder, TradeoffBuilder};
@@ -20,25 +21,25 @@
 //! );
 //! ```
 //!
-//! Builders validate all input up front and report problems as
-//! [`FtbfsError`] values — no entry point behind this trait panics on bad
-//! input. A [`BuildPlan`] value names a construction strategy in data (for
-//! configuration files, CLIs and experiment sweeps) and resolves to a
-//! builder via [`BuildPlan::into_builder`].
+//! The builder validates all input up front and reports problems as
+//! [`FtbfsError`] values; it never panics on bad input. The replacement-path
+//! augmentation stage runs on the result:
+//! [`FtBfsAugmenter::from_build_config`](crate::FtBfsAugmenter::from_build_config)
+//! takes the same configuration.
 
+use crate::algorithm::{build_tradeoff_impl, validate_input};
 use crate::config::BuildConfig;
 use crate::error::FtbfsError;
-use crate::ftbfs::{AugmentedStructure, FtBfsAugmenter};
-use crate::mbfs::{try_build_ft_mbfs_plan, MultiSourceStructure, SingleSourcePlan};
+use crate::mbfs::{build_union, MultiSourceStructure};
 use crate::structure::FtBfsStructure;
 use ftb_graph::{Graph, VertexId};
 
 /// The source set a structure is built for.
 ///
-/// A structure protects distances from every listed source. Most builders
-/// take a single source; the multi-source union accepts any non-empty set.
-/// Emptiness is diagnosed at build time as [`FtbfsError::EmptySources`], so
-/// `Sources` values can be assembled freely.
+/// A structure protects distances from every listed source; more than one
+/// source builds the multi-source union. Emptiness is diagnosed at build
+/// time as [`FtbfsError::EmptySources`], so `Sources` values can be
+/// assembled freely.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Sources {
     vertices: Vec<VertexId>,
@@ -99,67 +100,24 @@ impl From<&[VertexId]> for Sources {
     }
 }
 
-/// Uniform interface over every FT-BFS construction strategy.
+/// A construction of fault-tolerant BFS structures.
 ///
 /// Implementations validate `(graph, sources)` against their configuration
 /// before doing any work and never panic on invalid input. For a
-/// multi-element source set, single-source strategies build the union of
-/// per-source structures (rooted at the first source); use
-/// [`MultiSourceBuilder::build_multi`] when the per-source views are needed.
+/// multi-element source set the result is the union of the per-source
+/// structures, rooted at the first source; use
+/// [`TradeoffBuilder::build_multi`] when the per-source views are needed.
 pub trait StructureBuilder {
     /// Build a fault-tolerant BFS structure over `graph` for `sources`.
     fn build(&self, graph: &Graph, sources: &Sources) -> Result<FtBfsStructure, FtbfsError>;
-
-    /// Short human-readable strategy name (used in tables and logs).
-    fn name(&self) -> &'static str;
-}
-
-fn build_with_plan(
-    config: &BuildConfig,
-    plan: SingleSourcePlan,
-    graph: &Graph,
-    sources: &Sources,
-) -> Result<FtBfsStructure, FtbfsError> {
-    match *sources.as_slice() {
-        [] => Err(FtbfsError::EmptySources),
-        [source] => {
-            crate::algorithm::validate_input(graph, source, config)?;
-            Ok(plan.build(graph, source, config))
-        }
-        _ => {
-            let multi = try_build_ft_mbfs_plan(graph, sources.as_slice(), config, plan)?;
-            Ok(multi.into_union_structure())
-        }
-    }
-}
-
-macro_rules! config_accessors {
-    () => {
-        /// The underlying configuration.
-        pub fn config(&self) -> &BuildConfig {
-            &self.config
-        }
-
-        /// Replace the configuration wholesale.
-        pub fn with_config_value(mut self, config: BuildConfig) -> Self {
-            self.config = config;
-            self
-        }
-
-        /// Adjust the configuration through a fluent closure, e.g.
-        /// `.with_config(|c| c.with_seed(7).serial())`.
-        pub fn with_config(mut self, f: impl FnOnce(BuildConfig) -> BuildConfig) -> Self {
-            self.config = f(self.config);
-            self
-        }
-    };
 }
 
 /// Builder for the Theorem 3.1 reinforcement–backup tradeoff construction.
 ///
 /// `ε` selects the point on the tradeoff curve: `Õ(n^{1+ε})` backup edges
-/// against `Õ(n^{1-ε})` reinforced edges. `ε ≥ 1/2` automatically delegates
-/// to the baseline branch, `ε = 0` to the reinforced tree.
+/// against `Õ(n^{1-ε})` reinforced edges. `ε ≥ 1/2` builds the ESA'13
+/// `Θ(n^{3/2})` baseline (no reinforcement), `ε = 0` the reinforced BFS
+/// tree (no backup). Several sources build the FT-MBFS union.
 #[derive(Clone, Debug)]
 pub struct TradeoffBuilder {
     config: BuildConfig,
@@ -178,252 +136,40 @@ impl TradeoffBuilder {
         TradeoffBuilder { config }
     }
 
-    config_accessors!();
-}
-
-impl StructureBuilder for TradeoffBuilder {
-    fn build(&self, graph: &Graph, sources: &Sources) -> Result<FtBfsStructure, FtbfsError> {
-        build_with_plan(&self.config, SingleSourcePlan::Tradeoff, graph, sources)
+    /// The underlying configuration.
+    pub fn config(&self) -> &BuildConfig {
+        &self.config
     }
 
-    fn name(&self) -> &'static str {
-        "tradeoff"
-    }
-}
-
-/// Builder for the ESA'13 `Θ(n^{3/2})` FT-BFS baseline (the `ε = 1`
-/// extreme): pure backup, no reinforcement.
-#[derive(Clone, Debug)]
-pub struct BaselineBuilder {
-    config: BuildConfig,
-}
-
-impl BaselineBuilder {
-    /// Baseline construction with the default configuration (`ε = 1`).
-    pub fn new() -> Self {
-        BaselineBuilder {
-            config: BuildConfig::new(1.0),
-        }
+    /// Adjust the configuration through a fluent closure, e.g.
+    /// `.with_config(|c| c.with_seed(7).serial())`.
+    pub fn with_config(mut self, f: impl FnOnce(BuildConfig) -> BuildConfig) -> Self {
+        self.config = f(self.config);
+        self
     }
 
-    /// Builder from a fully specified configuration.
-    pub fn from_config(config: BuildConfig) -> Self {
-        BaselineBuilder { config }
-    }
-
-    config_accessors!();
-}
-
-impl Default for BaselineBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StructureBuilder for BaselineBuilder {
-    fn build(&self, graph: &Graph, sources: &Sources) -> Result<FtBfsStructure, FtbfsError> {
-        build_with_plan(&self.config, SingleSourcePlan::Baseline, graph, sources)
-    }
-
-    fn name(&self) -> &'static str {
-        "baseline"
-    }
-}
-
-/// Builder for the `ε = 0` extreme: the BFS tree with every tree edge
-/// reinforced and no backup edges.
-#[derive(Clone, Debug)]
-pub struct ReinforcedTreeBuilder {
-    config: BuildConfig,
-}
-
-impl ReinforcedTreeBuilder {
-    /// Reinforced-tree construction with the default configuration
-    /// (`ε = 0`).
-    pub fn new() -> Self {
-        ReinforcedTreeBuilder {
-            config: BuildConfig::new(0.0),
-        }
-    }
-
-    /// Builder from a fully specified configuration.
-    pub fn from_config(config: BuildConfig) -> Self {
-        ReinforcedTreeBuilder { config }
-    }
-
-    config_accessors!();
-}
-
-impl Default for ReinforcedTreeBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StructureBuilder for ReinforcedTreeBuilder {
-    fn build(&self, graph: &Graph, sources: &Sources) -> Result<FtBfsStructure, FtbfsError> {
-        build_with_plan(
-            &self.config,
-            SingleSourcePlan::ReinforcedTree,
-            graph,
-            sources,
-        )
-    }
-
-    fn name(&self) -> &'static str {
-        "reinforced-tree"
-    }
-}
-
-/// Builder for multi-source FT-MBFS structures (Theorem 5.4 setting).
-///
-/// [`StructureBuilder::build`] returns the union collapsed into a single
-/// [`FtBfsStructure`]; [`MultiSourceBuilder::build_multi`] additionally
-/// exposes the per-source structures.
-#[derive(Clone, Debug)]
-pub struct MultiSourceBuilder {
-    config: BuildConfig,
-}
-
-impl MultiSourceBuilder {
-    /// Multi-source tradeoff construction at the given `ε`.
-    pub fn new(eps: f64) -> Self {
-        MultiSourceBuilder {
-            config: BuildConfig::new(eps),
-        }
-    }
-
-    /// Builder from a fully specified configuration.
-    pub fn from_config(config: BuildConfig) -> Self {
-        MultiSourceBuilder { config }
-    }
-
-    config_accessors!();
-
-    /// Build the full multi-source structure with per-source views.
+    /// Build the multi-source structure with its per-source views.
+    /// Duplicate sources are ignored.
     pub fn build_multi(
         &self,
         graph: &Graph,
         sources: &Sources,
     ) -> Result<MultiSourceStructure, FtbfsError> {
-        try_build_ft_mbfs_plan(
-            graph,
-            sources.as_slice(),
-            &self.config,
-            SingleSourcePlan::Tradeoff,
-        )
+        build_union(graph, sources.as_slice(), &self.config)
     }
 }
 
-impl StructureBuilder for MultiSourceBuilder {
+impl StructureBuilder for TradeoffBuilder {
     fn build(&self, graph: &Graph, sources: &Sources) -> Result<FtBfsStructure, FtbfsError> {
-        Ok(self.build_multi(graph, sources)?.into_union_structure())
-    }
-
-    fn name(&self) -> &'static str {
-        "multi-source"
-    }
-}
-
-/// A construction strategy as plain data.
-///
-/// `BuildPlan` is the serialisable counterpart of the builder types: sweeps,
-/// CLIs and config files can store a plan and resolve it to a builder at the
-/// edge of the system.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum BuildPlan {
-    /// The Theorem 3.1 tradeoff at a given `ε`.
-    Tradeoff {
-        /// Tradeoff parameter in `[0, 1]`.
-        eps: f64,
-    },
-    /// The ESA'13 pure-backup baseline (`ε = 1`).
-    Baseline,
-    /// The reinforced BFS tree (`ε = 0`).
-    ReinforcedTree,
-    /// The multi-source union at a given `ε`.
-    MultiSource {
-        /// Tradeoff parameter in `[0, 1]`.
-        eps: f64,
-    },
-}
-
-impl BuildPlan {
-    /// Resolve the plan into a boxed builder with the default configuration
-    /// for its strategy.
-    pub fn into_builder(self) -> Box<dyn StructureBuilder> {
-        self.into_builder_with(|c| c)
-    }
-
-    /// Resolve the plan into a boxed builder, adjusting the configuration
-    /// through `f` (e.g. to set seeds or thread counts).
-    pub fn into_builder_with(
-        self,
-        f: impl FnOnce(BuildConfig) -> BuildConfig,
-    ) -> Box<dyn StructureBuilder> {
-        match self {
-            BuildPlan::Tradeoff { eps } => {
-                Box::new(TradeoffBuilder::from_config(f(BuildConfig::new(eps))))
+        match *sources.as_slice() {
+            [] => Err(FtbfsError::EmptySources),
+            [source] => {
+                validate_input(graph, source, &self.config)?;
+                Ok(build_tradeoff_impl(graph, source, &self.config))
             }
-            BuildPlan::Baseline => Box::new(BaselineBuilder::from_config(f(BuildConfig::new(1.0)))),
-            BuildPlan::ReinforcedTree => {
-                Box::new(ReinforcedTreeBuilder::from_config(f(BuildConfig::new(0.0))))
-            }
-            BuildPlan::MultiSource { eps } => {
-                Box::new(MultiSourceBuilder::from_config(f(BuildConfig::new(eps))))
-            }
+            _ => Ok(self.build_multi(graph, sources)?.into_union_structure()),
         }
     }
-
-    /// Short strategy name, matching [`StructureBuilder::name`].
-    pub fn name(&self) -> &'static str {
-        match self {
-            BuildPlan::Tradeoff { .. } => "tradeoff",
-            BuildPlan::Baseline => "baseline",
-            BuildPlan::ReinforcedTree => "reinforced-tree",
-            BuildPlan::MultiSource { .. } => "multi-source",
-        }
-    }
-}
-
-/// One-call convenience: resolve `plan` with `config` and build.
-///
-/// The plan determines the strategy **and** the tradeoff parameter: `ε`
-/// comes from the plan (or is fixed by the strategy — 1 for
-/// [`BuildPlan::Baseline`], 0 for [`BuildPlan::ReinforcedTree`]), while
-/// `config` supplies everything else (seed, threading, ablation knobs).
-/// `config.eps` is deliberately ignored so that one base configuration can
-/// drive a sweep over plans.
-pub fn build_structure(
-    graph: &Graph,
-    sources: &Sources,
-    plan: BuildPlan,
-    config: &BuildConfig,
-) -> Result<FtBfsStructure, FtbfsError> {
-    let builder = plan.into_builder_with(|base| BuildConfig {
-        eps: base.eps,
-        ..config.clone()
-    });
-    builder.build(graph, sources)
-}
-
-/// Build per `plan` and then run the replacement-path augmentation stage
-/// configured by [`BuildConfig::augment`].
-///
-/// This is the two-stage pipeline behind augmented serving: construct the
-/// seed `(b, r)` structure exactly like [`build_structure`], then let a
-/// [`FtBfsAugmenter`] (seed and thread configuration lifted from `config`)
-/// extend it to `H⁺`. With [`AugmentCoverage::Off`](crate::ftbfs::AugmentCoverage::Off)
-/// the result carries no extra edges and an engine built from it serves
-/// exactly like one built from the plain structure.
-pub fn build_augmented_structure(
-    graph: &Graph,
-    sources: &Sources,
-    plan: BuildPlan,
-    config: &BuildConfig,
-) -> Result<AugmentedStructure, FtbfsError> {
-    let base = build_structure(graph, sources, plan, config)?;
-    FtBfsAugmenter::from_build_config(config).augment_sources(graph, base, sources.as_slice())
 }
 
 #[cfg(test)]
@@ -444,90 +190,26 @@ mod tests {
     #[test]
     fn every_builder_produces_a_valid_structure() {
         let g = generators::hypercube(4);
-        let sources = Sources::single(VertexId(0));
-        let builders: Vec<Box<dyn StructureBuilder>> = vec![
-            Box::new(TradeoffBuilder::new(0.3).with_config(|c| c.with_seed(5).serial())),
-            Box::new(BaselineBuilder::new().with_config(|c| c.with_seed(5).serial())),
-            Box::new(ReinforcedTreeBuilder::new().with_config(|c| c.with_seed(5).serial())),
-            Box::new(MultiSourceBuilder::new(0.3).with_config(|c| c.with_seed(5).serial())),
-        ];
-        for b in &builders {
-            let s = b.build(&g, &sources).unwrap_or_else(|e| {
-                panic!("builder {} failed: {e}", b.name());
-            });
+        for eps in [0.3, 1.0, 0.0] {
+            let s = TradeoffBuilder::new(eps)
+                .with_config(|c| c.with_seed(5).serial())
+                .build(&g, &Sources::single(VertexId(0)))
+                .unwrap_or_else(|e| panic!("eps = {eps} failed: {e}"));
             verify(&g, &s, 5);
-            assert_eq!(s.source(), VertexId(0), "{}", b.name());
+            assert_eq!(s.source(), VertexId(0), "eps = {eps}");
         }
-    }
-
-    #[test]
-    fn builder_names_are_distinct() {
-        let names = [
-            TradeoffBuilder::new(0.3).name(),
-            BaselineBuilder::new().name(),
-            ReinforcedTreeBuilder::new().name(),
-            MultiSourceBuilder::new(0.3).name(),
-        ];
-        let mut uniq = names.to_vec();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), names.len());
-    }
-
-    #[test]
-    fn plans_resolve_to_matching_builders() {
-        for (plan, expected) in [
-            (BuildPlan::Tradeoff { eps: 0.3 }, "tradeoff"),
-            (BuildPlan::Baseline, "baseline"),
-            (BuildPlan::ReinforcedTree, "reinforced-tree"),
-            (BuildPlan::MultiSource { eps: 0.3 }, "multi-source"),
-        ] {
-            assert_eq!(plan.name(), expected);
-            assert_eq!(plan.into_builder().name(), expected);
-        }
-    }
-
-    #[test]
-    fn build_structure_dispatches_on_the_plan() {
-        let g = generators::grid(4, 5);
-        let sources = Sources::single(VertexId(0));
-        let config = BuildConfig::new(0.3).with_seed(3).serial();
-        let tradeoff =
-            build_structure(&g, &sources, BuildPlan::Tradeoff { eps: 0.3 }, &config).unwrap();
-        let tree = build_structure(&g, &sources, BuildPlan::ReinforcedTree, &config).unwrap();
-        let baseline = build_structure(&g, &sources, BuildPlan::Baseline, &config).unwrap();
-        assert_eq!(tree.num_backup(), 0);
-        assert_eq!(baseline.num_reinforced(), 0);
-        assert!(tradeoff.num_edges() <= baseline.num_edges().max(tradeoff.num_edges()));
-        verify(&g, &tradeoff, 3);
     }
 
     #[test]
     fn multi_source_union_is_exposed_both_ways() {
         let g = generators::grid(5, 5);
         let sources = Sources::multi(vec![VertexId(0), VertexId(24)]);
-        let b = MultiSourceBuilder::new(0.25).with_config(|c| c.with_seed(7).serial());
+        let b = TradeoffBuilder::new(0.25).with_config(|c| c.with_seed(7).serial());
         let multi = b.build_multi(&g, &sources).expect("valid input");
         let collapsed = b.build(&g, &sources).expect("valid input");
         assert_eq!(multi.num_edges(), collapsed.num_edges());
         assert_eq!(multi.num_reinforced(), collapsed.num_reinforced());
         assert_eq!(collapsed.source(), VertexId(0));
-    }
-
-    #[test]
-    fn single_source_builders_union_over_multi_sources() {
-        let g = generators::grid(5, 5);
-        let sources = Sources::multi(vec![VertexId(0), VertexId(24)]);
-        let s = TradeoffBuilder::new(0.25)
-            .with_config(|c| c.with_seed(7).serial())
-            .build(&g, &sources)
-            .expect("valid input");
-        let expected = MultiSourceBuilder::new(0.25)
-            .with_config(|c| c.with_seed(7).serial())
-            .build(&g, &sources)
-            .expect("valid input");
-        assert_eq!(s.num_edges(), expected.num_edges());
-        assert_eq!(s.num_reinforced(), expected.num_reinforced());
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Construction configuration (ε, seeds, ablation toggles).
+//! Construction configuration (ε, seeds, ablation toggles, augmentation).
 //!
-//! [`BuildConfig`] is a fluent builder: start from [`BuildConfig::new`] (or
-//! [`BuildConfig::try_new`] for checked construction) and chain `with_*`
-//! setters. Validation of the whole configuration happens up front in
-//! [`BuildConfig::validate`], which every [`crate::StructureBuilder`] calls
-//! before doing any work.
+//! [`BuildConfig`] is a fluent builder: start from [`BuildConfig::new`] and
+//! chain `with_*` setters. [`crate::TradeoffBuilder`] validates the whole
+//! configuration up front ([`BuildConfig::validate_for`]) before doing any
+//! work. Engine knobs (row cache, fault-set cap) are not construction
+//! settings; they live in [`EngineOptions`](crate::EngineOptions).
 
 use crate::error::FtbfsError;
 use crate::ftbfs::AugmentCoverage;
@@ -36,30 +36,12 @@ pub struct BuildConfig {
     /// the genuinely unprotected edges in the reinforced set (the
     /// algorithmic set from Observation 2.2 is an over-approximation).
     pub exact_reinforcement: bool,
-    /// Force the ε ≥ 1/2 baseline branch regardless of `eps`.
-    pub force_baseline: bool,
     /// Fail the build with [`FtbfsError::DisconnectedSource`] when the source
     /// cannot reach every vertex. Off by default: unreachable vertices simply
     /// stay outside the structure, matching the legacy behaviour.
     pub require_connected: bool,
-    /// Capacity (in distance rows) of the per-context LRU for fault-query
-    /// engines configured from this build configuration. Structures do not
-    /// carry their config, so this does **not** flow into an engine
-    /// automatically: lift it with
-    /// [`EngineOptions::from_build_config`](crate::engine::EngineOptions::from_build_config)
-    /// and pass the result to `EngineCore::build_with`. Minimum 1 (enforced
-    /// at engine construction).
-    pub engine_lru_rows: usize,
-    /// Maximum fault-set size (`|F|`) engines configured from this build
-    /// configuration accept; larger sets are rejected with
-    /// [`FtbfsError::FaultSetTooLarge`]. Like `engine_lru_rows`, lift it via
-    /// [`EngineOptions::from_build_config`](crate::engine::EngineOptions::from_build_config).
-    /// Default 2 (the dual-failure regime of the paper's successors);
-    /// minimum 1.
-    pub max_faults: usize,
     /// Replacement-path augmentation stage to run after construction
-    /// ([`crate::builder::build_augmented_structure`] /
-    /// [`FtBfsAugmenter::from_build_config`](crate::ftbfs::FtBfsAugmenter::from_build_config)):
+    /// ([`FtBfsAugmenter::from_build_config`](crate::ftbfs::FtBfsAugmenter::from_build_config)):
     /// [`AugmentCoverage::Off`] (default) builds the plain `(b, r)`
     /// structure, [`AugmentCoverage::SingleFault`] /
     /// [`AugmentCoverage::DualFailure`] additionally build the sparse
@@ -69,9 +51,8 @@ pub struct BuildConfig {
 }
 
 impl BuildConfig {
-    /// Default configuration for a given ε. Does not validate; call
-    /// [`BuildConfig::validate`] (or use [`BuildConfig::try_new`]) before
-    /// building.
+    /// Default configuration for a given ε. Does not validate; builders
+    /// call [`BuildConfig::validate_for`] before doing any work.
     pub fn new(eps: f64) -> Self {
         BuildConfig {
             eps,
@@ -81,20 +62,9 @@ impl BuildConfig {
             budget_override: None,
             enable_phase_s2: true,
             exact_reinforcement: false,
-            force_baseline: false,
             require_connected: false,
-            engine_lru_rows: crate::engine::EngineOptions::DEFAULT_LRU_ROWS,
-            max_faults: crate::engine::EngineOptions::DEFAULT_MAX_FAULTS,
             augment: AugmentCoverage::Off,
         }
-    }
-
-    /// Checked construction: like [`BuildConfig::new`] but rejects an ε
-    /// outside `[0, 1]` immediately.
-    pub fn try_new(eps: f64) -> Result<Self, FtbfsError> {
-        let config = Self::new(eps);
-        config.validate()?;
-        Ok(config)
     }
 
     /// Set the RNG seed.
@@ -139,30 +109,10 @@ impl BuildConfig {
         self
     }
 
-    /// Force the ε ≥ 1/2 baseline branch.
-    pub fn with_force_baseline(mut self, force: bool) -> Self {
-        self.force_baseline = force;
-        self
-    }
-
     /// Require the source to reach every vertex; otherwise builds fail with
     /// [`FtbfsError::DisconnectedSource`].
     pub fn with_require_connected(mut self, require: bool) -> Self {
         self.require_connected = require;
-        self
-    }
-
-    /// Set the per-context LRU row capacity of engines derived from this
-    /// configuration (minimum 1).
-    pub fn with_engine_lru_rows(mut self, rows: usize) -> Self {
-        self.engine_lru_rows = rows.max(1);
-        self
-    }
-
-    /// Set the maximum fault-set size engines derived from this
-    /// configuration accept (minimum 1).
-    pub fn with_max_faults(mut self, max: usize) -> Self {
-        self.max_faults = max.max(1);
         self
     }
 
@@ -219,7 +169,9 @@ impl BuildConfig {
         if self.eps <= 0.0 {
             return 2;
         }
-        (1.0 / self.eps).ceil() as usize + 2
+        // A tiny ε saturates the cast to `usize::MAX`; saturate the `+ 2`
+        // too, so `validate_for` reports the envelope as `BudgetOverflow`.
+        ((1.0 / self.eps).ceil() as usize).saturating_add(2)
     }
 
     /// The per-terminal last-edge budget `⌈n^ε⌉`, unless overridden.
@@ -233,7 +185,7 @@ impl BuildConfig {
     /// `true` if the `ε ≥ 1/2` baseline branch should be used (the
     /// `n^{3/2}` term of Theorem 3.1 dominates there).
     pub fn use_baseline_branch(&self) -> bool {
-        self.force_baseline || self.eps >= 0.5
+        self.eps >= 0.5
     }
 }
 
@@ -280,11 +232,6 @@ mod tests {
         assert!(BuildConfig::new(0.5).use_baseline_branch());
         assert!(BuildConfig::new(0.9).use_baseline_branch());
         assert!(!BuildConfig::new(0.3).use_baseline_branch());
-        let forced = BuildConfig {
-            force_baseline: true,
-            ..BuildConfig::new(0.1)
-        };
-        assert!(forced.use_baseline_branch());
     }
 
     #[test]
@@ -297,13 +244,11 @@ mod tests {
         let c = c
             .with_phase_s2(false)
             .with_exact_reinforcement(true)
-            .with_force_baseline(true)
             .with_require_connected(true)
             .with_k_override(Some(5))
             .with_budget_override(Some(9));
         assert!(!c.enable_phase_s2);
         assert!(c.exact_reinforcement);
-        assert!(c.force_baseline);
         assert!(c.require_connected);
         assert_eq!(c.k_rounds(), 5);
         assert_eq!(c.budget(1_000_000), 9);
@@ -319,18 +264,9 @@ mod tests {
     }
 
     #[test]
-    fn max_faults_defaults_to_two_and_clamps_to_one() {
-        let c = BuildConfig::new(0.3);
-        assert_eq!(c.max_faults, 2);
-        assert_eq!(c.clone().with_max_faults(4).max_faults, 4);
-        assert_eq!(c.with_max_faults(0).max_faults, 1);
-    }
-
-    #[test]
     fn validation_accepts_the_legal_range() {
         for eps in [0.0, 0.25, 0.5, 1.0] {
             assert!(BuildConfig::new(eps).validate().is_ok(), "eps = {eps}");
-            assert!(BuildConfig::try_new(eps).is_ok());
         }
     }
 
@@ -342,7 +278,6 @@ mod tests {
                 matches!(err, FtbfsError::InvalidEps { .. }),
                 "eps = {eps} gave {err:?}"
             );
-            assert!(BuildConfig::try_new(eps).is_err());
         }
     }
 

@@ -35,9 +35,9 @@ fn force_full_sweep_from_env() -> bool {
 /// Serving-side tuning knobs, independent of how the structure was built.
 ///
 /// Pass to [`EngineCore::build_with`] (or its `build_multi_with` /
-/// `build_augmented_with` siblings); [`EngineOptions::from_build_config`]
-/// lifts the engine-relevant fields out of a
-/// [`BuildConfig`](crate::BuildConfig).
+/// `build_augmented_with` siblings). This is the one home of the engine
+/// knobs; [`BuildConfig`](crate::BuildConfig) holds construction settings
+/// only.
 #[derive(Clone, Debug)]
 pub struct EngineOptions {
     /// Capacity, in distance rows, of each context's LRU of post-failure
@@ -119,17 +119,6 @@ impl EngineOptions {
     pub fn with_force_full_sweep(mut self, force: bool) -> Self {
         self.force_full_sweep = force;
         self
-    }
-
-    /// Lift the engine-relevant fields out of a build configuration
-    /// (LRU capacity, worker threads and the fault cap).
-    pub fn from_build_config(config: &crate::BuildConfig) -> Self {
-        EngineOptions {
-            lru_rows: config.engine_lru_rows.max(1),
-            parallel: config.parallel.clone(),
-            max_faults: config.max_faults.max(1),
-            force_full_sweep: force_full_sweep_from_env(),
-        }
     }
 }
 

@@ -1,8 +1,6 @@
 use super::*;
 use crate::builder::{Sources, StructureBuilder, TradeoffBuilder};
-use crate::config::BuildConfig;
 use crate::error::FtbfsError;
-use crate::mbfs::try_build_ft_mbfs;
 use crate::verify::dist_after_faults_brute;
 use ftb_graph::{generators, EdgeId, Fault, FaultSet, Graph, SubgraphView, VertexId};
 use ftb_par::ParallelConfig;
@@ -400,12 +398,10 @@ fn reinforced_edge_fallback_is_exact() {
     // eps = 0 reinforces every tree edge, so every tree-edge query takes
     // the full-graph fallback; the answers must still be exact.
     let graph = generators::cycle(9);
-    let s = crate::baseline::try_build_reinforced_tree(
-        &graph,
-        VertexId(0),
-        &BuildConfig::new(0.0).serial(),
-    )
-    .expect("valid input");
+    let s = TradeoffBuilder::new(0.0)
+        .with_config(|c| c.serial())
+        .build(&graph, &Sources::single(VertexId(0)))
+        .expect("valid input");
     let core = EngineCore::build(&graph, s).expect("matching graph");
     let mut ctx = core.new_context();
     for e in graph.edge_ids() {
@@ -440,12 +436,10 @@ fn shared_core_serves_a_second_context() {
 fn multi_source_engine_is_exact_per_source() {
     let graph = generators::grid(5, 5);
     let sources = [VertexId(0), VertexId(12), VertexId(24)];
-    let m = try_build_ft_mbfs(
-        &graph,
-        &sources,
-        &BuildConfig::new(0.3).with_seed(3).serial(),
-    )
-    .expect("valid input");
+    let m = TradeoffBuilder::new(0.3)
+        .with_config(|c| c.with_seed(3).serial())
+        .build_multi(&graph, &Sources::from(&sources[..]))
+        .expect("valid input");
     let core = EngineCore::build_multi(&graph, m).expect("matching graph");
     let mut ctx = core.new_context();
     assert_eq!(core.sources(), &sources);
@@ -466,12 +460,10 @@ fn multi_source_engine_is_exact_per_source() {
 fn multi_source_batches_match_singles_and_check_sources() {
     let graph = generators::hypercube(4);
     let sources = [VertexId(0), VertexId(15)];
-    let m = try_build_ft_mbfs(
-        &graph,
-        &sources,
-        &BuildConfig::new(0.3).with_seed(5).serial(),
-    )
-    .expect("valid input");
+    let m = TradeoffBuilder::new(0.3)
+        .with_config(|c| c.with_seed(5).serial())
+        .build_multi(&graph, &Sources::from(&sources[..]))
+        .expect("valid input");
     let sharded = EngineCore::build_multi_with(
         &graph,
         m.clone(),
@@ -515,12 +507,10 @@ fn multi_source_batches_match_singles_and_check_sources() {
 fn multi_source_paths_are_witnesses() {
     let graph = generators::grid(4, 4);
     let sources = [VertexId(0), VertexId(15)];
-    let m = try_build_ft_mbfs(
-        &graph,
-        &sources,
-        &BuildConfig::new(0.25).with_seed(7).serial(),
-    )
-    .expect("valid input");
+    let m = TradeoffBuilder::new(0.25)
+        .with_config(|c| c.with_seed(7).serial())
+        .build_multi(&graph, &Sources::from(&sources[..]))
+        .expect("valid input");
     let core = EngineCore::build_multi(&graph, m).expect("matching graph");
     let mut ctx = core.new_context();
     for &s in &sources {
@@ -594,12 +584,11 @@ fn concurrent_contexts_share_one_core() {
 }
 
 #[test]
-fn engine_options_from_build_config() {
-    let cfg = BuildConfig::new(0.3)
-        .with_engine_lru_rows(5)
+fn engine_options_setters_and_defaults() {
+    let opts = EngineOptions::new()
+        .with_lru_rows(5)
         .with_max_faults(3)
         .serial();
-    let opts = EngineOptions::from_build_config(&cfg);
     assert_eq!(opts.lru_rows, 5);
     assert_eq!(opts.max_faults, 3);
     assert!(opts.parallel.is_serial());
@@ -963,12 +952,10 @@ fn skewed_batches_split_across_workers_and_stay_identical() {
 fn multi_source_fault_sets_are_exact_per_source() {
     let graph = generators::grid(4, 4);
     let sources = [VertexId(0), VertexId(15)];
-    let m = try_build_ft_mbfs(
-        &graph,
-        &sources,
-        &BuildConfig::new(0.3).with_seed(29).serial(),
-    )
-    .expect("valid input");
+    let m = TradeoffBuilder::new(0.3)
+        .with_config(|c| c.with_seed(29).serial())
+        .build_multi(&graph, &Sources::from(&sources[..]))
+        .expect("valid input");
     let core = EngineCore::build_multi(&graph, m.clone()).expect("matching graph");
     let mut ctx = core.new_context();
     let sets = ftb_graph::enumerate_fault_sets(&graph, 2);

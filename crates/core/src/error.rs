@@ -7,7 +7,7 @@
 use ftb_graph::{Fault, VertexId};
 use std::fmt;
 
-/// Errors produced by the FT-BFS builders and the fault-query engine.
+/// Errors produced by the FT-BFS builder and the fault-query engine.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FtbfsError {
     /// The tradeoff parameter is outside `[0, 1]` (or not a finite number).
@@ -57,8 +57,7 @@ pub enum FtbfsError {
         num_edges: usize,
     },
     /// A fault set exceeds the engine's configured fault cap
-    /// ([`EngineOptions::max_faults`](crate::engine::EngineOptions) /
-    /// [`BuildConfig::max_faults`](crate::BuildConfig)).
+    /// ([`EngineOptions::max_faults`](crate::engine::EngineOptions::max_faults)).
     FaultSetTooLarge {
         /// Size of the offending fault set.
         got: usize,
@@ -148,8 +147,7 @@ impl fmt::Display for FtbfsError {
             FtbfsError::FaultSetTooLarge { got, max } => write!(
                 f,
                 "fault set has {got} faults but the engine caps fault sets at {max}; \
-                 raise `EngineOptions::max_faults` (or `BuildConfig::max_faults`) to \
-                 serve larger sets"
+                 raise `EngineOptions::max_faults` to serve larger sets"
             ),
             FtbfsError::StructureMismatch {
                 structure_edges,

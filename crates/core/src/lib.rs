@@ -16,13 +16,13 @@
 //!
 //! # Building structures
 //!
-//! All construction strategies sit behind the [`StructureBuilder`] trait:
-//! [`TradeoffBuilder`] (ε-parameterised Theorem 3.1), [`BaselineBuilder`]
-//! (the ESA'13 `Θ(n^{3/2})` extreme), [`ReinforcedTreeBuilder`] (the `ε = 0`
-//! extreme) and [`MultiSourceBuilder`] (Theorem 5.4 unions). Builders
-//! validate input up front and report problems as [`FtbfsError`] — nothing
-//! behind the trait panics. [`BuildPlan`] names a strategy as plain data for
-//! sweeps and configuration.
+//! [`TradeoffBuilder`] is the one construction entry point, behind the
+//! [`StructureBuilder`] trait. Its `ε` selects the point on the curve:
+//! `ε ≥ 1/2` gives the ESA'13 `Θ(n^{3/2})` baseline, `ε = 0` the reinforced
+//! BFS tree, and several sources the FT-MBFS union of Theorem 5.4
+//! ([`TradeoffBuilder::build_multi`] keeps the per-source views). The
+//! builder validates input up front and reports problems as [`FtbfsError`];
+//! it never panics on bad input.
 //!
 //! ```
 //! use ftb_core::{BuildConfig, Sources, StructureBuilder, TradeoffBuilder};
@@ -56,8 +56,8 @@
 //! docs for the answering model. To serve vertex faults, dual failures and
 //! reinforced-edge hypotheticals by **sparse** search instead of full-graph
 //! recomputation, run the [`ftbfs`] replacement-path augmentation stage
-//! ([`build_augmented_structure`] or [`FtBfsAugmenter`]) and build the
-//! core from the resulting [`AugmentedStructure`].
+//! ([`FtBfsAugmenter::from_build_config`] on the builder's configuration)
+//! and build the core from the resulting [`AugmentedStructure`].
 //!
 //! ```
 //! use ftb_core::{EngineCore, FaultSet, Sources, StructureBuilder, TradeoffBuilder};
@@ -74,12 +74,7 @@
 //! assert!(d.is_some(), "one hypercube failure never disconnects");
 //! ```
 //!
-//! # Free functions
-//!
-//! Besides the builders, each construction has a checked free function
-//! ([`try_build_ft_bfs`], [`try_build_baseline_ftbfs`],
-//! [`try_build_reinforced_tree`], [`try_build_ft_mbfs`]) that reports
-//! invalid input as an [`FtbfsError`].
+//! # Checking and pricing
 //!
 //! The remaining entry points are [`verify::verify_structure`]
 //! (definition-level validation) and [`cost::CostModel`] (the `B/R` price
@@ -88,8 +83,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod algorithm;
-pub mod baseline;
+mod algorithm;
+mod baseline;
 pub mod builder;
 pub mod config;
 pub mod cost;
@@ -104,12 +99,7 @@ pub mod stats;
 pub mod structure;
 pub mod verify;
 
-pub use algorithm::try_build_ft_bfs;
-pub use baseline::{try_build_baseline_ftbfs, try_build_reinforced_tree};
-pub use builder::{
-    build_augmented_structure, build_structure, BaselineBuilder, BuildPlan, MultiSourceBuilder,
-    ReinforcedTreeBuilder, Sources, StructureBuilder, TradeoffBuilder,
-};
+pub use builder::{Sources, StructureBuilder, TradeoffBuilder};
 pub use config::BuildConfig;
 pub use cost::CostModel;
 pub use engine::{
@@ -118,7 +108,7 @@ pub use engine::{
 };
 pub use error::FtbfsError;
 pub use ftbfs::{AugmentCoverage, AugmentStats, AugmentedStructure, FtBfsAugmenter};
-pub use mbfs::{try_build_ft_mbfs, MultiSourceStructure};
+pub use mbfs::MultiSourceStructure;
 pub use stats::BuildStats;
 pub use structure::FtBfsStructure;
 pub use verify::{

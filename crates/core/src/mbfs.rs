@@ -6,43 +6,16 @@
 //! object; its Theorem 5.4 lower bound shows the union-style cost
 //! `Ω(σ^{1-ε} n^{1+ε})` is essentially unavoidable).
 //!
-//! The checked entry point is [`try_build_ft_mbfs`]; the
-//! [`crate::MultiSourceBuilder`] wraps it behind the
-//! [`crate::StructureBuilder`] trait.
+//! [`TradeoffBuilder::build_multi`](crate::TradeoffBuilder::build_multi)
+//! builds it; [`StructureBuilder::build`](crate::StructureBuilder::build)
+//! over several sources returns it collapsed into one structure.
 
 use crate::algorithm::{build_tradeoff_impl, validate_input};
-use crate::baseline::{build_baseline_impl, build_reinforced_tree_impl};
 use crate::config::BuildConfig;
 use crate::error::FtbfsError;
 use crate::stats::BuildStats;
 use crate::structure::FtBfsStructure;
 use ftb_graph::{BitSet, EdgeId, Graph, VertexId};
-
-/// Which single-source construction a multi-source union is built from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SingleSourcePlan {
-    /// The Theorem 3.1 tradeoff construction.
-    Tradeoff,
-    /// The ESA'13 `Θ(n^{3/2})` baseline (`ε = 1` extreme).
-    Baseline,
-    /// The reinforced BFS tree (`ε = 0` extreme).
-    ReinforcedTree,
-}
-
-impl SingleSourcePlan {
-    pub(crate) fn build(
-        self,
-        graph: &Graph,
-        source: VertexId,
-        config: &BuildConfig,
-    ) -> FtBfsStructure {
-        match self {
-            SingleSourcePlan::Tradeoff => build_tradeoff_impl(graph, source, config),
-            SingleSourcePlan::Baseline => build_baseline_impl(graph, source, config),
-            SingleSourcePlan::ReinforcedTree => build_reinforced_tree_impl(graph, source, config),
-        }
-    }
-}
 
 /// A multi-source FT-BFS structure: the union of one [`FtBfsStructure`] per
 /// source.
@@ -153,27 +126,12 @@ impl MultiSourceStructure {
     }
 }
 
-/// Build an ε FT-MBFS structure for the given sources, validating the input
-/// first. Duplicate sources are ignored.
-///
-/// # Errors
-///
-/// [`FtbfsError::EmptySources`] for an empty source slice, plus everything
-/// [`crate::algorithm::try_build_ft_bfs`] reports (checked per source).
-pub fn try_build_ft_mbfs(
+/// Build the union of the per-source structures for `sources`, validating
+/// every source first. Duplicate sources are ignored.
+pub(crate) fn build_union(
     graph: &Graph,
     sources: &[VertexId],
     config: &BuildConfig,
-) -> Result<MultiSourceStructure, FtbfsError> {
-    try_build_ft_mbfs_plan(graph, sources, config, SingleSourcePlan::Tradeoff)
-}
-
-/// Plan-parameterised union build shared by the multi-source builders.
-pub(crate) fn try_build_ft_mbfs_plan(
-    graph: &Graph,
-    sources: &[VertexId],
-    config: &BuildConfig,
-    plan: SingleSourcePlan,
 ) -> Result<MultiSourceStructure, FtbfsError> {
     let mut uniq: Vec<VertexId> = Vec::new();
     for &s in sources {
@@ -191,7 +149,7 @@ pub(crate) fn try_build_ft_mbfs_plan(
     let mut union_reinforced = BitSet::new(graph.num_edges());
     let mut per_source = Vec::with_capacity(uniq.len());
     for &s in &uniq {
-        let structure = plan.build(graph, s, config);
+        let structure = build_tradeoff_impl(graph, s, config);
         union_edges.union_with(structure.edge_set());
         union_reinforced.union_with(structure.reinforced_set());
         per_source.push(structure);
@@ -208,17 +166,26 @@ pub(crate) fn try_build_ft_mbfs_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{Sources, TradeoffBuilder};
     use crate::verify::verify_structure;
     use ftb_par::ParallelConfig;
     use ftb_sp::{ShortestPathTree, TieBreakWeights};
     use ftb_workloads::families;
+
+    fn build_multi(
+        graph: &Graph,
+        sources: &[VertexId],
+        config: &BuildConfig,
+    ) -> Result<MultiSourceStructure, FtbfsError> {
+        TradeoffBuilder::from_config(config.clone()).build_multi(graph, &Sources::from(sources))
+    }
 
     #[test]
     fn union_contains_every_per_source_structure() {
         let g = families::erdos_renyi_gnp(60, 0.1, 3);
         let sources = [VertexId(0), VertexId(5), VertexId(17)];
         let config = BuildConfig::new(0.3).with_seed(3).serial();
-        let m = try_build_ft_mbfs(&g, &sources, &config).expect("valid input");
+        let m = build_multi(&g, &sources, &config).expect("valid input");
         assert_eq!(m.sources().len(), 3);
         assert_eq!(m.per_source().len(), 3);
         for s in m.per_source() {
@@ -242,7 +209,7 @@ mod tests {
         let g = families::erdos_renyi_gnp(50, 0.12, 7);
         let sources = [VertexId(0), VertexId(10)];
         let config = BuildConfig::new(0.25).with_seed(7).serial();
-        let m = try_build_ft_mbfs(&g, &sources, &config).expect("valid input");
+        let m = build_multi(&g, &sources, &config).expect("valid input");
         for (i, &s) in m.sources().iter().enumerate() {
             let weights = TieBreakWeights::generate(&g, config.seed);
             let tree = ShortestPathTree::build(&g, &weights, s);
@@ -263,7 +230,7 @@ mod tests {
     fn duplicate_sources_are_deduplicated() {
         let g = families::erdos_renyi_gnp(40, 0.15, 11);
         let config = BuildConfig::new(0.3).serial();
-        let m = try_build_ft_mbfs(&g, &[VertexId(0), VertexId(0), VertexId(1)], &config)
+        let m = build_multi(&g, &[VertexId(0), VertexId(0), VertexId(1)], &config)
             .expect("valid input");
         assert_eq!(m.sources().len(), 2);
     }
@@ -272,8 +239,8 @@ mod tests {
     fn more_sources_cost_more_edges() {
         let g = families::erdos_renyi_gnp(70, 0.1, 13);
         let config = BuildConfig::new(0.3).with_seed(13).serial();
-        let one = try_build_ft_mbfs(&g, &[VertexId(0)], &config).expect("valid input");
-        let three = try_build_ft_mbfs(&g, &[VertexId(0), VertexId(20), VertexId(40)], &config)
+        let one = build_multi(&g, &[VertexId(0)], &config).expect("valid input");
+        let three = build_multi(&g, &[VertexId(0), VertexId(20), VertexId(40)], &config)
             .expect("valid input");
         assert!(three.num_edges() >= one.num_edges());
     }
@@ -283,10 +250,10 @@ mod tests {
         let g = families::erdos_renyi_gnp(30, 0.2, 5);
         let config = BuildConfig::new(0.3).serial();
         assert_eq!(
-            try_build_ft_mbfs(&g, &[], &config).unwrap_err(),
+            build_multi(&g, &[], &config).unwrap_err(),
             FtbfsError::EmptySources
         );
-        let bad = try_build_ft_mbfs(&g, &[VertexId(0), VertexId(500)], &config);
+        let bad = build_multi(&g, &[VertexId(0), VertexId(500)], &config);
         assert!(matches!(bad, Err(FtbfsError::SourceOutOfRange { .. })));
     }
 
@@ -294,7 +261,7 @@ mod tests {
     fn union_structure_collapse_preserves_counts() {
         let g = families::erdos_renyi_gnp(50, 0.12, 9);
         let config = BuildConfig::new(0.25).with_seed(9).serial();
-        let m = try_build_ft_mbfs(&g, &[VertexId(0), VertexId(7)], &config).expect("valid input");
+        let m = build_multi(&g, &[VertexId(0), VertexId(7)], &config).expect("valid input");
         let (edges, reinforced) = (m.num_edges(), m.num_reinforced());
         let collapsed = m.into_union_structure();
         assert_eq!(collapsed.num_edges(), edges);

@@ -1,13 +1,15 @@
 //! Golden builds: the exact output of the `(b, r)` construction on a few
-//! fixed workloads at ε = 0.3.
+//! fixed workloads.
 //!
 //! Each line pins the structure edge set `H` and the reinforced set (count
 //! plus an FNV-1a hash of the sorted edge ids) and every `BuildStats`
 //! count. A change to the interference split, the A/B/C typing or the
 //! Phase S1/S2 bookkeeping that alters which edges are chosen fails here,
-//! not only in the end-to-end benchmark's `backup_edges`.
+//! not only in the end-to-end benchmark's `backup_edges`. The ε extremes
+//! and the multi-source union pin the branches `TradeoffBuilder` selects
+//! besides the ε ∈ (0, 1/2) construction.
 
-use ftb_core::{try_build_ft_bfs, BuildConfig, FtBfsStructure};
+use ftb_core::{BuildConfig, FtBfsStructure, Sources, StructureBuilder, TradeoffBuilder};
 use ftb_graph::{BitSet, VertexId};
 use ftb_par::ParallelConfig;
 use ftb_workloads::{Workload, WorkloadFamily};
@@ -23,19 +25,12 @@ fn fingerprint(set: &BitSet) -> String {
     format!("{}#{hash:016x}", set.len())
 }
 
-fn render(
-    family: WorkloadFamily,
-    n: usize,
-    seed: u64,
-    tight: Option<usize>,
-    s: &FtBfsStructure,
-) -> String {
+fn render(case: &str, s: &FtBfsStructure) -> String {
     let st = s.stats();
     format!(
-        "{}/{n}/{seed}/tight={tight:?}: H={} R={} | vertices={} graph_edges={} tree_edges={} pairs={} \
+        "{case}: H={} R={} | vertices={} graph_edges={} tree_edges={} pairs={} \
          uncovered={} i1={} i2={} s1_iterations={} s1_added={} s1_leftover={} s2_glue={} \
          s2_added={} s2_sim_sets={} reinforced={} hld_levels={} k_rounds={} baseline={}",
-        family.name(),
         fingerprint(s.edge_set()),
         fingerprint(s.reinforced_set()),
         st.num_vertices,
@@ -80,6 +75,20 @@ const GOLDEN: [&str; 6] = [
     "pref-attach/200/3/tight=Some(1): H=378#0db22b88da6296d7 R=4#e819540606a35e42 | vertices=200 graph_edges=594 tree_edges=199 pairs=459 uncovered=290 i1=285 i2=5 s1_iterations=1 s1_added=179 s1_leftover=0 s2_glue=0 s2_added=0 s2_sim_sets=0 reinforced=4 hld_levels=0 k_rounds=1 baseline=false",
 ];
 
+/// `(family, n, seed, ε, two sources)`: the ε = 1 baseline branch, the
+/// ε = 0 reinforced tree and the union over `{0, n − 1}`.
+const BRANCH_CASES: [(WorkloadFamily, usize, u64, f64, bool); 3] = [
+    (WorkloadFamily::ErdosRenyi, 400, 7, 1.0, false),
+    (WorkloadFamily::LayeredDeep, 400, 7, 0.0, false),
+    (WorkloadFamily::PreferentialAttachment, 200, 3, 0.3, true),
+];
+
+const BRANCH_GOLDEN: [&str; 3] = [
+    "erdos-renyi/400/7/eps=1/sources=[v0]: H=759#118363d43f9b4087 R=0#cbf29ce484222325 | vertices=400 graph_edges=1653 tree_edges=399 pairs=1183 uncovered=806 i1=0 i2=0 s1_iterations=0 s1_added=360 s1_leftover=0 s2_glue=0 s2_added=0 s2_sim_sets=0 reinforced=0 hld_levels=0 k_rounds=0 baseline=true",
+    "layered-deep/400/7/eps=0/sources=[v0]: H=400#89d94be49c15ab5d R=400#89d94be49c15ab5d | vertices=401 graph_edges=1264 tree_edges=400 pairs=0 uncovered=0 i1=0 i2=0 s1_iterations=0 s1_added=0 s1_leftover=0 s2_glue=0 s2_added=0 s2_sim_sets=0 reinforced=400 hld_levels=0 k_rounds=0 baseline=false",
+    "pref-attach/200/3/eps=0.3/sources=[v0, v199]: H=515#1ea96b370ae4ad97 R=0#cbf29ce484222325 | vertices=200 graph_edges=594 tree_edges=199 pairs=1123 uncovered=643 i1=638 i2=5 s1_iterations=2 s1_added=355 s1_leftover=0 s2_glue=6 s2_added=3 s2_sim_sets=4 reinforced=0 hld_levels=4 k_rounds=6 baseline=false",
+];
+
 fn check(parallel: ParallelConfig) {
     for ((family, n, seed, tight), expected) in CASES.into_iter().zip(GOLDEN) {
         let graph = Workload::new(family, n, seed).generate();
@@ -93,8 +102,30 @@ fn check(parallel: ParallelConfig) {
             },
             None => config,
         };
-        let s = try_build_ft_bfs(&graph, VertexId(0), &config).expect("valid input");
-        assert_eq!(render(family, n, seed, tight, &s), expected);
+        let s = TradeoffBuilder::from_config(config)
+            .build(&graph, &Sources::single(VertexId(0)))
+            .expect("valid input");
+        let case = format!("{}/{n}/{seed}/tight={tight:?}", family.name());
+        assert_eq!(render(&case, &s), expected);
+    }
+    for ((family, n, seed, eps, two), expected) in BRANCH_CASES.into_iter().zip(BRANCH_GOLDEN) {
+        let graph = Workload::new(family, n, seed).generate();
+        let last = VertexId::new(graph.num_vertices() - 1);
+        let sources = if two {
+            Sources::multi(vec![VertexId(0), last])
+        } else {
+            Sources::single(VertexId(0))
+        };
+        let s = TradeoffBuilder::new(eps)
+            .with_config(|c| c.with_parallel(parallel.clone()))
+            .build(&graph, &sources)
+            .expect("valid input");
+        let case = format!(
+            "{}/{n}/{seed}/eps={eps}/sources={:?}",
+            family.name(),
+            sources.as_slice()
+        );
+        assert_eq!(render(&case, &s), expected);
     }
 }
 

@@ -8,7 +8,8 @@
 //! other untrusted byte stream the serving stack consumes.
 
 use ftb_core::{
-    build_augmented_structure, BuildConfig, BuildPlan, EngineCore, EngineOptions, Sources,
+    BuildConfig, EngineCore, EngineOptions, FtBfsAugmenter, Sources, StructureBuilder,
+    TradeoffBuilder,
 };
 use ftb_graph::VertexId;
 use ftb_workloads::{Workload, WorkloadFamily};
@@ -24,9 +25,12 @@ fn snapshot_bytes() -> &'static [u8] {
         let graph = Workload::new(WorkloadFamily::ErdosRenyi, 140, 11).generate();
         let sources = Sources::single(VertexId(0));
         let config = BuildConfig::new(0.3).with_seed(11);
-        let augmented =
-            build_augmented_structure(&graph, &sources, BuildPlan::Tradeoff { eps: 0.3 }, &config)
-                .expect("augmented build succeeds");
+        let structure = TradeoffBuilder::from_config(config.clone())
+            .build(&graph, &sources)
+            .expect("build succeeds");
+        let augmented = FtBfsAugmenter::from_build_config(&config)
+            .augment(&graph, structure)
+            .expect("augmentation succeeds");
         let core = EngineCore::build_augmented_with(&graph, augmented, EngineOptions::new())
             .expect("engine build succeeds");
         core.write_snapshot(b"totality-suite note")

@@ -1,8 +1,8 @@
 //! Chunked parallel-for and parallel-map over index ranges.
 
 use crate::config::ParallelConfig;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Run `f(i)` for every `i` in `0..len`, distributing indices over worker
 /// threads in chunks.
@@ -26,9 +26,9 @@ where
     let next = AtomicUsize::new(0);
     let chunk = config.chunk_size();
     let workers = config.threads().min(len.div_ceil(chunk));
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let start = next.fetch_add(chunk, Ordering::Relaxed);
                 if start >= len {
                     break;
@@ -39,8 +39,7 @@ where
                 }
             });
         }
-    })
-    .expect("parallel_for_each worker panicked");
+    });
 }
 
 /// Compute `vec![f(0), f(1), ..., f(len-1)]` in parallel.
@@ -84,9 +83,9 @@ where
     let next = AtomicUsize::new(0);
     let chunk = config.chunk_size();
     let workers = config.threads().min(len.div_ceil(chunk));
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 let mut state = init();
                 let mut local: Vec<(usize, R)> = Vec::new();
                 loop {
@@ -99,14 +98,16 @@ where
                         local.push((i, f(&mut state, i)));
                     }
                 }
-                buckets.lock().push(local);
+                buckets
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(local);
             });
         }
-    })
-    .expect("parallel_map worker panicked");
+    });
 
     let mut slots: Vec<Option<R>> = (0..len).map(|_| None).collect();
-    for bucket in buckets.into_inner() {
+    for bucket in buckets.into_inner().unwrap_or_else(PoisonError::into_inner) {
         for (i, v) in bucket {
             slots[i] = Some(v);
         }
@@ -149,20 +150,21 @@ pub fn parallel_chunks_mut_init<T, S, I, F>(
     }
     let chunks = Mutex::new(data.chunks_mut(chunk_len).enumerate());
     let workers = config.threads().min(len);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 let mut state = init();
                 loop {
-                    let Some((i, chunk)) = chunks.lock().next() else {
+                    let Some((i, chunk)) =
+                        chunks.lock().unwrap_or_else(PoisonError::into_inner).next()
+                    else {
                         break;
                     };
                     f(&mut state, i, chunk);
                 }
             });
         }
-    })
-    .expect("parallel_chunks_mut worker panicked");
+    });
 }
 
 #[cfg(test)]

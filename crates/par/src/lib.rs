@@ -1,4 +1,4 @@
-//! Minimal data-parallel helpers built on `crossbeam::scope`.
+//! Minimal data-parallel helpers built on `std::thread::scope`.
 //!
 //! The FT-BFS construction repeats the same independent computation over a
 //! large index range many times (one constrained shortest-path search per

@@ -1,8 +1,8 @@
 //! Parallel map-reduce over index ranges.
 
 use crate::config::ParallelConfig;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Map every index through `map` and fold the results with the associative
 /// combiner `reduce`, starting from `identity` on every worker.
@@ -29,9 +29,9 @@ where
     let chunk = config.chunk_size();
     let workers = config.threads().min(len.div_ceil(chunk).max(1));
     let partials: Mutex<Vec<R>> = Mutex::new(Vec::with_capacity(workers));
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 let mut acc = identity.clone();
                 loop {
                     let start = next.fetch_add(chunk, Ordering::Relaxed);
@@ -43,12 +43,18 @@ where
                         acc = reduce(acc, map(i));
                     }
                 }
-                partials.lock().push(acc);
+                partials
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(acc);
             });
         }
-    })
-    .expect("parallel_map_reduce worker panicked");
-    partials.into_inner().into_iter().fold(identity, reduce)
+    });
+    partials
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .into_iter()
+        .fold(identity, reduce)
 }
 
 /// Parallel sum of `f(i)` for `i` in `0..len`.

@@ -23,7 +23,7 @@ use std::time::Duration;
 ///
 /// A policy is a plain value: it holds no clock and no RNG state, so one
 /// policy can be shared by any number of client threads. Per-call mutable
-/// state (the jitter RNG, the previous sleep) lives in [`RetryState`],
+/// state (the jitter RNG, the previous sleep) lives in a private `RetryState`,
 /// which [`crate::Client::request_with_retry`] threads internally.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {

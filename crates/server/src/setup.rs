@@ -13,8 +13,8 @@
 //! provenance.
 
 use ftb_core::{
-    build_augmented_structure, AugmentCoverage, BuildConfig, BuildPlan, EngineCore, EngineOptions,
-    FtbfsError, SnapshotError, Sources, StructureBuilder, TradeoffBuilder,
+    AugmentCoverage, BuildConfig, EngineCore, EngineOptions, FtBfsAugmenter, FtbfsError,
+    SnapshotError, Sources, StructureBuilder, TradeoffBuilder,
 };
 use ftb_graph::{Graph, VertexId};
 use ftb_io::{Reader, Writer};
@@ -77,22 +77,14 @@ impl EngineSpec {
         graph: &Graph,
         options: EngineOptions,
     ) -> Result<Arc<EngineCore>, FtbfsError> {
-        let sources = Sources::single(self.source());
+        let config = BuildConfig::new(self.eps).with_seed(self.seed);
+        let structure = TradeoffBuilder::from_config(config.clone())
+            .build(graph, &Sources::single(self.source()))?;
         let core = if self.augment {
-            let config = BuildConfig::new(self.eps)
-                .with_seed(self.seed)
-                .with_augment(AugmentCoverage::SingleFault);
-            let augmented = build_augmented_structure(
-                graph,
-                &sources,
-                BuildPlan::Tradeoff { eps: self.eps },
-                &config,
-            )?;
+            let config = config.with_augment(AugmentCoverage::SingleFault);
+            let augmented = FtBfsAugmenter::from_build_config(&config).augment(graph, structure)?;
             EngineCore::build_augmented_with(graph, augmented, options)?
         } else {
-            let structure = TradeoffBuilder::new(self.eps)
-                .with_config(|c| c.with_seed(self.seed))
-                .build(graph, &sources)?;
             EngineCore::build_with(graph, structure, options)?
         };
         Ok(Arc::new(core))

@@ -12,7 +12,8 @@
 use ftbfs::graph::{Fault, FaultSet, VertexId};
 use ftbfs::workloads::families;
 use ftbfs::{
-    build_augmented_structure, AugmentCoverage, BuildConfig, BuildPlan, EngineCore, Sources,
+    AugmentCoverage, BuildConfig, EngineCore, FtBfsAugmenter, Sources, StructureBuilder,
+    TradeoffBuilder,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,17 +21,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graph = families::erdos_renyi_gnm(200, 2000, 42);
     let head_end = VertexId(0);
 
-    // Stage 1 + 2 in one call: build the (b, r) tradeoff structure, then
-    // run the dual-failure replacement-path augmentation over it.
+    // Stage 1: build the (b, r) tradeoff structure. Stage 2: run the
+    // dual-failure replacement-path augmentation over it, with the same
+    // seed and threads.
     let config = BuildConfig::new(0.3)
         .with_seed(42)
         .with_augment(AugmentCoverage::DualFailure);
-    let augmented = build_augmented_structure(
-        &graph,
-        &Sources::single(head_end),
-        BuildPlan::Tradeoff { eps: 0.3 },
-        &config,
-    )?;
+    let structure =
+        TradeoffBuilder::from_config(config.clone()).build(&graph, &Sources::single(head_end))?;
+    let augmented = FtBfsAugmenter::from_build_config(&config).augment(&graph, structure)?;
     println!(
         "graph: n = {}, m = {}; H keeps {} edges, H+ adds {} more ({:.0} ms offline)",
         graph.num_vertices(),

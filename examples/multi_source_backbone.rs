@@ -2,9 +2,9 @@
 //!
 //! A campus network has a handful of gateway routers; operations wants exact
 //! post-failure shortest paths from *every* gateway. This example builds an
-//! ε FT-MBFS structure for a set of gateway sources via [`MultiSourceBuilder`]
-//! and reports how the cost grows with the number of sources, mirroring the
-//! σ-dependence of Theorem 5.4.
+//! ε FT-MBFS structure for a set of gateway sources via
+//! [`TradeoffBuilder::build_multi`] and reports how the cost grows with the
+//! number of sources, mirroring the σ-dependence of Theorem 5.4.
 //!
 //! ```bash
 //! cargo run --release --example multi_source_backbone
@@ -12,7 +12,7 @@
 
 use ftbfs::graph::VertexId;
 use ftbfs::workloads::{Workload, WorkloadFamily};
-use ftbfs::{MultiSourceBuilder, Sources};
+use ftbfs::{Sources, TradeoffBuilder};
 
 fn main() {
     let workload = Workload::new(WorkloadFamily::GridChords, 400, 3);
@@ -25,7 +25,7 @@ fn main() {
     );
 
     let eps = 0.3;
-    let builder = MultiSourceBuilder::new(eps).with_config(|c| c.with_seed(3));
+    let builder = TradeoffBuilder::new(eps).with_config(|c| c.with_seed(3));
     // Gateways spread across the id space.
     let all_gateways: Vec<VertexId> = (0..8)
         .map(|i| VertexId::new(i * graph.num_vertices() / 8))

@@ -3,10 +3,10 @@
 //! A network operator has an existing topology and two catalogue prices: a
 //! cheap fault-prone link (backup, price `B`) and an expensive fault-immune
 //! link (reinforced, price `R`). The paper's corollary says the sweet spot of
-//! the tradeoff is `ε ≈ log(R/B) / log n`; this example sweeps ε through the
-//! [`BuildPlan`] interface, prices each resulting structure and compares
-//! against the two extremes (reinforce the whole BFS tree vs. buy the full
-//! ESA'13 backup structure).
+//! the tradeoff is `ε ≈ log(R/B) / log n`; this example sweeps ε through
+//! [`TradeoffBuilder`], prices each resulting structure and compares against
+//! the two extremes (reinforce the whole BFS tree vs. buy the full ESA'13
+//! backup structure).
 //!
 //! ```bash
 //! cargo run --release --example network_planning
@@ -14,14 +14,13 @@
 
 use ftbfs::graph::VertexId;
 use ftbfs::workloads::{Workload, WorkloadFamily};
-use ftbfs::{build_structure, BuildConfig, BuildPlan, CostModel, Sources};
+use ftbfs::{CostModel, Sources, StructureBuilder, TradeoffBuilder};
 
 fn main() {
     let workload = Workload::new(WorkloadFamily::LayeredDeep, 600, 7);
     let graph = workload.generate();
     let sources = Sources::single(VertexId(0));
     let n = graph.num_vertices();
-    let config = BuildConfig::new(0.0).with_seed(7);
     println!(
         "topology {}: n = {n}, m = {}",
         workload.label(),
@@ -38,8 +37,9 @@ fn main() {
         );
         let mut best: Option<(f64, f64)> = None;
         for &eps in &[0.0, 0.1, 0.2, 0.3, 0.4, 0.5, suggested] {
-            let plan = BuildPlan::Tradeoff { eps };
-            let structure = build_structure(&graph, &sources, plan, &config)
+            let structure = TradeoffBuilder::new(eps)
+                .with_config(|c| c.with_seed(7))
+                .build(&graph, &sources)
                 .expect("a connected workload with source 0 is valid input");
             let cost = prices.cost_of(&structure);
             println!(

@@ -60,10 +60,10 @@ fn main() {
 
     // Preprocess once, query many: the engine answers post-failure distances
     // out of the sparse structure with no per-query allocation. Serving
-    // knobs (per-context LRU rows, batch-sharding threads) are lifted from
-    // the build configuration; see the concurrent_serving example for
+    // knobs (per-context LRU rows, batch-sharding threads, the fault-set
+    // cap) live in EngineOptions; see the concurrent_serving example for
     // serving one shared EngineCore from many threads.
-    let options = EngineOptions::from_build_config(builder.config());
+    let options = EngineOptions::new().with_lru_rows(8).with_max_faults(2);
     let core = EngineCore::build_with(&graph, structure, options).expect("matching graph");
     let mut ctx = core.new_context();
     let far = VertexId((graph.num_vertices() - 1) as u32);

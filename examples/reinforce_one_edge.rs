@@ -12,7 +12,7 @@
 
 use ftbfs::graph::{generators, VertexId};
 use ftbfs::sp::{ShortestPathTree, TieBreakWeights};
-use ftbfs::{verify_structure, BaselineBuilder, Sources, StructureBuilder, TradeoffBuilder};
+use ftbfs::{verify_structure, Sources, StructureBuilder, TradeoffBuilder};
 
 fn main() {
     println!(
@@ -41,7 +41,7 @@ fn main() {
         .is_valid());
 
         // Pure backup (the ESA'13 structure, no reinforcement allowed).
-        let baseline = BaselineBuilder::new()
+        let baseline = TradeoffBuilder::new(1.0)
             .with_config(|c| c.with_seed(5))
             .build(&graph, &sources)
             .expect("the intro example is valid input");

@@ -9,15 +9,15 @@
 //! * [`sp`] — unique shortest paths, BFS trees, replacement distances,
 //! * [`tree`] — LCA, heavy-path decomposition, path segmentation,
 //! * [`rp`] — Algorithm `Pcons` and interference analysis,
-//! * [`core`] — builders, the fault-query engine, the verifier, the cost
+//! * [`core`] — the builder, the fault-query engine, the verifier, the cost
 //!   model and multi-source structures,
 //! * [`lower_bounds`] — the Theorem 5.1 / 5.4 lower-bound families,
 //! * [`workloads`] — deterministic experiment workloads.
 //!
 //! # Building a structure
 //!
-//! Every construction strategy implements [`StructureBuilder`]; pick one,
-//! configure it fluently, and build:
+//! [`TradeoffBuilder`] implements [`StructureBuilder`]; configure it
+//! fluently and build:
 //!
 //! ```
 //! use ftbfs::graph::{generators, VertexId};
@@ -72,27 +72,37 @@
 //! }
 //! ```
 //!
-//! # Checked free functions
+//! # One entry point, checked configuration
 //!
-//! Each builder also has a free function ([`try_build_ft_bfs`],
-//! [`try_build_baseline_ftbfs`], [`try_build_reinforced_tree`],
-//! [`try_build_ft_mbfs`]) with the same validation. Inputs outside the
-//! paper's parameter range, such as `eps = 2.0`, are rejected rather than
-//! silently run through another branch:
+//! [`TradeoffBuilder`] is the only construction entry point. A full
+//! [`BuildConfig`] goes in through [`TradeoffBuilder::from_config`]; `ε`
+//! alone picks the branch (`ε ≥ 1/2` the pure-backup baseline, `ε = 0` the
+//! reinforced tree), and several sources build the multi-source union.
+//! Inputs outside the paper's parameter range, such as `eps = 2.0`, are
+//! rejected rather than silently run through another branch:
 //!
 //! ```
 //! use ftbfs::graph::{generators, VertexId};
-//! use ftbfs::{try_build_ft_bfs, BuildConfig, FtbfsError};
+//! use ftbfs::{BuildConfig, FtbfsError, Sources, StructureBuilder, TradeoffBuilder};
 //!
 //! let g = generators::hypercube(4);
-//! let structure = try_build_ft_bfs(&g, VertexId(0), &BuildConfig::new(0.3))
+//! let source = Sources::single(VertexId(0));
+//! let structure = TradeoffBuilder::from_config(BuildConfig::new(0.3).with_seed(7))
+//!     .build(&g, &source)
 //!     .expect("hypercube input is valid");
 //! assert_eq!(
 //!     structure.num_backup() + structure.num_reinforced(),
 //!     structure.num_edges()
 //! );
 //!
-//! let err = try_build_ft_bfs(&g, VertexId(0), &BuildConfig::new(2.0)).unwrap_err();
+//! let baseline = TradeoffBuilder::new(1.0).build(&g, &source).unwrap();
+//! assert_eq!(baseline.num_reinforced(), 0);
+//! let tree = TradeoffBuilder::new(0.0).build(&g, &source).unwrap();
+//! assert_eq!(tree.num_backup(), 0);
+//!
+//! let err = TradeoffBuilder::from_config(BuildConfig::new(2.0))
+//!     .build(&g, &source)
+//!     .unwrap_err();
 //! assert!(matches!(err, FtbfsError::InvalidEps { .. }));
 //! ```
 
@@ -109,18 +119,11 @@ pub use ftb_tree as tree;
 pub use ftb_workloads as workloads;
 
 pub use ftb_core::{
-    build_augmented_structure, build_structure, cross_check_fault_sets, dist_after_faults_brute,
-    verify_structure, AugmentCoverage, AugmentStats, AugmentedStructure, BaselineBuilder,
-    BuildConfig, BuildPlan, BuildStats, CostModel, EngineCore, EngineOptions, Fault, FaultSet,
-    FaultSetMismatch, FtBfsAugmenter, FtBfsStructure, FtbfsError, MultiSourceBuilder,
-    MultiSourceStructure, QueryContext, QueryStats, ReinforcedTreeBuilder, Sources,
-    StructureBuilder, TierCounters, TradeoffBuilder, FORCE_FULL_SWEEP_ENV,
-};
-
-pub use ftb_core::EngineObs;
-
-pub use ftb_core::{
-    try_build_baseline_ftbfs, try_build_ft_bfs, try_build_ft_mbfs, try_build_reinforced_tree,
+    cross_check_fault_sets, dist_after_faults_brute, verify_structure, AugmentCoverage,
+    AugmentStats, AugmentedStructure, BuildConfig, BuildStats, CostModel, EngineCore, EngineObs,
+    EngineOptions, Fault, FaultSet, FaultSetMismatch, FtBfsAugmenter, FtBfsStructure, FtbfsError,
+    MultiSourceStructure, QueryContext, QueryStats, Sources, StructureBuilder, TierCounters,
+    TradeoffBuilder, FORCE_FULL_SWEEP_ENV,
 };
 
 pub use ftb_core::{SnapshotError, SnapshotStore, SNAPSHOT_FORMAT_VERSION};

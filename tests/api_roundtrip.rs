@@ -1,17 +1,16 @@
-//! Round-trip tests of the redesigned public API: every [`StructureBuilder`]
-//! implementation over several generator families, the definition-level
-//! verifier, the [`EngineCore`] + `QueryContext` serving path cross-checked
-//! against from-scratch BFS
-//! on small graphs, and the typed error paths.
+//! Round-trip tests of the public API: [`TradeoffBuilder`] at every ε
+//! branch and over several sources across generator families, the
+//! definition-level verifier, the [`EngineCore`] + `QueryContext` serving
+//! path cross-checked against from-scratch BFS on small graphs, and the
+//! typed error paths.
 
 use ftbfs::graph::{enumerate_fault_sets, generators, EdgeId, Graph, SubgraphView, VertexId};
 use ftbfs::par::ParallelConfig;
 use ftbfs::sp::{bfs_distances_view, ShortestPathTree, TieBreakWeights, UNREACHABLE};
 use ftbfs::workloads::{Workload, WorkloadFamily};
 use ftbfs::{
-    build_structure, dist_after_faults_brute, verify_structure, BaselineBuilder, BuildConfig,
-    BuildPlan, EngineCore, EngineOptions, FaultSet, FtbfsError, MultiSourceBuilder,
-    ReinforcedTreeBuilder, Sources, StructureBuilder, TradeoffBuilder,
+    dist_after_faults_brute, verify_structure, EngineCore, EngineOptions, FaultSet, FtbfsError,
+    Sources, StructureBuilder, TradeoffBuilder,
 };
 use std::sync::Arc;
 
@@ -28,15 +27,6 @@ fn single_edge_queries(graph: &Graph, sources: &[VertexId]) -> Vec<(VertexId, Ve
         }
     }
     queries
-}
-
-fn all_builders() -> Vec<Box<dyn StructureBuilder>> {
-    vec![
-        Box::new(TradeoffBuilder::new(0.3).with_config(|c| c.with_seed(SEED))),
-        Box::new(BaselineBuilder::new().with_config(|c| c.with_seed(SEED))),
-        Box::new(ReinforcedTreeBuilder::new().with_config(|c| c.with_seed(SEED))),
-        Box::new(MultiSourceBuilder::new(0.3).with_config(|c| c.with_seed(SEED))),
-    ]
 }
 
 /// A cross-section of generator families for the round trip: deterministic
@@ -64,24 +54,32 @@ fn test_graphs(target_n: usize) -> Vec<(String, Graph)> {
 #[test]
 fn every_builder_verifies_across_generator_families() {
     for (name, graph) in test_graphs(80) {
-        let sources = Sources::single(VertexId(0));
-        for builder in all_builders() {
-            let s = builder
+        let last = VertexId::new(graph.num_vertices() - 1);
+        // The three ε branches from one source, then the union over two
+        // sources, which must stay valid for its root.
+        let cases = [
+            (0.3, Sources::single(VertexId(0))),
+            (1.0, Sources::single(VertexId(0))),
+            (0.0, Sources::single(VertexId(0))),
+            (0.3, Sources::multi(vec![VertexId(0), last])),
+        ];
+        for (eps, sources) in cases {
+            let label = format!("{name}/eps={eps}/sources={:?}", sources.as_slice());
+            let s = TradeoffBuilder::new(eps)
+                .with_config(|c| c.with_seed(SEED))
                 .build(&graph, &sources)
-                .unwrap_or_else(|e| panic!("{}: builder {} failed: {e}", name, builder.name()));
+                .unwrap_or_else(|e| panic!("{label}: build failed: {e}"));
             assert_eq!(
                 s.num_backup() + s.num_reinforced(),
                 s.num_edges(),
-                "{name}/{}: edge accounting broken",
-                builder.name()
+                "{label}: edge accounting broken"
             );
             let weights = TieBreakWeights::generate(&graph, SEED);
             let tree = ShortestPathTree::build(&graph, &weights, VertexId(0));
             let report = verify_structure(&graph, &tree, &s, &ParallelConfig::serial(), false);
             assert!(
                 report.is_valid(),
-                "{name}/{}: {} violations over {} checked edges",
-                builder.name(),
+                "{label}: {} violations over {} checked edges",
                 report.violations.len(),
                 report.checked_edges
             );
@@ -90,33 +88,30 @@ fn every_builder_verifies_across_generator_families() {
 }
 
 #[test]
-fn build_plans_match_their_builders() {
-    let graph = generators::grid(4, 5);
-    let sources = Sources::single(VertexId(0));
-    let config = BuildConfig::new(0.0).with_seed(SEED).serial();
-    for (plan, builder) in [
-        (
-            BuildPlan::Tradeoff { eps: 0.3 },
-            Box::new(TradeoffBuilder::new(0.3).with_config(|c| c.with_seed(SEED).serial()))
-                as Box<dyn StructureBuilder>,
-        ),
-        (
-            BuildPlan::Baseline,
-            Box::new(BaselineBuilder::new().with_config(|c| c.with_seed(SEED).serial())),
-        ),
-        (
-            BuildPlan::ReinforcedTree,
-            Box::new(ReinforcedTreeBuilder::new().with_config(|c| c.with_seed(SEED).serial())),
-        ),
+fn eps_extremes_are_pure_backup_and_pure_reinforcement() {
+    for (name, graph) in [
+        ("grid", generators::grid(4, 5)),
+        ("hypercube", generators::hypercube(4)),
     ] {
-        let via_plan = build_structure(&graph, &sources, plan, &config).expect("valid input");
-        let via_builder = builder.build(&graph, &sources).expect("valid input");
-        assert_eq!(via_plan.num_edges(), via_builder.num_edges(), "{plan:?}");
-        assert_eq!(
-            via_plan.num_reinforced(),
-            via_builder.num_reinforced(),
-            "{plan:?}"
-        );
+        let sources = Sources::single(VertexId(0));
+        let build = |eps: f64| {
+            TradeoffBuilder::new(eps)
+                .with_config(|c| c.with_seed(SEED).serial())
+                .build(&graph, &sources)
+                .expect("valid input")
+        };
+        for eps in [1.0, 0.5] {
+            let s = build(eps);
+            assert_eq!(s.num_reinforced(), 0, "{name}/eps={eps}");
+            assert!(s.stats().used_baseline, "{name}/eps={eps}");
+        }
+        let s = build(0.0);
+        assert_eq!(s.num_backup(), 0, "{name}");
+        let weights = TieBreakWeights::generate(&graph, SEED);
+        let tree = ShortestPathTree::build(&graph, &weights, VertexId(0));
+        let mut t0: Vec<EdgeId> = tree.tree_edges().to_vec();
+        t0.sort_unstable();
+        assert_eq!(s.reinforced_edges().collect::<Vec<_>>(), t0, "{name}");
     }
 }
 
@@ -319,7 +314,7 @@ fn two_contexts_serve_concurrently_from_one_shared_core() {
 fn multi_source_engine_serves_each_source_exactly() {
     let graph = Workload::new(WorkloadFamily::LayeredShallow, 48, SEED).generate();
     let sources = vec![VertexId(0), VertexId(10), VertexId(20)];
-    let mbfs = MultiSourceBuilder::new(0.3)
+    let mbfs = TradeoffBuilder::new(0.3)
         .with_config(|c| c.with_seed(SEED).serial())
         .build_multi(&graph, &Sources::multi(sources.clone()))
         .expect("valid input");
@@ -469,7 +464,7 @@ fn fault_set_error_paths_are_typed_through_the_context() {
     let wide = EngineCore::build_with(
         &graph,
         structure,
-        EngineOptions::from_build_config(&BuildConfig::new(0.3).with_max_faults(3).serial()),
+        EngineOptions::new().with_max_faults(3).serial(),
     )
     .expect("matching graph");
     let mut ctx = wide.new_context();
@@ -509,12 +504,12 @@ fn bad_sources_are_typed_errors() {
         }
     ));
 
-    let empty = MultiSourceBuilder::new(0.3)
+    let empty = TradeoffBuilder::new(0.3)
         .build(&graph, &Sources::multi(Vec::new()))
         .expect_err("empty source set must be rejected");
     assert_eq!(empty, FtbfsError::EmptySources);
 
-    let multi_bad = MultiSourceBuilder::new(0.3)
+    let multi_bad = TradeoffBuilder::new(0.3)
         .build_multi(&graph, &Sources::multi(vec![VertexId(0), VertexId(77)]))
         .expect_err("any out-of-range source must be rejected");
     assert!(matches!(multi_bad, FtbfsError::SourceOutOfRange { .. }));
@@ -569,6 +564,12 @@ fn degenerate_budget_overrides_are_typed_errors() {
         })
         .build(&graph, &Sources::single(VertexId(0)))
         .expect_err("overflowing work envelope must be rejected");
+    assert!(matches!(err, FtbfsError::BudgetOverflow { .. }));
+
+    // 1/ε overflows `usize`, so K saturates and the envelope overflows.
+    let err = TradeoffBuilder::new(1e-300)
+        .build(&graph, &Sources::single(VertexId(0)))
+        .expect_err("a tiny eps must be rejected, not wrapped");
     assert!(matches!(err, FtbfsError::BudgetOverflow { .. }));
 }
 

@@ -13,9 +13,9 @@ use ftbfs::par::ParallelConfig;
 use ftbfs::sp::UNREACHABLE;
 use ftbfs::workloads::{FaultScenario, Workload, WorkloadFamily};
 use ftbfs::{
-    build_augmented_structure, cross_check_fault_sets, dist_after_faults_brute, AugmentCoverage,
-    AugmentedStructure, BuildConfig, BuildPlan, EngineCore, EngineOptions, FtBfsAugmenter,
-    MultiSourceBuilder, ReinforcedTreeBuilder, Sources, StructureBuilder,
+    cross_check_fault_sets, dist_after_faults_brute, AugmentCoverage, AugmentedStructure,
+    BuildConfig, EngineCore, EngineOptions, FtBfsAugmenter, Sources, StructureBuilder,
+    TradeoffBuilder,
 };
 
 const SEED: u64 = 0xA462;
@@ -25,13 +25,12 @@ fn augmented(graph: &ftbfs::graph::Graph, coverage: AugmentCoverage) -> Augmente
         .with_seed(SEED)
         .serial()
         .with_augment(coverage);
-    build_augmented_structure(
-        graph,
-        &Sources::single(VertexId(0)),
-        BuildPlan::Tradeoff { eps: 0.3 },
-        &config,
-    )
-    .expect("workload graphs with source 0 are valid input")
+    let structure = TradeoffBuilder::from_config(config.clone())
+        .build(graph, &Sources::single(VertexId(0)))
+        .expect("workload graphs with source 0 are valid input");
+    FtBfsAugmenter::from_build_config(&config)
+        .augment(graph, structure)
+        .expect("matching graph")
 }
 
 fn brute(graph: &ftbfs::graph::Graph, s: VertexId, v: VertexId, faults: &FaultSet) -> Option<u32> {
@@ -230,7 +229,7 @@ fn reinforced_edge_hypotheticals_use_the_augmented_tier() {
     let graph = Workload::new(WorkloadFamily::ErdosRenyi, 32, SEED).generate();
     // The reinforced tree reinforces every tree edge, so every structure
     // edge exercises the hypothetical-failure path.
-    let base = ReinforcedTreeBuilder::new()
+    let base = TradeoffBuilder::new(0.0)
         .with_config(|c| c.with_seed(SEED).serial())
         .build(&graph, &Sources::single(VertexId(0)))
         .expect("valid input");
@@ -334,7 +333,7 @@ fn scenario_batches_on_augmented_builds_avoid_full_graph_bfs() {
 fn multi_source_augmented_engine_is_exact_for_every_source() {
     let graph = Workload::new(WorkloadFamily::LayeredShallow, 24, SEED).generate();
     let sources = vec![VertexId(0), VertexId(5), VertexId(11)];
-    let mbfs = MultiSourceBuilder::new(0.3)
+    let mbfs = TradeoffBuilder::new(0.3)
         .with_config(|c| c.with_seed(SEED).serial())
         .build_multi(&graph, &Sources::multi(sources.clone()))
         .expect("valid input");

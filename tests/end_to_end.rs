@@ -6,7 +6,7 @@ use ftbfs::graph::VertexId;
 use ftbfs::par::ParallelConfig;
 use ftbfs::sp::{ShortestPathTree, TieBreakWeights};
 use ftbfs::workloads::{Workload, WorkloadFamily};
-use ftbfs::{verify_structure, BaselineBuilder, Sources, StructureBuilder, TradeoffBuilder};
+use ftbfs::{verify_structure, Sources, StructureBuilder, TradeoffBuilder};
 
 fn build_and_verify(graph: &ftbfs::graph::Graph, eps: f64, seed: u64) -> ftbfs::FtBfsStructure {
     let structure = TradeoffBuilder::new(eps)
@@ -69,7 +69,7 @@ fn theorem_3_1_envelopes_hold_with_generous_constants() {
 #[test]
 fn structures_never_exceed_the_baseline_by_much_and_reinforce_little() {
     let graph = Workload::new(WorkloadFamily::ErdosRenyi, 300, 13).generate();
-    let baseline = BaselineBuilder::new()
+    let baseline = TradeoffBuilder::new(1.0)
         .with_config(|c| c.with_seed(13))
         .build(&graph, &Sources::single(VertexId(0)))
         .expect("valid input");

@@ -8,7 +8,7 @@ use ftbfs::lower_bounds::{
 };
 use ftbfs::par::ParallelConfig;
 use ftbfs::sp::{ShortestPathTree, TieBreakWeights};
-use ftbfs::{verify_structure, MultiSourceBuilder, Sources, StructureBuilder, TradeoffBuilder};
+use ftbfs::{verify_structure, Sources, StructureBuilder, TradeoffBuilder};
 
 #[test]
 fn claim_5_3_forcing_shows_up_in_constructed_structures() {
@@ -76,7 +76,7 @@ fn certified_bound_grows_with_eps_at_fixed_n() {
 #[test]
 fn multi_source_structures_on_the_theorem_5_4_instance() {
     let lb = multi_source_lower_bound(500, 2, 0.3);
-    let builder = MultiSourceBuilder::new(0.3).with_config(|c| c.with_seed(5));
+    let builder = TradeoffBuilder::new(0.3).with_config(|c| c.with_seed(5));
     let mbfs = builder
         .build_multi(&lb.graph, &Sources::multi(lb.sources.clone()))
         .expect("the lower-bound instance is valid input");

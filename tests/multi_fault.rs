@@ -11,8 +11,8 @@ use ftbfs::par::ParallelConfig;
 use ftbfs::sp::UNREACHABLE;
 use ftbfs::workloads::{FaultScenario, Workload, WorkloadFamily};
 use ftbfs::{
-    cross_check_fault_sets, dist_after_faults_brute, EngineCore, EngineOptions, MultiSourceBuilder,
-    Sources, StructureBuilder, TradeoffBuilder,
+    cross_check_fault_sets, dist_after_faults_brute, EngineCore, EngineOptions, Sources,
+    StructureBuilder, TradeoffBuilder,
 };
 
 const SEED: u64 = 0xFA17;
@@ -115,7 +115,7 @@ fn scenario_batches_are_exact_and_shard_deterministically() {
 fn multi_source_engine_is_exact_on_all_fault_sets_up_to_two() {
     let graph = Workload::new(WorkloadFamily::LayeredShallow, 30, SEED).generate();
     let sources = vec![VertexId(0), VertexId(7), VertexId(15)];
-    let mbfs = MultiSourceBuilder::new(0.3)
+    let mbfs = TradeoffBuilder::new(0.3)
         .with_config(|c| c.with_seed(SEED).serial())
         .build_multi(&graph, &Sources::multi(sources.clone()))
         .expect("valid input");

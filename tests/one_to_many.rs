@@ -13,9 +13,7 @@
 
 use ftbfs::graph::{FaultSet, VertexId};
 use ftbfs::workloads::{FaultScenario, Workload, WorkloadFamily};
-use ftbfs::{
-    EngineCore, EngineOptions, MultiSourceBuilder, Sources, StructureBuilder, TradeoffBuilder,
-};
+use ftbfs::{EngineCore, EngineOptions, Sources, StructureBuilder, TradeoffBuilder};
 
 const SEED: u64 = 0x12A7;
 
@@ -127,7 +125,7 @@ fn dist_many_matches_per_target_on_every_family_and_scenario() {
 fn multi_source_dist_many_matches_per_target() {
     let graph = Workload::new(WorkloadFamily::GridChords, 25, SEED).generate();
     let sources = vec![VertexId(0), VertexId(7), VertexId(19)];
-    let mbfs = MultiSourceBuilder::new(0.3)
+    let mbfs = TradeoffBuilder::new(0.3)
         .with_config(|c| c.with_seed(SEED).serial())
         .build_multi(&graph, &Sources::multi(sources.clone()))
         .expect("valid input");

@@ -95,8 +95,8 @@ proptest! {
         use ftbfs::graph::{enumerate_fault_sets, Graph};
         use ftbfs::sp::UNREACHABLE;
         use ftbfs::{
-            build_augmented_structure, dist_after_faults_brute, AugmentCoverage, BuildConfig,
-            BuildPlan, EngineCore,
+            dist_after_faults_brute, AugmentCoverage, BuildConfig, EngineCore, FtBfsAugmenter,
+            TradeoffBuilder,
         };
 
         let m = n * avg_degree / 2;
@@ -105,13 +105,12 @@ proptest! {
             .with_seed(seed)
             .serial()
             .with_augment(AugmentCoverage::DualFailure);
-        let augmented = build_augmented_structure(
-            &graph,
-            &Sources::single(VertexId(0)),
-            BuildPlan::Tradeoff { eps },
-            &config,
-        )
-        .expect("generated workloads are valid input");
+        let structure = TradeoffBuilder::from_config(config.clone())
+            .build(&graph, &Sources::single(VertexId(0)))
+            .expect("generated workloads are valid input");
+        let augmented = FtBfsAugmenter::from_build_config(&config)
+            .augment(&graph, structure)
+            .expect("matching graph");
         prop_assert!(augmented.num_edges() <= graph.num_edges());
         prop_assert!(augmented.num_edges() >= augmented.base().num_edges());
         let core = EngineCore::build_augmented(&graph, augmented).expect("matching graph");

@@ -17,8 +17,8 @@
 use ftbfs::graph::{enumerate_fault_sets, Fault, FaultSet, VertexId};
 use ftbfs::workloads::{FaultScenario, Workload, WorkloadFamily};
 use ftbfs::{
-    build_augmented_structure, AugmentCoverage, BuildConfig, BuildPlan, EngineCore, EngineOptions,
-    MultiSourceBuilder, QueryContext, Sources, StructureBuilder, TradeoffBuilder,
+    AugmentCoverage, BuildConfig, EngineCore, EngineOptions, FtBfsAugmenter, QueryContext, Sources,
+    StructureBuilder, TradeoffBuilder,
 };
 
 /// The "repaired" side of every comparison pins the repair path **on**
@@ -118,13 +118,12 @@ fn augmented_tier_repairs_are_byte_identical() {
             .with_seed(SEED)
             .serial()
             .with_augment(AugmentCoverage::DualFailure);
-        let augmented = build_augmented_structure(
-            &graph,
-            &Sources::single(VertexId(0)),
-            BuildPlan::Tradeoff { eps: 0.3 },
-            &config,
-        )
-        .expect("valid input");
+        let structure = TradeoffBuilder::from_config(config.clone())
+            .build(&graph, &Sources::single(VertexId(0)))
+            .expect("valid input");
+        let augmented = FtBfsAugmenter::from_build_config(&config)
+            .augment(&graph, structure)
+            .expect("matching graph");
         let mut repaired = side(
             EngineCore::build_augmented_with(&graph, augmented.clone(), repaired_options())
                 .expect("matching graph"),
@@ -196,7 +195,7 @@ fn scenario_batches_match_forced_full_sweeps() {
 fn multi_source_repairs_are_byte_identical_per_source() {
     let graph = Workload::new(WorkloadFamily::GridChords, 25, SEED).generate();
     let sources = vec![VertexId(0), VertexId(7), VertexId(19)];
-    let mbfs = MultiSourceBuilder::new(0.3)
+    let mbfs = TradeoffBuilder::new(0.3)
         .with_config(|c| c.with_seed(SEED).serial())
         .build_multi(&graph, &Sources::multi(sources.clone()))
         .expect("valid input");
