@@ -13,7 +13,7 @@
 //! The committed baseline keeps all three honest: `load` regressing
 //! toward `build` would erase the point of shipping snapshots at all
 //! (the deployment contract is load ≥ 10× faster than build at this
-//! size; see `exp_snapshot` for the scaling table), and `save`/`load`
+//! size; the benchmark's `restart_s` tracks it at n = 2000), and `save`/`load`
 //! regressions catch accidental per-element encoding slipping into the
 //! bulk array paths.
 //!

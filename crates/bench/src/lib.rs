@@ -1,8 +1,13 @@
-//! Experiment harness utilities: table formatting, sweeps, slope estimation.
+//! Experiment harness utilities: table formatting, slope estimation and
+//! latency statistics.
 //!
-//! Each experiment of `EXPERIMENTS.md` is a binary under `src/bin/` that
-//! prints a Markdown table of measured values next to the paper's predicted
-//! shape; this crate holds the shared plumbing.
+//! The paper-reproduction experiments E1–E7 are binaries under `src/bin/`
+//! (`exp_tradeoff`, `exp_baseline_scaling`, `exp_lower_bound`,
+//! `exp_cost_model`, `exp_multi_source`, `exp_intro_example`,
+//! `exp_ablation`); each prints a Markdown table of measured values next to
+//! the paper's predicted shape. `exp_observability` (E14) is the
+//! instrumentation-overhead gate. Serving performance is measured by the
+//! criterion benches under `benches/` and the end-to-end benchmark.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -10,7 +15,7 @@
 pub mod stats;
 pub mod table;
 
-pub use stats::{median, percentile, LatencyHistogram, LatencySummary};
+pub use stats::{percentile, LatencyHistogram};
 pub use table::Table;
 
 /// Least-squares slope of `log(y)` against `log(x)` — the measured exponent
@@ -38,15 +43,6 @@ pub fn log_log_slope(points: &[(f64, f64)]) -> Option<f64> {
     Some((n * sxy - sx * sy) / denom)
 }
 
-/// Geometric mean of a slice of positive values (0 for an empty slice).
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = values.iter().filter(|v| **v > 0.0).map(|v| v.ln()).sum();
-    (log_sum / values.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,12 +65,5 @@ mod tests {
         assert!(log_log_slope(&[(10.0, 5.0)]).is_none());
         assert!(log_log_slope(&[(10.0, 5.0), (10.0, 7.0)]).is_none());
         assert!(log_log_slope(&[(0.0, 5.0), (-1.0, 7.0)]).is_none());
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert_eq!(geometric_mean(&[]), 0.0);
-        assert!((geometric_mean(&[4.0, 9.0]) - 6.0).abs() < 1e-9);
-        assert!((geometric_mean(&[5.0]) - 5.0).abs() < 1e-9);
     }
 }

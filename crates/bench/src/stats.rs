@@ -15,51 +15,6 @@ pub fn percentile<T: Copy>(sorted: &[T], q: f64) -> T {
     sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
 }
 
-/// Median via [`percentile`] (nearest-rank, so always an actual sample).
-pub fn median<T: Copy>(sorted: &[T]) -> T {
-    percentile(sorted, 0.5)
-}
-
-/// Exact latency summary of a sample set: the percentiles production tail
-/// dashboards report, computed by sorting the (copied) samples.
-///
-/// For unbounded streams prefer [`LatencyHistogram`]; this type is for
-/// experiment harnesses with a few thousand repeats at most.
-#[derive(Clone, Copy, Debug)]
-pub struct LatencySummary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median (p50).
-    pub p50: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// 99.9th percentile.
-    pub p999: f64,
-    /// Largest sample.
-    pub max: f64,
-}
-
-impl LatencySummary {
-    /// Summarise `samples` (any order; an internal copy is sorted).
-    ///
-    /// Panics on an empty slice, like [`percentile`].
-    pub fn from_samples(samples: &[f64]) -> Self {
-        assert!(!samples.is_empty(), "summary of an empty sample set");
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        LatencySummary {
-            count: sorted.len(),
-            mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
-            p50: percentile(&sorted, 0.50),
-            p99: percentile(&sorted, 0.99),
-            p999: percentile(&sorted, 0.999),
-            max: *sorted.last().expect("non-empty"),
-        }
-    }
-}
-
 /// A compact log-bucketed latency histogram over `u64` values (nanoseconds
 /// by convention): constant memory regardless of sample count, `O(1)`
 /// record, ≈3% relative value error — the standard shape for tail-latency
@@ -174,22 +129,9 @@ mod tests {
         let sorted: Vec<u64> = (1..=100).collect();
         assert_eq!(percentile(&sorted, 0.0), 1);
         assert_eq!(percentile(&sorted, 0.5), 50);
-        assert_eq!(median(&sorted), 50);
         assert_eq!(percentile(&sorted, 0.99), 99);
         assert_eq!(percentile(&sorted, 1.0), 100);
         assert_eq!(percentile(&[42.0], 0.999), 42.0);
-    }
-
-    #[test]
-    fn summary_matches_hand_computed_values() {
-        let samples: Vec<f64> = (1..=1000).map(|i| i as f64).collect();
-        let s = LatencySummary::from_samples(&samples);
-        assert_eq!(s.count, 1000);
-        assert_eq!(s.p50, 500.0);
-        assert_eq!(s.p99, 990.0);
-        assert_eq!(s.p999, 999.0);
-        assert_eq!(s.max, 1000.0);
-        assert!((s.mean - 500.5).abs() < 1e-9);
     }
 
     #[test]

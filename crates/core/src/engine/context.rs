@@ -4,7 +4,7 @@ use super::core::EngineCore;
 use super::obs::EngineObs;
 use super::{bfs_sweep, finite, ParentEntry, QueryStats, SweepScratch, Tier, TierCounters};
 use crate::error::FtbfsError;
-use ftb_graph::{CompactSubgraph, EdgeId, Fault, FaultSet, VertexId};
+use ftb_graph::{CompactSubgraph, EdgeId, Fault, FaultSet, Graph, VertexId};
 use ftb_obs::Span;
 use ftb_par::parallel_map_init;
 use ftb_sp::{Path, TimestampedVector, UNREACHABLE};
@@ -35,50 +35,143 @@ pub(super) enum RowSlot {
     Cached(usize),
 }
 
-/// [`RepairScratch::marks`] value: inside a failed subtree (entry reset,
-/// distance to be recomputed by the bounded BFS).
+/// [`RepairScratch::marks`] value: inside a failed subtree, to be settled
+/// by the bounded BFS if reached, but not awaited by it.
 const MARK_AFFECTED: u8 = 1;
+/// [`RepairScratch::marks`] value: affected vertex the bounded BFS waits
+/// for — every affected vertex of a row repair, only the requested ones of
+/// a target-restricted sweep. The BFS stops once all of them are settled.
+const MARK_TARGET: u8 = 2;
 /// [`RepairScratch::marks`] value: unaffected boundary vertex already
 /// collected (seed dedup).
-const MARK_BOUNDARY: u8 = 2;
-/// [`RepairScratch::marks`] value: affected vertex *requested* by a
-/// one-to-many query — the target-restricted sweep stops once every such
-/// vertex is settled.
-const MARK_TARGET: u8 = 3;
+const MARK_BOUNDARY: u8 = 3;
 
-/// Crossover denominator of the target-restricted repair sweep: a
-/// one-to-many cache miss runs restricted (settle only the requested
-/// affected targets, skip the `O(n)` row materialisation, cache nothing)
-/// when the requested targets cover at most `1/RESTRICTED_SWEEP_RATIO` of
-/// the affected set, and falls back to the full repair (which amortises
-/// across the whole target set *and* lands the row in the LRU) otherwise.
-/// Measured with `exp_one_to_many` E12b (ErdosRenyi, n = 2000): per cache
-/// miss the restricted sweep is ~3x cheaper than the full materialisation
-/// at small `a`, and the gap closes as `a` approaches the affected-set
-/// size; 8 keeps the restricted path for the clearly-winning band and
-/// cedes the rest to the repair's cache-for-later effect.
+/// Crossover denominator of the target-restricted sweep: a one-to-many
+/// cache miss runs restricted (settle only the requested affected targets,
+/// skip the `O(n)` row materialisation, cache nothing) when the requested
+/// targets cover at most `1/RESTRICTED_SWEEP_RATIO` of the affected set,
+/// and falls back to the row repair (which amortises across the whole
+/// target set *and* lands the row in the LRU) otherwise. The criterion
+/// group `one_to_many_crossover` (`crates/bench/benches/one_to_many.rs`,
+/// ErdosRenyi n = 2000, dual faults) gates both sides of this choice: the
+/// restricted sweep is the cheaper miss at small `a`, the gap closes as
+/// `a` approaches the affected-set size, and 8 cedes that band to the
+/// repair's cache-for-later effect.
 const RESTRICTED_SWEEP_RATIO: usize = 8;
 
-/// Largest one-to-many target count classified by the sort-then-sweep
-/// interval walk ([`ftb_tree::covered_keys`]). Above it, sorting the keys
-/// costs more than the classification itself, so each key binary-searches
-/// the merged intervals directly (`O(t log |F|)`, no sort).
-const SORTED_CLASSIFY_MAX_TARGETS: usize = 64;
+/// One tier's post-failure adjacency, defined once and read by every miss
+/// kernel: the row repair, the target-restricted sweep and the forced full
+/// sweep. Canonical parents are adjacency-order-relative, so a tier's rows
+/// agree byte for byte only because all three traverse this one adjacency
+/// and copy the matching fault-free parent row
+/// ([`EngineCore::tier_parent_row`]). The kernels are generic over it, so
+/// each tier's hot loop is monomorphised.
+trait Adjacency {
+    /// Neighbours of `u` in the tier's graph minus the faults, in the tier
+    /// CSR's adjacency order, with parent-graph edge ids.
+    fn neighbors(&self, u: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_;
 
-/// Reusable state of the incremental row repair (all cleared in `O(1)` or
-/// proportional to the previous repair's size — nothing here is `O(n)` per
+    /// `true` if parent-graph edge `e` is an edge of the tier's graph. A
+    /// failed such edge changes its endpoints' adjacency even where their
+    /// distances stay put, so the repair recomputes their parents.
+    fn contains_edge(&self, e: EdgeId) -> bool;
+}
+
+/// The `sparse_h_bfs` tier: the compact CSR of `H ∖ {e}`. The FT-BFS
+/// guarantee makes it exact for one non-reinforced structure edge.
+struct SparseHAdjacency<'a> {
+    h: &'a CompactSubgraph,
+    /// Compact id of the failed edge.
+    banned: Option<EdgeId>,
+}
+
+impl Adjacency for SparseHAdjacency<'_> {
+    fn neighbors(&self, u: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
+        self.h
+            .graph()
+            .neighbors(u)
+            .filter(|&(_, he)| Some(he) != self.banned)
+            .map(|(w, he)| (w, self.h.parent_edge(he)))
+    }
+
+    fn contains_edge(&self, e: EdgeId) -> bool {
+        self.h.contains_parent_edge(e)
+    }
+}
+
+/// The `augmented_bfs` tier: the compact CSR of `H⁺ ∖ F`, exact by the
+/// replacement-path construction (see `crate::ftbfs`). The ≤ 2 failed
+/// edges are translated to compact ids once, so the filter compares
+/// compact ids and only translates the edges it reports.
+struct AugmentedAdjacency<'a> {
+    csr: &'a CompactSubgraph,
+    banned: BannedEdges,
+    faults: &'a [Fault],
+}
+
+impl Adjacency for AugmentedAdjacency<'_> {
+    fn neighbors(&self, u: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
+        self.csr
+            .graph()
+            .neighbors(u)
+            .filter(|&(w, ce)| {
+                !self.banned.contains(ce) && !self.faults.contains(&Fault::Vertex(w))
+            })
+            .map(|(w, ce)| (w, self.csr.parent_edge(ce)))
+    }
+
+    fn contains_edge(&self, e: EdgeId) -> bool {
+        self.csr.contains_parent_edge(e)
+    }
+}
+
+/// The `full_graph_bfs` tier: the full graph `G ∖ F`, exact for every
+/// fault set. The filters scan the canonical fault slice: at most
+/// `max_faults` entries, cheaper than any hashing at these sizes.
+struct FullGraphAdjacency<'a> {
+    graph: &'a Graph,
+    faults: &'a [Fault],
+}
+
+impl Adjacency for FullGraphAdjacency<'_> {
+    fn neighbors(&self, u: VertexId) -> impl Iterator<Item = (VertexId, EdgeId)> + '_ {
+        self.graph.neighbors(u).filter(|&(w, ge)| {
+            !self.faults.contains(&Fault::Edge(ge)) && !self.faults.contains(&Fault::Vertex(w))
+        })
+    }
+
+    fn contains_edge(&self, _: EdgeId) -> bool {
+        true
+    }
+}
+
+/// What a cache miss computes.
+#[derive(Clone, Copy, Debug)]
+enum Miss<'a> {
+    /// The whole post-failure row, into LRU row `i`.
+    Row(usize),
+    /// Only the distances of `targets[affected[..]]`, into
+    /// [`RepairScratch::rdist`] (the target-restricted sweep).
+    Targets {
+        targets: &'a [VertexId],
+        affected: &'a [u32],
+    },
+}
+
+/// Reusable state of the bounded miss kernel (all cleared in `O(1)` or
+/// proportional to the previous miss's size — nothing here is `O(n)` per
 /// miss).
 #[derive(Clone, Debug)]
 struct RepairScratch {
-    /// `0` untouched, [`MARK_AFFECTED`], or [`MARK_BOUNDARY`];
-    /// generation-stamped so clearing is an epoch bump.
+    /// `0` untouched, [`MARK_AFFECTED`], [`MARK_TARGET`] or
+    /// [`MARK_BOUNDARY`]; generation-stamped so clearing is an epoch bump.
     marks: TimestampedVector<u8>,
     /// Unaffected boundary vertices seeding the bounded BFS, keyed by their
     /// (unchanged) fault-free distance.
     seeds: Vec<(u32, VertexId)>,
-    /// Unaffected endpoints of banned edges: their *adjacency* changed even
-    /// though their distance did not, so only their canonical parent is
-    /// recomputed.
+    /// Unaffected endpoints of failed edges of the tier's graph: their
+    /// *adjacency* changed even though their distance did not, so only
+    /// their canonical parent is recomputed.
     fixups: Vec<VertexId>,
     /// Merged preorder intervals of the affected subtrees (into the slot
     /// tree's order array).
@@ -86,9 +179,8 @@ struct RepairScratch {
     /// Level-synchronous BFS frontiers.
     frontier: Vec<VertexId>,
     next: Vec<VertexId>,
-    /// Post-failure distances of the *target-restricted* sweep, which
-    /// settles requested affected targets without materialising a row;
-    /// generation-stamped so each restricted sweep starts clean in `O(1)`.
+    /// Post-failure distances of the vertices the bounded BFS settled;
+    /// generation-stamped so each miss starts clean in `O(1)`.
     rdist: TimestampedVector<u32>,
 }
 
@@ -105,158 +197,50 @@ impl RepairScratch {
         }
     }
 
-    /// Repair `row_dist`/`row_parent` — pre-filled with the serving CSR's
-    /// fault-free rows — in place, given the merged affected
-    /// [`RepairScratch::intervals`] and the banned-edge endpoint
-    /// [`RepairScratch::fixups`] already collected.
-    ///
-    /// `neighbors` must yield exactly the post-failure adjacency the full
-    /// sweep would traverse (same order, same filters, parent-graph edge
-    /// ids). Four bounded passes:
-    ///
-    /// 1. mark every vertex inside an affected interval,
-    /// 2. reset their entries and collect the *unaffected boundary* (their
-    ///    neighbors outside the region) as BFS seeds at fault-free depth,
-    /// 3. run a level-synchronous BFS from the boundary that only ever
-    ///    discovers affected vertices — unaffected distances are already
-    ///    final, which is exactly why seeding them at `dist0` is sound,
-    /// 4. recompute canonical parents (first adjacency neighbor one level
-    ///    up, the same pure-function-of-distances rule the full sweep
-    ///    applies) for every vertex whose distance or adjacency changed:
-    ///    the affected region, the boundary, and the banned-edge endpoints.
-    ///
-    /// Total cost is `O(vol(affected) + boundary·deg)` — the full sweep's
-    /// `O(n + m)` only in the degenerate all-affected case.
-    fn repair_region<I, F>(
-        &mut self,
-        order: &[VertexId],
-        dist0: &[u32],
-        row_dist: &mut [u32],
-        row_parent: &mut [ParentEntry],
-        neighbors: F,
-    ) where
-        I: Iterator<Item = (VertexId, EdgeId)>,
-        F: Fn(VertexId) -> I,
-    {
+    /// Clear the marks and mark every vertex of the affected
+    /// [`RepairScratch::intervals`] with `mark`; returns how many there are.
+    fn mark_region(&mut self, order: &[VertexId], mark: u8) -> usize {
         self.marks.reset();
+        let mut count = 0;
         for &(a, b) in &self.intervals {
             for &v in &order[a as usize..b as usize] {
-                self.marks.set(v.index(), MARK_AFFECTED);
+                self.marks.set(v.index(), mark);
             }
+            count += (b - a) as usize;
         }
-        self.seeds.clear();
-        for &(a, b) in &self.intervals {
-            for &v in &order[a as usize..b as usize] {
-                row_dist[v.index()] = UNREACHABLE;
-                row_parent[v.index()] = None;
-                for (w, _) in neighbors(v) {
-                    if self.marks.get(w.index()) == 0 {
-                        self.marks.set(w.index(), MARK_BOUNDARY);
-                        if dist0[w.index()] != UNREACHABLE {
-                            self.seeds.push((dist0[w.index()], w));
-                        }
-                    }
-                }
-            }
-        }
-        // Bounded multi-source BFS: seeds enter the frontier exactly at
-        // their fault-free level (sound because every root-to-boundary
-        // prefix of a post-failure shortest path can be replaced by the
-        // boundary vertex's surviving tree path of length dist0).
-        self.seeds.sort_unstable();
-        self.frontier.clear();
-        self.next.clear();
-        let mut si = 0usize;
-        let mut level = 0u32;
-        while si < self.seeds.len() || !self.frontier.is_empty() {
-            if self.frontier.is_empty() {
-                level = level.max(self.seeds[si].0);
-            }
-            while si < self.seeds.len() && self.seeds[si].0 == level {
-                self.frontier.push(self.seeds[si].1);
-                si += 1;
-            }
-            for fi in 0..self.frontier.len() {
-                let u = self.frontier[fi];
-                for (w, _) in neighbors(u) {
-                    if self.marks.get(w.index()) == MARK_AFFECTED
-                        && row_dist[w.index()] == UNREACHABLE
-                    {
-                        row_dist[w.index()] = level + 1;
-                        self.next.push(w);
-                    }
-                }
-            }
-            self.frontier.clear();
-            std::mem::swap(&mut self.frontier, &mut self.next);
-            level += 1;
-        }
-        // Canonical parents from the (now final) distances.
-        for &(a, b) in &self.intervals {
-            for &v in &order[a as usize..b as usize] {
-                if row_dist[v.index()] != UNREACHABLE {
-                    row_parent[v.index()] = canonical_parent(v, row_dist, &neighbors);
-                }
-            }
-        }
-        for &(_, u) in &self.seeds {
-            row_parent[u.index()] = canonical_parent(u, row_dist, &neighbors);
-        }
-        for i in 0..self.fixups.len() {
-            let v = self.fixups[i];
-            if self.marks.get(v.index()) == 0 && row_dist[v.index()] != UNREACHABLE {
-                row_parent[v.index()] = canonical_parent(v, row_dist, &neighbors);
-            }
-        }
+        count
     }
 
-    /// Target-restricted repair sweep (the RPHAST-style restriction of
-    /// [`RepairScratch::repair_region`]): compute post-failure distances for
-    /// only the requested affected `targets`, without materialising a row.
+    /// The one bounded BFS behind every miss: settle affected vertices into
+    /// [`RepairScratch::rdist`], given the marks of
+    /// [`RepairScratch::mark_region`] and `pending` [`MARK_TARGET`]
+    /// vertices to wait for.
     ///
-    /// Same structure as the repair — mark the affected
-    /// [`RepairScratch::intervals`], collect the unaffected boundary as
-    /// seeds at fault-free depth, run the bounded level-synchronous BFS —
-    /// except that nothing is copied or reset (`O(n)` memcpy avoided, no
-    /// parent fixups) and the BFS **stops as soon as every marked target is
-    /// settled**: a level-synchronous BFS distance is final at assignment,
-    /// so the early exit cannot change any answer. Afterwards
-    /// [`RepairScratch::rdist`] holds each target's post-failure distance
-    /// (`UNREACHABLE` = disconnected).
+    /// The *unaffected boundary* (neighbours of the affected region outside
+    /// it) enters a level-synchronous BFS exactly at its fault-free depth.
+    /// That is sound because unaffected distances are already final: every
+    /// root-to-boundary prefix of a post-failure shortest path can be
+    /// replaced by the boundary vertex's surviving tree path of length
+    /// `dist0`. The BFS only ever discovers affected vertices, and it
+    /// stops as soon as every awaited vertex is settled — a
+    /// level-synchronous distance is final at assignment, so the early
+    /// exit cannot change any answer. Affected vertices left unsettled are
+    /// disconnected (or were not awaited).
     ///
-    /// `neighbors` must yield exactly the post-failure adjacency the full
-    /// sweep would traverse, so the settled distances are byte-identical to
-    /// the distances a repaired (or fully swept) row would contain.
-    fn restricted_sweep<I, F, T>(
+    /// Cost is `O(vol(affected) + boundary·deg)` — a full sweep's
+    /// `O(n + m)` only in the degenerate all-affected case.
+    fn bounded_bfs<A: Adjacency>(
         &mut self,
         order: &[VertexId],
         dist0: &[u32],
-        targets: T,
-        neighbors: F,
-    ) where
-        I: Iterator<Item = (VertexId, EdgeId)>,
-        F: Fn(VertexId) -> I,
-        T: Iterator<Item = VertexId>,
-    {
-        self.marks.reset();
+        adj: &A,
+        mut pending: usize,
+    ) {
         self.rdist.reset();
-        for &(a, b) in &self.intervals {
-            for &v in &order[a as usize..b as usize] {
-                self.marks.set(v.index(), MARK_AFFECTED);
-            }
-        }
-        let mut remaining = 0usize;
-        for t in targets {
-            // Duplicate targets are marked (and counted) once.
-            if self.marks.get(t.index()) == MARK_AFFECTED {
-                self.marks.set(t.index(), MARK_TARGET);
-                remaining += 1;
-            }
-        }
         self.seeds.clear();
         for &(a, b) in &self.intervals {
             for &v in &order[a as usize..b as usize] {
-                for (w, _) in neighbors(v) {
+                for (w, _) in adj.neighbors(v) {
                     if self.marks.get(w.index()) == 0 {
                         self.marks.set(w.index(), MARK_BOUNDARY);
                         if dist0[w.index()] != UNREACHABLE {
@@ -271,7 +255,7 @@ impl RepairScratch {
         self.next.clear();
         let mut si = 0usize;
         let mut level = 0u32;
-        while remaining > 0 && (si < self.seeds.len() || !self.frontier.is_empty()) {
+        while pending > 0 && (si < self.seeds.len() || !self.frontier.is_empty()) {
             if self.frontier.is_empty() {
                 level = level.max(self.seeds[si].0);
             }
@@ -281,15 +265,14 @@ impl RepairScratch {
             }
             for fi in 0..self.frontier.len() {
                 let u = self.frontier[fi];
-                for (w, _) in neighbors(u) {
+                for (w, _) in adj.neighbors(u) {
                     let mark = self.marks.get(w.index());
-                    if mark >= MARK_AFFECTED
-                        && mark != MARK_BOUNDARY
+                    if (mark == MARK_AFFECTED || mark == MARK_TARGET)
                         && self.rdist.get(w.index()) == UNREACHABLE
                     {
                         self.rdist.set(w.index(), level + 1);
                         if mark == MARK_TARGET {
-                            remaining -= 1;
+                            pending -= 1;
                         }
                         self.next.push(w);
                     }
@@ -299,6 +282,67 @@ impl RepairScratch {
             std::mem::swap(&mut self.frontier, &mut self.next);
             level += 1;
         }
+    }
+
+    /// Repair `row_dist`/`row_parent` — pre-filled with the tier's
+    /// fault-free rows — in place, given the merged affected
+    /// [`RepairScratch::intervals`] and the failed-edge endpoint
+    /// [`RepairScratch::fixups`] already collected: run the
+    /// [bounded BFS](RepairScratch::bounded_bfs) awaiting the whole
+    /// affected region, copy its distances in, and recompute canonical
+    /// parents (first adjacency neighbour one level up, the rule
+    /// [`bfs_sweep`] applies) for every vertex whose distance or adjacency
+    /// changed: the affected region, the boundary, and the fix-ups.
+    fn repair_row<A: Adjacency>(
+        &mut self,
+        order: &[VertexId],
+        dist0: &[u32],
+        adj: &A,
+        row_dist: &mut [u32],
+        row_parent: &mut [ParentEntry],
+    ) {
+        let affected = self.mark_region(order, MARK_TARGET);
+        self.bounded_bfs(order, dist0, adj, affected);
+        for &(a, b) in &self.intervals {
+            for &v in &order[a as usize..b as usize] {
+                row_dist[v.index()] = self.rdist.get(v.index());
+            }
+        }
+        for &(a, b) in &self.intervals {
+            for &v in &order[a as usize..b as usize] {
+                row_parent[v.index()] = canonical_parent(v, row_dist, adj);
+            }
+        }
+        for &(_, u) in &self.seeds {
+            row_parent[u.index()] = canonical_parent(u, row_dist, adj);
+        }
+        for &v in &self.fixups {
+            if self.marks.get(v.index()) == 0 {
+                row_parent[v.index()] = canonical_parent(v, row_dist, adj);
+            }
+        }
+    }
+
+    /// Target-restricted sweep: settle only the requested affected
+    /// `targets` into [`RepairScratch::rdist`] (`UNREACHABLE` =
+    /// disconnected), without copying or caching a row.
+    fn settle_targets<A: Adjacency>(
+        &mut self,
+        order: &[VertexId],
+        dist0: &[u32],
+        adj: &A,
+        targets: impl Iterator<Item = VertexId>,
+    ) {
+        self.mark_region(order, MARK_AFFECTED);
+        let mut pending = 0usize;
+        for t in targets {
+            // Duplicate targets are marked (and counted) once.
+            if self.marks.get(t.index()) == MARK_AFFECTED {
+                self.marks.set(t.index(), MARK_TARGET);
+                pending += 1;
+            }
+        }
+        self.bounded_bfs(order, dist0, adj, pending);
     }
 }
 
@@ -306,16 +350,12 @@ impl RepairScratch {
 /// `(w, e)` in `v`'s (filtered) adjacency order with
 /// `dist(w) + 1 == dist(v)` — a pure function of the final distance row, so
 /// repaired and fully-swept rows agree byte for byte.
-fn canonical_parent<I, F>(v: VertexId, dist: &[u32], neighbors: &F) -> ParentEntry
-where
-    I: Iterator<Item = (VertexId, EdgeId)>,
-    F: Fn(VertexId) -> I,
-{
+fn canonical_parent<A: Adjacency>(v: VertexId, dist: &[u32], adj: &A) -> ParentEntry {
     let d = dist[v.index()];
     if d == 0 || d == UNREACHABLE {
         return None;
     }
-    neighbors(v).find(|&(w, _)| {
+    adj.neighbors(v).find(|&(w, _)| {
         let dw = dist[w.index()];
         dw != UNREACHABLE && dw + 1 == d
     })
@@ -399,14 +439,12 @@ pub struct QueryContext {
     num_vertices: usize,
     capacity: usize,
     rows: Vec<CachedRow>,
-    /// Full-sweep scratch: generation-stamped rows, so a miss never pays an
-    /// `O(n)` fill before its search.
+    /// Full-sweep scratch for misses under
+    /// [`EngineOptions::force_full_sweep`](super::EngineOptions):
+    /// generation-stamped rows, so a sweep never pays an `O(n)` fill.
     scratch: SweepScratch,
-    /// Incremental-repair scratch (marks, boundary seeds, frontiers).
+    /// Bounded miss-kernel scratch (marks, boundary seeds, frontiers).
     repair: RepairScratch,
-    /// One-to-many scratch: `(preorder, input index)` keys of the requested
-    /// targets, sorted by preorder number for the batched interval search.
-    many_keys: Vec<(u32, u32)>,
     /// One-to-many scratch: input indices of the targets that fell inside
     /// an affected interval.
     many_affected: Vec<u32>,
@@ -427,7 +465,6 @@ impl QueryContext {
             rows: Vec::new(),
             scratch: SweepScratch::new(n),
             repair: RepairScratch::new(n),
-            many_keys: Vec::new(),
             many_affected: Vec::new(),
             clock: 0,
             stats: QueryStats::default(),
@@ -534,16 +571,15 @@ impl QueryContext {
     /// (duplicates allowed; `None` marks a disconnected target).
     ///
     /// The whole target set shares one classification and at most one
-    /// search: targets are sorted by Euler-tour preorder number and
-    /// binary-searched against the merged affected intervals of `F` —
-    /// `O(|F| log t + t)` instead of `t` independent `O(|F|)` probes —
-    /// and every provably-unaffected target is answered straight from the
-    /// fault-free row ([`TierCounters::batched_unaffected`](super::TierCounters)).
-    /// When only a few targets are affected, a *target-restricted* repair
-    /// sweep settles exactly those ([`QueryStats::restricted_repairs`]);
-    /// dense affected sets fall back to one ordinary row
-    /// materialisation that amortises across all of them. Results are
-    /// byte-identical to `targets.len()` separate
+    /// search: each target's Euler-tour preorder number is binary-searched
+    /// over the ≤ `|F|` merged affected intervals of `F` — no per-target
+    /// ancestor probes — and every provably-unaffected target is answered
+    /// straight from the fault-free row
+    /// ([`TierCounters::batched_unaffected`](super::TierCounters)). When
+    /// only a few targets are affected, a *target-restricted* repair sweep
+    /// settles exactly those ([`QueryStats::restricted_repairs`]); dense
+    /// affected sets fall back to one row repair that amortises across all
+    /// of them. Results are byte-identical to `targets.len()` separate
     /// [`QueryContext::dist_after_faults`] calls.
     ///
     /// Counts `targets.len()` queries. Errors as
@@ -769,34 +805,21 @@ impl QueryContext {
         let obs = self.stage_obs();
         let classify_span = obs.as_ref().map(|o| Span::enter(&o.stage_classify));
         // Batched unaffected classification against the merged affected
-        // intervals — never an `O(|F|)` ancestor probe per target. Sparse
-        // frames sort the targets by preorder number once and sweep the
-        // intervals over the sorted keys (`O(|F| log t + t)`); dense frames
-        // skip the `O(t log t)` sort (which would dominate the whole batch)
-        // and binary-search each key over the `O(|F|)` intervals instead
-        // (`O(t log |F|)`). Both classify identically.
+        // intervals — never an `O(|F|)` ancestor probe per target: each
+        // target's preorder number is binary-searched over the ≤ |F|
+        // intervals (`O(t log |F|)`, no sort).
         let affected_size = core.affected_intervals(slot, faults, &mut self.repair.intervals);
         let euler = &core.slot_tree(slot).euler;
-        let mut keys = std::mem::take(&mut self.many_keys);
+        let intervals = &self.repair.intervals;
         let mut affected = std::mem::take(&mut self.many_affected);
-        keys.clear();
         affected.clear();
         for (i, &v) in targets.iter().enumerate() {
             // Out-of-tree targets have no preorder number; they are
             // unaffected (unreachable with or without the faults).
             if let Some(t) = euler.preorder(v) {
-                keys.push((t, i as u32));
-            }
-        }
-        if keys.len() <= SORTED_CLASSIFY_MAX_TARGETS {
-            keys.sort_unstable();
-            ftb_tree::covered_keys(&self.repair.intervals, &keys, |i| affected.push(i));
-        } else {
-            let intervals = &self.repair.intervals;
-            for &(t, i) in keys.iter() {
                 let idx = intervals.partition_point(|&(_, end)| end <= t);
                 if idx < intervals.len() && intervals[idx].0 <= t {
-                    affected.push(i);
+                    affected.push(i as u32);
                 }
             }
         }
@@ -812,7 +835,6 @@ impl QueryContext {
         if affected.is_empty() {
             // Every target provably unaffected: the whole batch ran zero
             // searches (the counter proof the one_to_many suite asserts).
-            self.many_keys = keys;
             self.many_affected = affected;
             return out;
         }
@@ -825,66 +847,26 @@ impl QueryContext {
             self.count_tier_many(tier, affected.len());
             self.stats.restricted_repairs += 1;
             let sweep_span = obs.as_ref().map(|o| Span::enter(&o.stage_restricted_sweep));
-            let order = core.slot_tree(slot).euler.order();
-            let wanted = affected.iter().map(|&i| targets[i as usize]);
-            match tier {
-                Tier::SparseH => {
-                    let e = faults.as_single_edge().expect("SparseH is single-edge");
-                    let h = &core.h;
-                    let banned_compact = h.compact_edge(e);
-                    let neighbors = |u: VertexId| {
-                        h.graph()
-                            .neighbors(u)
-                            .filter(move |&(_, he)| Some(he) != banned_compact)
-                            .map(|(w, he)| (w, h.parent_edge(he)))
-                    };
-                    self.repair
-                        .restricted_sweep(order, dist0, wanted, neighbors);
-                    self.stats.structure_bfs_runs += 1;
-                }
-                Tier::Augmented => {
-                    let banned = faults.as_slice();
-                    let aug = core.aug.as_ref().expect("Augmented tier has a CSR");
-                    let csr = &aug.csr;
-                    let banned_compact = BannedEdges::collect(faults, csr);
-                    let neighbors = |u: VertexId| {
-                        csr.graph()
-                            .neighbors(u)
-                            .filter(move |&(w, ce)| {
-                                !banned_compact.contains(ce) && !banned.contains(&Fault::Vertex(w))
-                            })
-                            .map(|(w, ce)| (w, csr.parent_edge(ce)))
-                    };
-                    self.repair
-                        .restricted_sweep(order, dist0, wanted, neighbors);
-                    self.stats.augmented_bfs_runs += 1;
-                }
-                Tier::FullGraph => {
-                    let banned = faults.as_slice();
-                    let graph = core.graph();
-                    let neighbors = |u: VertexId| {
-                        graph.neighbors(u).filter(move |&(w, ge)| {
-                            !banned.contains(&Fault::Edge(ge))
-                                && !banned.contains(&Fault::Vertex(w))
-                        })
-                    };
-                    self.repair
-                        .restricted_sweep(order, dist0, wanted, neighbors);
-                    self.stats.full_graph_bfs_runs += 1;
-                }
-                Tier::FaultFree => unreachable!("handled above"),
-            }
+            self.miss(
+                core,
+                slot,
+                faults,
+                tier,
+                Miss::Targets {
+                    targets,
+                    affected: &affected,
+                },
+            );
             drop(sweep_span);
             for &i in &affected {
                 let v = targets[i as usize];
                 out[i as usize] = finite(self.repair.rdist.get(v.index()));
             }
         } else {
-            // Dense affected set: one ordinary row materialisation (repair
-            // or full sweep) amortises across every affected target and
-            // lands in the LRU for the next batch. `ensure_row` attributes
-            // one query to the tier; the remaining affected targets read
-            // the just-computed row like cache hits.
+            // Dense affected set: one row repair amortises across every
+            // affected target and lands in the LRU for the next batch.
+            // `ensure_row` attributes one query to the tier; the remaining
+            // affected targets read the just-computed row like cache hits.
             let row = self.ensure_row(core, slot, faults, tier);
             self.count_tier_many(tier, affected.len() - 1);
             self.stats.cached_answers += affected.len() - 1;
@@ -893,7 +875,6 @@ impl QueryContext {
                 out[i as usize] = finite(dist[targets[i as usize].index()]);
             }
         }
-        self.many_keys = keys;
         self.many_affected = affected;
         out
     }
@@ -1005,14 +986,14 @@ impl QueryContext {
     ///
     /// Every call attributes the query to exactly one routing tier (see
     /// [`TierCounters`](super::TierCounters)); the per-CSR sweep counters
-    /// only move when a search actually runs. A cache miss on the
-    /// `sparse_h_bfs` / `augmented_bfs` tiers takes the **incremental
-    /// repair** path (unless [`EngineOptions::force_full_sweep`](super::EngineOptions)):
-    /// the row starts as a copy of the tier's fault-free rows, only the
-    /// affected subtrees are re-swept by a bounded BFS seeded from their
-    /// unaffected boundary, and canonical parents are patched where the
-    /// distances or the adjacency changed — byte-identical to the full
-    /// sweep, at a fraction of its cost.
+    /// only move when a search actually runs. A cache miss on any tier is
+    /// one [`QueryContext::miss`]: the row is **repaired** — it starts as a
+    /// copy of the tier's fault-free rows, only the affected subtrees are
+    /// re-swept by a bounded BFS seeded from their unaffected boundary, and
+    /// canonical parents are patched where the distances or the adjacency
+    /// changed — byte-identical to a full sweep, at a fraction of its cost.
+    /// Under [`EngineOptions::force_full_sweep`](super::EngineOptions) the
+    /// same adjacency is swept in full instead (the test reference).
     fn ensure_row(
         &mut self,
         core: &EngineCore,
@@ -1054,136 +1035,106 @@ impl QueryContext {
                 .min_by_key(|&j| self.rows[j].last_used)
                 .expect("capacity >= 1")
         };
-        let source = core.sources()[slot];
-        let obs = self.stage_obs();
-        let row = &mut self.rows[i];
-        let repairable = !core.options().force_full_sweep;
-        // The banned-element filters below scan the canonical fault slice:
-        // at most `max_faults` entries, so membership is a short linear
-        // scan, cheaper than any hashing at these sizes.
-        let banned = faults.as_slice();
-        if banned.contains(&Fault::Vertex(source)) {
+        if faults.contains(Fault::Vertex(core.sources()[slot])) {
             // The source itself failed: nothing is reachable (matching
             // `bfs_distances_view` over a masked source). No search runs,
             // so no sweep is counted.
-            row.dist.fill(UNREACHABLE);
-            row.parent.fill(None);
+            self.rows[i].dist.fill(UNREACHABLE);
+            self.rows[i].parent.fill(None);
         } else {
-            match tier {
-                Tier::SparseH => {
-                    // The seed paper's regime: one non-reinforced structure
-                    // edge. The FT-BFS guarantee makes a BFS over the
-                    // compact CSR of H ∖ {e} exact.
-                    let e = faults.as_single_edge().expect("SparseH is single-edge");
-                    let h = &core.h;
-                    let banned_compact = h.compact_edge(e);
-                    let neighbors = |u: VertexId| {
-                        h.graph()
-                            .neighbors(u)
-                            .filter(move |&(_, he)| Some(he) != banned_compact)
-                            .map(|(w, he)| (w, h.parent_edge(he)))
-                    };
-                    if repairable {
-                        let (dist0, parent0) = core.fault_free_row(slot);
-                        core.affected_intervals(slot, faults, &mut self.repair.intervals);
-                        self.repair.fixups.clear();
-                        if h.contains_parent_edge(e) {
-                            let edge = core.graph().edge(e);
-                            self.repair.fixups.push(edge.u);
-                            self.repair.fixups.push(edge.v);
-                        }
-                        row.dist.copy_from_slice(dist0);
-                        row.parent.copy_from_slice(parent0);
-                        let span = obs.as_ref().map(|o| Span::enter(&o.stage_row_repair));
-                        self.repair.repair_region(
-                            core.slot_tree(slot).euler.order(),
-                            dist0,
-                            &mut row.dist,
-                            &mut row.parent,
-                            neighbors,
-                        );
-                        drop(span);
-                        self.stats.repaired_rows += 1;
-                    } else {
-                        let span = obs.as_ref().map(|o| Span::enter(&o.stage_full_sweep));
-                        bfs_sweep(source, &mut self.scratch, neighbors);
-                        self.scratch.materialize(&mut row.dist, &mut row.parent);
-                        drop(span);
-                    }
-                    self.stats.structure_bfs_runs += 1;
-                }
-                Tier::Augmented => {
-                    // The fault set is inside the augmented structure's
-                    // coverage: a BFS over H⁺ ∖ F is exact by the
-                    // replacement-path construction (see `crate::ftbfs`).
-                    // The ≤ 2 banned edges are translated to compact ids
-                    // once into an inline probe, so the sweep compares
-                    // compact ids directly and only translates the edges it
-                    // records as parents.
-                    let aug = core.aug.as_ref().expect("Augmented tier has a CSR");
-                    let csr = &aug.csr;
-                    let banned_compact = BannedEdges::collect(faults, csr);
-                    let neighbors = |u: VertexId| {
-                        csr.graph()
-                            .neighbors(u)
-                            .filter(move |&(w, ce)| {
-                                !banned_compact.contains(ce) && !banned.contains(&Fault::Vertex(w))
-                            })
-                            .map(|(w, ce)| (w, csr.parent_edge(ce)))
-                    };
-                    if repairable {
-                        let (dist0, _) = core.fault_free_row(slot);
-                        let parent0 = &aug.fault_free_parent[slot];
-                        core.affected_intervals(slot, faults, &mut self.repair.intervals);
-                        self.repair.fixups.clear();
-                        for e in faults.edges().filter(|&e| csr.contains_parent_edge(e)) {
-                            let edge = core.graph().edge(e);
-                            self.repair.fixups.push(edge.u);
-                            self.repair.fixups.push(edge.v);
-                        }
-                        row.dist.copy_from_slice(dist0);
-                        row.parent.copy_from_slice(parent0);
-                        let span = obs.as_ref().map(|o| Span::enter(&o.stage_row_repair));
-                        self.repair.repair_region(
-                            core.slot_tree(slot).euler.order(),
-                            dist0,
-                            &mut row.dist,
-                            &mut row.parent,
-                            neighbors,
-                        );
-                        drop(span);
-                        self.stats.repaired_rows += 1;
-                    } else {
-                        let span = obs.as_ref().map(|o| Span::enter(&o.stage_full_sweep));
-                        bfs_sweep(source, &mut self.scratch, neighbors);
-                        self.scratch.materialize(&mut row.dist, &mut row.parent);
-                        drop(span);
-                    }
-                    self.stats.augmented_bfs_runs += 1;
-                }
-                Tier::FullGraph => {
-                    // Everything beyond the sparse guarantees stays exact
-                    // with one BFS over the full graph G ∖ F.
-                    let graph = core.graph();
-                    let span = obs.as_ref().map(|o| Span::enter(&o.stage_full_sweep));
-                    bfs_sweep(source, &mut self.scratch, |u| {
-                        graph.neighbors(u).filter(move |&(w, ge)| {
-                            !banned.contains(&Fault::Edge(ge))
-                                && !banned.contains(&Fault::Vertex(w))
-                        })
-                    });
-                    self.scratch.materialize(&mut row.dist, &mut row.parent);
-                    drop(span);
-                    self.stats.full_graph_bfs_runs += 1;
-                }
-                Tier::FaultFree => unreachable!("handled above"),
-            }
+            self.miss(core, slot, faults, tier, Miss::Row(i));
         }
         let row = &mut self.rows[i];
         row.source_slot = key_slot;
         row.faults = faults.clone();
         row.last_used = self.clock;
         RowSlot::Cached(i)
+    }
+
+    /// Run one cache miss on `tier`'s post-failure adjacency — the one
+    /// place each tier's adjacency is built — and count the search in the
+    /// tier's sweep counter.
+    fn miss(&mut self, core: &EngineCore, slot: usize, faults: &FaultSet, tier: Tier, miss: Miss) {
+        match tier {
+            Tier::SparseH => {
+                let e = faults.as_single_edge().expect("SparseH is single-edge");
+                let adj = SparseHAdjacency {
+                    h: &core.h,
+                    banned: core.h.compact_edge(e),
+                };
+                self.miss_on(core, slot, faults, tier, &adj, miss);
+                self.stats.structure_bfs_runs += 1;
+            }
+            Tier::Augmented => {
+                let csr = &core.aug.as_ref().expect("Augmented tier has a CSR").csr;
+                let adj = AugmentedAdjacency {
+                    csr,
+                    banned: BannedEdges::collect(faults, csr),
+                    faults: faults.as_slice(),
+                };
+                self.miss_on(core, slot, faults, tier, &adj, miss);
+                self.stats.augmented_bfs_runs += 1;
+            }
+            Tier::FullGraph => {
+                let adj = FullGraphAdjacency {
+                    graph: core.graph(),
+                    faults: faults.as_slice(),
+                };
+                self.miss_on(core, slot, faults, tier, &adj, miss);
+                self.stats.full_graph_bfs_runs += 1;
+            }
+            Tier::FaultFree => unreachable!("the fault-free row never misses"),
+        }
+    }
+
+    /// [`QueryContext::miss`] on one tier's adjacency. A
+    /// [`Miss::Targets`] runs the target-restricted sweep over the affected
+    /// intervals the caller collected. A [`Miss::Row`] repairs the row from
+    /// the tier's fault-free rows, or sweeps it in full under
+    /// [`EngineOptions::force_full_sweep`](super::EngineOptions).
+    fn miss_on<A: Adjacency>(
+        &mut self,
+        core: &EngineCore,
+        slot: usize,
+        faults: &FaultSet,
+        tier: Tier,
+        adj: &A,
+        miss: Miss,
+    ) {
+        let order = core.slot_tree(slot).euler.order();
+        let (dist0, _) = core.fault_free_row(slot);
+        let i = match miss {
+            Miss::Targets { targets, affected } => {
+                let wanted = affected.iter().map(|&i| targets[i as usize]);
+                self.repair.settle_targets(order, dist0, adj, wanted);
+                return;
+            }
+            Miss::Row(i) => i,
+        };
+        let obs = self.stage_obs();
+        let row = &mut self.rows[i];
+        if core.options().force_full_sweep {
+            let span = obs.as_ref().map(|o| Span::enter(&o.stage_full_sweep));
+            bfs_sweep(core.sources()[slot], &mut self.scratch, |u| {
+                adj.neighbors(u)
+            });
+            self.scratch.materialize(&mut row.dist, &mut row.parent);
+            drop(span);
+            return;
+        }
+        core.affected_intervals(slot, faults, &mut self.repair.intervals);
+        self.repair.fixups.clear();
+        for e in faults.edges().filter(|&e| adj.contains_edge(e)) {
+            let edge = core.graph().edge(e);
+            self.repair.fixups.extend([edge.u, edge.v]);
+        }
+        row.dist.copy_from_slice(dist0);
+        row.parent.copy_from_slice(core.tier_parent_row(slot, tier));
+        let span = obs.as_ref().map(|o| Span::enter(&o.stage_row_repair));
+        self.repair
+            .repair_row(order, dist0, adj, &mut row.dist, &mut row.parent);
+        drop(span);
+        self.stats.repaired_rows += 1;
     }
 
     fn count_tier(&mut self, tier: Tier) {

@@ -51,10 +51,10 @@ pub struct EngineOptions {
     /// answers the whole batch on the calling thread.
     pub parallel: ParallelConfig,
     /// Maximum fault-set size (`|F|`) the engine accepts; larger sets are
-    /// rejected with [`FtbfsError::FaultSetTooLarge`]. Answering a set that
-    /// is not a single non-reinforced structure edge costs one BFS over the
-    /// full graph (see the [module docs](super)), so the cap bounds the
-    /// worst-case per-row work a caller can trigger. Minimum 1.
+    /// rejected with [`FtbfsError::FaultSetTooLarge`]. A set outside the
+    /// sparse and augmented guarantees is served from the full graph (see
+    /// the [module docs](super)), so the cap bounds the worst-case per-row
+    /// work a caller can trigger. Minimum 1.
     pub max_faults: usize,
     /// Disable the incremental row repair and the unaffected-target fast
     /// path: every cache miss runs a full CSR sweep and every query

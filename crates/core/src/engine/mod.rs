@@ -64,9 +64,11 @@
 //!   hypotheticals): one BFS over the compact CSR of `H⁺ ∖ F`, exact by the
 //!   replacement-path construction (see the [`ftbfs`](crate::ftbfs) docs).
 //! * **`full_graph_bfs`** — everything else (`|F| ≥ 3`, two simultaneous
-//!   vertex faults, or a build without the needed augmentation): one exact
-//!   recomputed BFS over the full graph `G ∖ F`, costing `O(n + m)` rather
-//!   than `O(|H⁺|)` per miss.
+//!   vertex faults, or a build without the needed augmentation): the row
+//!   over the full graph `G ∖ F`, exact for every fault set. A miss is
+//!   repaired like the other tiers' (below), so it costs `O(n)` memcpy
+//!   plus the affected subtrees' volume *in `G`*, which exceeds their
+//!   volume in `H` or `H⁺` by the non-structure edges incident to them.
 //!
 //! A query whose fault set contains the target vertex or the source itself
 //! reports the vertex disconnected (`Ok(None)`), matching brute-force BFS
@@ -77,27 +79,31 @@
 //! A fault only changes the distance of vertices whose canonical shortest
 //! path *uses* the failed element — the subtrees hanging under the fault in
 //! the slot's fault-free BFS tree `T0` (the observation behind the sparse
-//! FT-BFS constructions of Parter–Peleg 2013). The engine exploits it
-//! twice, and both optimisations are answer-preserving (byte-identical
-//! rows, asserted in the `row_repair` differential suite):
+//! FT-BFS constructions of Parter–Peleg 2013). This holds for every fault
+//! set on every tier, and the engine exploits it in three ways, all
+//! answer-preserving (byte-identical rows, asserted in the `row_repair`
+//! differential suite):
 //!
 //! * **Targeted fast path** — a distance query whose target is provably
 //!   unaffected (its tree path avoids every failed tree edge and vertex —
 //!   an `O(|F|)` check against preprocessed Euler-tour subtree intervals)
 //!   is answered straight from the fault-free row: no search, no row, no
 //!   LRU traffic. Counted in [`TierCounters::unaffected_fast_path`].
-//! * **Repair instead of re-sweep** — a cache miss on the `sparse_h_bfs` /
-//!   `augmented_bfs` tiers does not re-sweep the whole serving CSR: the row
-//!   starts as a copy of the tier's fault-free rows, the affected subtrees
-//!   (`O(1)` preorder intervals) are reset and re-swept by a bounded BFS
-//!   seeded from their unaffected boundary at fault-free depths, and
-//!   canonical parents are patched where distances or adjacency changed.
-//!   Cost is `O(n)` memcpy plus `O(vol(affected))` instead of a full
-//!   `O(n + |CSR|)` traversal; counted in [`QueryStats::repaired_rows`].
+//! * **Repair instead of re-sweep** — a cache miss on any tier
+//!   (`sparse_h_bfs`, `augmented_bfs`, `full_graph_bfs`) does not re-sweep
+//!   the tier's whole graph: the row starts as a copy of the tier's
+//!   fault-free rows, the affected subtrees (`O(|F|)` preorder intervals)
+//!   are re-swept by a bounded BFS seeded from their unaffected boundary
+//!   at fault-free depths, and canonical parents are patched where
+//!   distances or adjacency changed. Cost is `O(n)` memcpy plus
+//!   `O(vol(affected))` instead of a full `O(n + m)` traversal; counted in
+//!   [`QueryStats::repaired_rows`]. Each tier's post-failure adjacency is
+//!   defined once, and the repair, the restricted sweep below and the
+//!   forced full sweep all traverse it.
 //! * **One-to-many batching** — `dist_many_after_faults` answers a whole
-//!   target set against one fault set in one pass: targets are sorted by
-//!   Euler-tour preorder number and binary-searched against the merged
-//!   affected intervals (`O(|F| log t + t)` instead of `O(|F|·t)` probes),
+//!   target set against one fault set in one pass: each target's
+//!   Euler-tour preorder number is binary-searched over the ≤ `|F|` merged
+//!   affected intervals (`O(t log |F|)` instead of `O(|F|·t)` probes),
 //!   provably-unaffected targets are read straight off the fault-free row
 //!   ([`TierCounters::batched_unaffected`]), and when only a few targets
 //!   land inside the affected subtrees a *target-restricted* repair sweep
@@ -109,8 +115,9 @@
 //! distance row — which is what makes repaired and fully-swept rows
 //! byte-identical, and serial, sharded and repaired serving
 //! indistinguishable. Set [`EngineOptions::force_full_sweep`] (or the
-//! [`FORCE_FULL_SWEEP_ENV`] environment variable) to disable both paths for
-//! differential testing or measurement; the `row_repair` criterion bench
+//! [`FORCE_FULL_SWEEP_ENV`] environment variable) to disable all three for
+//! differential testing or measurement: every miss then sweeps the tier's
+//! whole adjacency; the `row_repair` criterion bench
 //! gates the ≥ 2× serving gap between the two modes in CI.
 //!
 //! Each context keeps the last [`EngineOptions::lru_rows`] computed rows
@@ -181,12 +188,12 @@ pub struct TierCounters {
     /// [`EngineOptions::force_full_sweep`](super::EngineOptions).
     pub unaffected_fast_path: usize,
     /// Answered from the fault-free row by the *batched* one-to-many
-    /// classification: `dist_many_after_faults` sorts the requested targets
-    /// by Euler-tour preorder number and binary-searches the merged
+    /// classification: `dist_many_after_faults` binary-searches each
+    /// requested target's Euler-tour preorder number over the merged
     /// affected intervals, so each provably-unaffected target of a
-    /// many-target query costs `O(log t)` amortised instead of an
-    /// `O(|F|)` per-target probe. Counted per *target*, like every other
-    /// tier counter.
+    /// many-target query costs `O(log |F|)` instead of an `O(|F|)`
+    /// ancestor probe. Counted per *target*, like every other tier
+    /// counter.
     pub batched_unaffected: usize,
     /// Answered from a BFS row over the sparse structure CSR `H ∖ {e}`
     /// (single non-reinforced structure-edge failures — the seed paper's
@@ -196,8 +203,8 @@ pub struct TierCounters {
     /// (vertex faults, dual failures and reinforced-edge hypotheticals
     /// within the build's [`AugmentCoverage`](crate::ftbfs::AugmentCoverage)).
     pub augmented_bfs: usize,
-    /// Answered from a recomputed full-graph BFS row over `G ∖ F` (the
-    /// exact fallback for everything outside the sparse guarantees).
+    /// Answered from a full-graph row over `G ∖ F` (the exact fallback
+    /// for everything outside the sparse guarantees).
     pub full_graph_bfs: usize,
 }
 
@@ -262,16 +269,18 @@ pub struct QueryStats {
     pub structure_bfs_runs: usize,
     /// BFS sweeps over the compact augmented CSR of `H⁺`.
     pub augmented_bfs_runs: usize,
-    /// BFS sweeps over the full graph (the exact fallback).
+    /// Searches over the full graph `G ∖ F` (the exact fallback).
     pub full_graph_bfs_runs: usize,
     /// Queries answered from an already-computed row (the fault-free row,
     /// the unaffected fast path, or an LRU hit).
     pub cached_answers: usize,
     /// Cache-miss rows produced by the *incremental repair* path (fault-free
-    /// copy + bounded BFS over the affected subtrees) instead of a full CSR
-    /// sweep. Each repaired row is also counted in the sweep counter of its
-    /// tier (`structure_bfs_runs` / `augmented_bfs_runs`), so
-    /// `repaired_rows` tells how many of those searches were bounded.
+    /// copy + bounded BFS over the affected subtrees) instead of a full
+    /// sweep — every row miss on every tier, unless
+    /// [`EngineOptions::force_full_sweep`] is set. Each repaired row is also
+    /// counted in the sweep counter of its tier (`structure_bfs_runs`,
+    /// `augmented_bfs_runs` or `full_graph_bfs_runs`), so `repaired_rows`
+    /// tells how many of those searches were bounded.
     pub repaired_rows: usize,
     /// One-to-many cache misses answered by a *target-restricted* repair
     /// sweep: the bounded boundary-seeded BFS stopped as soon as every

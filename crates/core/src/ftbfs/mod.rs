@@ -63,9 +63,8 @@
 //! paths, the object the papers bound by `O(n^{3/2})` edges; the dual layer
 //! corresponds to Parter 2015's `O(n^{5/3})` regime. We do not re-derive
 //! the bounds for the lex-canonical path choice used here — measured sizes
-//! are reported per run in [`AugmentStats`] and by the
-//! `exp_ftbfs_augment` experiment, and `|E(H⁺)| ≤ m` always holds since
-//! `H⁺ ⊆ G`.
+//! are reported per run in [`AugmentStats`] (the `augmented_structures`
+//! example prints them), and `|E(H⁺)| ≤ m` always holds since `H⁺ ⊆ G`.
 
 mod augment;
 mod structure;

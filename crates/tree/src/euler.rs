@@ -151,8 +151,8 @@ impl EulerTourIndex {
     /// The preorder number of `v` (`None` for out-of-tree vertices).
     ///
     /// `v` lies inside the subtree interval `a..b` of some vertex exactly
-    /// when `a <= preorder(v) < b` — the primitive behind the batched
-    /// membership search of [`covered_keys`].
+    /// when `a <= preorder(v) < b` — the primitive behind the engine's
+    /// batched one-to-many classification.
     #[inline]
     pub fn preorder(&self, v: VertexId) -> Option<u32> {
         let t = self.tin[v.index()];
@@ -226,31 +226,6 @@ impl EulerTourIndex {
             tout,
             order,
         })
-    }
-}
-
-/// Batched interval membership: report every key whose preorder number
-/// falls inside one of the `intervals`.
-///
-/// `intervals` are disjoint half-open `(start, end)` preorder ranges in
-/// ascending order (the merged affected intervals of a fault set);
-/// `keys` are `(preorder, payload)` pairs sorted ascending by preorder
-/// number (duplicates allowed). Each interval binary-searches its first
-/// key, then walks the covered run — `O(|intervals| · log |keys| + hits)`,
-/// the one-to-many replacement for probing each key against each interval
-/// separately. `hit` receives the payload of every covered key, in
-/// ascending preorder order.
-pub fn covered_keys(intervals: &[(u32, u32)], keys: &[(u32, u32)], mut hit: impl FnMut(u32)) {
-    let mut lo = 0usize;
-    for &(start, end) in intervals {
-        // Intervals are sorted, so keys before `lo` can never match again.
-        let first = lo + keys[lo..].partition_point(|&(t, _)| t < start);
-        let mut i = first;
-        while i < keys.len() && keys[i].0 < end {
-            hit(keys[i].1);
-            i += 1;
-        }
-        lo = i;
     }
 }
 
@@ -341,35 +316,6 @@ mod tests {
         }
         let u = idx(0, &[None, Some(0), None]);
         assert_eq!(u.preorder(VertexId(2)), None, "out-of-tree vertex");
-    }
-
-    #[test]
-    fn covered_keys_matches_naive_interval_probes() {
-        let intervals = [(2u32, 5u32), (7, 8), (10, 14)];
-        let keys: Vec<(u32, u32)> = [0u32, 1, 2, 4, 4, 5, 6, 7, 9, 10, 13, 14, 20]
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i as u32))
-            .collect();
-        let mut got = Vec::new();
-        covered_keys(&intervals, &keys, |payload| got.push(payload));
-        let naive: Vec<u32> = keys
-            .iter()
-            .filter(|&&(t, _)| intervals.iter().any(|&(a, b)| a <= t && t < b))
-            .map(|&(_, p)| p)
-            .collect();
-        assert_eq!(got, naive);
-    }
-
-    #[test]
-    fn covered_keys_handles_empty_inputs() {
-        let mut hits = 0u32;
-        covered_keys(&[], &[(1, 0), (2, 1)], |_| hits += 1);
-        assert_eq!(hits, 0);
-        covered_keys(&[(0, 10)], &[], |_| hits += 1);
-        assert_eq!(hits, 0);
-        covered_keys(&[(5, 5)], &[(5, 0)], |_| hits += 1);
-        assert_eq!(hits, 0, "empty interval covers nothing");
     }
 
     #[test]

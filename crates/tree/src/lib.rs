@@ -24,7 +24,7 @@ pub mod hld;
 pub mod index;
 pub mod segments;
 
-pub use euler::{covered_keys, EulerTourIndex};
+pub use euler::EulerTourIndex;
 pub use hld::{HeavyPathDecomposition, TreePath};
 pub use index::TreeIndex;
 pub use segments::SegmentDecomposition;

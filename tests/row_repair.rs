@@ -1,7 +1,8 @@
 //! The incremental row-repair suite: repaired post-failure rows must be
 //! **byte-identical** to the rows a full CSR sweep produces, across every
 //! workload family, every fault-scenario family, every serving tier
-//! (`sparse_h_bfs`, `augmented_bfs`) and multi-source cores.
+//! (`sparse_h_bfs`, `augmented_bfs`, `full_graph_bfs`) and multi-source
+//! cores.
 //!
 //! "Byte-identical" is asserted through the public API: equal distances for
 //! every vertex *and* equal extracted paths — a path's final edge is the
@@ -144,6 +145,65 @@ fn augmented_tier_repairs_are_byte_identical() {
         assert!(
             stats.augmented_bfs_runs > 0,
             "{name}: the augmented tier never served"
+        );
+    }
+}
+
+/// Full-graph tier: on plain (non-augmented) builds every |F| ≤ 2 fault
+/// set outside the single-edge guarantee — vertex faults, dual failures,
+/// reinforced edges — is served from `G ∖ F`, and its misses repair the
+/// full-graph fault-free rows to exactly the full sweep's row. Every
+/// full-graph search a query runs is a repair.
+#[test]
+fn full_graph_tier_repairs_are_byte_identical() {
+    for (name, graph) in small_workloads(26) {
+        let structure = TradeoffBuilder::new(0.3)
+            .with_config(|c| c.with_seed(SEED).serial())
+            .build(&graph, &Sources::single(VertexId(0)))
+            .unwrap_or_else(|e| panic!("{name}: build failed: {e}"));
+        let (repaired, mut rctx) = side(
+            EngineCore::build_with(&graph, structure.clone(), repaired_options())
+                .expect("matching graph"),
+        );
+        let (full, mut fctx) = side(
+            EngineCore::build_with(
+                &graph,
+                structure,
+                EngineOptions::new().serial().with_force_full_sweep(true),
+            )
+            .expect("matching graph"),
+        );
+        for faults in enumerate_fault_sets(&graph, 2).iter().step_by(3) {
+            for v in graph.vertices() {
+                let before = rctx.stats();
+                let d_rep = rctx
+                    .dist_after_faults(&repaired, v, faults)
+                    .expect("in range");
+                let p_rep = rctx
+                    .path_after_faults(&repaired, v, faults)
+                    .expect("in range");
+                let delta = rctx.stats().delta_since(&before);
+                if delta.full_graph_bfs_runs > 0 {
+                    assert_eq!(
+                        delta.repaired_rows, delta.full_graph_bfs_runs,
+                        "{name}: a full-graph miss under {faults} was not repaired"
+                    );
+                }
+                let d_full = fctx.dist_after_faults(&full, v, faults).expect("in range");
+                let p_full = fctx.path_after_faults(&full, v, faults).expect("in range");
+                assert_eq!(d_rep, d_full, "{name}: dist({v:?}) under {faults}");
+                assert_eq!(p_rep, p_full, "{name}: path({v:?}) under {faults}");
+            }
+        }
+        let stats = rctx.stats();
+        assert!(
+            stats.full_graph_bfs_runs > 0,
+            "{name}: the full-graph tier never served"
+        );
+        assert_eq!(
+            fctx.stats().repaired_rows,
+            0,
+            "{name}: the forced engine repaired"
         );
     }
 }
