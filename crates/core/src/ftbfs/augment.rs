@@ -7,7 +7,7 @@ use crate::mbfs::MultiSourceStructure;
 use crate::structure::FtBfsStructure;
 use ftb_graph::{EdgeId, Fault, Graph, VertexId};
 use ftb_par::{parallel_map_init, ParallelConfig};
-use ftb_sp::{CanonicalScratch, TieBreakWeights};
+use ftb_sp::{CanonicalScratch, ShortestPathTree, TieBreakWeights};
 use std::time::Instant;
 
 /// Offline augmentation stage turning a seed structure `H` into an
@@ -20,10 +20,13 @@ use std::time::Instant;
 /// [module docs](super) for why this enumeration is sufficient), computes
 /// the canonical replacement tree of `G ∖ F` for each, and records the
 /// "last leg" (the rerouted parent edge) of every vertex whose canonical
-/// path changed. First-level faults are distributed over
-/// [`ParallelConfig`] workers, each owning one reusable
-/// [`CanonicalScratch`]; the dual sweep for a first fault runs in the same
-/// task, so work units are uniformly `Θ(n)` searches wide.
+/// path changed. A first-level fault (a tree edge into `c`, or a vertex
+/// `c`) changes paths only inside the `T0` subtree of `c`, so its tree is a
+/// subtree-bounded search over that subtree alone. First-level faults are
+/// distributed over [`ParallelConfig`] workers, each owning one reusable
+/// [`CanonicalScratch`]; the dual sweep for a first fault (full searches of
+/// `G ∖ {x, f}` for every edge `f` of the first fault's tree) runs in the
+/// same task.
 ///
 /// ```
 /// use ftb_core::ftbfs::{AugmentCoverage, FtBfsAugmenter};
@@ -192,21 +195,12 @@ impl FtBfsAugmenter {
     ) {
         let n = graph.num_vertices();
         let t_setup = Instant::now();
-        let mut scratch = CanonicalScratch::new(n);
-        scratch.run(graph, weights, source, &[]);
+        let tree = ShortestPathTree::build(graph, weights, source);
 
         // The canonical tree T0 is the base of every replacement-path
         // prefix argument; make sure H⁺ contains it even if the structure
         // was built with a different tie-break seed.
-        let mut t0_parent: Vec<Option<EdgeId>> = vec![None; n];
-        let mut t0_edges: Vec<EdgeId> = Vec::new();
-        for &v in scratch.visited() {
-            if let Some(e) = scratch.parent_edge(v) {
-                t0_parent[v.index()] = Some(e);
-                t0_edges.push(e);
-            }
-        }
-        for &e in &t0_edges {
+        for &e in tree.tree_edges() {
             if !edges.contains(e.index()) {
                 edges.insert(e.index());
                 stats.tree_edges_added += 1;
@@ -215,27 +209,27 @@ impl FtBfsAugmenter {
 
         // First-level faults: every canonical tree edge (reinforced or not
         // — the augmented tier also serves reinforced-edge hypotheticals)
-        // and every reachable non-source vertex. Nothing else can change a
-        // canonical path on its own.
-        let first_level: Vec<Fault> = t0_edges
+        // and every reachable non-source vertex, each with the root of the
+        // T0 subtree it cuts off. Nothing else can change a canonical path
+        // on its own, and nothing outside that subtree changes.
+        let first_level: Vec<(VertexId, Fault)> = tree
+            .tree_edges()
             .iter()
-            .map(|&e| Fault::Edge(e))
+            .map(|&e| (tree.child_endpoint(e).expect("tree edge"), Fault::Edge(e)))
             .chain(
-                scratch
-                    .visited()
-                    .iter()
-                    .filter(|&&v| v != source)
-                    .map(|&v| Fault::Vertex(v)),
+                graph
+                    .vertices()
+                    .filter(|&v| v != source && tree.is_reachable(v))
+                    .map(|v| (v, Fault::Vertex(v))),
             )
             .collect();
         stats.setup_ms += t_setup.elapsed().as_secs_f64() * 1e3;
         let t_sweep = Instant::now();
 
-        // Each task: one single-fault tree, plus (dual) one tree per edge
-        // of that replacement tree — every task is Θ(n) searches wide, so
-        // chunking over first-level faults balances well. A per-worker
-        // `seen` bitset dedupes within the task (pair passes for the same
-        // first fault reroute the same subtrees over and over), bounding a
+        // Each task: one subtree-bounded single-fault tree, plus (dual) one
+        // full tree per edge of that replacement tree. A per-worker `seen`
+        // bitset dedupes within the task (pair passes for the same first
+        // fault reroute the same subtrees over and over), bounding a
         // task's output at `m` edges instead of Θ(n) per pass.
         let per_fault: Vec<(Vec<EdgeId>, Vec<EdgeId>, usize)> = parallel_map_init(
             &self.parallel,
@@ -248,19 +242,26 @@ impl FtBfsAugmenter {
                 )
             },
             |(scr, tx_edges, seen), i| {
-                let x = first_level[i];
-                scr.run(graph, weights, source, &[x]);
+                let (root, x) = first_level[i];
+                scr.run_subtree(graph, weights, &tree, root, |w, f| match x {
+                    Fault::Edge(e) => f != e,
+                    Fault::Vertex(x) => w != x,
+                });
                 let mut single = Vec::new();
-                collect_changed_last_legs(scr, &t0_parent, source, seen, &mut single);
+                collect_changed_last_legs(scr, &tree, seen, &mut single);
                 let mut dual_added = Vec::new();
                 let mut dual_passes = 0usize;
                 if dual {
+                    // T_x: the bounded run inside the subtree, T0 outside.
                     scr.collect_tree_edges(tx_edges);
+                    tx_edges.extend(tree.tree_edges().iter().filter(|&&e| {
+                        !tree.in_subtree(root, tree.child_endpoint(e).expect("tree edge"))
+                    }));
                     for &fe in tx_edges.iter() {
                         let f = Fault::Edge(fe);
                         debug_assert_ne!(f, x, "a banned edge cannot re-enter its own tree");
                         scr.run(graph, weights, source, &[x, f]);
-                        collect_changed_last_legs(scr, &t0_parent, source, seen, &mut dual_added);
+                        collect_changed_last_legs(scr, &tree, seen, &mut dual_added);
                         dual_passes += 1;
                     }
                 }
@@ -300,24 +301,20 @@ impl FtBfsAugmenter {
     }
 }
 
-/// Append the "last legs" of one replacement tree — the parent edges of
-/// every vertex whose canonical parent edge differs from its fault-free
-/// one — to `out`, skipping edges already recorded in `seen`.
+/// Append the "last legs" of the last run's replacement tree — the parent
+/// edges of every searched vertex whose canonical parent edge differs from
+/// its `T0` one — to `out`, skipping edges already recorded in `seen`.
 fn collect_changed_last_legs(
     scratch: &CanonicalScratch,
-    t0_parent: &[Option<EdgeId>],
-    source: VertexId,
+    tree: &ShortestPathTree,
     seen: &mut ftb_graph::BitSet,
     out: &mut Vec<EdgeId>,
 ) {
     for &v in scratch.visited() {
-        if v == source {
-            continue;
-        }
-        let e = scratch
-            .parent_edge(v)
-            .expect("visited non-source vertices have parents");
-        if t0_parent[v.index()] != Some(e) && !seen.contains(e.index()) {
+        let Some(e) = scratch.parent_edge(v) else {
+            continue; // the source
+        };
+        if tree.parent(v).map(|(_, t0)| t0) != Some(e) && !seen.contains(e.index()) {
             seen.insert(e.index());
             out.push(e);
         }

@@ -41,7 +41,12 @@
 //! `G ∖ {x}`. That bounds the enumeration: `O(n)` first-level faults, and
 //! per first-level fault `O(n)` second-level edges — `O(n²)` canonical
 //! trees for the dual sweep, each `O(n + m)` via
-//! [`CanonicalScratch`](ftb_sp::CanonicalScratch).
+//! [`CanonicalScratch`](ftb_sp::CanonicalScratch). A first-level fault
+//! (the tree edge into `c`, or the vertex `c`) changes canonical paths only
+//! inside the `T0` subtree of `c` — every other vertex keeps its `T0` path —
+//! so its tree `T_x` is `T0` outside that subtree plus one subtree-bounded
+//! search inside it, and the single-fault layer costs `Σ_c vol(subtree(c))`
+//! instead of `n` full sweeps.
 //!
 //! Adding the last leg of every changed path then suffices by induction on
 //! path length, exactly the Parter–Peleg argument: each edge of

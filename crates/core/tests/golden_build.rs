@@ -8,7 +8,12 @@
 //! not only in the end-to-end benchmark's `backup_edges`. The ε extremes
 //! and the multi-source union pin the branches `TradeoffBuilder` selects
 //! besides the ε ∈ (0, 1/2) construction.
+//!
+//! The augmentation lines pin `H⁺` the same way (count plus FNV-1a hash of
+//! its edge ids, and every `AugmentStats` count) for SingleFault and
+//! DualFailure coverage, a foreign augmenter seed and two sources.
 
+use ftb_core::ftbfs::{AugmentCoverage, AugmentedStructure, FtBfsAugmenter};
 use ftb_core::{BuildConfig, FtBfsStructure, Sources, StructureBuilder, TradeoffBuilder};
 use ftb_graph::{BitSet, VertexId};
 use ftb_par::ParallelConfig;
@@ -127,6 +132,93 @@ fn check(parallel: ParallelConfig) {
         );
         assert_eq!(render(&case, &s), expected);
     }
+}
+
+/// `(family, n, seed, coverage, augmenter seed, two sources)`: the
+/// augmentation pass on top of the ε = 0.3 build. A foreign augmenter seed
+/// re-adds canonical-tree edges; two sources run one set of passes each.
+const AUGMENT_CASES: [(WorkloadFamily, usize, u64, AugmentCoverage, u64, bool); 8] = {
+    use AugmentCoverage::{DualFailure, SingleFault};
+    use WorkloadFamily::{ErdosRenyi, GridChords, LayeredDeep, PreferentialAttachment};
+    [
+        (ErdosRenyi, 400, 7, SingleFault, 7, false),
+        (LayeredDeep, 400, 7, SingleFault, 7, false),
+        (PreferentialAttachment, 200, 3, SingleFault, 3, true),
+        (GridChords, 200, 1, SingleFault, 2, false),
+        (ErdosRenyi, 80, 7, DualFailure, 7, false),
+        (LayeredDeep, 80, 7, DualFailure, 7, false),
+        (PreferentialAttachment, 60, 3, DualFailure, 3, true),
+        (GridChords, 60, 1, DualFailure, 2, false),
+    ]
+};
+
+const AUGMENT_GOLDEN: [&str; 8] = [
+    "erdos-renyi/400/7/single-fault/aug_seed=7/sources=1: H+=801#4bc882d8d5cce31c | base=755 tree_added=0 single_added=46 dual_added=0 single_passes=798 dual_passes=0",
+    "layered-deep/400/7/single-fault/aug_seed=7/sources=1: H+=853#e8231924cb8f269d | base=783 tree_added=0 single_added=70 dual_added=0 single_passes=800 dual_passes=0",
+    "pref-attach/200/3/single-fault/aug_seed=3/sources=2: H+=531#45dde6751ab2aaf7 | base=385 tree_added=72 single_added=74 dual_added=0 single_passes=796 dual_passes=0",
+    "grid-chords/200/1/single-fault/aug_seed=2/sources=1: H+=428#ea7660828f6d863e | base=399 tree_added=9 single_added=20 dual_added=0 single_passes=448 dual_passes=0",
+    "erdos-renyi/80/7/dual-failure/aug_seed=7/sources=1: H+=231#72b9cc9dff59dda0 | base=151 tree_added=0 single_added=14 dual_added=66 single_passes=158 dual_passes=12403",
+    "layered-deep/80/7/dual-failure/aug_seed=7/sources=1: H+=200#345f94d496ee078a | base=136 tree_added=0 single_added=8 dual_added=56 single_passes=144 dual_passes=10296",
+    "pref-attach/60/3/dual-failure/aug_seed=3/sources=2: H+=169#589a2f0cc2035bc5 | base=114 tree_added=3 single_added=4 dual_added=48 single_passes=236 dual_passes=13806",
+    "grid-chords/60/1/dual-failure/aug_seed=2/sources=1: H+=118#b12df085a8824b44 | base=107 tree_added=5 single_added=3 dual_added=3 single_passes=126 dual_passes=7875",
+];
+
+fn render_augmented(case: &str, a: &AugmentedStructure) -> String {
+    let st = a.stats();
+    format!(
+        "{case}: H+={} | base={} tree_added={} single_added={} dual_added={} \
+         single_passes={} dual_passes={}",
+        fingerprint(a.edge_set()),
+        st.base_edges,
+        st.tree_edges_added,
+        st.single_added,
+        st.dual_added,
+        st.single_passes,
+        st.dual_passes,
+    )
+}
+
+fn check_augmented(parallel: ParallelConfig) {
+    for ((family, n, seed, coverage, aug_seed, two), expected) in
+        AUGMENT_CASES.into_iter().zip(AUGMENT_GOLDEN)
+    {
+        let graph = Workload::new(family, n, seed).generate();
+        let last = VertexId::new(graph.num_vertices() - 1);
+        let sources = if two {
+            vec![VertexId(0), last]
+        } else {
+            vec![VertexId(0)]
+        };
+        let config = BuildConfig::new(0.3)
+            .with_seed(seed)
+            .with_parallel(parallel.clone())
+            .with_augment(coverage);
+        let s = TradeoffBuilder::from_config(config.clone())
+            .build(&graph, &Sources::single(VertexId(0)))
+            .expect("valid input");
+        let a = FtBfsAugmenter::from_build_config(&config)
+            .with_seed(aug_seed)
+            .augment_sources(&graph, s, &sources)
+            .expect("matching graph");
+        let case = format!(
+            "{}/{n}/{seed}/{}/aug_seed={aug_seed}/sources={}",
+            family.name(),
+            coverage.name(),
+            sources.len()
+        );
+        let line = render_augmented(&case, &a);
+        assert_eq!(line, expected);
+    }
+}
+
+#[test]
+fn golden_augmented_serial() {
+    check_augmented(ParallelConfig::serial());
+}
+
+#[test]
+fn golden_augmented_four_threads() {
+    check_augmented(ParallelConfig::with_threads(4).with_chunk_size(4));
 }
 
 #[test]

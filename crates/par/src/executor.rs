@@ -118,17 +118,19 @@ where
         .collect()
 }
 
-/// Call `f(s, i, chunk)` for every `chunk_len`-long chunk `i` of `data`
-/// (the last one may be shorter), in parallel, where `s` is a per-worker
-/// state created once by `init`.
+/// Call `f(s, i, segment)` for every segment
+/// `data[offsets[i] .. offsets[i + 1]]` of `data`, in parallel, where `s` is
+/// a per-worker state created once by `init`.
 ///
-/// The caller allocates `data`, so the results land in one buffer owned by
-/// the calling thread instead of in per-item allocations made (and later
-/// freed) on short-lived worker threads. Workers take one chunk at a time.
-pub fn parallel_chunks_mut_init<T, S, I, F>(
+/// `offsets` must be non-decreasing, start at 0 and end at `data.len()`;
+/// segments may differ in length (and be empty). The caller allocates
+/// `data`, so the results land in one buffer owned by the calling thread
+/// instead of in per-item allocations made (and later freed) on
+/// short-lived worker threads. Workers take one segment at a time.
+pub fn parallel_segments_mut_init<T, S, I, F>(
     config: &ParallelConfig,
     data: &mut [T],
-    chunk_len: usize,
+    offsets: &[usize],
     init: I,
     f: F,
 ) where
@@ -136,31 +138,42 @@ pub fn parallel_chunks_mut_init<T, S, I, F>(
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &mut [T]) + Sync,
 {
-    let chunk_len = chunk_len.max(1);
-    let len = data.len().div_ceil(chunk_len);
+    assert!(
+        offsets.first().is_none_or(|&o| o == 0) && offsets.last().is_none_or(|&o| o == data.len()),
+        "segment offsets must span the buffer"
+    );
+    let len = offsets.len().saturating_sub(1);
     if len == 0 {
         return;
     }
+    let mut rest = data;
+    let segments = offsets.windows(2).enumerate().map(move |(i, w)| {
+        let (segment, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+        rest = tail;
+        (i, segment)
+    });
     if config.is_serial() || len <= config.chunk_size() {
         let mut state = init();
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(&mut state, i, chunk);
+        for (i, segment) in segments {
+            f(&mut state, i, segment);
         }
         return;
     }
-    let chunks = Mutex::new(data.chunks_mut(chunk_len).enumerate());
+    let segments = Mutex::new(segments);
     let workers = config.threads().min(len);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
                 let mut state = init();
                 loop {
-                    let Some((i, chunk)) =
-                        chunks.lock().unwrap_or_else(PoisonError::into_inner).next()
+                    let Some((i, segment)) = segments
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .next()
                     else {
                         break;
                     };
-                    f(&mut state, i, chunk);
+                    f(&mut state, i, segment);
                 }
             });
         }
@@ -325,20 +338,25 @@ mod tests {
     }
 
     #[test]
-    fn chunks_mut_fills_every_chunk_once_in_place() {
-        let n = 1003usize;
+    fn segments_mut_fills_every_segment_once_in_place() {
+        // Segments of lengths 0, 1, 2, ... (the empty one first).
+        let mut offsets = vec![0usize];
+        for len in 0..45 {
+            offsets.push(offsets.last().unwrap() + len);
+        }
+        let n = *offsets.last().unwrap();
         let fill = |cfg: &ParallelConfig| {
             let inits = AtomicU64::new(0);
             let mut data = vec![0usize; n];
-            parallel_chunks_mut_init(
+            parallel_segments_mut_init(
                 cfg,
                 &mut data,
-                10,
+                &offsets,
                 || inits.fetch_add(1, Ordering::Relaxed),
-                |_, i, chunk| {
-                    assert!(chunk.len() == 10 || (i == n / 10 && chunk.len() == n % 10));
-                    for (k, x) in chunk.iter_mut().enumerate() {
-                        *x += i * 10 + k + 1;
+                |_, i, segment| {
+                    assert_eq!(segment.len(), i);
+                    for (k, x) in segment.iter_mut().enumerate() {
+                        *x += offsets[i] + k + 1;
                     }
                 },
             );
@@ -352,10 +370,10 @@ mod tests {
             expected
         );
         let mut empty: Vec<u32> = Vec::new();
-        parallel_chunks_mut_init(
+        parallel_segments_mut_init(
             &ParallelConfig::with_threads(4),
             &mut empty,
-            3,
+            &[0],
             || (),
             |_, _, _| panic!("must not be called"),
         );

@@ -14,8 +14,8 @@
 //! * [`parallel_map_init`] — like `parallel_map`, but each worker creates a
 //!   reusable mutable state once (the primitive behind per-thread query
 //!   contexts in sharded fault-query serving),
-//! * [`parallel_chunks_mut_init`] — fill disjoint chunks of a caller-owned
-//!   buffer in place, with a per-worker state,
+//! * [`parallel_segments_mut_init`] — fill disjoint segments of a
+//!   caller-owned buffer in place, with a per-worker state,
 //! * [`parallel_map_reduce`] — map then fold with an associative combiner,
 //! * [`ParallelConfig`] — thread-count control (including forcing serial
 //!   execution, which the experiment harness uses for timing baselines, and
@@ -30,7 +30,9 @@ pub mod executor;
 pub mod reduce;
 
 pub use config::{ParallelConfig, FORCE_THREADS_ENV};
-pub use executor::{parallel_chunks_mut_init, parallel_for_each, parallel_map, parallel_map_init};
+pub use executor::{
+    parallel_for_each, parallel_map, parallel_map_init, parallel_segments_mut_init,
+};
 pub use reduce::{parallel_map_reduce, parallel_sum};
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! exactly.
 
 use crate::pair::{ReplacementPath, VePair};
-use crate::pcons::push_new_ending;
+use crate::pcons::new_ending;
 use ftb_graph::{EdgeMask, Graph, SubgraphView, VertexId, VertexMask};
 use ftb_sp::{LexSearch, ReplacementDistances, ShortestPathTree, TieBreakWeights, UNREACHABLE};
 
@@ -114,15 +114,14 @@ fn lex_pcons_for_terminal(
             if !feasible(&fallback) {
                 continue;
             }
-            push_new_ending(
-                &mut out,
+            out.push(new_ending(
                 pair,
                 &pi_vertices,
                 fallback.path_to(v).unwrap(),
                 failing_edge_depth,
                 k as u32,
                 tree,
-            );
+            ));
             continue;
         }
         let mut lo = 0usize;
@@ -138,15 +137,14 @@ fn lex_pcons_for_terminal(
         let chosen = probe(hi);
         debug_assert!(feasible(&chosen));
         let path = chosen.path_to(v).expect("feasible probe reaches v");
-        push_new_ending(
-            &mut out,
+        out.push(new_ending(
             pair,
             &pi_vertices,
             path,
             failing_edge_depth,
             k as u32,
             tree,
-        );
+        ));
     }
     out
 }

@@ -1,45 +1,52 @@
 //! Algorithm `Pcons` (Phase S0): canonical replacement paths for all pairs.
 //!
-//! For a pair `⟨v, e⟩` with `target = dist(s, v, G ∖ {e})`, Pcons first
-//! asks whether a replacement path can end with a tree edge (the covered
-//! check, in `G'(v) ∖ {e}`), and otherwise binary-searches the smallest `j`
-//! such that a replacement path survives the removal of the interior of
-//! `π(u_j, v)`. Every one of those `1 + O(log depth)` questions has the same
-//! shape: *is `v` within `target` hops of `s` in some subgraph of
-//! `G ∖ {e}`?* No subgraph path can be shorter than `target`, so the answer
-//! is a plain BFS that stops as soon as `v` is discovered or the frontier
-//! passes `target` — no tie weights, no heap. Only the view finally chosen
-//! for the pair gets the canonical `(hops, Σ tie, parent id)` parent sweep,
-//! once, restricted to the vertices shallower than `v` plus `v` itself
-//! (the only vertices a `target`-hop path to `v` can use).
+//! For a pair `⟨v, e⟩` with `e = (p, c)` and `target = dist(s, v, G ∖ {e})`,
+//! Pcons first asks whether a replacement path can end with a tree edge
+//! (the pair is then *covered*), and otherwise binary-searches the smallest
+//! `j` such that a replacement path survives the removal of the interior of
+//! `π(u_j, v)`. Every search is subtree-bounded: removing `e` changes
+//! canonical paths only inside the `T0` subtree of `c`, so the search runs
+//! on one [`CanonicalScratch`] over that subtree, its boundary seeded at
+//! fault-free depths (see [`ftb_sp::canonical`]).
 //!
-//! Both sweeps run on one per-worker
-//! [`CanonicalScratch`], which resets only what
-//! the previous probe touched, and the views are inline `O(1)` filters on
-//! the edge `(w, f)` a search is about to enter `w` through:
+//! The work is organised per failing edge, not per terminal:
 //!
-//! * the failing edge: `f ≠ e`;
-//! * `G'(v)`, "no non-tree edge incident to `v`": `w ≠ v ∨ f ∈ T0`. This
-//!   filter is keyed on the edge *entering* `v`, not on `v` itself (tree
-//!   edges still enter `v`), and it never needs to look at edges leaving
-//!   `v`: the BFS stops when `v` is discovered and the parent sweep only
-//!   settles vertices above `v`'s depth, so no search ever continues past
-//!   `v`. Applying the same predicate in both sweeps keeps the feasibility
-//!   answer and the settled path on the same graph;
-//! * the interior of `π(u_j, v)`: `w` is removed iff
-//!   `j < depth(w) < k ∧ π[depth(w)] = w`, where `k = depth(v)` — `π` is a
-//!   shortest path, so its `i`-th vertex has depth `i`.
+//! * **Covered pairs: no probe.** One canonical replacement tree of
+//!   `G ∖ {e}` over the subtree of `c` answers every terminal below `c`. A
+//!   pair `⟨v, e⟩` is covered iff some tree edge `(x, v) ≠ e` has
+//!   `dist(s, x, G ∖ {e}) = target − 1`: a path to `x` that short cannot
+//!   pass `v`, so it also lives in `G'(v) ∖ {e}` (no non-tree edge incident
+//!   to `v`), and its canonical path and tie sum are those of the tree.
+//!   The canonical covered path is the tree path to the `(tie sum + W(x,
+//!   v), x)`-minimal such `x`, followed by `(x, v)` — the parent the
+//!   canonical search in `G'(v) ∖ {e}` would settle.
+//! * **Uncovered pairs.** The path must be new-ending. Probe `j` bans `e`
+//!   and the interior of `π(u_j, v)`; all of it lies in the subtree of
+//!   `u_{j+1}` (or is `e` entering it), so the probe is a hop-bounded sweep
+//!   over that subtree that stops when `v` is discovered or the frontier
+//!   passes `target`. The predicate is monotone in `j` (Lemma 4.3): the
+//!   search tries `j = 0` (the source, often feasible on deep trees), then
+//!   gallops down from the feasible `j = idx` and bisects, and only the
+//!   chosen probe gets the canonical parent sweep, restricted to the
+//!   vertices shallower than `v` plus `v` itself. The interior filter is
+//!   inline: `w` is removed iff `j < depth(w) < k ∧ π[depth(w)] = w`, where
+//!   `k = depth(v)` — `π` is a shortest path, so its `i`-th vertex has
+//!   depth `i`.
 //!
+//! Each edge's task leaves, for every vertex below it, its parent in the
+//! replacement tree and the pair's outcome (cut off, covered with its last
+//! hop, or the new-ending path). The calling thread then walks the pairs in
+//! the order the later phases rely on — terminals by depth, then failing
+//! edges from the source down — moving new-ending paths into place and
+//! building each covered path from the recorded parents and `T0`.
 //! The output is identical, path for path, to the heap-based
 //! [`LexSearch`](ftb_sp::LexSearch) formulation over masked views, which is
 //! kept as the test oracle.
 
 use crate::pair::{PairId, ReplacementPath, VePair};
 use ftb_graph::{EdgeId, Graph, VertexId};
-use ftb_par::{parallel_map_init, ParallelConfig};
-use ftb_sp::{
-    CanonicalScratch, Path, ReplacementDistances, ShortestPathTree, TieBreakWeights, UNREACHABLE,
-};
+use ftb_par::{parallel_segments_mut_init, ParallelConfig};
+use ftb_sp::{CanonicalScratch, Path, ReplacementDistances, ShortestPathTree, TieBreakWeights};
 use std::collections::HashMap;
 
 /// The output of Algorithm `Pcons`: one canonical replacement path per
@@ -56,8 +63,8 @@ pub struct ReplacementPaths {
 }
 
 impl ReplacementPaths {
-    /// Run Algorithm `Pcons` for every pair, in parallel over terminals
-    /// (one [`CanonicalScratch`] per worker).
+    /// Run Algorithm `Pcons` for every pair, in parallel over failing tree
+    /// edges (one [`CanonicalScratch`] per worker).
     pub fn compute(
         graph: &Graph,
         weights: &TieBreakWeights,
@@ -66,31 +73,69 @@ impl ReplacementPaths {
         config: &ParallelConfig,
     ) -> Self {
         let source = tree.source();
-        let terminals: Vec<VertexId> = tree
-            .vertices_by_depth()
-            .into_iter()
-            .filter(|&v| v != source)
-            .collect();
-        let per_terminal: Vec<Vec<ReplacementPath>> = parallel_map_init(
+        // Segment `c` holds a `Slot` for every vertex below the tree edge
+        // into `c`, in preorder (empty for the source and unreachable
+        // vertices). The workers fill it; the covered paths are then built
+        // here, so the long-lived allocations come from the calling thread:
+        // buffers allocated by the short-lived workers and freed later
+        // stayed resident in their allocator arenas by an amount that
+        // varied from run to run.
+        let below_edge = |c: VertexId| tree.parent(c).map_or(0, |_| tree.subtree_size(c));
+        let mut offsets = vec![0];
+        for c in graph.vertices() {
+            offsets.push(offsets[c.index()] + below_edge(c));
+        }
+        let mut slots: Vec<Slot> = Vec::new();
+        slots.resize_with(offsets[graph.num_vertices()], Slot::default);
+        parallel_segments_mut_init(
             config,
-            terminals.len(),
-            || CanonicalScratch::new(graph.num_vertices()),
-            |scratch, i| compute_for_terminal(graph, weights, tree, dists, terminals[i], scratch),
+            &mut slots,
+            &offsets,
+            || EdgeSearch {
+                scratch: CanonicalScratch::new(graph.num_vertices()),
+                spare: CanonicalScratch::new(graph.num_vertices()),
+                uncovered: Vec::new(),
+                pi: Vec::new(),
+            },
+            |search, c, out| {
+                if let Some((_, e)) = tree.parent(VertexId::new(c)) {
+                    search.pairs_of_edge(graph, weights, tree, dists, e, out);
+                }
+            },
         );
 
-        let mut paths = Vec::new();
-        let mut index = HashMap::new();
+        let num_pairs = slots
+            .iter()
+            .filter(|s| !matches!(s.pair, PairSlot::CutOff))
+            .count();
+        let mut paths = Vec::with_capacity(num_pairs);
+        let mut index = HashMap::with_capacity(num_pairs);
         let mut by_terminal: HashMap<VertexId, Vec<PairId>> = HashMap::new();
         let mut uncovered = Vec::new();
-        for bundle in per_terminal {
-            for rp in bundle {
+        let mut pi_edges = Vec::new();
+        for v in tree.vertices_by_depth() {
+            let first = paths.len();
+            pi_edges.clear();
+            pi_edges.extend(tree.ancestors(v));
+            for &(c, e) in pi_edges.iter().rev() {
+                let segment = &mut slots[offsets[c.index()]..offsets[c.index() + 1]];
+                let rp = match std::mem::take(&mut segment[subtree_slot(tree, c, v)].pair) {
+                    PairSlot::CutOff => continue,
+                    PairSlot::NewEnding(rp) => rp,
+                    PairSlot::Covered(x, f) => {
+                        let target = dists.dist(e, v).expect("tree edge") as usize;
+                        covered_path(tree, segment, e, v, (x, f), target)
+                    }
+                };
                 let id: PairId = paths.len();
-                index.insert((rp.pair.terminal, rp.pair.failing_edge), id);
-                by_terminal.entry(rp.pair.terminal).or_default().push(id);
+                index.insert((v, e), id);
                 if rp.new_ending {
                     uncovered.push(id);
                 }
                 paths.push(rp);
+            }
+            if paths.len() > first {
+                by_terminal.insert(v, (first..paths.len()).collect());
             }
         }
         ReplacementPaths {
@@ -164,138 +209,246 @@ impl ReplacementPaths {
     }
 }
 
-/// Run Algorithm `Pcons` for all failing edges on `π(s, v)` of one terminal.
-fn compute_for_terminal(
-    graph: &Graph,
-    weights: &TieBreakWeights,
-    tree: &ShortestPathTree,
-    dists: &ReplacementDistances,
-    v: VertexId,
-    scratch: &mut CanonicalScratch,
-) -> Vec<ReplacementPath> {
-    let source = tree.source();
-    let Some(pi) = tree.path_to(v) else {
-        return Vec::new();
-    };
-    let pi_vertices = pi.vertices();
-    let k = pi.len(); // depth of v
+/// Position of `v` in the preorder of the subtree of `c`.
+fn subtree_slot(tree: &ShortestPathTree, c: VertexId, v: VertexId) -> usize {
+    let pre = |u: VertexId| tree.preorder(u).expect("reachable");
+    (pre(v) - pre(c)) as usize
+}
 
-    let mut out = Vec::with_capacity(k);
-    for (idx, &e) in pi.edges().iter().enumerate() {
-        let Some(target) = dists.dist(e, v) else {
-            continue;
+/// What the task of tree edge `e = (p, c)` leaves for a vertex `v` below
+/// `c`.
+#[derive(Default)]
+struct Slot {
+    /// `v`'s parent in the canonical replacement tree of `G ∖ {e}` (`None`
+    /// when the failure cuts `v` off).
+    parent: Option<(VertexId, EdgeId)>,
+    /// The pair `⟨v, e⟩`.
+    pair: PairSlot,
+}
+
+/// The outcome of Algorithm `Pcons` for one pair.
+#[derive(Default)]
+enum PairSlot {
+    /// The failure cuts the terminal off: no pair.
+    #[default]
+    CutOff,
+    /// Covered, with last hop `(x, v)` over the given tree edge.
+    Covered(VertexId, EdgeId),
+    /// New-ending, with its path.
+    NewEnding(ReplacementPath),
+}
+
+/// The covered replacement path of `⟨v, e⟩` with last hop `(x, f)`: the
+/// path to `x` in the canonical replacement tree of `G ∖ {e}` — `segment`'s
+/// parents inside the subtree of `c`, `T0` above it — followed by `(x, v)`.
+fn covered_path(
+    tree: &ShortestPathTree,
+    segment: &[Slot],
+    e: EdgeId,
+    v: VertexId,
+    (x, f): (VertexId, EdgeId),
+    target: usize,
+) -> ReplacementPath {
+    let c = tree.child_endpoint(e).expect("tree edge");
+    let mut vertices = Vec::with_capacity(target + 1);
+    let mut edges = Vec::with_capacity(target);
+    vertices.extend([v, x]);
+    edges.push(f);
+    let mut cur = x;
+    loop {
+        let up = if tree.in_subtree(c, cur) {
+            segment[subtree_slot(tree, c, cur)].parent
+        } else {
+            tree.parent(cur)
         };
-        if target == UNREACHABLE {
-            // The failure disconnects v: dist(s, v, G \ {e}) = ∞ and no
-            // protection is required for this pair.
-            continue;
+        let Some((p, g)) = up else {
+            break;
+        };
+        vertices.push(p);
+        edges.push(g);
+        cur = p;
+    }
+    vertices.reverse();
+    edges.reverse();
+    ReplacementPath {
+        pair: VePair {
+            terminal: v,
+            failing_edge: e,
+        },
+        path: Path::new(vertices, edges),
+        last_edge: f,
+        new_ending: false,
+        divergence: None,
+        divergence_index: None,
+        failing_edge_depth: tree.depth(c).expect("reachable"),
+        terminal_depth: tree.depth(v).expect("reachable"),
+    }
+}
+
+/// One worker's state: the search kernel plus reusable buffers.
+struct EdgeSearch {
+    scratch: CanonicalScratch,
+    /// Second kernel for the uncovered pairs' probes.
+    spare: CanonicalScratch,
+    /// `(terminal, target)` of the current edge's uncovered pairs.
+    uncovered: Vec<(VertexId, u32)>,
+    /// `π(s, v)` of the current uncovered terminal, by depth.
+    pi: Vec<VertexId>,
+}
+
+impl EdgeSearch {
+    /// Run Algorithm `Pcons` for every pair `⟨v, e⟩` with `v` below
+    /// `e = (p, c)`, filling `out[preorder(v) − preorder(c)]`.
+    fn pairs_of_edge(
+        &mut self,
+        graph: &Graph,
+        weights: &TieBreakWeights,
+        tree: &ShortestPathTree,
+        dists: &ReplacementDistances,
+        e: EdgeId,
+        out: &mut [Slot],
+    ) {
+        let c = tree.child_endpoint(e).expect("tree edge");
+        let slot = |v: VertexId| subtree_slot(tree, c, v);
+
+        // The canonical replacement tree of G ∖ {e} over the subtree of c
+        // answers every covered pair.
+        let scratch = &mut self.scratch;
+        scratch.run_subtree(graph, weights, tree, c, |_, f| f != e);
+        self.uncovered.clear();
+        for &v in scratch.visited() {
+            let target = dists.dist(e, v).expect("tree edge");
+            debug_assert_eq!(scratch.dist(v), Some(target), "row of {e:?} at {v:?}");
+            let mut best: Option<(u64, VertexId, EdgeId)> = None;
+            for (x, f) in graph.neighbors(v) {
+                if f == e || !tree.is_tree_edge(f) || scratch.dist(x) != Some(target - 1) {
+                    continue;
+                }
+                let cand = (scratch.tie(x) + weights.weight(f), x, f);
+                if best.is_none_or(|(bt, bx, _)| (cand.0, cand.1) < (bt, bx)) {
+                    best = Some(cand);
+                }
+            }
+            let out = &mut out[slot(v)];
+            out.parent = scratch.parent(v);
+            match best {
+                Some((_, x, f)) => out.pair = PairSlot::Covered(x, f),
+                None => self.uncovered.push((v, target)),
+            }
         }
-        let failing_edge_depth = (idx + 1) as u32;
+
+        for i in 0..self.uncovered.len() {
+            let (v, target) = self.uncovered[i];
+            if let Some(rp) = self.new_ending_path(graph, weights, tree, e, v, target) {
+                out[slot(v)].pair = PairSlot::NewEnding(rp);
+            }
+        }
+    }
+
+    /// The new-ending replacement path of `⟨v, e⟩` whose divergence point
+    /// from `π(s, v)` is closest to the source (Step 2 of `Pcons`).
+    fn new_ending_path(
+        &mut self,
+        graph: &Graph,
+        weights: &TieBreakWeights,
+        tree: &ShortestPathTree,
+        e: EdgeId,
+        v: VertexId,
+        target: u32,
+    ) -> Option<ReplacementPath> {
+        let pi = &mut self.pi;
+        pi.clear();
+        pi.push(v);
+        let mut cur = v;
+        while let Some((p, _)) = tree.parent(cur) {
+            pi.push(p);
+            cur = p;
+        }
+        pi.reverse();
+        let pi: &[VertexId] = pi;
+        let k = pi.len() - 1; // depth of v
+        let c = tree.child_endpoint(e).expect("tree edge");
+        let idx = tree.depth(c).expect("reachable") as usize - 1; // e = (π[idx], π[idx + 1])
         let pair = VePair {
             terminal: v,
             failing_edge: e,
         };
-
-        // Step 1: try to find a replacement path whose last edge is in T0,
-        // i.e. one inside G'(v) \ {e}.
-        let covered = |w: VertexId, f: EdgeId| f != e && (w != v || tree.is_tree_edge(f));
-        if scratch.reaches_within(graph, source, v, target, covered) {
-            scratch.settle_target(graph, weights, v, covered);
-            let path = scratch.path_to(v).expect("target settled");
-            let last_edge = path.last_edge().expect("non-trivial path");
-            debug_assert!(tree.is_tree_edge(last_edge));
-            out.push(ReplacementPath {
-                pair,
-                path,
-                last_edge,
-                new_ending: false,
-                divergence: None,
-                divergence_index: None,
-                failing_edge_depth,
-                terminal_depth: k as u32,
-            });
-            continue;
-        }
-
-        // Step 2: the path must be new-ending. Among all replacement paths,
-        // pick the one whose unique divergence point from π(s, v) is as
-        // close to the source as possible: binary-search the minimal prefix
-        // index j such that removing the interior of π(u_j, v) still allows
-        // a path of the optimal length.
+        // Probe j bans e and the interior of π(u_j, v), all of which lies
+        // in the subtree of u_{j+1} (or is e entering it).
         let without_interior = |j: usize| {
             move |w: VertexId, f: EdgeId| {
                 f != e
                     && !tree.depth(w).is_some_and(|d| {
                         let d = d as usize;
-                        j < d && d < k && pi_vertices[d] == w
+                        j < d && d < k && pi[d] == w
                     })
             }
         };
-        let mut probe =
-            |j: usize| scratch.reaches_within(graph, source, v, target, without_interior(j));
+        // A probe runs on `spare`; a feasible one is swapped into `held`,
+        // which therefore keeps the last feasible probe for the settle.
+        let (held, spare) = (&mut self.scratch, &mut self.spare);
+        let mut probe = |j: usize| {
+            let stop = Some((v, target));
+            spare.sweep_subtree(graph, tree, pi[j + 1], stop, without_interior(j));
+            let feasible = spare.dist(v).is_some();
+            if feasible {
+                std::mem::swap(held, spare);
+            }
+            feasible
+        };
 
-        // The predicate is monotone in j and true at j = idx (Lemma 4.3);
-        // binary-search the smallest feasible index.
-        if !probe(idx) {
-            // Defensive fallback (should not happen): take the unconstrained
-            // canonical replacement path.
+        // Feasibility is monotone in j and holds at j = idx (Lemma 4.3):
+        // find the smallest feasible j. The source is the best divergence
+        // point there is, and on deep trees it is often feasible, so j = 0
+        // is tried first; it is also the largest subtree, so the rest of the
+        // range is searched galloping down from idx, the smallest one.
+        let path = if idx > 0 && probe(0) {
+            held.settle_target(graph, weights, v, without_interior(0));
+            held.path_to(tree, v).expect("feasible probe reaches v")
+        } else if probe(idx) {
+            let (mut lo, mut hi) = (1.min(idx), idx);
+            let mut step = 1;
+            while lo < hi {
+                let j = hi.saturating_sub(step).max(lo);
+                if !probe(j) {
+                    lo = j + 1;
+                    break;
+                }
+                hi = j;
+                step *= 2;
+            }
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if probe(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            held.settle_target(graph, weights, v, without_interior(hi));
+            held.path_to(tree, v).expect("feasible probe reaches v")
+        } else {
+            // Defensive fallback (should not happen): take the
+            // unconstrained canonical replacement path.
             let unconstrained = |_: VertexId, f: EdgeId| f != e;
-            if !scratch.reaches_within(graph, source, v, target, unconstrained) {
-                continue;
-            }
-            scratch.settle_target(graph, weights, v, unconstrained);
-            push_new_ending(
-                &mut out,
-                pair,
-                pi_vertices,
-                scratch.path_to(v).expect("target settled"),
-                failing_edge_depth,
-                k as u32,
-                tree,
-            );
-            continue;
-        }
-        let mut lo = 0usize;
-        let mut hi = idx;
-        // Whether the scratch still holds the probe of `hi`.
-        let mut holds_hi = true;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            holds_hi = probe(mid);
-            if holds_hi {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        if !holds_hi {
-            let feasible = probe(hi);
-            debug_assert!(feasible);
-        }
-        scratch.settle_target(graph, weights, v, without_interior(hi));
-        push_new_ending(
-            &mut out,
-            pair,
-            pi_vertices,
-            scratch.path_to(v).expect("feasible probe reaches v"),
-            failing_edge_depth,
-            k as u32,
-            tree,
-        );
+            held.sweep_subtree(graph, tree, c, Some((v, target)), unconstrained);
+            held.dist(v)?;
+            held.settle_target(graph, weights, v, unconstrained);
+            held.path_to(tree, v).expect("target settled")
+        };
+        Some(new_ending(pair, pi, path, idx as u32 + 1, k as u32, tree))
     }
-    out
 }
 
-/// Record a new-ending replacement path, computing its divergence point.
-pub(crate) fn push_new_ending(
-    out: &mut Vec<ReplacementPath>,
+/// A new-ending replacement path with its divergence point computed.
+pub(crate) fn new_ending(
     pair: VePair,
     pi_vertices: &[VertexId],
     path: Path,
     failing_edge_depth: u32,
     terminal_depth: u32,
     tree: &ShortestPathTree,
-) {
+) -> ReplacementPath {
     let last_edge = path.last_edge().expect("non-trivial path");
     debug_assert!(
         !tree.is_tree_edge(last_edge),
@@ -310,7 +463,7 @@ pub(crate) fn push_new_ending(
     {
         d_idx += 1;
     }
-    out.push(ReplacementPath {
+    ReplacementPath {
         pair,
         divergence: Some(verts[d_idx]),
         divergence_index: Some(d_idx),
@@ -319,7 +472,7 @@ pub(crate) fn push_new_ending(
         new_ending: true,
         failing_edge_depth,
         terminal_depth,
-    });
+    }
 }
 
 #[cfg(test)]

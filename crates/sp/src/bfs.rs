@@ -1,7 +1,8 @@
 //! Plain hop-count breadth-first search.
 //!
 //! Used wherever only distances (not canonical paths) are needed: the
-//! replacement-distance sweep, the protection verifier and various tests.
+//! protection verifier, the engine cross-checks and the tests' brute-force
+//! oracles.
 
 use crate::UNREACHABLE;
 use ftb_graph::{Graph, SubgraphView, VertexId};
@@ -14,28 +15,16 @@ pub fn bfs_distances(graph: &Graph, source: VertexId) -> Vec<u32> {
     bfs_distances_view(&SubgraphView::full(graph), source)
 }
 
-/// Hop distances from `source` in a masked [`SubgraphView`].
+/// Hop distances from `source` in a masked [`SubgraphView`]: the plain
+/// brute-force BFS the replacement rows, the protection verifier and the
+/// tests check against.
 pub fn bfs_distances_view(view: &SubgraphView<'_>, source: VertexId) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; view.graph().num_vertices()];
-    bfs_distances_view_into(view, source, &mut dist, &mut VecDeque::new());
-    dist
-}
-
-/// [`bfs_distances_view`] into a caller-provided row with one entry per
-/// vertex, with a reusable queue.
-pub(crate) fn bfs_distances_view_into(
-    view: &SubgraphView<'_>,
-    source: VertexId,
-    dist: &mut [u32],
-    queue: &mut VecDeque<VertexId>,
-) {
-    dist.fill(UNREACHABLE);
-    queue.clear();
     if !view.allows_vertex(source) {
-        return;
+        return dist;
     }
     dist[source.index()] = 0;
-    queue.push_back(source);
+    let mut queue = VecDeque::from([source]);
     while let Some(v) = queue.pop_front() {
         let dv = dist[v.index()];
         for (w, _) in view.neighbors(v) {
@@ -45,6 +34,7 @@ pub(crate) fn bfs_distances_view_into(
             }
         }
     }
+    dist
 }
 
 /// Eccentricity of `source` (maximum finite hop distance), if any vertex is

@@ -3,11 +3,11 @@
 //!
 //! Every canonical `(hops, Σ tie-weights)` shortest path the construction
 //! needs comes from [`CanonicalScratch`]: the tree `T0` itself
-//! ([`ShortestPathTree::build`](crate::ShortestPathTree::build)), the
-//! `1 + O(log depth)` feasibility probes and the one canonical path per
-//! `(vertex, failing edge)` pair of Algorithm `Pcons`, and the `Θ(n)` /
-//! `Θ(n²)` per-fault-set trees of the replacement-path augmentation
-//! (Parter–Peleg 2013, Parter 2015). The search runs in two sweeps:
+//! ([`ShortestPathTree::build`]), the replacement rows
+//! ([`ReplacementDistances`](crate::ReplacementDistances)), every question of
+//! Algorithm `Pcons`, and the per-fault-set trees of the replacement-path
+//! augmentation (Parter–Peleg 2013, Parter 2015). The search runs in two
+//! sweeps:
 //!
 //! 1. a plain BFS establishes hop distances and a visit order that is
 //!    non-decreasing in depth,
@@ -20,14 +20,34 @@
 //! Both sweeps take the same edge filter `allow(w, e)` — "may the search
 //! enter `w` through `e`?" — so a banned edge, a banned vertex, or a rule
 //! on the edges entering one particular vertex is an inline `O(1)` test
-//! rather than a mask. Sweep 1 can stop early once a target is discovered
-//! or the frontier passes a hop bound, and sweep 2 can be restricted to the
-//! vertices shallower than the target plus the target itself: those are all
-//! a canonical path to the target can use. A run resets only the entries the
-//! previous run touched, so a probe that explores a small ball costs the
-//! ball, not `n`.
+//! rather than a mask.
+//!
+//! # Subtree-bounded search
+//!
+//! A single fault inside the `T0` subtree of a vertex `r` — the tree edge
+//! into `r`, `r` itself, or any set of elements below `r` — changes canonical
+//! paths only inside that subtree (Parter–Peleg, arXiv:1302.5401): a vertex
+//! outside it keeps its `T0` path, which never enters the subtree, and by
+//! prefix closure a canonical path that leaves the subtree never comes back.
+//! [`CanonicalScratch::sweep_subtree`] and [`CanonicalScratch::run_subtree`]
+//! therefore search only the subtree of `r`. The vertices just outside it
+//! (the *boundary*) are written at their fault-free `(depth, Σ tie)` from the
+//! [`ShortestPathTree`], and every admitted edge from the boundary into the
+//! subtree seeds sweep 1 at the boundary vertex's depth plus one; sweep 1
+//! merges those seeds level by level, so the order stays non-decreasing in
+//! depth and sweep 2 runs unchanged. A search from the source is the case
+//! `r = s`, whose subtree is the whole reachable graph. Sweep 1 can stop early
+//! once a target is discovered or the frontier passes a hop bound, and then
+//! enumerates only the subtree vertices, and writes only the boundary
+//! vertices, shallower than the bound (plus the target): a deeper vertex
+//! cannot be reached within the bound, since no fault makes a distance
+//! shorter, so it can neither seed nor parent one that is. Sweep 2 can be
+//! restricted to the vertices shallower than the target plus the target
+//! itself. A run resets only the entries the previous run touched, so a
+//! search that explores a small subtree costs the subtree, not `n`.
 
 use crate::path::Path;
+use crate::sp_tree::ShortestPathTree;
 use crate::weights::TieBreakWeights;
 use crate::UNREACHABLE;
 use ftb_graph::{EdgeId, Fault, Graph, VertexId};
@@ -35,19 +55,28 @@ use ftb_graph::{EdgeId, Fault, Graph, VertexId};
 /// Scratch state for repeated canonical shortest-path searches.
 ///
 /// Create once (per worker thread) with [`CanonicalScratch::new`], then
-/// call [`CanonicalScratch::run`] for every fault set, or
-/// [`CanonicalScratch::reaches_within`] and
-/// [`CanonicalScratch::settle_target`] for bounded single-target searches;
-/// the buffers are reused, so a run allocates nothing.
+/// call [`CanonicalScratch::run`] for a from-source tree of `G ∖ F`, or the
+/// subtree-bounded [`CanonicalScratch::run_subtree`] /
+/// [`CanonicalScratch::sweep_subtree`] (+
+/// [`CanonicalScratch::settle_target`]) for faults below a vertex; the
+/// buffers are reused, so a run allocates nothing once they have grown.
 #[derive(Clone, Debug)]
 pub struct CanonicalScratch {
     dist: Vec<u32>,
     tie: Vec<u64>,
     parent: Vec<Option<(VertexId, EdgeId)>>,
-    /// Every vertex the last sweep discovered, in discovery order. It is
-    /// the BFS queue itself (FIFO, hence non-decreasing in `dist`) and the
-    /// exact set of entries the next run has to reset.
+    /// Every searched vertex the last sweep discovered, in discovery order.
+    /// It is the BFS queue itself (non-decreasing in `dist`) and, with
+    /// `boundary`, the exact set of entries the next run has to reset.
     order: Vec<VertexId>,
+    /// Vertices outside the searched subtree that the last run wrote at
+    /// their fault-free depth and tie.
+    boundary: Vec<VertexId>,
+    /// `(depth, vertex)` entry points of sweep 1, sorted by depth: each
+    /// subtree vertex enters at most once, at its best boundary edge.
+    seeds: Vec<(u32, VertexId)>,
+    /// DFS stack of the subtree enumeration.
+    stack: Vec<VertexId>,
 }
 
 impl CanonicalScratch {
@@ -58,17 +87,22 @@ impl CanonicalScratch {
             tie: vec![0; n],
             parent: vec![None; n],
             order: Vec::with_capacity(n),
+            boundary: Vec::new(),
+            seeds: Vec::new(),
+            stack: Vec::new(),
         }
     }
 
     /// Compute the canonical shortest-path tree from `source` in
-    /// `graph ∖ banned` under `weights`.
+    /// `graph ∖ banned` under `weights`, over the whole graph.
     ///
     /// `banned` lists the failed elements (edges and/or vertices); a banned
     /// source yields an empty tree. The tree agrees with
     /// [`LexSearch`](crate::LexSearch) over the equivalent masked view:
     /// every reachable vertex's parent is the unique `(hops, tie, parent id)`
-    /// minimiser.
+    /// minimiser. This is the search that builds `T0` (no tree exists yet)
+    /// and the one for fault sets that do not lie below a single vertex;
+    /// single faults go through [`CanonicalScratch::run_subtree`].
     pub fn run(
         &mut self,
         graph: &Graph,
@@ -76,40 +110,114 @@ impl CanonicalScratch {
         source: VertexId,
         banned: &[Fault],
     ) {
+        self.check_size(graph);
+        self.reset();
         if banned.contains(&Fault::Vertex(source)) {
-            self.reset();
             return;
         }
         let allow = |w: VertexId, e: EdgeId| {
             !banned.contains(&Fault::Edge(e)) && !banned.contains(&Fault::Vertex(w))
         };
-        self.sweep(graph, source, None, allow);
+        self.seeds.push((0, source));
+        self.sweep(graph, None, allow);
         self.settle(graph, weights, UNREACHABLE, allow);
     }
 
-    /// Sweep 1 alone, as a feasibility probe: is `target` within `max_hops`
-    /// of `source` over the edges `allow(w, e)` admits?
+    /// The canonical shortest-path tree of the filtered graph, over the
+    /// `T0` subtree of `root` only (see the [module docs](self)).
     ///
-    /// The BFS stops as soon as `target` is discovered or the frontier
-    /// would pass `max_hops`. Afterwards [`CanonicalScratch::dist`] is exact
-    /// for every vertex at depth `≤ min(dist(target), max_hops) − 1` and for
-    /// `target` itself; deeper vertices may read as unreachable. No parents
-    /// are set until [`CanonicalScratch::settle_target`] runs.
-    pub fn reaches_within(
+    /// Every element `allow` bans must lie in the subtree of `root` or be
+    /// the tree edge into `root`. Afterwards every subtree vertex has its
+    /// post-fault [`CanonicalScratch::dist`] (`None` = cut off) and
+    /// [`CanonicalScratch::parent`]; a vertex outside the subtree keeps its
+    /// `T0` depth and parent, which the scratch does not store.
+    pub fn run_subtree(
         &mut self,
         graph: &Graph,
-        source: VertexId,
-        target: VertexId,
-        max_hops: u32,
+        weights: &TieBreakWeights,
+        tree: &ShortestPathTree,
+        root: VertexId,
         allow: impl Fn(VertexId, EdgeId) -> bool,
-    ) -> bool {
-        self.sweep(graph, source, Some((target, max_hops)), allow);
-        self.dist[target.index()] <= max_hops
+    ) {
+        self.sweep_subtree(graph, tree, root, None, &allow);
+        self.settle(graph, weights, UNREACHABLE, &allow);
     }
 
-    /// Sweep 2 for the last [`CanonicalScratch::reaches_within`] probe,
+    /// Sweep 1 alone over the `T0` subtree of `root`: hop distances in the
+    /// graph filtered by `allow`, under the precondition of
+    /// [`CanonicalScratch::run_subtree`].
+    ///
+    /// With `stop = Some((target, max_hops))` (the target in the subtree)
+    /// the sweep ends once `target` is discovered or the frontier would pass
+    /// `max_hops`, and enumerates only the subtree vertices shallower than
+    /// `max_hops` plus `target`. Afterwards [`CanonicalScratch::dist`] is
+    /// exact for every subtree vertex at depth
+    /// `≤ min(dist(target), max_hops) − 1` and for `target` itself (`target`
+    /// has a distance iff it is within `max_hops`); deeper vertices may read
+    /// as unreachable. No parents are set until
+    /// [`CanonicalScratch::settle_target`] runs.
+    pub fn sweep_subtree(
+        &mut self,
+        graph: &Graph,
+        tree: &ShortestPathTree,
+        root: VertexId,
+        stop: Option<(VertexId, u32)>,
+        allow: impl Fn(VertexId, EdgeId) -> bool,
+    ) {
+        self.check_size(graph);
+        self.reset();
+        let (target, max_hops) = match stop {
+            Some((t, h)) => {
+                debug_assert!(tree.in_subtree(root, t), "target outside the subtree");
+                (Some(t), h)
+            }
+            None => (None, UNREACHABLE),
+        };
+        let depth = |u: VertexId| tree.depth(u).unwrap_or(UNREACHABLE);
+        let searched =
+            |u: VertexId| tree.in_subtree(root, u) && (depth(u) < max_hops || Some(u) == target);
+        if root == tree.source() {
+            self.seeds.push((0, root));
+        }
+        if searched(root) {
+            self.stack.push(root);
+        }
+        while let Some(w) = self.stack.pop() {
+            let mut entry = UNREACHABLE;
+            for (u, f) in graph.neighbors(w) {
+                // A neighbour at or past the bound can neither seed nor
+                // parent a vertex within it: only shallower outside
+                // neighbours are written.
+                let du = depth(u);
+                if du >= max_hops || searched(u) {
+                    continue;
+                }
+                if self.dist[u.index()] == UNREACHABLE {
+                    self.dist[u.index()] = du;
+                    self.tie[u.index()] = tree.tie(u);
+                    self.boundary.push(u);
+                }
+                if du + 1 < entry && allow(w, f) {
+                    entry = du + 1;
+                }
+            }
+            if entry != UNREACHABLE {
+                self.seeds.push((entry, w));
+            }
+            for &c in tree.children(w) {
+                if searched(c) {
+                    self.stack.push(c);
+                }
+            }
+        }
+        self.seeds.sort_unstable();
+        self.sweep(graph, stop, allow);
+    }
+
+    /// Sweep 2 for the last [`CanonicalScratch::sweep_subtree`] probe,
     /// which must have reached `target`: settle the canonical parent of
-    /// every vertex strictly shallower than `target`, then of `target`.
+    /// every searched vertex strictly shallower than `target`, then of
+    /// `target`.
     ///
     /// `allow` must be the probe's filter. Afterwards
     /// [`CanonicalScratch::path_to`]`(target)` is the canonical shortest
@@ -131,60 +239,92 @@ impl CanonicalScratch {
         }
     }
 
-    /// Clear exactly the entries the last run wrote.
-    fn reset(&mut self) {
-        for &v in &self.order {
-            self.dist[v.index()] = UNREACHABLE;
-            self.parent[v.index()] = None;
-        }
-        self.order.clear();
-    }
-
-    /// Sweep 1: hop distances by plain BFS from `source`, using `order` as
-    /// the queue. With `stop = Some((target, max_hops))` the sweep ends once
-    /// `target` is discovered or the frontier passes `max_hops`.
-    fn sweep(
-        &mut self,
-        graph: &Graph,
-        source: VertexId,
-        stop: Option<(VertexId, u32)>,
-        allow: impl Fn(VertexId, EdgeId) -> bool,
-    ) {
+    fn check_size(&self, graph: &Graph) {
         debug_assert_eq!(
             self.dist.len(),
             graph.num_vertices(),
             "scratch sized for a different graph"
         );
-        self.reset();
-        self.dist[source.index()] = 0;
-        self.order.push(source);
+    }
+
+    /// Clear exactly the entries the last run wrote.
+    fn reset(&mut self) {
+        for &v in self.order.iter().chain(&self.boundary) {
+            self.dist[v.index()] = UNREACHABLE;
+            self.parent[v.index()] = None;
+        }
+        self.order.clear();
+        self.boundary.clear();
+        self.seeds.clear();
+    }
+
+    /// Sweep 1: level-synchronous BFS from the sorted `seeds`, using `order`
+    /// as the queue. The seeds of level `d` join the queue once every
+    /// vertex of level `d` the BFS discovers is in it, so `order` stays
+    /// non-decreasing in depth. With `stop = Some((target, max_hops))` the
+    /// sweep ends once `target` is discovered or the frontier passes
+    /// `max_hops`.
+    fn sweep(
+        &mut self,
+        graph: &Graph,
+        stop: Option<(VertexId, u32)>,
+        allow: impl Fn(VertexId, EdgeId) -> bool,
+    ) {
         let (target, max_hops) = match stop {
-            Some((t, _)) if t == source => return,
             Some((t, h)) => (Some(t), h),
             None => (None, UNREACHABLE),
         };
-        let mut head = 0;
-        while let Some(&u) = self.order.get(head) {
-            head += 1;
-            let du = self.dist[u.index()];
-            if du >= max_hops {
-                break;
-            }
-            for (w, e) in graph.neighbors(u) {
-                if self.dist[w.index()] == UNREACHABLE && allow(w, e) {
-                    self.dist[w.index()] = du + 1;
+        let Some(&(mut level, _)) = self.seeds.first() else {
+            return;
+        };
+        let (mut head, mut next_seed) = (0, 0);
+        loop {
+            while let Some(&(d, w)) = self.seeds.get(next_seed) {
+                if d != level {
+                    break;
+                }
+                next_seed += 1;
+                if self.dist[w.index()] == UNREACHABLE {
+                    self.dist[w.index()] = level;
                     self.order.push(w);
                     if target == Some(w) {
                         return;
                     }
                 }
             }
+            if level >= max_hops {
+                return;
+            }
+            let end = self.order.len();
+            if head == end {
+                // Nothing at this level: jump to the next seed's.
+                match self.seeds.get(next_seed) {
+                    Some(&(d, _)) => level = d,
+                    None => return,
+                }
+                continue;
+            }
+            while head < end {
+                let u = self.order[head];
+                head += 1;
+                for (w, e) in graph.neighbors(u) {
+                    if self.dist[w.index()] == UNREACHABLE && allow(w, e) {
+                        self.dist[w.index()] = level + 1;
+                        self.order.push(w);
+                        if target == Some(w) {
+                            return;
+                        }
+                    }
+                }
+            }
+            level += 1;
         }
     }
 
     /// Sweep 2: in visit order, settle the canonical parent of every
-    /// non-source vertex shallower than `below`. All depth-d ties are final
-    /// before any depth-(d+1) vertex is processed, so one pass suffices.
+    /// searched vertex shallower than `below` (the source, at depth 0, has
+    /// none). All depth-d ties are final before any depth-(d+1) vertex is
+    /// processed, so one pass suffices.
     fn settle(
         &mut self,
         graph: &Graph,
@@ -192,16 +332,17 @@ impl CanonicalScratch {
         below: u32,
         allow: impl Fn(VertexId, EdgeId) -> bool,
     ) {
-        let Some(&source) = self.order.first() else {
-            return;
-        };
-        self.tie[source.index()] = 0;
-        for i in 1..self.order.len() {
+        for i in 0..self.order.len() {
             let v = self.order[i];
-            if self.dist[v.index()] >= below {
+            let d = self.dist[v.index()];
+            if d >= below {
                 break;
             }
-            self.settle_vertex(graph, weights, v, &allow);
+            if d == 0 {
+                self.tie[v.index()] = 0;
+            } else {
+                self.settle_vertex(graph, weights, v, &allow);
+            }
         }
     }
 
@@ -230,17 +371,26 @@ impl CanonicalScratch {
         self.parent[v.index()] = Some((u, e));
     }
 
-    /// Hop distance of `v` in the last run, if reachable (see
-    /// [`CanonicalScratch::reaches_within`] for what a bounded probe
-    /// guarantees).
+    /// Hop distance of `v` in the last run, if reached (see
+    /// [`CanonicalScratch::sweep_subtree`] for what a bounded probe
+    /// guarantees). After a subtree search, a vertex outside the subtree
+    /// reads its fault-free depth if it borders the subtree and `None`
+    /// otherwise.
     #[inline]
     pub fn dist(&self, v: VertexId) -> Option<u32> {
         let d = self.dist[v.index()];
         (d != UNREACHABLE).then_some(d)
     }
 
+    /// `Σ W` along the canonical path to `v` in the last run, once `v` is
+    /// settled (0 for the source).
+    #[inline]
+    pub fn tie(&self, v: VertexId) -> u64 {
+        self.tie[v.index()]
+    }
+
     /// Canonical parent `(vertex, edge)` of `v` in the last run, if `v` was
-    /// settled and is not the source.
+    /// settled and is not the source (nor outside a searched subtree).
     #[inline]
     pub fn parent(&self, v: VertexId) -> Option<(VertexId, EdgeId)> {
         self.parent[v.index()]
@@ -252,36 +402,41 @@ impl CanonicalScratch {
         self.parent[v.index()].map(|(_, e)| e)
     }
 
-    /// Vertices reached by the last run, in non-decreasing depth order
-    /// (source first).
+    /// Searched vertices reached by the last run, in non-decreasing depth
+    /// order (the source first in a from-source run).
     pub fn visited(&self) -> &[VertexId] {
         &self.order
     }
 
-    /// The canonical path from the source to `v` along settled parents, or
-    /// `None` if `v` was not reached.
-    pub fn path_to(&self, v: VertexId) -> Option<Path> {
-        self.dist(v)?;
-        let mut vertices = vec![v];
-        let mut edges = Vec::new();
+    /// The canonical path from the source to `v`, or `None` if `v` was not
+    /// reached: settled parents up to the first vertex that has none (the
+    /// source, or the boundary vertex a subtree search entered from), then
+    /// that vertex's path in `tree` — the `T0` of the same source and
+    /// weights.
+    pub fn path_to(&self, tree: &ShortestPathTree, v: VertexId) -> Option<Path> {
+        let hops = self.dist(v)? as usize;
+        let mut vertices = Vec::with_capacity(hops + 1);
+        let mut edges = Vec::with_capacity(hops);
+        vertices.push(v);
         let mut cur = v;
         while let Some((p, e)) = self.parent[cur.index()] {
             vertices.push(p);
             edges.push(e);
             cur = p;
         }
-        debug_assert_eq!(
-            Some(&cur),
-            self.order.first(),
-            "unsettled vertex on the path"
-        );
+        while let Some((p, e)) = tree.parent(cur) {
+            vertices.push(p);
+            edges.push(e);
+            cur = p;
+        }
+        debug_assert_eq!(cur, tree.source(), "unsettled vertex on the path");
         vertices.reverse();
         edges.reverse();
         Some(Path::new(vertices, edges))
     }
 
-    /// Collect the tree edges of the last run (one parent edge per reached
-    /// non-source vertex) into `out`.
+    /// Collect the parent edges of the last run's searched vertices (one
+    /// per reached non-source vertex) into `out`.
     pub fn collect_tree_edges(&self, out: &mut Vec<EdgeId>) {
         out.clear();
         for &v in &self.order {
@@ -297,6 +452,7 @@ mod tests {
     use super::*;
     use crate::lex::LexSearch;
     use ftb_graph::{generators, EdgeMask, SubgraphView, VertexMask};
+    use ftb_workloads::{Workload, WorkloadFamily};
 
     fn assert_matches_lex(graph: &Graph, seed: u64, banned: &[Fault]) {
         let weights = TieBreakWeights::generate(graph, seed);
@@ -347,10 +503,10 @@ mod tests {
         assert_matches_lex(&g, 5, &[Fault::Edge(EdgeId(0)), Fault::Edge(EdgeId(5))]);
     }
 
-    /// The bounded single-target entry points against
+    /// The bounded single-target probe from the source (`root = s`) against
     /// `LexSearch::run_view_target` over the equivalent masked view, for
-    /// the three filter shapes Algorithm `Pcons` uses: a banned edge plus a
-    /// "no edge of this class may enter the target" rule, and a banned edge
+    /// the filter shapes Algorithm `Pcons` uses: a banned edge plus a "no
+    /// edge of this class may enter the target" rule, and a banned edge
     /// plus removed vertices.
     #[test]
     fn bounded_target_probes_agree_with_lex_search() {
@@ -361,6 +517,7 @@ mod tests {
             (generators::cycle(11), 13),
         ] {
             let weights = TieBreakWeights::generate(&g, seed);
+            let tree = ShortestPathTree::build(&g, &weights, VertexId(0));
             let mut scratch = CanonicalScratch::new(g.num_vertices());
             for t in g.vertices().skip(1) {
                 for e in g.edge_ids().step_by(3) {
@@ -373,7 +530,11 @@ mod tests {
                     }
                     let view = SubgraphView::full(&g).with_edge_mask(&edge_mask);
                     let allow = |w: VertexId, f: EdgeId| f != e && (w != t || f.index() % 2 == 1);
-                    assert_bounded_probe_matches(&g, &weights, &mut scratch, &view, t, allow);
+                    let probe = Probe {
+                        root: tree.source(),
+                        target: t,
+                    };
+                    probe.assert_matches(&g, &weights, &tree, &mut scratch, &view, allow);
 
                     // Banned edge; vertices with ids in (t/3, t/2) removed.
                     let removed = |w: VertexId| 3 * w.0 > t.0 && 2 * w.0 < t.0;
@@ -382,44 +543,158 @@ mod tests {
                         .without_edge(e)
                         .with_vertex_mask(&vmask);
                     let allow = |w: VertexId, f: EdgeId| f != e && !removed(w);
-                    assert_bounded_probe_matches(&g, &weights, &mut scratch, &view, t, allow);
+                    probe.assert_matches(&g, &weights, &tree, &mut scratch, &view, allow);
                 }
             }
         }
     }
 
-    fn assert_bounded_probe_matches(
-        g: &Graph,
-        weights: &TieBreakWeights,
-        scratch: &mut CanonicalScratch,
-        view: &SubgraphView<'_>,
-        t: VertexId,
-        allow: impl Fn(VertexId, EdgeId) -> bool,
-    ) {
-        let s = VertexId(0);
-        let lex = LexSearch::run_view_target(view, weights, s, t);
-        let Some(hops) = lex.hops(t) else {
-            assert!(!scratch.reaches_within(g, s, t, g.num_vertices() as u32, &allow));
-            return;
-        };
-        // One hop short is infeasible, exactly the distance is feasible.
-        if hops > 0 {
-            assert!(!scratch.reaches_within(g, s, t, hops - 1, &allow));
+    /// The same probes on the subtree a failing tree edge cuts off: for
+    /// every tree edge `e` into `c` and every `t` below it, with `e` banned
+    /// and, in a second filter, the tree path from `c` to `t`'s parent
+    /// removed as well (the shape of a `Pcons` interior probe).
+    #[test]
+    fn subtree_target_probes_agree_with_lex_search() {
+        for (g, seed) in [
+            (generators::hypercube(5), 3u64),
+            (generators::grid(6, 7), 7),
+            (generators::cycle(11), 13),
+        ] {
+            let weights = TieBreakWeights::generate(&g, seed);
+            let tree = ShortestPathTree::build(&g, &weights, VertexId(0));
+            let mut scratch = CanonicalScratch::new(g.num_vertices());
+            for &e in tree.tree_edges() {
+                let c = tree.child_endpoint(e).unwrap();
+                for t in g.vertices().filter(|&t| tree.in_subtree(c, t)) {
+                    let probe = Probe { root: c, target: t };
+                    let view = SubgraphView::full(&g).without_edge(e);
+                    probe.assert_matches(&g, &weights, &tree, &mut scratch, &view, |_, f| f != e);
+
+                    let interior: Vec<VertexId> = tree
+                        .ancestors(t)
+                        .skip(1)
+                        .map(|(x, _)| x)
+                        .filter(|&x| tree.in_subtree(c, x))
+                        .collect();
+                    let vmask = VertexMask::removing(&g, interior.iter().copied());
+                    let view = SubgraphView::full(&g)
+                        .without_edge(e)
+                        .with_vertex_mask(&vmask);
+                    let allow = |w: VertexId, f: EdgeId| f != e && !interior.contains(&w);
+                    probe.assert_matches(&g, &weights, &tree, &mut scratch, &view, allow);
+                }
+            }
         }
-        assert!(scratch.reaches_within(g, s, t, hops, &allow));
-        assert_eq!(scratch.dist(t), Some(hops));
-        scratch.settle_target(g, weights, t, &allow);
-        assert_eq!(scratch.path_to(t), lex.path_to(t), "path to {t:?}");
+    }
+
+    struct Probe {
+        root: VertexId,
+        target: VertexId,
+    }
+
+    impl Probe {
+        fn assert_matches(
+            &self,
+            g: &Graph,
+            weights: &TieBreakWeights,
+            tree: &ShortestPathTree,
+            scratch: &mut CanonicalScratch,
+            view: &SubgraphView<'_>,
+            allow: impl Fn(VertexId, EdgeId) -> bool,
+        ) {
+            let Probe { root, target: t } = *self;
+            let lex = LexSearch::run_view_target(view, weights, tree.source(), t);
+            let Some(hops) = lex.hops(t) else {
+                scratch.sweep_subtree(g, tree, root, Some((t, g.num_vertices() as u32)), &allow);
+                assert_eq!(scratch.dist(t), None);
+                return;
+            };
+            // One hop short is infeasible, exactly the distance is feasible.
+            if hops > 0 {
+                scratch.sweep_subtree(g, tree, root, Some((t, hops - 1)), &allow);
+                assert_eq!(scratch.dist(t), None);
+            }
+            scratch.sweep_subtree(g, tree, root, Some((t, hops)), &allow);
+            assert_eq!(scratch.dist(t), Some(hops));
+            scratch.settle_target(g, weights, t, &allow);
+            assert_eq!(scratch.path_to(tree, t), lex.path_to(t), "path to {t:?}");
+        }
+    }
+
+    /// The subtree-bounded runs plus `T0` outside the subtree equal the
+    /// from-source run over the whole graph, on `dist` and `parent` of
+    /// every vertex, for every tree-edge fault and every vertex fault.
+    fn assert_subtree_runs_match_full_runs(g: &Graph, weights: &TieBreakWeights) {
+        let n = g.num_vertices();
+        let tree = ShortestPathTree::build(g, weights, VertexId(0));
+        let (mut full, mut bounded) = (CanonicalScratch::new(n), CanonicalScratch::new(n));
+        let edge_faults = tree
+            .tree_edges()
+            .iter()
+            .map(|&e| (tree.child_endpoint(e).unwrap(), Fault::Edge(e)));
+        let vertex_faults = g
+            .vertices()
+            .filter(|&x| x != tree.source() && tree.is_reachable(x))
+            .map(|x| (x, Fault::Vertex(x)));
+        for (root, fault) in edge_faults.chain(vertex_faults) {
+            full.run(g, weights, tree.source(), &[fault]);
+            bounded.run_subtree(g, weights, &tree, root, |w, f| match fault {
+                Fault::Edge(e) => f != e,
+                Fault::Vertex(x) => w != x,
+            });
+            for v in g.vertices() {
+                let (dist, parent) = if tree.in_subtree(root, v) {
+                    (bounded.dist(v), bounded.parent(v))
+                } else {
+                    (tree.depth(v), tree.parent(v))
+                };
+                assert_eq!(dist, full.dist(v), "dist of {v:?} under {fault:?}");
+                assert_eq!(parent, full.parent(v), "parent of {v:?} under {fault:?}");
+            }
+            for &v in bounded.visited() {
+                assert!(
+                    tree.in_subtree(root, v),
+                    "{v:?} searched outside the subtree"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn subtree_runs_match_full_runs_on_small_graphs() {
+        for (g, seed) in [
+            (generators::grid(6, 7), 7u64),
+            (generators::hypercube(5), 3),
+            (generators::cycle(13), 13),
+            (generators::path(9), 2),
+            (generators::complete(8), 5),
+        ] {
+            assert_subtree_runs_match_full_runs(&g, &TieBreakWeights::generate(&g, seed));
+            assert_subtree_runs_match_full_runs(&g, &TieBreakWeights::uniform(&g));
+        }
+    }
+
+    #[test]
+    fn subtree_runs_match_full_runs_on_every_family() {
+        for &family in WorkloadFamily::all() {
+            for seed in [1u64, 7] {
+                let g = Workload::new(family, 48, seed).generate();
+                assert_subtree_runs_match_full_runs(&g, &TieBreakWeights::generate(&g, seed));
+            }
+        }
     }
 
     #[test]
     fn probe_of_the_source_is_trivially_feasible() {
         let g = generators::cycle(5);
         let w = TieBreakWeights::generate(&g, 1);
+        let tree = ShortestPathTree::build(&g, &w, VertexId(0));
         let mut s = CanonicalScratch::new(5);
-        assert!(s.reaches_within(&g, VertexId(0), VertexId(0), 0, |_, _| false));
-        s.settle_target(&g, &w, VertexId(0), |_, _| false);
-        assert_eq!(s.path_to(VertexId(0)), Some(Path::singleton(VertexId(0))));
+        let s0 = VertexId(0);
+        s.sweep_subtree(&g, &tree, s0, Some((s0, 0)), |_, _| false);
+        assert_eq!(s.dist(s0), Some(0));
+        s.settle_target(&g, &w, s0, |_, _| false);
+        assert_eq!(s.path_to(&tree, s0), Some(Path::singleton(s0)));
     }
 
     #[test]
@@ -428,15 +703,34 @@ mod tests {
         // and a following full run must not see any stale state.
         let g = generators::path(12);
         let w = TieBreakWeights::generate(&g, 4);
+        let tree = ShortestPathTree::build(&g, &w, VertexId(0));
         let mut s = CanonicalScratch::new(12);
         s.run(&g, &w, VertexId(0), &[]);
-        assert!(!s.reaches_within(&g, VertexId(0), VertexId(9), 2, |_, _| true));
+        s.sweep_subtree(&g, &tree, VertexId(0), Some((VertexId(9), 2)), |_, _| true);
         assert_eq!(s.visited().len(), 3);
         assert_eq!(s.dist(VertexId(9)), None);
         assert_eq!(s.parent(VertexId(5)), None, "stale parent survived a probe");
         s.run(&g, &w, VertexId(0), &[]);
         assert_eq!(s.dist(VertexId(11)), Some(11));
-        assert_eq!(s.path_to(VertexId(11)).unwrap().len(), 11);
+        assert_eq!(s.path_to(&tree, VertexId(11)).unwrap().len(), 11);
+    }
+
+    #[test]
+    fn subtree_search_touches_only_the_subtree_and_its_boundary() {
+        // On a path, failing edge (4, 5) cuts off 5..=11: the search writes
+        // vertex 4 as boundary and discovers nothing.
+        let g = generators::path(12);
+        let w = TieBreakWeights::generate(&g, 4);
+        let tree = ShortestPathTree::build(&g, &w, VertexId(0));
+        let e = g.find_edge(VertexId(4), VertexId(5)).unwrap();
+        let mut s = CanonicalScratch::new(12);
+        s.run_subtree(&g, &w, &tree, VertexId(5), |_, f| f != e);
+        assert!(s.visited().is_empty());
+        assert_eq!(s.dist(VertexId(4)), Some(4));
+        assert_eq!(s.dist(VertexId(3)), None, "not on the boundary");
+        for v in 5..12 {
+            assert_eq!(s.dist(VertexId(v)), None, "cut off");
+        }
     }
 
     #[test]
@@ -482,6 +776,22 @@ mod tests {
         let mut edges = Vec::new();
         s.collect_tree_edges(&mut edges);
         assert_eq!(edges.len(), g.num_vertices() - 1);
+    }
+
+    #[test]
+    fn subtree_visit_order_is_depth_sorted() {
+        // Boundary seeds at several depths must merge into one sorted order.
+        let g = generators::grid(7, 7);
+        let w = TieBreakWeights::generate(&g, 5);
+        let tree = ShortestPathTree::build(&g, &w, VertexId(0));
+        let mut s = CanonicalScratch::new(g.num_vertices());
+        for &e in tree.tree_edges() {
+            let c = tree.child_endpoint(e).unwrap();
+            s.run_subtree(&g, &w, &tree, c, |_, f| f != e);
+            for pair in s.visited().windows(2) {
+                assert!(s.dist(pair[0]).unwrap() <= s.dist(pair[1]).unwrap());
+            }
+        }
     }
 
     #[test]

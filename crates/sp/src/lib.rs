@@ -8,15 +8,18 @@
 //! * [`bfs`] — plain hop-count BFS over (masked) graphs,
 //! * [`canonical`] — the canonical `(hops, Σ tie-weights)` search
 //!   implementing `SP(·, ·, ·, W)`: an allocation-free two-sweep kernel over
-//!   reusable scratch with inline edge filters and bounded single-target
-//!   probes. It builds `T0`, runs every Algorithm `Pcons` probe and every
+//!   reusable scratch with inline edge filters, subtree-bounded searches for
+//!   faults below a vertex and hop-bounded single-target probes. It builds
+//!   `T0`, the replacement rows, every Algorithm `Pcons` search and every
 //!   per-fault-set tree of the replacement-path augmentation,
 //! * [`lex`] — the heap-based lexicographic Dijkstra the kernel is tested
 //!   against (a reference oracle; no production caller),
 //! * [`ShortestPathTree`] — the BFS tree `T0 = ⋃_v π(s, v)` rooted at the
-//!   source, with parent pointers, depths, and path extraction,
-//! * [`replacement`] — batched replacement distances `dist(s, ·, G \ {e})`
-//!   for every tree edge `e`, computed in parallel,
+//!   source, with parent pointers, depths, tie sums, preorder subtree
+//!   intervals and path extraction,
+//! * [`replacement`] — replacement distances `dist(s, ·, G \ {e})` for
+//!   every tree edge `e`, one row over the subtree `e` cuts off, computed in
+//!   parallel,
 //! * [`TimestampedVector`] — generation-stamped scratch whose reset is
 //!   `O(1)`, backing the query engine's per-miss sweep state.
 

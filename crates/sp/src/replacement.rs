@@ -1,72 +1,125 @@
-//! Batched replacement distances `dist(s, ·, G \ {e})`.
+//! Replacement distances `dist(s, ·, G ∖ {e})` for every tree edge `e`.
 //!
-//! For every failing tree edge `e ∈ T0` the FT-BFS construction needs the
-//! post-failure distances from the source to every vertex. We compute them
-//! with one constrained BFS per tree edge, distributed over worker threads;
-//! only tree edges matter because removing a non-tree edge never changes a
-//! distance from the source (the shortest-path tree survives intact).
+//! For every failing tree edge `e = (p, c) ∈ T0` the FT-BFS construction
+//! needs the post-failure distances from the source. Only tree edges matter
+//! (removing a non-tree edge leaves `T0` intact), and removing `e` changes
+//! distances only inside the `T0` subtree of `c`: every other vertex keeps
+//! its `T0` path. So each row holds the subtree of `c` alone, filled by one
+//! subtree-bounded [`CanonicalScratch::sweep_subtree`] per tree edge — the
+//! construction's one search kernel — and the table has
+//! `Σ_e |subtree(c_e)| = Σ_v depth(v)` entries instead of `(n − 1)·n`.
 
-use crate::bfs::bfs_distances_view_into;
+use crate::canonical::CanonicalScratch;
 use crate::sp_tree::ShortestPathTree;
 use crate::UNREACHABLE;
-use ftb_graph::{EdgeId, Graph, SubgraphView, VertexId};
-use ftb_par::{parallel_chunks_mut_init, ParallelConfig};
-use std::collections::{HashMap, VecDeque};
+use ftb_graph::{EdgeId, Graph, VertexId};
+use ftb_par::{parallel_segments_mut_init, ParallelConfig};
 
-/// Post-failure hop distances `dist(s, v, G \ {e})` for every tree edge `e`.
+/// Post-failure hop distances `dist(s, v, G ∖ {e})` for every tree edge `e`.
 #[derive(Clone, Debug)]
 pub struct ReplacementDistances {
-    /// Maps a tree edge id to its row index in `rows`.
-    index_of_edge: HashMap<EdgeId, usize>,
-    /// Row-major `(edges × n)` table: `rows[i * n + v]` =
-    /// `dist(s, v, G \ {e_i})` in hops (`UNREACHABLE` if cut off). One
-    /// buffer allocated on the calling thread: rows allocated on the
-    /// short-lived worker threads stayed resident in their allocator arenas
-    /// after being freed, by an amount that varied from run to run.
-    rows: Vec<u32>,
-    /// Row length: the number of vertices.
-    n: usize,
+    /// Row index of each tree edge, indexed by `EdgeId` (`u32::MAX` for a
+    /// non-tree edge).
+    row_of_edge: Vec<u32>,
     /// The tree edges in row order.
     edges: Vec<EdgeId>,
+    /// `offsets[i] .. offsets[i + 1]` is row `i` in `rows`.
+    offsets: Vec<usize>,
+    /// Preorder index of the child endpoint of each row's edge: the row's
+    /// first vertex.
+    row_root: Vec<u32>,
+    /// All rows back to back: row `i` holds `dist(s, v, G ∖ {e_i})` for
+    /// every `v` in the subtree of `e_i`'s child, at `preorder(v) −
+    /// row_root[i]` (`UNREACHABLE` if cut off). One buffer allocated on the
+    /// calling thread: rows allocated on the short-lived worker threads
+    /// stayed resident in their allocator arenas after being freed, by an
+    /// amount that varied from run to run.
+    rows: Vec<u32>,
+    /// `T0` preorder index per vertex (`u32::MAX` if unreachable).
+    preorder: Vec<u32>,
+    /// `T0` depth per vertex: the answer outside a row's subtree.
+    depth: Vec<u32>,
 }
 
 impl ReplacementDistances {
     /// Compute replacement distances for every tree edge of `tree`.
     pub fn compute(graph: &Graph, tree: &ShortestPathTree, config: &ParallelConfig) -> Self {
-        let edges: Vec<EdgeId> = tree.tree_edges().to_vec();
-        let source = tree.source();
         let n = graph.num_vertices();
-        let mut rows = vec![UNREACHABLE; edges.len() * n];
-        parallel_chunks_mut_init(config, &mut rows, n, VecDeque::new, |queue, i, row| {
-            let view = SubgraphView::full(graph).without_edge(edges[i]);
-            bfs_distances_view_into(&view, source, row, queue);
-        });
-        let index_of_edge = edges.iter().enumerate().map(|(i, &e)| (e, i)).collect();
+        let edges: Vec<EdgeId> = tree.tree_edges().to_vec();
+        let child = |e: EdgeId| tree.child_endpoint(e).expect("tree edge");
+        let mut row_of_edge = vec![u32::MAX; graph.num_edges()];
+        let mut offsets = Vec::with_capacity(edges.len() + 1);
+        offsets.push(0);
+        for (i, &e) in edges.iter().enumerate() {
+            row_of_edge[e.index()] = i as u32;
+            offsets.push(offsets[i] + tree.subtree_size(child(e)));
+        }
+        let row_root: Vec<u32> = edges
+            .iter()
+            .map(|&e| tree.preorder(child(e)).expect("reachable"))
+            .collect();
+        let preorder: Vec<u32> = graph
+            .vertices()
+            .map(|v| tree.preorder(v).unwrap_or(u32::MAX))
+            .collect();
+        let mut rows = vec![UNREACHABLE; offsets[edges.len()]];
+        parallel_segments_mut_init(
+            config,
+            &mut rows,
+            &offsets,
+            || CanonicalScratch::new(n),
+            |scratch, i, row| {
+                let e = edges[i];
+                scratch.sweep_subtree(graph, tree, child(e), None, |_, f| f != e);
+                for &v in scratch.visited() {
+                    row[(preorder[v.index()] - row_root[i]) as usize] =
+                        scratch.dist(v).expect("visited");
+                }
+            },
+        );
         ReplacementDistances {
-            index_of_edge,
-            rows,
-            n,
+            row_of_edge,
             edges,
+            offsets,
+            row_root,
+            rows,
+            preorder,
+            depth: graph
+                .vertices()
+                .map(|v| tree.depth(v).unwrap_or(UNREACHABLE))
+                .collect(),
         }
     }
 
-    /// Row `i` of the table.
-    fn row_at(&self, i: usize) -> &[u32] {
-        &self.rows[i * self.n..(i + 1) * self.n]
-    }
-
-    /// `dist(s, v, G \ {e})` in hops, or `None` if `e` is not a tree edge.
+    /// `dist(s, v, G ∖ {e})` in hops, or `None` if `e` is not a tree edge.
     ///
-    /// [`UNREACHABLE`] means the failure disconnects `v` from the source.
+    /// [`UNREACHABLE`] means the failure disconnects `v` from the source
+    /// (or `v` was never reachable). Outside the subtree `e` cuts off, this
+    /// is the fault-free depth.
     pub fn dist(&self, e: EdgeId, v: VertexId) -> Option<u32> {
-        self.index_of_edge
-            .get(&e)
-            .map(|&i| self.row_at(i)[v.index()])
+        let i = self.row_index(e)?;
+        let at = self.preorder[v.index()].wrapping_sub(self.row_root[i]) as usize;
+        Some(
+            self.row_at(i)
+                .get(at)
+                .copied()
+                .unwrap_or(self.depth[v.index()]),
+        )
     }
 
-    /// The whole post-failure distance row for edge `e`.
+    /// The row of tree edge `e`: `dist(s, v, G ∖ {e})` for the vertices `v`
+    /// of the subtree `e` cuts off, in `T0` preorder.
     pub fn row(&self, e: EdgeId) -> Option<&[u32]> {
-        self.index_of_edge.get(&e).map(|&i| self.row_at(i))
+        self.row_index(e).map(|i| self.row_at(i))
+    }
+
+    fn row_index(&self, e: EdgeId) -> Option<usize> {
+        let i = *self.row_of_edge.get(e.index())?;
+        (i != u32::MAX).then_some(i as usize)
+    }
+
+    fn row_at(&self, i: usize) -> &[u32] {
+        &self.rows[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// Tree edges covered, in row order.
@@ -84,21 +137,18 @@ impl ReplacementDistances {
         self.edges.is_empty()
     }
 
-    /// Number of `(edge, vertex)` pairs whose replacement distance is finite
-    /// but strictly larger than the fault-free distance — i.e. pairs for
-    /// which the failure genuinely matters.
-    pub fn count_affected_pairs(&self, tree: &ShortestPathTree) -> usize {
-        let mut count = 0;
-        for i in 0..self.edges.len() {
-            for (vi, &d) in self.row_at(i).iter().enumerate() {
-                if let Some(d0) = tree.depth(VertexId::new(vi)) {
-                    if d != UNREACHABLE && d > d0 {
-                        count += 1;
-                    }
-                }
-            }
-        }
-        count
+    /// Heap bytes held by the table: the rows (`Σ_e |subtree(e)|` entries)
+    /// plus the per-edge and per-vertex indexes.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.rows.capacity() * size_of::<u32>()
+            + self.offsets.capacity() * size_of::<usize>()
+            + self.edges.capacity() * size_of::<EdgeId>()
+            + (self.row_of_edge.capacity()
+                + self.row_root.capacity()
+                + self.preorder.capacity()
+                + self.depth.capacity())
+                * size_of::<u32>()
     }
 }
 
@@ -139,9 +189,10 @@ mod tests {
         assert_eq!(rd.len(), 5);
         assert!(!rd.is_empty());
         assert_eq!(rd.edges().len(), 5);
-        // every (edge, deeper vertex) pair is affected on a path: either
-        // disconnected (not counted) or unchanged; so affected count is 0.
-        assert_eq!(rd.count_affected_pairs(&t), 0);
+        // On a path every row is the cut-off suffix: all unreachable.
+        for &e in t.tree_edges() {
+            assert!(rd.row(e).unwrap().iter().all(|&d| d == UNREACHABLE));
+        }
     }
 
     #[test]
@@ -176,8 +227,41 @@ mod tests {
                 assert!(d1 >= d0, "removing an edge cannot shorten a distance");
             }
         }
-        // the hypercube is 2-edge-connected, so nothing disconnects and many
-        // pairs are affected
-        assert!(rd.count_affected_pairs(&t) > 0);
+        // the hypercube is 2-edge-connected, so nothing disconnects and
+        // some failures lengthen a distance
+        assert!(t
+            .tree_edges()
+            .iter()
+            .any(|&e| g.vertices().any(|v| rd.dist(e, v) > t.depth(v))));
+    }
+
+    /// The table holds one entry per (tree edge, vertex below it) pair:
+    /// `Σ_e |subtree(c_e)| = Σ_v depth(v)`, not `(n − 1)·n`.
+    #[test]
+    fn table_holds_one_entry_per_subtree_vertex() {
+        for (g, seed) in [
+            (generators::grid(8, 9), 3u64),
+            (generators::path(40), 1),
+            (generators::complete(12), 5),
+        ] {
+            let (t, rd) = setup(&g, seed);
+            let entries: usize = t
+                .tree_edges()
+                .iter()
+                .map(|&e| t.subtree_size(t.child_endpoint(e).unwrap()))
+                .sum();
+            let depth_sum: usize = g.vertices().map(|v| t.depth(v).unwrap() as usize).sum();
+            assert_eq!(entries, depth_sum);
+            assert_eq!(rd.rows.len(), entries);
+            let row_sum: usize = t
+                .tree_edges()
+                .iter()
+                .map(|&e| rd.row(e).unwrap().len())
+                .sum();
+            assert_eq!(row_sum, entries);
+            let n = g.num_vertices();
+            assert!(rd.heap_bytes() >= 4 * entries);
+            assert!(rd.heap_bytes() <= 4 * entries + 64 * (n + g.num_edges()));
+        }
     }
 }

@@ -10,14 +10,24 @@ use ftb_graph::{BitSet, EdgeId, Graph, VertexId};
 ///
 /// For every vertex `v` reachable from the source, `π(s, v)` — the unique
 /// canonical shortest path — is the tree path from the source to `v`. The
-/// tree caches parent pointers, hop depths, children lists and the set of
-/// tree edge ids, which the replacement-path and FT-BFS layers query heavily.
+/// tree caches parent pointers, hop depths, `Σ`-tie sums, children lists, a
+/// preorder numbering with subtree sizes and the set of tree edge ids, which
+/// the replacement-path and FT-BFS layers query heavily.
 #[derive(Clone, Debug)]
 pub struct ShortestPathTree {
     source: VertexId,
     parent: Vec<Option<(VertexId, EdgeId)>>,
     depth: Vec<Option<u32>>,
+    /// `Σ W` along `π(s, v)`: the tie key a subtree-bounded search seeds
+    /// its boundary with.
+    tie: Vec<u64>,
     children: Vec<Vec<VertexId>>,
+    /// Preorder index of each reachable vertex (children in id order);
+    /// `u32::MAX` for unreachable vertices.
+    preorder: Vec<u32>,
+    /// Number of vertices in each reachable vertex's subtree (itself
+    /// included); 0 for unreachable vertices.
+    subtree_size: Vec<u32>,
     tree_edges: Vec<EdgeId>,
     tree_edge_set: BitSet,
     /// For each tree edge (indexed by `EdgeId`), the child endpoint (the
@@ -28,21 +38,24 @@ pub struct ShortestPathTree {
 impl ShortestPathTree {
     /// Build the tree of unique shortest paths from `source`.
     ///
-    /// One [`CanonicalScratch`] run yields every vertex's canonical parent;
-    /// the per-vertex tables, the children lists and the tree-edge list are
-    /// then filled in vertex-id order.
+    /// One [`CanonicalScratch`] run yields every vertex's canonical parent
+    /// and tie sum; the per-vertex tables, the children lists and the
+    /// tree-edge list are then filled in vertex-id order, and one iterative
+    /// DFS numbers the vertices in preorder.
     pub fn build(graph: &Graph, weights: &TieBreakWeights, source: VertexId) -> Self {
         let n = graph.num_vertices();
         let mut search = CanonicalScratch::new(n);
         search.run(graph, weights, source, &[]);
         let mut parent = vec![None; n];
         let mut depth = vec![None; n];
+        let mut tie = vec![0; n];
         let mut children: Vec<Vec<VertexId>> = vec![Vec::new(); n];
         let mut tree_edges = Vec::new();
         let mut tree_edge_set = BitSet::new(graph.num_edges());
         let mut child_of_edge = vec![None; graph.num_edges()];
         for v in graph.vertices() {
             depth[v.index()] = search.dist(v);
+            tie[v.index()] = search.tie(v);
             if let Some((p, e)) = search.parent(v) {
                 parent[v.index()] = Some((p, e));
                 children[p.index()].push(v);
@@ -51,11 +64,15 @@ impl ShortestPathTree {
                 child_of_edge[e.index()] = Some(v);
             }
         }
+        let (preorder, subtree_size) = number_preorder(&children, &parent, source);
         ShortestPathTree {
             source,
             parent,
             depth,
+            tie,
             children,
+            preorder,
+            subtree_size,
             tree_edges,
             tree_edge_set,
             child_of_edge,
@@ -88,9 +105,39 @@ impl ShortestPathTree {
         self.depth[v.index()].is_some()
     }
 
+    /// `Σ W` along `π(s, v)` (0 for the source and unreachable vertices):
+    /// the tie key of `v`'s canonical path.
+    #[inline]
+    pub fn tie(&self, v: VertexId) -> u64 {
+        self.tie[v.index()]
+    }
+
     /// Children of `v` in the tree.
     pub fn children(&self, v: VertexId) -> &[VertexId] {
         &self.children[v.index()]
+    }
+
+    /// Preorder index of `v` (children visited in vertex-id order), if `v`
+    /// is reachable. The subtree of `r` is the preorder range
+    /// `preorder(r) .. preorder(r) + subtree_size(r)`.
+    #[inline]
+    pub fn preorder(&self, v: VertexId) -> Option<u32> {
+        let p = self.preorder[v.index()];
+        (p != u32::MAX).then_some(p)
+    }
+
+    /// Number of vertices in the subtree of `v`, `v` included (0 if `v` is
+    /// unreachable).
+    #[inline]
+    pub fn subtree_size(&self, v: VertexId) -> usize {
+        self.subtree_size[v.index()] as usize
+    }
+
+    /// `true` if `v` lies in the subtree of `root` (`v == root` included).
+    #[inline]
+    pub fn in_subtree(&self, root: VertexId, v: VertexId) -> bool {
+        self.preorder[v.index()].wrapping_sub(self.preorder[root.index()])
+            < self.subtree_size[root.index()]
     }
 
     /// The tree edges (one per non-root reachable vertex).
@@ -174,6 +221,33 @@ impl ShortestPathTree {
         vs.sort_by_key(|v| self.depth(*v).unwrap());
         vs
     }
+}
+
+/// Preorder indices and subtree sizes of the tree given by `children`
+/// (and its inverse `parent`), numbered by an iterative DFS from `source`.
+fn number_preorder(
+    children: &[Vec<VertexId>],
+    parent: &[Option<(VertexId, EdgeId)>],
+    source: VertexId,
+) -> (Vec<u32>, Vec<u32>) {
+    let n = children.len();
+    let mut preorder = vec![u32::MAX; n];
+    let mut subtree_size = vec![0u32; n];
+    let mut order = Vec::with_capacity(n);
+    let mut stack = vec![source];
+    while let Some(v) = stack.pop() {
+        preorder[v.index()] = order.len() as u32;
+        order.push(v);
+        stack.extend(children[v.index()].iter().rev());
+    }
+    // A child comes after its parent in preorder: accumulate bottom-up.
+    for &v in order.iter().rev() {
+        subtree_size[v.index()] += 1;
+        if let Some((p, _)) = parent[v.index()] {
+            subtree_size[p.index()] += subtree_size[v.index()];
+        }
+    }
+    (preorder, subtree_size)
 }
 
 /// Iterator over `(vertex, parent_edge)` pairs walking up to the root.

@@ -1,21 +1,22 @@
-//! Euler intervals, ancestor tests and binary-lifting LCA on the BFS tree.
+//! Preorder intervals, ancestor tests and binary-lifting LCA on the BFS tree.
 
 use ftb_graph::{EdgeId, VertexId};
 use ftb_sp::ShortestPathTree;
 
 /// Precomputed ancestry structure over a [`ShortestPathTree`].
 ///
-/// Provides O(1) ancestor tests (via Euler entry/exit times) and O(log n)
-/// least-common-ancestor queries (via binary lifting). Vertices that are
-/// unreachable from the source are not part of the tree; queries involving
-/// them return `None`/`false`.
+/// Provides O(1) ancestor tests (via the tree's preorder intervals) and
+/// O(log n) least-common-ancestor queries (via binary lifting). Vertices
+/// that are unreachable from the source are not part of the tree; queries
+/// involving them return `None`/`false`.
 #[derive(Clone, Debug)]
 pub struct TreeIndex {
     source: VertexId,
-    /// Euler entry time per vertex (`usize::MAX` for unreachable vertices).
-    tin: Vec<usize>,
-    /// Euler exit time per vertex.
-    tout: Vec<usize>,
+    /// Preorder index per vertex (copied from the tree); the subtree of `v`
+    /// is the range `preorder(v) .. preorder(v) + subtree_size(v)`.
+    preorder: Vec<u32>,
+    /// Subtree size per vertex (copied from the tree).
+    subtree_size: Vec<u32>,
     /// Depth per vertex (copied from the tree for convenience).
     depth: Vec<u32>,
     /// `up[k][v]` = the `2^k`-th ancestor of `v` (or `v` itself if the walk
@@ -29,35 +30,17 @@ impl TreeIndex {
     pub fn build(tree: &ShortestPathTree) -> Self {
         let n = tree_len(tree);
         let source = tree.source();
-        let mut tin = vec![usize::MAX; n];
-        let mut tout = vec![usize::MAX; n];
         let mut depth = vec![0u32; n];
         let mut reachable = vec![false; n];
+        let mut preorder = vec![u32::MAX; n];
+        let mut subtree_size = vec![0u32; n];
         for i in 0..n {
             let v = VertexId::new(i);
             if let Some(d) = tree.depth(v) {
                 depth[i] = d;
                 reachable[i] = true;
-            }
-        }
-        // Iterative Euler tour to avoid recursion depth limits on path-like
-        // trees.
-        let mut timer = 0usize;
-        let mut stack: Vec<(VertexId, usize)> = vec![(source, 0)];
-        if reachable[source.index()] {
-            while let Some((v, child_idx)) = stack.pop() {
-                if child_idx == 0 {
-                    tin[v.index()] = timer;
-                    timer += 1;
-                }
-                let children = tree.children(v);
-                if child_idx < children.len() {
-                    stack.push((v, child_idx + 1));
-                    stack.push((children[child_idx], 0));
-                } else {
-                    tout[v.index()] = timer;
-                    timer += 1;
-                }
+                preorder[i] = tree.preorder(v).expect("reachable");
+                subtree_size[i] = tree.subtree_size(v) as u32;
             }
         }
         // Binary lifting table.
@@ -79,8 +62,8 @@ impl TreeIndex {
         }
         TreeIndex {
             source,
-            tin,
-            tout,
+            preorder,
+            subtree_size,
             depth,
             up,
             reachable,
@@ -108,7 +91,8 @@ impl TreeIndex {
         if !self.in_tree(a) || !self.in_tree(b) {
             return false;
         }
-        self.tin[a.index()] <= self.tin[b.index()] && self.tout[b.index()] <= self.tout[a.index()]
+        self.preorder[b.index()].wrapping_sub(self.preorder[a.index()])
+            < self.subtree_size[a.index()]
     }
 
     /// The ancestor of `v` that is `steps` levels closer to the root
