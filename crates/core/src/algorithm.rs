@@ -91,7 +91,6 @@ pub(crate) fn build_tradeoff_impl(
     let tree = ShortestPathTree::build(graph, &weights, source);
     let dists = ReplacementDistances::compute(graph, &tree, &config.parallel);
     let rp = ReplacementPaths::compute(graph, &weights, &tree, &dists, &config.parallel);
-    let tree_index = TreeIndex::build(&tree);
 
     // H starts as the BFS tree.
     let mut h = BitSet::new(graph.num_edges());
@@ -101,7 +100,7 @@ pub(crate) fn build_tradeoff_impl(
     let num_tree_edges = h.len();
 
     // --- Interference split ------------------------------------------------
-    let interference = InterferenceIndex::build(&rp, &tree, &tree_index);
+    let interference = InterferenceIndex::build(&rp, &tree, &TreeIndex);
     let (i1, i2) = interference.split_i1_i2();
     let (num_i1, num_i2) = (i1.len(), i2.len());
     let s0_ms = phase_ms(start);

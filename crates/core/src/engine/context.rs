@@ -7,7 +7,7 @@ use crate::error::FtbfsError;
 use ftb_graph::{CompactSubgraph, EdgeId, Fault, FaultSet, Graph, VertexId};
 use ftb_obs::Span;
 use ftb_par::parallel_map_init;
-use ftb_sp::{Path, TimestampedVector, UNREACHABLE};
+use ftb_sp::{BoundarySweep, EulerTourIndex, Path, Region, TimestampedVector, UNREACHABLE};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,17 +34,6 @@ pub(super) enum RowSlot {
     /// The indexed LRU row holds the post-failure distances.
     Cached(usize),
 }
-
-/// [`RepairScratch::marks`] value: inside a failed subtree, to be settled
-/// by the bounded BFS if reached, but not awaited by it.
-const MARK_AFFECTED: u8 = 1;
-/// [`RepairScratch::marks`] value: affected vertex the bounded BFS waits
-/// for — every affected vertex of a row repair, only the requested ones of
-/// a target-restricted sweep. The BFS stops once all of them are settled.
-const MARK_TARGET: u8 = 2;
-/// [`RepairScratch::marks`] value: unaffected boundary vertex already
-/// collected (seed dedup).
-const MARK_BOUNDARY: u8 = 3;
 
 /// Crossover denominator of the target-restricted sweep: a one-to-many
 /// cache miss runs restricted (settle only the requested affected targets,
@@ -75,6 +64,13 @@ trait Adjacency {
     /// failed such edge changes its endpoints' adjacency even where their
     /// distances stay put, so the repair recomputes their parents.
     fn contains_edge(&self, e: EdgeId) -> bool;
+
+    /// `false` for a failed vertex. [`Adjacency::neighbors`] filters only
+    /// the far endpoint, so the sweep's seeding, which enters a region
+    /// vertex from outside, asks this before it seeds one.
+    fn admits(&self, _w: VertexId) -> bool {
+        true
+    }
 }
 
 /// The `sparse_h_bfs` tier: the compact CSR of `H ∖ {e}`. The FT-BFS
@@ -123,6 +119,10 @@ impl Adjacency for AugmentedAdjacency<'_> {
     fn contains_edge(&self, e: EdgeId) -> bool {
         self.csr.contains_parent_edge(e)
     }
+
+    fn admits(&self, w: VertexId) -> bool {
+        !self.faults.contains(&Fault::Vertex(w))
+    }
 }
 
 /// The `full_graph_bfs` tier: the full graph `G ∖ F`, exact for every
@@ -143,6 +143,10 @@ impl Adjacency for FullGraphAdjacency<'_> {
     fn contains_edge(&self, _: EdgeId) -> bool {
         true
     }
+
+    fn admits(&self, w: VertexId) -> bool {
+        !self.faults.contains(&Fault::Vertex(w))
+    }
 }
 
 /// What a cache miss computes.
@@ -151,24 +155,26 @@ enum Miss<'a> {
     /// The whole post-failure row, into LRU row `i`.
     Row(usize),
     /// Only the distances of `targets[affected[..]]`, into
-    /// [`RepairScratch::rdist`] (the target-restricted sweep).
+    /// [`RepairScratch::sweep`] (the target-restricted sweep).
     Targets {
         targets: &'a [VertexId],
         affected: &'a [u32],
     },
 }
 
-/// Reusable state of the bounded miss kernel (all cleared in `O(1)` or
-/// proportional to the previous miss's size — nothing here is `O(n)` per
-/// miss).
+/// Reusable state of the miss kernel: the shared [`BoundarySweep`] plus
+/// target marks, and the fix-up list of the row repair (all cleared in
+/// `O(1)` or proportional to the previous miss's size — nothing here is
+/// `O(n)` per miss).
 #[derive(Clone, Debug)]
 struct RepairScratch {
-    /// `0` untouched, [`MARK_AFFECTED`], [`MARK_TARGET`] or
-    /// [`MARK_BOUNDARY`]; generation-stamped so clearing is an epoch bump.
-    marks: TimestampedVector<u8>,
-    /// Unaffected boundary vertices seeding the bounded BFS, keyed by their
-    /// (unchanged) fault-free distance.
-    seeds: Vec<(u32, VertexId)>,
+    /// The boundary-seeded sweep over the affected region: post-failure
+    /// distances of the vertices it settled, and the unaffected boundary
+    /// it wrote at fault-free depth.
+    sweep: BoundarySweep,
+    /// Requested targets of a target-restricted sweep (duplicates marked
+    /// once); generation-stamped so clearing is an epoch bump.
+    targets: TimestampedVector<bool>,
     /// Unaffected endpoints of failed edges of the tier's graph: their
     /// *adjacency* changed even though their distance did not, so only
     /// their canonical parent is recomputed.
@@ -176,174 +182,110 @@ struct RepairScratch {
     /// Merged preorder intervals of the affected subtrees (into the slot
     /// tree's order array).
     intervals: Vec<(u32, u32)>,
-    /// Level-synchronous BFS frontiers.
-    frontier: Vec<VertexId>,
-    next: Vec<VertexId>,
-    /// Post-failure distances of the vertices the bounded BFS settled;
-    /// generation-stamped so each miss starts clean in `O(1)`.
-    rdist: TimestampedVector<u32>,
 }
 
 impl RepairScratch {
     fn new(num_vertices: usize) -> Self {
         RepairScratch {
-            marks: TimestampedVector::new(num_vertices, 0),
-            seeds: Vec::new(),
+            sweep: BoundarySweep::new(num_vertices),
+            targets: TimestampedVector::new(num_vertices, false),
             fixups: Vec::new(),
             intervals: Vec::new(),
-            frontier: Vec::new(),
-            next: Vec::new(),
-            rdist: TimestampedVector::new(num_vertices, UNREACHABLE),
-        }
-    }
-
-    /// Clear the marks and mark every vertex of the affected
-    /// [`RepairScratch::intervals`] with `mark`; returns how many there are.
-    fn mark_region(&mut self, order: &[VertexId], mark: u8) -> usize {
-        self.marks.reset();
-        let mut count = 0;
-        for &(a, b) in &self.intervals {
-            for &v in &order[a as usize..b as usize] {
-                self.marks.set(v.index(), mark);
-            }
-            count += (b - a) as usize;
-        }
-        count
-    }
-
-    /// The one bounded BFS behind every miss: settle affected vertices into
-    /// [`RepairScratch::rdist`], given the marks of
-    /// [`RepairScratch::mark_region`] and `pending` [`MARK_TARGET`]
-    /// vertices to wait for.
-    ///
-    /// The *unaffected boundary* (neighbours of the affected region outside
-    /// it) enters a level-synchronous BFS exactly at its fault-free depth.
-    /// That is sound because unaffected distances are already final: every
-    /// root-to-boundary prefix of a post-failure shortest path can be
-    /// replaced by the boundary vertex's surviving tree path of length
-    /// `dist0`. The BFS only ever discovers affected vertices, and it
-    /// stops as soon as every awaited vertex is settled — a
-    /// level-synchronous distance is final at assignment, so the early
-    /// exit cannot change any answer. Affected vertices left unsettled are
-    /// disconnected (or were not awaited).
-    ///
-    /// Cost is `O(vol(affected) + boundary·deg)` — a full sweep's
-    /// `O(n + m)` only in the degenerate all-affected case.
-    fn bounded_bfs<A: Adjacency>(
-        &mut self,
-        order: &[VertexId],
-        dist0: &[u32],
-        adj: &A,
-        mut pending: usize,
-    ) {
-        self.rdist.reset();
-        self.seeds.clear();
-        for &(a, b) in &self.intervals {
-            for &v in &order[a as usize..b as usize] {
-                for (w, _) in adj.neighbors(v) {
-                    if self.marks.get(w.index()) == 0 {
-                        self.marks.set(w.index(), MARK_BOUNDARY);
-                        if dist0[w.index()] != UNREACHABLE {
-                            self.seeds.push((dist0[w.index()], w));
-                        }
-                    }
-                }
-            }
-        }
-        self.seeds.sort_unstable();
-        self.frontier.clear();
-        self.next.clear();
-        let mut si = 0usize;
-        let mut level = 0u32;
-        while pending > 0 && (si < self.seeds.len() || !self.frontier.is_empty()) {
-            if self.frontier.is_empty() {
-                level = level.max(self.seeds[si].0);
-            }
-            while si < self.seeds.len() && self.seeds[si].0 == level {
-                self.frontier.push(self.seeds[si].1);
-                si += 1;
-            }
-            for fi in 0..self.frontier.len() {
-                let u = self.frontier[fi];
-                for (w, _) in adj.neighbors(u) {
-                    let mark = self.marks.get(w.index());
-                    if (mark == MARK_AFFECTED || mark == MARK_TARGET)
-                        && self.rdist.get(w.index()) == UNREACHABLE
-                    {
-                        self.rdist.set(w.index(), level + 1);
-                        if mark == MARK_TARGET {
-                            pending -= 1;
-                        }
-                        self.next.push(w);
-                    }
-                }
-            }
-            self.frontier.clear();
-            std::mem::swap(&mut self.frontier, &mut self.next);
-            level += 1;
         }
     }
 
     /// Repair `row_dist`/`row_parent` — pre-filled with the tier's
     /// fault-free rows — in place, given the merged affected
     /// [`RepairScratch::intervals`] and the failed-edge endpoint
-    /// [`RepairScratch::fixups`] already collected: run the
-    /// [bounded BFS](RepairScratch::bounded_bfs) awaiting the whole
-    /// affected region, copy its distances in, and recompute canonical
-    /// parents (first adjacency neighbour one level up, the rule
+    /// [`RepairScratch::fixups`] already collected: sweep the affected
+    /// region awaiting all of it, copy its distances in, and recompute
+    /// canonical parents (first adjacency neighbour one level up, the rule
     /// [`bfs_sweep`] applies) for every vertex whose distance or adjacency
     /// changed: the affected region, the boundary, and the fix-ups.
     fn repair_row<A: Adjacency>(
         &mut self,
-        order: &[VertexId],
+        tree: &EulerTourIndex,
         dist0: &[u32],
         adj: &A,
         row_dist: &mut [u32],
         row_parent: &mut [ParentEntry],
     ) {
-        let affected = self.mark_region(order, MARK_TARGET);
-        self.bounded_bfs(order, dist0, adj, affected);
-        for &(a, b) in &self.intervals {
-            for &v in &order[a as usize..b as usize] {
-                row_dist[v.index()] = self.rdist.get(v.index());
-            }
+        let mut pending: usize = self.intervals.iter().map(|&(a, b)| (b - a) as usize).sum();
+        sweep_region(&mut self.sweep, tree, dist0, &self.intervals, adj, |_| {
+            pending -= 1;
+            pending == 0
+        });
+        let region = || {
+            self.intervals
+                .iter()
+                .flat_map(|&(a, b)| &tree.order()[a as usize..b as usize])
+        };
+        for &v in region() {
+            row_dist[v.index()] = self.sweep.dist(v).unwrap_or(UNREACHABLE);
         }
-        for &(a, b) in &self.intervals {
-            for &v in &order[a as usize..b as usize] {
-                row_parent[v.index()] = canonical_parent(v, row_dist, adj);
-            }
-        }
-        for &(_, u) in &self.seeds {
-            row_parent[u.index()] = canonical_parent(u, row_dist, adj);
-        }
-        for &v in &self.fixups {
-            if self.marks.get(v.index()) == 0 {
-                row_parent[v.index()] = canonical_parent(v, row_dist, adj);
-            }
+        // `canonical_parent` is a pure function of the final row, so a
+        // vertex on two of these lists gets the same parent twice.
+        for &v in region().chain(self.sweep.boundary()).chain(&self.fixups) {
+            row_parent[v.index()] = canonical_parent(v, row_dist, adj);
         }
     }
 
     /// Target-restricted sweep: settle only the requested affected
-    /// `targets` into [`RepairScratch::rdist`] (`UNREACHABLE` =
-    /// disconnected), without copying or caching a row.
+    /// `targets` into [`RepairScratch::sweep`] (unsettled = disconnected),
+    /// without copying or caching a row.
     fn settle_targets<A: Adjacency>(
         &mut self,
-        order: &[VertexId],
+        tree: &EulerTourIndex,
         dist0: &[u32],
         adj: &A,
         targets: impl Iterator<Item = VertexId>,
     ) {
-        self.mark_region(order, MARK_AFFECTED);
+        self.targets.reset();
         let mut pending = 0usize;
         for t in targets {
             // Duplicate targets are marked (and counted) once.
-            if self.marks.get(t.index()) == MARK_AFFECTED {
-                self.marks.set(t.index(), MARK_TARGET);
+            if !self.targets.get(t.index()) {
+                self.targets.set(t.index(), true);
                 pending += 1;
             }
         }
-        self.bounded_bfs(order, dist0, adj, pending);
+        let marks = &self.targets;
+        sweep_region(&mut self.sweep, tree, dist0, &self.intervals, adj, |w| {
+            if marks.get(w.index()) {
+                pending -= 1;
+            }
+            pending == 0
+        });
     }
+}
+
+/// Run `sweep` over the affected `intervals` of `tree` until `done` says
+/// every awaited vertex is settled.
+///
+/// The unaffected boundary keeps its fault-free distance `dist0`: every
+/// root-to-boundary prefix of a post-failure shortest path can be replaced
+/// by the boundary vertex's surviving tree path. So the sweep only ever
+/// discovers affected vertices, and a level-synchronous distance is final
+/// at assignment, so the early exit cannot change any answer. Affected
+/// vertices left unsettled are disconnected (or were not awaited). Cost is
+/// `O(vol(affected))`, a full sweep's `O(n + m)` only in the degenerate
+/// all-affected case.
+fn sweep_region<A: Adjacency>(
+    sweep: &mut BoundarySweep,
+    tree: &EulerTourIndex,
+    dist0: &[u32],
+    intervals: &[(u32, u32)],
+    adj: &A,
+    done: impl FnMut(VertexId) -> bool,
+) {
+    let region = Region {
+        tree,
+        depth0: dist0,
+        intervals,
+        max_hops: UNREACHABLE,
+        target: None,
+    };
+    sweep.search(region, |u| adj.neighbors(u), |w, _| adj.admits(w), done);
 }
 
 /// The canonical-parent rule shared with [`bfs_sweep`]: the first neighbor
@@ -443,7 +385,8 @@ pub struct QueryContext {
     /// [`EngineOptions::force_full_sweep`](super::EngineOptions):
     /// generation-stamped rows, so a sweep never pays an `O(n)` fill.
     scratch: SweepScratch,
-    /// Bounded miss-kernel scratch (marks, boundary seeds, frontiers).
+    /// Miss-kernel scratch (the boundary-seeded sweep, target marks,
+    /// fix-ups).
     repair: RepairScratch,
     /// One-to-many scratch: input indices of the targets that fell inside
     /// an affected interval.
@@ -860,7 +803,7 @@ impl QueryContext {
             drop(sweep_span);
             for &i in &affected {
                 let v = targets[i as usize];
-                out[i as usize] = finite(self.repair.rdist.get(v.index()));
+                out[i as usize] = self.repair.sweep.dist(v);
             }
         } else {
             // Dense affected set: one row repair amortises across every
@@ -989,7 +932,7 @@ impl QueryContext {
     /// only move when a search actually runs. A cache miss on any tier is
     /// one [`QueryContext::miss`]: the row is **repaired** — it starts as a
     /// copy of the tier's fault-free rows, only the affected subtrees are
-    /// re-swept by a bounded BFS seeded from their unaffected boundary, and
+    /// re-swept by the boundary-seeded [`BoundarySweep`], and
     /// canonical parents are patched where the distances or the adjacency
     /// changed — byte-identical to a full sweep, at a fraction of its cost.
     /// Under [`EngineOptions::force_full_sweep`](super::EngineOptions) the
@@ -1101,12 +1044,12 @@ impl QueryContext {
         adj: &A,
         miss: Miss,
     ) {
-        let order = core.slot_tree(slot).euler.order();
+        let tree = &core.slot_tree(slot).euler;
         let (dist0, _) = core.fault_free_row(slot);
         let i = match miss {
             Miss::Targets { targets, affected } => {
                 let wanted = affected.iter().map(|&i| targets[i as usize]);
-                self.repair.settle_targets(order, dist0, adj, wanted);
+                self.repair.settle_targets(tree, dist0, adj, wanted);
                 return;
             }
             Miss::Row(i) => i,
@@ -1132,7 +1075,7 @@ impl QueryContext {
         row.parent.copy_from_slice(core.tier_parent_row(slot, tier));
         let span = obs.as_ref().map(|o| Span::enter(&o.stage_row_repair));
         self.repair
-            .repair_row(order, dist0, adj, &mut row.dist, &mut row.parent);
+            .repair_row(tree, dist0, adj, &mut row.dist, &mut row.parent);
         drop(span);
         self.stats.repaired_rows += 1;
     }

@@ -9,8 +9,7 @@ use crate::mbfs::MultiSourceStructure;
 use crate::structure::FtBfsStructure;
 use ftb_graph::{CompactSubgraph, EdgeId, Fault, FaultSet, Graph, VertexId};
 use ftb_par::ParallelConfig;
-use ftb_sp::UNREACHABLE;
-use ftb_tree::EulerTourIndex;
+use ftb_sp::{EulerTourIndex, UNREACHABLE};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Environment variable disabling the incremental row repair and the
@@ -174,13 +173,14 @@ pub(super) struct SlotTree {
 }
 
 impl SlotTree {
-    /// The child endpoint under which parent-graph edge `ge` hangs in this
-    /// slot's tree, if `ge` is a tree edge.
-    pub(super) fn tree_edge_child(&self, h: &CompactSubgraph, ge: EdgeId) -> Option<VertexId> {
-        self.edge_child
-            .get(h.compact_edge(ge)?.index())
-            .copied()
-            .flatten()
+    /// The root of the subtree that fault `f` cuts off from this slot's
+    /// tree: the child endpoint of a failed tree edge (parent-graph id), or
+    /// a failed in-tree vertex. `None` when `f` leaves the tree intact.
+    fn fault_root(&self, h: &CompactSubgraph, f: Fault) -> Option<VertexId> {
+        match f {
+            Fault::Edge(ge) => self.edge_child.get(h.compact_edge(ge)?.index()).copied()?,
+            Fault::Vertex(u) => self.euler.in_tree(u).then_some(u),
+        }
     }
 }
 
@@ -641,12 +641,9 @@ impl EngineCore {
     /// unaffected too (they stay unreachable under any fault set).
     pub(super) fn target_unaffected(&self, slot: usize, v: VertexId, faults: &FaultSet) -> bool {
         let tree = &self.trees[slot];
-        faults.iter().all(|f| match f {
-            Fault::Edge(ge) => match tree.tree_edge_child(&self.h, ge) {
-                Some(c) => !tree.euler.is_ancestor(c, v),
-                None => true,
-            },
-            Fault::Vertex(u) => !tree.euler.is_ancestor(u, v),
+        faults.iter().all(|f| {
+            tree.fault_root(&self.h, f)
+                .is_none_or(|r| !tree.euler.is_ancestor(r, v))
         })
     }
 
@@ -654,8 +651,7 @@ impl EngineCore {
     /// `(start, end)` ranges over the slot tree's
     /// [`order`](EulerTourIndex::order) array) of the subtrees hanging
     /// under the failed elements of `faults`. Returns the number of
-    /// affected vertices. Subtree intervals are laminar, so sorting and one
-    /// merge pass suffice.
+    /// affected vertices.
     pub(super) fn affected_intervals(
         &self,
         slot: usize,
@@ -664,28 +660,14 @@ impl EngineCore {
     ) -> usize {
         let tree = &self.trees[slot];
         out.clear();
-        for f in faults.iter() {
-            let root = match f {
-                Fault::Edge(ge) => tree.tree_edge_child(&self.h, ge),
-                Fault::Vertex(u) if tree.euler.in_tree(u) => Some(u),
-                Fault::Vertex(_) => None,
-            };
-            if let Some(r) = root {
-                let range = tree.euler.subtree(r);
-                out.push((range.start as u32, range.end as u32));
-            }
+        for r in faults.iter().filter_map(|f| tree.fault_root(&self.h, f)) {
+            let range = tree.euler.subtree(r);
+            out.push((range.start as u32, range.end as u32));
         }
+        // Subtree intervals are laminar: after sorting, an interval that
+        // starts inside the last kept one is nested in it.
         out.sort_unstable();
-        let mut w = 0usize;
-        for i in 0..out.len() {
-            if w > 0 && out[i].0 < out[w - 1].1 {
-                out[w - 1].1 = out[w - 1].1.max(out[i].1);
-            } else {
-                out[w] = out[i];
-                w += 1;
-            }
-        }
-        out.truncate(w);
+        out.dedup_by(|next, kept| next.0 < kept.1);
         out.iter().map(|&(a, b)| (b - a) as usize).sum()
     }
 

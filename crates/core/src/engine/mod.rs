@@ -93,9 +93,11 @@
 //!   (`sparse_h_bfs`, `augmented_bfs`, `full_graph_bfs`) does not re-sweep
 //!   the tier's whole graph: the row starts as a copy of the tier's
 //!   fault-free rows, the affected subtrees (`O(|F|)` preorder intervals)
-//!   are re-swept by a bounded BFS seeded from their unaffected boundary
-//!   at fault-free depths, and canonical parents are patched where
-//!   distances or adjacency changed. Cost is `O(n)` memcpy plus
+//!   are re-swept by [`ftb_sp::BoundarySweep`] — the same boundary-seeded
+//!   kernel construction's subtree searches run — which writes their
+//!   unaffected boundary at fault-free depths and seeds every affected
+//!   vertex at its best entry from it, and canonical parents are patched
+//!   where distances or adjacency changed. Cost is `O(n)` memcpy plus
 //!   `O(vol(affected))` instead of a full `O(n + m)` traversal; counted in
 //!   [`QueryStats::repaired_rows`]. Each tier's post-failure adjacency is
 //!   defined once, and the repair, the restricted sweep below and the
@@ -275,7 +277,7 @@ pub struct QueryStats {
     /// the unaffected fast path, or an LRU hit).
     pub cached_answers: usize,
     /// Cache-miss rows produced by the *incremental repair* path (fault-free
-    /// copy + bounded BFS over the affected subtrees) instead of a full
+    /// copy + boundary-seeded sweep of the affected subtrees) instead of a full
     /// sweep — every row miss on every tier, unless
     /// [`EngineOptions::force_full_sweep`] is set. Each repaired row is also
     /// counted in the sweep counter of its tier (`structure_bfs_runs`,

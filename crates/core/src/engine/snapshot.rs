@@ -26,7 +26,7 @@ use crate::ftbfs::AugmentCoverage;
 use crate::structure::FtBfsStructure;
 use ftb_graph::{CompactSubgraph, EdgeId, Graph, VertexId};
 use ftb_io::{fnv1a, Load, Reader, SnapshotError, SnapshotReader, SnapshotWriter, Store, Writer};
-use ftb_tree::EulerTourIndex;
+use ftb_sp::EulerTourIndex;
 
 /// Section ids of the engine snapshot container.
 const SECTION_GRAPH: u32 = 1;

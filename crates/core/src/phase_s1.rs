@@ -123,7 +123,6 @@ mod tests {
         graph: Graph,
         tree: ShortestPathTree,
         rp: ReplacementPaths,
-        index: TreeIndex,
     }
 
     fn fixture(graph: Graph, seed: u64) -> Fixture {
@@ -132,19 +131,13 @@ mod tests {
         let dists = ReplacementDistances::compute(&graph, &tree, &ParallelConfig::serial());
         let rp =
             ReplacementPaths::compute(&graph, &weights, &tree, &dists, &ParallelConfig::serial());
-        let index = TreeIndex::build(&tree);
-        Fixture {
-            graph,
-            tree,
-            rp,
-            index,
-        }
+        Fixture { graph, tree, rp }
     }
 
     #[test]
     fn empty_i1_is_a_no_op() {
         let f = fixture(families::erdos_renyi_gnp(40, 0.1, 3), 3);
-        let interference = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
+        let interference = InterferenceIndex::build(&f.rp, &f.tree, &TreeIndex);
         let mut h = BitSet::new(f.graph.num_edges());
         let out = run_phase_s1(
             &f.rp,
@@ -163,7 +156,7 @@ mod tests {
     #[test]
     fn after_phase_s1_every_i1_pair_is_covered_or_deferred() {
         let f = fixture(families::erdos_renyi_gnp(90, 0.08, 7), 7);
-        let interference = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
+        let interference = InterferenceIndex::build(&f.rp, &f.tree, &TreeIndex);
         let (i1, _i2) = interference.split_i1_i2();
         let mut h = BitSet::new(f.graph.num_edges());
         let config = BuildConfig::new(0.3);
@@ -194,7 +187,7 @@ mod tests {
     fn deferred_sets_are_sim_sets() {
         // Observation 4.11.
         let f = fixture(families::layered_random(6, 12, 3, 0.4, 11), 11);
-        let interference = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
+        let interference = InterferenceIndex::build(&f.rp, &f.tree, &TreeIndex);
         let (i1, _) = interference.split_i1_i2();
         let mut h = BitSet::new(f.graph.num_edges());
         let out = run_phase_s1(
@@ -213,7 +206,7 @@ mod tests {
     #[test]
     fn budget_limits_per_round_additions_per_terminal() {
         let f = fixture(families::erdos_renyi_gnp(70, 0.12, 13), 13);
-        let interference = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
+        let interference = InterferenceIndex::build(&f.rp, &f.tree, &TreeIndex);
         let (i1, _) = interference.split_i1_i2();
         if i1.is_empty() {
             return; // nothing to exercise on this draw

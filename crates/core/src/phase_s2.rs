@@ -228,7 +228,6 @@ mod tests {
         graph: Graph,
         tree: ShortestPathTree,
         rp: ReplacementPaths,
-        index: TreeIndex,
         hld: HeavyPathDecomposition,
     }
 
@@ -238,13 +237,11 @@ mod tests {
         let dists = ReplacementDistances::compute(&graph, &tree, &ParallelConfig::serial());
         let rp =
             ReplacementPaths::compute(&graph, &weights, &tree, &dists, &ParallelConfig::serial());
-        let index = TreeIndex::build(&tree);
         let hld = HeavyPathDecomposition::build(&tree);
         Fixture {
             graph,
             tree,
             rp,
-            index,
             hld,
         }
     }
@@ -277,7 +274,7 @@ mod tests {
         // With a huge budget every segment is light, so every pair of every
         // (∼)-set must end up with its last edge in H.
         let f = fixture(families::layered_random(6, 10, 3, 0.4, 9), 9);
-        let interference = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
+        let interference = InterferenceIndex::build(&f.rp, &f.tree, &TreeIndex);
         let (_i1, i2) = interference.split_i1_i2();
         let config = BuildConfig {
             budget_override: Some(usize::MAX / 2),
@@ -321,7 +318,7 @@ mod tests {
     #[test]
     fn added_counts_match_inserted_edges() {
         let f = fixture(families::erdos_renyi_gnp(70, 0.1, 17), 17);
-        let interference = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
+        let interference = InterferenceIndex::build(&f.rp, &f.tree, &TreeIndex);
         let (i1, i2) = interference.split_i1_i2();
         let mut h = BitSet::new(f.graph.num_edges());
         let out = run_phase_s2(
@@ -340,7 +337,7 @@ mod tests {
     #[test]
     fn topmost_pair_of_each_segment_is_covered() {
         let f = fixture(families::layered_random(8, 8, 3, 0.3, 21), 21);
-        let interference = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
+        let interference = InterferenceIndex::build(&f.rp, &f.tree, &TreeIndex);
         let (_i1, i2) = interference.split_i1_i2();
         let config = BuildConfig::new(0.2);
         let mut h = BitSet::new(f.graph.num_edges());

@@ -51,7 +51,7 @@ use crate::pcons::ReplacementPaths;
 use ftb_graph::VertexId;
 use ftb_par::{parallel_map_init, ParallelConfig};
 use ftb_sp::{ShortestPathTree, TimestampedVector};
-use ftb_tree::{EulerTourIndex, TreeIndex};
+use ftb_tree::TreeIndex;
 
 /// Index over the detours of the uncovered pairs, answering the `I1`/`I2`
 /// split and the A/B/C classification (see the module docs).
@@ -94,11 +94,12 @@ enum ScanA {
 }
 
 impl<'a> InterferenceIndex<'a> {
-    /// Build the index over all uncovered (new-ending) pairs.
-    pub fn build(rp: &'a ReplacementPaths, tree: &ShortestPathTree, index: &TreeIndex) -> Self {
+    /// Build the index over all uncovered (new-ending) pairs. The preorder
+    /// intervals are `tree`'s own [`ShortestPathTree::euler`]; the
+    /// [`TreeIndex`] handle holds no data.
+    pub fn build(rp: &'a ReplacementPaths, tree: &ShortestPathTree, _index: &TreeIndex) -> Self {
         let n = tree.num_vertices();
-        let parents: Vec<_> = (0..n).map(|v| tree.parent(VertexId::new(v))).collect();
-        let euler = EulerTourIndex::from_parents(tree.source(), &parents);
+        let euler = tree.euler();
         let span = |v: VertexId| {
             let r = euler.subtree(v);
             (r.start as u32, r.end as u32)
@@ -145,7 +146,7 @@ impl<'a> InterferenceIndex<'a> {
             spans.extend(
                 r.detour_vertices()
                     .iter()
-                    .filter(|&&z| index.in_tree(z) && !index.is_ancestor(z, v))
+                    .filter(|&&z| euler.in_tree(z) && !euler.is_ancestor(z, v))
                     .map(|&z| span(z)),
             );
             // Laminar intervals: after sorting by (start, widest first), an

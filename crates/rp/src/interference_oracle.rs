@@ -5,19 +5,146 @@
 //! walk for every π-intersection test. The differential tests below require
 //! the production [`InterferenceIndex`](crate::InterferenceIndex) to reproduce its `I1`/`I2` split,
 //! its A/B/C classes and its `(∼)`-set verdicts exactly.
+//!
+//! Its ancestry comes from [`LiftingIndex`], a binary-lifting table over the
+//! parent pointers of `T0`, so no answer depends on the preorder intervals
+//! the production index reads.
 
 use crate::pair::PairId;
 use crate::pcons::ReplacementPaths;
 use ftb_graph::{EdgeId, VertexId};
 use ftb_sp::ShortestPathTree;
-use ftb_tree::TreeIndex;
 use std::collections::{HashMap, HashSet};
+
+/// Ancestor tests, level ancestors and least common ancestors on a
+/// [`ShortestPathTree`] by binary lifting. Vertices that are unreachable
+/// from the source are not part of the tree; queries involving them return
+/// `None`/`false`.
+pub(crate) struct LiftingIndex {
+    source: VertexId,
+    /// Depth per vertex (0 for out-of-tree vertices).
+    depth: Vec<u32>,
+    /// `up[k][v]` = the `2^k`-th ancestor of `v` (or `v` itself if the walk
+    /// leaves the tree).
+    up: Vec<Vec<u32>>,
+    reachable: Vec<bool>,
+}
+
+impl LiftingIndex {
+    pub(crate) fn build(tree: &ShortestPathTree) -> Self {
+        let n = tree.num_vertices();
+        let vertices = (0..n).map(VertexId::new);
+        let depth: Vec<u32> = vertices
+            .clone()
+            .map(|v| tree.depth(v).unwrap_or(0))
+            .collect();
+        let reachable = vertices.clone().map(|v| tree.is_reachable(v)).collect();
+        let max_depth = depth.iter().copied().max().unwrap_or(0);
+        let levels = (usize::BITS - (max_depth as usize).leading_zeros()).max(1) as usize;
+        let mut up = vec![vertices
+            .map(|v| tree.parent(v).map_or(v.0, |(p, _)| p.0))
+            .collect()];
+        for k in 1..levels {
+            let prev: &Vec<u32> = &up[k - 1];
+            let next = prev.iter().map(|&mid| prev[mid as usize]).collect();
+            up.push(next);
+        }
+        LiftingIndex {
+            source: tree.source(),
+            depth,
+            up,
+            reachable,
+        }
+    }
+
+    pub(crate) fn source(&self) -> VertexId {
+        self.source
+    }
+
+    pub(crate) fn in_tree(&self, v: VertexId) -> bool {
+        self.reachable[v.index()]
+    }
+
+    /// Depth of `v` (0 for the root); meaningless for out-of-tree vertices.
+    pub(crate) fn depth(&self, v: VertexId) -> u32 {
+        self.depth[v.index()]
+    }
+
+    /// `true` if `a` is an ancestor of `b` (every vertex is an ancestor of
+    /// itself). `false` if either vertex is outside the tree.
+    pub(crate) fn is_ancestor(&self, a: VertexId, b: VertexId) -> bool {
+        self.in_tree(a)
+            && self.in_tree(b)
+            && self.depth(a) <= self.depth(b)
+            && self.ancestor_at(b, self.depth(b) - self.depth(a)) == a
+    }
+
+    /// The ancestor of `v` that is `steps` levels closer to the root
+    /// (saturating at the root).
+    pub(crate) fn ancestor_at(&self, v: VertexId, steps: u32) -> VertexId {
+        let mut cur = v.0;
+        // Walking more than depth(v) steps saturates at the root; clamping
+        // also guarantees every set bit fits inside the lifting table.
+        let mut remaining = steps.min(self.depth[v.index()]);
+        let mut k = 0usize;
+        while remaining > 0 && k < self.up.len() {
+            if remaining & 1 == 1 {
+                cur = self.up[k][cur as usize];
+            }
+            remaining >>= 1;
+            k += 1;
+        }
+        VertexId(cur)
+    }
+
+    /// Least common ancestor of `u` and `v`, if both are in the tree.
+    pub(crate) fn lca(&self, u: VertexId, v: VertexId) -> Option<VertexId> {
+        if !self.in_tree(u) || !self.in_tree(v) {
+            return None;
+        }
+        let (du, dv) = (self.depth(u), self.depth(v));
+        let mut a = self.ancestor_at(u, du.saturating_sub(dv));
+        let mut b = self.ancestor_at(v, dv.saturating_sub(du));
+        if a == b {
+            return Some(a);
+        }
+        for k in (0..self.up.len()).rev() {
+            let (ua, ub) = (self.up[k][a.index()], self.up[k][b.index()]);
+            if ua != ub {
+                a = VertexId(ua);
+                b = VertexId(ub);
+            }
+        }
+        Some(VertexId(self.up[0][a.index()]))
+    }
+
+    /// The paper's `∼` relation on tree edges: `e ∼ e'` iff one of their
+    /// child endpoints is an ancestor of the other, i.e. both edges lie on a
+    /// common root-to-vertex shortest path.
+    pub(crate) fn edges_related(
+        &self,
+        tree: &ShortestPathTree,
+        e: EdgeId,
+        e_prime: EdgeId,
+    ) -> bool {
+        let (Some(b), Some(d)) = (tree.child_endpoint(e), tree.child_endpoint(e_prime)) else {
+            return false;
+        };
+        self.is_ancestor(b, d) || self.is_ancestor(d, b)
+    }
+
+    /// Hop distance between `u` and `v` inside the tree (through their LCA).
+    pub(crate) fn tree_distance(&self, u: VertexId, v: VertexId) -> Option<u32> {
+        let l = self.lca(u, v)?;
+        Some(self.depth(u) + self.depth(v) - 2 * self.depth(l))
+    }
+}
 
 /// The hash-map interference index of the paper's definitions.
 pub(crate) struct OracleIndex<'a> {
     rp: &'a ReplacementPaths,
     tree: &'a ShortestPathTree,
-    index: &'a TreeIndex,
+    index: &'a LiftingIndex,
     /// internal detour vertex -> uncovered pairs whose detour interior
     /// contains it.
     interior_map: HashMap<VertexId, Vec<PairId>>,
@@ -27,7 +154,7 @@ impl<'a> OracleIndex<'a> {
     pub(crate) fn build(
         rp: &'a ReplacementPaths,
         tree: &'a ShortestPathTree,
-        index: &'a TreeIndex,
+        index: &'a LiftingIndex,
     ) -> Self {
         let mut interior_map: HashMap<VertexId, Vec<PairId>> = HashMap::new();
         for &id in rp.uncovered() {
@@ -170,13 +297,14 @@ mod tests {
     };
     use ftb_par::ParallelConfig;
     use ftb_sp::{ReplacementDistances, TieBreakWeights};
+    use ftb_tree::TreeIndex;
     use ftb_workloads::{families, Workload, WorkloadFamily};
     use proptest::prelude::*;
 
     struct Fixture {
         tree: ShortestPathTree,
         rp: ReplacementPaths,
-        index: TreeIndex,
+        index: LiftingIndex,
     }
 
     fn fixture(graph: &Graph, seed: u64, source: VertexId) -> Fixture {
@@ -185,7 +313,7 @@ mod tests {
         let dists = ReplacementDistances::compute(graph, &tree, &ParallelConfig::serial());
         let rp =
             ReplacementPaths::compute(graph, &weights, &tree, &dists, &ParallelConfig::serial());
-        let index = TreeIndex::build(&tree);
+        let index = LiftingIndex::build(&tree);
         Fixture { tree, rp, index }
     }
 
@@ -257,7 +385,7 @@ mod tests {
     /// Differential check on one graph; returns the uncovered pair count.
     fn check(graph: &Graph, seed: u64, source: VertexId, what: &str) -> usize {
         let f = fixture(graph, seed, source);
-        let fast = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
+        let fast = InterferenceIndex::build(&f.rp, &f.tree, &TreeIndex);
         let oracle = OracleIndex::build(&f.rp, &f.tree, &f.index);
         let subsets = random_subsets(f.rp.uncovered(), seed);
         assert_matches_oracle(&fast, &oracle, &subsets, what);
@@ -373,7 +501,7 @@ mod tests {
         // B as well (the relation restricted to non-A pairs is symmetric).
         let g = families::erdos_renyi_gnp(80, 0.09, 13);
         let f = fixture(&g, 13, VertexId(0));
-        let fast = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
+        let fast = InterferenceIndex::build(&f.rp, &f.tree, &TreeIndex);
         let idx = OracleIndex::build(&f.rp, &f.tree, &f.index);
         let (i1, _) = fast.split_i1_i2();
         let (a, b, _c) = fast.classify(&i1, &ParallelConfig::serial());
@@ -397,7 +525,7 @@ mod tests {
     fn i1_members_have_a_witness_and_classes_partition_i1() {
         let g = families::layered_random(6, 10, 3, 0.4, 3);
         let f = fixture(&g, 3, VertexId(0));
-        let fast = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
+        let fast = InterferenceIndex::build(&f.rp, &f.tree, &TreeIndex);
         let idx = OracleIndex::build(&f.rp, &f.tree, &f.index);
         let (i1, i2) = fast.split_i1_i2();
         assert_eq!(i1.len() + i2.len(), f.rp.uncovered().len());
@@ -416,11 +544,120 @@ mod tests {
     fn graphs_without_uncovered_pairs_classify_trivially() {
         let g = generators::path(12);
         let f = fixture(&g, 19, VertexId(0));
-        let fast = InterferenceIndex::build(&f.rp, &f.tree, &f.index);
+        let fast = InterferenceIndex::build(&f.rp, &f.tree, &TreeIndex);
         let (i1, i2) = fast.split_i1_i2();
         assert!(i1.is_empty() && i2.is_empty());
         let (a, b, c) = fast.classify(&[], &ParallelConfig::with_threads(4));
         assert!(a.is_empty() && b.is_empty() && c.is_empty());
         assert!(fast.is_sim_set(&[]));
+    }
+
+    fn lifting(g: &Graph, seed: u64) -> (ShortestPathTree, LiftingIndex) {
+        let w = TieBreakWeights::generate(g, seed);
+        let t = ShortestPathTree::build(g, &w, VertexId(0));
+        let idx = LiftingIndex::build(&t);
+        (t, idx)
+    }
+
+    #[test]
+    fn ancestor_tests_on_a_path() {
+        let g = generators::path(8);
+        let (_t, idx) = lifting(&g, 1);
+        assert!(idx.is_ancestor(VertexId(0), VertexId(7)));
+        assert!(idx.is_ancestor(VertexId(3), VertexId(5)));
+        assert!(!idx.is_ancestor(VertexId(5), VertexId(3)));
+        assert!(idx.is_ancestor(VertexId(4), VertexId(4)));
+        assert_eq!(idx.lca(VertexId(3), VertexId(6)), Some(VertexId(3)));
+        assert_eq!(idx.tree_distance(VertexId(2), VertexId(6)), Some(4));
+        assert_eq!(idx.source(), VertexId(0));
+    }
+
+    #[test]
+    fn lca_on_a_star_is_the_centre() {
+        let g = generators::star(6);
+        let (_t, idx) = lifting(&g, 2);
+        assert_eq!(idx.lca(VertexId(1), VertexId(2)), Some(VertexId(0)));
+        assert_eq!(idx.lca(VertexId(3), VertexId(3)), Some(VertexId(3)));
+        assert_eq!(idx.tree_distance(VertexId(1), VertexId(2)), Some(2));
+    }
+
+    #[test]
+    fn lca_matches_naive_on_grid() {
+        let g = generators::grid(5, 5);
+        let (t, idx) = lifting(&g, 3);
+        // naive LCA by walking up
+        let naive = |mut a: VertexId, mut b: VertexId| -> VertexId {
+            while idx.depth(a) > idx.depth(b) {
+                a = t.parent(a).unwrap().0;
+            }
+            while idx.depth(b) > idx.depth(a) {
+                b = t.parent(b).unwrap().0;
+            }
+            while a != b {
+                a = t.parent(a).unwrap().0;
+                b = t.parent(b).unwrap().0;
+            }
+            a
+        };
+        for u in g.vertices() {
+            for v in g.vertices() {
+                assert_eq!(idx.lca(u, v), Some(naive(u, v)), "lca({u:?},{v:?})");
+                assert_eq!(
+                    idx.is_ancestor(u, v),
+                    t.in_subtree(u, v),
+                    "{u:?} above {v:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ancestor_at_walks_towards_root() {
+        let g = generators::path(10);
+        let (_t, idx) = lifting(&g, 4);
+        assert_eq!(idx.ancestor_at(VertexId(7), 3), VertexId(4));
+        assert_eq!(idx.ancestor_at(VertexId(7), 7), VertexId(0));
+        // saturates at the root
+        assert_eq!(idx.ancestor_at(VertexId(7), 100), VertexId(0));
+        assert_eq!(idx.ancestor_at(VertexId(5), 0), VertexId(5));
+    }
+
+    #[test]
+    fn edges_related_iff_on_common_root_path() {
+        let g = generators::grid(3, 3);
+        let (t, idx) = lifting(&g, 5);
+        for &e1 in t.tree_edges() {
+            for &e2 in t.tree_edges() {
+                let b = t.child_endpoint(e1).unwrap();
+                let d = t.child_endpoint(e2).unwrap();
+                let expected = idx.is_ancestor(b, d) || idx.is_ancestor(d, b);
+                assert_eq!(idx.edges_related(&t, e1, e2), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_tree_vertices_are_rejected() {
+        let mut b = ftb_graph::GraphBuilder::new(4);
+        b.add_edge(VertexId(0), VertexId(1));
+        b.add_edge(VertexId(2), VertexId(3));
+        let g = b.build();
+        let (_t, idx) = lifting(&g, 6);
+        assert!(!idx.in_tree(VertexId(2)));
+        assert!(idx.in_tree(VertexId(1)));
+        assert_eq!(idx.lca(VertexId(1), VertexId(2)), None);
+        assert!(!idx.is_ancestor(VertexId(0), VertexId(3)));
+        assert_eq!(idx.tree_distance(VertexId(0), VertexId(2)), None);
+    }
+
+    #[test]
+    fn deep_path_does_not_overflow_stack() {
+        let g = generators::path(20_000);
+        let (_t, idx) = lifting(&g, 7);
+        assert!(idx.is_ancestor(VertexId(0), VertexId(19_999)));
+        assert_eq!(
+            idx.lca(VertexId(10_000), VertexId(19_999)),
+            Some(VertexId(10_000))
+        );
     }
 }

@@ -9,7 +9,8 @@
 //! augmentation (Parter–Peleg 2013, Parter 2015). The search runs in two
 //! sweeps:
 //!
-//! 1. a plain BFS establishes hop distances and a visit order that is
+//! 1. the [`BoundarySweep`] — the one BFS kernel the query engine's cache
+//!    misses run too — establishes hop distances and a visit order that is
 //!    non-decreasing in depth,
 //! 2. a pass in that order picks, for every vertex, the parent minimising
 //!    `(tie-weight sum, parent id)` among its depth-minus-one neighbours —
@@ -27,27 +28,19 @@
 //! A single fault inside the `T0` subtree of a vertex `r` — the tree edge
 //! into `r`, `r` itself, or any set of elements below `r` — changes canonical
 //! paths only inside that subtree (Parter–Peleg, arXiv:1302.5401): a vertex
-//! outside it keeps its `T0` path, which never enters the subtree, and by
-//! prefix closure a canonical path that leaves the subtree never comes back.
-//! [`CanonicalScratch::sweep_subtree`] and [`CanonicalScratch::run_subtree`]
-//! therefore search only the subtree of `r`. The vertices just outside it
-//! (the *boundary*) are written at their fault-free `(depth, Σ tie)` from the
-//! [`ShortestPathTree`], and every admitted edge from the boundary into the
-//! subtree seeds sweep 1 at the boundary vertex's depth plus one; sweep 1
-//! merges those seeds level by level, so the order stays non-decreasing in
-//! depth and sweep 2 runs unchanged. A search from the source is the case
-//! `r = s`, whose subtree is the whole reachable graph. Sweep 1 can stop early
-//! once a target is discovered or the frontier passes a hop bound, and then
-//! enumerates only the subtree vertices, and writes only the boundary
-//! vertices, shallower than the bound (plus the target): a deeper vertex
-//! cannot be reached within the bound, since no fault makes a distance
-//! shorter, so it can neither seed nor parent one that is. Sweep 2 can be
-//! restricted to the vertices shallower than the target plus the target
-//! itself. A run resets only the entries the previous run touched, so a
-//! search that explores a small subtree costs the subtree, not `n`.
+//! outside it keeps its `T0` path, and by prefix closure a canonical path
+//! that leaves the subtree never comes back. So
+//! [`CanonicalScratch::sweep_subtree`] runs sweep 1 over the subtree's
+//! preorder slice of [`ShortestPathTree::euler`] alone (the
+//! [`BoundarySweep`] region), writes its boundary at the fault-free
+//! `(depth, Σ tie)` of `T0`, and sweep 2 runs unchanged. Sweep 1 can stop
+//! once a target is discovered or the frontier passes a hop bound; sweep 2
+//! can be restricted to the vertices shallower than the target plus the
+//! target itself. The source's subtree is the whole reachable graph.
 
 use crate::path::Path;
 use crate::sp_tree::ShortestPathTree;
+use crate::sweep::{BoundarySweep, Region};
 use crate::weights::TieBreakWeights;
 use crate::UNREACHABLE;
 use ftb_graph::{EdgeId, Fault, Graph, VertexId};
@@ -62,34 +55,19 @@ use ftb_graph::{EdgeId, Fault, Graph, VertexId};
 /// buffers are reused, so a run allocates nothing once they have grown.
 #[derive(Clone, Debug)]
 pub struct CanonicalScratch {
-    dist: Vec<u32>,
+    /// Sweep 1: hop distances, the visit order and the boundary.
+    sweep: BoundarySweep,
     tie: Vec<u64>,
     parent: Vec<Option<(VertexId, EdgeId)>>,
-    /// Every searched vertex the last sweep discovered, in discovery order.
-    /// It is the BFS queue itself (non-decreasing in `dist`) and, with
-    /// `boundary`, the exact set of entries the next run has to reset.
-    order: Vec<VertexId>,
-    /// Vertices outside the searched subtree that the last run wrote at
-    /// their fault-free depth and tie.
-    boundary: Vec<VertexId>,
-    /// `(depth, vertex)` entry points of sweep 1, sorted by depth: each
-    /// subtree vertex enters at most once, at its best boundary edge.
-    seeds: Vec<(u32, VertexId)>,
-    /// DFS stack of the subtree enumeration.
-    stack: Vec<VertexId>,
 }
 
 impl CanonicalScratch {
     /// Scratch sized for an `n`-vertex graph.
     pub fn new(n: usize) -> Self {
         CanonicalScratch {
-            dist: vec![UNREACHABLE; n],
+            sweep: BoundarySweep::new(n),
             tie: vec![0; n],
             parent: vec![None; n],
-            order: Vec::with_capacity(n),
-            boundary: Vec::new(),
-            seeds: Vec::new(),
-            stack: Vec::new(),
         }
     }
 
@@ -110,16 +88,16 @@ impl CanonicalScratch {
         source: VertexId,
         banned: &[Fault],
     ) {
-        self.check_size(graph);
-        self.reset();
+        self.begin(graph);
         if banned.contains(&Fault::Vertex(source)) {
+            self.sweep.clear();
             return;
         }
         let allow = |w: VertexId, e: EdgeId| {
             !banned.contains(&Fault::Edge(e)) && !banned.contains(&Fault::Vertex(w))
         };
-        self.seeds.push((0, source));
-        self.sweep(graph, None, allow);
+        self.sweep
+            .search_from(source, |u| graph.neighbors(u), allow);
         self.settle(graph, weights, UNREACHABLE, allow);
     }
 
@@ -164,8 +142,7 @@ impl CanonicalScratch {
         stop: Option<(VertexId, u32)>,
         allow: impl Fn(VertexId, EdgeId) -> bool,
     ) {
-        self.check_size(graph);
-        self.reset();
+        self.begin(graph);
         let (target, max_hops) = match stop {
             Some((t, h)) => {
                 debug_assert!(tree.in_subtree(root, t), "target outside the subtree");
@@ -173,45 +150,19 @@ impl CanonicalScratch {
             }
             None => (None, UNREACHABLE),
         };
-        let depth = |u: VertexId| tree.depth(u).unwrap_or(UNREACHABLE);
-        let searched =
-            |u: VertexId| tree.in_subtree(root, u) && (depth(u) < max_hops || Some(u) == target);
-        if root == tree.source() {
-            self.seeds.push((0, root));
+        let span = tree.euler().subtree(root);
+        let region = Region {
+            tree: tree.euler(),
+            depth0: tree.depth_row(),
+            intervals: &[(span.start as u32, span.end as u32)],
+            max_hops,
+            target,
+        };
+        self.sweep
+            .search(region, |u| graph.neighbors(u), allow, |w| Some(w) == target);
+        for &u in self.sweep.boundary() {
+            self.tie[u.index()] = tree.tie(u);
         }
-        if searched(root) {
-            self.stack.push(root);
-        }
-        while let Some(w) = self.stack.pop() {
-            let mut entry = UNREACHABLE;
-            for (u, f) in graph.neighbors(w) {
-                // A neighbour at or past the bound can neither seed nor
-                // parent a vertex within it: only shallower outside
-                // neighbours are written.
-                let du = depth(u);
-                if du >= max_hops || searched(u) {
-                    continue;
-                }
-                if self.dist[u.index()] == UNREACHABLE {
-                    self.dist[u.index()] = du;
-                    self.tie[u.index()] = tree.tie(u);
-                    self.boundary.push(u);
-                }
-                if du + 1 < entry && allow(w, f) {
-                    entry = du + 1;
-                }
-            }
-            if entry != UNREACHABLE {
-                self.seeds.push((entry, w));
-            }
-            for &c in tree.children(w) {
-                if searched(c) {
-                    self.stack.push(c);
-                }
-            }
-        }
-        self.seeds.sort_unstable();
-        self.sweep(graph, stop, allow);
     }
 
     /// Sweep 2 for the last [`CanonicalScratch::sweep_subtree`] probe,
@@ -231,93 +182,25 @@ impl CanonicalScratch {
         target: VertexId,
         allow: impl Fn(VertexId, EdgeId) -> bool,
     ) {
-        let depth = self.dist[target.index()];
-        debug_assert_ne!(depth, UNREACHABLE, "settle_target needs a reached target");
+        let depth = self
+            .sweep
+            .dist(target)
+            .expect("settle_target needs a reached target");
         self.settle(graph, weights, depth, &allow);
         if depth > 0 {
             self.settle_vertex(graph, weights, target, &allow);
         }
     }
 
-    fn check_size(&self, graph: &Graph) {
+    /// Start a run: clear the parents the last run set.
+    fn begin(&mut self, graph: &Graph) {
         debug_assert_eq!(
-            self.dist.len(),
+            self.parent.len(),
             graph.num_vertices(),
             "scratch sized for a different graph"
         );
-    }
-
-    /// Clear exactly the entries the last run wrote.
-    fn reset(&mut self) {
-        for &v in self.order.iter().chain(&self.boundary) {
-            self.dist[v.index()] = UNREACHABLE;
+        for &v in self.sweep.visited() {
             self.parent[v.index()] = None;
-        }
-        self.order.clear();
-        self.boundary.clear();
-        self.seeds.clear();
-    }
-
-    /// Sweep 1: level-synchronous BFS from the sorted `seeds`, using `order`
-    /// as the queue. The seeds of level `d` join the queue once every
-    /// vertex of level `d` the BFS discovers is in it, so `order` stays
-    /// non-decreasing in depth. With `stop = Some((target, max_hops))` the
-    /// sweep ends once `target` is discovered or the frontier passes
-    /// `max_hops`.
-    fn sweep(
-        &mut self,
-        graph: &Graph,
-        stop: Option<(VertexId, u32)>,
-        allow: impl Fn(VertexId, EdgeId) -> bool,
-    ) {
-        let (target, max_hops) = match stop {
-            Some((t, h)) => (Some(t), h),
-            None => (None, UNREACHABLE),
-        };
-        let Some(&(mut level, _)) = self.seeds.first() else {
-            return;
-        };
-        let (mut head, mut next_seed) = (0, 0);
-        loop {
-            while let Some(&(d, w)) = self.seeds.get(next_seed) {
-                if d != level {
-                    break;
-                }
-                next_seed += 1;
-                if self.dist[w.index()] == UNREACHABLE {
-                    self.dist[w.index()] = level;
-                    self.order.push(w);
-                    if target == Some(w) {
-                        return;
-                    }
-                }
-            }
-            if level >= max_hops {
-                return;
-            }
-            let end = self.order.len();
-            if head == end {
-                // Nothing at this level: jump to the next seed's.
-                match self.seeds.get(next_seed) {
-                    Some(&(d, _)) => level = d,
-                    None => return,
-                }
-                continue;
-            }
-            while head < end {
-                let u = self.order[head];
-                head += 1;
-                for (w, e) in graph.neighbors(u) {
-                    if self.dist[w.index()] == UNREACHABLE && allow(w, e) {
-                        self.dist[w.index()] = level + 1;
-                        self.order.push(w);
-                        if target == Some(w) {
-                            return;
-                        }
-                    }
-                }
-            }
-            level += 1;
         }
     }
 
@@ -332,9 +215,9 @@ impl CanonicalScratch {
         below: u32,
         allow: impl Fn(VertexId, EdgeId) -> bool,
     ) {
-        for i in 0..self.order.len() {
-            let v = self.order[i];
-            let d = self.dist[v.index()];
+        for i in 0..self.sweep.visited().len() {
+            let v = self.sweep.visited()[i];
+            let d = self.sweep.dist(v).expect("visited");
             if d >= below {
                 break;
             }
@@ -355,10 +238,10 @@ impl CanonicalScratch {
         v: VertexId,
         allow: impl Fn(VertexId, EdgeId) -> bool,
     ) {
-        let up = self.dist[v.index()].wrapping_sub(1);
+        let up = self.sweep.dist(v).map(|d| d - 1);
         let mut best: Option<(u64, VertexId, EdgeId)> = None;
         for (u, e) in graph.neighbors(v) {
-            if self.dist[u.index()] != up || !allow(v, e) {
+            if self.sweep.dist(u) != up || !allow(v, e) {
                 continue;
             }
             let cand = (self.tie[u.index()] + weights.weight(e), u, e);
@@ -378,8 +261,7 @@ impl CanonicalScratch {
     /// otherwise.
     #[inline]
     pub fn dist(&self, v: VertexId) -> Option<u32> {
-        let d = self.dist[v.index()];
-        (d != UNREACHABLE).then_some(d)
+        self.sweep.dist(v)
     }
 
     /// `Σ W` along the canonical path to `v` in the last run, once `v` is
@@ -405,7 +287,7 @@ impl CanonicalScratch {
     /// Searched vertices reached by the last run, in non-decreasing depth
     /// order (the source first in a from-source run).
     pub fn visited(&self) -> &[VertexId] {
-        &self.order
+        self.sweep.visited()
     }
 
     /// The canonical path from the source to `v`, or `None` if `v` was not
@@ -439,7 +321,7 @@ impl CanonicalScratch {
     /// per reached non-source vertex) into `out`.
     pub fn collect_tree_edges(&self, out: &mut Vec<EdgeId>) {
         out.clear();
-        for &v in &self.order {
+        for &v in self.sweep.visited() {
             if let Some((_, e)) = self.parent[v.index()] {
                 out.push(e);
             }

@@ -1,21 +1,16 @@
-//! Preorder Euler intervals over a parent-pointer tree row.
+//! Preorder Euler intervals over a parent-pointer tree row: the one tree
+//! order of the construction and of the query engine.
 //!
-//! The incremental post-failure row repair of the query engine rests on one
-//! structural fact (Parter–Peleg 2013): a fault can only change the distance
-//! of vertices whose canonical shortest path *uses* the failed element —
-//! i.e. the descendants, in the fault-free BFS tree, of the failed tree
-//! edge's child endpoint (or of the failed vertex). [`EulerTourIndex`] makes
-//! that affected set addressable in `O(1)`: it assigns every tree vertex a
-//! preorder number `tin` such that the subtree of `v` is exactly the
-//! contiguous range `tin(v) .. tout(v)` of the preorder sequence, which the
-//! index also materialises as the [`EulerTourIndex::order`] array.
-//!
-//! Unlike [`TreeIndex`](crate::TreeIndex), which is built from a
-//! [`ShortestPathTree`](ftb_sp::ShortestPathTree) and answers LCA queries,
-//! this index is built straight from a *parent row* — the
-//! `Option<(parent, edge)>` per vertex that a BFS sweep leaves behind — so a
-//! serving engine can index the trees of its preprocessed fault-free rows
-//! without rebuilding any tree object.
+//! A fault changes distances only inside the subtree it cuts off
+//! (Parter–Peleg 2013). [`EulerTourIndex`] numbers the tree in preorder,
+//! children in ascending vertex id, so the subtree of `v` is the contiguous
+//! range `tin(v) .. tout(v)` of the preorder sequence
+//! [`EulerTourIndex::order`]. It is built straight from a *parent row*, so
+//! [`ShortestPathTree`](crate::ShortestPathTree) indexes `T0` with it (the
+//! layout of every replacement row, `Pcons` slot and pair id), the query
+//! engine indexes each served source's fault-free row with it, and
+//! [`BoundarySweep`](crate::BoundarySweep) enumerates its regions as slices
+//! of it.
 
 use ftb_graph::VertexId;
 

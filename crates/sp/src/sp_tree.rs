@@ -1,8 +1,10 @@
 //! The BFS tree `T0 = ⋃_v π(s, v)` of unique shortest paths.
 
 use crate::canonical::CanonicalScratch;
+use crate::euler::EulerTourIndex;
 use crate::path::Path;
 use crate::weights::TieBreakWeights;
+use crate::UNREACHABLE;
 use ftb_graph::{BitSet, EdgeId, Graph, VertexId};
 
 /// The shortest-path (BFS) tree rooted at a source under the tie-breaking
@@ -10,24 +12,22 @@ use ftb_graph::{BitSet, EdgeId, Graph, VertexId};
 ///
 /// For every vertex `v` reachable from the source, `π(s, v)` — the unique
 /// canonical shortest path — is the tree path from the source to `v`. The
-/// tree caches parent pointers, hop depths, `Σ`-tie sums, children lists, a
-/// preorder numbering with subtree sizes and the set of tree edge ids, which
-/// the replacement-path and FT-BFS layers query heavily.
+/// tree caches parent pointers, hop depths, `Σ`-tie sums, children lists, its
+/// [`EulerTourIndex`] (preorder numbering and subtree intervals) and the set
+/// of tree edge ids, which the replacement-path and FT-BFS layers query
+/// heavily.
 #[derive(Clone, Debug)]
 pub struct ShortestPathTree {
     source: VertexId,
     parent: Vec<Option<(VertexId, EdgeId)>>,
-    depth: Vec<Option<u32>>,
+    /// Hop depth per vertex ([`UNREACHABLE`] if unreachable).
+    depth: Vec<u32>,
     /// `Σ W` along `π(s, v)`: the tie key a subtree-bounded search seeds
     /// its boundary with.
     tie: Vec<u64>,
     children: Vec<Vec<VertexId>>,
-    /// Preorder index of each reachable vertex (children in id order);
-    /// `u32::MAX` for unreachable vertices.
-    preorder: Vec<u32>,
-    /// Number of vertices in each reachable vertex's subtree (itself
-    /// included); 0 for unreachable vertices.
-    subtree_size: Vec<u32>,
+    /// Preorder numbering (children in id order) and subtree intervals.
+    euler: EulerTourIndex,
     tree_edges: Vec<EdgeId>,
     tree_edge_set: BitSet,
     /// For each tree edge (indexed by `EdgeId`), the child endpoint (the
@@ -40,21 +40,21 @@ impl ShortestPathTree {
     ///
     /// One [`CanonicalScratch`] run yields every vertex's canonical parent
     /// and tie sum; the per-vertex tables, the children lists and the
-    /// tree-edge list are then filled in vertex-id order, and one iterative
-    /// DFS numbers the vertices in preorder.
+    /// tree-edge list are then filled in vertex-id order, and the parent row
+    /// is indexed in preorder ([`EulerTourIndex::from_parents`]).
     pub fn build(graph: &Graph, weights: &TieBreakWeights, source: VertexId) -> Self {
         let n = graph.num_vertices();
         let mut search = CanonicalScratch::new(n);
         search.run(graph, weights, source, &[]);
         let mut parent = vec![None; n];
-        let mut depth = vec![None; n];
+        let mut depth = vec![UNREACHABLE; n];
         let mut tie = vec![0; n];
         let mut children: Vec<Vec<VertexId>> = vec![Vec::new(); n];
         let mut tree_edges = Vec::new();
         let mut tree_edge_set = BitSet::new(graph.num_edges());
         let mut child_of_edge = vec![None; graph.num_edges()];
         for v in graph.vertices() {
-            depth[v.index()] = search.dist(v);
+            depth[v.index()] = search.dist(v).unwrap_or(UNREACHABLE);
             tie[v.index()] = search.tie(v);
             if let Some((p, e)) = search.parent(v) {
                 parent[v.index()] = Some((p, e));
@@ -64,15 +64,14 @@ impl ShortestPathTree {
                 child_of_edge[e.index()] = Some(v);
             }
         }
-        let (preorder, subtree_size) = number_preorder(&children, &parent, source);
+        let euler = EulerTourIndex::from_parents(source, &parent);
         ShortestPathTree {
             source,
             parent,
             depth,
             tie,
             children,
-            preorder,
-            subtree_size,
+            euler,
             tree_edges,
             tree_edge_set,
             child_of_edge,
@@ -97,12 +96,19 @@ impl ShortestPathTree {
 
     /// Hop depth of `v` (`dist(s, v, G)`), if reachable.
     pub fn depth(&self, v: VertexId) -> Option<u32> {
-        self.depth[v.index()]
+        let d = self.depth[v.index()];
+        (d != UNREACHABLE).then_some(d)
+    }
+
+    /// Hop depth per vertex, [`UNREACHABLE`] for unreachable ones: the
+    /// fault-free depths a subtree-bounded search writes its boundary at.
+    pub(crate) fn depth_row(&self) -> &[u32] {
+        &self.depth
     }
 
     /// `true` if `v` is reachable from the source.
     pub fn is_reachable(&self, v: VertexId) -> bool {
-        self.depth[v.index()].is_some()
+        self.depth[v.index()] != UNREACHABLE
     }
 
     /// `Σ W` along `π(s, v)` (0 for the source and unreachable vertices):
@@ -117,27 +123,33 @@ impl ShortestPathTree {
         &self.children[v.index()]
     }
 
+    /// The tree's preorder index: the numbering every replacement row,
+    /// `Pcons` slot and pair id is laid out in, and the subtree intervals
+    /// the interference split and the boundary-seeded sweep read.
+    #[inline]
+    pub fn euler(&self) -> &EulerTourIndex {
+        &self.euler
+    }
+
     /// Preorder index of `v` (children visited in vertex-id order), if `v`
     /// is reachable. The subtree of `r` is the preorder range
     /// `preorder(r) .. preorder(r) + subtree_size(r)`.
     #[inline]
     pub fn preorder(&self, v: VertexId) -> Option<u32> {
-        let p = self.preorder[v.index()];
-        (p != u32::MAX).then_some(p)
+        self.euler.preorder(v)
     }
 
     /// Number of vertices in the subtree of `v`, `v` included (0 if `v` is
     /// unreachable).
     #[inline]
     pub fn subtree_size(&self, v: VertexId) -> usize {
-        self.subtree_size[v.index()] as usize
+        self.euler.subtree_size(v)
     }
 
     /// `true` if `v` lies in the subtree of `root` (`v == root` included).
     #[inline]
     pub fn in_subtree(&self, root: VertexId, v: VertexId) -> bool {
-        self.preorder[v.index()].wrapping_sub(self.preorder[root.index()])
-            < self.subtree_size[root.index()]
+        self.euler.is_ancestor(root, v)
     }
 
     /// The tree edges (one per non-root reachable vertex).
@@ -171,12 +183,12 @@ impl ShortestPathTree {
 
     /// Number of reachable vertices (including the source).
     pub fn num_reachable(&self) -> usize {
-        self.depth.iter().filter(|d| d.is_some()).count()
+        self.euler.tree_size()
     }
 
     /// Extract `π(s, v)` as a concrete path, if `v` is reachable.
     pub fn path_to(&self, v: VertexId) -> Option<Path> {
-        self.depth[v.index()]?;
+        self.depth(v)?;
         let mut vertices = vec![v];
         let mut edges = Vec::new();
         let mut cur = v;
@@ -221,33 +233,6 @@ impl ShortestPathTree {
         vs.sort_by_key(|v| self.depth(*v).unwrap());
         vs
     }
-}
-
-/// Preorder indices and subtree sizes of the tree given by `children`
-/// (and its inverse `parent`), numbered by an iterative DFS from `source`.
-fn number_preorder(
-    children: &[Vec<VertexId>],
-    parent: &[Option<(VertexId, EdgeId)>],
-    source: VertexId,
-) -> (Vec<u32>, Vec<u32>) {
-    let n = children.len();
-    let mut preorder = vec![u32::MAX; n];
-    let mut subtree_size = vec![0u32; n];
-    let mut order = Vec::with_capacity(n);
-    let mut stack = vec![source];
-    while let Some(v) = stack.pop() {
-        preorder[v.index()] = order.len() as u32;
-        order.push(v);
-        stack.extend(children[v.index()].iter().rev());
-    }
-    // A child comes after its parent in preorder: accumulate bottom-up.
-    for &v in order.iter().rev() {
-        subtree_size[v.index()] += 1;
-        if let Some((p, _)) = parent[v.index()] {
-            subtree_size[p.index()] += subtree_size[v.index()];
-        }
-    }
-    (preorder, subtree_size)
 }
 
 /// Iterator over `(vertex, parent_edge)` pairs walking up to the root.

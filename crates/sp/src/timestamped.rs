@@ -8,8 +8,8 @@
 //! reset is then a single counter increment instead of an `O(n)` fill.
 //!
 //! [`TimestampedVector`] is the safe-Rust variant of that idiom used by the
-//! query engine's per-context sweep scratch and by the incremental row
-//! repair's affected-set marks.
+//! query engine's full-sweep scratch, its target-restricted sweep's target
+//! marks and the interference scans' visit marks.
 
 /// A `Vec<T>` whose `clear` is `O(1)`: each slot is valid only if its epoch
 /// stamp matches the vector's current epoch; stale slots read as the default.

@@ -80,16 +80,6 @@ impl HeavyPathDecomposition {
             .map(|e| e.index() + 1)
             .max()
             .unwrap_or(0);
-        // subtree sizes via reverse depth order
-        let mut size = vec![0usize; n];
-        let order = tree.vertices_by_depth();
-        for &v in order.iter().rev() {
-            size[v.index()] = 1 + tree
-                .children(v)
-                .iter()
-                .map(|c| size[c.index()])
-                .sum::<usize>();
-        }
 
         let mut paths: Vec<TreePath> = Vec::new();
         let mut path_of_vertex = vec![usize::MAX; n];
@@ -112,7 +102,7 @@ impl HeavyPathDecomposition {
                     .children(cur)
                     .iter()
                     .copied()
-                    .max_by_key(|c| size[c.index()]);
+                    .max_by_key(|&c| tree.subtree_size(c));
                 match heavy {
                     Some(next) => {
                         let (_, e) = tree.parent(next).expect("child has a parent edge");
@@ -134,9 +124,6 @@ impl HeavyPathDecomposition {
                 path_of_vertex[v.index()] = id;
             }
             for &e in &edges {
-                if e.index() >= path_of_edge.len() {
-                    path_of_edge.resize(e.index() + 1, None);
-                }
                 path_of_edge[e.index()] = Some(id);
             }
             paths.push(TreePath {
@@ -148,18 +135,10 @@ impl HeavyPathDecomposition {
         }
 
         // Glue edges: tree edges not on any path.
-        let max_edge = tree
-            .tree_edges()
-            .iter()
-            .map(|e| e.index() + 1)
-            .max()
-            .unwrap_or(0)
-            .max(path_of_edge.len());
-        let mut glue_edge_set = BitSet::new(max_edge);
+        let mut glue_edge_set = BitSet::new(num_edges_bound);
         let mut glue_edges = Vec::new();
         for &e in tree.tree_edges() {
-            let on_path = path_of_edge.get(e.index()).copied().flatten().is_some();
-            if !on_path {
+            if path_of_edge[e.index()].is_none() {
                 glue_edges.push(e);
                 glue_edge_set.insert(e.index());
             }

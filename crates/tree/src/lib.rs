@@ -1,30 +1,36 @@
 //! Rooted-tree utilities on the BFS tree `T0`.
 //!
-//! The Phase S2 machinery of the paper needs three tree-structural tools:
+//! The Phase S2 machinery of the paper needs two tree-structural tools
+//! beyond the preorder index [`EulerTourIndex`](ftb_sp::EulerTourIndex) that
+//! every [`ShortestPathTree`](ftb_sp::ShortestPathTree) carries (ancestor
+//! tests, and with them the `∼` relation between failing edges, are interval
+//! tests on it):
 //!
-//! * ancestor tests and least common ancestors on `T0` (used to define the
-//!   `∼` relation between failing edges and to reason about detours) —
-//!   [`TreeIndex`],
 //! * the Sleator–Tarjan / Baswana–Khanna *heavy-path decomposition* of `T0`
 //!   (Fact 3.3 / Fact 4.1) — [`HeavyPathDecomposition`],
 //! * the exponential decomposition of each shortest path `π(s, v)` into
 //!   `O(log n)` subsegments of geometrically decreasing length (Eq. 5) —
 //!   [`SegmentDecomposition`].
-//!
-//! The serving side adds a fourth tool: [`EulerTourIndex`], preorder
-//! subtree intervals built straight from a BFS parent row, which the query
-//! engine uses to address the *affected set* of a fault in `O(1)` for its
-//! incremental post-failure row repair.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod euler;
 pub mod hld;
-pub mod index;
 pub mod segments;
 
-pub use euler::EulerTourIndex;
 pub use hld::{HeavyPathDecomposition, TreePath};
-pub use index::TreeIndex;
 pub use segments::SegmentDecomposition;
+
+/// A data-free handle for callers that pass a tree index to
+/// `InterferenceIndex::build`. Ancestor tests are interval tests on
+/// [`ShortestPathTree::euler`](ftb_sp::ShortestPathTree::euler); no
+/// production code needs least common ancestors.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TreeIndex;
+
+impl TreeIndex {
+    /// The handle for `tree` (no work, no allocation).
+    pub fn build(_tree: &ftb_sp::ShortestPathTree) -> Self {
+        TreeIndex
+    }
+}

@@ -18,9 +18,10 @@
 use ftbfs::graph::{enumerate_fault_sets, Fault, FaultSet, VertexId};
 use ftbfs::workloads::{FaultScenario, Workload, WorkloadFamily};
 use ftbfs::{
-    AugmentCoverage, BuildConfig, EngineCore, EngineOptions, FtBfsAugmenter, QueryContext, Sources,
-    StructureBuilder, TradeoffBuilder,
+    dist_after_faults_brute, AugmentCoverage, BuildConfig, EngineCore, EngineOptions,
+    FtBfsAugmenter, QueryContext, Sources, StructureBuilder, TradeoffBuilder,
 };
+use std::collections::HashSet;
 
 /// The "repaired" side of every comparison pins the repair path **on**
 /// explicitly, so this differential suite keeps testing repair-vs-full even
@@ -381,4 +382,102 @@ fn affected_vertex_count_matches_tree_structure() {
     assert!(core
         .affected_vertex_count(VertexId(3), &FaultSet::from(e23))
         .is_err());
+}
+
+/// Exactness at the end-to-end benchmark's size: SingleFault-augmented
+/// builds of its two graphs (erdos-renyi and layered-deep, n = 2000, seed
+/// 7) under ~300 seeded fault sets, split like its miss stream across
+/// tree-edge f=1, vertex f=1 and tree-edge f=2. Each set is asked as
+/// one-target `DistMany` queries on vertices it moved (the target-restricted
+/// sweep), then as one `DistMany` over every target (the row repair); the
+/// distances must equal brute-force BFS on `G ∖ F`, and every vertex's path
+/// must equal a forced-full-sweep engine's.
+///
+/// Too slow for the debug test run; CI runs it in release:
+/// `cargo test --release --test row_repair -- --ignored`.
+#[test]
+#[ignore]
+fn benchmark_size_builds_answer_exactly() {
+    const PER_KIND: usize = 100;
+    for family in [WorkloadFamily::ErdosRenyi, WorkloadFamily::LayeredDeep] {
+        let w = Workload::new(family, 2000, 7);
+        let (name, graph) = (w.label(), w.generate());
+        let s = VertexId(0);
+        let config = BuildConfig::new(0.3)
+            .with_seed(7)
+            .with_augment(AugmentCoverage::SingleFault);
+        let structure = TradeoffBuilder::from_config(config.clone())
+            .build(&graph, &Sources::single(s))
+            .expect("valid input");
+        let augmented = FtBfsAugmenter::from_build_config(&config)
+            .augment(&graph, structure)
+            .expect("matching graph");
+        let (repaired, mut rctx) = side(
+            EngineCore::build_augmented_with(&graph, augmented.clone(), repaired_options())
+                .expect("matching graph"),
+        );
+        let (full, mut fctx) = side(
+            EngineCore::build_augmented_with(
+                &graph,
+                augmented,
+                EngineOptions::new().serial().with_force_full_sweep(true),
+            )
+            .expect("matching graph"),
+        );
+        let mut seen = HashSet::new();
+        let kinds = [
+            (FaultScenario::TreeConcentrated, 1),
+            (FaultScenario::CorrelatedVertices, 1),
+            (FaultScenario::TreeConcentrated, 2),
+        ];
+        let mut sets: Vec<FaultSet> = Vec::new();
+        for (scenario, f) in kinds {
+            let drawn = scenario.generate(&graph, s, f, 4 * PER_KIND, SEED);
+            sets.extend(
+                drawn
+                    .into_iter()
+                    .filter(|set| set.len() == f && seen.insert(set.clone()))
+                    .take(PER_KIND),
+            );
+        }
+        assert_eq!(sets.len(), 3 * PER_KIND, "{name}: too few distinct sets");
+        let all: Vec<VertexId> = graph.vertices().collect();
+        for faults in &sets {
+            let brute: Vec<Option<u32>> = dist_after_faults_brute(&graph, s, faults)
+                .into_iter()
+                .map(|d| (d != u32::MAX).then_some(d))
+                .collect();
+            let moved = all
+                .iter()
+                .filter(|v| brute[v.index()] != repaired.fault_free_dist(s, **v).expect("in range"))
+                .take(4);
+            for &v in moved {
+                let one = rctx
+                    .dist_many_after_faults(&repaired, &[v], faults)
+                    .expect("in range");
+                assert_eq!(
+                    one,
+                    [brute[v.index()]],
+                    "{name}: dist({v:?}) under {faults}"
+                );
+            }
+            let many = rctx
+                .dist_many_after_faults(&repaired, &all, faults)
+                .expect("in range");
+            assert_eq!(many, brute, "{name}: DistMany under {faults}");
+            for &v in &all {
+                let p_rep = rctx
+                    .path_after_faults(&repaired, v, faults)
+                    .expect("in range");
+                let p_full = fctx.path_after_faults(&full, v, faults).expect("in range");
+                assert_eq!(p_rep, p_full, "{name}: path({v:?}) under {faults}");
+            }
+        }
+        let stats = rctx.stats();
+        assert!(
+            stats.restricted_repairs > 0,
+            "{name}: no restricted sweep ran"
+        );
+        assert!(stats.repaired_rows > 0, "{name}: no row repair ran");
+    }
 }
