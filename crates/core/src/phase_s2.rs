@@ -58,19 +58,16 @@ pub fn run_phase_s2(
         }
     }
 
-    // Sub-phases S2.2 / S2.3, per (∼)-set.
+    // Sub-phases S2.2 / S2.3, per (∼)-set. A terminal's pairs have
+    // consecutive ids, so sorting the set groups it by terminal.
+    let mut pairs: Vec<PairId> = Vec::new();
     for sim_set in sim_sets {
         outcome.sim_sets_processed += 1;
-        // Group the set's pairs by terminal.
-        let mut by_terminal: HashMap<VertexId, Vec<PairId>> = HashMap::new();
-        for &p in sim_set {
-            by_terminal
-                .entry(rp.get(p).pair.terminal)
-                .or_default()
-                .push(p);
-        }
-        for (v, pairs) in by_terminal {
-            outcome.added += cover_terminal(rp, tree, hld, budget, v, &pairs, h);
+        pairs.clone_from(sim_set);
+        pairs.sort_unstable();
+        let terminal = |p: PairId| rp.get(p).pair.terminal;
+        for group in pairs.chunk_by(|&p, &q| terminal(p) == terminal(q)) {
+            outcome.added += cover_terminal(rp, tree, hld, budget, terminal(group[0]), group, h);
         }
     }
     outcome

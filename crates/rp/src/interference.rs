@@ -24,9 +24,15 @@
 //! [`ReplacementPaths::uncovered`] order. Two pairs interfere exactly when
 //! they appear in a common list, so the `(≁)`-partners of `p` are the pairs
 //! of `p`'s interior lists with another terminal and a failing edge not
-//! `∼`-related to `p`'s. Both tests read per-pair arrays: the terminal, and
-//! the Euler preorder interval of the failing edge's child endpoint (`e ∼ e'`
-//! iff one interval contains the other's start).
+//! `∼`-related to `p`'s. Both tests read the pair's record (the terminal)
+//! and an array of the Euler preorder interval of the failing edge's child
+//! endpoint (`e ∼ e'` iff one interval contains the other's start).
+//!
+//! Only uncovered pairs are ever read, so every per-pair array, the scan
+//! marks included, is indexed by the pair's position in
+//! [`ReplacementPaths::uncovered`] (its *rank*), not by its pair id: the
+//! CSR holds ranks, and the public methods translate pair ids at their
+//! boundary.
 //!
 //! No query needs the whole partner set, only whether one with some
 //! property exists, so every scan stops at its **first witness**: a pair is
@@ -54,20 +60,20 @@ use ftb_sp::{ShortestPathTree, TimestampedVector};
 use ftb_tree::TreeIndex;
 
 /// Index over the detours of the uncovered pairs, answering the `I1`/`I2`
-/// split and the A/B/C classification (see the module docs).
+/// split and the A/B/C classification (see the module docs). A *rank* is a
+/// pair's position in [`ReplacementPaths::uncovered`].
 pub struct InterferenceIndex<'a> {
     rp: &'a ReplacementPaths,
-    /// CSR row starts: the pairs whose detour interior holds vertex `z` are
-    /// `ids[offsets[z] .. offsets[z + 1]]`.
+    /// CSR row starts: the ranks of the pairs whose detour interior holds
+    /// vertex `z` are `ids[offsets[z] .. offsets[z + 1]]`.
     offsets: Vec<u32>,
     ids: Vec<u32>,
-    /// Terminal vertex of every pair.
-    terminal: Vec<u32>,
-    /// Preorder number of every pair's terminal.
+    /// Preorder number of every uncovered pair's terminal, by rank.
     terminal_pre: Vec<u32>,
-    /// Preorder subtree interval of every pair's failing-edge child endpoint.
+    /// Preorder subtree interval of every uncovered pair's failing-edge
+    /// child endpoint, by rank.
     edge_span: Vec<(u32, u32)>,
-    /// CSR row starts of the π-intersection intervals per pair.
+    /// CSR row starts of the π-intersection intervals, by rank.
     pi_offsets: Vec<u32>,
     /// Sorted, disjoint preorder intervals of the detour vertices that are
     /// not ancestors of the pair's terminal.
@@ -104,10 +110,11 @@ impl<'a> InterferenceIndex<'a> {
             let r = euler.subtree(v);
             (r.start as u32, r.end as u32)
         };
+        let uncovered = rp.uncovered();
 
         let mut offsets = vec![0u32; n + 1];
-        for &p in rp.uncovered() {
-            for z in rp.get(p).detour_interior() {
+        for i in 0..uncovered.len() {
+            for z in rp.detour_interior_at(i) {
                 offsets[z.index() + 1] += 1;
             }
         }
@@ -116,35 +123,32 @@ impl<'a> InterferenceIndex<'a> {
         }
         let mut cursor = offsets.clone();
         let mut ids = vec![0u32; offsets[n] as usize];
-        for &p in rp.uncovered() {
-            for z in rp.get(p).detour_interior() {
-                ids[cursor[z.index()] as usize] = p as u32;
+        for i in 0..uncovered.len() {
+            for z in rp.detour_interior_at(i) {
+                ids[cursor[z.index()] as usize] = i as u32;
                 cursor[z.index()] += 1;
             }
         }
 
-        let pairs = rp.all();
-        let terminal = pairs.iter().map(|r| r.pair.terminal.0).collect();
-        let terminal_pre = pairs
-            .iter()
+        let records = || uncovered.iter().map(|&p| rp.get(p));
+        let terminal_pre = records()
             .map(|r| euler.preorder(r.pair.terminal).unwrap_or(u32::MAX))
             .collect();
-        let edge_span = pairs
-            .iter()
+        let edge_span = records()
             .map(|r| {
                 tree.child_endpoint(r.pair.failing_edge)
                     .map_or((0, 0), span)
             })
             .collect();
-        let mut pi_offsets = Vec::with_capacity(pairs.len() + 1);
+        let mut pi_offsets = Vec::with_capacity(uncovered.len() + 1);
         let mut pi_spans: Vec<(u32, u32)> = Vec::new();
         let mut spans = Vec::new();
         pi_offsets.push(0u32);
-        for r in pairs {
+        for (i, r) in records().enumerate() {
             let v = r.pair.terminal;
             spans.clear();
             spans.extend(
-                r.detour_vertices()
+                rp.detour_at(i)
                     .iter()
                     .filter(|&&z| euler.in_tree(z) && !euler.is_ancestor(z, v))
                     .map(|&z| span(z)),
@@ -165,7 +169,6 @@ impl<'a> InterferenceIndex<'a> {
             rp,
             offsets,
             ids,
-            terminal,
             terminal_pre,
             edge_span,
             pi_offsets,
@@ -175,54 +178,73 @@ impl<'a> InterferenceIndex<'a> {
 
     fn scan(&self) -> Scan {
         Scan {
-            seen: TimestampedVector::new(self.terminal.len(), false),
+            seen: TimestampedVector::new(self.edge_span.len(), false),
             pi_memo: TimestampedVector::new(self.offsets.len() - 1, false),
         }
     }
 
-    /// Membership marks of `subset`, indexed by pair id.
-    fn members(&self, subset: &[PairId]) -> Vec<bool> {
-        let mut marks = vec![false; self.terminal.len()];
-        for &p in subset {
-            marks[p] = true;
+    /// The rank of uncovered pair `p`.
+    fn rank(&self, p: PairId) -> usize {
+        self.rp
+            .uncovered()
+            .binary_search(&p)
+            .expect("an uncovered pair")
+    }
+
+    /// The ranks of `subset`, in its order.
+    fn ranks(&self, subset: &[PairId]) -> Vec<usize> {
+        subset.iter().map(|&p| self.rank(p)).collect()
+    }
+
+    /// Membership marks of `ranks`, indexed by rank.
+    fn members(&self, ranks: &[usize]) -> Vec<bool> {
+        let mut marks = vec![false; self.edge_span.len()];
+        for &i in ranks {
+            marks[i] = true;
         }
         marks
     }
 
+    /// The terminal of the uncovered pair of rank `i`.
+    fn terminal(&self, i: usize) -> VertexId {
+        self.rp.get(self.rp.uncovered()[i]).pair.terminal
+    }
+
     /// The paper's `∼` relation on the failing edges of two pairs.
-    fn edges_related(&self, p: PairId, q: PairId) -> bool {
+    fn edges_related(&self, p: usize, q: usize) -> bool {
         let (a, b) = (self.edge_span[p], self.edge_span[q]);
         (a.0 <= b.0 && b.0 < a.1) || (b.0 <= a.0 && a.0 < b.1)
     }
 
     /// π-intersection (Fig. 2) of `p` with the tree path of `q`'s terminal.
-    fn pi_intersects(&self, p: PairId, q: PairId) -> bool {
+    fn pi_intersects(&self, p: usize, q: usize) -> bool {
         let t = self.terminal_pre[q];
         let row = &self.pi_spans[self.pi_offsets[p] as usize..self.pi_offsets[p + 1] as usize];
         let i = row.partition_point(|&(lo, _)| lo <= t);
         i > 0 && t < row[i - 1].1
     }
 
-    /// Visit the distinct `(≁)`-interference partners of `p` until `accept`
-    /// returns `true` for one of them; returns whether it did.
+    /// Visit the distinct `(≁)`-interference partners of the pair of rank
+    /// `p` until `accept` returns `true` for one of them; returns whether it
+    /// did.
     fn find_partner(
         &self,
         seen: &mut TimestampedVector<bool>,
-        p: PairId,
-        mut accept: impl FnMut(PairId) -> bool,
+        p: usize,
+        mut accept: impl FnMut(usize) -> bool,
     ) -> bool {
         seen.reset();
-        let terminal = self.terminal[p];
-        for z in self.rp.get(p).detour_interior() {
+        let terminal = self.terminal(p);
+        for z in self.rp.detour_interior_at(p) {
             let row =
                 &self.ids[self.offsets[z.index()] as usize..self.offsets[z.index() + 1] as usize];
             for &q in row {
-                let q = q as PairId;
+                let q = q as usize;
                 if seen.is_set(q) {
                     continue;
                 }
                 seen.set(q, true);
-                if q == p || self.terminal[q] == terminal || self.edges_related(p, q) {
+                if q == p || self.terminal(q) == terminal || self.edges_related(p, q) {
                     continue;
                 }
                 if accept(q) {
@@ -238,10 +260,15 @@ impl<'a> InterferenceIndex<'a> {
     /// rest, which by construction is a `(∼)`-set).
     pub fn split_i1_i2(&self) -> (Vec<PairId>, Vec<PairId>) {
         let mut scan = self.scan();
-        self.rp
-            .uncovered()
-            .iter()
-            .partition(|&&p| self.find_partner(&mut scan.seen, p, |_| true))
+        let (mut i1, mut i2) = (Vec::new(), Vec::new());
+        for (i, &p) in self.rp.uncovered().iter().enumerate() {
+            if self.find_partner(&mut scan.seen, i, |_| true) {
+                i1.push(p);
+            } else {
+                i2.push(p);
+            }
+        }
+        (i1, i2)
     }
 
     /// Classify each pair of `subset` into type A, B or C with respect to the
@@ -253,15 +280,16 @@ impl<'a> InterferenceIndex<'a> {
         subset: &[PairId],
         parallel: &ParallelConfig,
     ) -> (Vec<PairId>, Vec<PairId>, Vec<PairId>) {
-        let in_subset = self.members(subset);
+        let ranks = self.ranks(subset);
+        let in_subset = self.members(&ranks);
 
         // Type A (Eq. 2), recording on the way whether any partner exists.
         let scan_a = parallel_map_init(
             parallel,
-            subset.len(),
+            ranks.len(),
             || self.scan(),
             |scan, i| {
-                let p = subset[i];
+                let p = ranks[i];
                 let Scan { seen, pi_memo } = scan;
                 pi_memo.reset();
                 let mut partner = false;
@@ -270,7 +298,7 @@ impl<'a> InterferenceIndex<'a> {
                         return false;
                     }
                     partner = true;
-                    let t = self.terminal[q] as usize;
+                    let t = self.terminal(q).index();
                     if !pi_memo.is_set(t) {
                         pi_memo.set(t, self.pi_intersects(p, q));
                     }
@@ -284,7 +312,7 @@ impl<'a> InterferenceIndex<'a> {
             },
         );
         let mut non_a = in_subset;
-        for (&p, &s) in subset.iter().zip(&scan_a) {
+        for (&p, &s) in ranks.iter().zip(&scan_a) {
             if s == ScanA::A {
                 non_a[p] = false;
             }
@@ -293,11 +321,11 @@ impl<'a> InterferenceIndex<'a> {
         // Type B (Eq. 3): not A, and (≁)-interferes with a non-A subset pair.
         let is_b = parallel_map_init(
             parallel,
-            subset.len(),
+            ranks.len(),
             || self.scan(),
             |scan, i| {
                 scan_a[i] == ScanA::Partner
-                    && self.find_partner(&mut scan.seen, subset[i], |q| non_a[q])
+                    && self.find_partner(&mut scan.seen, ranks[i], |q| non_a[q])
             },
         );
 
@@ -315,9 +343,10 @@ impl<'a> InterferenceIndex<'a> {
     /// `true` if `subset` is a `(∼)`-set: no two of its pairs
     /// `(≁)`-interfere.
     pub fn is_sim_set(&self, subset: &[PairId]) -> bool {
-        let in_subset = self.members(subset);
+        let ranks = self.ranks(subset);
+        let in_subset = self.members(&ranks);
         let mut scan = self.scan();
-        !subset
+        !ranks
             .iter()
             .any(|&p| self.find_partner(&mut scan.seen, p, |q| in_subset[q]))
     }

@@ -158,7 +158,7 @@ impl<'a> OracleIndex<'a> {
     ) -> Self {
         let mut interior_map: HashMap<VertexId, Vec<PairId>> = HashMap::new();
         for &id in rp.uncovered() {
-            for &z in rp.get(id).detour_interior() {
+            for &z in rp.detour_interior(id) {
                 interior_map.entry(z).or_default().push(id);
             }
         }
@@ -183,8 +183,11 @@ impl<'a> OracleIndex<'a> {
         if a.pair.terminal == b.pair.terminal {
             return false;
         }
-        let long_set: HashSet<VertexId> = b.detour_interior().iter().copied().collect();
-        a.detour_interior().iter().any(|z| long_set.contains(z))
+        let long_set: HashSet<VertexId> = self.rp.detour_interior(q).iter().copied().collect();
+        self.rp
+            .detour_interior(p)
+            .iter()
+            .any(|z| long_set.contains(z))
     }
 
     /// `(≁)`-interference: [`Self::interferes`] and the failing edges are not
@@ -205,7 +208,7 @@ impl<'a> OracleIndex<'a> {
         let mut out = Vec::new();
         let mut seen = HashSet::new();
         let a = self.rp.get(p);
-        for z in a.detour_interior() {
+        for z in self.rp.detour_interior(p) {
             let Some(candidates) = self.interior_map.get(z) else {
                 continue;
             };
@@ -238,7 +241,7 @@ impl<'a> OracleIndex<'a> {
             return false;
         };
         let l_depth = self.index.depth(l);
-        a.detour_vertices().iter().any(|&z| {
+        self.rp.detour_vertices(p).iter().any(|&z| {
             self.index.in_tree(z) && self.index.depth(z) > l_depth && self.index.is_ancestor(z, t)
         })
     }
@@ -489,7 +492,7 @@ mod tests {
                 let expected = pi_t
                     .iter()
                     .filter(|&&z| f.index.depth(z) > f.index.depth(l))
-                    .any(|z| a.detour_vertices().contains(z));
+                    .any(|z| f.rp.detour_vertices(p).contains(z));
                 assert_eq!(idx.pi_intersects(p, q), expected);
             }
         }

@@ -7,9 +7,10 @@
 //! exactly.
 
 use crate::pair::{ReplacementPath, VePair};
-use crate::pcons::new_ending;
 use ftb_graph::{EdgeMask, Graph, SubgraphView, VertexId, VertexMask};
-use ftb_sp::{LexSearch, ReplacementDistances, ShortestPathTree, TieBreakWeights, UNREACHABLE};
+use ftb_sp::{
+    LexSearch, Path, ReplacementDistances, ShortestPathTree, TieBreakWeights, UNREACHABLE,
+};
 
 /// All replacement paths, terminal by terminal in the order
 /// [`ReplacementPaths::compute`](crate::ReplacementPaths::compute) uses.
@@ -27,7 +28,7 @@ pub(crate) fn lex_pcons(
 }
 
 /// The masked-view, heap-search Algorithm `Pcons` for one terminal.
-fn lex_pcons_for_terminal(
+pub(crate) fn lex_pcons_for_terminal(
     graph: &Graph,
     weights: &TieBreakWeights,
     tree: &ShortestPathTree,
@@ -149,6 +150,41 @@ fn lex_pcons_for_terminal(
     out
 }
 
+/// A new-ending replacement path with its divergence point computed.
+fn new_ending(
+    pair: VePair,
+    pi_vertices: &[VertexId],
+    path: Path,
+    failing_edge_depth: u32,
+    terminal_depth: u32,
+    tree: &ShortestPathTree,
+) -> ReplacementPath {
+    let last_edge = path.last_edge().expect("non-trivial path");
+    debug_assert!(
+        !tree.is_tree_edge(last_edge),
+        "step-1 failure implies a non-tree last edge"
+    );
+    // Divergence: longest common prefix with π(s, v).
+    let verts = path.vertices();
+    let mut d_idx = 0usize;
+    while d_idx + 1 < verts.len()
+        && d_idx + 1 < pi_vertices.len()
+        && verts[d_idx + 1] == pi_vertices[d_idx + 1]
+    {
+        d_idx += 1;
+    }
+    ReplacementPath {
+        pair,
+        divergence: Some(verts[d_idx]),
+        divergence_index: Some(d_idx),
+        path,
+        last_edge,
+        new_ending: true,
+        failing_edge_depth,
+        terminal_depth,
+    }
+}
+
 mod tests {
     use super::*;
     use crate::ReplacementPaths;
@@ -159,6 +195,15 @@ mod tests {
     use ftb_par::ParallelConfig;
     use ftb_workloads::{families, Workload, WorkloadFamily};
     use proptest::prelude::*;
+
+    /// Every production path, rebuilt from the pair store in id order.
+    fn rebuilt(
+        rp: &ReplacementPaths,
+        graph: &Graph,
+        tree: &ShortestPathTree,
+    ) -> Vec<ReplacementPath> {
+        (0..rp.len()).map(|p| rp.path(graph, tree, p)).collect()
+    }
 
     /// Production `Pcons` and the oracle, rendered field by field.
     fn both(graph: &Graph, seed: u64, source: VertexId) -> (String, String, usize) {
@@ -174,7 +219,7 @@ mod tests {
         );
         let oracle = lex_pcons(graph, &weights, &tree, &dists);
         (
-            format!("{:?}", fast.all()),
+            format!("{:?}", rebuilt(&fast, graph, &tree)),
             format!("{oracle:?}"),
             oracle.len(),
         )
@@ -234,7 +279,10 @@ mod tests {
                 &ParallelConfig::serial(),
             );
             let oracle = lex_pcons(&graph, &weights, &tree, &dists);
-            assert_eq!(format!("{:?}", fast.all()), format!("{oracle:?}"));
+            assert_eq!(
+                format!("{:?}", rebuilt(&fast, &graph, &tree)),
+                format!("{oracle:?}")
+            );
         }
     }
 

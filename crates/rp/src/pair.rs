@@ -1,4 +1,14 @@
-//! Vertex–edge pairs and their canonical replacement paths.
+//! Vertex–edge pairs, the record Algorithm `Pcons` keeps for each of them,
+//! and the full replacement path rebuilt on demand.
+//!
+//! Phases S1, S2 and the reinforcement read only `LastE(P)`, the depths of
+//! the failing edge and of the terminal and, for a new-ending pair, the
+//! detour `D(P)` (Observation 3.2). So the pair store
+//! ([`ReplacementPaths`](crate::ReplacementPaths)) keeps one fixed-size
+//! [`PairRecord`] per pair and the detours in one arena. A
+//! [`ReplacementPath`], which holds the whole `source → v` path, is built
+//! only when asked for, by
+//! [`ReplacementPaths::path`](crate::ReplacementPaths::path).
 
 use ftb_graph::{EdgeId, VertexId};
 use ftb_sp::Path;
@@ -16,8 +26,39 @@ pub struct VePair {
     pub failing_edge: EdgeId,
 }
 
+/// What Algorithm `Pcons` keeps for one pair `⟨v, e⟩`: the facts about its
+/// canonical replacement path `P_{v,e}` that the later phases read, in 32
+/// bytes and without the path itself.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PairRecord {
+    /// The pair this path protects.
+    pub pair: VePair,
+    /// `LastE(P)`: the last edge of the path.
+    pub last_edge: EdgeId,
+    /// `true` if the last edge is **not** a tree edge (the pair is then
+    /// *uncovered* in the paper's terminology).
+    pub new_ending: bool,
+    /// For new-ending paths, the unique divergence point `d(P)` from
+    /// `π(s, v)`; `None` for covered pairs.
+    pub divergence: Option<VertexId>,
+    /// Hop depth of the failing edge (`dist(s, e)` = depth of its child
+    /// endpoint in `T0`).
+    pub failing_edge_depth: u32,
+    /// Hop depth of the terminal (`dist(s, v, G)`).
+    pub terminal_depth: u32,
+}
+
+impl PairRecord {
+    /// Distance (in edges) between the failing edge and the terminal along
+    /// `π(s, v)` — the ordering key used by Phase S1's "deepest edges first"
+    /// rule (`dist(v, e, π(s,v))`).
+    pub fn edge_to_terminal_distance(&self) -> u32 {
+        self.terminal_depth - self.failing_edge_depth
+    }
+}
+
 /// The canonical replacement path `P_{v,e}` chosen by Algorithm `Pcons` for a
-/// pair `⟨v, e⟩`, together with the structural facts the later phases need.
+/// pair `⟨v, e⟩`, in full: the [`PairRecord`] facts plus the path.
 #[derive(Clone, Debug)]
 pub struct ReplacementPath {
     /// The pair this path protects.
@@ -27,106 +68,39 @@ pub struct ReplacementPath {
     pub path: Path,
     /// `LastE(P)`: the last edge of the path.
     pub last_edge: EdgeId,
-    /// `true` if the last edge is **not** a tree edge (the pair is then
-    /// *uncovered* in the paper's terminology).
+    /// `true` if the last edge is **not** a tree edge.
     pub new_ending: bool,
-    /// For new-ending paths, the unique divergence point `d(P)` from
-    /// `π(s, v)`; `None` for covered pairs.
+    /// For new-ending paths, the divergence point `d(P)`; `None` for
+    /// covered pairs.
     pub divergence: Option<VertexId>,
     /// For new-ending paths, the index of `d(P)` inside `path.vertices()`.
     pub divergence_index: Option<usize>,
-    /// Hop depth of the failing edge (`dist(s, e)` = depth of its child
-    /// endpoint in `T0`).
+    /// Hop depth of the failing edge.
     pub failing_edge_depth: u32,
-    /// Hop depth of the terminal (`dist(s, v, G)`).
+    /// Hop depth of the terminal.
     pub terminal_depth: u32,
-}
-
-impl ReplacementPath {
-    /// Distance (in edges) between the failing edge and the terminal along
-    /// `π(s, v)` — the ordering key used by Phase S1's "deepest edges first"
-    /// rule (`dist(v, e, π(s,v))`).
-    pub fn edge_to_terminal_distance(&self) -> u32 {
-        self.terminal_depth - self.failing_edge_depth
-    }
-
-    /// The detour `D(P) = P[d(P), v]` of a new-ending path: the suffix of the
-    /// path starting at the divergence point. Empty for covered pairs.
-    pub fn detour_vertices(&self) -> &[VertexId] {
-        match self.divergence_index {
-            Some(i) => &self.path.vertices()[i..],
-            None => &[],
-        }
-    }
-
-    /// The *internal* detour vertices: detour vertices excluding the
-    /// divergence point and the terminal.
-    pub fn detour_interior(&self) -> &[VertexId] {
-        let d = self.detour_vertices();
-        if d.len() <= 2 {
-            &[]
-        } else {
-            &d[1..d.len() - 1]
-        }
-    }
-
-    /// Length of the detour in edges (0 for covered pairs).
-    pub fn detour_len(&self) -> usize {
-        self.detour_vertices().len().saturating_sub(1)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn mk(
-        vertices: Vec<u32>,
-        div_idx: Option<usize>,
-        edge_depth: u32,
-        term_depth: u32,
-    ) -> ReplacementPath {
-        let vs: Vec<VertexId> = vertices.iter().map(|&v| VertexId(v)).collect();
-        let es: Vec<EdgeId> = (0..vs.len() - 1).map(|i| EdgeId(i as u32)).collect();
-        let last = *es.last().unwrap();
-        ReplacementPath {
+    #[test]
+    fn a_record_is_32_bytes_and_copy() {
+        assert!(std::mem::size_of::<PairRecord>() <= 32);
+        let r = PairRecord {
             pair: VePair {
-                terminal: *vs.last().unwrap(),
+                terminal: VertexId(5),
                 failing_edge: EdgeId(99),
             },
-            path: Path::new(vs.clone(), es),
-            last_edge: last,
-            new_ending: div_idx.is_some(),
-            divergence: div_idx.map(|i| vs[i]),
-            divergence_index: div_idx,
-            failing_edge_depth: edge_depth,
-            terminal_depth: term_depth,
-        }
-    }
-
-    #[test]
-    fn detour_accessors_for_new_ending_path() {
-        let p = mk(vec![0, 1, 2, 3, 4, 5], Some(2), 3, 5);
-        assert_eq!(p.detour_vertices().len(), 4);
-        assert_eq!(p.detour_vertices()[0], VertexId(2));
-        assert_eq!(p.detour_interior(), &[VertexId(3), VertexId(4)]);
-        assert_eq!(p.detour_len(), 3);
-        assert_eq!(p.edge_to_terminal_distance(), 2);
-    }
-
-    #[test]
-    fn covered_pairs_have_no_detour() {
-        let p = mk(vec![0, 1, 2], None, 1, 2);
-        assert!(p.detour_vertices().is_empty());
-        assert!(p.detour_interior().is_empty());
-        assert_eq!(p.detour_len(), 0);
-    }
-
-    #[test]
-    fn short_detours_have_empty_interior() {
-        let p = mk(vec![0, 1, 2, 3], Some(2), 2, 3);
-        assert_eq!(p.detour_vertices().len(), 2);
-        assert!(p.detour_interior().is_empty());
-        assert_eq!(p.detour_len(), 1);
+            last_edge: EdgeId(4),
+            new_ending: true,
+            divergence: Some(VertexId(2)),
+            failing_edge_depth: 3,
+            terminal_depth: 5,
+        };
+        let copy = r;
+        assert_eq!(copy, r);
+        assert_eq!(r.edge_to_terminal_distance(), 2);
     }
 }

@@ -33,33 +33,60 @@
 //!   `k = depth(v)` — `π` is a shortest path, so its `i`-th vertex has
 //!   depth `i`.
 //!
-//! Each edge's task leaves, for every vertex below it, its parent in the
-//! replacement tree and the pair's outcome (cut off, covered with its last
-//! hop, or the new-ending path). The calling thread then walks the pairs in
-//! the order the later phases rely on — terminals by depth, then failing
-//! edges from the source down — moving new-ending paths into place and
-//! building each covered path from the recorded parents and `T0`.
-//! The output is identical, path for path, to the heap-based
-//! [`LexSearch`](ftb_sp::LexSearch) formulation over masked views, which is
-//! kept as the test oracle.
+//! # The pair store
+//!
+//! No path is built. Each edge's task writes, into buffers the calling
+//! thread owns, every vertex's parent edge in the replacement tree and the
+//! pair's outcome: cut off, covered with its last edge, or new-ending with
+//! its last edge and its detour, which goes into the edge's detour buffer.
+//! The calling thread then walks the pairs in the order the later phases
+//! rely on — terminals by depth, then failing edges from the source down —
+//! writing one fixed-size [`PairRecord`] per pair and copying each detour
+//! into one arena. The replacement-tree parent edges (`Σ_v depth(v)`
+//! entries) stay in the store: [`ReplacementPaths::path`] rebuilds a
+//! covered path from them and `T0`, and a new-ending one as
+//! `π(s, d(P)) ∘ D(P)`. The rebuilt paths are identical, path for path, to
+//! the heap-based [`LexSearch`](ftb_sp::LexSearch) formulation over masked
+//! views, which is kept as the test oracle.
 
-use crate::pair::{PairId, ReplacementPath, VePair};
+use crate::pair::{PairId, PairRecord, ReplacementPath, VePair};
 use ftb_graph::{EdgeId, Graph, VertexId};
 use ftb_par::{parallel_segments_mut_init, ParallelConfig};
 use ftb_sp::{CanonicalScratch, Path, ReplacementDistances, ShortestPathTree, TieBreakWeights};
-use std::collections::HashMap;
+use std::ops::Range;
 
-/// The output of Algorithm `Pcons`: one canonical replacement path per
-/// vertex–edge pair `⟨v, e⟩` with `e ∈ π(s, v)` for which a replacement path
-/// exists (pairs whose failure disconnects the terminal are omitted — no
-/// protection is required for them).
+/// Parent-edge entry of a vertex that the failure cuts off.
+const CUT_OFF: EdgeId = EdgeId(u32::MAX);
+
+/// The output of Algorithm `Pcons`: for every vertex–edge pair `⟨v, e⟩` with
+/// `e ∈ π(s, v)` for which a replacement path exists (pairs whose failure
+/// disconnects the terminal are omitted — no protection is required for
+/// them), one [`PairRecord`] and, if the pair is new-ending, its detour.
+///
+/// Pair ids run over the terminals by depth, then over each terminal's
+/// failing edges from the source down. The full path of any pair is
+/// rebuilt on demand by [`ReplacementPaths::path`].
 #[derive(Clone, Debug)]
 pub struct ReplacementPaths {
     source: VertexId,
-    paths: Vec<ReplacementPath>,
-    index: HashMap<(VertexId, ftb_graph::EdgeId), PairId>,
-    by_terminal: HashMap<VertexId, Vec<PairId>>,
+    /// One record per pair, in id order.
+    records: Vec<PairRecord>,
+    /// The pairs of terminal `v` are `terminal_pairs[v].0 ..
+    /// terminal_pairs[v].1`.
+    terminal_pairs: Vec<(u32, u32)>,
+    /// Ids of the new-ending pairs, ascending.
     uncovered: Vec<PairId>,
+    /// The detour of `uncovered[i]` is `detours[detour_offsets[i] ..
+    /// detour_offsets[i + 1]]`.
+    detour_offsets: Vec<u32>,
+    detours: Vec<VertexId>,
+    /// Segment `parent_offsets[c] .. parent_offsets[c + 1]` of
+    /// `parent_edges` belongs to the tree edge into `c`: the parent edge of
+    /// every vertex of the subtree of `c`, in preorder, in the canonical
+    /// replacement tree of `G ∖ {e}` ([`CUT_OFF`] if the failure cuts the
+    /// vertex off).
+    parent_offsets: Vec<usize>,
+    parent_edges: Vec<EdgeId>,
 }
 
 impl ReplacementPaths {
@@ -72,79 +99,112 @@ impl ReplacementPaths {
         dists: &ReplacementDistances,
         config: &ParallelConfig,
     ) -> Self {
-        let source = tree.source();
-        // Segment `c` holds a `Slot` for every vertex below the tree edge
-        // into `c`, in preorder (empty for the source and unreachable
-        // vertices). The workers fill it; the covered paths are then built
-        // here, so the long-lived allocations come from the calling thread:
-        // buffers allocated by the short-lived workers and freed later
-        // stayed resident in their allocator arenas by an amount that
-        // varied from run to run.
-        let below_edge = |c: VertexId| tree.parent(c).map_or(0, |_| tree.subtree_size(c));
-        let mut offsets = vec![0];
+        let n = graph.num_vertices();
+        // Segment `c` of the per-vertex buffers covers the vertices below
+        // the tree edge into `c`, in preorder (empty for the source and
+        // unreachable vertices). The buffers are allocated here, so the
+        // long-lived ones come from the calling thread: buffers allocated by
+        // the short-lived workers and freed later stayed resident in their
+        // allocator arenas by an amount that varied from run to run. Only
+        // the detours, a few per edge, grow on the workers.
+        let mut parent_offsets = Vec::with_capacity(n + 1);
+        parent_offsets.push(0);
         for c in graph.vertices() {
-            offsets.push(offsets[c.index()] + below_edge(c));
+            let below = tree.parent(c).map_or(0, |_| tree.subtree_size(c));
+            parent_offsets.push(parent_offsets[c.index()] + below);
         }
-        let mut slots: Vec<Slot> = Vec::new();
-        slots.resize_with(offsets[graph.num_vertices()], Slot::default);
+        let mut parent_edges = vec![CUT_OFF; parent_offsets[n]];
+        let mut outcomes = vec![Outcome::CutOff; parent_offsets[n]];
+        let mut tasks = Vec::with_capacity(n);
+        let (mut parents_rest, mut outcomes_rest) = (&mut parent_edges[..], &mut outcomes[..]);
+        for w in parent_offsets.windows(2) {
+            let (parents, rest) = std::mem::take(&mut parents_rest).split_at_mut(w[1] - w[0]);
+            parents_rest = rest;
+            let (outcomes, rest) = std::mem::take(&mut outcomes_rest).split_at_mut(w[1] - w[0]);
+            outcomes_rest = rest;
+            tasks.push(EdgeTask {
+                parents,
+                outcomes,
+                detours: Vec::new(),
+            });
+        }
+        let one_task_each: Vec<usize> = (0..=n).collect();
         parallel_segments_mut_init(
             config,
-            &mut slots,
-            &offsets,
+            &mut tasks,
+            &one_task_each,
             || EdgeSearch {
-                scratch: CanonicalScratch::new(graph.num_vertices()),
-                spare: CanonicalScratch::new(graph.num_vertices()),
+                scratch: CanonicalScratch::new(n),
+                spare: CanonicalScratch::new(n),
                 uncovered: Vec::new(),
                 pi: Vec::new(),
+                path: Vec::new(),
             },
-            |search, c, out| {
+            |search, c, task| {
                 if let Some((_, e)) = tree.parent(VertexId::new(c)) {
-                    search.pairs_of_edge(graph, weights, tree, dists, e, out);
+                    search.pairs_of_edge(graph, weights, tree, dists, e, &mut task[0]);
                 }
             },
         );
+        let edge_detours: Vec<Vec<VertexId>> = tasks.into_iter().map(|t| t.detours).collect();
 
-        let num_pairs = slots
+        let num_pairs = outcomes
             .iter()
-            .filter(|s| !matches!(s.pair, PairSlot::CutOff))
+            .filter(|o| !matches!(o, Outcome::CutOff))
             .count();
-        let mut paths = Vec::with_capacity(num_pairs);
-        let mut index = HashMap::with_capacity(num_pairs);
-        let mut by_terminal: HashMap<VertexId, Vec<PairId>> = HashMap::new();
-        let mut uncovered = Vec::new();
+        let num_uncovered = outcomes
+            .iter()
+            .filter(|o| matches!(o, Outcome::NewEnding { .. }))
+            .count();
+        let mut store = ReplacementPaths {
+            source: tree.source(),
+            records: Vec::with_capacity(num_pairs),
+            terminal_pairs: vec![(0, 0); n],
+            uncovered: Vec::with_capacity(num_uncovered),
+            detour_offsets: Vec::with_capacity(num_uncovered + 1),
+            detours: Vec::with_capacity(edge_detours.iter().map(Vec::len).sum()),
+            parent_offsets,
+            parent_edges,
+        };
+        store.detour_offsets.push(0);
+        let depth = |u: VertexId| tree.depth(u).expect("reachable");
         let mut pi_edges = Vec::new();
         for v in tree.vertices_by_depth() {
-            let first = paths.len();
+            let first = store.records.len();
             pi_edges.clear();
             pi_edges.extend(tree.ancestors(v));
             for &(c, e) in pi_edges.iter().rev() {
-                let segment = &mut slots[offsets[c.index()]..offsets[c.index() + 1]];
-                let rp = match std::mem::take(&mut segment[subtree_slot(tree, c, v)].pair) {
-                    PairSlot::CutOff => continue,
-                    PairSlot::NewEnding(rp) => rp,
-                    PairSlot::Covered(x, f) => {
-                        let target = dists.dist(e, v).expect("tree edge") as usize;
-                        covered_path(tree, segment, e, v, (x, f), target)
+                let at = store.parent_offsets[c.index()] + subtree_slot(tree, c, v);
+                let (last_edge, divergence) = match outcomes[at] {
+                    Outcome::CutOff => continue,
+                    Outcome::Covered(f) => (f, None),
+                    Outcome::NewEnding {
+                        last_edge,
+                        start,
+                        len,
+                    } => {
+                        let detour = &edge_detours[c.index()][start as usize..][..len as usize];
+                        store.uncovered.push(store.records.len());
+                        store.detours.extend_from_slice(detour);
+                        store.detour_offsets.push(to_u32(store.detours.len()));
+                        (last_edge, Some(detour[0]))
                     }
                 };
-                let id: PairId = paths.len();
-                index.insert((v, e), id);
-                if rp.new_ending {
-                    uncovered.push(id);
-                }
-                paths.push(rp);
+                store.records.push(PairRecord {
+                    pair: VePair {
+                        terminal: v,
+                        failing_edge: e,
+                    },
+                    last_edge,
+                    new_ending: divergence.is_some(),
+                    divergence,
+                    failing_edge_depth: depth(c),
+                    terminal_depth: depth(v),
+                });
             }
-            if paths.len() > first {
-                by_terminal.insert(v, (first..paths.len()).collect());
-            }
+            store.terminal_pairs[v.index()] = (to_u32(first), to_u32(store.records.len()));
         }
-        ReplacementPaths {
-            source,
-            paths,
-            index,
-            by_terminal,
-            uncovered,
-        }
+        store
     }
 
     /// The BFS source.
@@ -154,31 +214,33 @@ impl ReplacementPaths {
 
     /// Total number of pairs with a replacement path.
     pub fn len(&self) -> usize {
-        self.paths.len()
+        self.records.len()
     }
 
     /// `true` if no pair has a replacement path (e.g. a tree-shaped graph).
     pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
+        self.records.is_empty()
     }
 
-    /// The replacement path with the given id.
-    pub fn get(&self, id: PairId) -> &ReplacementPath {
-        &self.paths[id]
+    /// The record of the pair with the given id.
+    pub fn get(&self, id: PairId) -> &PairRecord {
+        &self.records[id]
     }
 
-    /// All replacement paths.
-    pub fn all(&self) -> &[ReplacementPath] {
-        &self.paths
+    /// All records, in id order.
+    pub fn all(&self) -> &[PairRecord] {
+        &self.records
     }
 
-    /// Look up the pair `⟨v, e⟩`.
-    pub fn lookup(&self, terminal: VertexId, failing_edge: ftb_graph::EdgeId) -> Option<PairId> {
-        self.index.get(&(terminal, failing_edge)).copied()
+    /// Look up the pair `⟨v, e⟩` (a scan of `v`'s at most `depth(v)`
+    /// pairs).
+    pub fn lookup(&self, terminal: VertexId, failing_edge: EdgeId) -> Option<PairId> {
+        self.pairs_of_terminal(terminal)
+            .find(|&p| self.records[p].pair.failing_edge == failing_edge)
     }
 
     /// Ids of the pairs whose replacement path is *new-ending* (the paper's
-    /// uncovered set `UP`).
+    /// uncovered set `UP`), ascending.
     pub fn uncovered(&self) -> &[PairId] {
         &self.uncovered
     }
@@ -186,27 +248,125 @@ impl ReplacementPaths {
     /// Ids of the pairs of a given terminal (the paper's `UP(v)` restricted
     /// to pairs that have a replacement path), in increasing depth of the
     /// failing edge.
-    pub fn pairs_of_terminal(&self, v: VertexId) -> &[PairId] {
-        self.by_terminal
-            .get(&v)
-            .map(|p| p.as_slice())
-            .unwrap_or(&[])
+    pub fn pairs_of_terminal(&self, v: VertexId) -> Range<PairId> {
+        self.terminal_pairs
+            .get(v.index())
+            .map_or(0..0, |&(lo, hi)| lo as usize..hi as usize)
     }
 
-    /// Convenience constructor running the whole Phase S0 pipeline
-    /// (tie-break weights are provided by the caller so that all layers share
-    /// the same `W`).
-    pub fn compute_full(
-        graph: &Graph,
-        weights: &TieBreakWeights,
-        source: VertexId,
-        config: &ParallelConfig,
-    ) -> (ShortestPathTree, ReplacementDistances, Self) {
-        let tree = ShortestPathTree::build(graph, weights, source);
-        let dists = ReplacementDistances::compute(graph, &tree, config);
-        let rp = Self::compute(graph, weights, &tree, &dists, config);
-        (tree, dists, rp)
+    /// The detour `D(P) = P[d(P), v]` of a new-ending pair: the suffix of
+    /// its path from the divergence point. Empty for covered pairs.
+    pub fn detour_vertices(&self, id: PairId) -> &[VertexId] {
+        self.uncovered
+            .binary_search(&id)
+            .map_or(&[], |i| self.detour_at(i))
     }
+
+    /// The *internal* detour vertices of a pair: its detour without the
+    /// divergence point and the terminal.
+    pub fn detour_interior(&self, id: PairId) -> &[VertexId] {
+        interior(self.detour_vertices(id))
+    }
+
+    /// The detour of `uncovered()[i]`.
+    pub(crate) fn detour_at(&self, i: usize) -> &[VertexId] {
+        &self.detours[self.detour_offsets[i] as usize..self.detour_offsets[i + 1] as usize]
+    }
+
+    /// The interior of the detour of `uncovered()[i]`.
+    pub(crate) fn detour_interior_at(&self, i: usize) -> &[VertexId] {
+        interior(self.detour_at(i))
+    }
+
+    /// The full replacement path of pair `id`, rebuilt from the store:
+    /// `graph` and `tree` must be the ones it was computed on. A covered
+    /// path is the path to the last edge's far end `x` in the canonical
+    /// replacement tree of `G ∖ {e}` — the stored parents inside the subtree
+    /// `e` cuts off, `T0` above it — followed by `LastE(P)`; a new-ending
+    /// path is `π(s, d(P)) ∘ D(P)`.
+    pub fn path(&self, graph: &Graph, tree: &ShortestPathTree, id: PairId) -> ReplacementPath {
+        let r = self.records[id];
+        let v = r.pair.terminal;
+        let (path, divergence_index) = match r.divergence {
+            None => (self.covered_path(graph, tree, &r), None),
+            Some(d) => {
+                let prefix = tree.path_to(d).expect("reachable");
+                let mut vertices = prefix.vertices().to_vec();
+                let mut edges = prefix.edges().to_vec();
+                for hop in self.detour_vertices(id).windows(2) {
+                    edges.push(graph.find_edge(hop[0], hop[1]).expect("detour hop"));
+                    vertices.push(hop[1]);
+                }
+                debug_assert_eq!(vertices.last(), Some(&v));
+                (Path::new(vertices, edges), Some(prefix.len()))
+            }
+        };
+        ReplacementPath {
+            pair: r.pair,
+            path,
+            last_edge: r.last_edge,
+            new_ending: r.new_ending,
+            divergence: r.divergence,
+            divergence_index,
+            failing_edge_depth: r.failing_edge_depth,
+            terminal_depth: r.terminal_depth,
+        }
+    }
+
+    /// The covered path of `r` (see [`ReplacementPaths::path`]).
+    fn covered_path(&self, graph: &Graph, tree: &ShortestPathTree, r: &PairRecord) -> Path {
+        let (v, f) = (r.pair.terminal, r.last_edge);
+        let c = tree.child_endpoint(r.pair.failing_edge).expect("tree edge");
+        let parents = &self.parent_edges[self.parent_offsets[c.index()]..][..tree.subtree_size(c)];
+        let x = graph.edge(f).other(v);
+        let mut vertices = vec![v, x];
+        let mut edges = vec![f];
+        let mut cur = x;
+        loop {
+            let up = if tree.in_subtree(c, cur) {
+                let g = parents[subtree_slot(tree, c, cur)];
+                (g != CUT_OFF).then(|| (graph.edge(g).other(cur), g))
+            } else {
+                tree.parent(cur)
+            };
+            let Some((p, g)) = up else {
+                break;
+            };
+            vertices.push(p);
+            edges.push(g);
+            cur = p;
+        }
+        vertices.reverse();
+        edges.reverse();
+        Path::new(vertices, edges)
+    }
+
+    /// Heap bytes held by the store: a 32-byte record per pair, the ids and
+    /// detour offsets of the uncovered pairs, the detour arena, the
+    /// replacement-tree parent edges (`Σ_v depth(v)` entries) and the
+    /// per-vertex offsets.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.records.capacity() * size_of::<PairRecord>()
+            + self.terminal_pairs.capacity() * size_of::<(u32, u32)>()
+            + self.uncovered.capacity() * size_of::<PairId>()
+            + self.detour_offsets.capacity() * size_of::<u32>()
+            + self.detours.capacity() * size_of::<VertexId>()
+            + self.parent_offsets.capacity() * size_of::<usize>()
+            + self.parent_edges.capacity() * size_of::<EdgeId>()
+    }
+}
+
+/// A detour without its two endpoints.
+fn interior(detour: &[VertexId]) -> &[VertexId] {
+    match detour {
+        [_, inner @ .., _] => inner,
+        _ => &[],
+    }
+}
+
+fn to_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("pair store index overflows u32")
 }
 
 /// Position of `v` in the preorder of the subtree of `c`.
@@ -215,74 +375,31 @@ fn subtree_slot(tree: &ShortestPathTree, c: VertexId, v: VertexId) -> usize {
     (pre(v) - pre(c)) as usize
 }
 
-/// What the task of tree edge `e = (p, c)` leaves for a vertex `v` below
-/// `c`.
-#[derive(Default)]
-struct Slot {
-    /// `v`'s parent in the canonical replacement tree of `G ∖ {e}` (`None`
-    /// when the failure cuts `v` off).
-    parent: Option<(VertexId, EdgeId)>,
-    /// The pair `⟨v, e⟩`.
-    pair: PairSlot,
-}
-
 /// The outcome of Algorithm `Pcons` for one pair.
-#[derive(Default)]
-enum PairSlot {
+#[derive(Clone, Copy)]
+enum Outcome {
     /// The failure cuts the terminal off: no pair.
-    #[default]
     CutOff,
-    /// Covered, with last hop `(x, v)` over the given tree edge.
-    Covered(VertexId, EdgeId),
-    /// New-ending, with its path.
-    NewEnding(ReplacementPath),
+    /// Covered, with this last edge.
+    Covered(EdgeId),
+    /// New-ending: its last edge, and its detour at `start .. start + len`
+    /// of the edge's detour buffer.
+    NewEnding {
+        last_edge: EdgeId,
+        start: u32,
+        len: u32,
+    },
 }
 
-/// The covered replacement path of `⟨v, e⟩` with last hop `(x, f)`: the
-/// path to `x` in the canonical replacement tree of `G ∖ {e}` — `segment`'s
-/// parents inside the subtree of `c`, `T0` above it — followed by `(x, v)`.
-fn covered_path(
-    tree: &ShortestPathTree,
-    segment: &[Slot],
-    e: EdgeId,
-    v: VertexId,
-    (x, f): (VertexId, EdgeId),
-    target: usize,
-) -> ReplacementPath {
-    let c = tree.child_endpoint(e).expect("tree edge");
-    let mut vertices = Vec::with_capacity(target + 1);
-    let mut edges = Vec::with_capacity(target);
-    vertices.extend([v, x]);
-    edges.push(f);
-    let mut cur = x;
-    loop {
-        let up = if tree.in_subtree(c, cur) {
-            segment[subtree_slot(tree, c, cur)].parent
-        } else {
-            tree.parent(cur)
-        };
-        let Some((p, g)) = up else {
-            break;
-        };
-        vertices.push(p);
-        edges.push(g);
-        cur = p;
-    }
-    vertices.reverse();
-    edges.reverse();
-    ReplacementPath {
-        pair: VePair {
-            terminal: v,
-            failing_edge: e,
-        },
-        path: Path::new(vertices, edges),
-        last_edge: f,
-        new_ending: false,
-        divergence: None,
-        divergence_index: None,
-        failing_edge_depth: tree.depth(c).expect("reachable"),
-        terminal_depth: tree.depth(v).expect("reachable"),
-    }
+/// What the task of tree edge `e = (p, c)` writes, for the vertices below
+/// `c` in preorder.
+struct EdgeTask<'a> {
+    /// Parent edge in the canonical replacement tree of `G ∖ {e}`.
+    parents: &'a mut [EdgeId],
+    /// The outcome of pair `⟨v, e⟩`.
+    outcomes: &'a mut [Outcome],
+    /// The detours of the edge's new-ending pairs, back to back.
+    detours: Vec<VertexId>,
 }
 
 /// One worker's state: the search kernel plus reusable buffers.
@@ -294,11 +411,13 @@ struct EdgeSearch {
     uncovered: Vec<(VertexId, u32)>,
     /// `π(s, v)` of the current uncovered terminal, by depth.
     pi: Vec<VertexId>,
+    /// The chosen path of the current uncovered pair, source first.
+    path: Vec<VertexId>,
 }
 
 impl EdgeSearch {
     /// Run Algorithm `Pcons` for every pair `⟨v, e⟩` with `v` below
-    /// `e = (p, c)`, filling `out[preorder(v) − preorder(c)]`.
+    /// `e = (p, c)`, filling slot `preorder(v) − preorder(c)` of `out`.
     fn pairs_of_edge(
         &mut self,
         graph: &Graph,
@@ -306,7 +425,7 @@ impl EdgeSearch {
         tree: &ShortestPathTree,
         dists: &ReplacementDistances,
         e: EdgeId,
-        out: &mut [Slot],
+        out: &mut EdgeTask<'_>,
     ) {
         let c = tree.child_endpoint(e).expect("tree edge");
         let slot = |v: VertexId| subtree_slot(tree, c, v);
@@ -329,24 +448,31 @@ impl EdgeSearch {
                     best = Some(cand);
                 }
             }
-            let out = &mut out[slot(v)];
-            out.parent = scratch.parent(v);
+            out.parents[slot(v)] = scratch.parent_edge(v).unwrap_or(CUT_OFF);
             match best {
-                Some((_, x, f)) => out.pair = PairSlot::Covered(x, f),
+                Some((_, _, f)) => out.outcomes[slot(v)] = Outcome::Covered(f),
                 None => self.uncovered.push((v, target)),
             }
         }
 
         for i in 0..self.uncovered.len() {
             let (v, target) = self.uncovered[i];
-            if let Some(rp) = self.new_ending_path(graph, weights, tree, e, v, target) {
-                out[slot(v)].pair = PairSlot::NewEnding(rp);
+            if let Some((last_edge, d)) = self.new_ending_path(graph, weights, tree, e, v, target) {
+                let detour = &self.path[d..];
+                out.outcomes[slot(v)] = Outcome::NewEnding {
+                    last_edge,
+                    start: to_u32(out.detours.len()),
+                    len: to_u32(detour.len()),
+                };
+                out.detours.extend_from_slice(detour);
             }
         }
     }
 
     /// The new-ending replacement path of `⟨v, e⟩` whose divergence point
-    /// from `π(s, v)` is closest to the source (Step 2 of `Pcons`).
+    /// from `π(s, v)` is closest to the source (Step 2 of `Pcons`), left in
+    /// `self.path`: returns its last edge and the index of its divergence
+    /// point.
     fn new_ending_path(
         &mut self,
         graph: &Graph,
@@ -355,7 +481,7 @@ impl EdgeSearch {
         e: EdgeId,
         v: VertexId,
         target: u32,
-    ) -> Option<ReplacementPath> {
+    ) -> Option<(EdgeId, usize)> {
         let pi = &mut self.pi;
         pi.clear();
         pi.push(v);
@@ -369,12 +495,8 @@ impl EdgeSearch {
         let k = pi.len() - 1; // depth of v
         let c = tree.child_endpoint(e).expect("tree edge");
         let idx = tree.depth(c).expect("reachable") as usize - 1; // e = (π[idx], π[idx + 1])
-        let pair = VePair {
-            terminal: v,
-            failing_edge: e,
-        };
-        // Probe j bans e and the interior of π(u_j, v), all of which lies
-        // in the subtree of u_{j+1} (or is e entering it).
+                                                                  // Probe j bans e and the interior of π(u_j, v), all of which lies
+                                                                  // in the subtree of u_{j+1} (or is e entering it).
         let without_interior = |j: usize| {
             move |w: VertexId, f: EdgeId| {
                 f != e
@@ -402,9 +524,8 @@ impl EdgeSearch {
         // point there is, and on deep trees it is often feasible, so j = 0
         // is tried first; it is also the largest subtree, so the rest of the
         // range is searched galloping down from idx, the smallest one.
-        let path = if idx > 0 && probe(0) {
+        if idx > 0 && probe(0) {
             held.settle_target(graph, weights, v, without_interior(0));
-            held.path_to(tree, v).expect("feasible probe reaches v")
         } else if probe(idx) {
             let (mut lo, mut hi) = (1.min(idx), idx);
             let mut step = 1;
@@ -426,7 +547,6 @@ impl EdgeSearch {
                 }
             }
             held.settle_target(graph, weights, v, without_interior(hi));
-            held.path_to(tree, v).expect("feasible probe reaches v")
         } else {
             // Defensive fallback (should not happen): take the
             // unconstrained canonical replacement path.
@@ -434,51 +554,57 @@ impl EdgeSearch {
             held.sweep_subtree(graph, tree, c, Some((v, target)), unconstrained);
             held.dist(v)?;
             held.settle_target(graph, weights, v, unconstrained);
-            held.path_to(tree, v).expect("target settled")
-        };
-        Some(new_ending(pair, pi, path, idx as u32 + 1, k as u32, tree))
-    }
-}
+        }
 
-/// A new-ending replacement path with its divergence point computed.
-pub(crate) fn new_ending(
-    pair: VePair,
-    pi_vertices: &[VertexId],
-    path: Path,
-    failing_edge_depth: u32,
-    terminal_depth: u32,
-    tree: &ShortestPathTree,
-) -> ReplacementPath {
-    let last_edge = path.last_edge().expect("non-trivial path");
-    debug_assert!(
-        !tree.is_tree_edge(last_edge),
-        "step-1 failure implies a non-tree last edge"
-    );
-    // Divergence: longest common prefix with π(s, v).
-    let verts = path.vertices();
-    let mut d_idx = 0usize;
-    while d_idx + 1 < verts.len()
-        && d_idx + 1 < pi_vertices.len()
-        && verts[d_idx + 1] == pi_vertices[d_idx + 1]
-    {
-        d_idx += 1;
-    }
-    ReplacementPath {
-        pair,
-        divergence: Some(verts[d_idx]),
-        divergence_index: Some(d_idx),
-        path,
-        last_edge,
-        new_ending: true,
-        failing_edge_depth,
-        terminal_depth,
+        // The chosen path: settled parents up to the vertex the search
+        // entered from, then `T0`.
+        let path = &mut self.path;
+        path.clear();
+        path.push(v);
+        let mut cur = v;
+        while let Some((p, _)) = held.parent(cur) {
+            path.push(p);
+            cur = p;
+        }
+        while let Some((p, _)) = tree.parent(cur) {
+            path.push(p);
+            cur = p;
+        }
+        path.reverse();
+        let last_edge = held.parent_edge(v).expect("target settled");
+        debug_assert!(
+            !tree.is_tree_edge(last_edge),
+            "step-1 failure implies a non-tree last edge"
+        );
+        // Divergence: longest common prefix with π(s, v).
+        let mut d = 0;
+        while d + 1 < path.len() && d + 1 < pi.len() && path[d + 1] == pi[d + 1] {
+            d += 1;
+        }
+        Some((last_edge, d))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::lex_pcons_for_terminal;
     use ftb_graph::generators;
+    use ftb_workloads::{Workload, WorkloadFamily};
+
+    /// Phase S0 from scratch: weights, `T0`, replacement distances and
+    /// Pcons.
+    fn compute_full(
+        graph: &Graph,
+        weights: &TieBreakWeights,
+        source: VertexId,
+        config: &ParallelConfig,
+    ) -> (ShortestPathTree, ReplacementDistances, ReplacementPaths) {
+        let tree = ShortestPathTree::build(graph, weights, source);
+        let dists = ReplacementDistances::compute(graph, &tree, config);
+        let rp = ReplacementPaths::compute(graph, weights, &tree, &dists, config);
+        (tree, dists, rp)
+    }
 
     fn full_setup(
         graph: &Graph,
@@ -491,8 +617,40 @@ mod tests {
     ) {
         let weights = TieBreakWeights::generate(graph, seed);
         let (tree, dists, rp) =
-            ReplacementPaths::compute_full(graph, &weights, VertexId(0), &ParallelConfig::serial());
+            compute_full(graph, &weights, VertexId(0), &ParallelConfig::serial());
         (weights, tree, dists, rp)
+    }
+
+    /// Every pair's full path, in id order.
+    fn paths(
+        rp: &ReplacementPaths,
+        graph: &Graph,
+        tree: &ShortestPathTree,
+    ) -> Vec<ReplacementPath> {
+        (0..rp.len()).map(|p| rp.path(graph, tree, p)).collect()
+    }
+
+    /// The stated bound on [`ReplacementPaths::heap_bytes`]:
+    /// `40·pairs + 4·detour vertices + 8·Σ depth + 16·(n + 1)`.
+    ///
+    /// The store holds a 32-byte record per pair, 12 bytes per uncovered
+    /// pair (its id and detour offset), 4 bytes per detour vertex, a 4-byte
+    /// parent edge per `Σ depth` entry and 16 bytes per vertex. Since
+    /// `uncovered ≤ pairs ≤ Σ depth`, `12·uncovered ≤ 8·pairs + 4·Σ depth`,
+    /// so `c = 40` holds. A per-pair path would add two `Vec` headers
+    /// (48 bytes) per pair and break it.
+    fn heap_bound(rp: &ReplacementPaths, tree: &ShortestPathTree) -> usize {
+        let n = tree.num_vertices();
+        let detour_vertices: usize = rp
+            .uncovered()
+            .iter()
+            .map(|&p| rp.detour_vertices(p).len())
+            .sum();
+        let sum_depth: usize = (0..n)
+            .filter_map(|v| tree.depth(VertexId::new(v)))
+            .map(|d| d as usize)
+            .sum();
+        40 * rp.len() + 4 * detour_vertices + 8 * sum_depth + 16 * (n + 1)
     }
 
     #[test]
@@ -511,7 +669,7 @@ mod tests {
         let g = generators::hypercube(4);
         let (_w, tree, dists, rp) = full_setup(&g, 3);
         assert!(!rp.is_empty());
-        for item in rp.all() {
+        for item in paths(&rp, &g, &tree) {
             let v = item.pair.terminal;
             let e = item.pair.failing_edge;
             // the path avoids the failing edge, starts at s, ends at v
@@ -549,17 +707,42 @@ mod tests {
         // Observation 3.2: D(P) and π(s, v) share only d(P) and v.
         let g = generators::hypercube(4);
         let (_w, tree, _d, rp) = full_setup(&g, 7);
-        for item in rp.all().iter().filter(|p| p.new_ending) {
+        for &p in rp.uncovered() {
+            let item = rp.get(p);
             let v = item.pair.terminal;
             let pi: Vec<VertexId> = tree.path_to(v).unwrap().vertices().to_vec();
             let d = item.divergence.unwrap();
-            for &z in item.detour_vertices() {
+            assert_eq!(rp.detour_vertices(p).first(), Some(&d));
+            assert_eq!(rp.detour_vertices(p).last(), Some(&v));
+            for &z in rp.detour_vertices(p) {
                 if z == d || z == v {
                     continue;
                 }
                 assert!(!pi.contains(&z), "detour vertex {z:?} lies on π(s, {v:?})");
             }
         }
+    }
+
+    #[test]
+    fn detour_accessors_follow_the_rebuilt_path() {
+        let g = generators::grid(5, 6);
+        let (_w, tree, _d, rp) = full_setup(&g, 9);
+        assert!(!rp.uncovered().is_empty());
+        for p in 0..rp.len() {
+            let full = rp.path(&g, &tree, p);
+            match full.divergence_index {
+                Some(i) => {
+                    let detour = &full.path.vertices()[i..];
+                    assert_eq!(rp.detour_vertices(p), detour);
+                    assert_eq!(rp.detour_interior(p), &detour[1..detour.len() - 1]);
+                }
+                None => {
+                    assert!(rp.detour_vertices(p).is_empty());
+                    assert!(rp.detour_interior(p).is_empty());
+                }
+            }
+        }
+        assert_eq!(interior(&[VertexId(1), VertexId(2)]), &[] as &[VertexId]);
     }
 
     #[test]
@@ -611,14 +794,13 @@ mod tests {
             &ParallelConfig::with_threads(4),
         );
         assert_eq!(serial.len(), parallel.len());
-        for item in serial.all() {
-            let id = parallel
-                .lookup(item.pair.terminal, item.pair.failing_edge)
-                .unwrap();
-            let other = parallel.get(id);
-            assert_eq!(other.path, item.path);
-            assert_eq!(other.new_ending, item.new_ending);
-            assert_eq!(other.last_edge, item.last_edge);
+        assert_eq!(serial.all(), parallel.all());
+        for p in 0..serial.len() {
+            assert_eq!(
+                serial.path(&g, &tree, p).path,
+                parallel.path(&g, &tree, p).path
+            );
+            assert_eq!(serial.detour_vertices(p), parallel.detour_vertices(p));
         }
     }
 
@@ -629,15 +811,84 @@ mod tests {
         // an edge of the other side of the cycle, which *is* a tree edge for
         // some terminals and not for others. Just verify global invariants.
         let g = generators::cycle(9);
-        let (_w, _tree, dists, rp) = full_setup(&g, 19);
+        let (_w, tree, dists, rp) = full_setup(&g, 19);
         assert!(!rp.is_empty());
-        for item in rp.all() {
+        for item in paths(&rp, &g, &tree) {
             assert_eq!(
                 item.path.len() as u32,
                 dists
                     .dist(item.pair.failing_edge, item.pair.terminal)
                     .unwrap()
             );
+        }
+    }
+
+    #[test]
+    fn heap_bytes_stay_within_the_per_pair_bound_on_every_family() {
+        for &family in WorkloadFamily::all() {
+            let graph = Workload::new(family, 160, 7).generate();
+            let (_w, tree, _d, rp) = full_setup(&graph, 7);
+            let (bytes, bound) = (rp.heap_bytes(), heap_bound(&rp, &tree));
+            assert!(
+                bytes <= bound,
+                "{}: {bytes} heap bytes over the bound {bound} ({} pairs)",
+                family.name(),
+                rp.len()
+            );
+        }
+    }
+
+    /// Every pair of both end-to-end benchmark graphs (n = 2000, seed 7):
+    /// the rebuilt path is a valid replacement path of the right length
+    /// that ends with the record's last edge and, if new-ending, with the
+    /// stored detour; every 10th terminal matches the `LexSearch` oracle.
+    /// Release only: `cargo test --release -p ftb_rp -- --ignored`.
+    #[test]
+    #[ignore = "benchmark-size check; run in release with --ignored"]
+    fn paths_are_exact_at_benchmark_size() {
+        for family in [WorkloadFamily::LayeredDeep, WorkloadFamily::ErdosRenyi] {
+            let graph = Workload::new(family, 2000, 7).generate();
+            let weights = TieBreakWeights::generate(&graph, 7);
+            let (tree, dists, rp) =
+                compute_full(&graph, &weights, VertexId(0), &ParallelConfig::default());
+            let what = family.name();
+            for p in 0..rp.len() {
+                let full = rp.path(&graph, &tree, p);
+                let (v, e) = (full.pair.terminal, full.pair.failing_edge);
+                full.path.validate(&graph).unwrap();
+                assert!(!full.path.contains_edge(e), "{what}: pair {p} uses {e:?}");
+                assert_eq!(
+                    Some(full.path.len() as u32),
+                    dists.dist(e, v),
+                    "{what}: pair {p}"
+                );
+                assert_eq!(
+                    full.path.last_edge(),
+                    Some(full.last_edge),
+                    "{what}: pair {p}"
+                );
+                if let Some(i) = full.divergence_index {
+                    assert_eq!(
+                        &full.path.vertices()[i..],
+                        rp.detour_vertices(p),
+                        "{what}: pair {p}"
+                    );
+                }
+            }
+            for v in tree.vertices_by_depth().into_iter().skip(1).step_by(10) {
+                let oracle = lex_pcons_for_terminal(&graph, &weights, &tree, &dists, v);
+                let fast: Vec<ReplacementPath> = rp
+                    .pairs_of_terminal(v)
+                    .map(|p| rp.path(&graph, &tree, p))
+                    .collect();
+                assert_eq!(
+                    format!("{fast:?}"),
+                    format!("{oracle:?}"),
+                    "{what}: terminal {v:?}"
+                );
+            }
+            let (bytes, bound) = (rp.heap_bytes(), heap_bound(&rp, &tree));
+            assert!(bytes <= bound, "{what}: {bytes} heap bytes over {bound}");
         }
     }
 }
