@@ -2,24 +2,26 @@
 //! CSR sweeps per cache miss.
 //!
 //! One preprocessed engine answers the same per-scenario batch twice: once
-//! with the default serving path (incremental repair of the affected
-//! subtrees + unaffected-target fast path) and once with
-//! [`EngineOptions::with_force_full_sweep`] (every miss re-sweeps the whole
-//! serving CSR — the pre-repair behaviour and the `FTBFS_FORCE_FULL_SWEEP`
+//! with the default serving path (each (source, fault set) group of the
+//! batch reads its unaffected targets off the fault-free row and settles
+//! its affected ones with one boundary-seeded sweep of the affected
+//! subtrees) and once with [`EngineOptions::with_force_full_sweep`] (every
+//! query resolves a row, and every miss re-sweeps the whole serving CSR —
+//! the pre-repair behaviour and the `FTBFS_FORCE_FULL_SWEEP`
 //! differential-testing mode). The committed baseline pins both sides, so
-//! the regression gate simultaneously asserts that the repaired path stays
+//! the regression gate simultaneously asserts that the bounded path stays
 //! fast *and* that the ≥ 2× gap to the full-sweep reference does not erode.
 //!
 //! Two batch shapes:
 //!
 //! * **targeted** — each fault set is probed at a sample of targets, the
 //!   point-query serving shape. Most targets are provably unaffected, so
-//!   the fast path answers them without a row and whole sweeps disappear;
-//!   this is where the repair pipeline wins an order of magnitude.
+//!   they are answered without a search and whole sweeps disappear; this
+//!   is where the bounded path wins an order of magnitude.
 //! * **dense** (`all-targets`) — every vertex probed against every fault
-//!   set, so every miss *must* materialize a row and the comparison
-//!   isolates repair vs full sweep with identical per-query overhead on
-//!   both sides.
+//!   set, so the default side's sweep waits for the whole affected region
+//!   while the full-sweep side re-sweeps the graph; the comparison isolates
+//!   the bounded sweep against the full one.
 //!
 //! Batches use more distinct fault sets (32) than the LRU holds (8), so
 //! sets are cache misses — this measures the miss path, not the cache.
@@ -110,8 +112,9 @@ fn bench_row_repair(c: &mut Criterion) {
         }
     }
 
-    // Dense shape: every vertex probed, so each of the 32 misses must
-    // materialize a row — repair vs full sweep head to head.
+    // Dense shape: every vertex probed, so each of the 32 fault sets
+    // settles its whole affected region — bounded vs full sweep head to
+    // head.
     let all_vertices: Vec<VertexId> = graph.vertices().collect();
     let dense_sets = FaultScenario::TreeConcentrated.generate(&graph, source, 1, 32, seed);
     let dense_queries: Vec<(VertexId, VertexId, FaultSet)> = dense_sets

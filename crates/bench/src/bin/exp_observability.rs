@@ -75,8 +75,9 @@ fn main() {
         .build(&graph, &Sources::single(SOURCE))
         .expect("valid input");
 
-    // Both streams are LRU-miss streams (more distinct fault sets than
-    // cached rows) that force real row work per set. An all-fast-path
+    // Both streams force a real search per fault set: the per-target one
+    // names more distinct fault sets than the LRU holds, and the batched
+    // one caches no row at all. An all-fast-path
     // stream would be the wrong thing to gate on: at ~100 ns/call the
     // entry point's one clock pair *is* a triple-digit percentage, which
     // is why the engine only times public entry points in the first place
@@ -108,8 +109,8 @@ fn main() {
     .collect();
 
     // one_to_many: every fault set answers a dense frame (all vertices),
-    // so each miss pays the classification plus one amortised row
-    // materialisation over its affected region.
+    // so each call pays the classification plus one target-restricted
+    // sweep that waits for its whole affected region, and caches no row.
     let dense: Vec<VertexId> = graph.vertices().collect();
     let one_to_many = Shape {
         name: "one_to_many",

@@ -35,18 +35,11 @@ pub(super) enum RowSlot {
     Cached(usize),
 }
 
-/// Crossover denominator of the target-restricted sweep: a one-to-many
-/// cache miss runs restricted (settle only the requested affected targets,
-/// skip the `O(n)` row materialisation, cache nothing) when the requested
-/// targets cover at most `1/RESTRICTED_SWEEP_RATIO` of the affected set,
-/// and falls back to the row repair (which amortises across the whole
-/// target set *and* lands the row in the LRU) otherwise. The criterion
-/// group `one_to_many_crossover` (`crates/bench/benches/one_to_many.rs`,
-/// ErdosRenyi n = 2000, dual faults) gates both sides of this choice: the
-/// restricted sweep is the cheaper miss at small `a`, the gap closes as
-/// `a` approaches the affected-set size, and 8 cedes that band to the
-/// repair's cache-for-later effect.
-const RESTRICTED_SWEEP_RATIO: usize = 8;
+/// Capacity, in rows, of each context's LRU of post-failure rows. Only
+/// per-target distance and path misses fill it; a few rows absorb
+/// interleaved queries against a small working set of fault sets, and each
+/// row costs `O(n)` memory per context.
+pub(super) const LRU_ROWS: usize = 8;
 
 /// One tier's post-failure adjacency, defined once and read by every miss
 /// kernel: the row repair, the target-restricted sweep and the forced full
@@ -360,8 +353,8 @@ impl BannedEdges {
     }
 }
 
-/// Per-thread mutable query state: BFS scratch, visit queue, an LRU of
-/// recently computed post-failure rows, and query counters.
+/// Per-thread mutable query state: BFS scratch, the miss kernel's sweep,
+/// an LRU of recently computed post-failure rows, and query counters.
 ///
 /// Contexts are created by [`EngineCore::new_context`] and tied to that
 /// core; every query method takes the core by shared reference, so an
@@ -369,17 +362,18 @@ impl BannedEdges {
 /// with zero synchronisation. Using a context with a core it was not created
 /// by is a [`FtbfsError::ContextMismatch`].
 ///
-/// The LRU holds up to [`EngineOptions::lru_rows`](super::EngineOptions)
-/// rows keyed by (source, canonical **fault set**), so distance, path and
-/// batch queries naming the same failure pattern share one row; repeated
-/// and interleaved queries against that many distinct failure patterns are
-/// answered without repeating a BFS.
+/// The LRU holds up to 8 rows keyed by (source, canonical **fault set**),
+/// so per-target distance and path queries naming the same failure pattern
+/// share one row; repeated and interleaved queries against that many
+/// distinct failure patterns are answered without repeating a search.
+/// Batches ([`QueryContext::dist_many_after_faults`],
+/// [`QueryContext::query_many_faults`]) neither read nor fill it: each
+/// (source, fault set) group settles only its own affected targets.
 #[derive(Clone, Debug)]
 pub struct QueryContext {
     /// Token of the core this context was created by.
     core_token: u64,
     num_vertices: usize,
-    capacity: usize,
     rows: Vec<CachedRow>,
     /// Full-sweep scratch for misses under
     /// [`EngineOptions::force_full_sweep`](super::EngineOptions):
@@ -404,7 +398,6 @@ impl QueryContext {
         QueryContext {
             core_token: core.token,
             num_vertices: n,
-            capacity: core.options().lru_rows.max(1),
             rows: Vec::new(),
             scratch: SweepScratch::new(n),
             repair: RepairScratch::new(n),
@@ -518,11 +511,12 @@ impl QueryContext {
     /// over the ≤ `|F|` merged affected intervals of `F` — no per-target
     /// ancestor probes — and every provably-unaffected target is answered
     /// straight from the fault-free row
-    /// ([`TierCounters::batched_unaffected`](super::TierCounters)). When
-    /// only a few targets are affected, a *target-restricted* repair sweep
-    /// settles exactly those ([`QueryStats::restricted_repairs`]); dense
-    /// affected sets fall back to one row repair that amortises across all
-    /// of them. Results are byte-identical to `targets.len()` separate
+    /// ([`TierCounters::batched_unaffected`](super::TierCounters)). The
+    /// affected targets, however many, are settled by one
+    /// *target-restricted* sweep that stops once the last of them is final
+    /// ([`QueryStats::restricted_repairs`]); no row is copied or cached. A
+    /// fault set containing the source answers them `None` without a
+    /// search. Results are byte-identical to `targets.len()` separate
     /// [`QueryContext::dist_after_faults`] calls.
     ///
     /// Counts `targets.len()` queries. Errors as
@@ -586,16 +580,16 @@ impl QueryContext {
     /// batch entry point, for single- and multi-source cores alike (name
     /// [`EngineCore::primary_source`] on a single-source core).
     ///
-    /// The batch is grouped by (source, canonical fault set), so each
-    /// distinct failure pattern triggers at most one search per worker
-    /// regardless of how many vertices are probed against it. Groups that
-    /// need a search are sharded across the core's
+    /// The batch is grouped by (source, canonical fault set), and each
+    /// group is one [`QueryContext::dist_many_after_faults_from`] call:
+    /// provably unaffected targets read the fault-free row, and one
+    /// target-restricted sweep settles the affected ones, so a distinct
+    /// failure pattern runs at most one search however many vertices are
+    /// probed against it. Groups are answered on this context, or spread
+    /// one group per task over the core's
     /// [`EngineOptions::parallel`](super::EngineOptions) workers, each with
-    /// its own fresh context; oversized groups (one hot fault probed by a
-    /// large slice of the batch) are split across workers so a skewed batch
-    /// does not serialise on one thread. Within a group, provably
-    /// unaffected targets take the fault-free fast path and the group's
-    /// row is repaired, not re-swept, when an affected target needs it.
+    /// its own fresh context. A group is never split: that would only
+    /// multiply its sweep.
     /// Results are returned in input order and are byte-identical to the
     /// serial path and to `queries.len()` separate
     /// [`QueryContext::dist_after_faults_from`] calls; `None` marks a
@@ -623,11 +617,11 @@ impl QueryContext {
             // sort and the answer loop: the lookup cost ~13% of the minimum
             // batch time on 13k single-edge queries (ErdosRenyi n = 600,
             // 2-vCPU x86-64).
-            return self.with_tier_obs(|ctx| {
+            return Ok(self.with_tier_obs(|ctx| {
                 query_many_sharded(core, ctx, parallel, queries.len(), |i| {
                     (0, queries[i].1, &queries[i].2)
                 })
-            });
+            }));
         }
         // Resolve sources to slots up front so the sharded path only deals
         // in validated slots.
@@ -635,11 +629,11 @@ impl QueryContext {
             .iter()
             .map(|(source, _, _)| core.source_slot(*source).expect("validated above"))
             .collect();
-        self.with_tier_obs(|ctx| {
+        Ok(self.with_tier_obs(|ctx| {
             query_many_sharded(core, ctx, parallel, queries.len(), |i| {
                 (slots[i], queries[i].1, &queries[i].2)
             })
-        })
+        }))
     }
 
     fn checked_faults(
@@ -698,7 +692,8 @@ impl QueryContext {
     }
 
     /// One-to-many answer with validation already done (shared by the
-    /// public entry points and the server's batch grouping).
+    /// public entry points and every [`QueryContext::query_many_faults`]
+    /// group).
     /// Counts `targets.len()` queries; results are in input order.
     ///
     /// Under [`EngineOptions::force_full_sweep`](super::EngineOptions) the
@@ -727,21 +722,6 @@ impl QueryContext {
             let (dist0, _) = core.fault_free_row(slot);
             return targets.iter().map(|&v| finite(dist0[v.index()])).collect();
         }
-        // An LRU hit answers every target from the cached row, exactly as
-        // the per-target path would.
-        let key_slot = slot as u32;
-        if let Some(i) = self
-            .rows
-            .iter()
-            .position(|r| r.source_slot == key_slot && r.faults == *faults)
-        {
-            self.clock += 1;
-            self.rows[i].last_used = self.clock;
-            self.count_tier_many(tier, targets.len());
-            self.stats.cached_answers += targets.len();
-            let dist = &self.rows[i].dist;
-            return targets.iter().map(|&v| finite(dist[v.index()])).collect();
-        }
         // Stage spans (classification / restricted sweep) only arm when
         // obs is attached and sampling is on; they nest inside the
         // entry-point window, keeping stage sums within the wall time.
@@ -751,7 +731,7 @@ impl QueryContext {
         // intervals — never an `O(|F|)` ancestor probe per target: each
         // target's preorder number is binary-searched over the ≤ |F|
         // intervals (`O(t log |F|)`, no sort).
-        let affected_size = core.affected_intervals(slot, faults, &mut self.repair.intervals);
+        core.affected_intervals(slot, faults, &mut self.repair.intervals);
         let euler = &core.slot_tree(slot).euler;
         let intervals = &self.repair.intervals;
         let mut affected = std::mem::take(&mut self.many_affected);
@@ -781,13 +761,16 @@ impl QueryContext {
             self.many_affected = affected;
             return out;
         }
-        let source = core.sources()[slot];
-        let restricted = affected.len() * RESTRICTED_SWEEP_RATIO <= affected_size
-            && !faults.contains(Fault::Vertex(source));
-        if restricted {
-            // Few targets inside a large affected set: settle exactly the
-            // requested ones, skip the row materialisation, cache nothing.
-            self.count_tier_many(tier, affected.len());
+        self.count_tier_many(tier, affected.len());
+        if faults.contains(Fault::Vertex(core.sources()[slot])) {
+            // The source itself failed: every affected target is
+            // disconnected, and no search runs.
+            for &i in &affected {
+                out[i as usize] = None;
+            }
+        } else {
+            // Settle exactly the requested affected targets; copy and
+            // cache no row.
             self.stats.restricted_repairs += 1;
             let sweep_span = obs.as_ref().map(|o| Span::enter(&o.stage_restricted_sweep));
             self.miss(
@@ -802,20 +785,7 @@ impl QueryContext {
             );
             drop(sweep_span);
             for &i in &affected {
-                let v = targets[i as usize];
-                out[i as usize] = self.repair.sweep.dist(v);
-            }
-        } else {
-            // Dense affected set: one row repair amortises across every
-            // affected target and lands in the LRU for the next batch.
-            // `ensure_row` attributes one query to the tier; the remaining
-            // affected targets read the just-computed row like cache hits.
-            let row = self.ensure_row(core, slot, faults, tier);
-            self.count_tier_many(tier, affected.len() - 1);
-            self.stats.cached_answers += affected.len() - 1;
-            let (dist, _) = self.row(core, slot, row);
-            for &i in &affected {
-                out[i as usize] = finite(dist[targets[i as usize].index()]);
+                out[i as usize] = self.repair.sweep.dist(targets[i as usize]);
             }
         }
         self.many_affected = affected;
@@ -964,7 +934,7 @@ impl QueryContext {
         }
         // Miss: pick a row to (re)compute into — a fresh one while below
         // capacity, otherwise evict the least recently used.
-        let i = if self.rows.len() < self.capacity {
+        let i = if self.rows.len() < LRU_ROWS {
             self.rows.push(CachedRow {
                 source_slot: key_slot,
                 faults: faults.clone(),
@@ -976,7 +946,7 @@ impl QueryContext {
         } else {
             (0..self.rows.len())
                 .min_by_key(|&j| self.rows[j].last_used)
-                .expect("capacity >= 1")
+                .expect("LRU_ROWS >= 1")
         };
         if faults.contains(Fault::Vertex(core.sources()[slot])) {
             // The source itself failed: nothing is reachable (matching
@@ -1094,173 +1064,69 @@ impl QueryContext {
     }
 }
 
-/// One unit of sharded batch work: a contiguous range of the sorted index
-/// order whose queries all share a source slot and fault set. Usually a
-/// whole fault-group; oversized groups are split into several units (see
-/// [`split_threshold`]).
-struct WorkUnit {
-    slot: usize,
-    /// Range into the sorted index order.
-    start: usize,
-    end: usize,
-}
-
-/// Above this many queries, a single fault-group is split into multiple
-/// work units so one hot fault cannot serialise a skewed batch on one
-/// worker. Each unit re-resolves the group's row in its worker's context —
-/// at most one extra BFS per worker that touches the fault (the LRU absorbs
-/// the rest) in exchange for spreading the row lookups.
-fn split_threshold(bfs_queries: usize, workers: usize) -> usize {
-    const MIN_SPLIT: usize = 64;
-    MIN_SPLIT.max(bfs_queries.div_ceil(4 * workers.max(1)))
-}
-
 /// The batch orchestration behind [`QueryContext::query_many_faults`].
 ///
 /// `query_at` maps a batch index to `(source slot, vertex, fault set)`; the
 /// **caller validates** slots, vertices and fault sets before calling.
-/// Queries are grouped by (slot, canonical fault set), distance-preserving
-/// groups (every fault an edge outside `H`) are answered inline from the
-/// core's rows, and the remaining groups — each needing one BFS per worker
-/// that touches it — are sharded over `parallel` workers, one fresh context
-/// per worker, with oversized groups split across several units. Results
-/// land in input order; worker counters are merged into `ctx` so the
-/// caller's stats stay complete.
+/// Queries are sorted by (slot, canonical fault set), and each run of equal
+/// keys is answered by one [`QueryContext::dist_many_unchecked`] call:
+/// serially on `ctx`, or one group per task over `parallel` workers, each
+/// with a fresh context. Results land in input order; worker counters are
+/// merged into `ctx` so the caller's stats stay complete.
 fn query_many_sharded<'q, Q>(
     core: &EngineCore,
     ctx: &mut QueryContext,
     parallel: &ftb_par::ParallelConfig,
     len: usize,
     query_at: Q,
-) -> Result<Vec<Option<u32>>, FtbfsError>
+) -> Vec<Option<u32>>
 where
     Q: Fn(usize) -> (usize, VertexId, &'q FaultSet) + Sync,
 {
+    let key = |qi: &u32| {
+        let (slot, _, faults) = query_at(*qi as usize);
+        (slot, faults)
+    };
     let mut order: Vec<u32> = (0..len as u32).collect();
-    order.sort_by(|&a, &b| {
-        let (slot_a, _, f_a) = query_at(a as usize);
-        let (slot_b, _, f_b) = query_at(b as usize);
-        (slot_a, f_a).cmp(&(slot_b, f_b))
-    });
-
-    // Cut the sorted order into (slot, fault set) groups.
-    let mut groups: Vec<WorkUnit> = Vec::new();
-    for (pos, &qi) in order.iter().enumerate() {
-        let (slot, _, faults) = query_at(qi as usize);
-        let same = match groups.last() {
-            Some(g) => {
-                let (pslot, _, pfaults) = query_at(order[g.start] as usize);
-                pslot == slot && pfaults == faults
-            }
-            None => false,
-        };
-        match groups.last_mut() {
-            Some(g) if same => g.end = pos + 1,
-            _ => groups.push(WorkUnit {
-                slot,
-                start: pos,
-                end: pos + 1,
-            }),
-        }
-    }
+    order.sort_by_key(key);
+    let groups: Vec<&[u32]> = order.chunk_by(|a, b| key(a) == key(b)).collect();
+    let answer = |ctx: &mut QueryContext, group: &[u32]| {
+        let (slot, faults) = key(&group[0]);
+        let targets: Vec<VertexId> = group.iter().map(|&qi| query_at(qi as usize).1).collect();
+        ctx.dist_many_unchecked(core, slot, &targets, faults)
+    };
 
     let mut results = vec![None; len];
-    // Fault-free-routed groups (every fault an edge outside H) read
-    // straight off the core's preprocessed rows — no BFS, no sharding
-    // needed. Routing goes through the same `route` function as single
-    // queries so the two paths can never drift apart.
-    let mut inline = QueryStats::default();
-    let mut bfs_units: Vec<WorkUnit> = Vec::new();
-    for g in groups {
-        let (_, _, faults) = query_at(order[g.start] as usize);
-        if core.route(faults) != Tier::FaultFree {
-            bfs_units.push(g);
-            continue;
-        }
-        let (dist, _) = core.fault_free_row(g.slot);
-        for &qi in &order[g.start..g.end] {
-            let (_, v, _) = query_at(qi as usize);
-            results[qi as usize] = finite(dist[v.index()]);
-        }
-        inline.queries += g.end - g.start;
-        inline.cached_answers += g.end - g.start;
-        inline.tiers.fault_free_row += g.end - g.start;
-    }
-    ctx.merge_stats(&inline);
-
-    // Shard the BFS units: each is one BFS (in its worker's context) plus
-    // its row lookups, so chunk size 1 balances skew between cheap and
-    // expensive failures.
-    let parallel = parallel.clone().with_chunk_size(1);
-    if parallel.is_serial() {
-        for g in &bfs_units {
-            for &qi in &order[g.start..g.end] {
-                let (slot, v, faults) = query_at(qi as usize);
-                results[qi as usize] = ctx.answer_unchecked(core, slot, v, faults);
-            }
-        }
-        return Ok(results);
-    }
-
-    // Split oversized groups so a single hot fault is shared by several
-    // workers instead of serialising on one. This must happen before the
-    // too-little-work bailout below: the skewed extreme — every BFS query
-    // in the batch naming one fault — is exactly one group.
-    let bfs_queries: usize = bfs_units.iter().map(|g| g.end - g.start).sum();
-    let threshold = split_threshold(bfs_queries, parallel.threads());
-    let mut units: Vec<WorkUnit> = Vec::with_capacity(bfs_units.len());
-    for g in bfs_units {
-        let mut start = g.start;
-        while g.end - start > threshold {
-            units.push(WorkUnit {
-                slot: g.slot,
-                start,
-                end: start + threshold,
-            });
-            start += threshold;
-        }
-        units.push(WorkUnit {
-            slot: g.slot,
-            start,
-            end: g.end,
-        });
-    }
-
-    // Not enough independent units to pay for worker spawn-up.
-    if units.len() < 2 {
-        for g in &units {
-            for &qi in &order[g.start..g.end] {
-                let (slot, v, faults) = query_at(qi as usize);
-                results[qi as usize] = ctx.answer_unchecked(core, slot, v, faults);
-            }
-        }
-        return Ok(results);
-    }
-
-    let sharded = parallel_map_init(
-        &parallel,
-        units.len(),
-        || (core.new_context(), QueryStats::default()),
-        |(wctx, seen), gi| {
-            let g = &units[gi];
-            let mut answers: Vec<(u32, Option<u32>)> = Vec::with_capacity(g.end - g.start);
-            for &qi in &order[g.start..g.end] {
-                let (slot, v, faults) = query_at(qi as usize);
-                answers.push((qi, wctx.answer_unchecked(core, slot, v, faults)));
-            }
-            // Report only this unit's counter increments; the worker
-            // context (and its running totals) persists across units.
-            let total = wctx.stats();
-            let delta = total.delta_since(seen);
-            *seen = total;
-            (answers, delta)
-        },
-    );
-    for (answers, delta) in sharded {
-        for (qi, d) in answers {
+    let mut scatter = |group: &[u32], answers: Vec<Option<u32>>| {
+        for (&qi, d) in group.iter().zip(answers) {
             results[qi as usize] = d;
         }
-        ctx.merge_stats(&delta);
+    };
+    // Each group is one sweep at most, so chunk size 1 balances cheap
+    // against expensive failures; a single group is not worth a spawn.
+    let parallel = parallel.clone().with_chunk_size(1);
+    if parallel.is_serial() || groups.len() < 2 {
+        for group in groups {
+            let answers = answer(ctx, group);
+            scatter(group, answers);
+        }
+        return results;
     }
-    Ok(results)
+    let sharded = parallel_map_init(
+        &parallel,
+        groups.len(),
+        || core.new_context(),
+        |wctx, gi| {
+            // The worker context persists across tasks: report only this
+            // group's counter increments.
+            wctx.reset_stats();
+            let answers = answer(wctx, groups[gi]);
+            (answers, wctx.stats())
+        },
+    );
+    for (group, (answers, stats)) in groups.iter().zip(sharded) {
+        scatter(group, answers);
+        ctx.merge_stats(&stats);
+    }
+    results
 }

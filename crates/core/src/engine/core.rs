@@ -39,10 +39,6 @@ fn force_full_sweep_from_env() -> bool {
 /// only.
 #[derive(Clone, Debug)]
 pub struct EngineOptions {
-    /// Capacity, in distance rows, of each context's LRU of post-failure
-    /// rows (keyed by fault set and source). Each row costs `O(n)` memory
-    /// per context; minimum 1 (the 0.2 one-row cache behaviour).
-    pub lru_rows: usize,
     /// Thread configuration for sharded
     /// [`QueryContext::query_many_faults`] batches. Groups of
     /// queries sharing a fault set are distributed over this many
@@ -65,33 +61,20 @@ pub struct EngineOptions {
 }
 
 impl EngineOptions {
-    /// Default LRU capacity: a few rows is enough to absorb interleaved
-    /// queries against a small working set of failures without the memory
-    /// cost growing past `O(n)` per context in spirit.
-    pub const DEFAULT_LRU_ROWS: usize = 8;
-
     /// Default fault cap: dual failures, matching the richest regime with
     /// dedicated structures in the literature (Parter 2015). Raising it is
     /// safe — larger sets are answered by recomputed BFS — but each extra
     /// fault widens the space of distinct rows the LRU has to absorb.
     pub const DEFAULT_MAX_FAULTS: usize = 2;
 
-    /// Default options: [`Self::DEFAULT_LRU_ROWS`] rows, the default
-    /// (all-cores, env-overridable) [`ParallelConfig`] and
-    /// [`Self::DEFAULT_MAX_FAULTS`] faults per query.
+    /// Default options: the default (all-cores, env-overridable)
+    /// [`ParallelConfig`] and [`Self::DEFAULT_MAX_FAULTS`] faults per query.
     pub fn new() -> Self {
         EngineOptions {
-            lru_rows: Self::DEFAULT_LRU_ROWS,
             parallel: ParallelConfig::default(),
             max_faults: Self::DEFAULT_MAX_FAULTS,
             force_full_sweep: force_full_sweep_from_env(),
         }
-    }
-
-    /// Set the per-context LRU row capacity (minimum 1).
-    pub fn with_lru_rows(mut self, rows: usize) -> Self {
-        self.lru_rows = rows.max(1);
-        self
     }
 
     /// Set the batch-sharding thread configuration.
@@ -472,9 +455,9 @@ impl EngineCore {
 
     /// Create a fresh per-thread query context sized for this core.
     ///
-    /// Contexts are cheap (`O(n)` scratch plus up to
-    /// [`EngineOptions::lru_rows`] cached rows) and are the only mutable
-    /// state queries need — one per worker thread is the intended pattern.
+    /// Contexts are cheap (`O(n)` scratch plus up to 8 cached `O(n)` rows)
+    /// and are the only mutable state queries need — one per worker thread
+    /// is the intended pattern.
     pub fn new_context(&self) -> QueryContext {
         QueryContext::for_core(self)
     }

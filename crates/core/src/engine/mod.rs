@@ -19,17 +19,18 @@
 //!   same core type; a query names its source explicitly through the
 //!   `*_from` methods, or implicitly means [`EngineCore::primary_source`].
 //! * [`QueryContext`] — the cheap **per-thread** mutable state and the one
-//!   query entry point: BFS scratch rows, a visit queue, an LRU of recently
-//!   computed post-failure distance rows (keyed by fault set, capacity
-//!   [`EngineOptions::lru_rows`]), and query counters. Create one per worker
+//!   query entry point: BFS scratch rows, the miss kernel's sweep, an LRU of
+//!   up to 8 recently computed post-failure rows (keyed by source and fault
+//!   set), and query counters. Create one per worker
 //!   with [`EngineCore::new_context`]; contexts are *not* shared between
 //!   threads. Every query method takes the core by shared reference.
 //!   [`QueryContext::query_many_faults`] groups a batch by (source, fault
-//!   set) and shards the groups across the core's
+//!   set) and answers each group with one one-to-many call, on the calling
+//!   thread or one group per task across the core's
 //!   [`EngineOptions::parallel`] workers via
 //!   [`ftb_par::parallel_map_init`], one fresh context per worker, with
-//!   deterministic input-order results; oversized groups are split so one
-//!   hot fault cannot serialise a skewed batch on one worker.
+//!   deterministic input-order results. A group is one sweep at most, so
+//!   it is never split.
 //!
 //! # Fault model
 //!
@@ -102,15 +103,16 @@
 //!   [`QueryStats::repaired_rows`]. Each tier's post-failure adjacency is
 //!   defined once, and the repair, the restricted sweep below and the
 //!   forced full sweep all traverse it.
-//! * **One-to-many batching** — `dist_many_after_faults` answers a whole
+//! * **One-to-many batching** — `dist_many_after_faults`, and every
+//!   (source, fault set) group of `query_many_faults`, answers a whole
 //!   target set against one fault set in one pass: each target's
 //!   Euler-tour preorder number is binary-searched over the ≤ `|F|` merged
 //!   affected intervals (`O(t log |F|)` instead of `O(|F|·t)` probes),
 //!   provably-unaffected targets are read straight off the fault-free row
-//!   ([`TierCounters::batched_unaffected`]), and when only a few targets
-//!   land inside the affected subtrees a *target-restricted* repair sweep
-//!   stops as soon as every requested affected target is settled
-//!   ([`QueryStats::restricted_repairs`]) instead of repairing the row.
+//!   ([`TierCounters::batched_unaffected`]), and one *target-restricted*
+//!   sweep of the affected subtrees stops as soon as every requested
+//!   affected target is settled ([`QueryStats::restricted_repairs`]). No
+//!   row is copied or cached: only the requested targets are settled.
 //!
 //! Parent entries everywhere are **canonical** — the first neighbor one
 //! level closer in (filtered) adjacency order, a pure function of the final
@@ -122,12 +124,12 @@
 //! whole adjacency; the `row_repair` criterion bench
 //! gates the ≥ 2× serving gap between the two modes in CI.
 //!
-//! Each context keeps the last [`EngineOptions::lru_rows`] computed rows
-//! keyed by (source, canonical fault set) — distance, path and batch
-//! queries naming the same failures share one row — so interleaved
-//! queries against a small working set of failure patterns never repeat a
-//! search; batches additionally group by fault set so each distinct
-//! failure pattern is searched at most once per worker per batch.
+//! Each context keeps the last 8 rows that per-target distance and path
+//! misses computed, keyed by (source, canonical fault set), so interleaved
+//! per-target queries against a small working set of failure patterns
+//! never repeat a search. Batches neither read nor fill these rows: they
+//! group by fault set instead, so each distinct failure pattern of a batch
+//! is searched at most once.
 //!
 //! # Thread-safety contract
 //!
@@ -183,19 +185,20 @@ pub struct TierCounters {
     pub fault_free_row: usize,
     /// Answered in `O(|F|)` from the fault-free row because the target was
     /// *provably unaffected*: its canonical tree path avoids every failed
-    /// element, so no search (and no row) is needed at all. Targeted
+    /// element, so no search (and no row) is needed at all. Per-target
     /// distance queries and path queries whose whole parent chain is
-    /// unaffected take this path; disable it (together with the
-    /// incremental row repair) via
+    /// unaffected take this path (batched targets are counted in
+    /// [`TierCounters::batched_unaffected`] instead); disable it (together
+    /// with the incremental row repair) via
     /// [`EngineOptions::force_full_sweep`](super::EngineOptions).
     pub unaffected_fast_path: usize,
     /// Answered from the fault-free row by the *batched* one-to-many
-    /// classification: `dist_many_after_faults` binary-searches each
-    /// requested target's Euler-tour preorder number over the merged
-    /// affected intervals, so each provably-unaffected target of a
-    /// many-target query costs `O(log |F|)` instead of an `O(|F|)`
-    /// ancestor probe. Counted per *target*, like every other tier
-    /// counter.
+    /// classification: `dist_many_after_faults` and every
+    /// `query_many_faults` group binary-search each requested target's
+    /// Euler-tour preorder number over the merged affected intervals, so
+    /// each provably-unaffected target of a batch costs `O(log |F|)`
+    /// instead of an `O(|F|)` ancestor probe. Counted per *target*, like
+    /// every other tier counter.
     pub batched_unaffected: usize,
     /// Answered from a BFS row over the sparse structure CSR `H ∖ {e}`
     /// (single non-reinforced structure-edge failures — the seed paper's
@@ -284,11 +287,12 @@ pub struct QueryStats {
     /// `augmented_bfs_runs` or `full_graph_bfs_runs`), so `repaired_rows`
     /// tells how many of those searches were bounded.
     pub repaired_rows: usize,
-    /// One-to-many cache misses answered by a *target-restricted* repair
-    /// sweep: the bounded boundary-seeded BFS stopped as soon as every
-    /// affected *requested* target was settled, instead of repairing (or
-    /// caching) the whole row. Each restricted repair is also counted in
-    /// the sweep counter of its tier, like [`QueryStats::repaired_rows`].
+    /// Target-restricted sweeps: one per one-to-many call (and per
+    /// `query_many_faults` group) with at least one affected target and a
+    /// surviving source. The bounded boundary-seeded BFS stops as soon as
+    /// every affected *requested* target is settled; no row is copied or
+    /// cached. Each restricted sweep is also counted in the sweep counter
+    /// of its tier, like [`QueryStats::repaired_rows`].
     pub restricted_repairs: usize,
     /// Per-tier attribution of every answered query (fields sum to
     /// [`QueryStats::queries`]).

@@ -17,8 +17,8 @@
 //!
 //! Decoding is **total**: every byte string either yields a core or a typed
 //! [`SnapshotError`]. The serving-side [`EngineOptions`] are deliberately
-//! *not* snapshotted — they are deployment knobs (LRU size, worker threads,
-//! fault cap, sweep mode), supplied by whoever loads the core.
+//! *not* snapshotted — they are deployment knobs (worker threads, fault
+//! cap, sweep mode), supplied by whoever loads the core.
 
 use super::core::{next_core_token, AugmentedTier, FaultFreeRow, SlotTree};
 use super::{EngineCore, EngineOptions, ParentEntry};

@@ -1,3 +1,4 @@
+use super::context::LRU_ROWS;
 use super::*;
 use crate::builder::{Sources, StructureBuilder, TradeoffBuilder};
 use crate::error::FtbfsError;
@@ -197,62 +198,50 @@ fn lru_capacity_bounds_recomputation() {
         .with_config(|c| c.with_seed(11).serial())
         .build(&graph, &Sources::single(VertexId(0)))
         .expect("valid input");
-    let edges: Vec<EdgeId> = s.edges().take(3).collect();
-    assert!(edges.len() >= 3, "structure too small for the LRU test");
-    let runs =
-        |ctx: &QueryContext| ctx.stats().structure_bfs_runs + ctx.stats().full_graph_bfs_runs;
-
+    let edges: Vec<EdgeId> = s.edges().take(LRU_ROWS + 1).collect();
+    assert_eq!(
+        edges.len(),
+        LRU_ROWS + 1,
+        "structure too small for the LRU test"
+    );
     // Force full sweeps: this test counts one search per miss, and the
     // unaffected fast path would answer some probes without any row.
-    // Capacity 1 (the 0.2 one-row behaviour): a round-robin over three
-    // failures evicts on every step, so every query repeats its BFS.
-    let one = EngineCore::build_with(
-        &graph,
-        s.clone(),
-        EngineOptions::new()
-            .with_lru_rows(1)
-            .serial()
-            .with_force_full_sweep(true),
-    )
-    .expect("matching graph");
-    let mut one_ctx = one.new_context();
-    for _ in 0..4 {
-        for &e in &edges {
-            one_ctx
-                .dist_after_faults(&one, VertexId(1), &e.into())
-                .expect("in range");
-        }
-    }
-    assert_eq!(
-        runs(&one_ctx),
-        12,
-        "capacity 1 must recompute on every rotation"
-    );
-
-    // Capacity 4: the working set fits, so each failure is searched once.
-    let four = EngineCore::build_with(
+    let core = EngineCore::build_with(
         &graph,
         s,
-        EngineOptions::new()
-            .with_lru_rows(4)
-            .serial()
-            .with_force_full_sweep(true),
+        EngineOptions::new().serial().with_force_full_sweep(true),
     )
     .expect("matching graph");
-    let mut four_ctx = four.new_context();
-    for _ in 0..4 {
-        for &e in &edges {
-            four_ctx
-                .dist_after_faults(&four, VertexId(1), &e.into())
-                .expect("in range");
+    let runs =
+        |ctx: &QueryContext| ctx.stats().structure_bfs_runs + ctx.stats().full_graph_bfs_runs;
+    let rotate = |ctx: &mut QueryContext, edges: &[EdgeId]| {
+        for _ in 0..4 {
+            for &e in edges {
+                ctx.dist_after_faults(&core, VertexId(1), &e.into())
+                    .expect("in range");
+            }
         }
-    }
+    };
+
+    // One failure more than the LRU holds: a round-robin evicts on every
+    // step, so every query repeats its search.
+    let mut over = core.new_context();
+    rotate(&mut over, &edges);
     assert_eq!(
-        runs(&four_ctx),
-        3,
-        "capacity 4 must keep the working set cached"
+        runs(&over),
+        4 * edges.len(),
+        "a working set past capacity must recompute on every rotation"
     );
-    assert_eq!(four_ctx.stats().cached_answers, 9);
+
+    // A working set of exactly LRU_ROWS fits: each failure is searched once.
+    let mut fits = core.new_context();
+    rotate(&mut fits, &edges[..LRU_ROWS]);
+    assert_eq!(
+        runs(&fits),
+        LRU_ROWS,
+        "a working set of LRU_ROWS failures must stay cached"
+    );
+    assert_eq!(fits.stats().cached_answers, 3 * LRU_ROWS);
 }
 
 #[test]
@@ -585,19 +574,10 @@ fn concurrent_contexts_share_one_core() {
 
 #[test]
 fn engine_options_setters_and_defaults() {
-    let opts = EngineOptions::new()
-        .with_lru_rows(5)
-        .with_max_faults(3)
-        .serial();
-    assert_eq!(opts.lru_rows, 5);
+    let opts = EngineOptions::new().with_max_faults(3).serial();
     assert_eq!(opts.max_faults, 3);
     assert!(opts.parallel.is_serial());
-    assert_eq!(EngineOptions::new().with_lru_rows(0).lru_rows, 1);
     assert_eq!(EngineOptions::new().with_max_faults(0).max_faults, 1);
-    assert_eq!(
-        EngineOptions::default().lru_rows,
-        EngineOptions::DEFAULT_LRU_ROWS
-    );
     assert_eq!(
         EngineOptions::default().max_faults,
         EngineOptions::DEFAULT_MAX_FAULTS
@@ -814,25 +794,22 @@ fn lru_eviction_order_under_fault_set_keying() {
         .with_config(|c| c.with_seed(11).serial())
         .build(&graph, &Sources::single(VertexId(0)))
         .expect("valid input");
-    let edges: Vec<EdgeId> = s.backup_edges().take(2).collect();
-    assert_eq!(edges.len(), 2, "structure too small for the LRU test");
-    // Three distinct row keys: two single-edge sets and one mixed set.
-    let keys: Vec<FaultSet> = vec![
-        FaultSet::from(edges[0]),
-        FaultSet::from(edges[1]),
-        [Fault::Edge(edges[0]), Fault::Vertex(VertexId(24))]
+    // LRU_ROWS + 1 distinct row keys: single-edge sets and one mixed set
+    // that shares its edge with keys[0].
+    let mut keys: Vec<FaultSet> = s.edges().take(LRU_ROWS).map(FaultSet::from).collect();
+    assert_eq!(keys.len(), LRU_ROWS, "structure too small for the LRU test");
+    let e0 = keys[0].as_single_edge().expect("single edge");
+    keys.push(
+        [Fault::Edge(e0), Fault::Vertex(VertexId(24))]
             .into_iter()
             .collect(),
-    ];
+    );
     // Forced full sweeps: the probes below count one search per miss, which
     // the unaffected fast path would short-circuit for some vertices.
     let core = EngineCore::build_with(
         &graph,
         s,
-        EngineOptions::new()
-            .with_lru_rows(2)
-            .serial()
-            .with_force_full_sweep(true),
+        EngineOptions::new().serial().with_force_full_sweep(true),
     )
     .expect("matching graph");
     let mut ctx = core.new_context();
@@ -840,20 +817,26 @@ fn lru_eviction_order_under_fault_set_keying() {
         let st = ctx.stats();
         st.structure_bfs_runs + st.full_graph_bfs_runs
     };
-    // Fill the two slots with keys[0], keys[1]: two sweeps.
-    ctx.dist_after_faults(&core, VertexId(1), &keys[0]).unwrap();
-    ctx.dist_after_faults(&core, VertexId(1), &keys[1]).unwrap();
-    assert_eq!(runs(&ctx), 2);
+    // Fill every slot with keys[0..LRU_ROWS]: one sweep each.
+    for key in &keys[..LRU_ROWS] {
+        ctx.dist_after_faults(&core, VertexId(1), key).unwrap();
+    }
+    assert_eq!(runs(&ctx), LRU_ROWS);
     // Touch keys[0] so keys[1] becomes the least recently used…
     ctx.dist_after_faults(&core, VertexId(2), &keys[0]).unwrap();
-    assert_eq!(runs(&ctx), 2, "touch must be a cache hit");
-    // …then insert keys[2]: evicts keys[1], keeps keys[0].
-    ctx.dist_after_faults(&core, VertexId(1), &keys[2]).unwrap();
-    assert_eq!(runs(&ctx), 3);
+    assert_eq!(runs(&ctx), LRU_ROWS, "touch must be a cache hit");
+    // …then insert the mixed set: evicts keys[1], keeps keys[0].
+    ctx.dist_after_faults(&core, VertexId(1), &keys[LRU_ROWS])
+        .unwrap();
+    assert_eq!(runs(&ctx), LRU_ROWS + 1);
     ctx.dist_after_faults(&core, VertexId(3), &keys[0]).unwrap();
-    assert_eq!(runs(&ctx), 3, "recently used key must survive eviction");
+    assert_eq!(
+        runs(&ctx),
+        LRU_ROWS + 1,
+        "recently used key must survive eviction"
+    );
     ctx.dist_after_faults(&core, VertexId(3), &keys[1]).unwrap();
-    assert_eq!(runs(&ctx), 4, "evicted key must recompute");
+    assert_eq!(runs(&ctx), LRU_ROWS + 2, "evicted key must recompute");
 }
 
 #[test]
@@ -898,9 +881,9 @@ fn query_many_faults_matches_singles_serial_and_sharded() {
 }
 
 #[test]
-fn skewed_batches_split_across_workers_and_stay_identical() {
-    // Every query hits the same failing fault: pre-split, this serialised
-    // the whole batch on one worker.
+fn a_hot_fault_group_runs_one_sweep_on_any_thread_count() {
+    // Every query hits the same failing fault: the batch is one group, and
+    // a group is one search however many workers the engine has.
     let graph = generators::grid(6, 6);
     let s = TradeoffBuilder::new(0.3)
         .with_config(|c| c.with_seed(23).serial())
@@ -935,17 +918,11 @@ fn skewed_batches_split_across_workers_and_stay_identical() {
     let got = pctx
         .query_many_faults(&sharded, &queries)
         .expect("in range");
-    assert_eq!(got, expected, "split batch diverged from serial");
+    assert_eq!(got, expected, "4-thread batch diverged from serial");
     let st = pctx.stats();
     assert_eq!(st.queries, queries.len());
-    // The group was split into several units; each worker that touched the
-    // hot fault ran its own BFS (bounded by the worker count), and the LRU
-    // absorbed the units beyond the first per worker.
     let sweeps = st.structure_bfs_runs + st.full_graph_bfs_runs;
-    assert!(
-        (1..=4).contains(&sweeps),
-        "expected 1..=4 sweeps across workers, got {sweeps}"
-    );
+    assert_eq!(sweeps, 1, "one group must run one sweep, got {sweeps}");
 }
 
 #[test]
@@ -1234,9 +1211,9 @@ fn unaffected_path_queries_take_the_fast_path() {
 
 #[test]
 fn batched_queries_use_the_fast_path_per_target() {
-    // Within a fault-group of a batch, unaffected targets are answered
-    // without touching the group's row; the sweep only runs when an
-    // affected target needs it.
+    // Within a fault-group of a batch, unaffected targets are classified in
+    // one interval search and read off the fault-free row; one restricted
+    // sweep settles the affected ones, and no row is repaired.
     let graph = generators::grid(6, 6);
     let s = TradeoffBuilder::new(0.3)
         .with_config(|c| c.with_seed(47).serial())
@@ -1262,11 +1239,13 @@ fn batched_queries_use_the_fast_path_per_target() {
     }
     let stats = ctx.stats();
     assert!(
-        stats.tiers.unaffected_fast_path > 0,
+        stats.tiers.batched_unaffected > 0,
         "grid tree faults leave unaffected targets"
     );
     assert_eq!(stats.tiers.total(), stats.queries);
     assert!(stats.structure_bfs_runs <= faults.len());
+    assert_eq!(stats.repaired_rows, 0, "batches copy no row");
+    assert!(stats.restricted_repairs <= faults.len());
 }
 
 #[test]

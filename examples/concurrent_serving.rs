@@ -34,9 +34,9 @@ fn main() {
 
     // Preprocess once into a shareable core. The core owns everything it
     // needs, so the Arc moves freely into spawned threads.
-    let options = EngineOptions::new().with_lru_rows(16);
     let core = Arc::new(
-        EngineCore::build_with(&graph, structure, options).expect("structure matches its graph"),
+        EngineCore::build_with(&graph, structure, EngineOptions::new())
+            .expect("structure matches its graph"),
     );
 
     // Fan out: each worker serves a disjoint slice of failure scenarios with

@@ -219,12 +219,9 @@ fn parallel_query_many_agrees_with_brute_force_and_serial() {
             .expect("valid input");
         let queries = single_edge_queries(&graph, &[VertexId(0)]);
 
-        let serial = EngineCore::build_with(
-            &graph,
-            structure.clone(),
-            EngineOptions::new().with_lru_rows(4).serial(),
-        )
-        .expect("matching graph");
+        let serial =
+            EngineCore::build_with(&graph, structure.clone(), EngineOptions::new().serial())
+                .expect("matching graph");
         let serial_answers = serial
             .new_context()
             .query_many_faults(&serial, &queries)
@@ -234,9 +231,7 @@ fn parallel_query_many_agrees_with_brute_force_and_serial() {
             let sharded = EngineCore::build_with(
                 &graph,
                 structure.clone(),
-                EngineOptions::new()
-                    .with_lru_rows(4)
-                    .with_parallel(ParallelConfig::with_threads(threads)),
+                EngineOptions::new().with_parallel(ParallelConfig::with_threads(threads)),
             )
             .expect("matching graph");
             let answers = sharded

@@ -3,8 +3,7 @@
 //! brute-force BFS, serial and sharded, single- and multi-source.
 //!
 //! CI runs this file as a dedicated step with `FTBFS_FORCE_THREADS=4` so
-//! the sharded fault-group path (including oversized-group splitting) is
-//! exercised even on small runners.
+//! the sharded fault-group path is exercised even on small runners.
 
 use ftbfs::graph::{enumerate_fault_sets, FaultSet, VertexId};
 use ftbfs::par::ParallelConfig;
@@ -157,9 +156,9 @@ fn multi_source_engine_is_exact_on_all_fault_sets_up_to_two() {
     );
 }
 
-/// A single hot fault probed by a whole batch (the skew case the group
-/// splitting targets) stays byte-identical to the serial reference under
-/// the default (env-overridable) thread configuration.
+/// A single hot fault probed by a whole batch (one group, answered by one
+/// sweep) stays byte-identical to the serial reference under the default
+/// (env-overridable) thread configuration.
 #[test]
 fn skewed_single_fault_batches_are_deterministic() {
     let graph = Workload::new(WorkloadFamily::GridChords, 100, SEED).generate();

@@ -6,14 +6,17 @@
 //! engine's counters.
 //!
 //! The batched path has three internal routes (batched-unaffected from the
-//! fault-free row, target-restricted repair sweep, dense full-row
-//! materialisation); the identity tests below hit all of them by mixing
-//! sparse target lists, all-vertex target lists, duplicates, the source
-//! itself, and failed vertices as targets.
+//! fault-free row, one target-restricted sweep over the affected targets,
+//! and no search at all when the source itself failed); the identity tests
+//! below hit all of them by mixing sparse target lists, all-vertex target
+//! lists, duplicates, the source itself, failed vertices as targets, and a
+//! failed source.
 
 use ftbfs::graph::{FaultSet, VertexId};
 use ftbfs::workloads::{FaultScenario, Workload, WorkloadFamily};
+use ftbfs::QueryStats;
 use ftbfs::{EngineCore, EngineOptions, Sources, StructureBuilder, TradeoffBuilder};
+use std::collections::HashSet;
 
 const SEED: u64 = 0x12A7;
 
@@ -65,10 +68,16 @@ fn target_shapes(graph: &ftbfs::graph::Graph, faults: &FaultSet) -> Vec<Vec<Vert
     vec![sparse, dense, weird, Vec::new()]
 }
 
+/// Searches of every tier counted in `stats`.
+fn sweeps(stats: &QueryStats) -> usize {
+    stats.structure_bfs_runs + stats.augmented_bfs_runs + stats.full_graph_bfs_runs
+}
+
 /// One-to-many answers equal `targets.len()` separate per-target queries,
 /// on every workload family × fault scenario, in the normal engine **and**
 /// the forced-full-sweep engine (which takes the exact per-target code
-/// path internally).
+/// path internally). A failed source disconnects every target, and the
+/// batched path answers that without a search.
 #[test]
 fn dist_many_matches_per_target_on_every_family_and_scenario() {
     for (name, graph) in small_workloads(26) {
@@ -115,6 +124,23 @@ fn dist_many_matches_per_target_on_every_family_and_scenario() {
                     }
                 }
             }
+        }
+        let source_down = FaultSet::single_vertex(VertexId(0));
+        for targets in target_shapes(&graph, &source_down) {
+            let before = batched.stats();
+            let many = batched
+                .dist_many_after_faults(&core, &targets, &source_down)
+                .expect("in range");
+            let delta = batched.stats().delta_since(&before);
+            let forced_many = forced
+                .dist_many_after_faults(&forced_core, &targets, &source_down)
+                .expect("in range");
+            assert!(
+                many.iter().all(Option::is_none),
+                "{name}: a target survived the failed source"
+            );
+            assert_eq!(forced_many, many, "{name}: forced != batched");
+            assert_eq!(sweeps(&delta), 0, "{name}: the failed source ran a sweep");
         }
     }
 }
@@ -228,18 +254,21 @@ fn all_unaffected_target_sets_run_zero_sweeps() {
 }
 
 /// The restricted repair sweep is observable: a dense affected set probed
-/// through a handful of targets books a `restricted_repairs` count and
-/// still answers byte-identically.
+/// through a handful of targets, or through every vertex, books one
+/// `restricted_repairs` count, repairs no row and still answers
+/// byte-identically. Since the batch caches no row, a per-target query on
+/// an affected vertex afterwards runs its own search.
 #[test]
 fn sparse_affected_targets_take_the_restricted_sweep() {
     let graph = Workload::new(WorkloadFamily::GridChords, 120, SEED).generate();
     let core = build_core(&graph, repaired_options());
     let (mut ctx, mut reference) = (core.new_context(), core.new_context());
     let mut exercised = 0usize;
+    let mut seen = HashSet::new();
     for faults in FaultScenario::TreeConcentrated
         .generate(&graph, VertexId(0), 2, 12, SEED)
         .iter()
-        .filter(|f| !f.is_empty())
+        .filter(|f| !f.is_empty() && seen.insert((*f).clone()))
     {
         let affected: Vec<VertexId> = graph
             .vertices()
@@ -249,8 +278,7 @@ fn sparse_affected_targets_take_the_restricted_sweep() {
                     .expect("in range")
             })
             .collect();
-        // One affected target amid a big affected set: the crossover
-        // heuristic must choose the target-restricted sweep.
+        // One affected target amid a big affected set.
         if affected.len() < 16 {
             continue;
         }
@@ -277,6 +305,40 @@ fn sparse_affected_targets_take_the_restricted_sweep() {
         assert_eq!(
             many, serial,
             "restricted sweep answer differs under {faults}"
+        );
+
+        // Every vertex requested: still one restricted sweep, no row.
+        let all: Vec<VertexId> = graph.vertices().collect();
+        let before = ctx.stats();
+        let many = ctx
+            .dist_many_after_faults(&core, &all, faults)
+            .expect("in range");
+        let delta = ctx.stats().delta_since(&before);
+        assert_eq!(
+            delta.restricted_repairs, 1,
+            "all-vertex request took no restricted sweep under {faults}"
+        );
+        assert_eq!(delta.repaired_rows, 0, "all-vertex request repaired a row");
+        let serial: Vec<Option<u32>> = all
+            .iter()
+            .map(|&v| {
+                reference
+                    .dist_after_faults(&core, v, faults)
+                    .expect("in range")
+            })
+            .collect();
+        assert_eq!(many, serial, "all-vertex answer differs under {faults}");
+
+        // The batches left no row behind: a per-target query on an
+        // affected vertex searches.
+        let before = ctx.stats();
+        ctx.dist_after_faults(&core, affected[0], faults)
+            .expect("in range");
+        let delta = ctx.stats().delta_since(&before);
+        assert_eq!(
+            sweeps(&delta),
+            1,
+            "per-target query found a batch row under {faults}"
         );
     }
     assert!(exercised >= 2, "no fault set produced a dense affected set");
