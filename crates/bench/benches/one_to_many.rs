@@ -7,7 +7,7 @@
 //! **batched** one-to-many entry point (`dist_many_after_faults` — one
 //! interval-batched unaffected classification and at most one
 //! target-restricted sweep per fault set, which settles only the requested
-//! affected targets and caches no row). The committed baseline pins both
+//! affected targets and copies no row). The committed baseline pins both
 //! sides of both shapes, so the regression gate asserts the amortised path
 //! stays fast *and* the gap to the per-target loop does not erode.
 //!
@@ -22,8 +22,11 @@
 //!   per-target side repairs one row per fault set and answers the other
 //!   affected targets from the LRU.
 //!
-//! Batches use more distinct fault sets (32) than the LRU holds, so fault
-//! sets are cache misses — this measures the miss path, not the cache.
+//! Each side replays more distinct fault sets than the context's LRU
+//! holds, so every fault set misses: the per-target side repairs its row
+//! on the first affected target, and the batched side takes the
+//! restricted sweep (its remembered key is evicted before the fault set
+//! recurs). This measures the miss path, not the cache.
 //!
 //! Run with `FTBFS_BENCH_JSON` to dump a baseline and
 //! `FTBFS_BENCH_BASELINE` to gate on a committed one (see the criterion

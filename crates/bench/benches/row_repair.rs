@@ -23,8 +23,13 @@
 //!   while the full-sweep side re-sweeps the graph; the comparison isolates
 //!   the bounded sweep against the full one.
 //!
-//! Batches use more distinct fault sets (32) than the LRU holds (8), so
-//! sets are cache misses — this measures the miss path, not the cache.
+//! Each batch is replayed on one context. A fault set's first miss takes
+//! the restricted sweep and leaves its key in the context's LRU; a replay
+//! that finds the key repairs and caches the row. So when a batch's
+//! affected fault sets fit in the LRU (the single-edge shape), later
+//! replays read cached rows, as per-target serving of a small working set
+//! does; when they do not (the scenario shapes), every replay stays on the
+//! miss path.
 //!
 //! Run with `FTBFS_BENCH_JSON` to dump a baseline and
 //! `FTBFS_BENCH_BASELINE` to gate on a committed one (see the criterion

@@ -75,9 +75,10 @@ fn main() {
         .build(&graph, &Sources::single(SOURCE))
         .expect("valid input");
 
-    // Both streams force a real search per fault set: the per-target one
-    // names more distinct fault sets than the LRU holds, and the batched
-    // one caches no row at all. An all-fast-path
+    // Both streams force a real search per fault set: each names more
+    // distinct fault sets than the LRU holds, so a fault set's row (or, for
+    // the batched stream, its remembered key) is evicted before it
+    // recurs. An all-fast-path
     // stream would be the wrong thing to gate on: at ~100 ns/call the
     // entry point's one clock pair *is* a triple-digit percentage, which
     // is why the engine only times public entry points in the first place
@@ -110,7 +111,8 @@ fn main() {
 
     // one_to_many: every fault set answers a dense frame (all vertices),
     // so each call pays the classification plus one target-restricted
-    // sweep that waits for its whole affected region, and caches no row.
+    // sweep that waits for its whole affected region (a first miss: no
+    // row is repaired).
     let dense: Vec<VertexId> = graph.vertices().collect();
     let one_to_many = Shape {
         name: "one_to_many",
@@ -149,8 +151,8 @@ fn main() {
     let mut breached = false;
 
     for shape in [&one_to_many, &row_repair] {
-        // More distinct fault sets than the row LRU holds keeps every
-        // replay pass on the miss path.
+        // More distinct fault sets than the LRU holds keeps every replay
+        // pass on the miss path.
         assert!(
             shape.requests.len() >= 12,
             "{}: scenarios minted too few usable fault sets ({})",

@@ -22,8 +22,24 @@ struct CachedRow {
     faults: FaultSet,
     dist: Vec<u32>,
     parent: Vec<Option<(VertexId, EdgeId)>>,
+    /// `false` while the entry only remembers that a batch missed on its
+    /// fault set: `dist`/`parent` hold no row (and are empty until the
+    /// slot's first repair).
+    ready: bool,
     /// Logical timestamp of the last hit (LRU eviction order).
     last_used: u64,
+}
+
+/// Where a (source slot, fault set) key stands in the LRU; the index is
+/// the entry now holding the key, most recently used.
+#[derive(Clone, Copy, Debug)]
+enum Lookup {
+    /// The entry holds the key's row.
+    Ready(usize),
+    /// The key missed before and is still remembered, but has no row.
+    Seen(usize),
+    /// The key was not there; it evicted the least recently used entry.
+    New(usize),
 }
 
 /// Where the distance row for the current query lives.
@@ -35,8 +51,10 @@ pub(super) enum RowSlot {
     Cached(usize),
 }
 
-/// Capacity, in rows, of each context's LRU of post-failure rows. Only
-/// per-target distance and path misses fill it; a few rows absorb
+/// Capacity, in entries, of each context's LRU of post-failure rows. A
+/// per-target distance or path miss repairs a row into it; a batch miss
+/// only records its key, and the key's row is repaired when a batch names
+/// the fault set again while it is still remembered. A few rows absorb
 /// interleaved queries against a small working set of fault sets, and each
 /// row costs `O(n)` memory per context.
 pub(super) const LRU_ROWS: usize = 8;
@@ -362,13 +380,16 @@ impl BannedEdges {
 /// with zero synchronisation. Using a context with a core it was not created
 /// by is a [`FtbfsError::ContextMismatch`].
 ///
-/// The LRU holds up to 8 rows keyed by (source, canonical **fault set**),
-/// so per-target distance and path queries naming the same failure pattern
-/// share one row; repeated and interleaved queries against that many
-/// distinct failure patterns are answered without repeating a search.
-/// Batches ([`QueryContext::dist_many_after_faults`],
-/// [`QueryContext::query_many_faults`]) neither read nor fill it: each
-/// (source, fault set) group settles only its own affected targets.
+/// A small LRU holds post-failure rows keyed by (source, canonical **fault
+/// set**), so queries naming the same failure pattern share one row;
+/// repeated and interleaved queries against a few distinct failure patterns
+/// are answered without repeating a search. A per-target distance or path
+/// miss repairs its row at once. A batch
+/// ([`QueryContext::dist_many_after_faults`], each
+/// [`QueryContext::query_many_faults`] group) reads a cached row, but on a
+/// first miss settles only its own affected targets and leaves just the
+/// key; a batch that names a remembered key again repairs and caches its
+/// row.
 #[derive(Clone, Debug)]
 pub struct QueryContext {
     /// Token of the core this context was created by.
@@ -512,11 +533,15 @@ impl QueryContext {
     /// ancestor probes — and every provably-unaffected target is answered
     /// straight from the fault-free row
     /// ([`TierCounters::batched_unaffected`](super::TierCounters)). The
-    /// affected targets, however many, are settled by one
-    /// *target-restricted* sweep that stops once the last of them is final
-    /// ([`QueryStats::restricted_repairs`]); no row is copied or cached. A
-    /// fault set containing the source answers them `None` without a
-    /// search. Results are byte-identical to `targets.len()` separate
+    /// affected targets, however many, read this context's cached row for
+    /// `F` if it has one. Otherwise, the first time `F` misses, one
+    /// *target-restricted* sweep settles them and stops once the last of
+    /// them is final ([`QueryStats::restricted_repairs`]); no row is copied,
+    /// only `F`'s key is remembered. A batch that names a remembered `F`
+    /// again repairs and caches its row, so a small set of fault sets
+    /// replayed batch after batch is answered from the cache. A fault set
+    /// containing the source answers them `None` without a search. Results
+    /// are byte-identical to `targets.len()` separate
     /// [`QueryContext::dist_after_faults`] calls.
     ///
     /// Counts `targets.len()` queries. Errors as
@@ -528,7 +553,9 @@ impl QueryContext {
         faults: &FaultSet,
     ) -> Result<Vec<Option<u32>>, FtbfsError> {
         self.checked_many(core, targets, faults)?;
-        Ok(self.with_tier_obs(|ctx| ctx.dist_many_unchecked(core, 0, targets, faults)))
+        let mut out = Vec::with_capacity(targets.len());
+        self.with_tier_obs(|ctx| ctx.dist_many_unchecked(core, 0, targets, faults, &mut out));
+        Ok(out)
     }
 
     /// One-to-many post-failure distances from an explicit source of a
@@ -545,7 +572,9 @@ impl QueryContext {
     ) -> Result<Vec<Option<u32>>, FtbfsError> {
         self.checked_many(core, targets, faults)?;
         let slot = core.source_slot(source)?;
-        Ok(self.with_tier_obs(|ctx| ctx.dist_many_unchecked(core, slot, targets, faults)))
+        let mut out = Vec::with_capacity(targets.len());
+        self.with_tier_obs(|ctx| ctx.dist_many_unchecked(core, slot, targets, faults, &mut out));
+        Ok(out)
     }
 
     /// A concrete post-failure shortest path from the primary source to `v`
@@ -582,14 +611,15 @@ impl QueryContext {
     ///
     /// The batch is grouped by (source, canonical fault set), and each
     /// group is one [`QueryContext::dist_many_after_faults_from`] call:
-    /// provably unaffected targets read the fault-free row, and one
-    /// target-restricted sweep settles the affected ones, so a distinct
-    /// failure pattern runs at most one search however many vertices are
-    /// probed against it. Groups are answered on this context, or spread
-    /// one group per task over the core's
+    /// provably unaffected targets read the fault-free row, and the
+    /// affected ones read a cached row or are settled by one search, so a
+    /// distinct failure pattern runs at most one search however many
+    /// vertices are probed against it. Groups are answered on this context
+    /// (sharing its LRU across batches), or, when at least two groups may
+    /// need a search, spread one group per task over the core's
     /// [`EngineOptions::parallel`](super::EngineOptions) workers, each with
     /// its own fresh context. A group is never split: that would only
-    /// multiply its sweep.
+    /// multiply its search.
     /// Results are returned in input order and are byte-identical to the
     /// serial path and to `queries.len()` separate
     /// [`QueryContext::dist_after_faults_from`] calls; `None` marks a
@@ -693,8 +723,8 @@ impl QueryContext {
 
     /// One-to-many answer with validation already done (shared by the
     /// public entry points and every [`QueryContext::query_many_faults`]
-    /// group).
-    /// Counts `targets.len()` queries; results are in input order.
+    /// group), written into `out` in input order.
+    /// Counts `targets.len()` queries.
     ///
     /// Under [`EngineOptions::force_full_sweep`](super::EngineOptions) the
     /// batch degrades to per-target [`QueryContext::answer_unchecked`]
@@ -705,22 +735,25 @@ impl QueryContext {
         slot: usize,
         targets: &[VertexId],
         faults: &FaultSet,
-    ) -> Vec<Option<u32>> {
+        out: &mut Vec<Option<u32>>,
+    ) {
+        out.clear();
         if core.options().force_full_sweep {
-            return targets
-                .iter()
-                .map(|&v| self.answer_unchecked(core, slot, v, faults))
-                .collect();
+            for &v in targets {
+                out.push(self.answer_unchecked(core, slot, v, faults));
+            }
+            return;
         }
         self.stats.queries += targets.len();
         let tier = core.route(faults);
+        let (dist0, _) = core.fault_free_row(slot);
+        out.extend(targets.iter().map(|&v| finite(dist0[v.index()])));
         if tier == Tier::FaultFree {
             // Every fault is an edge outside H: the fault-free row answers
             // the whole batch.
             self.count_tier_many(Tier::FaultFree, targets.len());
             self.stats.cached_answers += targets.len();
-            let (dist0, _) = core.fault_free_row(slot);
-            return targets.iter().map(|&v| finite(dist0[v.index()])).collect();
+            return;
         }
         // Stage spans (classification / restricted sweep) only arm when
         // obs is attached and sampling is on; they nest inside the
@@ -748,10 +781,8 @@ impl QueryContext {
         }
         drop(classify_span);
 
-        // Unaffected targets read the fault-free row; affected ones are
-        // overwritten below.
-        let (dist0, _) = core.fault_free_row(slot);
-        let mut out: Vec<Option<u32>> = targets.iter().map(|&v| finite(dist0[v.index()])).collect();
+        // Unaffected targets keep their fault-free answer; affected ones
+        // are overwritten below.
         let unaffected = targets.len() - affected.len();
         self.stats.tiers.batched_unaffected += unaffected;
         self.stats.cached_answers += unaffected;
@@ -759,7 +790,7 @@ impl QueryContext {
             // Every target provably unaffected: the whole batch ran zero
             // searches (the counter proof the one_to_many suite asserts).
             self.many_affected = affected;
-            return out;
+            return;
         }
         self.count_tier_many(tier, affected.len());
         if faults.contains(Fault::Vertex(core.sources()[slot])) {
@@ -768,28 +799,48 @@ impl QueryContext {
             for &i in &affected {
                 out[i as usize] = None;
             }
-        } else {
-            // Settle exactly the requested affected targets; copy and
-            // cache no row.
-            self.stats.restricted_repairs += 1;
-            let sweep_span = obs.as_ref().map(|o| Span::enter(&o.stage_restricted_sweep));
-            self.miss(
-                core,
-                slot,
-                faults,
-                tier,
-                Miss::Targets {
-                    targets,
-                    affected: &affected,
-                },
-            );
-            drop(sweep_span);
-            for &i in &affected {
-                out[i as usize] = self.repair.sweep.dist(targets[i as usize]);
+            self.many_affected = affected;
+            return;
+        }
+        let row = match self.lookup(slot, faults) {
+            Lookup::Ready(i) => {
+                self.stats.cached_answers += affected.len();
+                i
             }
+            Lookup::Seen(i) => {
+                // The fault set recurred while its key was remembered: its
+                // row earns the entry.
+                self.fill_row(core, slot, faults, tier, i);
+                i
+            }
+            Lookup::New(_) => {
+                // First sight: settle exactly the requested affected
+                // targets, and leave only the key behind.
+                self.stats.restricted_repairs += 1;
+                let sweep_span = obs.as_ref().map(|o| Span::enter(&o.stage_restricted_sweep));
+                self.miss(
+                    core,
+                    slot,
+                    faults,
+                    tier,
+                    Miss::Targets {
+                        targets,
+                        affected: &affected,
+                    },
+                );
+                drop(sweep_span);
+                for &i in &affected {
+                    out[i as usize] = self.repair.sweep.dist(targets[i as usize]);
+                }
+                self.many_affected = affected;
+                return;
+            }
+        };
+        let dist = &self.rows[row].dist;
+        for &i in &affected {
+            out[i as usize] = finite(dist[targets[i as usize].index()]);
         }
         self.many_affected = affected;
-        out
     }
 
     /// Path answer with validation already done. Counts one query.
@@ -921,6 +972,23 @@ impl QueryContext {
             self.stats.cached_answers += 1;
             return RowSlot::FaultFree;
         }
+        let i = match self.lookup(slot, faults) {
+            Lookup::Ready(i) => {
+                self.stats.cached_answers += 1;
+                i
+            }
+            Lookup::Seen(i) | Lookup::New(i) => {
+                self.fill_row(core, slot, faults, tier, i);
+                i
+            }
+        };
+        RowSlot::Cached(i)
+    }
+
+    /// Find (slot, `faults`) in the LRU and mark it most recently used, or
+    /// give it the entry of the least recently used key (a fresh one while
+    /// below [`LRU_ROWS`]), with no row yet.
+    fn lookup(&mut self, slot: usize, faults: &FaultSet) -> Lookup {
         self.clock += 1;
         let key_slot = slot as u32;
         if let Some(i) = self
@@ -928,18 +996,24 @@ impl QueryContext {
             .iter()
             .position(|r| r.source_slot == key_slot && r.faults == *faults)
         {
-            self.rows[i].last_used = self.clock;
-            self.stats.cached_answers += 1;
-            return RowSlot::Cached(i);
+            let row = &mut self.rows[i];
+            row.last_used = self.clock;
+            return if row.ready {
+                Lookup::Ready(i)
+            } else {
+                Lookup::Seen(i)
+            };
         }
-        // Miss: pick a row to (re)compute into — a fresh one while below
-        // capacity, otherwise evict the least recently used.
+        // Not there: take a fresh entry while below capacity, otherwise
+        // the least recently used one, keeping its buffers for the next
+        // repair.
         let i = if self.rows.len() < LRU_ROWS {
             self.rows.push(CachedRow {
                 source_slot: key_slot,
                 faults: faults.clone(),
-                dist: vec![UNREACHABLE; self.num_vertices],
-                parent: vec![None; self.num_vertices],
+                dist: Vec::new(),
+                parent: Vec::new(),
+                ready: false,
                 last_used: 0,
             });
             self.rows.len() - 1
@@ -948,20 +1022,37 @@ impl QueryContext {
                 .min_by_key(|&j| self.rows[j].last_used)
                 .expect("LRU_ROWS >= 1")
         };
+        let row = &mut self.rows[i];
+        row.source_slot = key_slot;
+        row.faults = faults.clone();
+        row.ready = false;
+        row.last_used = self.clock;
+        Lookup::New(i)
+    }
+
+    /// Compute LRU entry `i`'s row for `faults` (the key it already holds).
+    fn fill_row(
+        &mut self,
+        core: &EngineCore,
+        slot: usize,
+        faults: &FaultSet,
+        tier: Tier,
+        i: usize,
+    ) {
+        let n = self.num_vertices;
+        let row = &mut self.rows[i];
+        row.dist.resize(n, UNREACHABLE);
+        row.parent.resize(n, None);
         if faults.contains(Fault::Vertex(core.sources()[slot])) {
             // The source itself failed: nothing is reachable (matching
             // `bfs_distances_view` over a masked source). No search runs,
             // so no sweep is counted.
-            self.rows[i].dist.fill(UNREACHABLE);
-            self.rows[i].parent.fill(None);
+            row.dist.fill(UNREACHABLE);
+            row.parent.fill(None);
         } else {
             self.miss(core, slot, faults, tier, Miss::Row(i));
         }
-        let row = &mut self.rows[i];
-        row.source_slot = key_slot;
-        row.faults = faults.clone();
-        row.last_used = self.clock;
-        RowSlot::Cached(i)
+        self.rows[i].ready = true;
     }
 
     /// Run one cache miss on `tier`'s post-failure adjacency — the one
@@ -1069,10 +1160,12 @@ impl QueryContext {
 /// `query_at` maps a batch index to `(source slot, vertex, fault set)`; the
 /// **caller validates** slots, vertices and fault sets before calling.
 /// Queries are sorted by (slot, canonical fault set), and each run of equal
-/// keys is answered by one [`QueryContext::dist_many_unchecked`] call:
-/// serially on `ctx`, or one group per task over `parallel` workers, each
-/// with a fresh context. Results land in input order; worker counters are
-/// merged into `ctx` so the caller's stats stay complete.
+/// keys is answered by one [`QueryContext::dist_many_unchecked`] call.
+/// Groups routed to the fault-free row never search and are answered on
+/// `ctx`; so are the others, unless there are two or more of them and
+/// `parallel` has workers: then each is one task over the workers, and
+/// each worker has a fresh context. Results land in input order; worker
+/// counters are merged into `ctx` so the caller's stats stay complete.
 fn query_many_sharded<'q, Q>(
     core: &EngineCore,
     ctx: &mut QueryContext,
@@ -1090,42 +1183,55 @@ where
     let mut order: Vec<u32> = (0..len as u32).collect();
     order.sort_by_key(key);
     let groups: Vec<&[u32]> = order.chunk_by(|a, b| key(a) == key(b)).collect();
-    let answer = |ctx: &mut QueryContext, group: &[u32]| {
+    let searches = |group: &&[u32]| core.route(key(&group[0]).1) != Tier::FaultFree;
+    let answer = |ctx: &mut QueryContext,
+                  group: &[u32],
+                  targets: &mut Vec<VertexId>,
+                  out: &mut Vec<Option<u32>>| {
         let (slot, faults) = key(&group[0]);
-        let targets: Vec<VertexId> = group.iter().map(|&qi| query_at(qi as usize).1).collect();
-        ctx.dist_many_unchecked(core, slot, &targets, faults)
+        targets.clear();
+        targets.extend(group.iter().map(|&qi| query_at(qi as usize).1));
+        ctx.dist_many_unchecked(core, slot, targets, faults, out);
     };
-
-    let mut results = vec![None; len];
-    let mut scatter = |group: &[u32], answers: Vec<Option<u32>>| {
-        for (&qi, d) in group.iter().zip(answers) {
+    let scatter = |results: &mut [Option<u32>], group: &[u32], answers: &[Option<u32>]| {
+        for (&qi, &d) in group.iter().zip(answers) {
             results[qi as usize] = d;
         }
     };
-    // Each group is one sweep at most, so chunk size 1 balances cheap
-    // against expensive failures; a single group is not worth a spawn.
+
+    // Each searching group is one search at most, so chunk size 1 balances
+    // cheap against expensive failures; fewer than two are not worth a
+    // spawn.
     let parallel = parallel.clone().with_chunk_size(1);
-    if parallel.is_serial() || groups.len() < 2 {
-        for group in groups {
-            let answers = answer(ctx, group);
-            scatter(group, answers);
-        }
+    let spread =
+        !parallel.is_serial() && groups.iter().copied().filter(searches).take(2).count() == 2;
+    let (searching, here): (Vec<&[u32]>, Vec<&[u32]>) = groups
+        .into_iter()
+        .partition(|group| spread && searches(group));
+    let mut results = vec![None; len];
+    let (mut targets, mut out) = (Vec::new(), Vec::new());
+    for group in here {
+        answer(ctx, group, &mut targets, &mut out);
+        scatter(&mut results, group, &out);
+    }
+    if searching.is_empty() {
         return results;
     }
     let sharded = parallel_map_init(
         &parallel,
-        groups.len(),
-        || core.new_context(),
-        |wctx, gi| {
+        searching.len(),
+        || (core.new_context(), Vec::new()),
+        |(wctx, targets), gi| {
             // The worker context persists across tasks: report only this
             // group's counter increments.
             wctx.reset_stats();
-            let answers = answer(wctx, groups[gi]);
-            (answers, wctx.stats())
+            let mut out = Vec::new();
+            answer(wctx, searching[gi], targets, &mut out);
+            (out, wctx.stats())
         },
     );
-    for (group, (answers, stats)) in groups.iter().zip(sharded) {
-        scatter(group, answers);
+    for (&group, (answers, stats)) in searching.iter().zip(sharded) {
+        scatter(&mut results, group, &answers);
         ctx.merge_stats(&stats);
     }
     results

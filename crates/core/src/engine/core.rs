@@ -455,9 +455,9 @@ impl EngineCore {
 
     /// Create a fresh per-thread query context sized for this core.
     ///
-    /// Contexts are cheap (`O(n)` scratch plus up to 8 cached `O(n)` rows)
-    /// and are the only mutable state queries need — one per worker thread
-    /// is the intended pattern.
+    /// Contexts are cheap (`O(n)` scratch plus a small LRU of cached `O(n)`
+    /// rows) and are the only mutable state queries need — one per worker
+    /// thread is the intended pattern.
     pub fn new_context(&self) -> QueryContext {
         QueryContext::for_core(self)
     }

@@ -19,8 +19,8 @@
 //!   same core type; a query names its source explicitly through the
 //!   `*_from` methods, or implicitly means [`EngineCore::primary_source`].
 //! * [`QueryContext`] — the cheap **per-thread** mutable state and the one
-//!   query entry point: BFS scratch rows, the miss kernel's sweep, an LRU of
-//!   up to 8 recently computed post-failure rows (keyed by source and fault
+//!   query entry point: BFS scratch rows, the miss kernel's sweep, a small
+//!   LRU of recently computed post-failure rows (keyed by source and fault
 //!   set), and query counters. Create one per worker
 //!   with [`EngineCore::new_context`]; contexts are *not* shared between
 //!   threads. Every query method takes the core by shared reference.
@@ -112,7 +112,8 @@
 //!   ([`TierCounters::batched_unaffected`]), and one *target-restricted*
 //!   sweep of the affected subtrees stops as soon as every requested
 //!   affected target is settled ([`QueryStats::restricted_repairs`]). No
-//!   row is copied or cached: only the requested targets are settled.
+//!   row is copied: only the requested targets are settled, and only the
+//!   fault set's key is remembered (see the LRU below).
 //!
 //! Parent entries everywhere are **canonical** — the first neighbor one
 //! level closer in (filtered) adjacency order, a pure function of the final
@@ -124,12 +125,15 @@
 //! whole adjacency; the `row_repair` criterion bench
 //! gates the ≥ 2× serving gap between the two modes in CI.
 //!
-//! Each context keeps the last 8 rows that per-target distance and path
-//! misses computed, keyed by (source, canonical fault set), so interleaved
-//! per-target queries against a small working set of failure patterns
-//! never repeat a search. Batches neither read nor fill these rows: they
-//! group by fault set instead, so each distinct failure pattern of a batch
-//! is searched at most once.
+//! Each context keeps a small LRU keyed by (source, canonical fault set),
+//! so queries against a small working set of failure patterns never repeat
+//! a search. A per-target distance or path miss repairs its row into it. A
+//! batch reads a cached row; on a fault set's first miss it takes the
+//! restricted sweep and leaves only the key, and a batch that names a
+//! remembered key again repairs and caches the row. So a fault set seen
+//! once costs one restricted sweep, and one replayed batch after batch is
+//! answered from the cache; a batch groups by fault set, so each distinct
+//! failure pattern of a batch is searched at most once.
 //!
 //! # Thread-safety contract
 //!
@@ -288,11 +292,13 @@ pub struct QueryStats {
     /// tells how many of those searches were bounded.
     pub repaired_rows: usize,
     /// Target-restricted sweeps: one per one-to-many call (and per
-    /// `query_many_faults` group) with at least one affected target and a
-    /// surviving source. The bounded boundary-seeded BFS stops as soon as
-    /// every affected *requested* target is settled; no row is copied or
-    /// cached. Each restricted sweep is also counted in the sweep counter
-    /// of its tier, like [`QueryStats::repaired_rows`].
+    /// `query_many_faults` group) with at least one affected target, a
+    /// surviving source, and a fault set the context's LRU did not hold
+    /// (a remembered fault set repairs its row instead, a cached one reads
+    /// it). The bounded boundary-seeded BFS stops as soon as every affected
+    /// *requested* target is settled; no row is copied, only the fault
+    /// set's key is remembered. Each restricted sweep is also counted in
+    /// the sweep counter of its tier, like [`QueryStats::repaired_rows`].
     pub restricted_repairs: usize,
     /// Per-tier attribution of every answered query (fields sum to
     /// [`QueryStats::queries`]).

@@ -926,6 +926,77 @@ fn a_hot_fault_group_runs_one_sweep_on_any_thread_count() {
 }
 
 #[test]
+fn replayed_batches_cache_rows_only_while_their_fault_sets_fit_the_lru() {
+    // A batch replayed on one context: a fault set's first miss takes the
+    // restricted sweep and leaves its key, the next replay repairs and
+    // caches its row, and later replays read it. A working set larger than
+    // the LRU evicts each key before it recurs, so every replay stays on
+    // the restricted sweep and repairs nothing.
+    let graph = generators::grid(8, 8);
+    let src = VertexId(0);
+    let s = TradeoffBuilder::new(0.3)
+        .with_config(|c| c.with_seed(31).serial())
+        .build(&graph, &Sources::single(src))
+        .expect("valid input");
+    let core =
+        EngineCore::build_with(&graph, s.clone(), repaired_options()).expect("matching graph");
+    let forced = EngineCore::build_with(
+        &graph,
+        s,
+        EngineOptions::new().serial().with_force_full_sweep(true),
+    )
+    .expect("matching graph");
+    let affecting: Vec<FaultSet> = graph
+        .edge_ids()
+        .map(FaultSet::from)
+        .filter(|fs| {
+            graph
+                .vertices()
+                .any(|v| !core.is_target_unaffected(src, v, fs).expect("in range"))
+        })
+        .take(LRU_ROWS + 1)
+        .collect();
+    assert_eq!(affecting.len(), LRU_ROWS + 1, "too few affecting edges");
+    let batch = |sets: &[FaultSet]| -> Vec<(VertexId, VertexId, FaultSet)> {
+        sets.iter()
+            .flat_map(|fs| graph.vertices().map(move |v| (src, v, fs.clone())))
+            .collect()
+    };
+    let sweeps =
+        |st: &QueryStats| st.structure_bfs_runs + st.augmented_bfs_runs + st.full_graph_bfs_runs;
+    let k = LRU_ROWS;
+    let cases = [
+        (&affecting[..k], [(k, 0, k), (0, k, k), (0, 0, 0)]),
+        (&affecting[..], [(k + 1, 0, k + 1); 3]),
+    ];
+    for (sets, rounds) in cases {
+        let queries = batch(sets);
+        let expected = forced
+            .new_context()
+            .query_many_faults(&forced, &queries)
+            .expect("in range");
+        let mut ctx = core.new_context();
+        for (round, want) in rounds.into_iter().enumerate() {
+            let before = ctx.stats();
+            let got = ctx.query_many_faults(&core, &queries).expect("in range");
+            let d = ctx.stats().delta_since(&before);
+            assert_eq!(
+                got,
+                expected,
+                "{} sets, replay {round}: answers",
+                sets.len()
+            );
+            assert_eq!(
+                (d.restricted_repairs, d.repaired_rows, sweeps(&d)),
+                want,
+                "{} sets, replay {round}: (restricted, repaired, searches)",
+                sets.len()
+            );
+        }
+    }
+}
+
+#[test]
 fn multi_source_fault_sets_are_exact_per_source() {
     let graph = generators::grid(4, 4);
     let sources = [VertexId(0), VertexId(15)];

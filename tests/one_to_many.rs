@@ -5,12 +5,14 @@
 //! sets must be answered with **zero** BFS sweeps, proven through the
 //! engine's counters.
 //!
-//! The batched path has three internal routes (batched-unaffected from the
-//! fault-free row, one target-restricted sweep over the affected targets,
-//! and no search at all when the source itself failed); the identity tests
-//! below hit all of them by mixing sparse target lists, all-vertex target
-//! lists, duplicates, the source itself, failed vertices as targets, and a
-//! failed source.
+//! The batched path reads unaffected targets off the fault-free row and
+//! answers affected ones by one target-restricted sweep (a fault set's
+//! first miss), by repairing and caching its row (a remembered fault set),
+//! from the cached row, or with no search at all when the source itself
+//! failed. The identity tests below hit every route by asking several
+//! target shapes in turn under each fault set — sparse target lists,
+//! all-vertex target lists, duplicates, the source itself, failed vertices
+//! as targets — and under a failed source.
 
 use ftbfs::graph::{FaultSet, VertexId};
 use ftbfs::workloads::{FaultScenario, Workload, WorkloadFamily};
@@ -253,16 +255,29 @@ fn all_unaffected_target_sets_run_zero_sweeps() {
     );
 }
 
-/// The restricted repair sweep is observable: a dense affected set probed
-/// through a handful of targets, or through every vertex, books one
-/// `restricted_repairs` count, repairs no row and still answers
-/// byte-identically. Since the batch caches no row, a per-target query on
-/// an affected vertex afterwards runs its own search.
+/// A batch's first miss on a fault set takes the target-restricted sweep
+/// whatever its density: a dense affected set probed through one target,
+/// or through every vertex, books one `restricted_repairs` count, repairs
+/// no row and answers byte-identically. The batch leaves only the fault
+/// set's key, so a per-target query on an affected vertex afterwards runs
+/// its own search. A batch naming the remembered fault set again repairs
+/// and caches its row; the batch after that runs no search.
 #[test]
 fn sparse_affected_targets_take_the_restricted_sweep() {
     let graph = Workload::new(WorkloadFamily::GridChords, 120, SEED).generate();
     let core = build_core(&graph, repaired_options());
-    let (mut ctx, mut reference) = (core.new_context(), core.new_context());
+    let mut reference = core.new_context();
+    let mut per_target = |targets: &[VertexId], faults: &FaultSet| -> Vec<Option<u32>> {
+        targets
+            .iter()
+            .map(|&v| {
+                reference
+                    .dist_after_faults(&core, v, faults)
+                    .expect("in range")
+            })
+            .collect()
+    };
+    let all: Vec<VertexId> = graph.vertices().collect();
     let mut exercised = 0usize;
     let mut seen = HashSet::new();
     for faults in FaultScenario::TreeConcentrated
@@ -283,63 +298,69 @@ fn sparse_affected_targets_take_the_restricted_sweep() {
             continue;
         }
         exercised += 1;
-        let targets = vec![affected[affected.len() / 2]];
-        let before = ctx.stats();
-        let many = ctx
-            .dist_many_after_faults(&core, &targets, faults)
-            .expect("in range");
-        let delta = ctx.stats().delta_since(&before);
-        assert_eq!(
-            delta.restricted_repairs, 1,
-            "restricted sweep not taken under {faults}"
-        );
-        assert_eq!(delta.repaired_rows, 0, "full repair must not also run");
-        let serial: Vec<Option<u32>> = targets
-            .iter()
-            .map(|&v| {
-                reference
-                    .dist_after_faults(&core, v, faults)
-                    .expect("in range")
-            })
-            .collect();
-        assert_eq!(
-            many, serial,
-            "restricted sweep answer differs under {faults}"
-        );
+        let one = vec![affected[affected.len() / 2]];
+        for targets in [&one, &all] {
+            let mut ctx = core.new_context();
+            let many = ctx
+                .dist_many_after_faults(&core, targets, faults)
+                .expect("in range");
+            let stats = ctx.stats();
+            assert_eq!(
+                stats.restricted_repairs,
+                1,
+                "{} targets: restricted sweep not taken under {faults}",
+                targets.len()
+            );
+            assert_eq!(
+                stats.repaired_rows,
+                0,
+                "{} targets: a first miss repaired a row under {faults}",
+                targets.len()
+            );
+            assert_eq!(
+                many,
+                per_target(targets, faults),
+                "{} targets: answer differs under {faults}",
+                targets.len()
+            );
 
-        // Every vertex requested: still one restricted sweep, no row.
-        let all: Vec<VertexId> = graph.vertices().collect();
-        let before = ctx.stats();
-        let many = ctx
-            .dist_many_after_faults(&core, &all, faults)
-            .expect("in range");
-        let delta = ctx.stats().delta_since(&before);
-        assert_eq!(
-            delta.restricted_repairs, 1,
-            "all-vertex request took no restricted sweep under {faults}"
-        );
-        assert_eq!(delta.repaired_rows, 0, "all-vertex request repaired a row");
-        let serial: Vec<Option<u32>> = all
-            .iter()
-            .map(|&v| {
-                reference
-                    .dist_after_faults(&core, v, faults)
-                    .expect("in range")
-            })
-            .collect();
-        assert_eq!(many, serial, "all-vertex answer differs under {faults}");
+            // The batch left no row behind: a per-target query on an
+            // affected vertex searches.
+            let before = ctx.stats();
+            ctx.dist_after_faults(&core, affected[0], faults)
+                .expect("in range");
+            let delta = ctx.stats().delta_since(&before);
+            assert_eq!(
+                sweeps(&delta),
+                1,
+                "per-target query found a batch row under {faults}"
+            );
+        }
 
-        // The batches left no row behind: a per-target query on an
-        // affected vertex searches.
-        let before = ctx.stats();
-        ctx.dist_after_faults(&core, affected[0], faults)
-            .expect("in range");
-        let delta = ctx.stats().delta_since(&before);
-        assert_eq!(
-            sweeps(&delta),
-            1,
-            "per-target query found a batch row under {faults}"
-        );
+        // Replays of one batch on one context: restricted sweep, then the
+        // row repair, then the cached row.
+        let expected = per_target(&all, faults);
+        let mut ctx = core.new_context();
+        for (round, want) in [(1, 0, 1), (0, 1, 1), (0, 0, 0)].into_iter().enumerate() {
+            let before = ctx.stats();
+            let many = ctx
+                .dist_many_after_faults(&core, &all, faults)
+                .expect("in range");
+            let delta = ctx.stats().delta_since(&before);
+            assert_eq!(
+                (
+                    delta.restricted_repairs,
+                    delta.repaired_rows,
+                    sweeps(&delta)
+                ),
+                want,
+                "replay {round}: (restricted, repaired, searches) under {faults}"
+            );
+            assert_eq!(
+                many, expected,
+                "replay {round}: answer differs under {faults}"
+            );
+        }
     }
     assert!(exercised >= 2, "no fault set produced a dense affected set");
 }
