@@ -51,7 +51,7 @@ pub fn run_phase_s1(
             break;
         }
         outcome.iterations += 1;
-        let (type_a, type_b, type_c) = interference.classify(&current, &config.parallel);
+        let (type_a, type_b, type_c) = interference.classify(&current);
         if !type_c.is_empty() {
             outcome.sim_sets.push(type_c);
         }
@@ -218,7 +218,7 @@ mod tests {
             k_override: Some(1),
             ..BuildConfig::new(0.2)
         };
-        let (a, b, _c) = interference.classify(&i1, &config.parallel);
+        let (a, b, _c) = interference.classify(&i1);
         let terminals_a: std::collections::HashSet<VertexId> =
             a.iter().map(|&p| f.rp.get(p).pair.terminal).collect();
         let terminals_b: std::collections::HashSet<VertexId> =

@@ -20,13 +20,14 @@
 //! # The index
 //!
 //! [`InterferenceIndex`] stores, for every vertex `z`, the uncovered pairs
-//! whose detour interior holds `z`, as one CSR (`offsets`/`ids`) filled in
-//! [`ReplacementPaths::uncovered`] order. Two pairs interfere exactly when
-//! they appear in a common list, so the `(≁)`-partners of `p` are the pairs
-//! of `p`'s interior lists with another terminal and a failing edge not
-//! `∼`-related to `p`'s. Both tests read the pair's record (the terminal)
-//! and an array of the Euler preorder interval of the failing edge's child
-//! endpoint (`e ∼ e'` iff one interval contains the other's start).
+//! whose detour interior holds `z`, as one CSR (`offsets`/`ids`) filled
+//! pair by pair in `(terminal preorder, rank)` order, so every row is
+//! sorted by it. Two pairs interfere exactly when they appear in a common
+//! row, so the `(≁)`-partners of `p` are the pairs of `p`'s interior rows
+//! with another terminal and a failing edge not `∼`-related to `p`'s. Both
+//! tests read arrays by rank: the terminal's preorder number and the Euler
+//! preorder interval of the failing edge's child endpoint (`e ∼ e'` iff one
+//! interval contains the other's start).
 //!
 //! Only uncovered pairs are ever read, so every per-pair array, the scan
 //! marks included, is indexed by the pair's position in
@@ -37,25 +38,28 @@
 //! No query needs the whole partner set, only whether one with some
 //! property exists, so every scan stops at its **first witness**: a pair is
 //! in `I1` at its first partner, type A at its first π-intersected partner
-//! in the subset, and type B at its first non-A partner in the subset. A
-//! per-scan generation-stamped `seen` mark visits each partner once.
+//! in the subset, and type B at its first non-A partner in the subset. Which
+//! witness a scan meets first depends on the row order; whether one exists
+//! does not. A generation-stamped `seen` mark visits each partner once.
+//!
+//! # Type A as a range scan
 //!
 //! π-intersection needs no LCA. Let `v = term(p)`, `t = term(q)` and
 //! `ℓ = LCA(v, t)`. A tree vertex `z` lies on `π(ℓ, t) ∖ {ℓ}` iff `z` is an
 //! ancestor of `t` and not an ancestor of `v`. So `p` π-intersects `q` iff
 //! the preorder number of `t` falls into the subtree interval of some detour
-//! vertex of `p` that is not an ancestor of `v`. Those intervals are laminar;
-//! the index keeps the maximal ones per pair, sorted and disjoint, and
-//! answers each test with one `partition_point`, memoised per terminal
-//! within one pair's scan.
-//!
-//! [`InterferenceIndex::classify`] shards the subset over worker threads;
-//! the index is read-only and each worker owns its scan marks.
+//! vertex of `p` that is not an ancestor of `v`. Those intervals are
+//! laminar; the index keeps the maximal ones per pair (`pi_spans`), sorted
+//! and disjoint. Since the rows are sorted by terminal preorder, the
+//! candidates for type A in row `z` and span `[lo, hi)` are one contiguous
+//! run, found with one `partition_point`: the A-scan of `p` walks only the
+//! partners it could accept. The "has any partner" bit that type B needs,
+//! the `I1` split and the B-scan stay first-witness scans over whole rows.
+//! [`InterferenceIndex::classify`] runs on the calling thread.
 
 use crate::pair::PairId;
 use crate::pcons::ReplacementPaths;
 use ftb_graph::VertexId;
-use ftb_par::{parallel_map_init, ParallelConfig};
 use ftb_sp::{ShortestPathTree, TimestampedVector};
 use ftb_tree::TreeIndex;
 
@@ -65,7 +69,8 @@ use ftb_tree::TreeIndex;
 pub struct InterferenceIndex<'a> {
     rp: &'a ReplacementPaths,
     /// CSR row starts: the ranks of the pairs whose detour interior holds
-    /// vertex `z` are `ids[offsets[z] .. offsets[z + 1]]`.
+    /// vertex `z` are `ids[offsets[z] .. offsets[z + 1]]`, sorted by
+    /// `(terminal preorder, rank)`.
     offsets: Vec<u32>,
     ids: Vec<u32>,
     /// Preorder number of every uncovered pair's terminal, by rank.
@@ -78,14 +83,6 @@ pub struct InterferenceIndex<'a> {
     /// Sorted, disjoint preorder intervals of the detour vertices that are
     /// not ancestors of the pair's terminal.
     pi_spans: Vec<(u32, u32)>,
-}
-
-/// Per-worker marks of one partner scan.
-struct Scan {
-    /// Pairs already visited in the current scan.
-    seen: TimestampedVector<bool>,
-    /// π-intersection answers per terminal vertex for the current scan.
-    pi_memo: TimestampedVector<bool>,
 }
 
 /// Outcome of a type-A scan.
@@ -121,19 +118,21 @@ impl<'a> InterferenceIndex<'a> {
         for z in 0..n {
             offsets[z + 1] += offsets[z];
         }
+        let records = || uncovered.iter().map(|&p| rp.get(p));
+        let terminal_pre: Vec<u32> = records()
+            .map(|r| euler.preorder(r.pair.terminal).unwrap_or(u32::MAX))
+            .collect();
+        // Filling the rows in (terminal preorder, rank) order sorts them.
+        let mut order: Vec<usize> = (0..uncovered.len()).collect();
+        order.sort_by_key(|&i| terminal_pre[i]);
         let mut cursor = offsets.clone();
         let mut ids = vec![0u32; offsets[n] as usize];
-        for i in 0..uncovered.len() {
+        for i in order {
             for z in rp.detour_interior_at(i) {
                 ids[cursor[z.index()] as usize] = i as u32;
                 cursor[z.index()] += 1;
             }
         }
-
-        let records = || uncovered.iter().map(|&p| rp.get(p));
-        let terminal_pre = records()
-            .map(|r| euler.preorder(r.pair.terminal).unwrap_or(u32::MAX))
-            .collect();
         let edge_span = records()
             .map(|r| {
                 tree.child_endpoint(r.pair.failing_edge)
@@ -176,11 +175,13 @@ impl<'a> InterferenceIndex<'a> {
         }
     }
 
-    fn scan(&self) -> Scan {
-        Scan {
-            seen: TimestampedVector::new(self.edge_span.len(), false),
-            pi_memo: TimestampedVector::new(self.offsets.len() - 1, false),
-        }
+    fn seen(&self) -> TimestampedVector<bool> {
+        TimestampedVector::new(self.edge_span.len(), false)
+    }
+
+    /// The ranks in row `z`, by `(terminal preorder, rank)`.
+    fn row(&self, z: VertexId) -> &[u32] {
+        &self.ids[self.offsets[z.index()] as usize..self.offsets[z.index() + 1] as usize]
     }
 
     /// The rank of uncovered pair `p`.
@@ -205,23 +206,32 @@ impl<'a> InterferenceIndex<'a> {
         marks
     }
 
-    /// The terminal of the uncovered pair of rank `i`.
-    fn terminal(&self, i: usize) -> VertexId {
-        self.rp.get(self.rp.uncovered()[i]).pair.terminal
-    }
-
     /// The paper's `∼` relation on the failing edges of two pairs.
     fn edges_related(&self, p: usize, q: usize) -> bool {
         let (a, b) = (self.edge_span[p], self.edge_span[q]);
         (a.0 <= b.0 && b.0 < a.1) || (b.0 <= a.0 && a.0 < b.1)
     }
 
-    /// π-intersection (Fig. 2) of `p` with the tree path of `q`'s terminal.
-    fn pi_intersects(&self, p: usize, q: usize) -> bool {
-        let t = self.terminal_pre[q];
-        let row = &self.pi_spans[self.pi_offsets[p] as usize..self.pi_offsets[p + 1] as usize];
-        let i = row.partition_point(|&(lo, _)| lo <= t);
-        i > 0 && t < row[i - 1].1
+    /// Type A (Eq. 2): some `(≁)`-partner of the pair of rank `p` in the
+    /// subset has its terminal in one of `p`'s π-spans. For each interior
+    /// vertex `z` and span `[lo, hi)`, the candidates are the run of row `z`
+    /// whose terminal preorder lies in the span.
+    fn is_type_a(&self, p: usize, in_subset: &[bool]) -> bool {
+        let spans = &self.pi_spans[self.pi_offsets[p] as usize..self.pi_offsets[p + 1] as usize];
+        let own = self.terminal_pre[p];
+        self.rp.detour_interior_at(p).iter().any(|&z| {
+            let row = self.row(z);
+            spans.iter().any(|&(lo, hi)| {
+                let start = row.partition_point(|&q| self.terminal_pre[q as usize] < lo);
+                row[start..]
+                    .iter()
+                    .map(|&q| q as usize)
+                    .take_while(|&q| self.terminal_pre[q] < hi)
+                    .any(|q| {
+                        in_subset[q] && self.terminal_pre[q] != own && !self.edges_related(p, q)
+                    })
+            })
+        })
     }
 
     /// Visit the distinct `(≁)`-interference partners of the pair of rank
@@ -234,17 +244,15 @@ impl<'a> InterferenceIndex<'a> {
         mut accept: impl FnMut(usize) -> bool,
     ) -> bool {
         seen.reset();
-        let terminal = self.terminal(p);
-        for z in self.rp.detour_interior_at(p) {
-            let row =
-                &self.ids[self.offsets[z.index()] as usize..self.offsets[z.index() + 1] as usize];
-            for &q in row {
+        let terminal = self.terminal_pre[p];
+        for &z in self.rp.detour_interior_at(p) {
+            for &q in self.row(z) {
                 let q = q as usize;
                 if seen.is_set(q) {
                     continue;
                 }
                 seen.set(q, true);
-                if q == p || self.terminal(q) == terminal || self.edges_related(p, q) {
+                if self.terminal_pre[q] == terminal || self.edges_related(p, q) {
                     continue;
                 }
                 if accept(q) {
@@ -259,10 +267,10 @@ impl<'a> InterferenceIndex<'a> {
     /// `(≁)`-interfering partner among all uncovered pairs) and `I2` (the
     /// rest, which by construction is a `(∼)`-set).
     pub fn split_i1_i2(&self) -> (Vec<PairId>, Vec<PairId>) {
-        let mut scan = self.scan();
+        let mut seen = self.seen();
         let (mut i1, mut i2) = (Vec::new(), Vec::new());
         for (i, &p) in self.rp.uncovered().iter().enumerate() {
-            if self.find_partner(&mut scan.seen, i, |_| true) {
+            if self.find_partner(&mut seen, i, |_| true) {
                 i1.push(p);
             } else {
                 i2.push(p);
@@ -273,44 +281,25 @@ impl<'a> InterferenceIndex<'a> {
 
     /// Classify each pair of `subset` into type A, B or C with respect to the
     /// subset (Eq. 2–3). Returns `(type_a, type_b, type_c)` preserving the
-    /// subset order inside each class. The subset is sharded over
-    /// `parallel`; the result does not depend on it.
-    pub fn classify(
-        &self,
-        subset: &[PairId],
-        parallel: &ParallelConfig,
-    ) -> (Vec<PairId>, Vec<PairId>, Vec<PairId>) {
+    /// subset order inside each class.
+    pub fn classify(&self, subset: &[PairId]) -> (Vec<PairId>, Vec<PairId>, Vec<PairId>) {
         let ranks = self.ranks(subset);
         let in_subset = self.members(&ranks);
+        let mut seen = self.seen();
 
-        // Type A (Eq. 2), recording on the way whether any partner exists.
-        let scan_a = parallel_map_init(
-            parallel,
-            ranks.len(),
-            || self.scan(),
-            |scan, i| {
-                let p = ranks[i];
-                let Scan { seen, pi_memo } = scan;
-                pi_memo.reset();
-                let mut partner = false;
-                let a = self.find_partner(seen, p, |q| {
-                    if !in_subset[q] {
-                        return false;
-                    }
-                    partner = true;
-                    let t = self.terminal(q).index();
-                    if !pi_memo.is_set(t) {
-                        pi_memo.set(t, self.pi_intersects(p, q));
-                    }
-                    pi_memo.get(t)
-                });
-                match (a, partner) {
-                    (true, _) => ScanA::A,
-                    (false, true) => ScanA::Partner,
-                    (false, false) => ScanA::NoPartner,
+        // Type A (Eq. 2); for the other pairs, whether any partner exists.
+        let scan_a: Vec<ScanA> = ranks
+            .iter()
+            .map(|&p| {
+                if self.is_type_a(p, &in_subset) {
+                    ScanA::A
+                } else if self.find_partner(&mut seen, p, |q| in_subset[q]) {
+                    ScanA::Partner
+                } else {
+                    ScanA::NoPartner
                 }
-            },
-        );
+            })
+            .collect();
         let mut non_a = in_subset;
         for (&p, &s) in ranks.iter().zip(&scan_a) {
             if s == ScanA::A {
@@ -319,21 +308,11 @@ impl<'a> InterferenceIndex<'a> {
         }
 
         // Type B (Eq. 3): not A, and (≁)-interferes with a non-A subset pair.
-        let is_b = parallel_map_init(
-            parallel,
-            ranks.len(),
-            || self.scan(),
-            |scan, i| {
-                scan_a[i] == ScanA::Partner
-                    && self.find_partner(&mut scan.seen, ranks[i], |q| non_a[q])
-            },
-        );
-
         let (mut type_a, mut type_b, mut type_c) = (Vec::new(), Vec::new(), Vec::new());
-        for ((&p, &s), &b) in subset.iter().zip(&scan_a).zip(&is_b) {
-            match (s, b) {
-                (ScanA::A, _) => type_a.push(p),
-                (_, true) => type_b.push(p),
+        for ((&p, &i), &s) in subset.iter().zip(&ranks).zip(&scan_a) {
+            match s {
+                ScanA::A => type_a.push(p),
+                ScanA::Partner if self.find_partner(&mut seen, i, |q| non_a[q]) => type_b.push(p),
                 _ => type_c.push(p),
             }
         }
@@ -345,9 +324,9 @@ impl<'a> InterferenceIndex<'a> {
     pub fn is_sim_set(&self, subset: &[PairId]) -> bool {
         let ranks = self.ranks(subset);
         let in_subset = self.members(&ranks);
-        let mut scan = self.scan();
+        let mut seen = self.seen();
         !ranks
             .iter()
-            .any(|&p| self.find_partner(&mut scan.seen, p, |q| in_subset[q]))
+            .any(|&p| self.find_partner(&mut seen, p, |q| in_subset[q]))
     }
 }

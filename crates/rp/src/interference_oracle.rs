@@ -362,20 +362,9 @@ mod tests {
             "split on {what}"
         );
         assert!(fast.is_sim_set(&i2), "I2 is a (∼)-set on {what}");
-        let configs = [
-            ParallelConfig::serial(),
-            ParallelConfig::with_threads(4).with_chunk_size(2),
-        ];
         for subset in std::iter::once(&i1).chain(subsets) {
             let expected = oracle.classify(subset);
-            for config in &configs {
-                assert_eq!(
-                    fast.classify(subset, config),
-                    expected,
-                    "classify on {what} ({} threads)",
-                    config.threads()
-                );
-            }
+            assert_eq!(fast.classify(subset), expected, "classify on {what}");
             assert_eq!(
                 fast.is_sim_set(subset),
                 oracle.is_sim_set(subset),
@@ -436,6 +425,28 @@ mod tests {
         ) {
             let graph = families::erdos_renyi_gnm(n, n * avg_degree / 2, seed);
             check(&graph, seed, VertexId::new(source_pick % n), "a random graph");
+        }
+    }
+
+    /// Both end-to-end benchmark graphs (n = 2000, seed 7): the `I1`/`I2`
+    /// split and the classes of `I1` match the oracle.
+    /// Release only: `cargo test --release -p ftb_rp -- --ignored`.
+    #[test]
+    #[ignore = "benchmark-size check; run in release with --ignored"]
+    fn identical_to_oracle_at_benchmark_size() {
+        for family in [WorkloadFamily::LayeredDeep, WorkloadFamily::ErdosRenyi] {
+            let graph = Workload::new(family, 2000, 7).generate();
+            let f = fixture(&graph, 7, VertexId(0));
+            let fast = InterferenceIndex::build(&f.rp, &f.tree, &TreeIndex);
+            let oracle = OracleIndex::build(&f.rp, &f.tree, &f.index);
+            let what = family.name();
+            let (i1, i2) = oracle.split_i1_i2();
+            assert_eq!(fast.split_i1_i2(), (i1.clone(), i2), "split on {what}");
+            assert_eq!(
+                fast.classify(&i1),
+                oracle.classify(&i1),
+                "classify on {what}"
+            );
         }
     }
 
@@ -507,7 +518,7 @@ mod tests {
         let fast = InterferenceIndex::build(&f.rp, &f.tree, &TreeIndex);
         let idx = OracleIndex::build(&f.rp, &f.tree, &f.index);
         let (i1, _) = fast.split_i1_i2();
-        let (a, b, _c) = fast.classify(&i1, &ParallelConfig::serial());
+        let (a, b, _c) = fast.classify(&i1);
         let is_a: HashSet<_> = a.iter().copied().collect();
         let is_b: HashSet<_> = b.iter().copied().collect();
         let member: HashSet<PairId> = i1.iter().copied().collect();
@@ -535,7 +546,7 @@ mod tests {
         for &p in &i1 {
             assert!(!idx.non_sim_interference_set(p, None).is_empty());
         }
-        let (a, b, c) = fast.classify(&i1, &ParallelConfig::serial());
+        let (a, b, c) = fast.classify(&i1);
         let mut all: Vec<PairId> = a.iter().chain(&b).chain(&c).copied().collect();
         all.sort_unstable();
         let mut sorted_i1 = i1.clone();
@@ -550,7 +561,7 @@ mod tests {
         let fast = InterferenceIndex::build(&f.rp, &f.tree, &TreeIndex);
         let (i1, i2) = fast.split_i1_i2();
         assert!(i1.is_empty() && i2.is_empty());
-        let (a, b, c) = fast.classify(&[], &ParallelConfig::with_threads(4));
+        let (a, b, c) = fast.classify(&[]);
         assert!(a.is_empty() && b.is_empty() && c.is_empty());
         assert!(fast.is_sim_set(&[]));
     }

@@ -36,4 +36,4 @@ pub mod pcons;
 
 pub use interference::InterferenceIndex;
 pub use pair::{PairId, ReplacementPath, VePair};
-pub use pcons::ReplacementPaths;
+pub use pcons::{PconsWork, ReplacementPaths};

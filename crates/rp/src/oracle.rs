@@ -205,8 +205,9 @@ mod tests {
         (0..rp.len()).map(|p| rp.path(graph, tree, p)).collect()
     }
 
-    /// Production `Pcons` and the oracle, rendered field by field.
-    fn both(graph: &Graph, seed: u64, source: VertexId) -> (String, String, usize) {
+    /// Production `Pcons` and the oracle, rendered field by field, and the
+    /// production store.
+    fn both(graph: &Graph, seed: u64, source: VertexId) -> (String, String, ReplacementPaths) {
         let weights = TieBreakWeights::generate(graph, seed);
         let tree = ShortestPathTree::build(graph, &weights, source);
         let dists = ReplacementDistances::compute(graph, &tree, &ParallelConfig::serial());
@@ -221,30 +222,65 @@ mod tests {
         (
             format!("{:?}", rebuilt(&fast, graph, &tree)),
             format!("{oracle:?}"),
-            oracle.len(),
+            fast,
         )
     }
 
-    fn assert_matches_oracle(graph: &Graph, seed: u64, source: VertexId, what: &str) -> usize {
-        let (fast, oracle, pairs) = both(graph, seed, source);
+    fn assert_matches_oracle(
+        graph: &Graph,
+        seed: u64,
+        source: VertexId,
+        what: &str,
+    ) -> ReplacementPaths {
+        let (fast, oracle, rp) = both(graph, seed, source);
         assert!(
             fast == oracle,
             "Pcons differs from the LexSearch oracle on {what}"
         );
-        pairs
+        rp
+    }
+
+    /// The pass-2 branches a store reaches: terminals with one uncovered
+    /// pair feasible at `j = 0` (its path diverges at the source) and
+    /// another that gallops, and uncovered pairs of depth-1 terminals, whose
+    /// search bans the edge from the source rather than a tree path
+    /// interior.
+    fn pass_two_branches(rp: &ReplacementPaths) -> (usize, usize) {
+        let (mut mixed, mut depth_one) = (0, 0);
+        for group in rp
+            .uncovered()
+            .chunk_by(|&p, &q| rp.get(p).pair.terminal == rp.get(q).pair.terminal)
+        {
+            let at_source = |&p: &usize| rp.get(p).divergence == Some(rp.source());
+            mixed += usize::from(group.iter().any(at_source) && !group.iter().all(at_source));
+            depth_one += group
+                .iter()
+                .filter(|&&p| rp.get(p).terminal_depth == 1)
+                .count();
+        }
+        (mixed, depth_one)
     }
 
     #[test]
     fn identical_to_oracle_on_every_workload_family() {
+        let (mut mixed, mut depth_one) = (0, 0);
         for &family in WorkloadFamily::all() {
             for n in [48usize, 160] {
                 for seed in [1u64, 7] {
                     let graph = Workload::new(family, n, seed).generate();
                     let what = format!("{}(n={n}, seed={seed})", family.name());
-                    assert_matches_oracle(&graph, seed, VertexId(0), &what);
+                    let rp = assert_matches_oracle(&graph, seed, VertexId(0), &what);
+                    let (m, d) = pass_two_branches(&rp);
+                    mixed += m;
+                    depth_one += d;
                 }
             }
         }
+        assert!(
+            mixed > 0,
+            "no terminal mixes a j = 0 pair with a galloping one"
+        );
+        assert!(depth_one > 0, "no uncovered pair of a depth-1 terminal");
     }
 
     #[test]
@@ -252,13 +288,13 @@ mod tests {
         let mut pairs = 0;
         for eps in [0.2, 0.3, 0.5] {
             let lb = single_source_lower_bound(300, eps);
-            pairs += assert_matches_oracle(&lb.graph, 3, lb.source, &format!("G({eps})"));
+            pairs += assert_matches_oracle(&lb.graph, 3, lb.source, &format!("G({eps})")).len();
         }
         let lb = esa13_lower_bound(300);
-        pairs += assert_matches_oracle(&lb.graph, 5, lb.source, "esa13");
+        pairs += assert_matches_oracle(&lb.graph, 5, lb.source, "esa13").len();
         let lb = multi_source_lower_bound(300, 2, 0.3);
         for (i, &s) in lb.sources.iter().enumerate() {
-            pairs += assert_matches_oracle(&lb.graph, 9, s, &format!("multi-source s{i}"));
+            pairs += assert_matches_oracle(&lb.graph, 9, s, &format!("multi-source s{i}")).len();
         }
         assert!(pairs > 0, "the families must exercise Pcons");
     }

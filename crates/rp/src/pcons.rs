@@ -9,45 +9,63 @@
 //! on one [`CanonicalScratch`] over that subtree, its boundary seeded at
 //! fault-free depths (see [`ftb_sp::canonical`]).
 //!
-//! The work is organised per failing edge, not per terminal:
+//! The work runs in two passes, each parallel over its tasks:
 //!
-//! * **Covered pairs: no probe.** One canonical replacement tree of
-//!   `G ∖ {e}` over the subtree of `c` answers every terminal below `c`. A
-//!   pair `⟨v, e⟩` is covered iff some tree edge `(x, v) ≠ e` has
-//!   `dist(s, x, G ∖ {e}) = target − 1`: a path to `x` that short cannot
-//!   pass `v`, so it also lives in `G'(v) ∖ {e}` (no non-tree edge incident
-//!   to `v`), and its canonical path and tie sum are those of the tree.
-//!   The canonical covered path is the tree path to the `(tie sum + W(x,
-//!   v), x)`-minimal such `x`, followed by `(x, v)` — the parent the
-//!   canonical search in `G'(v) ∖ {e}` would settle.
-//! * **Uncovered pairs.** The path must be new-ending. Probe `j` bans `e`
-//!   and the interior of `π(u_j, v)`; all of it lies in the subtree of
-//!   `u_{j+1}` (or is `e` entering it), so the probe is a hop-bounded sweep
-//!   over that subtree that stops when `v` is discovered or the frontier
-//!   passes `target`. The predicate is monotone in `j` (Lemma 4.3): the
-//!   search tries `j = 0` (the source, often feasible on deep trees), then
-//!   gallops down from the feasible `j = idx` and bisects, and only the
-//!   chosen probe gets the canonical parent sweep, restricted to the
-//!   vertices shallower than `v` plus `v` itself. The interior filter is
+//! * **Pass 1, per failing edge: covered pairs, no probe.** One canonical
+//!   replacement tree of `G ∖ {e}` over the subtree of `c` answers every
+//!   terminal below `c`. A pair `⟨v, e⟩` is covered iff some tree edge
+//!   `(x, v) ≠ e` has `dist(s, x, G ∖ {e}) = target − 1`: a path to `x` that
+//!   short cannot pass `v`, so it also lives in `G'(v) ∖ {e}` (no non-tree
+//!   edge incident to `v`), and its canonical path and tie sum are those of
+//!   the tree. The canonical covered path is the tree path to the
+//!   `(tie sum + W(x, v), x)`-minimal such `x`, followed by `(x, v)` — the
+//!   parent the canonical search in `G'(v) ∖ {e}` would settle. The pass
+//!   lists the other pairs, with their targets, as uncovered.
+//! * **Pass 2, per terminal: uncovered pairs.** The path must be
+//!   new-ending. Probe `j` bans `e` and the interior of `π(u_j, v)`; all of
+//!   it lies in the subtree of `u_{j+1}` (or is `e` entering it), so the
+//!   probe is a hop-bounded sweep over that subtree that stops when `v` is
+//!   discovered or the frontier passes `target`. The interior filter is
 //!   inline: `w` is removed iff `j < depth(w) < k ∧ π[depth(w)] = w`, where
 //!   `k = depth(v)` — `π` is a shortest path, so its `i`-th vertex has
-//!   depth `i`.
+//!   depth `i`. The predicate is monotone in `j` (Lemma 4.3), and the source
+//!   (`j = 0`) is the best divergence point there is.
+//!
+//!   The `j = 0` graph is the same for every failing edge of `v`. If
+//!   `depth(v) ≥ 2`, every failing edge of `v` has an endpoint in the
+//!   interior `π°(s, v)`, so banning `e` adds nothing to banning `π°(s, v)`;
+//!   if `depth(v) = 1`, the interior is empty and `(s, v)` is the only
+//!   failing edge. So one search of `G ∖ π°(s, v) ∖ {(s, π[1])}` over the
+//!   subtree of `π[1]`, bounded by the largest target, decides `j = 0` for
+//!   every pair of `v`: with `d0 = dist(v)` in it, `G ∖ π°(s, v) ⊆ G ∖ {e}`
+//!   gives `d0 ≥ target`, and pair `⟨v, e⟩` takes `j = 0` iff
+//!   `d0 = target`. Those pairs all get the canonical path of that one
+//!   graph, settled once. Each other pair gallops down from the feasible
+//!   `j = idx` (where `e = (π[idx], π[idx + 1])`) to `j = 1` and bisects;
+//!   only the chosen probe gets the canonical parent sweep, restricted to
+//!   the vertices shallower than `v` plus `v` itself.
+//!
+//! [`ReplacementPaths::work`] counts the searches of both passes.
 //!
 //! # The pair store
 //!
-//! No path is built. Each edge's task writes, into buffers the calling
+//! No path is built. Each pass-1 task writes, into buffers the calling
 //! thread owns, every vertex's parent edge in the replacement tree and the
-//! pair's outcome: cut off, covered with its last edge, or new-ending with
-//! its last edge and its detour, which goes into the edge's detour buffer.
-//! The calling thread then walks the pairs in the order the later phases
-//! rely on — terminals by depth, then failing edges from the source down —
-//! writing one fixed-size [`PairRecord`] per pair and copying each detour
-//! into one arena. The replacement-tree parent edges (`Σ_v depth(v)`
-//! entries) stay in the store: [`ReplacementPaths::path`] rebuilds a
-//! covered path from them and `T0`, and a new-ending one as
-//! `π(s, d(P)) ∘ D(P)`. The rebuilt paths are identical, path for path, to
-//! the heap-based [`LexSearch`](ftb_sp::LexSearch) formulation over masked
-//! views, which is kept as the test oracle.
+//! pair's outcome: cut off, covered with its last edge, or uncovered with
+//! its target. The calling thread then walks the pairs in the order the
+//! later phases rely on — terminals by depth, then failing edges from the
+//! source down — writing one fixed-size [`PairRecord`] per pair and listing
+//! each terminal's uncovered pairs for pass 2. Each pass-2 task writes, into
+//! an outcome segment the calling thread owns, every uncovered pair's last
+//! edge and the place of its detour in the task's detour buffer; pairs that
+//! share a path share that detour. The calling thread completes the records
+//! of the uncovered pairs and copies each pair's detour into one arena, in
+//! id order. The replacement-tree parent edges (`Σ_v depth(v)` entries)
+//! stay in the store: [`ReplacementPaths::path`] rebuilds a covered path
+//! from them and `T0`, and a new-ending one as `π(s, d(P)) ∘ D(P)`. The
+//! rebuilt paths are identical, path for path, to the heap-based
+//! [`LexSearch`](ftb_sp::LexSearch) formulation over masked views, which is
+//! kept as the test oracle.
 
 use crate::pair::{PairId, PairRecord, ReplacementPath, VePair};
 use ftb_graph::{EdgeId, Graph, VertexId};
@@ -87,11 +105,14 @@ pub struct ReplacementPaths {
     /// vertex off).
     parent_offsets: Vec<usize>,
     parent_edges: Vec<EdgeId>,
+    /// The search work of the run.
+    work: PconsWork,
 }
 
 impl ReplacementPaths {
-    /// Run Algorithm `Pcons` for every pair, in parallel over failing tree
-    /// edges (one [`CanonicalScratch`] per worker).
+    /// Run Algorithm `Pcons` for every pair, in parallel: pass 1 over
+    /// failing tree edges, pass 2 over the terminals of the uncovered pairs
+    /// (one [`CanonicalScratch`] pair per worker).
     pub fn compute(
         graph: &Graph,
         weights: &TieBreakWeights,
@@ -102,11 +123,12 @@ impl ReplacementPaths {
         let n = graph.num_vertices();
         // Segment `c` of the per-vertex buffers covers the vertices below
         // the tree edge into `c`, in preorder (empty for the source and
-        // unreachable vertices). The buffers are allocated here, so the
-        // long-lived ones come from the calling thread: buffers allocated by
-        // the short-lived workers and freed later stayed resident in their
-        // allocator arenas by an amount that varied from run to run. Only
-        // the detours, a few per edge, grow on the workers.
+        // unreachable vertices). The buffers of both passes are allocated
+        // here, so the long-lived ones come from the calling thread: buffers
+        // allocated by the short-lived workers and freed later stayed
+        // resident in their allocator arenas by an amount that varied from
+        // run to run. Only the detours, a few per terminal, grow on the
+        // workers.
         let mut parent_offsets = Vec::with_capacity(n + 1);
         parent_offsets.push(0);
         for c in graph.vertices() {
@@ -125,7 +147,7 @@ impl ReplacementPaths {
             tasks.push(EdgeTask {
                 parents,
                 outcomes,
-                detours: Vec::new(),
+                work: PconsWork::default(),
             });
         }
         let one_task_each: Vec<usize> = (0..=n).collect();
@@ -133,20 +155,14 @@ impl ReplacementPaths {
             config,
             &mut tasks,
             &one_task_each,
-            || EdgeSearch {
-                scratch: CanonicalScratch::new(n),
-                spare: CanonicalScratch::new(n),
-                uncovered: Vec::new(),
-                pi: Vec::new(),
-                path: Vec::new(),
-            },
-            |search, c, task| {
+            || CanonicalScratch::new(n),
+            |scratch, c, task| {
                 if let Some((_, e)) = tree.parent(VertexId::new(c)) {
-                    search.pairs_of_edge(graph, weights, tree, dists, e, &mut task[0]);
+                    pairs_of_edge(scratch, graph, weights, tree, dists, e, &mut task[0]);
                 }
             },
         );
-        let edge_detours: Vec<Vec<VertexId>> = tasks.into_iter().map(|t| t.detours).collect();
+        let pass_one = tasks.iter().map(|t| t.work).sum();
 
         let num_pairs = outcomes
             .iter()
@@ -154,7 +170,7 @@ impl ReplacementPaths {
             .count();
         let num_uncovered = outcomes
             .iter()
-            .filter(|o| matches!(o, Outcome::NewEnding { .. }))
+            .filter(|o| matches!(o, Outcome::Uncovered(_)))
             .count();
         let mut store = ReplacementPaths {
             source: tree.source(),
@@ -162,12 +178,18 @@ impl ReplacementPaths {
             terminal_pairs: vec![(0, 0); n],
             uncovered: Vec::with_capacity(num_uncovered),
             detour_offsets: Vec::with_capacity(num_uncovered + 1),
-            detours: Vec::with_capacity(edge_detours.iter().map(Vec::len).sum()),
+            detours: Vec::new(),
             parent_offsets,
             parent_edges,
+            work: PconsWork::default(),
         };
-        store.detour_offsets.push(0);
+        // The records, in the order the later phases rely on. An uncovered
+        // pair's last edge and divergence are pass 2's; its failing edge and
+        // target go to `pending`, grouped by terminal.
         let depth = |u: VertexId| tree.depth(u).expect("reachable");
+        let mut pending = Vec::with_capacity(num_uncovered);
+        let mut pending_offsets = vec![0];
+        let mut pending_terminals = Vec::new();
         let mut pi_edges = Vec::new();
         for v in tree.vertices_by_depth() {
             let first = store.records.len();
@@ -175,19 +197,13 @@ impl ReplacementPaths {
             pi_edges.extend(tree.ancestors(v));
             for &(c, e) in pi_edges.iter().rev() {
                 let at = store.parent_offsets[c.index()] + subtree_slot(tree, c, v);
-                let (last_edge, divergence) = match outcomes[at] {
+                let (last_edge, new_ending) = match outcomes[at] {
                     Outcome::CutOff => continue,
-                    Outcome::Covered(f) => (f, None),
-                    Outcome::NewEnding {
-                        last_edge,
-                        start,
-                        len,
-                    } => {
-                        let detour = &edge_detours[c.index()][start as usize..][..len as usize];
+                    Outcome::Covered(f) => (f, false),
+                    Outcome::Uncovered(target) => {
                         store.uncovered.push(store.records.len());
-                        store.detours.extend_from_slice(detour);
-                        store.detour_offsets.push(to_u32(store.detours.len()));
-                        (last_edge, Some(detour[0]))
+                        pending.push((e, target));
+                        (CUT_OFF, true)
                     }
                 };
                 store.records.push(PairRecord {
@@ -196,15 +212,74 @@ impl ReplacementPaths {
                         failing_edge: e,
                     },
                     last_edge,
-                    new_ending: divergence.is_some(),
-                    divergence,
+                    new_ending,
+                    divergence: None,
                     failing_edge_depth: depth(c),
                     terminal_depth: depth(v),
                 });
             }
             store.terminal_pairs[v.index()] = (to_u32(first), to_u32(store.records.len()));
+            if pending.len() > pending_offsets[pending_offsets.len() - 1] {
+                pending_offsets.push(pending.len());
+                pending_terminals.push(v);
+            }
+        }
+        // Read in full; free it before pass 2 allocates.
+        drop(outcomes);
+
+        // Pass 2: the new-ending paths, one task per terminal.
+        let mut ends = vec![NewEnding::default(); pending.len()];
+        let mut tasks = Vec::with_capacity(pending_terminals.len());
+        let mut ends_rest = &mut ends[..];
+        for (i, &v) in pending_terminals.iter().enumerate() {
+            let range = pending_offsets[i]..pending_offsets[i + 1];
+            let (ends, rest) = std::mem::take(&mut ends_rest).split_at_mut(range.len());
+            ends_rest = rest;
+            tasks.push(TerminalTask {
+                terminal: v,
+                pairs: &pending[range],
+                ends,
+                detours: Vec::new(),
+                work: PconsWork::default(),
+            });
+        }
+        let one_task_each: Vec<usize> = (0..=tasks.len()).collect();
+        parallel_segments_mut_init(
+            config,
+            &mut tasks,
+            &one_task_each,
+            || TerminalSearch {
+                held: CanonicalScratch::new(n),
+                spare: CanonicalScratch::new(n),
+                pi: Vec::new(),
+                path: Vec::new(),
+            },
+            |search, _, task| search.pairs_of_terminal(graph, weights, tree, &mut task[0]),
+        );
+        store.work = tasks.iter().map(|t| t.work).chain([pass_one]).sum();
+
+        // Each uncovered pair's detour goes into the arena, in id order.
+        let arena_len = tasks.iter().flat_map(|t| t.ends.iter());
+        store.detours = Vec::with_capacity(arena_len.map(|end| end.len as usize).sum());
+        store.detour_offsets.push(0);
+        let pair_ends = tasks
+            .iter()
+            .flat_map(|t| t.ends.iter().map(|end| (end, &t.detours)));
+        for (&id, (end, detours)) in store.uncovered.iter().zip(pair_ends) {
+            let detour = &detours[end.start as usize..][..end.len as usize];
+            let record = &mut store.records[id];
+            record.last_edge = end.last_edge;
+            record.divergence = Some(detour[0]);
+            store.detours.extend_from_slice(detour);
+            store.detour_offsets.push(to_u32(store.detours.len()));
         }
         store
+    }
+
+    /// The search work of the run that computed the store: identical for
+    /// every thread count.
+    pub fn work(&self) -> PconsWork {
+        self.work
     }
 
     /// The BFS source.
@@ -375,143 +450,207 @@ fn subtree_slot(tree: &ShortestPathTree, c: VertexId, v: VertexId) -> usize {
     (pre(v) - pre(c)) as usize
 }
 
-/// The outcome of Algorithm `Pcons` for one pair.
+/// Search work of one run of Algorithm `Pcons` (see
+/// [`ReplacementPaths::work`]). Each task counts its own, and the calling
+/// thread adds the tasks' counts up, so the totals do not depend on the
+/// thread count.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PconsWork {
+    /// Pass 1: canonical replacement-tree runs, one per failing tree edge.
+    pub covered_runs: u64,
+    /// Pass 2: `j = 0` searches, one per terminal with an uncovered pair.
+    pub source_searches: u64,
+    /// Pass 2: gallop and bisection probes of the pairs infeasible at
+    /// `j = 0`.
+    pub probes: u64,
+    /// Pass 2: canonical parent sweeps, one per terminal whose search is
+    /// feasible for some pair, plus one per galloping pair.
+    pub settles: u64,
+}
+
+impl std::iter::Sum for PconsWork {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(PconsWork::default(), |t, w| PconsWork {
+            covered_runs: t.covered_runs + w.covered_runs,
+            source_searches: t.source_searches + w.source_searches,
+            probes: t.probes + w.probes,
+            settles: t.settles + w.settles,
+        })
+    }
+}
+
+/// The pass-1 outcome of Algorithm `Pcons` for one pair.
 #[derive(Clone, Copy)]
 enum Outcome {
     /// The failure cuts the terminal off: no pair.
     CutOff,
     /// Covered, with this last edge.
     Covered(EdgeId),
-    /// New-ending: its last edge, and its detour at `start .. start + len`
-    /// of the edge's detour buffer.
-    NewEnding {
-        last_edge: EdgeId,
-        start: u32,
-        len: u32,
-    },
+    /// Uncovered, with this target distance: pass 2 finds its path.
+    Uncovered(u32),
 }
 
-/// What the task of tree edge `e = (p, c)` writes, for the vertices below
-/// `c` in preorder.
+/// The new-ending path of an uncovered pair: its last edge, and its detour
+/// at `start .. start + len` of its terminal's detour buffer.
+#[derive(Clone, Copy, Default)]
+struct NewEnding {
+    last_edge: EdgeId,
+    start: u32,
+    len: u32,
+}
+
+/// What the pass-1 task of tree edge `e = (p, c)` writes, for the vertices
+/// below `c` in preorder.
 struct EdgeTask<'a> {
     /// Parent edge in the canonical replacement tree of `G ∖ {e}`.
     parents: &'a mut [EdgeId],
     /// The outcome of pair `⟨v, e⟩`.
     outcomes: &'a mut [Outcome],
-    /// The detours of the edge's new-ending pairs, back to back.
-    detours: Vec<VertexId>,
+    work: PconsWork,
 }
 
-/// One worker's state: the search kernel plus reusable buffers.
-struct EdgeSearch {
-    scratch: CanonicalScratch,
-    /// Second kernel for the uncovered pairs' probes.
+/// The pass-2 task of one terminal.
+struct TerminalTask<'a> {
+    terminal: VertexId,
+    /// `(failing edge, target)` of the terminal's uncovered pairs, from the
+    /// source down.
+    pairs: &'a [(EdgeId, u32)],
+    /// The new-ending path of each pair.
+    ends: &'a mut [NewEnding],
+    /// The detours of the pairs, back to back; pairs that share a path share
+    /// its detour.
+    detours: Vec<VertexId>,
+    work: PconsWork,
+}
+
+/// Pass 1 for tree edge `e = (p, c)`: the canonical replacement tree of
+/// `G ∖ {e}` over the subtree of `c`, and for every pair `⟨v, e⟩` below `c`
+/// whether it is covered, written to slot `preorder(v) − preorder(c)`.
+fn pairs_of_edge(
+    scratch: &mut CanonicalScratch,
+    graph: &Graph,
+    weights: &TieBreakWeights,
+    tree: &ShortestPathTree,
+    dists: &ReplacementDistances,
+    e: EdgeId,
+    out: &mut EdgeTask<'_>,
+) {
+    let c = tree.child_endpoint(e).expect("tree edge");
+    scratch.run_subtree(graph, weights, tree, c, |_, f| f != e);
+    out.work.covered_runs += 1;
+    for &v in scratch.visited() {
+        let target = dists.dist(e, v).expect("tree edge");
+        debug_assert_eq!(scratch.dist(v), Some(target), "row of {e:?} at {v:?}");
+        let mut best: Option<(u64, VertexId, EdgeId)> = None;
+        for (x, f) in graph.neighbors(v) {
+            if f == e || !tree.is_tree_edge(f) || scratch.dist(x) != Some(target - 1) {
+                continue;
+            }
+            let cand = (scratch.tie(x) + weights.weight(f), x, f);
+            if best.is_none_or(|(bt, bx, _)| (cand.0, cand.1) < (bt, bx)) {
+                best = Some(cand);
+            }
+        }
+        let slot = subtree_slot(tree, c, v);
+        out.parents[slot] = scratch.parent_edge(v).unwrap_or(CUT_OFF);
+        out.outcomes[slot] =
+            best.map_or(Outcome::Uncovered(target), |(_, _, f)| Outcome::Covered(f));
+    }
+}
+
+/// One pass-2 worker's state: two search kernels plus reusable buffers.
+struct TerminalSearch {
+    /// The search whose path is settled: the terminal's `j = 0` search,
+    /// then a pair's last feasible probe.
+    held: CanonicalScratch,
+    /// The kernel a probe runs on.
     spare: CanonicalScratch,
-    /// `(terminal, target)` of the current edge's uncovered pairs.
-    uncovered: Vec<(VertexId, u32)>,
-    /// `π(s, v)` of the current uncovered terminal, by depth.
+    /// `π(s, v)` of the current terminal, by depth.
     pi: Vec<VertexId>,
-    /// The chosen path of the current uncovered pair, source first.
+    /// The settled path of the current pair, source first.
     path: Vec<VertexId>,
 }
 
-impl EdgeSearch {
-    /// Run Algorithm `Pcons` for every pair `⟨v, e⟩` with `v` below
-    /// `e = (p, c)`, filling slot `preorder(v) − preorder(c)` of `out`.
-    fn pairs_of_edge(
+impl TerminalSearch {
+    /// Pass 2 for one terminal `v`: the new-ending path of each of its
+    /// uncovered pairs (Step 2 of `Pcons`), whose divergence point from
+    /// `π(s, v)` is closest to the source.
+    fn pairs_of_terminal(
         &mut self,
         graph: &Graph,
         weights: &TieBreakWeights,
         tree: &ShortestPathTree,
-        dists: &ReplacementDistances,
-        e: EdgeId,
-        out: &mut EdgeTask<'_>,
+        task: &mut TerminalTask<'_>,
     ) {
-        let c = tree.child_endpoint(e).expect("tree edge");
-        let slot = |v: VertexId| subtree_slot(tree, c, v);
+        let v = task.terminal;
+        self.pi.clear();
+        self.pi.extend(tree.ancestors(v).map(|(u, _)| u));
+        self.pi.push(tree.source());
+        self.pi.reverse();
+        let pi: &[VertexId] = &self.pi;
+        let k = pi.len() - 1; // depth of v
+        let (_, first) = tree.parent(pi[1]).expect("a tree edge below the source");
 
-        // The canonical replacement tree of G ∖ {e} over the subtree of c
-        // answers every covered pair.
-        let scratch = &mut self.scratch;
-        scratch.run_subtree(graph, weights, tree, c, |_, f| f != e);
-        self.uncovered.clear();
-        for &v in scratch.visited() {
-            let target = dists.dist(e, v).expect("tree edge");
-            debug_assert_eq!(scratch.dist(v), Some(target), "row of {e:?} at {v:?}");
-            let mut best: Option<(u64, VertexId, EdgeId)> = None;
-            for (x, f) in graph.neighbors(v) {
-                if f == e || !tree.is_tree_edge(f) || scratch.dist(x) != Some(target - 1) {
-                    continue;
+        // j = 0: G ∖ π°(s, v) (and ∖ (s, π[1]) for a depth-1 terminal, whose
+        // interior is empty), the same graph for every failing edge of v.
+        // One search, bounded by the largest target, decides every pair.
+        let max_target = task.pairs.iter().map(|&(_, t)| t).max().expect("a pair");
+        let avoid_pi = |w: VertexId, f: EdgeId| f != first && !on_interior(tree, pi, 0, k, w);
+        self.held
+            .sweep_subtree(graph, tree, pi[1], Some((v, max_target)), avoid_pi);
+        task.work.source_searches += 1;
+        let d0 = self.held.dist(v);
+        if task.pairs.iter().any(|&(_, t)| d0 == Some(t)) {
+            self.held.settle_target(graph, weights, v, avoid_pi);
+            task.work.settles += 1;
+            let end = self.settled_end(tree, v, &mut task.detours);
+            for (i, &(_, target)) in task.pairs.iter().enumerate() {
+                if d0 == Some(target) {
+                    task.ends[i] = end;
                 }
-                let cand = (scratch.tie(x) + weights.weight(f), x, f);
-                if best.is_none_or(|(bt, bx, _)| (cand.0, cand.1) < (bt, bx)) {
-                    best = Some(cand);
-                }
-            }
-            out.parents[slot(v)] = scratch.parent_edge(v).unwrap_or(CUT_OFF);
-            match best {
-                Some((_, _, f)) => out.outcomes[slot(v)] = Outcome::Covered(f),
-                None => self.uncovered.push((v, target)),
             }
         }
-
-        for i in 0..self.uncovered.len() {
-            let (v, target) = self.uncovered[i];
-            if let Some((last_edge, d)) = self.new_ending_path(graph, weights, tree, e, v, target) {
-                let detour = &self.path[d..];
-                out.outcomes[slot(v)] = Outcome::NewEnding {
-                    last_edge,
-                    start: to_u32(out.detours.len()),
-                    len: to_u32(detour.len()),
-                };
-                out.detours.extend_from_slice(detour);
+        for (i, &(e, target)) in task.pairs.iter().enumerate() {
+            if d0 != Some(target) {
+                self.gallop(graph, weights, tree, e, target, &mut task.work);
+                task.ends[i] = self.settled_end(tree, v, &mut task.detours);
             }
         }
     }
 
-    /// The new-ending replacement path of `⟨v, e⟩` whose divergence point
-    /// from `π(s, v)` is closest to the source (Step 2 of `Pcons`), left in
-    /// `self.path`: returns its last edge and the index of its divergence
-    /// point.
-    fn new_ending_path(
+    /// Settle into `held` the smallest feasible `j` of `⟨v, e⟩`, a pair
+    /// infeasible at `j = 0`.
+    fn gallop(
         &mut self,
         graph: &Graph,
         weights: &TieBreakWeights,
         tree: &ShortestPathTree,
         e: EdgeId,
-        v: VertexId,
         target: u32,
-    ) -> Option<(EdgeId, usize)> {
-        let pi = &mut self.pi;
-        pi.clear();
-        pi.push(v);
-        let mut cur = v;
-        while let Some((p, _)) = tree.parent(cur) {
-            pi.push(p);
-            cur = p;
-        }
-        pi.reverse();
-        let pi: &[VertexId] = pi;
-        let k = pi.len() - 1; // depth of v
+        work: &mut PconsWork,
+    ) {
+        let pi: &[VertexId] = &self.pi;
+        let k = pi.len() - 1;
+        let v = pi[k];
         let c = tree.child_endpoint(e).expect("tree edge");
-        let idx = tree.depth(c).expect("reachable") as usize - 1; // e = (π[idx], π[idx + 1])
-                                                                  // Probe j bans e and the interior of π(u_j, v), all of which lies
-                                                                  // in the subtree of u_{j+1} (or is e entering it).
-        let without_interior = |j: usize| {
-            move |w: VertexId, f: EdgeId| {
-                f != e
-                    && !tree.depth(w).is_some_and(|d| {
-                        let d = d as usize;
-                        j < d && d < k && pi[d] == w
-                    })
-            }
-        };
+        // e = (π[idx], π[idx + 1]).
+        let idx = tree.depth(c).expect("reachable") as usize - 1;
+        // Probe j bans e and the interior of π(u_j, v), all of which lies in
+        // the subtree of u_{j+1} (or is e entering it).
+        let without_interior =
+            |j: usize| move |w: VertexId, f: EdgeId| f != e && !on_interior(tree, pi, j, k, w);
         // A probe runs on `spare`; a feasible one is swapped into `held`,
         // which therefore keeps the last feasible probe for the settle.
-        let (held, spare) = (&mut self.scratch, &mut self.spare);
+        let (held, spare) = (&mut self.held, &mut self.spare);
         let mut probe = |j: usize| {
-            let stop = Some((v, target));
-            spare.sweep_subtree(graph, tree, pi[j + 1], stop, without_interior(j));
+            work.probes += 1;
+            spare.sweep_subtree(
+                graph,
+                tree,
+                pi[j + 1],
+                Some((v, target)),
+                without_interior(j),
+            );
             let feasible = spare.dist(v).is_some();
             if feasible {
                 std::mem::swap(held, spare);
@@ -519,14 +658,10 @@ impl EdgeSearch {
             feasible
         };
 
-        // Feasibility is monotone in j and holds at j = idx (Lemma 4.3):
-        // find the smallest feasible j. The source is the best divergence
-        // point there is, and on deep trees it is often feasible, so j = 0
-        // is tried first; it is also the largest subtree, so the rest of the
-        // range is searched galloping down from idx, the smallest one.
-        if idx > 0 && probe(0) {
-            held.settle_target(graph, weights, v, without_interior(0));
-        } else if probe(idx) {
+        // Feasibility is monotone in j and holds at j = idx (Lemma 4.3), so
+        // the smallest feasible j is searched galloping down from idx, the
+        // smallest subtree, then bisecting.
+        if probe(idx) {
             let (mut lo, mut hi) = (1.min(idx), idx);
             let mut step = 1;
             while lo < hi {
@@ -549,40 +684,65 @@ impl EdgeSearch {
             held.settle_target(graph, weights, v, without_interior(hi));
         } else {
             // Defensive fallback (should not happen): take the
-            // unconstrained canonical replacement path.
+            // unconstrained canonical replacement path, which exists since
+            // the pair has a target.
             let unconstrained = |_: VertexId, f: EdgeId| f != e;
             held.sweep_subtree(graph, tree, c, Some((v, target)), unconstrained);
-            held.dist(v)?;
             held.settle_target(graph, weights, v, unconstrained);
         }
+        work.settles += 1;
+    }
 
-        // The chosen path: settled parents up to the vertex the search
-        // entered from, then `T0`.
+    /// The path settled in `held` for terminal `v`, its detour appended to
+    /// `detours`.
+    fn settled_end(
+        &mut self,
+        tree: &ShortestPathTree,
+        v: VertexId,
+        detours: &mut Vec<VertexId>,
+    ) -> NewEnding {
+        // Settled parents up to the vertex the search entered from, then
+        // `T0`.
         let path = &mut self.path;
         path.clear();
-        path.push(v);
         let mut cur = v;
-        while let Some((p, _)) = held.parent(cur) {
-            path.push(p);
+        while let Some((p, _)) = self.held.parent(cur) {
+            path.push(cur);
             cur = p;
         }
-        while let Some((p, _)) = tree.parent(cur) {
-            path.push(p);
-            cur = p;
-        }
+        path.extend(tree.ancestors(cur).map(|(u, _)| u));
+        path.push(tree.source());
         path.reverse();
-        let last_edge = held.parent_edge(v).expect("target settled");
+        let last_edge = self.held.parent_edge(v).expect("target settled");
         debug_assert!(
             !tree.is_tree_edge(last_edge),
             "step-1 failure implies a non-tree last edge"
         );
         // Divergence: longest common prefix with π(s, v).
+        let pi = &self.pi;
         let mut d = 0;
         while d + 1 < path.len() && d + 1 < pi.len() && path[d + 1] == pi[d + 1] {
             d += 1;
         }
-        Some((last_edge, d))
+        let end = NewEnding {
+            last_edge,
+            start: to_u32(detours.len()),
+            len: to_u32(path.len() - d),
+        };
+        detours.extend_from_slice(&path[d..]);
+        end
     }
+}
+
+/// `true` if `w` is an interior vertex of `π(u_j, v)`, where `v = pi[k]`:
+/// `j < depth(w) < k ∧ π[depth(w)] = w` — `π` is a shortest path, so its
+/// `i`-th vertex has depth `i`.
+#[inline]
+fn on_interior(tree: &ShortestPathTree, pi: &[VertexId], j: usize, k: usize, w: VertexId) -> bool {
+    tree.depth(w).is_some_and(|d| {
+        let d = d as usize;
+        j < d && d < k && pi[d] == w
+    })
 }
 
 #[cfg(test)]
@@ -838,10 +998,46 @@ mod tests {
         }
     }
 
+    #[test]
+    fn work_counts_do_not_depend_on_the_thread_count() {
+        for &family in WorkloadFamily::all() {
+            let graph = Workload::new(family, 160, 7).generate();
+            let weights = TieBreakWeights::generate(&graph, 7);
+            let (tree, _, rp) =
+                compute_full(&graph, &weights, VertexId(0), &ParallelConfig::serial());
+            let threads = ParallelConfig::with_threads(4).with_chunk_size(1);
+            let (_, _, parallel) = compute_full(&graph, &weights, VertexId(0), &threads);
+            let work = rp.work();
+            let what = family.name();
+            assert_eq!(work, parallel.work(), "{what}");
+
+            // One covered run per tree edge, one source search per terminal
+            // of an uncovered pair, and one settle per terminal whose
+            // search is feasible plus one per galloping pair. A pair takes
+            // j = 0 iff its path diverges at the source.
+            let tree_edges = graph.vertices().filter(|&v| tree.parent(v).is_some());
+            assert_eq!(work.covered_runs, tree_edges.count() as u64, "{what}");
+            let (mut terminals, mut j0_terminals, mut galloping) = (0, 0, 0);
+            for group in rp
+                .uncovered()
+                .chunk_by(|&p, &q| rp.get(p).pair.terminal == rp.get(q).pair.terminal)
+            {
+                let at_source = |&p: &PairId| rp.get(p).divergence == Some(rp.source());
+                terminals += 1;
+                j0_terminals += u64::from(group.iter().any(at_source));
+                galloping += group.iter().filter(|p| !at_source(p)).count() as u64;
+            }
+            assert_eq!(work.source_searches, terminals, "{what}");
+            assert_eq!(work.settles, j0_terminals + galloping, "{what}");
+            assert!(work.probes >= galloping, "{what}");
+        }
+    }
+
     /// Every pair of both end-to-end benchmark graphs (n = 2000, seed 7):
     /// the rebuilt path is a valid replacement path of the right length
     /// that ends with the record's last edge and, if new-ending, with the
-    /// stored detour; every 10th terminal matches the `LexSearch` oracle.
+    /// stored detour; every terminal with an uncovered pair, the ones pass 2
+    /// decides, matches the `LexSearch` oracle.
     /// Release only: `cargo test --release -p ftb_rp -- --ignored`.
     #[test]
     #[ignore = "benchmark-size check; run in release with --ignored"]
@@ -875,7 +1071,13 @@ mod tests {
                     );
                 }
             }
-            for v in tree.vertices_by_depth().into_iter().skip(1).step_by(10) {
+            let mut terminals: Vec<VertexId> = rp
+                .uncovered()
+                .iter()
+                .map(|&p| rp.get(p).pair.terminal)
+                .collect();
+            terminals.dedup();
+            for v in terminals {
                 let oracle = lex_pcons_for_terminal(&graph, &weights, &tree, &dists, v);
                 let fast: Vec<ReplacementPath> = rp
                     .pairs_of_terminal(v)
