@@ -45,7 +45,21 @@
 //!   only the chosen probe gets the canonical parent sweep, restricted to
 //!   the vertices shallower than `v` plus `v` itself.
 //!
-//! [`ReplacementPaths::work`] counts the searches of both passes.
+//!   Every `j = 0` search under the same source child `a = π[1]` covers the
+//!   same region, the subtree of `a`, and its filter bans `(s, a)` plus
+//!   whole vertices of `π°(s, v)`. So before the searches the calling thread
+//!   runs one seed scan of each such subtree under `f ≠ (s, a)` alone, with
+//!   no bound (a [`Seeding`]: the sorted seeds and the boundary sorted by
+//!   depth), and every `j = 0` search below `a` reads it
+//!   ([`CanonicalScratch::sweep_seeded`]): it fences the boundary shallower
+//!   than its bound and keeps the seeds within the bound that are not on
+//!   `π°(s, v)`. Outside `π°(s, v)` the two filters agree, so the search
+//!   is the one a scan of its own would give, without reading the
+//!   subtree's adjacency once per terminal. The gallop probes search
+//!   smaller subtrees and scan their own.
+//!
+//! [`ReplacementPaths::work`] counts the searches of both passes and the
+//! seed scans of pass 2.
 //!
 //! # The pair store
 //!
@@ -70,7 +84,9 @@
 use crate::pair::{PairId, PairRecord, ReplacementPath, VePair};
 use ftb_graph::{EdgeId, Graph, VertexId};
 use ftb_par::{parallel_segments_mut_init, ParallelConfig};
-use ftb_sp::{CanonicalScratch, Path, ReplacementDistances, ShortestPathTree, TieBreakWeights};
+use ftb_sp::{
+    CanonicalScratch, Path, ReplacementDistances, Seeding, ShortestPathTree, TieBreakWeights,
+};
 use std::ops::Range;
 
 /// Parent-edge entry of a vertex that the failure cuts off.
@@ -227,7 +243,9 @@ impl ReplacementPaths {
         // Read in full; free it before pass 2 allocates.
         drop(outcomes);
 
-        // Pass 2: the new-ending paths, one task per terminal.
+        // Pass 2: the new-ending paths, one task per terminal, each reading
+        // the seeding of its source child's subtree.
+        let (seedings, seeding_of) = source_child_seedings(graph, tree, &pending_terminals);
         let mut ends = vec![NewEnding::default(); pending.len()];
         let mut tasks = Vec::with_capacity(pending_terminals.len());
         let mut ends_rest = &mut ends[..];
@@ -237,6 +255,7 @@ impl ReplacementPaths {
             ends_rest = rest;
             tasks.push(TerminalTask {
                 terminal: v,
+                seeding: &seedings[seeding_of[i]],
                 pairs: &pending[range],
                 ends,
                 detours: Vec::new(),
@@ -248,15 +267,14 @@ impl ReplacementPaths {
             config,
             &mut tasks,
             &one_task_each,
-            || TerminalSearch {
-                held: CanonicalScratch::new(n),
-                spare: CanonicalScratch::new(n),
-                pi: Vec::new(),
-                path: Vec::new(),
-            },
+            || TerminalSearch::new(n),
             |search, _, task| search.pairs_of_terminal(graph, weights, tree, &mut task[0]),
         );
-        store.work = tasks.iter().map(|t| t.work).chain([pass_one]).sum();
+        let seeded = PconsWork {
+            seeded_regions: seedings.len() as u64,
+            ..PconsWork::default()
+        };
+        store.work = tasks.iter().map(|t| t.work).chain([pass_one, seeded]).sum();
 
         // Each uncovered pair's detour goes into the arena, in id order.
         let arena_len = tasks.iter().flat_map(|t| t.ends.iter());
@@ -458,7 +476,12 @@ fn subtree_slot(tree: &ShortestPathTree, c: VertexId, v: VertexId) -> usize {
 pub struct PconsWork {
     /// Pass 1: canonical replacement-tree runs, one per failing tree edge.
     pub covered_runs: u64,
-    /// Pass 2: `j = 0` searches, one per terminal with an uncovered pair.
+    /// Pass 2: seed scans, one per distinct source child `π[1]` above a
+    /// terminal with an uncovered pair, run by the calling thread before the
+    /// searches.
+    pub seeded_regions: u64,
+    /// Pass 2: `j = 0` searches, one per terminal with an uncovered pair,
+    /// each seeded from its source child's seed scan.
     pub source_searches: u64,
     /// Pass 2: gallop and bisection probes of the pairs infeasible at
     /// `j = 0`.
@@ -472,6 +495,7 @@ impl std::iter::Sum for PconsWork {
     fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
         iter.fold(PconsWork::default(), |t, w| PconsWork {
             covered_runs: t.covered_runs + w.covered_runs,
+            seeded_regions: t.seeded_regions + w.seeded_regions,
             source_searches: t.source_searches + w.source_searches,
             probes: t.probes + w.probes,
             settles: t.settles + w.settles,
@@ -512,6 +536,8 @@ struct EdgeTask<'a> {
 /// The pass-2 task of one terminal.
 struct TerminalTask<'a> {
     terminal: VertexId,
+    /// The seeding of the subtree of `π[1]`.
+    seeding: &'a Seeding,
     /// `(failing edge, target)` of the terminal's uncovered pairs, from the
     /// source down.
     pairs: &'a [(EdgeId, u32)],
@@ -572,6 +598,15 @@ struct TerminalSearch {
 }
 
 impl TerminalSearch {
+    fn new(n: usize) -> Self {
+        TerminalSearch {
+            held: CanonicalScratch::new(n),
+            spare: CanonicalScratch::new(n),
+            pi: Vec::new(),
+            path: Vec::new(),
+        }
+    }
+
     /// Pass 2 for one terminal `v`: the new-ending path of each of its
     /// uncovered pairs (Step 2 of `Pcons`), whose divergence point from
     /// `π(s, v)` is closest to the source.
@@ -583,24 +618,15 @@ impl TerminalSearch {
         task: &mut TerminalTask<'_>,
     ) {
         let v = task.terminal;
-        self.pi.clear();
-        self.pi.extend(tree.ancestors(v).map(|(u, _)| u));
-        self.pi.push(tree.source());
-        self.pi.reverse();
-        let pi: &[VertexId] = &self.pi;
-        let k = pi.len() - 1; // depth of v
-        let (_, first) = tree.parent(pi[1]).expect("a tree edge below the source");
-
         // j = 0: G ∖ π°(s, v) (and ∖ (s, π[1]) for a depth-1 terminal, whose
         // interior is empty), the same graph for every failing edge of v.
         // One search, bounded by the largest target, decides every pair.
         let max_target = task.pairs.iter().map(|&(_, t)| t).max().expect("a pair");
-        let avoid_pi = |w: VertexId, f: EdgeId| f != first && !on_interior(tree, pi, 0, k, w);
-        self.held
-            .sweep_subtree(graph, tree, pi[1], Some((v, max_target)), avoid_pi);
+        self.search_source(graph, tree, v, task.seeding, max_target);
         task.work.source_searches += 1;
         let d0 = self.held.dist(v);
         if task.pairs.iter().any(|&(_, t)| d0 == Some(t)) {
+            let avoid_pi = source_filter(tree, &self.pi);
             self.held.settle_target(graph, weights, v, avoid_pi);
             task.work.settles += 1;
             let end = self.settled_end(tree, v, &mut task.detours);
@@ -616,6 +642,29 @@ impl TerminalSearch {
                 task.ends[i] = self.settled_end(tree, v, &mut task.detours);
             }
         }
+    }
+
+    /// Set `pi` to `π(s, v)` and run the `j = 0` search of `v` into `held`,
+    /// bounded by `max_target`, from `seeding`, that of `π[1]`'s subtree.
+    fn search_source(
+        &mut self,
+        graph: &Graph,
+        tree: &ShortestPathTree,
+        v: VertexId,
+        seeding: &Seeding,
+        max_target: u32,
+    ) {
+        self.pi.clear();
+        self.pi.extend(tree.ancestors(v).map(|(u, _)| u));
+        self.pi.push(tree.source());
+        self.pi.reverse();
+        let pi: &[VertexId] = &self.pi;
+        let k = pi.len() - 1; // depth of v
+        let stop = (v, max_target);
+        let admit = |w| !on_interior(tree, pi, 0, k, w);
+        let allow = source_filter(tree, pi);
+        self.held
+            .sweep_seeded(graph, tree, seeding, stop, admit, allow);
     }
 
     /// Settle into `held` the smallest feasible `j` of `⟨v, e⟩`, a pair
@@ -732,6 +781,49 @@ impl TerminalSearch {
         detours.extend_from_slice(&path[d..]);
         end
     }
+}
+
+/// The filter of the `j = 0` search of terminal `pi[k]`: `G ∖ π°(s, v) ∖
+/// {(s, π[1])}`. Outside `π°(s, v)` it is the filter of the seeding of
+/// `π[1]`'s subtree, whose only banned edge is `(s, π[1])`.
+fn source_filter<'a>(
+    tree: &'a ShortestPathTree,
+    pi: &'a [VertexId],
+) -> impl Fn(VertexId, EdgeId) -> bool + Copy + 'a {
+    let (_, first) = tree.parent(pi[1]).expect("a tree edge below the source");
+    let k = pi.len() - 1;
+    move |w, f| f != first && !on_interior(tree, pi, 0, k, w)
+}
+
+/// The seedings of pass 2, one per distinct source child `π[1]` above
+/// `terminals`, each of its subtree under `f ≠ (s, π[1])`, and the index of
+/// each terminal's. They are computed once, on the calling thread, and every
+/// `j = 0` search reads its own: a depth-1 terminal's filter is the
+/// seeding's, and a deeper terminal's differs only on `π°(s, v)`, whose
+/// vertices its search refuses whole.
+fn source_child_seedings(
+    graph: &Graph,
+    tree: &ShortestPathTree,
+    terminals: &[VertexId],
+) -> (Vec<Seeding>, Vec<usize>) {
+    let mut scratch = CanonicalScratch::new(graph.num_vertices());
+    let mut index = vec![usize::MAX; graph.num_vertices()];
+    let mut seedings = Vec::new();
+    let seeding_of = terminals
+        .iter()
+        .map(|&v| {
+            let (a, first) = tree
+                .ancestors(v)
+                .last()
+                .expect("a terminal below the source");
+            if index[a.index()] == usize::MAX {
+                index[a.index()] = seedings.len();
+                seedings.push(scratch.subtree_seeding(graph, tree, a, |_, f| f != first));
+            }
+            index[a.index()]
+        })
+        .collect();
+    (seedings, seeding_of)
 }
 
 /// `true` if `w` is an interior vertex of `π(u_j, v)`, where `v = pi[k]`:
@@ -1028,6 +1120,14 @@ mod tests {
                 galloping += group.iter().filter(|p| !at_source(p)).count() as u64;
             }
             assert_eq!(work.source_searches, terminals, "{what}");
+            let mut source_children: Vec<VertexId> = rp
+                .uncovered()
+                .iter()
+                .map(|&p| tree.ancestors(rp.get(p).pair.terminal).last().unwrap().0)
+                .collect();
+            source_children.sort_unstable();
+            source_children.dedup();
+            assert_eq!(work.seeded_regions, source_children.len() as u64, "{what}");
             assert_eq!(work.settles, j0_terminals + galloping, "{what}");
             assert!(work.probes >= galloping, "{what}");
         }
@@ -1091,6 +1191,56 @@ mod tests {
             }
             let (bytes, bound) = (rp.heap_bytes(), heap_bound(&rp, &tree));
             assert!(bytes <= bound, "{what}: {bytes} heap bytes over {bound}");
+        }
+    }
+
+    /// The `j = 0` search of every terminal with an uncovered pair on both
+    /// end-to-end benchmark graphs (n = 2000, seed 7), seeded as pass 2
+    /// seeds it, against the plain `sweep_subtree` with the same filter and
+    /// bound: the same visit order, the same `dist(v)` and, if `v` is
+    /// reached, the same settled path.
+    /// Release only: `cargo test --release -p ftb_rp -- --ignored`.
+    #[test]
+    #[ignore = "benchmark-size check; run in release with --ignored"]
+    fn seeded_source_searches_are_exact_at_benchmark_size() {
+        for family in [WorkloadFamily::LayeredDeep, WorkloadFamily::ErdosRenyi] {
+            let graph = Workload::new(family, 2000, 7).generate();
+            let weights = TieBreakWeights::generate(&graph, 7);
+            let (tree, dists, rp) =
+                compute_full(&graph, &weights, VertexId(0), &ParallelConfig::default());
+            let what = family.name();
+            let target =
+                |p: PairId| dists.dist(rp.get(p).pair.failing_edge, rp.get(p).pair.terminal);
+            let terminals: Vec<(VertexId, u32)> = rp
+                .uncovered()
+                .chunk_by(|&p, &q| rp.get(p).pair.terminal == rp.get(q).pair.terminal)
+                .map(|group| {
+                    let max_target = group.iter().map(|&p| target(p).unwrap()).max();
+                    (rp.get(group[0]).pair.terminal, max_target.unwrap())
+                })
+                .collect();
+            let vs: Vec<VertexId> = terminals.iter().map(|&(v, _)| v).collect();
+            let (seedings, seeding_of) = source_child_seedings(&graph, &tree, &vs);
+            let n = graph.num_vertices();
+            let (mut search, mut plain) = (TerminalSearch::new(n), CanonicalScratch::new(n));
+            let mut reached = 0;
+            for (i, &(v, max_target)) in terminals.iter().enumerate() {
+                search.search_source(&graph, &tree, v, &seedings[seeding_of[i]], max_target);
+                let filter = source_filter(&tree, &search.pi);
+                let stop = Some((v, max_target));
+                plain.sweep_subtree(&graph, &tree, search.pi[1], stop, filter);
+                let seeded = &mut search.held;
+                assert_eq!(seeded.visited(), plain.visited(), "{what}: order at {v:?}");
+                assert_eq!(seeded.dist(v), plain.dist(v), "{what}: dist of {v:?}");
+                if plain.dist(v).is_some() {
+                    reached += 1;
+                    seeded.settle_target(&graph, &weights, v, filter);
+                    plain.settle_target(&graph, &weights, v, filter);
+                    let path = seeded.path_to(&tree, v);
+                    assert_eq!(path, plain.path_to(&tree, v), "{what}: path to {v:?}");
+                }
+            }
+            assert!(reached > 0, "{what}: no j = 0 search reached its terminal");
         }
     }
 }

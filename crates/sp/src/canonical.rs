@@ -37,10 +37,15 @@
 //! once a target is discovered or the frontier passes a hop bound; sweep 2
 //! can be restricted to the vertices shallower than the target plus the
 //! target itself. The source's subtree is the whole reachable graph.
+//!
+//! Many searches of one subtree whose filters differ only by whole banned
+//! vertices share one seed scan: [`CanonicalScratch::subtree_seeding`]
+//! runs it once, and each [`CanonicalScratch::sweep_seeded`] reads it
+//! instead of the subtree's adjacency (see [`crate::sweep`]).
 
 use crate::path::Path;
 use crate::sp_tree::ShortestPathTree;
-use crate::sweep::{BoundarySweep, Region};
+use crate::sweep::{BoundarySweep, Region, Seeding};
 use crate::weights::TieBreakWeights;
 use crate::UNREACHABLE;
 use ftb_graph::{EdgeId, Fault, Graph, VertexId};
@@ -50,8 +55,8 @@ use ftb_graph::{EdgeId, Fault, Graph, VertexId};
 /// Create once (per worker thread) with [`CanonicalScratch::new`], then
 /// call [`CanonicalScratch::run`] for a from-source tree of `G ∖ F`, or the
 /// subtree-bounded [`CanonicalScratch::run_subtree`] /
-/// [`CanonicalScratch::sweep_subtree`] (+
-/// [`CanonicalScratch::settle_target`]) for faults below a vertex; the
+/// [`CanonicalScratch::sweep_subtree`] / [`CanonicalScratch::sweep_seeded`]
+/// (+ [`CanonicalScratch::settle_target`]) for faults below a vertex; the
 /// buffers are reused, so a run allocates nothing once they have grown.
 #[derive(Clone, Debug)]
 pub struct CanonicalScratch {
@@ -142,6 +147,62 @@ impl CanonicalScratch {
         stop: Option<(VertexId, u32)>,
         allow: impl Fn(VertexId, EdgeId) -> bool,
     ) {
+        self.subtree_search(graph, tree, root, stop, |sweep, region| {
+            let done = |w| Some(w) == region.target;
+            sweep.search(region, |u| graph.neighbors(u), allow, done)
+        });
+    }
+
+    /// The [`Seeding`] of the `T0` subtree of `root` under `allow`: its seed
+    /// scan, once, for any number of [`CanonicalScratch::sweep_seeded`]
+    /// runs. Clears the last run.
+    pub fn subtree_seeding(
+        &mut self,
+        graph: &Graph,
+        tree: &ShortestPathTree,
+        root: VertexId,
+        allow: impl Fn(VertexId, EdgeId) -> bool,
+    ) -> Seeding {
+        self.subtree_search(graph, tree, root, None, |sweep, region| {
+            sweep.seeding(region, |u| graph.neighbors(u), allow)
+        })
+    }
+
+    /// [`CanonicalScratch::sweep_subtree`] of the subtree `seeding` covers,
+    /// a [`CanonicalScratch::subtree_seeding`], with `stop = Some((target,
+    /// max_hops))`, seeded from `seeding`: the same distances and visit
+    /// order, without the adjacency scan.
+    ///
+    /// `allow` must refuse every edge into a vertex `admit` rejects, and
+    /// agree with the seeding's filter on every other edge (see
+    /// [`BoundarySweep::search_seeded`]).
+    pub fn sweep_seeded(
+        &mut self,
+        graph: &Graph,
+        tree: &ShortestPathTree,
+        seeding: &Seeding,
+        (target, max_hops): (VertexId, u32),
+        admit: impl Fn(VertexId) -> bool,
+        allow: impl Fn(VertexId, EdgeId) -> bool,
+    ) {
+        let root = tree.euler().order()[seeding.intervals()[0].0 as usize];
+        let stop = Some((target, max_hops));
+        self.subtree_search(graph, tree, root, stop, |sweep, region| {
+            let neighbors = |u| graph.neighbors(u);
+            sweep.search_seeded(region, seeding, admit, neighbors, allow, |w| w == target)
+        });
+    }
+
+    /// Run `search` over the `T0` subtree of `root`, bounded by `stop`, then
+    /// give the boundary it wrote its `T0` tie sums.
+    fn subtree_search<R>(
+        &mut self,
+        graph: &Graph,
+        tree: &ShortestPathTree,
+        root: VertexId,
+        stop: Option<(VertexId, u32)>,
+        search: impl FnOnce(&mut BoundarySweep, Region<'_>) -> R,
+    ) -> R {
         self.begin(graph);
         let (target, max_hops) = match stop {
             Some((t, h)) => {
@@ -158,11 +219,11 @@ impl CanonicalScratch {
             max_hops,
             target,
         };
-        self.sweep
-            .search(region, |u| graph.neighbors(u), allow, |w| Some(w) == target);
+        let out = search(&mut self.sweep, region);
         for &u in self.sweep.boundary() {
             self.tie[u.index()] = tree.tie(u);
         }
+        out
     }
 
     /// Sweep 2 for the last [`CanonicalScratch::sweep_subtree`] probe,

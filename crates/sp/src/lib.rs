@@ -46,7 +46,7 @@ pub use lex::LexSearch;
 pub use path::Path;
 pub use replacement::ReplacementDistances;
 pub use sp_tree::ShortestPathTree;
-pub use sweep::{BoundarySweep, Region};
+pub use sweep::{BoundarySweep, Region, Seeding};
 pub use timestamped::TimestampedVector;
 pub use weights::TieBreakWeights;
 
