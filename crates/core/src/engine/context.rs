@@ -1,12 +1,12 @@
 //! The per-thread mutable half of the query engine: [`QueryContext`].
 
-use super::core::EngineCore;
+use super::core::{merge_ranges, EngineCore};
 use super::obs::EngineObs;
 use super::{bfs_sweep, finite, ParentEntry, QueryStats, SweepScratch, Tier, TierCounters};
 use crate::error::FtbfsError;
 use ftb_graph::{CompactSubgraph, EdgeId, Fault, FaultSet, Graph, VertexId};
 use ftb_obs::Span;
-use ftb_par::parallel_map_init;
+use ftb_par::{parallel_map_init, ParallelConfig};
 use ftb_sp::{BoundarySweep, EulerTourIndex, Path, Region, TimestampedVector, UNREACHABLE};
 use std::sync::Arc;
 use std::time::Instant;
@@ -190,8 +190,9 @@ struct RepairScratch {
     /// *adjacency* changed even though their distance did not, so only
     /// their canonical parent is recomputed.
     fixups: Vec<VertexId>,
-    /// Merged preorder intervals of the affected subtrees (into the slot
-    /// tree's order array).
+    /// The fault roots' preorder ranges of the current call
+    /// ([`EngineCore::fault_ranges`]): unsorted while they classify
+    /// targets, merged ([`merge_ranges`]) before a sweep runs over them.
     intervals: Vec<(u32, u32)>,
 }
 
@@ -206,7 +207,7 @@ impl RepairScratch {
     }
 
     /// Repair `row_dist`/`row_parent` — pre-filled with the tier's
-    /// fault-free rows — in place, given the merged affected
+    /// fault-free rows — in place, given the merged
     /// [`RepairScratch::intervals`] and the failed-edge endpoint
     /// [`RepairScratch::fixups`] already collected: sweep the affected
     /// region awaiting all of it, copy its distances in, and recompute
@@ -371,6 +372,10 @@ impl BannedEdges {
     }
 }
 
+/// A [`QueryContext::dist_batch_from`] batch whose `stop` fired: no answers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BatchStopped;
+
 /// Per-thread mutable query state: BFS scratch, the miss kernel's sweep,
 /// an LRU of recently computed post-failure rows, and query counters.
 ///
@@ -476,10 +481,6 @@ impl QueryContext {
         self.stats = QueryStats::default();
     }
 
-    fn merge_stats(&mut self, other: &QueryStats) {
-        self.stats.merge(other);
-    }
-
     /// Fail unless this context was created by `core`.
     pub(super) fn check_core(&self, core: &EngineCore) -> Result<(), FtbfsError> {
         if self.core_token != core.token {
@@ -528,9 +529,10 @@ impl QueryContext {
     /// (duplicates allowed; `None` marks a disconnected target).
     ///
     /// The whole target set shares one classification and at most one
-    /// search: each target's Euler-tour preorder number is binary-searched
-    /// over the ≤ `|F|` merged affected intervals of `F` — no per-target
-    /// ancestor probes — and every provably-unaffected target is answered
+    /// search: the ≤ `|F|` preorder ranges of the subtrees `F` cuts off are
+    /// collected once, each target's Euler-tour preorder number is tested
+    /// against them — no sort, no per-target ancestor probes — and every
+    /// provably-unaffected target is answered
     /// straight from the fault-free row
     /// ([`TierCounters::batched_unaffected`](super::TierCounters)). The
     /// affected targets, however many, read this context's cached row for
@@ -605,25 +607,21 @@ impl QueryContext {
         Ok(self.with_tier_obs(|ctx| ctx.path_unchecked(core, slot, v, faults)))
     }
 
-    /// Answer a batch of `(source, vertex, fault set)` queries — the one
-    /// batch entry point, for single- and multi-source cores alike (name
-    /// [`EngineCore::primary_source`] on a single-source core).
+    /// Answer a batch of `(source, vertex, fault set)` queries, for single-
+    /// and multi-source cores alike (name [`EngineCore::primary_source`] on
+    /// a single-source core).
     ///
     /// The batch is grouped by (source, canonical fault set), and each
-    /// group is one [`QueryContext::dist_many_after_faults_from`] call:
-    /// provably unaffected targets read the fault-free row, and the
-    /// affected ones read a cached row or are settled by one search, so a
-    /// distinct failure pattern runs at most one search however many
-    /// vertices are probed against it. Groups are answered on this context
-    /// (sharing its LRU across batches), or, when at least two groups may
-    /// need a search, spread one group per task over the core's
+    /// group is one one-to-many answer, like
+    /// [`QueryContext::dist_many_after_faults_from`], so a distinct failure
+    /// pattern runs at most one search however many vertices are probed
+    /// against it. Groups are answered on this context (sharing its LRU
+    /// across batches), or, when at least two groups may need a search,
+    /// spread one group per task over the core's
     /// [`EngineOptions::parallel`](super::EngineOptions) workers, each with
-    /// its own fresh context. A group is never split: that would only
-    /// multiply its search.
-    /// Results are returned in input order and are byte-identical to the
-    /// serial path and to `queries.len()` separate
-    /// [`QueryContext::dist_after_faults_from`] calls; `None` marks a
-    /// disconnected vertex. Worker counters are merged into this context.
+    /// its own fresh context; worker counters are merged into this one.
+    /// Results are in input order, byte-identical to `queries.len()`
+    /// separate [`QueryContext::dist_after_faults_from`] calls.
     ///
     /// # Errors
     ///
@@ -634,36 +632,154 @@ impl QueryContext {
         core: &EngineCore,
         queries: &[(VertexId, VertexId, FaultSet)],
     ) -> Result<Vec<Option<u32>>, FtbfsError> {
-        self.check_core(core)?;
-        for (source, v, faults) in queries {
-            core.check_vertex(*v)?;
-            core.check_fault_set(faults)?;
-            core.source_slot(*source)?;
-        }
-        let parallel = &core.options().parallel;
-        if core.sources().len() == 1 {
+        self.checked_batch(core, queries.iter().map(|(s, v, f)| (*s, *v, f)))?;
+        let (parallel, len) = (&core.options().parallel, queries.len());
+        let answers = if core.sources().len() == 1 {
             // Every validated query of a single-source core is slot 0. The
             // constant keeps a per-query slot lookup out of the grouping
-            // sort and the answer loop: the lookup cost ~13% of the minimum
-            // batch time on 13k single-edge queries (ErdosRenyi n = 600,
-            // 2-vCPU x86-64).
-            return Ok(self.with_tier_obs(|ctx| {
-                query_many_sharded(core, ctx, parallel, queries.len(), |i| {
-                    (0, queries[i].1, &queries[i].2)
-                })
-            }));
+            // sort: the lookup cost ~13% of a 13k-query batch.
+            let query_at = |i: usize| (0, queries[i].1, &queries[i].2);
+            self.answer_batch(core, parallel, len, query_at, || false)
+        } else {
+            let slots: Vec<usize> = queries
+                .iter()
+                .map(|(source, _, _)| core.source_slot(*source).expect("validated above"))
+                .collect();
+            let query_at = |i: usize| (slots[i], queries[i].1, &queries[i].2);
+            self.answer_batch(core, parallel, len, query_at, || false)
+        };
+        Ok(answers.unwrap_or_else(|BatchStopped| unreachable!("the stop never fires")))
+    }
+
+    /// Answer a batch of `(vertex, fault set)` queries from one `source`:
+    /// [`QueryContext::query_many_faults`]'s grouping and answers, but
+    /// every group runs on this context, in canonical fault-set order, and
+    /// no worker thread is spawned. `stop` is asked before each group; once
+    /// it returns `true` the batch ends with [`BatchStopped`] and no
+    /// answers, and only the groups answered so far are counted in
+    /// [`QueryContext::stats`]. An empty batch answers `[]`, whatever
+    /// `source` is.
+    ///
+    /// # Errors
+    ///
+    /// As [`QueryContext::dist_after_faults_from`], for the first invalid
+    /// entry: per entry the vertex, then the fault set, then the source.
+    pub fn dist_batch_from(
+        &mut self,
+        core: &EngineCore,
+        source: VertexId,
+        queries: &[(VertexId, FaultSet)],
+        stop: impl FnMut() -> bool,
+    ) -> Result<Result<Vec<Option<u32>>, BatchStopped>, FtbfsError> {
+        self.checked_batch(core, queries.iter().map(|(v, f)| (source, *v, f)))?;
+        // Validated unless the batch is empty, and then no slot is read.
+        let slot = core.source_slot(source).unwrap_or(0);
+        let query_at = |i: usize| (slot, queries[i].0, &queries[i].1);
+        let serial = ParallelConfig::serial();
+        Ok(self.answer_batch(core, &serial, queries.len(), query_at, stop))
+    }
+
+    /// The one batch grouping, in one observation window. `query_at` maps
+    /// an index to `(slot, vertex, fault set)`, already validated. Queries
+    /// are sorted by (slot, fault set), and each run of equal keys is one
+    /// [`QueryContext::dist_many_unchecked`] call. Groups that search are
+    /// spread one per task over `parallel`'s workers when there are two or
+    /// more; the rest run here. `stop` is asked before each group run here
+    /// and once before the spread.
+    fn answer_batch<'q, Q>(
+        &mut self,
+        core: &EngineCore,
+        parallel: &ParallelConfig,
+        len: usize,
+        query_at: Q,
+        mut stop: impl FnMut() -> bool,
+    ) -> Result<Vec<Option<u32>>, BatchStopped>
+    where
+        Q: Fn(usize) -> (usize, VertexId, &'q FaultSet) + Sync,
+    {
+        self.with_tier_obs(|ctx| {
+            let key = |qi: &u32| {
+                let (slot, _, faults) = query_at(*qi as usize);
+                (slot, faults)
+            };
+            let mut order: Vec<u32> = (0..len as u32).collect();
+            order.sort_by_key(key);
+            let groups: Vec<&[u32]> = order.chunk_by(|a, b| key(a) == key(b)).collect();
+            let searches = |group: &&[u32]| core.route(key(&group[0]).1) != Tier::FaultFree;
+            let answer = |ctx: &mut QueryContext,
+                          group: &[u32],
+                          targets: &mut Vec<VertexId>,
+                          out: &mut Vec<Option<u32>>| {
+                let (slot, faults) = key(&group[0]);
+                targets.clear();
+                targets.extend(group.iter().map(|&qi| query_at(qi as usize).1));
+                ctx.dist_many_unchecked(core, slot, targets, faults, out);
+            };
+            let scatter = |results: &mut [Option<u32>], group: &[u32], answers: &[Option<u32>]| {
+                for (&qi, &d) in group.iter().zip(answers) {
+                    results[qi as usize] = d;
+                }
+            };
+
+            // Each searching group is one search at most, so chunk size 1
+            // balances cheap against expensive failures; fewer than two are
+            // not worth a spawn.
+            let parallel = parallel.clone().with_chunk_size(1);
+            let spread = !parallel.is_serial()
+                && groups.iter().copied().filter(searches).take(2).count() == 2;
+            let (searching, here): (Vec<&[u32]>, Vec<&[u32]>) = groups
+                .into_iter()
+                .partition(|group| spread && searches(group));
+            let mut results = vec![None; len];
+            let (mut targets, mut out) = (Vec::new(), Vec::new());
+            for group in here {
+                if stop() {
+                    return Err(BatchStopped);
+                }
+                answer(ctx, group, &mut targets, &mut out);
+                scatter(&mut results, group, &out);
+            }
+            if searching.is_empty() {
+                return Ok(results);
+            }
+            if stop() {
+                return Err(BatchStopped);
+            }
+            let sharded = parallel_map_init(
+                &parallel,
+                searching.len(),
+                || (core.new_context(), Vec::new()),
+                |(wctx, targets), gi| {
+                    // The worker context persists across tasks: report only
+                    // this group's counter increments.
+                    wctx.reset_stats();
+                    let mut out = Vec::new();
+                    answer(wctx, searching[gi], targets, &mut out);
+                    (out, wctx.stats())
+                },
+            );
+            for (&group, (answers, stats)) in searching.iter().zip(sharded) {
+                scatter(&mut results, group, &answers);
+                ctx.stats.merge(&stats);
+            }
+            Ok(results)
+        })
+    }
+
+    /// Validate a batch in input order: per entry the vertex, then the
+    /// fault set, then the source.
+    fn checked_batch<'q>(
+        &self,
+        core: &EngineCore,
+        queries: impl Iterator<Item = (VertexId, VertexId, &'q FaultSet)>,
+    ) -> Result<(), FtbfsError> {
+        self.check_core(core)?;
+        for (source, v, faults) in queries {
+            core.check_vertex(v)?;
+            core.check_fault_set(faults)?;
+            core.source_slot(source)?;
         }
-        // Resolve sources to slots up front so the sharded path only deals
-        // in validated slots.
-        let slots: Vec<usize> = queries
-            .iter()
-            .map(|(source, _, _)| core.source_slot(*source).expect("validated above"))
-            .collect();
-        Ok(self.with_tier_obs(|ctx| {
-            query_many_sharded(core, ctx, parallel, queries.len(), |i| {
-                (slots[i], queries[i].1, &queries[i].2)
-            })
-        }))
+        Ok(())
     }
 
     fn checked_faults(
@@ -708,13 +824,13 @@ impl QueryContext {
     ) -> Option<u32> {
         self.stats.queries += 1;
         let tier = core.route(faults);
-        if tier != Tier::FaultFree
-            && !core.options().force_full_sweep
-            && core.target_unaffected(slot, v, faults)
-        {
-            self.stats.tiers.unaffected_fast_path += 1;
-            self.stats.cached_answers += 1;
-            return core.fault_free_dist_slot(slot, v);
+        if tier != Tier::FaultFree && !core.options().force_full_sweep {
+            core.fault_ranges(slot, faults, &mut self.repair.intervals);
+            if !core.slot_tree(slot).is_affected(&self.repair.intervals, v) {
+                self.stats.tiers.unaffected_fast_path += 1;
+                self.stats.cached_answers += 1;
+                return core.fault_free_dist_slot(slot, v);
+            }
         }
         let row = self.ensure_row(core, slot, faults, tier);
         let (dist, _) = self.row(core, slot, row);
@@ -760,23 +876,17 @@ impl QueryContext {
         // entry-point window, keeping stage sums within the wall time.
         let obs = self.stage_obs();
         let classify_span = obs.as_ref().map(|o| Span::enter(&o.stage_classify));
-        // Batched unaffected classification against the merged affected
-        // intervals — never an `O(|F|)` ancestor probe per target: each
-        // target's preorder number is binary-searched over the ≤ |F|
-        // intervals (`O(t log |F|)`, no sort).
-        core.affected_intervals(slot, faults, &mut self.repair.intervals);
-        let euler = &core.slot_tree(slot).euler;
-        let intervals = &self.repair.intervals;
+        // One classification for the batch: the ≤ |F| fault-root ranges
+        // are collected once, unsorted, and every target is tested against
+        // them (`O(t·|F|)`, no sort, no ancestor probes).
+        core.fault_ranges(slot, faults, &mut self.repair.intervals);
+        let tree = core.slot_tree(slot);
+        let ranges = &self.repair.intervals;
         let mut affected = std::mem::take(&mut self.many_affected);
         affected.clear();
         for (i, &v) in targets.iter().enumerate() {
-            // Out-of-tree targets have no preorder number; they are
-            // unaffected (unreachable with or without the faults).
-            if let Some(t) = euler.preorder(v) {
-                let idx = intervals.partition_point(|&(_, end)| end <= t);
-                if idx < intervals.len() && intervals[idx].0 <= t {
-                    affected.push(i as u32);
-                }
+            if tree.is_affected(ranges, v) {
+                affected.push(i as u32);
             }
         }
         drop(classify_span);
@@ -906,7 +1016,10 @@ impl QueryContext {
         faults: &FaultSet,
         tier: Tier,
     ) -> Option<Option<Path>> {
-        if !core.target_unaffected(slot, v, faults) {
+        core.fault_ranges(slot, faults, &mut self.repair.intervals);
+        let tree = core.slot_tree(slot);
+        let ranges = &self.repair.intervals;
+        if tree.is_affected(ranges, v) {
             return None;
         }
         let (dist0, _) = core.fault_free_row(slot);
@@ -922,7 +1035,7 @@ impl QueryContext {
         let mut edges = Vec::new();
         let mut cursor = v;
         while let Some((p, pe)) = parent0[cursor.index()] {
-            if faults.contains_edge(pe) || !core.target_unaffected(slot, p, faults) {
+            if faults.contains_edge(pe) || tree.is_affected(ranges, p) {
                 return None;
             }
             vertices.push(p);
@@ -1092,8 +1205,9 @@ impl QueryContext {
     }
 
     /// [`QueryContext::miss`] on one tier's adjacency. A
-    /// [`Miss::Targets`] runs the target-restricted sweep over the affected
-    /// intervals the caller collected. A [`Miss::Row`] repairs the row from
+    /// [`Miss::Targets`] merges the fault-root ranges the caller collected
+    /// and runs the target-restricted sweep over them. A [`Miss::Row`]
+    /// collects and merges its own, and repairs the row from
     /// the tier's fault-free rows, or sweeps it in full under
     /// [`EngineOptions::force_full_sweep`](super::EngineOptions).
     fn miss_on<A: Adjacency>(
@@ -1109,6 +1223,7 @@ impl QueryContext {
         let (dist0, _) = core.fault_free_row(slot);
         let i = match miss {
             Miss::Targets { targets, affected } => {
+                merge_ranges(&mut self.repair.intervals);
                 let wanted = affected.iter().map(|&i| targets[i as usize]);
                 self.repair.settle_targets(tree, dist0, adj, wanted);
                 return;
@@ -1126,7 +1241,8 @@ impl QueryContext {
             drop(span);
             return;
         }
-        core.affected_intervals(slot, faults, &mut self.repair.intervals);
+        core.fault_ranges(slot, faults, &mut self.repair.intervals);
+        merge_ranges(&mut self.repair.intervals);
         self.repair.fixups.clear();
         for e in faults.edges().filter(|&e| adj.contains_edge(e)) {
             let edge = core.graph().edge(e);
@@ -1153,86 +1269,4 @@ impl QueryContext {
             Tier::FullGraph => self.stats.tiers.full_graph_bfs += n,
         }
     }
-}
-
-/// The batch orchestration behind [`QueryContext::query_many_faults`].
-///
-/// `query_at` maps a batch index to `(source slot, vertex, fault set)`; the
-/// **caller validates** slots, vertices and fault sets before calling.
-/// Queries are sorted by (slot, canonical fault set), and each run of equal
-/// keys is answered by one [`QueryContext::dist_many_unchecked`] call.
-/// Groups routed to the fault-free row never search and are answered on
-/// `ctx`; so are the others, unless there are two or more of them and
-/// `parallel` has workers: then each is one task over the workers, and
-/// each worker has a fresh context. Results land in input order; worker
-/// counters are merged into `ctx` so the caller's stats stay complete.
-fn query_many_sharded<'q, Q>(
-    core: &EngineCore,
-    ctx: &mut QueryContext,
-    parallel: &ftb_par::ParallelConfig,
-    len: usize,
-    query_at: Q,
-) -> Vec<Option<u32>>
-where
-    Q: Fn(usize) -> (usize, VertexId, &'q FaultSet) + Sync,
-{
-    let key = |qi: &u32| {
-        let (slot, _, faults) = query_at(*qi as usize);
-        (slot, faults)
-    };
-    let mut order: Vec<u32> = (0..len as u32).collect();
-    order.sort_by_key(key);
-    let groups: Vec<&[u32]> = order.chunk_by(|a, b| key(a) == key(b)).collect();
-    let searches = |group: &&[u32]| core.route(key(&group[0]).1) != Tier::FaultFree;
-    let answer = |ctx: &mut QueryContext,
-                  group: &[u32],
-                  targets: &mut Vec<VertexId>,
-                  out: &mut Vec<Option<u32>>| {
-        let (slot, faults) = key(&group[0]);
-        targets.clear();
-        targets.extend(group.iter().map(|&qi| query_at(qi as usize).1));
-        ctx.dist_many_unchecked(core, slot, targets, faults, out);
-    };
-    let scatter = |results: &mut [Option<u32>], group: &[u32], answers: &[Option<u32>]| {
-        for (&qi, &d) in group.iter().zip(answers) {
-            results[qi as usize] = d;
-        }
-    };
-
-    // Each searching group is one search at most, so chunk size 1 balances
-    // cheap against expensive failures; fewer than two are not worth a
-    // spawn.
-    let parallel = parallel.clone().with_chunk_size(1);
-    let spread =
-        !parallel.is_serial() && groups.iter().copied().filter(searches).take(2).count() == 2;
-    let (searching, here): (Vec<&[u32]>, Vec<&[u32]>) = groups
-        .into_iter()
-        .partition(|group| spread && searches(group));
-    let mut results = vec![None; len];
-    let (mut targets, mut out) = (Vec::new(), Vec::new());
-    for group in here {
-        answer(ctx, group, &mut targets, &mut out);
-        scatter(&mut results, group, &out);
-    }
-    if searching.is_empty() {
-        return results;
-    }
-    let sharded = parallel_map_init(
-        &parallel,
-        searching.len(),
-        || (core.new_context(), Vec::new()),
-        |(wctx, targets), gi| {
-            // The worker context persists across tasks: report only this
-            // group's counter increments.
-            wctx.reset_stats();
-            let mut out = Vec::new();
-            answer(wctx, searching[gi], targets, &mut out);
-            (out, wctx.stats())
-        },
-    );
-    for (&group, (answers, stats)) in searching.iter().zip(sharded) {
-        scatter(&mut results, group, &answers);
-        ctx.merge_stats(&stats);
-    }
-    results
 }

@@ -44,6 +44,9 @@ pub struct EngineOptions {
     /// queries sharing a fault set are distributed over this many
     /// workers, each with its own [`QueryContext`]. A serial configuration
     /// answers the whole batch on the calling thread.
+    /// [`QueryContext::dist_batch_from`] (the server's `BatchDist`) never
+    /// shards, whatever this says: its caller's context pool is the
+    /// concurrency bound.
     pub parallel: ParallelConfig,
     /// Maximum fault-set size (`|F|`) the engine accepts; larger sets are
     /// rejected with [`FtbfsError::FaultSetTooLarge`]. A set outside the
@@ -165,6 +168,31 @@ impl SlotTree {
             Fault::Vertex(u) => self.euler.in_tree(u).then_some(u),
         }
     }
+
+    /// The one "is `v` affected" test: `true` when `v`'s preorder number
+    /// lies in one of the fault-root `ranges` collected by
+    /// [`EngineCore::fault_ranges`], i.e. its canonical `T0` path uses a
+    /// failed element. An unaffected `v` keeps that path, so
+    /// `dist(s, v, G' ∖ F) = dist(s, v, G)` for every serving subgraph
+    /// `T0 ⊆ G' ⊆ G`. Out-of-tree vertices are never affected (they stay
+    /// unreachable under any fault set). `a <= t < b` is one unsigned
+    /// compare: `t - a` wraps past `b - a` when `t < a`.
+    #[inline]
+    pub(super) fn is_affected(&self, ranges: &[(u32, u32)], v: VertexId) -> bool {
+        self.euler
+            .preorder(v)
+            .is_some_and(|t| ranges.iter().any(|&(a, b)| t.wrapping_sub(a) < b - a))
+    }
+}
+
+/// Sort and merge fault-root `ranges` ([`EngineCore::fault_ranges`]) in
+/// place into the sorted, disjoint region a sweep runs over, and return its
+/// vertex count. Subtree ranges are laminar: after sorting, a range that
+/// starts inside the last kept one is nested in it.
+pub(super) fn merge_ranges(ranges: &mut Vec<(u32, u32)>) -> usize {
+    ranges.sort_unstable();
+    ranges.dedup_by(|next, kept| next.0 < kept.1);
+    ranges.iter().map(|&(a, b)| (b - a) as usize).sum()
 }
 
 /// The immutable preprocessed half of the fault-query engine.
@@ -568,12 +596,12 @@ impl EngineCore {
         &self.trees[slot]
     }
 
-    /// Public observable twin of the engine's internal unaffected test:
-    /// `true` when `v` is provably unaffected by `faults` as seen from
-    /// `source` (its canonical `T0` path avoids every failed element), so a
-    /// distance query would be answered from the fault-free row with zero
-    /// search. Exposed so tests and experiments can construct target sets
-    /// with known classification.
+    /// The engine's one unaffected test, public: `true` when `v` is
+    /// provably unaffected by `faults` as seen from `source` (its canonical
+    /// `T0` path avoids every failed element), so a distance query would be
+    /// answered from the fault-free row with zero search. Exposed so tests
+    /// and experiments can construct target sets with known
+    /// classification.
     ///
     /// # Errors
     ///
@@ -589,69 +617,24 @@ impl EngineCore {
         self.check_fault_set(faults)?;
         self.check_vertex(v)?;
         let slot = self.source_slot(source)?;
-        Ok(self.target_unaffected(slot, v, faults))
+        let mut ranges = Vec::new();
+        self.fault_ranges(slot, faults, &mut ranges);
+        Ok(!self.trees[slot].is_affected(&ranges, v))
     }
 
-    /// Validate one `(source, target, faults)` query without answering it,
-    /// with the same checks (in the same order) as
-    /// [`QueryContext::dist_after_faults_from`](super::QueryContext::dist_after_faults_from):
-    /// target vertex, then fault set, then source. Lets a batching front
-    /// end (e.g. the TCP server) validate a whole batch up front and still
-    /// fail with exactly the error the serial query loop would have hit
-    /// first.
-    ///
-    /// # Errors
-    ///
-    /// As [`QueryContext::dist_after_faults_from`](super::QueryContext::dist_after_faults_from),
-    /// minus `ContextMismatch` (no context is involved).
-    pub fn validate_query(
-        &self,
-        source: VertexId,
-        v: VertexId,
-        faults: &FaultSet,
-    ) -> Result<(), FtbfsError> {
-        self.check_vertex(v)?;
-        self.check_fault_set(faults)?;
-        self.source_slot(source)?;
-        Ok(())
-    }
-
-    /// `true` if `v` is **provably unaffected** by `faults` as seen from
-    /// slot `slot`: the canonical tree path `T0(s → v)` uses no failed tree
-    /// edge and no failed vertex, so `dist(s, v, G' ∖ F) = dist(s, v, G)`
-    /// for every serving subgraph `T0 ⊆ G' ⊆ G` — the fault-free row
-    /// answers in `O(|F|)` with no search. Out-of-tree targets are
-    /// unaffected too (they stay unreachable under any fault set).
-    pub(super) fn target_unaffected(&self, slot: usize, v: VertexId, faults: &FaultSet) -> bool {
-        let tree = &self.trees[slot];
-        faults.iter().all(|f| {
-            tree.fault_root(&self.h, f)
-                .is_none_or(|r| !tree.euler.is_ancestor(r, v))
-        })
-    }
-
-    /// Collect the merged preorder intervals (into `out`, as
-    /// `(start, end)` ranges over the slot tree's
-    /// [`order`](EulerTourIndex::order) array) of the subtrees hanging
-    /// under the failed elements of `faults`. Returns the number of
-    /// affected vertices.
-    pub(super) fn affected_intervals(
-        &self,
-        slot: usize,
-        faults: &FaultSet,
-        out: &mut Vec<(u32, u32)>,
-    ) -> usize {
+    /// Collect into `out` (cleared first) the preorder range, over the
+    /// slot tree's [`order`](EulerTourIndex::order) array, of each subtree
+    /// a fault of `faults` cuts off: at most `|F|` ranges, unsorted, and
+    /// possibly nested or repeated. [`SlotTree::is_affected`] tests a
+    /// vertex against them; [`merge_ranges`] turns them into the disjoint
+    /// region a sweep needs.
+    pub(super) fn fault_ranges(&self, slot: usize, faults: &FaultSet, out: &mut Vec<(u32, u32)>) {
         let tree = &self.trees[slot];
         out.clear();
         for r in faults.iter().filter_map(|f| tree.fault_root(&self.h, f)) {
             let range = tree.euler.subtree(r);
             out.push((range.start as u32, range.end as u32));
         }
-        // Subtree intervals are laminar: after sorting, an interval that
-        // starts inside the last kept one is nested in it.
-        out.sort_unstable();
-        out.dedup_by(|next, kept| next.0 < kept.1);
-        out.iter().map(|&(a, b)| (b - a) as usize).sum()
     }
 
     /// Number of vertices whose canonical shortest path from `source` uses
@@ -672,8 +655,9 @@ impl EngineCore {
     ) -> Result<usize, FtbfsError> {
         self.check_fault_set(faults)?;
         let slot = self.source_slot(source)?;
-        let mut intervals = Vec::new();
-        Ok(self.affected_intervals(slot, faults, &mut intervals))
+        let mut ranges = Vec::new();
+        self.fault_ranges(slot, faults, &mut ranges);
+        Ok(merge_ranges(&mut ranges))
     }
 
     pub(super) fn check_vertex(&self, v: VertexId) -> Result<(), FtbfsError> {

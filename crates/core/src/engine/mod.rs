@@ -24,13 +24,14 @@
 //!   set), and query counters. Create one per worker
 //!   with [`EngineCore::new_context`]; contexts are *not* shared between
 //!   threads. Every query method takes the core by shared reference.
-//!   [`QueryContext::query_many_faults`] groups a batch by (source, fault
-//!   set) and answers each group with one one-to-many call, on the calling
-//!   thread or one group per task across the core's
-//!   [`EngineOptions::parallel`] workers via
-//!   [`ftb_par::parallel_map_init`], one fresh context per worker, with
-//!   deterministic input-order results. A group is one sweep at most, so
-//!   it is never split.
+//!   A batch is grouped by (source, fault set), each group one one-to-many
+//!   answer (one sweep at most, so never split), in one place for both
+//!   entry points: [`QueryContext::query_many_faults`] spreads searching
+//!   groups one per task over the core's [`EngineOptions::parallel`]
+//!   workers ([`ftb_par::parallel_map_init`], a fresh context each);
+//!   [`QueryContext::dist_batch_from`], the server's `BatchDist`, answers
+//!   all on the calling context and can stop between groups
+//!   ([`BatchStopped`]). Results are in input order.
 //!
 //! # Fault model
 //!
@@ -104,10 +105,11 @@
 //!   defined once, and the repair, the restricted sweep below and the
 //!   forced full sweep all traverse it.
 //! * **One-to-many batching** — `dist_many_after_faults`, and every
-//!   (source, fault set) group of `query_many_faults`, answers a whole
-//!   target set against one fault set in one pass: each target's
-//!   Euler-tour preorder number is binary-searched over the ≤ `|F|` merged
-//!   affected intervals (`O(t log |F|)` instead of `O(|F|·t)` probes),
+//!   (source, fault set) group of a batch, answers a whole target set
+//!   against one fault set in one pass: the ≤ `|F|` preorder ranges of the
+//!   subtrees `F` cuts off are collected once and each target's Euler-tour
+//!   preorder number is tested against them — the targeted fast path's
+//!   test, with no per-target fault lookups —
 //!   provably-unaffected targets are read straight off the fault-free row
 //!   ([`TierCounters::batched_unaffected`]), and one *target-restricted*
 //!   sweep of the affected subtrees stops as soon as every requested
@@ -133,7 +135,8 @@
 //! remembered key again repairs and caches the row. So a fault set seen
 //! once costs one restricted sweep, and one replayed batch after batch is
 //! answered from the cache; a batch groups by fault set, so each distinct
-//! failure pattern of a batch is searched at most once.
+//! failure pattern of a batch is searched at most once. Only groups answered
+//! on the caller's context move its LRU; `dist_batch_from` answers them all there.
 //!
 //! # Thread-safety contract
 //!
@@ -154,7 +157,7 @@ mod tests;
 pub use snapshot::engine_layout_hash;
 
 pub use self::core::{EngineCore, EngineOptions, FORCE_FULL_SWEEP_ENV};
-pub use context::QueryContext;
+pub use context::{BatchStopped, QueryContext};
 pub use obs::{EngineObs, STAGE_SECONDS_METRIC, TIER_ANSWERS_METRIC, TIER_LATENCY_METRIC};
 
 /// The answering tier a fault set routes to (see the module docs).
@@ -197,11 +200,10 @@ pub struct TierCounters {
     /// [`EngineOptions::force_full_sweep`](super::EngineOptions).
     pub unaffected_fast_path: usize,
     /// Answered from the fault-free row by the *batched* one-to-many
-    /// classification: `dist_many_after_faults` and every
-    /// `query_many_faults` group binary-search each requested target's
-    /// Euler-tour preorder number over the merged affected intervals, so
-    /// each provably-unaffected target of a batch costs `O(log |F|)`
-    /// instead of an `O(|F|)` ancestor probe. Counted per *target*, like
+    /// classification: `dist_many_after_faults` and every batch group
+    /// collect the fault roots' preorder ranges once and test each
+    /// requested target's Euler-tour preorder number against them, the
+    /// same test the targeted fast path makes. Counted per *target*, like
     /// every other tier counter.
     pub batched_unaffected: usize,
     /// Answered from a BFS row over the sparse structure CSR `H ∖ {e}`

@@ -1149,10 +1149,10 @@ fn unaffected_fast_path_answers_without_a_row() {
             }
             let un = graph
                 .vertices()
-                .find(|&v| core.target_unaffected(0, v, &faults))?;
+                .find(|&v| core.is_target_unaffected(VertexId(0), v, &faults) == Ok(true))?;
             let af = graph
                 .vertices()
-                .find(|&v| !core.target_unaffected(0, v, &faults))?;
+                .find(|&v| core.is_target_unaffected(VertexId(0), v, &faults) == Ok(false))?;
             Some((e, un, af))
         })
         .expect("grid structures have partial failures");
@@ -1244,7 +1244,7 @@ fn unaffected_path_queries_take_the_fast_path() {
                     graph
                         .vertices()
                         .find(|&v| {
-                            core.target_unaffected(0, v, &faults)
+                            core.is_target_unaffected(VertexId(0), v, &faults) == Ok(true)
                                 && core.fault_free_dist_slot(0, v).is_some()
                         })
                         .map(|v| (e, v))
@@ -1271,7 +1271,7 @@ fn unaffected_path_queries_take_the_fast_path() {
     // An affected target still resolves a materialized row.
     let affected = graph
         .vertices()
-        .find(|&v| !core.target_unaffected(0, v, &FaultSet::from(e)))
+        .find(|&v| core.is_target_unaffected(VertexId(0), v, &e.into()) == Ok(false))
         .expect("the failed tree edge affects its subtree");
     ctx.path_after_faults(&core, affected, &e.into())
         .expect("in range");
@@ -1496,4 +1496,159 @@ fn published_counters_roundtrip_and_lock_free_aggregation() {
     let total = obs.published();
     assert_eq!(total.queries, 4 * graph.num_vertices());
     assert_eq!(total.tiers.total(), total.queries, "tiers sum to queries");
+}
+
+/// A single-source grid core and a two-source hypercube core with `options`.
+fn batch_cores(options: EngineOptions) -> [EngineCore; 2] {
+    let grid = generators::grid(6, 6);
+    let single = TradeoffBuilder::new(0.3)
+        .with_config(|c| c.with_seed(41).serial())
+        .build(&grid, &Sources::single(VertexId(0)))
+        .expect("valid input");
+    let cube = generators::hypercube(4);
+    let multi = TradeoffBuilder::new(0.3)
+        .with_config(|c| c.with_seed(5).serial())
+        .build_multi(&cube, &Sources::from(&[VertexId(0), VertexId(15)][..]))
+        .expect("valid input");
+    [
+        EngineCore::build_with(&grid, single, options.clone()).expect("matching graph"),
+        EngineCore::build_multi_with(&cube, multi, options).expect("matching graph"),
+    ]
+}
+
+/// A batch for `dist_batch_from` from `src` that mixes every group shape:
+/// fault-free groups (the empty set and, if there is one, an edge outside
+/// `H`), a fault set with only unaffected targets, and two fault sets with
+/// affected targets, each target named twice, entries interleaved. Returns
+/// the batch and its distinct fault sets in the order the engine answers
+/// them.
+fn mixed_batch(core: &EngineCore, src: VertexId) -> (Vec<(VertexId, FaultSet)>, Vec<FaultSet>) {
+    let graph = core.graph();
+    let affected = |fs: &FaultSet| -> Vec<VertexId> {
+        graph
+            .vertices()
+            .filter(|&v| !core.is_target_unaffected(src, v, fs).expect("in range"))
+            .collect()
+    };
+    let cutting: Vec<FaultSet> = graph
+        .edge_ids()
+        .map(FaultSet::from)
+        .filter(|fs| !affected(fs).is_empty())
+        .take(3)
+        .collect();
+    assert_eq!(cutting.len(), 3, "too few tree edges");
+    let mut groups: Vec<(FaultSet, Vec<VertexId>)> = vec![
+        (FaultSet::new(), graph.vertices().step_by(5).collect()),
+        // The third cutting edge, probed only where it changes nothing.
+        (cutting[2].clone(), vec![src, src]),
+    ];
+    if let Some(e) = graph
+        .edge_ids()
+        .find(|&e| !core.structure().contains_edge(e))
+    {
+        groups.push((FaultSet::from(e), vec![VertexId(1), src]));
+    }
+    for fs in &cutting[..2] {
+        let mut targets = affected(fs);
+        targets.truncate(3);
+        targets.push(src);
+        groups.push((fs.clone(), targets));
+    }
+    let longest = groups.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
+    let mut batch = Vec::new();
+    for i in 0..longest {
+        for _ in 0..2 {
+            for (fs, targets) in &groups {
+                if let Some(&v) = targets.get(i) {
+                    batch.push((v, fs.clone()));
+                }
+            }
+        }
+    }
+    let mut order: Vec<FaultSet> = groups.into_iter().map(|(fs, _)| fs).collect();
+    order.sort();
+    (batch, order)
+}
+
+#[test]
+fn dist_batch_from_stops_before_a_group_with_exactly_the_earlier_groups_counted() {
+    for core in &batch_cores(repaired_options()) {
+        for &src in core.sources() {
+            let (batch, order) = mixed_batch(core, src);
+            for k in 0..=order.len() {
+                // The reference: the first `k` groups, each one
+                // `dist_many_after_faults_from` call in the engine's order.
+                let mut want = core.new_context();
+                for fs in &order[..k] {
+                    let targets: Vec<VertexId> = batch
+                        .iter()
+                        .filter(|(_, f)| f == fs)
+                        .map(|&(v, _)| v)
+                        .collect();
+                    want.dist_many_after_faults_from(core, src, &targets, fs)
+                        .expect("in range");
+                }
+                let mut asked = 0;
+                let mut ctx = core.new_context();
+                let got = ctx
+                    .dist_batch_from(core, src, &batch, || {
+                        asked += 1;
+                        asked > k
+                    })
+                    .expect("in range");
+                if k < order.len() {
+                    assert_eq!(got, Err(BatchStopped), "{src:?}: stop before group {k}");
+                    assert_eq!(asked, k + 1, "{src:?}: asked once per group");
+                } else {
+                    assert!(got.is_ok(), "{src:?}: a stop that never fires");
+                }
+                assert_eq!(ctx.stats(), want.stats(), "{src:?}: {k} groups answered");
+            }
+        }
+    }
+}
+
+#[test]
+fn dist_batch_from_matches_query_many_faults_and_single_queries() {
+    let wide = EngineOptions::new()
+        .with_parallel(ParallelConfig::with_threads(4))
+        .with_force_full_sweep(false);
+    let cores = batch_cores(repaired_options())
+        .into_iter()
+        .zip(batch_cores(wide));
+    for (core, wide) in cores {
+        let (core, wide) = (&core, &wide);
+        for &src in core.sources() {
+            let (batch, _) = mixed_batch(core, src);
+            let queries: Vec<(VertexId, VertexId, FaultSet)> =
+                batch.iter().map(|(v, f)| (src, *v, f.clone())).collect();
+            let mut want = core.new_context();
+            let expected = want.query_many_faults(core, &queries).expect("in range");
+            let mut ctx = core.new_context();
+            let got = ctx.dist_batch_from(core, src, &batch, || false);
+            assert_eq!(got, Ok(Ok(expected.clone())), "{src:?}: answers");
+            assert_eq!(ctx.stats(), want.stats(), "{src:?}: counters");
+            let mut one = core.new_context();
+            for ((v, f), d) in batch.iter().zip(&expected) {
+                let single = one.dist_after_faults_from(core, src, *v, f);
+                assert_eq!(single, Ok(*d), "{src:?}: {v:?} under {f}");
+            }
+
+            // A 4-thread core still answers every group on the calling
+            // context: the replay repairs the two rows the first pass only
+            // remembered, which fresh worker contexts never would.
+            let mut ctx = wide.new_context();
+            for want in [(2, 0), (0, 2)] {
+                let before = ctx.stats();
+                let got = ctx.dist_batch_from(wide, src, &batch, || false);
+                assert_eq!(got, Ok(Ok(expected.clone())), "{src:?}: 4-thread core");
+                let d = ctx.stats().delta_since(&before);
+                assert_eq!(
+                    (d.restricted_repairs, d.repaired_rows),
+                    want,
+                    "{src:?}: (restricted, repaired)"
+                );
+            }
+        }
+    }
 }

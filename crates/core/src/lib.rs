@@ -103,8 +103,8 @@ pub use builder::{Sources, StructureBuilder, TradeoffBuilder};
 pub use config::BuildConfig;
 pub use cost::CostModel;
 pub use engine::{
-    engine_layout_hash, EngineCore, EngineObs, EngineOptions, QueryContext, QueryStats,
-    TierCounters, FORCE_FULL_SWEEP_ENV,
+    engine_layout_hash, BatchStopped, EngineCore, EngineObs, EngineOptions, QueryContext,
+    QueryStats, TierCounters, FORCE_FULL_SWEEP_ENV,
 };
 pub use error::FtbfsError;
 pub use ftbfs::{AugmentCoverage, AugmentStats, AugmentedStructure, FtBfsAugmenter};

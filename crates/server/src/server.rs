@@ -35,9 +35,8 @@ use crate::protocol::{
     Response, SlowQueryReport, WirePath, PROTOCOL_VERSION,
 };
 use ftb_chaos::{Chaos, IoFault, WorkerFault};
-use ftb_core::{EngineCore, FtbfsError, QueryContext, QueryStats};
+use ftb_core::{BatchStopped, EngineCore, FtbfsError, QueryContext, QueryStats};
 use ftb_graph::FaultSet;
-use std::collections::BTreeMap;
 use std::io::{self, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -713,9 +712,11 @@ fn engine_error(err: &FtbfsError) -> Response {
 
 /// Compute the answer to one query request on a checked-out context.
 ///
-/// `deadline` is re-checked between the fault-set groups of a batch —
-/// the natural preemption points of the only request kind whose compute
-/// is long enough to outlive a budget mid-flight.
+/// Every request is one engine call. A `BatchDist` is
+/// [`QueryContext::dist_batch_from`], which validates, groups and answers
+/// the batch on this context, and asks `deadline` before each fault-set
+/// group: the natural preemption points of the only request kind whose
+/// compute is long enough to outlive a budget mid-flight.
 fn answer(
     core: &EngineCore,
     ctx: &mut QueryContext,
@@ -743,41 +744,16 @@ fn answer(
             Err(e) => engine_error(&e),
         },
         Request::BatchDist { source, queries } => {
-            // Validate every entry up front, in input order, mirroring the
-            // per-query check sequence: the whole batch fails on the first
-            // invalid entry (a partial answer vector would silently
-            // misalign), with the same error the serial loop would hit.
-            for (target, faults) in queries {
-                if let Err(e) = core.validate_query(*source, *target, faults) {
-                    return engine_error(&e);
+            let expired = || deadline.is_some_and(|d| Instant::now() >= d);
+            match ctx.dist_batch_from(core, *source, queries, expired) {
+                Ok(Ok(ds)) => Response::BatchDist(ds),
+                // A partial answer vector would misalign; the whole batch
+                // is shed, like the in-queue case.
+                Ok(Err(BatchStopped)) => {
+                    deadline_exceeded("expired between batch fault-set groups")
                 }
+                Err(e) => engine_error(&e),
             }
-            // Group targets sharing a fault set so one classification (and
-            // at most one repair sweep) amortises across the whole group.
-            let mut groups: BTreeMap<&ftb_graph::FaultSet, Vec<usize>> = BTreeMap::new();
-            for (i, (_, faults)) in queries.iter().enumerate() {
-                groups.entry(faults).or_default().push(i);
-            }
-            let mut out = vec![None; queries.len()];
-            let mut targets = Vec::new();
-            for (faults, indices) in groups {
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    // A partial answer vector would misalign; the whole
-                    // batch is shed, like the in-queue case.
-                    return deadline_exceeded("expired between batch fault-set groups");
-                }
-                targets.clear();
-                targets.extend(indices.iter().map(|&i| queries[i].0));
-                match ctx.dist_many_after_faults_from(core, *source, &targets, faults) {
-                    Ok(ds) => {
-                        for (&i, d) in indices.iter().zip(ds) {
-                            out[i] = d;
-                        }
-                    }
-                    Err(e) => return engine_error(&e),
-                }
-            }
-            Response::BatchDist(out)
         }
         Request::DistMany {
             source,

@@ -3,8 +3,9 @@
 //! errors (queries before hello, version mismatch).
 
 use ftb_core::EngineOptions;
-use ftb_graph::{FaultSet, VertexId};
+use ftb_graph::{EdgeId, FaultSet, VertexId};
 use ftb_obs::Scrape;
+use ftb_par::ParallelConfig;
 use ftb_server::protocol::{
     decode_response, encode_request, encode_response, read_frame, write_frame, ErrorCode, Request,
     Response, PROTOCOL_VERSION,
@@ -277,5 +278,154 @@ fn out_of_range_queries_map_to_engine_error_codes() {
     }
     server.shutdown();
     drop(client);
+    server.join().expect("clean join");
+}
+
+fn batch_dist(
+    client: &mut Client,
+    source: VertexId,
+    queries: Vec<(VertexId, FaultSet)>,
+) -> Response {
+    client
+        .request(&Request::BatchDist { source, queries })
+        .expect("io ok")
+}
+
+#[test]
+fn batch_dist_fails_with_the_first_invalid_entrys_error() {
+    let (server, spec) = start_server(ServeOptions {
+        workers: 1,
+        queue_depth: 4,
+        idle_timeout: Duration::from_secs(5),
+        ..ServeOptions::default()
+    });
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let (n, m) = (client.info().num_vertices, client.info().num_edges);
+    let valid = (VertexId(1), FaultSet::from(EdgeId(0)));
+    let bad_vertex = (VertexId(n + 3), FaultSet::new());
+    let bad_fault = (VertexId(2), FaultSet::from(EdgeId(m + 5)));
+    let too_large = (
+        VertexId(2),
+        (0..3).map(|e| ftb_graph::Fault::Edge(EdgeId(e))).collect(),
+    );
+    let unserved = VertexId(5);
+    assert_ne!(unserved, spec.source());
+    // Per entry, in input order: the vertex, then the fault set, then the
+    // source.
+    let cases = [
+        (
+            spec.source(),
+            vec![valid.clone(), bad_vertex.clone(), bad_fault],
+            ErrorCode::VertexOutOfRange,
+        ),
+        (
+            spec.source(),
+            vec![valid.clone(), too_large, bad_vertex.clone()],
+            ErrorCode::FaultSetTooLarge,
+        ),
+        (
+            unserved,
+            vec![valid, bad_vertex],
+            ErrorCode::SourceNotServed,
+        ),
+    ];
+    for (source, queries, want) in cases {
+        match batch_dist(&mut client, source, queries) {
+            Response::Error { code, .. } => assert_eq!(code, want as u16, "expected {want:?}"),
+            other => panic!("expected {want:?}, got {other:?}"),
+        }
+    }
+    // An empty batch names nothing to check, not even its source.
+    assert_eq!(
+        batch_dist(&mut client, unserved, Vec::new()),
+        Response::BatchDist(Vec::new())
+    );
+    server.shutdown();
+    drop(client);
+    server.join().expect("clean join");
+}
+
+#[test]
+fn batches_run_on_the_pooled_context() {
+    // One pooled context and a core that would shard its own batches over
+    // four workers: a `BatchDist` must still run on the pooled context, so
+    // its LRU carries from one batch to the next. The repair path is pinned
+    // on, whatever FTBFS_FORCE_FULL_SWEEP says.
+    let spec = EngineSpec {
+        n: 80,
+        ..EngineSpec::default()
+    };
+    let graph = spec.graph();
+    let options = EngineOptions::new()
+        .with_parallel(ParallelConfig::with_threads(4))
+        .with_force_full_sweep(false);
+    let core = spec.build_core(&graph, options).expect("spec builds");
+    let options = ServeOptions {
+        workers: 1,
+        queue_depth: 4,
+        idle_timeout: Duration::from_secs(5),
+        ..ServeOptions::default()
+    };
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&core), options).expect("ephemeral bind");
+    let source = spec.source();
+    let affected = |e: EdgeId| -> Vec<VertexId> {
+        graph
+            .vertices()
+            .filter(|&v| {
+                !core
+                    .is_target_unaffected(source, v, &FaultSet::from(e))
+                    .expect("in range")
+            })
+            .collect()
+    };
+    let cutting: Vec<EdgeId> = graph
+        .edge_ids()
+        .filter(|&e| !affected(e).is_empty())
+        .take(3)
+        .collect();
+    assert_eq!(cutting.len(), 3, "too few tree edges");
+    let mut queries = Vec::new();
+    for &e in &cutting[..2] {
+        queries.extend(
+            affected(e)
+                .into_iter()
+                .take(4)
+                .map(|v| (v, FaultSet::from(e))),
+        );
+    }
+    // The source is never cut off by an edge: this group is unaffected.
+    queries.push((source, FaultSet::from(cutting[2])));
+
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let counters = |client: &mut Client| {
+        let scrape = Scrape::parse(&client.metrics_text().expect("metrics"));
+        let total = |name: &str| scrape.counter(&format!("ftb_engine_{name}_total"), &[]);
+        [
+            total("restricted_repairs"),
+            total("repaired_rows"),
+            total("cached_answers"),
+        ]
+    };
+    let mut last = counters(&mut client);
+    let mut first = None;
+    // First sight of each searching fault set: a restricted sweep that
+    // leaves its key. The replay repairs and caches both rows; the next
+    // replay reads them.
+    for want in [[2, 0], [0, 2], [0, 0]] {
+        let got = batch_dist(&mut client, source, queries.clone());
+        assert!(matches!(got, Response::BatchDist(_)), "{got:?}");
+        assert_eq!(
+            first.get_or_insert_with(|| got.clone()),
+            &got,
+            "replays answer alike"
+        );
+        let now = counters(&mut client);
+        let delta = [now[0] - last[0], now[1] - last[1]];
+        assert_eq!(delta, want, "(restricted repairs, repaired rows)");
+        assert!(now[2] > last[2], "cached answers grow");
+        last = now;
+    }
+    drop(client);
+    server.shutdown();
     server.join().expect("clean join");
 }
