@@ -33,6 +33,7 @@ mod interference_oracle;
 mod oracle;
 pub mod pair;
 pub mod pcons;
+mod walk;
 
 pub use interference::InterferenceIndex;
 pub use pair::{PairId, ReplacementPath, VePair};

@@ -9,7 +9,7 @@
 //! on one [`CanonicalScratch`] over that subtree, its boundary seeded at
 //! fault-free depths (see [`ftb_sp::canonical`]).
 //!
-//! The work runs in two passes, each parallel over its tasks:
+//! The work runs in three passes, each parallel over its tasks:
 //!
 //! * **Pass 1, per failing edge: covered pairs, no probe.** One canonical
 //!   replacement tree of `G ∖ {e}` over the subtree of `c` answers every
@@ -21,45 +21,45 @@
 //!   `(tie sum + W(x, v), x)`-minimal such `x`, followed by `(x, v)` — the
 //!   parent the canonical search in `G'(v) ∖ {e}` would settle. The pass
 //!   lists the other pairs, with their targets, as uncovered.
-//! * **Pass 2, per terminal: uncovered pairs.** The path must be
-//!   new-ending. Probe `j` bans `e` and the interior of `π(u_j, v)`; all of
-//!   it lies in the subtree of `u_{j+1}` (or is `e` entering it), so the
-//!   probe is a hop-bounded sweep over that subtree that stops when `v` is
-//!   discovered or the frontier passes `target`. The interior filter is
-//!   inline: `w` is removed iff `j < depth(w) < k ∧ π[depth(w)] = w`, where
-//!   `k = depth(v)` — `π` is a shortest path, so its `i`-th vertex has
-//!   depth `i`. The predicate is monotone in `j` (Lemma 4.3), and the source
-//!   (`j = 0`) is the best divergence point there is.
 //!
-//!   The `j = 0` graph is the same for every failing edge of `v`. If
-//!   `depth(v) ≥ 2`, every failing edge of `v` has an endpoint in the
-//!   interior `π°(s, v)`, so banning `e` adds nothing to banning `π°(s, v)`;
-//!   if `depth(v) = 1`, the interior is empty and `(s, v)` is the only
-//!   failing edge. So one search of `G ∖ π°(s, v) ∖ {(s, π[1])}` over the
-//!   subtree of `π[1]`, bounded by the largest target, decides `j = 0` for
-//!   every pair of `v`: with `d0 = dist(v)` in it, `G ∖ π°(s, v) ⊆ G ∖ {e}`
+//!   An uncovered pair's path must be new-ending. Its divergence point `u_j`
+//!   is feasible iff a replacement path survives the removal of `e` and the
+//!   interior of `π(u_j, v)`. The predicate is monotone in `j` (Lemma 4.3),
+//!   and the source (`j = 0`) is the best divergence point there is.
+//! * **Pass 2, per source child: the pairs that take `j = 0`.** The `j = 0`
+//!   graph is the same for every failing edge of `v`. If `depth(v) ≥ 2`,
+//!   every failing edge of `v` has an endpoint in the interior `π°(s, v)`,
+//!   so banning `e` adds nothing to banning `π°(s, v)`; if `depth(v) = 1`,
+//!   the interior is empty and `(s, v)` is the only failing edge. So the
+//!   canonical tree of `G'_v = G ∖ π°(s, v) ∖ {(s, π[1])}` decides `j = 0`
+//!   for every pair of `v`: with `d0 = dist(v)` in it, `G'_v ⊆ G ∖ {e}`
 //!   gives `d0 ≥ target`, and pair `⟨v, e⟩` takes `j = 0` iff
-//!   `d0 = target`. Those pairs all get the canonical path of that one
-//!   graph, settled once. Each other pair gallops down from the feasible
-//!   `j = idx` (where `e = (π[idx], π[idx + 1])`) to `j = 1` and bisects;
-//!   only the chosen probe gets the canonical parent sweep, restricted to
-//!   the vertices shallower than `v` plus `v` itself.
+//!   `d0 = target`. Those pairs all get `v`'s path in that tree.
 //!
-//!   Every `j = 0` search under the same source child `a = π[1]` covers the
-//!   same region, the subtree of `a`, and its filter bans `(s, a)` plus
-//!   whole vertices of `π°(s, v)`. So before the searches the calling thread
-//!   runs one seed scan of each such subtree under `f ≠ (s, a)` alone, with
-//!   no bound (a [`Seeding`]: the sorted seeds and the boundary sorted by
-//!   depth), and every `j = 0` search below `a` reads it
-//!   ([`CanonicalScratch::sweep_seeded`]): it fences the boundary shallower
-//!   than its bound and keeps the seeds within the bound that are not on
-//!   `π°(s, v)`. Outside `π°(s, v)` the two filters agree, so the search
-//!   is the one a scan of its own would give, without reading the
-//!   subtree's adjacency once per terminal. The gallop probes search
-//!   smaller subtrees and scan their own.
+//!   These trees nest down `T0`: a child `c` of `x` has `G'_c = G'_x ∖ {x}`.
+//!   So one task per source child `a` walks down `T0` from `a` through its
+//!   terminals in preorder, carrying the tree of the vertex it stands on,
+//!   and reads each terminal's `d0` and path off it. The tree starts as
+//!   `T_a`, the replacement tree of `(s, a)`; before the walk steps into a
+//!   vertex's children it removes the vertex and repairs only the vertices
+//!   whose path passed through it, and an undo log puts them back when it
+//!   steps out (the `walk` module).
+//! * **Pass 3, per terminal: the other uncovered pairs.** Each gallops down
+//!   from the feasible `j = idx` (where `e = (π[idx], π[idx + 1])`) to
+//!   `j = 1` and bisects. Probe `j` bans `e` and the interior of
+//!   `π(u_j, v)`; all of it lies in the subtree of `u_{j+1}` (or is `e`
+//!   entering it), so the probe is a hop-bounded sweep over that subtree
+//!   that stops when `v` is discovered or the frontier passes `target`. The
+//!   interior filter is inline: `w` is removed iff
+//!   `j < depth(w) < k ∧ π[depth(w)] = w`, where `k = depth(v)` — `π` is a
+//!   shortest path, so its `i`-th vertex has depth `i`. Only the chosen
+//!   probe gets the canonical parent sweep, restricted to the vertices
+//!   shallower than `v` plus `v` itself. The probes are independent of the
+//!   walks, so they run as their own pass, balanced over terminals even
+//!   when one source child holds most of them.
 //!
-//! [`ReplacementPaths::work`] counts the searches of both passes and the
-//! seed scans of pass 2.
+//! [`ReplacementPaths::work`] counts pass 1's searches, the walks' removals
+//! and repaired vertices, and pass 3's probes and settles.
 //!
 //! # The pair store
 //!
@@ -69,23 +69,26 @@
 //! its target. The calling thread then walks the pairs in the order the
 //! later phases rely on — terminals by depth, then failing edges from the
 //! source down — writing one fixed-size [`PairRecord`] per pair and listing
-//! each terminal's uncovered pairs for pass 2. Each pass-2 task writes, into
-//! an outcome segment the calling thread owns, every uncovered pair's last
-//! edge and the place of its detour in the task's detour buffer; pairs that
-//! share a path share that detour. The calling thread completes the records
-//! of the uncovered pairs and copies each pair's detour into one arena, in
-//! id order. The replacement-tree parent edges (`Σ_v depth(v)` entries)
-//! stay in the store: [`ReplacementPaths::path`] rebuilds a covered path
-//! from them and `T0`, and a new-ending one as `π(s, d(P)) ∘ D(P)`. The
-//! rebuilt paths are identical, path for path, to the heap-based
-//! [`LexSearch`](ftb_sp::LexSearch) formulation over masked views, which is
-//! kept as the test oracle.
+//! each terminal's uncovered pairs for passes 2 and 3. Each task of either
+//! pass writes, into the outcome segments of its terminals, which the
+//! calling thread owns, every pair's last edge and the place of its detour
+//! in the task's detour buffer; pairs that share a path share that detour.
+//! The calling thread completes the records of the uncovered pairs and
+//! copies each pair's detour into one arena, in id order. The
+//! replacement-tree parent edges (`Σ_v depth(v)` entries) stay in the
+//! store: [`ReplacementPaths::path`] rebuilds a covered path from them and
+//! `T0`, and a new-ending one as `π(s, d(P)) ∘ D(P)`. The rebuilt paths
+//! are identical, path for path, to the heap-based
+//! [`LexSearch`](ftb_sp::LexSearch) formulation over masked views, which
+//! is kept as the test oracle.
 
 use crate::pair::{PairId, PairRecord, ReplacementPath, VePair};
+use crate::walk::DivergenceTree;
 use ftb_graph::{EdgeId, Graph, VertexId};
 use ftb_par::{parallel_segments_mut_init, ParallelConfig};
 use ftb_sp::{
-    CanonicalScratch, Path, ReplacementDistances, Seeding, ShortestPathTree, TieBreakWeights,
+    canonical_parent, CanonicalScratch, Path, ReplacementDistances, ShortestPathTree,
+    TieBreakWeights, UNREACHABLE,
 };
 use std::ops::Range;
 
@@ -127,8 +130,9 @@ pub struct ReplacementPaths {
 
 impl ReplacementPaths {
     /// Run Algorithm `Pcons` for every pair, in parallel: pass 1 over
-    /// failing tree edges, pass 2 over the terminals of the uncovered pairs
-    /// (one [`CanonicalScratch`] pair per worker).
+    /// failing tree edges, pass 2 over the source children above the
+    /// terminals of the uncovered pairs, pass 3 over the terminals of the
+    /// pairs infeasible at `j = 0`.
     pub fn compute(
         graph: &Graph,
         weights: &TieBreakWeights,
@@ -243,48 +247,79 @@ impl ReplacementPaths {
         // Read in full; free it before pass 2 allocates.
         drop(outcomes);
 
-        // Pass 2: the new-ending paths, one task per terminal, each reading
-        // the seeding of its source child's subtree.
-        let (seedings, seeding_of) = source_child_seedings(graph, tree, &pending_terminals);
+        // Pass 2: the pairs that take j = 0, one task per source child `a`
+        // above a terminal with an uncovered pair: a walk down `T0` from `a`
+        // through its terminals in preorder.
         let mut ends = vec![NewEnding::default(); pending.len()];
-        let mut tasks = Vec::with_capacity(pending_terminals.len());
-        let mut ends_rest = &mut ends[..];
-        for (i, &v) in pending_terminals.iter().enumerate() {
-            let range = pending_offsets[i]..pending_offsets[i + 1];
-            let (ends, rest) = std::mem::take(&mut ends_rest).split_at_mut(range.len());
-            ends_rest = rest;
-            tasks.push(TerminalTask {
-                terminal: v,
-                seeding: &seedings[seeding_of[i]],
-                pairs: &pending[range],
-                ends,
-                detours: Vec::new(),
-                work: PconsWork::default(),
-            });
+        let mut walks: Vec<WalkTask<'_>> = Vec::new();
+        let mut walk_of_child = vec![usize::MAX; n];
+        let mut slots = terminal_slots(&pending_terminals, &pending, &pending_offsets, &mut ends);
+        slots.sort_unstable_by_key(|slot| tree.preorder(slot.terminal));
+        for slot in slots {
+            let (a, _) = tree
+                .ancestors(slot.terminal)
+                .last()
+                .expect("a terminal below the source");
+            if walk_of_child[a.index()] == usize::MAX {
+                walk_of_child[a.index()] = walks.len();
+                walks.push(WalkTask::default());
+            }
+            let walk = &mut walks[walk_of_child[a.index()]];
+            walk.terminals.push(slot.terminal);
+            walk.slots.push(slot);
         }
-        let one_task_each: Vec<usize> = (0..=tasks.len()).collect();
+        let one_task_each: Vec<usize> = (0..=walks.len()).collect();
         parallel_segments_mut_init(
             config,
-            &mut tasks,
+            &mut walks,
+            &one_task_each,
+            || (DivergenceTree::new(tree), PathScratch::default()),
+            |state, i, task| {
+                walk_source_child(graph, weights, tree, state, to_u32(i), &mut task[0]);
+            },
+        );
+
+        // Pass 3: the pairs infeasible at j = 0 gallop, one task per
+        // terminal.
+        let mut work = pass_one;
+        let mut buffers = Vec::with_capacity(walks.len());
+        for walk in walks {
+            work += walk.work;
+            buffers.push(walk.detours);
+        }
+        let mut gallops: Vec<GallopTask<'_>> =
+            terminal_slots(&pending_terminals, &pending, &pending_offsets, &mut ends)
+                .into_iter()
+                .filter(|slot| slot.ends.iter().any(|end| end.len == 0))
+                .map(|slot| GallopTask {
+                    slot,
+                    detours: Vec::new(),
+                    work: PconsWork::default(),
+                })
+                .collect();
+        let one_task_each: Vec<usize> = (0..=gallops.len()).collect();
+        let first_buffer = buffers.len();
+        parallel_segments_mut_init(
+            config,
+            &mut gallops,
             &one_task_each,
             || TerminalSearch::new(n),
-            |search, _, task| search.pairs_of_terminal(graph, weights, tree, &mut task[0]),
+            |search, i, task| {
+                let buffer = to_u32(first_buffer + i);
+                search.gallop_pairs(graph, weights, tree, buffer, &mut task[0]);
+            },
         );
-        let seeded = PconsWork {
-            seeded_regions: seedings.len() as u64,
-            ..PconsWork::default()
-        };
-        store.work = tasks.iter().map(|t| t.work).chain([pass_one, seeded]).sum();
+        for gallop in gallops {
+            work += gallop.work;
+            buffers.push(gallop.detours);
+        }
+        store.work = work;
 
         // Each uncovered pair's detour goes into the arena, in id order.
-        let arena_len = tasks.iter().flat_map(|t| t.ends.iter());
-        store.detours = Vec::with_capacity(arena_len.map(|end| end.len as usize).sum());
+        store.detours = Vec::with_capacity(ends.iter().map(|end| end.len as usize).sum());
         store.detour_offsets.push(0);
-        let pair_ends = tasks
-            .iter()
-            .flat_map(|t| t.ends.iter().map(|end| (end, &t.detours)));
-        for (&id, (end, detours)) in store.uncovered.iter().zip(pair_ends) {
-            let detour = &detours[end.start as usize..][..end.len as usize];
+        for (&id, end) in store.uncovered.iter().zip(&ends) {
+            let detour = &buffers[end.buffer as usize][end.start as usize..][..end.len as usize];
             let record = &mut store.records[id];
             record.last_edge = end.last_edge;
             record.divergence = Some(detour[0]);
@@ -462,6 +497,30 @@ fn to_u32(i: usize) -> u32 {
     u32::try_from(i).expect("pair store index overflows u32")
 }
 
+/// One [`TerminalPairs`] per terminal of `terminals`, whose pairs are
+/// `pending[offsets[i] .. offsets[i + 1]]`, with its slice of `ends`.
+fn terminal_slots<'a>(
+    terminals: &[VertexId],
+    pending: &'a [(EdgeId, u32)],
+    offsets: &[usize],
+    ends: &'a mut [NewEnding],
+) -> Vec<TerminalPairs<'a>> {
+    let mut ends_rest = ends;
+    terminals
+        .iter()
+        .zip(offsets.windows(2))
+        .map(|(&terminal, w)| {
+            let (ends, rest) = std::mem::take(&mut ends_rest).split_at_mut(w[1] - w[0]);
+            ends_rest = rest;
+            TerminalPairs {
+                terminal,
+                pairs: &pending[w[0]..w[1]],
+                ends,
+            }
+        })
+        .collect()
+}
+
 /// Position of `v` in the preorder of the subtree of `c`.
 fn subtree_slot(tree: &ShortestPathTree, c: VertexId, v: VertexId) -> usize {
     let pre = |u: VertexId| tree.preorder(u).expect("reachable");
@@ -476,29 +535,33 @@ fn subtree_slot(tree: &ShortestPathTree, c: VertexId, v: VertexId) -> usize {
 pub struct PconsWork {
     /// Pass 1: canonical replacement-tree runs, one per failing tree edge.
     pub covered_runs: u64,
-    /// Pass 2: seed scans, one per distinct source child `π[1]` above a
-    /// terminal with an uncovered pair, run by the calling thread before the
-    /// searches.
-    pub seeded_regions: u64,
-    /// Pass 2: `j = 0` searches, one per terminal with an uncovered pair,
-    /// each seeded from its source child's seed scan.
-    pub source_searches: u64,
-    /// Pass 2: gallop and bisection probes of the pairs infeasible at
+    /// Pass 2: vertices the walks removed, one per distinct proper `T0`
+    /// ancestor, below the source, of a terminal with an uncovered pair.
+    pub walk_removals: u64,
+    /// Pass 2: the total size of the regions those removals repaired.
+    pub walk_region_vertices: u64,
+    /// Pass 3: gallop and bisection probes of the pairs infeasible at
     /// `j = 0`.
     pub probes: u64,
-    /// Pass 2: canonical parent sweeps, one per terminal whose search is
-    /// feasible for some pair, plus one per galloping pair.
+    /// Pass 3: canonical parent sweeps, one per galloping pair.
     pub settles: u64,
+}
+
+impl std::ops::AddAssign for PconsWork {
+    fn add_assign(&mut self, w: Self) {
+        self.covered_runs += w.covered_runs;
+        self.walk_removals += w.walk_removals;
+        self.walk_region_vertices += w.walk_region_vertices;
+        self.probes += w.probes;
+        self.settles += w.settles;
+    }
 }
 
 impl std::iter::Sum for PconsWork {
     fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
-        iter.fold(PconsWork::default(), |t, w| PconsWork {
-            covered_runs: t.covered_runs + w.covered_runs,
-            seeded_regions: t.seeded_regions + w.seeded_regions,
-            source_searches: t.source_searches + w.source_searches,
-            probes: t.probes + w.probes,
-            settles: t.settles + w.settles,
+        iter.fold(PconsWork::default(), |mut t, w| {
+            t += w;
+            t
         })
     }
 }
@@ -515,10 +578,12 @@ enum Outcome {
 }
 
 /// The new-ending path of an uncovered pair: its last edge, and its detour
-/// at `start .. start + len` of its terminal's detour buffer.
+/// at `start .. start + len` of detour buffer `buffer` (`len = 0`: not
+/// decided yet).
 #[derive(Clone, Copy, Default)]
 struct NewEnding {
     last_edge: EdgeId,
+    buffer: u32,
     start: u32,
     len: u32,
 }
@@ -533,18 +598,32 @@ struct EdgeTask<'a> {
     work: PconsWork,
 }
 
-/// The pass-2 task of one terminal.
-struct TerminalTask<'a> {
+/// The uncovered pairs of one terminal.
+struct TerminalPairs<'a> {
     terminal: VertexId,
-    /// The seeding of the subtree of `π[1]`.
-    seeding: &'a Seeding,
-    /// `(failing edge, target)` of the terminal's uncovered pairs, from the
-    /// source down.
+    /// `(failing edge, target)` of each pair, from the source down.
     pairs: &'a [(EdgeId, u32)],
     /// The new-ending path of each pair.
     ends: &'a mut [NewEnding],
-    /// The detours of the pairs, back to back; pairs that share a path share
-    /// its detour.
+}
+
+/// The pass-2 task of one source child: its walk.
+#[derive(Default)]
+struct WalkTask<'a> {
+    /// The terminals with an uncovered pair below the source child, in
+    /// preorder.
+    terminals: Vec<VertexId>,
+    /// Their pairs and outcome slots, in the same order.
+    slots: Vec<TerminalPairs<'a>>,
+    /// The detours of the pairs that take `j = 0`, one per terminal.
+    detours: Vec<VertexId>,
+    work: PconsWork,
+}
+
+/// The pass-3 task of one terminal: its pairs infeasible at `j = 0`.
+struct GallopTask<'a> {
+    slot: TerminalPairs<'a>,
+    /// The detours of the pairs, back to back.
     detours: Vec<VertexId>,
     work: PconsWork,
 }
@@ -567,16 +646,16 @@ fn pairs_of_edge(
     for &v in scratch.visited() {
         let target = dists.dist(e, v).expect("tree edge");
         debug_assert_eq!(scratch.dist(v), Some(target), "row of {e:?} at {v:?}");
-        let mut best: Option<(u64, VertexId, EdgeId)> = None;
-        for (x, f) in graph.neighbors(v) {
-            if f == e || !tree.is_tree_edge(f) || scratch.dist(x) != Some(target - 1) {
-                continue;
-            }
-            let cand = (scratch.tie(x) + weights.weight(f), x, f);
-            if best.is_none_or(|(bt, bx, _)| (cand.0, cand.1) < (bt, bx)) {
-                best = Some(cand);
-            }
-        }
+        // The canonical parent among the tree edges other than `e`.
+        let best = canonical_parent(
+            graph,
+            weights,
+            v,
+            target - 1,
+            |x| scratch.dist(x).unwrap_or(UNREACHABLE),
+            |x| scratch.tie(x),
+            |_, f| f != e && tree.is_tree_edge(f),
+        );
         let slot = subtree_slot(tree, c, v);
         out.parents[slot] = scratch.parent_edge(v).unwrap_or(CUT_OFF);
         out.outcomes[slot] =
@@ -584,17 +663,109 @@ fn pairs_of_edge(
     }
 }
 
-/// One pass-2 worker's state: two search kernels plus reusable buffers.
-struct TerminalSearch {
-    /// The search whose path is settled: the terminal's `j = 0` search,
-    /// then a pair's last feasible probe.
-    held: CanonicalScratch,
-    /// The kernel a probe runs on.
-    spare: CanonicalScratch,
-    /// `π(s, v)` of the current terminal, by depth.
+/// Pass 2 for one source child, task `buffer`: walk its subtree through its
+/// terminals and give every pair that takes `j = 0` its path.
+fn walk_source_child(
+    graph: &Graph,
+    weights: &TieBreakWeights,
+    tree: &ShortestPathTree,
+    (rows, paths): &mut (DivergenceTree, PathScratch),
+    buffer: u32,
+    task: &mut WalkTask<'_>,
+) {
+    let WalkTask {
+        terminals,
+        slots,
+        detours,
+        work,
+    } = task;
+    let (removals, region_vertices) = rows.walk(graph, weights, tree, terminals, |rows, i| {
+        // j = 0 is the same graph for every failing edge of v, and the walk
+        // holds its canonical tree: every pair with d0 = target takes v's
+        // path in it.
+        let slot = &mut slots[i];
+        let d0 = rows.depth(slot.terminal);
+        if slot.pairs.iter().any(|&(_, t)| d0 == Some(t)) {
+            paths.set_terminal(tree, slot.terminal);
+            let end = paths.end(tree, |u| rows.parent(u), buffer, detours);
+            for (i, &(_, target)) in slot.pairs.iter().enumerate() {
+                if d0 == Some(target) {
+                    slot.ends[i] = end;
+                }
+            }
+        }
+    });
+    work.walk_removals += removals;
+    work.walk_region_vertices += region_vertices;
+}
+
+/// `π(s, v)` of the current terminal and a path buffer.
+#[derive(Default)]
+struct PathScratch {
+    /// `π(s, v)`, by depth.
     pi: Vec<VertexId>,
     /// The settled path of the current pair, source first.
     path: Vec<VertexId>,
+}
+
+impl PathScratch {
+    /// Make `v` the current terminal.
+    fn set_terminal(&mut self, tree: &ShortestPathTree, v: VertexId) {
+        self.pi.clear();
+        self.pi.extend(tree.ancestors(v).map(|(u, _)| u));
+        self.pi.push(tree.source());
+        self.pi.reverse();
+    }
+
+    /// The new-ending path to the current terminal that `parent` settles —
+    /// its parents up to the first vertex that has none, then `T0` — with
+    /// its detour appended to `detours`, detour buffer `buffer`.
+    fn end(
+        &mut self,
+        tree: &ShortestPathTree,
+        parent: impl Fn(VertexId) -> Option<(VertexId, EdgeId)>,
+        buffer: u32,
+        detours: &mut Vec<VertexId>,
+    ) -> NewEnding {
+        let (pi, path) = (&self.pi, &mut self.path);
+        let v = *pi.last().expect("a terminal");
+        path.clear();
+        let mut cur = v;
+        while let Some((p, _)) = parent(cur) {
+            path.push(cur);
+            cur = p;
+        }
+        path.extend(tree.ancestors(cur).map(|(u, _)| u));
+        path.push(tree.source());
+        path.reverse();
+        let (_, last_edge) = parent(v).expect("target settled");
+        debug_assert!(
+            !tree.is_tree_edge(last_edge),
+            "step-1 failure implies a non-tree last edge"
+        );
+        // Divergence: longest common prefix with π(s, v).
+        let mut d = 0;
+        while d + 1 < path.len() && d + 1 < pi.len() && path[d + 1] == pi[d + 1] {
+            d += 1;
+        }
+        let end = NewEnding {
+            last_edge,
+            buffer,
+            start: to_u32(detours.len()),
+            len: to_u32(path.len() - d),
+        };
+        detours.extend_from_slice(&path[d..]);
+        end
+    }
+}
+
+/// One pass-3 worker's state: two search kernels plus the path buffers.
+struct TerminalSearch {
+    /// The search whose path is settled: a pair's last feasible probe.
+    held: CanonicalScratch,
+    /// The kernel a probe runs on.
+    spare: CanonicalScratch,
+    paths: PathScratch,
 }
 
 impl TerminalSearch {
@@ -602,69 +773,30 @@ impl TerminalSearch {
         TerminalSearch {
             held: CanonicalScratch::new(n),
             spare: CanonicalScratch::new(n),
-            pi: Vec::new(),
-            path: Vec::new(),
+            paths: PathScratch::default(),
         }
     }
 
-    /// Pass 2 for one terminal `v`: the new-ending path of each of its
-    /// uncovered pairs (Step 2 of `Pcons`), whose divergence point from
-    /// `π(s, v)` is closest to the source.
-    fn pairs_of_terminal(
+    /// Pass 3 for one terminal `v`, task `buffer`: the path of each pair
+    /// pass 2 left undecided, infeasible at `j = 0`, whose divergence point
+    /// from `π(s, v)` is closest to the source (Step 2 of `Pcons`).
+    fn gallop_pairs(
         &mut self,
         graph: &Graph,
         weights: &TieBreakWeights,
         tree: &ShortestPathTree,
-        task: &mut TerminalTask<'_>,
+        buffer: u32,
+        task: &mut GallopTask<'_>,
     ) {
-        let v = task.terminal;
-        // j = 0: G ∖ π°(s, v) (and ∖ (s, π[1]) for a depth-1 terminal, whose
-        // interior is empty), the same graph for every failing edge of v.
-        // One search, bounded by the largest target, decides every pair.
-        let max_target = task.pairs.iter().map(|&(_, t)| t).max().expect("a pair");
-        self.search_source(graph, tree, v, task.seeding, max_target);
-        task.work.source_searches += 1;
-        let d0 = self.held.dist(v);
-        if task.pairs.iter().any(|&(_, t)| d0 == Some(t)) {
-            let avoid_pi = source_filter(tree, &self.pi);
-            self.held.settle_target(graph, weights, v, avoid_pi);
-            task.work.settles += 1;
-            let end = self.settled_end(tree, v, &mut task.detours);
-            for (i, &(_, target)) in task.pairs.iter().enumerate() {
-                if d0 == Some(target) {
-                    task.ends[i] = end;
-                }
-            }
-        }
-        for (i, &(e, target)) in task.pairs.iter().enumerate() {
-            if d0 != Some(target) {
+        let slot = &mut task.slot;
+        self.paths.set_terminal(tree, slot.terminal);
+        for (i, &(e, target)) in slot.pairs.iter().enumerate() {
+            if slot.ends[i].len == 0 {
                 self.gallop(graph, weights, tree, e, target, &mut task.work);
-                task.ends[i] = self.settled_end(tree, v, &mut task.detours);
+                let parent = |u| self.held.parent(u);
+                slot.ends[i] = self.paths.end(tree, parent, buffer, &mut task.detours);
             }
         }
-    }
-
-    /// Set `pi` to `π(s, v)` and run the `j = 0` search of `v` into `held`,
-    /// bounded by `max_target`, from `seeding`, that of `π[1]`'s subtree.
-    fn search_source(
-        &mut self,
-        graph: &Graph,
-        tree: &ShortestPathTree,
-        v: VertexId,
-        seeding: &Seeding,
-        max_target: u32,
-    ) {
-        self.pi.clear();
-        self.pi.extend(tree.ancestors(v).map(|(u, _)| u));
-        self.pi.push(tree.source());
-        self.pi.reverse();
-        let pi: &[VertexId] = &self.pi;
-        let k = pi.len() - 1; // depth of v
-        let stop = (v, max_target);
-        let admit = |w| !on_interior(tree, pi, 0, k, w);
-        let allow = source_filter(tree, pi);
-        self.held
-            .sweep_seeded(graph, tree, seeding, stop, admit, allow);
     }
 
     /// Settle into `held` the smallest feasible `j` of `⟨v, e⟩`, a pair
@@ -678,7 +810,7 @@ impl TerminalSearch {
         target: u32,
         work: &mut PconsWork,
     ) {
-        let pi: &[VertexId] = &self.pi;
+        let pi: &[VertexId] = &self.paths.pi;
         let k = pi.len() - 1;
         let v = pi[k];
         let c = tree.child_endpoint(e).expect("tree edge");
@@ -741,89 +873,6 @@ impl TerminalSearch {
         }
         work.settles += 1;
     }
-
-    /// The path settled in `held` for terminal `v`, its detour appended to
-    /// `detours`.
-    fn settled_end(
-        &mut self,
-        tree: &ShortestPathTree,
-        v: VertexId,
-        detours: &mut Vec<VertexId>,
-    ) -> NewEnding {
-        // Settled parents up to the vertex the search entered from, then
-        // `T0`.
-        let path = &mut self.path;
-        path.clear();
-        let mut cur = v;
-        while let Some((p, _)) = self.held.parent(cur) {
-            path.push(cur);
-            cur = p;
-        }
-        path.extend(tree.ancestors(cur).map(|(u, _)| u));
-        path.push(tree.source());
-        path.reverse();
-        let last_edge = self.held.parent_edge(v).expect("target settled");
-        debug_assert!(
-            !tree.is_tree_edge(last_edge),
-            "step-1 failure implies a non-tree last edge"
-        );
-        // Divergence: longest common prefix with π(s, v).
-        let pi = &self.pi;
-        let mut d = 0;
-        while d + 1 < path.len() && d + 1 < pi.len() && path[d + 1] == pi[d + 1] {
-            d += 1;
-        }
-        let end = NewEnding {
-            last_edge,
-            start: to_u32(detours.len()),
-            len: to_u32(path.len() - d),
-        };
-        detours.extend_from_slice(&path[d..]);
-        end
-    }
-}
-
-/// The filter of the `j = 0` search of terminal `pi[k]`: `G ∖ π°(s, v) ∖
-/// {(s, π[1])}`. Outside `π°(s, v)` it is the filter of the seeding of
-/// `π[1]`'s subtree, whose only banned edge is `(s, π[1])`.
-fn source_filter<'a>(
-    tree: &'a ShortestPathTree,
-    pi: &'a [VertexId],
-) -> impl Fn(VertexId, EdgeId) -> bool + Copy + 'a {
-    let (_, first) = tree.parent(pi[1]).expect("a tree edge below the source");
-    let k = pi.len() - 1;
-    move |w, f| f != first && !on_interior(tree, pi, 0, k, w)
-}
-
-/// The seedings of pass 2, one per distinct source child `π[1]` above
-/// `terminals`, each of its subtree under `f ≠ (s, π[1])`, and the index of
-/// each terminal's. They are computed once, on the calling thread, and every
-/// `j = 0` search reads its own: a depth-1 terminal's filter is the
-/// seeding's, and a deeper terminal's differs only on `π°(s, v)`, whose
-/// vertices its search refuses whole.
-fn source_child_seedings(
-    graph: &Graph,
-    tree: &ShortestPathTree,
-    terminals: &[VertexId],
-) -> (Vec<Seeding>, Vec<usize>) {
-    let mut scratch = CanonicalScratch::new(graph.num_vertices());
-    let mut index = vec![usize::MAX; graph.num_vertices()];
-    let mut seedings = Vec::new();
-    let seeding_of = terminals
-        .iter()
-        .map(|&v| {
-            let (a, first) = tree
-                .ancestors(v)
-                .last()
-                .expect("a terminal below the source");
-            if index[a.index()] == usize::MAX {
-                index[a.index()] = seedings.len();
-                seedings.push(scratch.subtree_seeding(graph, tree, a, |_, f| f != first));
-            }
-            index[a.index()]
-        })
-        .collect();
-    (seedings, seeding_of)
 }
 
 /// `true` if `w` is an interior vertex of `π(u_j, v)`, where `v = pi[k]`:
@@ -1103,32 +1152,24 @@ mod tests {
             let what = family.name();
             assert_eq!(work, parallel.work(), "{what}");
 
-            // One covered run per tree edge, one source search per terminal
-            // of an uncovered pair, and one settle per terminal whose
-            // search is feasible plus one per galloping pair. A pair takes
+            // One covered run per tree edge; one walk removal per distinct
+            // proper ancestor, below the source, of a terminal with an
+            // uncovered pair; one settle per galloping pair. A pair takes
             // j = 0 iff its path diverges at the source.
             let tree_edges = graph.vertices().filter(|&v| tree.parent(v).is_some());
             assert_eq!(work.covered_runs, tree_edges.count() as u64, "{what}");
-            let (mut terminals, mut j0_terminals, mut galloping) = (0, 0, 0);
-            for group in rp
-                .uncovered()
-                .chunk_by(|&p, &q| rp.get(p).pair.terminal == rp.get(q).pair.terminal)
-            {
-                let at_source = |&p: &PairId| rp.get(p).divergence == Some(rp.source());
-                terminals += 1;
-                j0_terminals += u64::from(group.iter().any(at_source));
-                galloping += group.iter().filter(|p| !at_source(p)).count() as u64;
+            let mut galloping = 0;
+            let mut removed = vec![false; graph.num_vertices()];
+            for &p in rp.uncovered() {
+                let pair = rp.get(p);
+                galloping += u64::from(pair.divergence != Some(rp.source()));
+                for (x, _) in tree.ancestors(pair.pair.terminal).skip(1) {
+                    removed[x.index()] = true;
+                }
             }
-            assert_eq!(work.source_searches, terminals, "{what}");
-            let mut source_children: Vec<VertexId> = rp
-                .uncovered()
-                .iter()
-                .map(|&p| tree.ancestors(rp.get(p).pair.terminal).last().unwrap().0)
-                .collect();
-            source_children.sort_unstable();
-            source_children.dedup();
-            assert_eq!(work.seeded_regions, source_children.len() as u64, "{what}");
-            assert_eq!(work.settles, j0_terminals + galloping, "{what}");
+            let removals = removed.iter().filter(|&&r| r).count() as u64;
+            assert_eq!(work.walk_removals, removals, "{what}");
+            assert_eq!(work.settles, galloping, "{what}");
             assert!(work.probes >= galloping, "{what}");
         }
     }
@@ -1191,56 +1232,6 @@ mod tests {
             }
             let (bytes, bound) = (rp.heap_bytes(), heap_bound(&rp, &tree));
             assert!(bytes <= bound, "{what}: {bytes} heap bytes over {bound}");
-        }
-    }
-
-    /// The `j = 0` search of every terminal with an uncovered pair on both
-    /// end-to-end benchmark graphs (n = 2000, seed 7), seeded as pass 2
-    /// seeds it, against the plain `sweep_subtree` with the same filter and
-    /// bound: the same visit order, the same `dist(v)` and, if `v` is
-    /// reached, the same settled path.
-    /// Release only: `cargo test --release -p ftb_rp -- --ignored`.
-    #[test]
-    #[ignore = "benchmark-size check; run in release with --ignored"]
-    fn seeded_source_searches_are_exact_at_benchmark_size() {
-        for family in [WorkloadFamily::LayeredDeep, WorkloadFamily::ErdosRenyi] {
-            let graph = Workload::new(family, 2000, 7).generate();
-            let weights = TieBreakWeights::generate(&graph, 7);
-            let (tree, dists, rp) =
-                compute_full(&graph, &weights, VertexId(0), &ParallelConfig::default());
-            let what = family.name();
-            let target =
-                |p: PairId| dists.dist(rp.get(p).pair.failing_edge, rp.get(p).pair.terminal);
-            let terminals: Vec<(VertexId, u32)> = rp
-                .uncovered()
-                .chunk_by(|&p, &q| rp.get(p).pair.terminal == rp.get(q).pair.terminal)
-                .map(|group| {
-                    let max_target = group.iter().map(|&p| target(p).unwrap()).max();
-                    (rp.get(group[0]).pair.terminal, max_target.unwrap())
-                })
-                .collect();
-            let vs: Vec<VertexId> = terminals.iter().map(|&(v, _)| v).collect();
-            let (seedings, seeding_of) = source_child_seedings(&graph, &tree, &vs);
-            let n = graph.num_vertices();
-            let (mut search, mut plain) = (TerminalSearch::new(n), CanonicalScratch::new(n));
-            let mut reached = 0;
-            for (i, &(v, max_target)) in terminals.iter().enumerate() {
-                search.search_source(&graph, &tree, v, &seedings[seeding_of[i]], max_target);
-                let filter = source_filter(&tree, &search.pi);
-                let stop = Some((v, max_target));
-                plain.sweep_subtree(&graph, &tree, search.pi[1], stop, filter);
-                let seeded = &mut search.held;
-                assert_eq!(seeded.visited(), plain.visited(), "{what}: order at {v:?}");
-                assert_eq!(seeded.dist(v), plain.dist(v), "{what}: dist of {v:?}");
-                if plain.dist(v).is_some() {
-                    reached += 1;
-                    seeded.settle_target(&graph, &weights, v, filter);
-                    plain.settle_target(&graph, &weights, v, filter);
-                    let path = seeded.path_to(&tree, v);
-                    assert_eq!(path, plain.path_to(&tree, v), "{what}: path to {v:?}");
-                }
-            }
-            assert!(reached > 0, "{what}: no j = 0 search reached its terminal");
         }
     }
 }

@@ -38,14 +38,14 @@
 //! can be restricted to the vertices shallower than the target plus the
 //! target itself. The source's subtree is the whole reachable graph.
 //!
-//! Many searches of one subtree whose filters differ only by whole banned
-//! vertices share one seed scan: [`CanonicalScratch::subtree_seeding`]
-//! runs it once, and each [`CanonicalScratch::sweep_seeded`] reads it
-//! instead of the subtree's adjacency (see [`crate::sweep`]).
+//! The parent rule of sweep 2 is [`canonical_parent`]. `Pcons` calls it too:
+//! its source-divergence walk keeps its own rows while it repairs a tree
+//! under vertex removals, and its covered-pair test asks for the parent
+//! among tree edges alone.
 
 use crate::path::Path;
 use crate::sp_tree::ShortestPathTree;
-use crate::sweep::{BoundarySweep, Region, Seeding};
+use crate::sweep::{BoundarySweep, Region};
 use crate::weights::TieBreakWeights;
 use crate::UNREACHABLE;
 use ftb_graph::{EdgeId, Fault, Graph, VertexId};
@@ -55,8 +55,8 @@ use ftb_graph::{EdgeId, Fault, Graph, VertexId};
 /// Create once (per worker thread) with [`CanonicalScratch::new`], then
 /// call [`CanonicalScratch::run`] for a from-source tree of `G ∖ F`, or the
 /// subtree-bounded [`CanonicalScratch::run_subtree`] /
-/// [`CanonicalScratch::sweep_subtree`] / [`CanonicalScratch::sweep_seeded`]
-/// (+ [`CanonicalScratch::settle_target`]) for faults below a vertex; the
+/// [`CanonicalScratch::sweep_subtree`] (+
+/// [`CanonicalScratch::settle_target`]) for faults below a vertex; the
 /// buffers are reused, so a run allocates nothing once they have grown.
 #[derive(Clone, Debug)]
 pub struct CanonicalScratch {
@@ -150,46 +150,6 @@ impl CanonicalScratch {
         self.subtree_search(graph, tree, root, stop, |sweep, region| {
             let done = |w| Some(w) == region.target;
             sweep.search(region, |u| graph.neighbors(u), allow, done)
-        });
-    }
-
-    /// The [`Seeding`] of the `T0` subtree of `root` under `allow`: its seed
-    /// scan, once, for any number of [`CanonicalScratch::sweep_seeded`]
-    /// runs. Clears the last run.
-    pub fn subtree_seeding(
-        &mut self,
-        graph: &Graph,
-        tree: &ShortestPathTree,
-        root: VertexId,
-        allow: impl Fn(VertexId, EdgeId) -> bool,
-    ) -> Seeding {
-        self.subtree_search(graph, tree, root, None, |sweep, region| {
-            sweep.seeding(region, |u| graph.neighbors(u), allow)
-        })
-    }
-
-    /// [`CanonicalScratch::sweep_subtree`] of the subtree `seeding` covers,
-    /// a [`CanonicalScratch::subtree_seeding`], with `stop = Some((target,
-    /// max_hops))`, seeded from `seeding`: the same distances and visit
-    /// order, without the adjacency scan.
-    ///
-    /// `allow` must refuse every edge into a vertex `admit` rejects, and
-    /// agree with the seeding's filter on every other edge (see
-    /// [`BoundarySweep::search_seeded`]).
-    pub fn sweep_seeded(
-        &mut self,
-        graph: &Graph,
-        tree: &ShortestPathTree,
-        seeding: &Seeding,
-        (target, max_hops): (VertexId, u32),
-        admit: impl Fn(VertexId) -> bool,
-        allow: impl Fn(VertexId, EdgeId) -> bool,
-    ) {
-        let root = tree.euler().order()[seeding.intervals()[0].0 as usize];
-        let stop = Some((target, max_hops));
-        self.subtree_search(graph, tree, root, stop, |sweep, region| {
-            let neighbors = |u| graph.neighbors(u);
-            sweep.search_seeded(region, seeding, admit, neighbors, allow, |w| w == target)
         });
     }
 
@@ -290,8 +250,7 @@ impl CanonicalScratch {
         }
     }
 
-    /// Pick `v`'s parent: the `(tie sum, parent id)` minimiser among its
-    /// admitted neighbours one level up.
+    /// Pick `v`'s parent with [`canonical_parent`].
     fn settle_vertex(
         &mut self,
         graph: &Graph,
@@ -299,18 +258,11 @@ impl CanonicalScratch {
         v: VertexId,
         allow: impl Fn(VertexId, EdgeId) -> bool,
     ) {
-        let up = self.sweep.dist(v).map(|d| d - 1);
-        let mut best: Option<(u64, VertexId, EdgeId)> = None;
-        for (u, e) in graph.neighbors(v) {
-            if self.sweep.dist(u) != up || !allow(v, e) {
-                continue;
-            }
-            let cand = (self.tie[u.index()] + weights.weight(e), u, e);
-            if best.is_none_or(|(bt, bu, _)| (cand.0, cand.1) < (bt, bu)) {
-                best = Some(cand);
-            }
-        }
-        let (tie, u, e) = best.expect("every visited non-source vertex has a parent");
+        let d = self.sweep.dist(v).expect("settled vertices are reached");
+        let dist = |u: VertexId| self.sweep.dist(u).unwrap_or(UNREACHABLE);
+        let tie = |u: VertexId| self.tie[u.index()];
+        let (tie, u, e) = canonical_parent(graph, weights, v, d - 1, dist, tie, allow)
+            .expect("every visited non-source vertex has a parent");
         self.tie[v.index()] = tie;
         self.parent[v.index()] = Some((u, e));
     }
@@ -388,6 +340,39 @@ impl CanonicalScratch {
             }
         }
     }
+}
+
+/// The canonical parent rule: among the neighbours `u` of `v` at hop
+/// distance `up` whose edge `e` into `v` `allow(v, e)` admits, the
+/// `(tie(u) + W(e), u)` minimiser, returned as `(tie sum of v, u, e)`;
+/// `None` if there is none.
+///
+/// `dist` gives [`UNREACHABLE`] for a vertex that is not reached. Every
+/// canonical tree of the construction picks its parents here: with `dist`
+/// and `tie` final at depth `up` before any vertex at depth `up + 1` asks,
+/// the parents are the `(hops, Σ tie, parent id)` minimisers
+/// [`LexSearch`](crate::LexSearch) finds.
+#[inline]
+pub fn canonical_parent(
+    graph: &Graph,
+    weights: &TieBreakWeights,
+    v: VertexId,
+    up: u32,
+    dist: impl Fn(VertexId) -> u32,
+    tie: impl Fn(VertexId) -> u64,
+    allow: impl Fn(VertexId, EdgeId) -> bool,
+) -> Option<(u64, VertexId, EdgeId)> {
+    let mut best: Option<(u64, VertexId, EdgeId)> = None;
+    for (u, e) in graph.neighbors(v) {
+        if dist(u) != up || !allow(v, e) {
+            continue;
+        }
+        let cand = (tie(u) + weights.weight(e), u, e);
+        if best.is_none_or(|(bt, bu, _)| (cand.0, cand.1) < (bt, bu)) {
+            best = Some(cand);
+        }
+    }
+    best
 }
 
 #[cfg(test)]

@@ -40,13 +40,13 @@ pub mod timestamped;
 pub mod weights;
 
 pub use bfs::{bfs_distances, bfs_distances_view};
-pub use canonical::CanonicalScratch;
+pub use canonical::{canonical_parent, CanonicalScratch};
 pub use euler::EulerTourIndex;
 pub use lex::LexSearch;
 pub use path::Path;
 pub use replacement::ReplacementDistances;
 pub use sp_tree::ShortestPathTree;
-pub use sweep::{BoundarySweep, Region, Seeding};
+pub use sweep::{BoundarySweep, Region};
 pub use timestamped::TimestampedVector;
 pub use weights::TieBreakWeights;
 

@@ -23,15 +23,12 @@
 //! can neither be reached within the bound nor lead to one that is. A run
 //! resets only what the previous run wrote, so it costs the region, not `n`.
 //!
-//! The seed scan reads the adjacency of the whole region, and it is the one
-//! scan loop there is. A caller that searches one region many times, under
-//! filters that differ only by whole banned vertices, runs it once with no
-//! bound and no target ([`BoundarySweep::seeding`]) and keeps the result, a
-//! [`Seeding`]: the sorted seeds and the boundary sorted by depth. Each
-//! [`BoundarySweep::search_seeded`] then fences the boundary prefix
-//! shallower than its bound and keeps the seeds it admits, and the sweep is
-//! unchanged. A seed `(entry, w)` has `entry ≥ depth0(w)`, so dropping the
-//! seeds past the bound drops exactly what the pruned enumeration skips.
+//! A caller that knows its region's seeds another way runs the sweep from
+//! them alone ([`BoundarySweep::search_from_seeds`]): `Pcons`'s
+//! source-divergence walk repairs a region of a tree that is no longer `T0`,
+//! so it seeds each region vertex from its outside neighbours at their
+//! current depths, and its `allow` refuses every vertex outside the region.
+//! [`BoundarySweep::search_from`] is the one-seed case.
 //!
 //! The kernel is generic over the adjacency `neighbors(u)` and the filter
 //! `allow(w, e)` ("may the search enter `w` through `e`?"), so every caller
@@ -67,27 +64,6 @@ impl Region<'_> {
     }
 }
 
-/// The seeding of a region, computed once by [`BoundarySweep::seeding`] and
-/// read by any number of [`BoundarySweep::search_seeded`] runs over the
-/// same region (see the [module docs](self)).
-#[derive(Clone, Debug)]
-pub struct Seeding {
-    /// The region's preorder intervals.
-    intervals: Vec<(u32, u32)>,
-    /// `(entry, w)`: every region vertex with an admitted edge from outside,
-    /// at its best entry, sorted.
-    seeds: Vec<(u32, VertexId)>,
-    /// `(depth0(u), u)`: the region's reachable outside neighbours, sorted.
-    boundary: Vec<(u32, VertexId)>,
-}
-
-impl Seeding {
-    /// The preorder intervals of the region it seeds.
-    pub(crate) fn intervals(&self) -> &[(u32, u32)] {
-        &self.intervals
-    }
-}
-
 /// Reusable scratch of the boundary-seeded sweep (see the
 /// [module docs](self)).
 #[derive(Clone, Debug)]
@@ -120,8 +96,22 @@ impl BoundarySweep {
         neighbors: impl Fn(VertexId) -> I,
         allow: impl Fn(VertexId, EdgeId) -> bool,
     ) {
+        self.search_from_seeds([(0, source)], neighbors, allow);
+    }
+
+    /// Search from the given `(entry, w)` seeds alone: each `w` enters at
+    /// `entry` unless the sweep discovers it earlier, and the sweep runs
+    /// with no hop bound and no fence, so `allow` must refuse every vertex
+    /// the search may not discover.
+    pub fn search_from_seeds<I: Iterator<Item = (VertexId, EdgeId)>>(
+        &mut self,
+        seeds: impl IntoIterator<Item = (u32, VertexId)>,
+        neighbors: impl Fn(VertexId) -> I,
+        allow: impl Fn(VertexId, EdgeId) -> bool,
+    ) {
         self.clear();
-        self.seeds.push((0, source));
+        self.seeds.extend(seeds);
+        self.seeds.sort_unstable();
         self.sweep(UNREACHABLE, neighbors, allow, |_| false);
     }
 
@@ -141,79 +131,6 @@ impl BoundarySweep {
         self.clear();
         self.seed(region, &neighbors, &allow);
         self.sweep(region.max_hops, neighbors, allow, done);
-    }
-
-    /// The seeding of `region` under `allow`, for later
-    /// [`BoundarySweep::search_seeded`] runs. `region` must have no hop
-    /// bound and no target. Leaves the scratch holding the boundary as a
-    /// search would, with nothing discovered.
-    pub fn seeding<I: Iterator<Item = (VertexId, EdgeId)>>(
-        &mut self,
-        region: Region<'_>,
-        neighbors: impl Fn(VertexId) -> I,
-        allow: impl Fn(VertexId, EdgeId) -> bool,
-    ) -> Seeding {
-        debug_assert!(
-            region.max_hops == UNREACHABLE && region.target.is_none(),
-            "a seeding is computed without a bound or a target"
-        );
-        self.clear();
-        self.seed(region, neighbors, allow);
-        let mut boundary: Vec<(u32, VertexId)> = self
-            .boundary
-            .iter()
-            .map(|&u| (region.depth0[u.index()], u))
-            .collect();
-        boundary.sort_unstable();
-        Seeding {
-            intervals: region.intervals.to_vec(),
-            seeds: self.seeds.clone(),
-            boundary,
-        }
-    }
-
-    /// [`BoundarySweep::search`] of `region`, seeded from `seeding` instead
-    /// of a scan of its adjacency.
-    ///
-    /// `seeding` must be the [`BoundarySweep::seeding`] of the region's
-    /// intervals and of the same adjacency, under a filter that agrees with
-    /// `allow` on every edge into a vertex `admit` accepts; `allow` must
-    /// refuse every edge into the others. The run then discovers the same
-    /// vertices in the same order, at the same distances, as `search`
-    /// would. Its fence may also hold region neighbours at depth
-    /// `max_hops − 1` that border only vertices the bound prunes: no run
-    /// discovers them, and none of them borders a vertex the run discovers
-    /// below `max_hops`, or the target.
-    pub fn search_seeded<I: Iterator<Item = (VertexId, EdgeId)>>(
-        &mut self,
-        region: Region<'_>,
-        seeding: &Seeding,
-        admit: impl Fn(VertexId) -> bool,
-        neighbors: impl Fn(VertexId) -> I,
-        allow: impl Fn(VertexId, EdgeId) -> bool,
-        done: impl FnMut(VertexId) -> bool,
-    ) {
-        debug_assert_eq!(
-            region.intervals,
-            seeding.intervals(),
-            "another region's seeding"
-        );
-        self.clear();
-        let max_hops = region.max_hops;
-        let fence = seeding.boundary.partition_point(|&(d, _)| d < max_hops);
-        for &(d, u) in &seeding.boundary[..fence] {
-            self.dist[u.index()] = d;
-            self.boundary.push(u);
-        }
-        let within = seeding
-            .seeds
-            .partition_point(|&(entry, _)| entry <= max_hops);
-        self.seeds.extend(
-            seeding.seeds[..within]
-                .iter()
-                .filter(|&&(entry, w)| !region.prunes(w) && (entry == 0 || admit(w))),
-        );
-        self.sweep(max_hops, neighbors, allow, done);
     }
 
     /// The seed scan: enumerate `region`, write its boundary and collect its
@@ -558,95 +475,44 @@ mod tests {
         }
     }
 
-    /// A search seeded from a cached [`Seeding`] against the plain search,
-    /// over the subtree of every source child: the `j = 0` shape of
-    /// Algorithm `Pcons`, whose seeding bans the tree edge into the root and
-    /// whose searches also refuse the vertices of a root path. Hop bounds at
-    /// and past the target's depth, and no bound at all.
+    /// A search from caller-given seeds over the subtree a tree edge cuts
+    /// off: each subtree vertex seeded at its best entry from outside, and
+    /// `allow` refusing everything outside, reaches the brute-force
+    /// distances without a fence.
     #[test]
-    fn seeded_searches_match_plain_searches() {
-        let mut extra_fence = 0;
+    fn seeds_only_searches_match_brute_force_bfs() {
         for (what, g) in graphs() {
-            let weights = TieBreakWeights::generate(&g, 11);
+            let weights = TieBreakWeights::generate(&g, 13);
             let tree = ShortestPathTree::build(&g, &weights, VertexId(0));
-            let n = g.num_vertices();
-            let (mut plain, mut seeded) = (BoundarySweep::new(n), BoundarySweep::new(n));
             let depth0 = tree.depth_row();
-            for &root in tree.children(tree.source()) {
-                let (_, first) = tree.parent(root).unwrap();
-                let span = tree.euler().subtree(root);
-                let intervals = [(span.start as u32, span.end as u32)];
-                let region = |max_hops, target| Region {
-                    tree: tree.euler(),
-                    depth0,
-                    intervals: &intervals,
-                    max_hops,
-                    target,
-                };
-                let seeding = seeded.seeding(
-                    region(UNREACHABLE, None),
-                    |u| g.neighbors(u),
-                    |_, f| f != first,
-                );
-                let subtree = &tree.euler().order()[span.clone()];
-                let last = *subtree.last().unwrap();
-                for &t in subtree {
-                    // Root paths: none, the interior of π(s, t), and the
-                    // interior of π(s, ·) to the subtree's last vertex in
-                    // preorder, which may hold `t`.
-                    let interior = |x: VertexId| -> Vec<VertexId> {
-                        tree.ancestors(x).skip(1).map(|(u, _)| u).collect()
-                    };
-                    let dt = depth0[t.index()];
-                    for banned in [Vec::new(), interior(t), interior(last)] {
-                        let admit = |w: VertexId| !banned.contains(&w);
-                        let allow = |w: VertexId, f: EdgeId| f != first && admit(w);
-                        for max_hops in [dt, dt + 1, dt + 2, dt + 4, UNREACHABLE] {
-                            for target in [Some(t), None] {
-                                let region = region(max_hops, target);
-                                let done = |w| Some(w) == target;
-                                plain.search(region, |u| g.neighbors(u), allow, done);
-                                seeded.search_seeded(
-                                    region,
-                                    &seeding,
-                                    admit,
-                                    |u| g.neighbors(u),
-                                    allow,
-                                    done,
-                                );
-                                let at = format!("{t:?}, bound {max_hops}, {banned:?} on {what}");
-                                assert_eq!(plain.visited(), seeded.visited(), "order: {at}");
-                                for &v in plain.visited().iter().chain(plain.boundary()) {
-                                    assert_eq!(plain.dist(v), seeded.dist(v), "{v:?}: {at}");
-                                }
-                                // The seeded fence may hold more: outside
-                                // neighbours at depth `max_hops − 1` of only
-                                // pruned vertices (depth ≥ max_hops, not the
-                                // target). No settle reads them: Pcons settles
-                                // the target and the vertices discovered
-                                // shallower than it, whose parents lie at most
-                                // one level up, and none of these borders an
-                                // extra fence vertex.
-                                for &u in seeded.boundary() {
-                                    if plain.boundary().contains(&u) {
-                                        continue;
-                                    }
-                                    extra_fence += 1;
-                                    assert_eq!(depth0[u.index()], max_hops - 1, "{u:?}: {at}");
-                                    for (x, _) in g.neighbors(u) {
-                                        let shallow = plain.visited().contains(&x)
-                                            && plain.dist(x) < Some(max_hops);
-                                        let read = shallow || Some(x) == target;
-                                        assert!(!read, "{u:?} borders {x:?}: {at}");
-                                    }
-                                }
-                            }
-                        }
-                    }
+            let mut sweep = BoundarySweep::new(g.num_vertices());
+            for &e in tree.tree_edges() {
+                let c = tree.child_endpoint(e).unwrap();
+                let expected = oracle(&g, tree.source(), &[Fault::Edge(e)]);
+                let inside = |w: VertexId| tree.in_subtree(c, w);
+                let subtree = &tree.euler().order()[tree.euler().subtree(c)];
+                let seeds = subtree.iter().filter_map(|&w| {
+                    let entry = g
+                        .neighbors(w)
+                        .filter(|&(u, f)| f != e && !inside(u) && depth0[u.index()] != UNREACHABLE)
+                        .map(|(u, _)| depth0[u.index()] + 1)
+                        .min();
+                    entry.map(|d| (d, w))
+                });
+                sweep.search_from_seeds(seeds, |u| g.neighbors(u), |w, _| inside(w));
+                assert!(sweep.boundary().is_empty(), "a fence on {what}");
+                for &w in subtree {
+                    let want = (expected[w.index()] != UNREACHABLE).then_some(expected[w.index()]);
+                    assert_eq!(sweep.dist(w), want, "{w:?} under {e:?} on {what}");
+                }
+                for pair in sweep.visited().windows(2) {
+                    assert!(
+                        sweep.dist(pair[0]) <= sweep.dist(pair[1]),
+                        "order on {what}"
+                    );
                 }
             }
         }
-        assert!(extra_fence > 0, "no run fenced more than the plain one");
     }
 
     /// The preorder built from `T0`'s parent row is a recursive DFS with
