@@ -5,9 +5,9 @@ use crate::config::BuildConfig;
 use crate::error::FtbfsError;
 use crate::mbfs::MultiSourceStructure;
 use crate::structure::FtBfsStructure;
-use ftb_graph::{EdgeId, Fault, Graph, VertexId};
+use ftb_graph::{BitSet, EdgeId, Fault, Graph, VertexId};
 use ftb_par::{parallel_map_init, ParallelConfig};
-use ftb_sp::{CanonicalScratch, ShortestPathTree, TieBreakWeights};
+use ftb_sp::{CutTree, ShortestPathTree, TieBreakWeights};
 use std::time::Instant;
 
 /// Offline augmentation stage turning a seed structure `H` into an
@@ -20,13 +20,13 @@ use std::time::Instant;
 /// [module docs](super) for why this enumeration is sufficient), computes
 /// the canonical replacement tree of `G ∖ F` for each, and records the
 /// "last leg" (the rerouted parent edge) of every vertex whose canonical
-/// path changed. A first-level fault (a tree edge into `c`, or a vertex
-/// `c`) changes paths only inside the `T0` subtree of `c`, so its tree is a
-/// subtree-bounded search over that subtree alone. First-level faults are
-/// distributed over [`ParallelConfig`] workers, each owning one reusable
-/// [`CanonicalScratch`]; the dual sweep for a first fault (full searches of
-/// `G ∖ {x, f}` for every edge `f` of the first fault's tree) runs in the
-/// same task.
+/// path changed. Every tree is a [`CutTree`] repair: a fault changes paths
+/// only below itself in the current tree, so the first fault `x` is cut
+/// from `T0`'s rows (a search of its `T0` subtree alone), and with
+/// [`AugmentCoverage::DualFailure`] each edge `f` of `T_x` is then cut on
+/// `T_x`'s rows (a search of its `T_x` subtree) and undone. First-level
+/// faults are distributed over [`ParallelConfig`] workers, each owning one
+/// [`CutTree`]; a first fault's dual cuts run in the same task.
 ///
 /// ```
 /// use ftb_core::ftbfs::{AugmentCoverage, FtBfsAugmenter};
@@ -190,10 +190,9 @@ impl FtBfsAugmenter {
         weights: &TieBreakWeights,
         source: VertexId,
         dual: bool,
-        edges: &mut ftb_graph::BitSet,
+        edges: &mut BitSet,
         stats: &mut AugmentStats,
     ) {
-        let n = graph.num_vertices();
         let t_setup = Instant::now();
         let tree = ShortestPathTree::build(graph, weights, source);
 
@@ -209,62 +208,55 @@ impl FtBfsAugmenter {
 
         // First-level faults: every canonical tree edge (reinforced or not
         // — the augmented tier also serves reinforced-edge hypotheticals)
-        // and every reachable non-source vertex, each with the root of the
-        // T0 subtree it cuts off. Nothing else can change a canonical path
-        // on its own, and nothing outside that subtree changes.
-        let first_level: Vec<(VertexId, Fault)> = tree
+        // and every reachable non-source vertex. Nothing else can change a
+        // canonical path on its own.
+        let first_level: Vec<Fault> = tree
             .tree_edges()
             .iter()
-            .map(|&e| (tree.child_endpoint(e).expect("tree edge"), Fault::Edge(e)))
+            .map(|&e| Fault::Edge(e))
             .chain(
                 graph
                     .vertices()
                     .filter(|&v| v != source && tree.is_reachable(v))
-                    .map(|v| (v, Fault::Vertex(v))),
+                    .map(Fault::Vertex),
             )
             .collect();
         stats.setup_ms += t_setup.elapsed().as_secs_f64() * 1e3;
         let t_sweep = Instant::now();
 
-        // Each task: one subtree-bounded single-fault tree, plus (dual) one
-        // full tree per edge of that replacement tree. A per-worker `seen`
-        // bitset dedupes within the task (pair passes for the same first
-        // fault reroute the same subtrees over and over), bounding a
-        // task's output at `m` edges instead of Θ(n) per pass.
+        // Each task cuts the first fault `x` from T0's rows, then (dual)
+        // cuts and undoes every edge `f` of `T_x`. Outside `f`'s region every
+        // vertex keeps its `T_x` leg, which the first cut recorded. A
+        // per-worker `seen` bitset dedupes within the task, bounding its
+        // output at `m` edges instead of Θ(n) per cut.
         let per_fault: Vec<(Vec<EdgeId>, Vec<EdgeId>, usize)> = parallel_map_init(
             &self.parallel,
             first_level.len(),
             || {
                 (
-                    CanonicalScratch::new(n),
-                    Vec::new(),
-                    ftb_graph::BitSet::new(graph.num_edges()),
+                    CutTree::new(graph, weights, &tree),
+                    BitSet::new(graph.num_edges()),
                 )
             },
-            |(scr, tx_edges, seen), i| {
-                let (root, x) = first_level[i];
-                scr.run_subtree(graph, weights, &tree, root, |w, f| match x {
-                    Fault::Edge(e) => f != e,
-                    Fault::Vertex(x) => w != x,
-                });
+            |(rows, seen), i| {
+                rows.cut(first_level[i]);
                 let mut single = Vec::new();
-                collect_changed_last_legs(scr, &tree, seen, &mut single);
+                collect_changed_last_legs(rows, seen, &mut single);
                 let mut dual_added = Vec::new();
                 let mut dual_passes = 0usize;
                 if dual {
-                    // T_x: the bounded run inside the subtree, T0 outside.
-                    scr.collect_tree_edges(tx_edges);
-                    tx_edges.extend(tree.tree_edges().iter().filter(|&&e| {
-                        !tree.in_subtree(root, tree.child_endpoint(e).expect("tree edge"))
-                    }));
-                    for &fe in tx_edges.iter() {
-                        let f = Fault::Edge(fe);
-                        debug_assert_ne!(f, x, "a banned edge cannot re-enter its own tree");
-                        scr.run(graph, weights, source, &[x, f]);
-                        collect_changed_last_legs(scr, &tree, seen, &mut dual_added);
+                    let mark = rows.mark();
+                    for v in graph.vertices() {
+                        let Some((_, f)) = rows.parent(v) else {
+                            continue;
+                        };
+                        rows.cut(Fault::Edge(f));
+                        collect_changed_last_legs(rows, seen, &mut dual_added);
+                        rows.undo_to(mark);
                         dual_passes += 1;
                     }
                 }
+                rows.undo_to(0);
                 // The worker (and its bitset) outlives this task: clear
                 // exactly the bits this task set.
                 for &e in single.iter().chain(dual_added.iter()) {
@@ -301,20 +293,15 @@ impl FtBfsAugmenter {
     }
 }
 
-/// Append the "last legs" of the last run's replacement tree — the parent
-/// edges of every searched vertex whose canonical parent edge differs from
-/// its `T0` one — to `out`, skipping edges already recorded in `seen`.
-fn collect_changed_last_legs(
-    scratch: &CanonicalScratch,
-    tree: &ShortestPathTree,
-    seen: &mut ftb_graph::BitSet,
-    out: &mut Vec<EdgeId>,
-) {
-    for &v in scratch.visited() {
-        let Some(e) = scratch.parent_edge(v) else {
-            continue; // the source
+/// Append the "last legs" of the last cut's region — the parent edges of
+/// its reached vertices whose canonical parent edge differs from their `T0`
+/// one — to `out`, skipping edges already recorded in `seen`.
+fn collect_changed_last_legs(rows: &CutTree<'_>, seen: &mut BitSet, out: &mut Vec<EdgeId>) {
+    for &v in rows.region() {
+        let Some((_, e)) = rows.parent(v) else {
+            continue; // cut off
         };
-        if tree.parent(v).map(|(_, t0)| t0) != Some(e) && !seen.contains(e.index()) {
+        if rows.tree().parent(v).map(|(_, t0)| t0) != Some(e) && !seen.contains(e.index()) {
             seen.insert(e.index());
             out.push(e);
         }

@@ -40,13 +40,13 @@
 //! `y` matters beyond `x` only if `y` lies on the replacement tree `T_x` of
 //! `G ∖ {x}`. That bounds the enumeration: `O(n)` first-level faults, and
 //! per first-level fault `O(n)` second-level edges — `O(n²)` canonical
-//! trees for the dual sweep, each `O(n + m)` via
-//! [`CanonicalScratch`](ftb_sp::CanonicalScratch). A first-level fault
-//! (the tree edge into `c`, or the vertex `c`) changes canonical paths only
-//! inside the `T0` subtree of `c` — every other vertex keeps its `T0` path —
-//! so its tree `T_x` is `T0` outside that subtree plus one subtree-bounded
-//! search inside it, and the single-fault layer costs `Σ_c vol(subtree(c))`
-//! instead of `n` full sweeps.
+//! trees for the dual sweep, none searched from scratch. By (2) again, a
+//! fault changes paths only below itself in the current tree, so one
+//! [`CutTree`](ftb_sp::CutTree) per worker cuts `x` from `T0`, then cuts
+//! and undoes each `f` of `T_x`, each cut searching its subtree alone: the
+//! single layer costs `Σ_x |subtree_{T0}(x)|`, the dual layer
+//! `Σ_x Σ_f |subtree_{T_x}(f)|` (plus the edges around them), not `n + m`
+//! per tree.
 //!
 //! Adding the last leg of every changed path then suffices by induction on
 //! path length, exactly the Parter–Peleg argument: each edge of

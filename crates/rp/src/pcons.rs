@@ -5,14 +5,14 @@
 //! (the pair is then *covered*), and otherwise binary-searches the smallest
 //! `j` such that a replacement path survives the removal of the interior of
 //! `π(u_j, v)`. Every search is subtree-bounded: removing `e` changes
-//! canonical paths only inside the `T0` subtree of `c`, so the search runs
-//! on one [`CanonicalScratch`] over that subtree, its boundary seeded at
-//! fault-free depths (see [`ftb_sp::canonical`]).
+//! canonical paths only inside the `T0` subtree of `c`. Passes 1 and 2 cut
+//! faults on a [`CutTree`] ([`ftb_sp::cut`]), pass 3 probes the subtree on a
+//! [`CanonicalScratch`] ([`ftb_sp::canonical`]).
 //!
 //! The work runs in three passes, each parallel over its tasks:
 //!
 //! * **Pass 1, per failing edge: covered pairs, no probe.** One canonical
-//!   replacement tree of `G ∖ {e}` over the subtree of `c` answers every
+//!   replacement tree of `G ∖ {e}`, `e` cut from `T0`'s rows, answers every
 //!   terminal below `c`. A pair `⟨v, e⟩` is covered iff some tree edge
 //!   `(x, v) ≠ e` has `dist(s, x, G ∖ {e}) = target − 1`: a path to `x` that
 //!   short cannot pass `v`, so it also lives in `G'(v) ∖ {e}` (no non-tree
@@ -43,7 +43,7 @@
 //!   `T_a`, the replacement tree of `(s, a)`; before the walk steps into a
 //!   vertex's children it removes the vertex and repairs only the vertices
 //!   whose path passed through it, and an undo log puts them back when it
-//!   steps out (the `walk` module).
+//!   steps out (the `walk` module, on the same [`CutTree`] as pass 1).
 //! * **Pass 3, per terminal: the other uncovered pairs.** Each gallops down
 //!   from the feasible `j = idx` (where `e = (π[idx], π[idx + 1])`) to
 //!   `j = 1` and bisects. Probe `j` bans `e` and the interior of
@@ -83,11 +83,11 @@
 //! is kept as the test oracle.
 
 use crate::pair::{PairId, PairRecord, ReplacementPath, VePair};
-use crate::walk::DivergenceTree;
-use ftb_graph::{EdgeId, Graph, VertexId};
+use crate::walk::walk;
+use ftb_graph::{EdgeId, Fault, Graph, VertexId};
 use ftb_par::{parallel_segments_mut_init, ParallelConfig};
 use ftb_sp::{
-    canonical_parent, CanonicalScratch, Path, ReplacementDistances, ShortestPathTree,
+    canonical_parent, CanonicalScratch, CutTree, Path, ReplacementDistances, ShortestPathTree,
     TieBreakWeights, UNREACHABLE,
 };
 use std::ops::Range;
@@ -175,10 +175,10 @@ impl ReplacementPaths {
             config,
             &mut tasks,
             &one_task_each,
-            || CanonicalScratch::new(n),
-            |scratch, c, task| {
+            || CutTree::new(graph, weights, tree),
+            |rows, c, task| {
                 if let Some((_, e)) = tree.parent(VertexId::new(c)) {
-                    pairs_of_edge(scratch, graph, weights, tree, dists, e, &mut task[0]);
+                    pairs_of_edge(rows, graph, weights, dists, e, &mut task[0]);
                 }
             },
         );
@@ -273,9 +273,9 @@ impl ReplacementPaths {
             config,
             &mut walks,
             &one_task_each,
-            || (DivergenceTree::new(tree), PathScratch::default()),
+            || (CutTree::new(graph, weights, tree), PathScratch::default()),
             |state, i, task| {
-                walk_source_child(graph, weights, tree, state, to_u32(i), &mut task[0]);
+                walk_source_child(state, to_u32(i), &mut task[0]);
             },
         );
 
@@ -629,47 +629,47 @@ struct GallopTask<'a> {
 }
 
 /// Pass 1 for tree edge `e = (p, c)`: the canonical replacement tree of
-/// `G ∖ {e}` over the subtree of `c`, and for every pair `⟨v, e⟩` below `c`
-/// whether it is covered, written to slot `preorder(v) − preorder(c)`.
+/// `G ∖ {e}`, cut from `T0`'s rows, and for every pair `⟨v, e⟩` below `c`
+/// whether it is covered, written to `v`'s slot in the cut's region (the
+/// subtree's preorder slice): `preorder(v) − preorder(c)`.
 fn pairs_of_edge(
-    scratch: &mut CanonicalScratch,
+    rows: &mut CutTree<'_>,
     graph: &Graph,
     weights: &TieBreakWeights,
-    tree: &ShortestPathTree,
     dists: &ReplacementDistances,
     e: EdgeId,
     out: &mut EdgeTask<'_>,
 ) {
-    let c = tree.child_endpoint(e).expect("tree edge");
-    scratch.run_subtree(graph, weights, tree, c, |_, f| f != e);
+    let tree = rows.tree();
+    rows.cut(Fault::Edge(e));
     out.work.covered_runs += 1;
-    for &v in scratch.visited() {
+    for (slot, &v) in rows.region().iter().enumerate() {
+        let Some((_, last)) = rows.parent(v) else {
+            continue; // cut off
+        };
         let target = dists.dist(e, v).expect("tree edge");
-        debug_assert_eq!(scratch.dist(v), Some(target), "row of {e:?} at {v:?}");
+        debug_assert_eq!(rows.depth(v), Some(target), "row of {e:?} at {v:?}");
         // The canonical parent among the tree edges other than `e`.
         let best = canonical_parent(
             graph,
             weights,
             v,
             target - 1,
-            |x| scratch.dist(x).unwrap_or(UNREACHABLE),
-            |x| scratch.tie(x),
+            |x| rows.depth(x).unwrap_or(UNREACHABLE),
+            |x| rows.tie(x),
             |_, f| f != e && tree.is_tree_edge(f),
         );
-        let slot = subtree_slot(tree, c, v);
-        out.parents[slot] = scratch.parent_edge(v).unwrap_or(CUT_OFF);
+        out.parents[slot] = last;
         out.outcomes[slot] =
             best.map_or(Outcome::Uncovered(target), |(_, _, f)| Outcome::Covered(f));
     }
+    rows.undo_to(0);
 }
 
 /// Pass 2 for one source child, task `buffer`: walk its subtree through its
 /// terminals and give every pair that takes `j = 0` its path.
 fn walk_source_child(
-    graph: &Graph,
-    weights: &TieBreakWeights,
-    tree: &ShortestPathTree,
-    (rows, paths): &mut (DivergenceTree, PathScratch),
+    (rows, paths): &mut (CutTree<'_>, PathScratch),
     buffer: u32,
     task: &mut WalkTask<'_>,
 ) {
@@ -679,7 +679,8 @@ fn walk_source_child(
         detours,
         work,
     } = task;
-    let (removals, region_vertices) = rows.walk(graph, weights, tree, terminals, |rows, i| {
+    let tree = rows.tree();
+    let (removals, region_vertices) = walk(rows, terminals, |rows, i| {
         // j = 0 is the same graph for every failing edge of v, and the walk
         // holds its canonical tree: every pair with d0 = target takes v's
         // path in it.

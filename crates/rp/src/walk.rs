@@ -3,268 +3,95 @@
 //! Pass 2 asks, for every terminal `v` with an uncovered pair, for the
 //! canonical tree of `G'_v = G ∖ π°(s, v) ∖ {(s, a)}`, where `a = π[1]` is
 //! the source child above `v`. These graphs nest down `T0`: a child `c` of
-//! `x` has `G'_c = G'_x ∖ {x}`. Removing `x` changes the canonical path of
-//! exactly the vertices whose current path passes through `x`, its subtree
-//! in the current tree. A vertex outside it keeps its path (no removal makes
-//! a path shorter, or lowers a tie sum), and no such path enters the
-//! subtree, so a search of the subtree alone, seeded from its outside
-//! neighbours at their current depths and tie sums, repairs the tree. This
-//! is the subset-stability argument pass 1's subtree searches rest on
-//! (Parter–Peleg, arXiv:1302.5401), applied once per removed vertex.
+//! `x` has `G'_c = G'_x ∖ {x}`, so a [`CutTree`] that removes `x` turns the
+//! tree of `x` into the tree of its children.
 //!
-//! [`DivergenceTree::walk`] runs it for one source child `a`. It cuts the
-//! edge `(s, a)` from `T0`, which gives `T_a`, the replacement tree of that
-//! edge and `G'_a`'s tree, then walks down `T0` with an explicit stack,
-//! because `T0` can be `Θ(n)` deep. It enters only the vertices on the way
-//! to a target, reads each target off the current tree, and removes a
-//! vertex before it steps into the vertex's children. An undo log restores
-//! the rows when the walk steps back, and after the walk the rows are `T0`'s
-//! again, so a walk costs its source child's subtree plus its repairs, not
-//! `n`.
-//!
-//! A repair is one [`BoundarySweep::search_from_seeds`] over the cut region,
-//! and every parent is picked by [`canonical_parent`]: the kernel and the
-//! parent rule of every other canonical search.
+//! [`walk`] runs it for one source child `a`. It cuts the edge `(s, a)` from
+//! `T0`, which gives `T_a`, the replacement tree of that edge and `G'_a`'s
+//! tree, then walks down `T0` with an explicit stack, because `T0` can be
+//! `Θ(n)` deep. It enters only the vertices on the way to a target, reads
+//! each target off the current tree, and removes a vertex before it steps
+//! into the vertex's children. The tree's undo log restores the rows when
+//! the walk steps back, and after the walk the rows are `T0`'s again, so a
+//! walk costs its source child's subtree plus its repairs, not `n`.
 
-use ftb_graph::{EdgeId, Graph, VertexId};
-use ftb_sp::{canonical_parent, BoundarySweep, ShortestPathTree, TieBreakWeights, UNREACHABLE};
+use ftb_graph::{Fault, VertexId};
+use ftb_sp::CutTree;
 
-/// The depth row's mark for a vertex of the region being repaired.
-const PENDING: u32 = UNREACHABLE - 1;
-
-/// A row of the tree as the undo log keeps it: vertex, depth, tie sum and
-/// parent.
-type Row = (VertexId, u32, u64, Option<(VertexId, EdgeId)>);
-
-/// The canonical tree the walk carries: one row per vertex, initialised to
-/// `T0` once (per worker) and back at `T0` after every walk.
-pub(crate) struct DivergenceTree {
-    /// Hop depth per vertex ([`UNREACHABLE`] if cut off or removed).
-    depth: Vec<u32>,
-    /// `Σ W` along the vertex's canonical path.
-    tie: Vec<u64>,
-    /// Canonical parent, `None` for the source and unreached vertices.
-    parent: Vec<Option<(VertexId, EdgeId)>>,
-    /// The rows each cut overwrote, oldest first.
-    undo: Vec<Row>,
-    /// The vertices of the running cut's region.
-    region: Vec<VertexId>,
-    /// `(entry, w)` seeds of the running cut.
-    seeds: Vec<(u32, VertexId)>,
-    sweep: BoundarySweep,
-    /// The walk's path down `T0`: `(x, next child to look at, undo mark
-    /// before x was removed)`.
-    stack: Vec<(VertexId, usize, usize)>,
-}
-
-impl DivergenceTree {
-    /// Rows holding `T0`.
-    pub(crate) fn new(tree: &ShortestPathTree) -> Self {
-        let n = tree.num_vertices();
-        let vertices = (0..n).map(VertexId::new);
-        DivergenceTree {
-            depth: vertices
-                .clone()
-                .map(|v| tree.depth(v).unwrap_or(UNREACHABLE))
-                .collect(),
-            tie: vertices.clone().map(|v| tree.tie(v)).collect(),
-            parent: vertices.map(|v| tree.parent(v)).collect(),
-            undo: Vec::new(),
-            region: Vec::new(),
-            seeds: Vec::new(),
-            sweep: BoundarySweep::new(n),
-            stack: Vec::new(),
+/// Walk the subtree of the source child `a` above `targets`: a non-empty
+/// list of vertices of that subtree, in preorder and without repeats, on
+/// `rows` holding `T0`. `visit(rows, i)` sees the canonical tree of `G'_v`
+/// for `v = targets[i]`, in order, and the rows are `T0`'s again
+/// afterwards. Returns the number of vertices removed (the distinct proper
+/// ancestors of the targets below the source) and the total size of the
+/// regions their removals repaired.
+pub(crate) fn walk(
+    rows: &mut CutTree<'_>,
+    targets: &[VertexId],
+    mut visit: impl FnMut(&CutTree<'_>, usize),
+) -> (u64, u64) {
+    let tree = rows.tree();
+    let (a, first) = tree
+        .ancestors(targets[0])
+        .last()
+        .expect("targets below the source");
+    debug_assert_eq!(rows.mark(), 0, "rows left off T0");
+    rows.cut(Fault::Edge(first));
+    let (mut removals, mut region_vertices) = (0, 0);
+    let mut next = 0;
+    let below = |x: VertexId, next: usize| {
+        targets
+            .get(next)
+            .filter(|&&t| tree.in_subtree(x, t))
+            .copied()
+    };
+    // The path down `T0`: `(x, next child to look at, undo mark before x
+    // was removed)`.
+    let mut stack: Vec<(VertexId, usize, usize)> = Vec::new();
+    let mut enter = Some(a);
+    loop {
+        if let Some(x) = enter {
+            if targets.get(next) == Some(&x) {
+                visit(rows, next);
+                next += 1;
+            }
+            if below(x, next).is_some() {
+                let mark = rows.mark();
+                region_vertices += rows.cut(Fault::Vertex(x)) as u64;
+                removals += 1;
+                stack.push((x, 0, mark));
+            }
         }
-    }
-
-    /// Hop distance of `v` in the current tree, if reached.
-    #[inline]
-    pub(crate) fn depth(&self, v: VertexId) -> Option<u32> {
-        let d = self.depth[v.index()];
-        (d != UNREACHABLE).then_some(d)
-    }
-
-    /// Canonical parent of `v` in the current tree: `None` for the source
-    /// and for a vertex that is not reached.
-    #[inline]
-    pub(crate) fn parent(&self, v: VertexId) -> Option<(VertexId, EdgeId)> {
-        self.parent[v.index()]
-    }
-
-    /// Walk the subtree of the source child `a` above `targets`: a
-    /// non-empty list of vertices of that subtree, in preorder and without
-    /// repeats. `visit(self,
-    /// i)` sees the canonical tree of `G'_v` for `v = targets[i]`, in order.
-    /// Returns the number of vertices removed (the distinct proper
-    /// ancestors of the targets below the source) and the total size of the
-    /// regions their removals repaired.
-    pub(crate) fn walk(
-        &mut self,
-        graph: &Graph,
-        weights: &TieBreakWeights,
-        tree: &ShortestPathTree,
-        targets: &[VertexId],
-        mut visit: impl FnMut(&Self, usize),
-    ) -> (u64, u64) {
-        let (a, first) = tree
-            .ancestors(targets[0])
-            .last()
-            .expect("targets below the source");
-        debug_assert!(self.undo.is_empty(), "rows left off T0");
-        self.cut(graph, weights, a, Some(first));
-        let (mut removals, mut region_vertices) = (0, 0);
-        let mut next = 0;
-        let below = |x: VertexId, next: usize| {
-            targets
-                .get(next)
-                .filter(|&&t| tree.in_subtree(x, t))
-                .copied()
+        let Some(&(x, child, mark)) = stack.last() else {
+            break;
         };
-        let mut enter = Some(a);
-        loop {
-            if let Some(x) = enter {
-                if targets.get(next) == Some(&x) {
-                    visit(self, next);
-                    next += 1;
-                }
-                if below(x, next).is_some() {
-                    let mark = self.undo.len();
-                    region_vertices += self.cut(graph, weights, x, None) as u64;
-                    removals += 1;
-                    self.stack.push((x, 0, mark));
-                }
+        enter = match below(x, next) {
+            // The next target lies below a child of `x` not yet entered.
+            Some(t) => {
+                let children = tree.children(x);
+                let skip = children[child..]
+                    .iter()
+                    .position(|&c| tree.in_subtree(c, t))
+                    .expect("a target below x lies below one of its children");
+                stack.last_mut().expect("a frame").1 = child + skip + 1;
+                Some(children[child + skip])
             }
-            let Some(&(x, child, mark)) = self.stack.last() else {
-                break;
-            };
-            enter = match below(x, next) {
-                // The next target lies below a child of `x` not yet entered.
-                Some(t) => {
-                    let children = tree.children(x);
-                    let skip = children[child..]
-                        .iter()
-                        .position(|&c| tree.in_subtree(c, t))
-                        .expect("a target below x lies below one of its children");
-                    self.stack.last_mut().expect("a frame").1 = child + skip + 1;
-                    Some(children[child + skip])
-                }
-                None => {
-                    self.undo_to(mark);
-                    self.stack.pop();
-                    None
-                }
-            };
-        }
-        self.undo_to(0);
-        (removals, region_vertices)
-    }
-
-    /// Cut `root` from the current tree and repair what hangs below it:
-    /// with `edge = Some(e)`, `e` is `root`'s parent edge and is removed;
-    /// with `None`, `root` itself is. Returns the size of the repaired
-    /// region: `root`'s subtree in the current tree, without `root` if it is
-    /// removed.
-    fn cut(
-        &mut self,
-        graph: &Graph,
-        weights: &TieBreakWeights,
-        root: VertexId,
-        edge: Option<EdgeId>,
-    ) -> usize {
-        // The region, down the parent rows; each of its rows is logged and
-        // marked pending.
-        self.region.clear();
-        self.log(root);
-        if edge.is_some() {
-            self.depth[root.index()] = PENDING;
-            self.region.push(root);
-        } else {
-            self.depth[root.index()] = UNREACHABLE;
-            self.parent[root.index()] = None;
-        }
-        let (mut u, mut i) = (root, usize::from(edge.is_some()));
-        loop {
-            for (w, e) in graph.neighbors(u) {
-                if self.parent[w.index()] == Some((u, e)) {
-                    self.log(w);
-                    self.depth[w.index()] = PENDING;
-                    self.region.push(w);
-                }
+            None => {
+                rows.undo_to(mark);
+                stack.pop();
+                None
             }
-            let Some(&w) = self.region.get(i) else {
-                break;
-            };
-            (u, i) = (w, i + 1);
-        }
-
-        // Seed each region vertex at its best entry from a reached vertex
-        // outside, then sweep the region alone.
-        let allow = |_: VertexId, e: EdgeId| Some(e) != edge;
-        let depth = &self.depth;
-        self.seeds.clear();
-        for &w in &self.region {
-            let entry = graph
-                .neighbors(w)
-                .filter(|&(u, e)| depth[u.index()] < PENDING && allow(w, e))
-                .map(|(u, _)| depth[u.index()] + 1)
-                .min();
-            self.seeds.extend(entry.map(|d| (d, w)));
-        }
-        self.sweep.search_from_seeds(
-            self.seeds.iter().copied(),
-            |u| graph.neighbors(u),
-            |w, _| depth[w.index()] == PENDING,
-        );
-
-        // Settle in visit order: every vertex one level up is final, inside
-        // the region or out.
-        for &w in self.sweep.visited() {
-            let d = self.sweep.dist(w).expect("visited");
-            self.depth[w.index()] = d;
-            let (depth, tie) = (&self.depth, &self.tie);
-            let (t, u, e) = canonical_parent(
-                graph,
-                weights,
-                w,
-                d - 1,
-                |u| depth[u.index()],
-                |u| tie[u.index()],
-                allow,
-            )
-            .expect("a discovered vertex has a parent");
-            self.tie[w.index()] = t;
-            self.parent[w.index()] = Some((u, e));
-        }
-        for &w in &self.region {
-            if self.depth[w.index()] == PENDING {
-                self.depth[w.index()] = UNREACHABLE;
-                self.parent[w.index()] = None;
-            }
-        }
-        self.region.len()
+        };
     }
-
-    /// Log `v`'s row before a cut overwrites it.
-    fn log(&mut self, v: VertexId) {
-        let i = v.index();
-        self.undo
-            .push((v, self.depth[i], self.tie[i], self.parent[i]));
-    }
-
-    /// Restore the rows the cuts logged since the log held `mark` entries.
-    fn undo_to(&mut self, mark: usize) {
-        for (v, depth, tie, parent) in self.undo.drain(mark..).rev() {
-            let i = v.index();
-            (self.depth[i], self.tie[i], self.parent[i]) = (depth, tie, parent);
-        }
-    }
+    rows.undo_to(0);
+    (removals, region_vertices)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftb_graph::generators;
-    use ftb_sp::{CanonicalScratch, Path};
+    use ftb_graph::{generators, EdgeId, Graph};
+    use ftb_sp::{CanonicalScratch, Path, ShortestPathTree, TieBreakWeights};
     use ftb_workloads::{Workload, WorkloadFamily};
 
     /// The graphs the walk is checked on: a grid, a hypercube, a cycle, a
@@ -286,7 +113,7 @@ mod tests {
     }
 
     /// The canonical path to `v` in the walk's current tree.
-    fn path_in(rows: &DivergenceTree, v: VertexId) -> Option<Path> {
+    fn path_in(rows: &CutTree<'_>, v: VertexId) -> Option<Path> {
         rows.depth(v)?;
         let (mut vertices, mut edges) = (vec![v], Vec::new());
         let mut cur = v;
@@ -333,14 +160,14 @@ mod tests {
         what: &str,
     ) -> usize {
         let n = graph.num_vertices();
-        let (mut rows, mut scratch) = (DivergenceTree::new(tree), CanonicalScratch::new(n));
-        let t0 = DivergenceTree::new(tree);
+        let mut rows = CutTree::new(graph, weights, tree);
+        let mut scratch = CanonicalScratch::new(n);
         let mut targets = targets.to_vec();
         targets.sort_unstable_by_key(|&v| tree.preorder(v));
         let mut reached = 0;
         let source_child = |v: VertexId| tree.ancestors(v).last().unwrap().0;
         for group in targets.chunk_by(|&v, &w| source_child(v) == source_child(w)) {
-            let (removals, _) = rows.walk(graph, weights, tree, group, |rows, i| {
+            let (removals, _) = walk(&mut rows, group, |rows, i| {
                 let v = group[i];
                 let (d0, path) = plain_search(&mut scratch, graph, weights, tree, v);
                 assert_eq!(rows.depth(v), d0, "d0 of {v:?} on {what}");
@@ -356,9 +183,15 @@ mod tests {
             let a = source_child(group[0]);
             let want = removed.iter().filter(|&&r| r).count() as u64;
             assert_eq!(removals, want, "removals below {a:?} on {what}");
-            assert_eq!(rows.depth, t0.depth, "depths after {a:?} on {what}");
-            assert_eq!(rows.tie, t0.tie, "tie sums after {a:?} on {what}");
-            assert_eq!(rows.parent, t0.parent, "parents after {a:?} on {what}");
+            for v in graph.vertices() {
+                assert_eq!(rows.depth(v), tree.depth(v), "depth after {a:?} on {what}");
+                assert_eq!(rows.tie(v), tree.tie(v), "tie sum after {a:?} on {what}");
+                assert_eq!(
+                    rows.parent(v),
+                    tree.parent(v),
+                    "parent after {a:?} on {what}"
+                );
+            }
         }
         reached
     }

@@ -1,13 +1,15 @@
 //! The canonical shortest-path kernel: allocation-free two-sweep search over
 //! reusable scratch.
 //!
-//! Every canonical `(hops, Σ tie-weights)` shortest path the construction
-//! needs comes from [`CanonicalScratch`]: the tree `T0` itself
-//! ([`ShortestPathTree::build`]), the replacement rows
-//! ([`ReplacementDistances`](crate::ReplacementDistances)), every question of
-//! Algorithm `Pcons`, and the per-fault-set trees of the replacement-path
-//! augmentation (Parter–Peleg 2013, Parter 2015). The search runs in two
-//! sweeps:
+//! [`CanonicalScratch`] computes canonical `(hops, Σ tie-weights)` shortest
+//! paths from scratch: the tree `T0` itself ([`ShortestPathTree::build`]),
+//! the replacement rows
+//! ([`ReplacementDistances`](crate::ReplacementDistances)) and the
+//! hop-bounded probes of `Pcons` pass 3. Every tree the construction
+//! repairs under faults of `T0` — `Pcons` passes 1 and 2 and both levels of
+//! the replacement-path augmentation (Parter–Peleg 2013, Parter 2015) — is
+//! a [`CutTree`](crate::CutTree) instead, which runs the same sweep kernel
+//! and the same parent rule. The search runs in two sweeps:
 //!
 //! 1. the [`BoundarySweep`] — the one BFS kernel the query engine's cache
 //!    misses run too — establishes hop distances and a visit order that is
@@ -25,23 +27,18 @@
 //!
 //! # Subtree-bounded search
 //!
-//! A single fault inside the `T0` subtree of a vertex `r` — the tree edge
-//! into `r`, `r` itself, or any set of elements below `r` — changes canonical
-//! paths only inside that subtree (Parter–Peleg, arXiv:1302.5401): a vertex
-//! outside it keeps its `T0` path, and by prefix closure a canonical path
-//! that leaves the subtree never comes back. So
+//! Faults inside the `T0` subtree of a vertex `r` — the tree edge into `r`,
+//! `r` itself, or elements below `r` — change canonical paths only inside
+//! that subtree (Parter–Peleg, arXiv:1302.5401; see [`crate::cut`]). So
 //! [`CanonicalScratch::sweep_subtree`] runs sweep 1 over the subtree's
-//! preorder slice of [`ShortestPathTree::euler`] alone (the
-//! [`BoundarySweep`] region), writes its boundary at the fault-free
-//! `(depth, Σ tie)` of `T0`, and sweep 2 runs unchanged. Sweep 1 can stop
-//! once a target is discovered or the frontier passes a hop bound; sweep 2
-//! can be restricted to the vertices shallower than the target plus the
-//! target itself. The source's subtree is the whole reachable graph.
+//! preorder slice alone (the [`BoundarySweep`] region), its boundary at the
+//! `T0` `(depth, Σ tie)`. It can stop once a target is discovered or the
+//! frontier passes a hop bound, and sweep 2 can be restricted to the
+//! vertices shallower than the target plus the target itself.
 //!
-//! The parent rule of sweep 2 is [`canonical_parent`]. `Pcons` calls it too:
-//! its source-divergence walk keeps its own rows while it repairs a tree
-//! under vertex removals, and its covered-pair test asks for the parent
-//! among tree edges alone.
+//! The parent rule of sweep 2 is [`canonical_parent`]. The
+//! [`CutTree`](crate::CutTree) repairs call it too, and `Pcons`'s
+//! covered-pair test asks it for the parent among tree edges alone.
 
 use crate::path::Path;
 use crate::sp_tree::ShortestPathTree;
@@ -54,8 +51,7 @@ use ftb_graph::{EdgeId, Fault, Graph, VertexId};
 ///
 /// Create once (per worker thread) with [`CanonicalScratch::new`], then
 /// call [`CanonicalScratch::run`] for a from-source tree of `G ∖ F`, or the
-/// subtree-bounded [`CanonicalScratch::run_subtree`] /
-/// [`CanonicalScratch::sweep_subtree`] (+
+/// subtree-bounded [`CanonicalScratch::sweep_subtree`] (+
 /// [`CanonicalScratch::settle_target`]) for faults below a vertex; the
 /// buffers are reused, so a run allocates nothing once they have grown.
 #[derive(Clone, Debug)]
@@ -83,9 +79,9 @@ impl CanonicalScratch {
     /// source yields an empty tree. The tree agrees with
     /// [`LexSearch`](crate::LexSearch) over the equivalent masked view:
     /// every reachable vertex's parent is the unique `(hops, tie, parent id)`
-    /// minimiser. This is the search that builds `T0` (no tree exists yet)
-    /// and the one for fault sets that do not lie below a single vertex;
-    /// single faults go through [`CanonicalScratch::run_subtree`].
+    /// minimiser. This is the search that builds `T0` (no tree exists yet),
+    /// and the tests' oracle for the trees a [`CutTree`](crate::CutTree)
+    /// repairs.
     pub fn run(
         &mut self,
         graph: &Graph,
@@ -106,29 +102,9 @@ impl CanonicalScratch {
         self.settle(graph, weights, UNREACHABLE, allow);
     }
 
-    /// The canonical shortest-path tree of the filtered graph, over the
-    /// `T0` subtree of `root` only (see the [module docs](self)).
-    ///
-    /// Every element `allow` bans must lie in the subtree of `root` or be
-    /// the tree edge into `root`. Afterwards every subtree vertex has its
-    /// post-fault [`CanonicalScratch::dist`] (`None` = cut off) and
-    /// [`CanonicalScratch::parent`]; a vertex outside the subtree keeps its
-    /// `T0` depth and parent, which the scratch does not store.
-    pub fn run_subtree(
-        &mut self,
-        graph: &Graph,
-        weights: &TieBreakWeights,
-        tree: &ShortestPathTree,
-        root: VertexId,
-        allow: impl Fn(VertexId, EdgeId) -> bool,
-    ) {
-        self.sweep_subtree(graph, tree, root, None, &allow);
-        self.settle(graph, weights, UNREACHABLE, &allow);
-    }
-
     /// Sweep 1 alone over the `T0` subtree of `root`: hop distances in the
-    /// graph filtered by `allow`, under the precondition of
-    /// [`CanonicalScratch::run_subtree`].
+    /// graph filtered by `allow`. Every element `allow` bans must lie in the
+    /// subtree of `root` or be the tree edge into `root`.
     ///
     /// With `stop = Some((target, max_hops))` (the target in the subtree)
     /// the sweep ends once `target` is discovered or the frontier would pass
@@ -147,22 +123,6 @@ impl CanonicalScratch {
         stop: Option<(VertexId, u32)>,
         allow: impl Fn(VertexId, EdgeId) -> bool,
     ) {
-        self.subtree_search(graph, tree, root, stop, |sweep, region| {
-            let done = |w| Some(w) == region.target;
-            sweep.search(region, |u| graph.neighbors(u), allow, done)
-        });
-    }
-
-    /// Run `search` over the `T0` subtree of `root`, bounded by `stop`, then
-    /// give the boundary it wrote its `T0` tie sums.
-    fn subtree_search<R>(
-        &mut self,
-        graph: &Graph,
-        tree: &ShortestPathTree,
-        root: VertexId,
-        stop: Option<(VertexId, u32)>,
-        search: impl FnOnce(&mut BoundarySweep, Region<'_>) -> R,
-    ) -> R {
         self.begin(graph);
         let (target, max_hops) = match stop {
             Some((t, h)) => {
@@ -179,11 +139,13 @@ impl CanonicalScratch {
             max_hops,
             target,
         };
-        let out = search(&mut self.sweep, region);
+        let done = |w| Some(w) == target;
+        self.sweep
+            .search(region, |u| graph.neighbors(u), allow, done);
+        // The boundary enters at its `T0` tie sums.
         for &u in self.sweep.boundary() {
             self.tie[u.index()] = tree.tie(u);
         }
-        out
     }
 
     /// Sweep 2 for the last [`CanonicalScratch::sweep_subtree`] probe,
@@ -291,12 +253,6 @@ impl CanonicalScratch {
         self.parent[v.index()]
     }
 
-    /// The parent ("last leg") edge of `v` in the last run.
-    #[inline]
-    pub fn parent_edge(&self, v: VertexId) -> Option<EdgeId> {
-        self.parent[v.index()].map(|(_, e)| e)
-    }
-
     /// Searched vertices reached by the last run, in non-decreasing depth
     /// order (the source first in a from-source run).
     pub fn visited(&self) -> &[VertexId] {
@@ -328,17 +284,6 @@ impl CanonicalScratch {
         vertices.reverse();
         edges.reverse();
         Some(Path::new(vertices, edges))
-    }
-
-    /// Collect the parent edges of the last run's searched vertices (one
-    /// per reached non-source vertex) into `out`.
-    pub fn collect_tree_edges(&self, out: &mut Vec<EdgeId>) {
-        out.clear();
-        for &v in self.sweep.visited() {
-            if let Some((_, e)) = self.parent[v.index()] {
-                out.push(e);
-            }
-        }
     }
 }
 
@@ -380,7 +325,6 @@ mod tests {
     use super::*;
     use crate::lex::LexSearch;
     use ftb_graph::{generators, EdgeMask, SubgraphView, VertexMask};
-    use ftb_workloads::{Workload, WorkloadFamily};
 
     fn assert_matches_lex(graph: &Graph, seed: u64, banned: &[Fault]) {
         let weights = TieBreakWeights::generate(graph, seed);
@@ -549,69 +493,6 @@ mod tests {
         }
     }
 
-    /// The subtree-bounded runs plus `T0` outside the subtree equal the
-    /// from-source run over the whole graph, on `dist` and `parent` of
-    /// every vertex, for every tree-edge fault and every vertex fault.
-    fn assert_subtree_runs_match_full_runs(g: &Graph, weights: &TieBreakWeights) {
-        let n = g.num_vertices();
-        let tree = ShortestPathTree::build(g, weights, VertexId(0));
-        let (mut full, mut bounded) = (CanonicalScratch::new(n), CanonicalScratch::new(n));
-        let edge_faults = tree
-            .tree_edges()
-            .iter()
-            .map(|&e| (tree.child_endpoint(e).unwrap(), Fault::Edge(e)));
-        let vertex_faults = g
-            .vertices()
-            .filter(|&x| x != tree.source() && tree.is_reachable(x))
-            .map(|x| (x, Fault::Vertex(x)));
-        for (root, fault) in edge_faults.chain(vertex_faults) {
-            full.run(g, weights, tree.source(), &[fault]);
-            bounded.run_subtree(g, weights, &tree, root, |w, f| match fault {
-                Fault::Edge(e) => f != e,
-                Fault::Vertex(x) => w != x,
-            });
-            for v in g.vertices() {
-                let (dist, parent) = if tree.in_subtree(root, v) {
-                    (bounded.dist(v), bounded.parent(v))
-                } else {
-                    (tree.depth(v), tree.parent(v))
-                };
-                assert_eq!(dist, full.dist(v), "dist of {v:?} under {fault:?}");
-                assert_eq!(parent, full.parent(v), "parent of {v:?} under {fault:?}");
-            }
-            for &v in bounded.visited() {
-                assert!(
-                    tree.in_subtree(root, v),
-                    "{v:?} searched outside the subtree"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn subtree_runs_match_full_runs_on_small_graphs() {
-        for (g, seed) in [
-            (generators::grid(6, 7), 7u64),
-            (generators::hypercube(5), 3),
-            (generators::cycle(13), 13),
-            (generators::path(9), 2),
-            (generators::complete(8), 5),
-        ] {
-            assert_subtree_runs_match_full_runs(&g, &TieBreakWeights::generate(&g, seed));
-            assert_subtree_runs_match_full_runs(&g, &TieBreakWeights::uniform(&g));
-        }
-    }
-
-    #[test]
-    fn subtree_runs_match_full_runs_on_every_family() {
-        for &family in WorkloadFamily::all() {
-            for seed in [1u64, 7] {
-                let g = Workload::new(family, 48, seed).generate();
-                assert_subtree_runs_match_full_runs(&g, &TieBreakWeights::generate(&g, seed));
-            }
-        }
-    }
-
     #[test]
     fn probe_of_the_source_is_trivially_feasible() {
         let g = generators::cycle(5);
@@ -652,7 +533,7 @@ mod tests {
         let tree = ShortestPathTree::build(&g, &w, VertexId(0));
         let e = g.find_edge(VertexId(4), VertexId(5)).unwrap();
         let mut s = CanonicalScratch::new(12);
-        s.run_subtree(&g, &w, &tree, VertexId(5), |_, f| f != e);
+        s.sweep_subtree(&g, &tree, VertexId(5), None, |_, f| f != e);
         assert!(s.visited().is_empty());
         assert_eq!(s.dist(VertexId(4)), Some(4));
         assert_eq!(s.dist(VertexId(3)), None, "not on the boundary");
@@ -685,9 +566,6 @@ mod tests {
         s.run(&g, &w, VertexId(0), &[Fault::Vertex(VertexId(0))]);
         assert!(s.visited().is_empty());
         assert_eq!(s.dist(VertexId(1)), None);
-        let mut edges = vec![EdgeId(0)];
-        s.collect_tree_edges(&mut edges);
-        assert!(edges.is_empty());
     }
 
     #[test]
@@ -701,9 +579,8 @@ mod tests {
         for pair in order.windows(2) {
             assert!(s.dist(pair[0]).unwrap() <= s.dist(pair[1]).unwrap());
         }
-        let mut edges = Vec::new();
-        s.collect_tree_edges(&mut edges);
-        assert_eq!(edges.len(), g.num_vertices() - 1);
+        let edges = order.iter().filter_map(|&v| s.parent(v)).count();
+        assert_eq!(edges, g.num_vertices() - 1);
     }
 
     #[test]
@@ -715,7 +592,7 @@ mod tests {
         let mut s = CanonicalScratch::new(g.num_vertices());
         for &e in tree.tree_edges() {
             let c = tree.child_endpoint(e).unwrap();
-            s.run_subtree(&g, &w, &tree, c, |_, f| f != e);
+            s.sweep_subtree(&g, &tree, c, None, |_, f| f != e);
             for pair in s.visited().windows(2) {
                 assert!(s.dist(pair[0]).unwrap() <= s.dist(pair[1]).unwrap());
             }

@@ -12,8 +12,9 @@
 //! * [`canonical`] — the canonical `(hops, Σ tie-weights)` search
 //!   implementing `SP(·, ·, ·, W)`: the sweep plus a tie-breaking parent
 //!   pass over reusable scratch, with inline edge filters. It builds `T0`,
-//!   the replacement rows, every Algorithm `Pcons` search and every
-//!   per-fault-set tree of the replacement-path augmentation,
+//!   the replacement rows and `Pcons`'s hop-bounded probes,
+//! * [`cut`] — [`CutTree`], `T0` repaired in place under nested faults
+//!   with an undo log: the tree of every construction fault,
 //! * [`lex`] — the heap-based lexicographic Dijkstra the kernel is tested
 //!   against (a reference oracle; no production caller),
 //! * [`ShortestPathTree`] — the BFS tree `T0 = ⋃_v π(s, v)` rooted at the
@@ -30,6 +31,7 @@
 
 pub mod bfs;
 pub mod canonical;
+pub mod cut;
 pub mod euler;
 pub mod lex;
 pub mod path;
@@ -41,6 +43,7 @@ pub mod weights;
 
 pub use bfs::{bfs_distances, bfs_distances_view};
 pub use canonical::{canonical_parent, CanonicalScratch};
+pub use cut::CutTree;
 pub use euler::EulerTourIndex;
 pub use lex::LexSearch;
 pub use path::Path;

@@ -5,9 +5,10 @@
 //! (removing a non-tree edge leaves `T0` intact), and removing `e` changes
 //! distances only inside the `T0` subtree of `c`: every other vertex keeps
 //! its `T0` path. So each row holds the subtree of `c` alone, filled by one
-//! subtree-bounded [`CanonicalScratch::sweep_subtree`] per tree edge — the
-//! construction's one search kernel — and the table has
-//! `Σ_e |subtree(c_e)| = Σ_v depth(v)` entries instead of `(n − 1)·n`.
+//! subtree-bounded [`CanonicalScratch::sweep_subtree`] per tree edge (hop
+//! distances only: no parents, so no [`CutTree`](crate::CutTree) repair),
+//! and the table has `Σ_e |subtree(c_e)| = Σ_v depth(v)` entries instead of
+//! `(n − 1)·n`.
 
 use crate::canonical::CanonicalScratch;
 use crate::sp_tree::ShortestPathTree;

@@ -1,6 +1,6 @@
 //! The boundary-seeded sweep: the one BFS kernel behind every
-//! subtree-bounded search of the construction and every cache miss of the
-//! query engine.
+//! subtree-bounded search of the construction, every
+//! [`CutTree`](crate::CutTree) repair and every cache miss of the engine.
 //!
 //! A fault set changes distances only inside the subtrees of the fault-free
 //! BFS tree it cuts off (Parter–Peleg, arXiv:1302.5401): every other vertex
@@ -24,10 +24,10 @@
 //! resets only what the previous run wrote, so it costs the region, not `n`.
 //!
 //! A caller that knows its region's seeds another way runs the sweep from
-//! them alone ([`BoundarySweep::search_from_seeds`]): `Pcons`'s
-//! source-divergence walk repairs a region of a tree that is no longer `T0`,
-//! so it seeds each region vertex from its outside neighbours at their
-//! current depths, and its `allow` refuses every vertex outside the region.
+//! them alone ([`BoundarySweep::search_from_seeds`]): a
+//! [`CutTree`](crate::CutTree) cut repairs a tree that need not be `T0`, so
+//! it seeds each region vertex from its outside neighbours at their current
+//! depths, and its `allow` refuses every vertex outside the region.
 //! [`BoundarySweep::search_from`] is the one-seed case.
 //!
 //! The kernel is generic over the adjacency `neighbors(u)` and the filter

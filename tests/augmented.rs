@@ -7,6 +7,8 @@
 //! CI runs this file as a dedicated step with `FTBFS_FORCE_THREADS=4`
 //! alongside the multi-fault suite, so the augmentation sweeps and the
 //! sharded batch path both run multi-threaded even on small runners.
+//! Its `#[ignore]`d benchmark-size check runs in release as a step of its
+//! own: `cargo test --release --test augmented -- --ignored`.
 
 use ftbfs::graph::{enumerate_fault_sets, Fault, FaultSet, VertexId};
 use ftbfs::par::ParallelConfig;
@@ -401,4 +403,70 @@ fn augmentation_stats_and_core_accessors_are_reported() {
     let core = EngineCore::build_augmented(&graph, aug).expect("matching graph");
     assert_eq!(core.augment_coverage(), AugmentCoverage::DualFailure);
     assert_eq!(core.augmented_edges(), Some(expected_edges));
+}
+
+/// DualFailure at the end-to-end benchmark's size: `H⁺` of both n = 2000
+/// graphs (seed 7) against brute-force BFS on 1,000 seeded two-fault sets
+/// with at most one vertex fault, every vertex, and every set answered off
+/// the full-graph tier. Release only:
+/// `cargo test --release --test augmented -- --ignored`.
+#[test]
+#[ignore = "benchmark-size check; run in release with --ignored"]
+fn dual_failure_is_exact_at_benchmark_size() {
+    const SETS: usize = 1000;
+    let scenarios = [
+        FaultScenario::RandomEdges,
+        FaultScenario::RandomMixed,
+        FaultScenario::TreeConcentrated,
+    ];
+    for family in [WorkloadFamily::ErdosRenyi, WorkloadFamily::LayeredDeep] {
+        let w = Workload::new(family, 2000, 7);
+        let (name, graph) = (w.label(), w.generate());
+        let config = BuildConfig::new(0.3)
+            .with_seed(7)
+            .with_augment(AugmentCoverage::DualFailure);
+        let structure = TradeoffBuilder::from_config(config.clone())
+            .build(&graph, &Sources::single(VertexId(0)))
+            .expect("valid input");
+        let aug = FtBfsAugmenter::from_build_config(&config)
+            .augment(&graph, structure)
+            .expect("matching graph");
+        let core = EngineCore::build_augmented(&graph, aug).expect("matching graph");
+        let mut seen = std::collections::HashSet::new();
+        let mut sets: Vec<FaultSet> = Vec::new();
+        for (i, scenario) in scenarios.iter().enumerate() {
+            let want = SETS * (i + 1) / scenarios.len() - sets.len();
+            let drawn = scenario.generate(&graph, VertexId(0), 2, 4 * want, SEED);
+            sets.extend(
+                drawn
+                    .into_iter()
+                    .filter(|set| set.len() == 2 && covered(set) && seen.insert(set.clone()))
+                    .take(want),
+            );
+        }
+        assert_eq!(sets.len(), SETS, "{name}: too few distinct sets");
+        let mismatches = cross_check_fault_sets(&core, &sets, &ParallelConfig::default())
+            .expect("generated sets are valid");
+        assert!(
+            mismatches.is_empty(),
+            "{name}: {} answers diverged; first: {:?}",
+            mismatches.len(),
+            mismatches.first()
+        );
+        let mut ctx = core.new_context();
+        let all: Vec<VertexId> = graph.vertices().collect();
+        for faults in &sets {
+            ctx.dist_many_after_faults(&core, &all, faults)
+                .expect("in range");
+        }
+        let tiers = ctx.stats().tiers;
+        assert!(
+            tiers.augmented_bfs > 0,
+            "{name}: augmented tier never fired"
+        );
+        assert_eq!(
+            tiers.full_graph_bfs, 0,
+            "{name}: a covered set reached the full-graph tier"
+        );
+    }
 }
