@@ -294,8 +294,6 @@ fn sweep_region<A: Adjacency>(
         tree,
         depth0: dist0,
         intervals,
-        max_hops: UNREACHABLE,
-        target: None,
     };
     sweep.search(region, |u| adj.neighbors(u), |w, _| adj.admits(w), done);
 }

@@ -3,8 +3,8 @@
 //! Every probe here is a heap-based [`LexSearch::run_view_target`] over a
 //! freshly built [`EdgeMask`]/[`VertexMask`] view — the literal reading of
 //! the paper. The differential tests below require the production
-//! [`CanonicalScratch`](ftb_sp::CanonicalScratch) probes to reproduce it
-//! exactly.
+//! [`ReplacementPaths`](crate::ReplacementPaths), whose trees are
+//! [`CutTree`](ftb_sp::CutTree) cuts, to reproduce it exactly.
 
 use crate::pair::{ReplacementPath, VePair};
 use ftb_graph::{EdgeMask, Graph, SubgraphView, VertexId, VertexMask};
@@ -242,9 +242,9 @@ mod tests {
 
     /// The pass-2 branches a store reaches: terminals with one uncovered
     /// pair feasible at `j = 0` (its path diverges at the source) and
-    /// another that gallops, and uncovered pairs of depth-1 terminals, whose
-    /// search bans the edge from the source rather than a tree path
-    /// interior.
+    /// another decided at a deeper level, and uncovered pairs of depth-1
+    /// terminals, whose search bans the edge from the source rather than a
+    /// tree path interior.
     fn pass_two_branches(rp: &ReplacementPaths) -> (usize, usize) {
         let (mut mixed, mut depth_one) = (0, 0);
         for group in rp
@@ -278,7 +278,7 @@ mod tests {
         }
         assert!(
             mixed > 0,
-            "no terminal mixes a j = 0 pair with a galloping one"
+            "no terminal mixes a j = 0 pair with a deeper one"
         );
         assert!(depth_one > 0, "no uncovered pair of a depth-1 terminal");
     }

@@ -2,14 +2,13 @@
 //!
 //! For a pair `⟨v, e⟩` with `e = (p, c)` and `target = dist(s, v, G ∖ {e})`,
 //! Pcons first asks whether a replacement path can end with a tree edge
-//! (the pair is then *covered*), and otherwise binary-searches the smallest
-//! `j` such that a replacement path survives the removal of the interior of
+//! (the pair is then *covered*), and otherwise finds the smallest `j` such
+//! that a replacement path survives the removal of the interior of
 //! `π(u_j, v)`. Every search is subtree-bounded: removing `e` changes
-//! canonical paths only inside the `T0` subtree of `c`. Passes 1 and 2 cut
-//! faults on a [`CutTree`] ([`ftb_sp::cut`]), pass 3 probes the subtree on a
-//! [`CanonicalScratch`] ([`ftb_sp::canonical`]).
+//! canonical paths only inside the `T0` subtree of `c`. Both passes cut
+//! faults on a [`CutTree`] ([`ftb_sp::cut`]).
 //!
-//! The work runs in three passes, each parallel over its tasks:
+//! The work runs in two passes, each parallel over its tasks:
 //!
 //! * **Pass 1, per failing edge: covered pairs, no probe.** One canonical
 //!   replacement tree of `G ∖ {e}`, `e` cut from `T0`'s rows, answers every
@@ -25,41 +24,36 @@
 //!   An uncovered pair's path must be new-ending. Its divergence point `u_j`
 //!   is feasible iff a replacement path survives the removal of `e` and the
 //!   interior of `π(u_j, v)`. The predicate is monotone in `j` (Lemma 4.3),
-//!   and the source (`j = 0`) is the best divergence point there is.
-//! * **Pass 2, per source child: the pairs that take `j = 0`.** The `j = 0`
-//!   graph is the same for every failing edge of `v`. If `depth(v) ≥ 2`,
-//!   every failing edge of `v` has an endpoint in the interior `π°(s, v)`,
-//!   so banning `e` adds nothing to banning `π°(s, v)`; if `depth(v) = 1`,
-//!   the interior is empty and `(s, v)` is the only failing edge. So the
-//!   canonical tree of `G'_v = G ∖ π°(s, v) ∖ {(s, π[1])}` decides `j = 0`
-//!   for every pair of `v`: with `d0 = dist(v)` in it, `G'_v ⊆ G ∖ {e}`
-//!   gives `d0 ≥ target`, and pair `⟨v, e⟩` takes `j = 0` iff
-//!   `d0 = target`. Those pairs all get `v`'s path in that tree.
+//!   holds at `j = idx`, where `e = (π[idx], π[idx + 1])`, and the pair
+//!   diverges at the smallest feasible `j`.
+//! * **Pass 2, per level: the divergence points.** Take a tree edge
+//!   `(u, a)` with `depth(u) = j` and a terminal `v` below `a`, and let
+//!   `G'_{u,a}(v) = G ∖ π°(u, v) ∖ {(u, a)}`. For every pair of `v` with
+//!   `j ≤ idx`, the graph of probe `j` is `G'_{u,a}(v)`: if `j < idx`, an
+//!   endpoint of `e` and `a` itself lie in `π°(u, v)`, so banning `e` or
+//!   `(u, a)` adds nothing; if `j = idx`, `e` is `(u, a)`. With `d_j` the
+//!   distance of `v` in it, `G'_{u,a}(v) ⊆ G ∖ {e}` gives `d_j ≥ target`,
+//!   and `j` is feasible iff `d_j = target`. So one canonical tree decides
+//!   `j` for every pair of `v` at once, and the pairs that take `j` all get
+//!   `v`'s path in it.
 //!
-//!   These trees nest down `T0`: a child `c` of `x` has `G'_c = G'_x ∖ {x}`.
-//!   So one task per source child `a` walks down `T0` from `a` through its
-//!   terminals in preorder, carrying the tree of the vertex it stands on,
-//!   and reads each terminal's `d0` and path off it. The tree starts as
-//!   `T_a`, the replacement tree of `(s, a)`; before the walk steps into a
-//!   vertex's children it removes the vertex and repairs only the vertices
-//!   whose path passed through it, and an undo log puts them back when it
-//!   steps out (the `walk` module, on the same [`CutTree`] as pass 1).
-//! * **Pass 3, per terminal: the other uncovered pairs.** Each gallops down
-//!   from the feasible `j = idx` (where `e = (π[idx], π[idx + 1])`) to
-//!   `j = 1` and bisects. Probe `j` bans `e` and the interior of
-//!   `π(u_j, v)`; all of it lies in the subtree of `u_{j+1}` (or is `e`
-//!   entering it), so the probe is a hop-bounded sweep over that subtree
-//!   that stops when `v` is discovered or the frontier passes `target`. The
-//!   interior filter is inline: `w` is removed iff
-//!   `j < depth(w) < k ∧ π[depth(w)] = w`, where `k = depth(v)` — `π` is a
-//!   shortest path, so its `i`-th vertex has depth `i`. Only the chosen
-//!   probe gets the canonical parent sweep, restricted to the vertices
-//!   shallower than `v` plus `v` itself. The probes are independent of the
-//!   walks, so they run as their own pass, balanced over terminals even
-//!   when one source child holds most of them.
+//!   These trees nest down `T0`: a child `c` of `x` has
+//!   `G'_{u,a}(c) = G'_{u,a}(x) ∖ {x}`. So the pass runs in levels
+//!   `j = 0, 1, 2, …`, and level `j` has one task per tree edge `(u, a)`
+//!   with `depth(u) = j` above a terminal with an undecided pair. The task
+//!   walks down `T0` from `a` through those terminals in preorder, carrying
+//!   the tree of the vertex it stands on, and reads each terminal's `d_j`
+//!   and path off it. The tree starts as the replacement tree of `(u, a)`;
+//!   before the walk steps into a vertex's children it removes the vertex
+//!   and repairs only the vertices whose path passed through it, and an
+//!   undo log puts them back when it steps out (the `walk` module, on the
+//!   same [`CutTree`] as pass 1). Levels run in order, so the first level
+//!   at which a pair holds is its smallest feasible `j`. A pair still
+//!   undecided at level `idx` would break Lemma 4.3, and the walk asserts
+//!   that none is. A terminal drops out once all its pairs are decided.
 //!
-//! [`ReplacementPaths::work`] counts pass 1's searches, the walks' removals
-//! and repaired vertices, and pass 3's probes and settles.
+//! [`ReplacementPaths::work`] counts pass 1's searches and pass 2's levels,
+//! walks, removals and repaired vertices.
 //!
 //! # The pair store
 //!
@@ -69,9 +63,9 @@
 //! its target. The calling thread then walks the pairs in the order the
 //! later phases rely on — terminals by depth, then failing edges from the
 //! source down — writing one fixed-size [`PairRecord`] per pair and listing
-//! each terminal's uncovered pairs for passes 2 and 3. Each task of either
-//! pass writes, into the outcome segments of its terminals, which the
-//! calling thread owns, every pair's last edge and the place of its detour
+//! each terminal's uncovered pairs for pass 2. Each pass-2 task writes,
+//! into the outcome segments of its terminals, which the calling thread
+//! owns, every pair it decides: its last edge and the place of its detour
 //! in the task's detour buffer; pairs that share a path share that detour.
 //! The calling thread completes the records of the uncovered pairs and
 //! copies each pair's detour into one arena, in id order. The
@@ -87,8 +81,8 @@ use crate::walk::walk;
 use ftb_graph::{EdgeId, Fault, Graph, VertexId};
 use ftb_par::{parallel_segments_mut_init, ParallelConfig};
 use ftb_sp::{
-    canonical_parent, CanonicalScratch, CutTree, Path, ReplacementDistances, ShortestPathTree,
-    TieBreakWeights, UNREACHABLE,
+    canonical_parent, CutTree, Path, ReplacementDistances, ShortestPathTree, TieBreakWeights,
+    UNREACHABLE,
 };
 use std::ops::Range;
 
@@ -130,9 +124,9 @@ pub struct ReplacementPaths {
 
 impl ReplacementPaths {
     /// Run Algorithm `Pcons` for every pair, in parallel: pass 1 over
-    /// failing tree edges, pass 2 over the source children above the
-    /// terminals of the uncovered pairs, pass 3 over the terminals of the
-    /// pairs infeasible at `j = 0`.
+    /// failing tree edges, then pass 2 level by level, each level over the
+    /// tree edges at that depth above the terminals of the undecided
+    /// uncovered pairs.
     pub fn compute(
         graph: &Graph,
         weights: &TieBreakWeights,
@@ -182,7 +176,7 @@ impl ReplacementPaths {
                 }
             },
         );
-        let pass_one = tasks.iter().map(|t| t.work).sum();
+        let mut work: PconsWork = tasks.iter().map(|t| t.work).sum();
 
         let num_pairs = outcomes
             .iter()
@@ -247,71 +241,58 @@ impl ReplacementPaths {
         // Read in full; free it before pass 2 allocates.
         drop(outcomes);
 
-        // Pass 2: the pairs that take j = 0, one task per source child `a`
-        // above a terminal with an uncovered pair: a walk down `T0` from `a`
-        // through its terminals in preorder.
+        // Pass 2, level by level: level j decides the undecided pairs that
+        // can diverge at depth j. It has one task per tree edge (u, a) with
+        // depth(u) = j above a terminal with an undecided pair: a walk down
+        // `T0` from `a` through those terminals in preorder. A terminal
+        // drops out once all its pairs are decided.
         let mut ends = vec![NewEnding::default(); pending.len()];
-        let mut walks: Vec<WalkTask<'_>> = Vec::new();
-        let mut walk_of_child = vec![usize::MAX; n];
         let mut slots = terminal_slots(&pending_terminals, &pending, &pending_offsets, &mut ends);
         slots.sort_unstable_by_key(|slot| tree.preorder(slot.terminal));
-        for slot in slots {
-            let (a, _) = tree
-                .ancestors(slot.terminal)
-                .last()
-                .expect("a terminal below the source");
-            if walk_of_child[a.index()] == usize::MAX {
-                walk_of_child[a.index()] = walks.len();
-                walks.push(WalkTask::default());
+        let mut buffers = Vec::new();
+        let mut level = 0;
+        while !slots.is_empty() {
+            let mut walks: Vec<WalkTask<'_>> = Vec::new();
+            for slot in slots {
+                let v = slot.terminal;
+                if !walks.last().is_some_and(|w| tree.in_subtree(w.root, v)) {
+                    // An undecided pair's failing edge enters depth
+                    // `level + 1` or deeper (`walk_edge` asserts it), so `v`
+                    // has an ancestor there.
+                    let (root, _) = tree
+                        .ancestors(v)
+                        .nth((depth(v) - level - 1) as usize)
+                        .expect("an ancestor at depth level + 1");
+                    walks.push(WalkTask {
+                        root,
+                        terminals: Vec::new(),
+                        slots: Vec::new(),
+                        detours: Vec::new(),
+                        work: PconsWork::default(),
+                    });
+                }
+                let walk = walks.last_mut().expect("a walk");
+                walk.terminals.push(v);
+                walk.slots.push(slot);
             }
-            let walk = &mut walks[walk_of_child[a.index()]];
-            walk.terminals.push(slot.terminal);
-            walk.slots.push(slot);
-        }
-        let one_task_each: Vec<usize> = (0..=walks.len()).collect();
-        parallel_segments_mut_init(
-            config,
-            &mut walks,
-            &one_task_each,
-            || (CutTree::new(graph, weights, tree), PathScratch::default()),
-            |state, i, task| {
-                walk_source_child(state, to_u32(i), &mut task[0]);
-            },
-        );
-
-        // Pass 3: the pairs infeasible at j = 0 gallop, one task per
-        // terminal.
-        let mut work = pass_one;
-        let mut buffers = Vec::with_capacity(walks.len());
-        for walk in walks {
-            work += walk.work;
-            buffers.push(walk.detours);
-        }
-        let mut gallops: Vec<GallopTask<'_>> =
-            terminal_slots(&pending_terminals, &pending, &pending_offsets, &mut ends)
-                .into_iter()
-                .filter(|slot| slot.ends.iter().any(|end| end.len == 0))
-                .map(|slot| GallopTask {
-                    slot,
-                    detours: Vec::new(),
-                    work: PconsWork::default(),
-                })
-                .collect();
-        let one_task_each: Vec<usize> = (0..=gallops.len()).collect();
-        let first_buffer = buffers.len();
-        parallel_segments_mut_init(
-            config,
-            &mut gallops,
-            &one_task_each,
-            || TerminalSearch::new(n),
-            |search, i, task| {
-                let buffer = to_u32(first_buffer + i);
-                search.gallop_pairs(graph, weights, tree, buffer, &mut task[0]);
-            },
-        );
-        for gallop in gallops {
-            work += gallop.work;
-            buffers.push(gallop.detours);
+            let first_buffer = buffers.len();
+            let one_task_each: Vec<usize> = (0..=walks.len()).collect();
+            parallel_segments_mut_init(
+                config,
+                &mut walks,
+                &one_task_each,
+                || (CutTree::new(graph, weights, tree), PathScratch::default()),
+                |state, i, task| walk_edge(state, to_u32(first_buffer + i), &mut task[0]),
+            );
+            work.levels += 1;
+            slots = Vec::new();
+            for walk in walks {
+                work += walk.work;
+                buffers.push(walk.detours);
+                let undecided = |slot: &TerminalPairs<'_>| slot.ends.iter().any(|end| end.len == 0);
+                slots.extend(walk.slots.into_iter().filter(undecided));
+            }
+            level += 1;
         }
         store.work = work;
 
@@ -535,25 +516,28 @@ fn subtree_slot(tree: &ShortestPathTree, c: VertexId, v: VertexId) -> usize {
 pub struct PconsWork {
     /// Pass 1: canonical replacement-tree runs, one per failing tree edge.
     pub covered_runs: u64,
-    /// Pass 2: vertices the walks removed, one per distinct proper `T0`
-    /// ancestor, below the source, of a terminal with an uncovered pair.
+    /// Pass 2: levels run, one per divergence depth from 0 to the deepest
+    /// divergence point of an uncovered pair.
+    pub levels: u64,
+    /// Pass 2: walks over all levels, one per level `j` and tree edge
+    /// `(u, a)` with `depth(u) = j` above a terminal that takes part in
+    /// level `j`: one with an uncovered pair diverging at depth `j` or
+    /// deeper.
+    pub walks: u64,
+    /// Pass 2: vertices the walks removed, per walk one per distinct proper
+    /// ancestor, in the subtree of `a`, of its terminals.
     pub walk_removals: u64,
     /// Pass 2: the total size of the regions those removals repaired.
     pub walk_region_vertices: u64,
-    /// Pass 3: gallop and bisection probes of the pairs infeasible at
-    /// `j = 0`.
-    pub probes: u64,
-    /// Pass 3: canonical parent sweeps, one per galloping pair.
-    pub settles: u64,
 }
 
 impl std::ops::AddAssign for PconsWork {
     fn add_assign(&mut self, w: Self) {
         self.covered_runs += w.covered_runs;
+        self.levels += w.levels;
+        self.walks += w.walks;
         self.walk_removals += w.walk_removals;
         self.walk_region_vertices += w.walk_region_vertices;
-        self.probes += w.probes;
-        self.settles += w.settles;
     }
 }
 
@@ -607,23 +591,15 @@ struct TerminalPairs<'a> {
     ends: &'a mut [NewEnding],
 }
 
-/// The pass-2 task of one source child: its walk.
-#[derive(Default)]
+/// The pass-2 task of one tree edge `(u, a)` at its level: its walk.
 struct WalkTask<'a> {
-    /// The terminals with an uncovered pair below the source child, in
-    /// preorder.
+    /// The child end `a` of the edge.
+    root: VertexId,
+    /// The terminals with an undecided pair below `a`, in preorder.
     terminals: Vec<VertexId>,
     /// Their pairs and outcome slots, in the same order.
     slots: Vec<TerminalPairs<'a>>,
-    /// The detours of the pairs that take `j = 0`, one per terminal.
-    detours: Vec<VertexId>,
-    work: PconsWork,
-}
-
-/// The pass-3 task of one terminal: its pairs infeasible at `j = 0`.
-struct GallopTask<'a> {
-    slot: TerminalPairs<'a>,
-    /// The detours of the pairs, back to back.
+    /// The detours of the pairs that diverge at `u`, one per terminal.
     detours: Vec<VertexId>,
     work: PconsWork,
 }
@@ -666,36 +642,48 @@ fn pairs_of_edge(
     rows.undo_to(0);
 }
 
-/// Pass 2 for one source child, task `buffer`: walk its subtree through its
-/// terminals and give every pair that takes `j = 0` its path.
-fn walk_source_child(
-    (rows, paths): &mut (CutTree<'_>, PathScratch),
-    buffer: u32,
-    task: &mut WalkTask<'_>,
-) {
+/// Pass 2 for one tree edge `(u, a)`, task `buffer`: walk the subtree of
+/// `a` through its terminals and give every undecided pair that can
+/// diverge at `u` its path.
+fn walk_edge((rows, paths): &mut (CutTree<'_>, PathScratch), buffer: u32, task: &mut WalkTask<'_>) {
     let WalkTask {
+        root,
         terminals,
         slots,
         detours,
         work,
     } = task;
     let tree = rows.tree();
-    let (removals, region_vertices) = walk(rows, terminals, |rows, i| {
-        // j = 0 is the same graph for every failing edge of v, and the walk
-        // holds its canonical tree: every pair with d0 = target takes v's
-        // path in it.
+    let (_, edge) = tree.parent(*root).expect("a vertex below the source");
+    let (removals, region_vertices) = walk(rows, *root, terminals, |rows, i| {
+        // An undecided pair `⟨v, e⟩` has `e = (u, a)` or `e` below it on
+        // `π(s, v)`, with an endpoint in `π°(u, v)`, so banning `e` adds
+        // nothing: the walk holds the canonical tree of the pair's graph at
+        // `u`, and the pair can diverge at `u` iff `v` keeps its target
+        // distance there. It can at the level of `e` itself (Lemma 4.3),
+        // so no pair outlives that level.
         let slot = &mut slots[i];
-        let d0 = rows.depth(slot.terminal);
-        if slot.pairs.iter().any(|&(_, t)| d0 == Some(t)) {
-            paths.set_terminal(tree, slot.terminal);
-            let end = paths.end(tree, |u| rows.parent(u), buffer, detours);
-            for (i, &(_, target)) in slot.pairs.iter().enumerate() {
-                if d0 == Some(target) {
-                    slot.ends[i] = end;
-                }
+        let v = slot.terminal;
+        let d = rows.depth(v);
+        let mut taken = None;
+        for (&(e, target), end) in slot.pairs.iter().zip(slot.ends.iter_mut()) {
+            if end.len != 0 {
+                continue;
+            }
+            if d == Some(target) {
+                *end = *taken.get_or_insert_with(|| {
+                    paths.set_terminal(tree, v);
+                    paths.end(tree, |u| rows.parent(u), buffer, detours)
+                });
+            } else {
+                assert_ne!(
+                    e, edge,
+                    "pair ⟨{v:?}, {e:?}⟩ infeasible at j = idx (Lemma 4.3)"
+                );
             }
         }
     });
+    work.walks += 1;
     work.walk_removals += removals;
     work.walk_region_vertices += region_vertices;
 }
@@ -758,133 +746,6 @@ impl PathScratch {
         detours.extend_from_slice(&path[d..]);
         end
     }
-}
-
-/// One pass-3 worker's state: two search kernels plus the path buffers.
-struct TerminalSearch {
-    /// The search whose path is settled: a pair's last feasible probe.
-    held: CanonicalScratch,
-    /// The kernel a probe runs on.
-    spare: CanonicalScratch,
-    paths: PathScratch,
-}
-
-impl TerminalSearch {
-    fn new(n: usize) -> Self {
-        TerminalSearch {
-            held: CanonicalScratch::new(n),
-            spare: CanonicalScratch::new(n),
-            paths: PathScratch::default(),
-        }
-    }
-
-    /// Pass 3 for one terminal `v`, task `buffer`: the path of each pair
-    /// pass 2 left undecided, infeasible at `j = 0`, whose divergence point
-    /// from `π(s, v)` is closest to the source (Step 2 of `Pcons`).
-    fn gallop_pairs(
-        &mut self,
-        graph: &Graph,
-        weights: &TieBreakWeights,
-        tree: &ShortestPathTree,
-        buffer: u32,
-        task: &mut GallopTask<'_>,
-    ) {
-        let slot = &mut task.slot;
-        self.paths.set_terminal(tree, slot.terminal);
-        for (i, &(e, target)) in slot.pairs.iter().enumerate() {
-            if slot.ends[i].len == 0 {
-                self.gallop(graph, weights, tree, e, target, &mut task.work);
-                let parent = |u| self.held.parent(u);
-                slot.ends[i] = self.paths.end(tree, parent, buffer, &mut task.detours);
-            }
-        }
-    }
-
-    /// Settle into `held` the smallest feasible `j` of `⟨v, e⟩`, a pair
-    /// infeasible at `j = 0`.
-    fn gallop(
-        &mut self,
-        graph: &Graph,
-        weights: &TieBreakWeights,
-        tree: &ShortestPathTree,
-        e: EdgeId,
-        target: u32,
-        work: &mut PconsWork,
-    ) {
-        let pi: &[VertexId] = &self.paths.pi;
-        let k = pi.len() - 1;
-        let v = pi[k];
-        let c = tree.child_endpoint(e).expect("tree edge");
-        // e = (π[idx], π[idx + 1]).
-        let idx = tree.depth(c).expect("reachable") as usize - 1;
-        // Probe j bans e and the interior of π(u_j, v), all of which lies in
-        // the subtree of u_{j+1} (or is e entering it).
-        let without_interior =
-            |j: usize| move |w: VertexId, f: EdgeId| f != e && !on_interior(tree, pi, j, k, w);
-        // A probe runs on `spare`; a feasible one is swapped into `held`,
-        // which therefore keeps the last feasible probe for the settle.
-        let (held, spare) = (&mut self.held, &mut self.spare);
-        let mut probe = |j: usize| {
-            work.probes += 1;
-            spare.sweep_subtree(
-                graph,
-                tree,
-                pi[j + 1],
-                Some((v, target)),
-                without_interior(j),
-            );
-            let feasible = spare.dist(v).is_some();
-            if feasible {
-                std::mem::swap(held, spare);
-            }
-            feasible
-        };
-
-        // Feasibility is monotone in j and holds at j = idx (Lemma 4.3), so
-        // the smallest feasible j is searched galloping down from idx, the
-        // smallest subtree, then bisecting.
-        if probe(idx) {
-            let (mut lo, mut hi) = (1.min(idx), idx);
-            let mut step = 1;
-            while lo < hi {
-                let j = hi.saturating_sub(step).max(lo);
-                if !probe(j) {
-                    lo = j + 1;
-                    break;
-                }
-                hi = j;
-                step *= 2;
-            }
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if probe(mid) {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            held.settle_target(graph, weights, v, without_interior(hi));
-        } else {
-            // Defensive fallback (should not happen): take the
-            // unconstrained canonical replacement path, which exists since
-            // the pair has a target.
-            let unconstrained = |_: VertexId, f: EdgeId| f != e;
-            held.sweep_subtree(graph, tree, c, Some((v, target)), unconstrained);
-            held.settle_target(graph, weights, v, unconstrained);
-        }
-        work.settles += 1;
-    }
-}
-
-/// `true` if `w` is an interior vertex of `π(u_j, v)`, where `v = pi[k]`:
-/// `j < depth(w) < k ∧ π[depth(w)] = w` — `π` is a shortest path, so its
-/// `i`-th vertex has depth `i`.
-#[inline]
-fn on_interior(tree: &ShortestPathTree, pi: &[VertexId], j: usize, k: usize, w: VertexId) -> bool {
-    tree.depth(w).is_some_and(|d| {
-        let d = d as usize;
-        j < d && d < k && pi[d] == w
-    })
 }
 
 #[cfg(test)]
@@ -1153,38 +1014,64 @@ mod tests {
             let what = family.name();
             assert_eq!(work, parallel.work(), "{what}");
 
-            // One covered run per tree edge; one walk removal per distinct
-            // proper ancestor, below the source, of a terminal with an
-            // uncovered pair; one settle per galloping pair. A pair takes
-            // j = 0 iff its path diverges at the source.
+            // One covered run per tree edge. A terminal takes part in the
+            // levels 0 ..= the deepest divergence point of its uncovered
+            // pairs. Level j walks once per tree edge (π[j], π[j + 1]) above
+            // a terminal that takes part, and removes each proper ancestor
+            // of such a terminal deeper than j once.
             let tree_edges = graph.vertices().filter(|&v| tree.parent(v).is_some());
             assert_eq!(work.covered_runs, tree_edges.count() as u64, "{what}");
-            let mut galloping = 0;
-            let mut removed = vec![false; graph.num_vertices()];
+            let mut deepest = vec![None; graph.num_vertices()];
             for &p in rp.uncovered() {
-                let pair = rp.get(p);
-                galloping += u64::from(pair.divergence != Some(rp.source()));
-                for (x, _) in tree.ancestors(pair.pair.terminal).skip(1) {
-                    removed[x.index()] = true;
-                }
+                let r = rp.get(p);
+                let d = tree
+                    .depth(r.divergence.expect("new-ending"))
+                    .expect("reachable");
+                let at = &mut deepest[r.pair.terminal.index()];
+                *at = Some(d.max(at.unwrap_or(0)));
             }
-            let removals = removed.iter().filter(|&&r| r).count() as u64;
+            let levels = deepest.iter().flatten().max().map_or(0, |&d| d + 1);
+            assert_eq!(work.levels, u64::from(levels), "{what}");
+            let (mut walks, mut removals) = (0, 0);
+            for level in 0..levels {
+                let mut roots = vec![false; graph.num_vertices()];
+                let mut removed = vec![false; graph.num_vertices()];
+                for v in graph.vertices() {
+                    if deepest[v.index()].is_none_or(|d| d < level) {
+                        continue;
+                    }
+                    for (x, _) in tree.ancestors(v) {
+                        match tree.depth(x).expect("reachable") {
+                            d if d == level + 1 => roots[x.index()] = true,
+                            d if d > level + 1 => {}
+                            _ => break,
+                        }
+                        removed[x.index()] |= x != v;
+                    }
+                }
+                walks += roots.iter().filter(|&&r| r).count() as u64;
+                removals += removed.iter().filter(|&&r| r).count() as u64;
+            }
+            assert_eq!(work.walks, walks, "{what}");
             assert_eq!(work.walk_removals, removals, "{what}");
-            assert_eq!(work.settles, galloping, "{what}");
-            assert!(work.probes >= galloping, "{what}");
         }
     }
 
-    /// Every pair of both end-to-end benchmark graphs (n = 2000, seed 7):
-    /// the rebuilt path is a valid replacement path of the right length
-    /// that ends with the record's last edge and, if new-ending, with the
-    /// stored detour; every terminal with an uncovered pair, the ones pass 2
-    /// decides, matches the `LexSearch` oracle.
+    /// Every pair of both end-to-end benchmark graphs (n = 2000, seed 7)
+    /// and of grid-chords n = 2000, whose uncovered pairs diverge at many
+    /// depths: the rebuilt path is a valid replacement path of the right
+    /// length that ends with the record's last edge and, if new-ending,
+    /// with the stored detour; every terminal with an uncovered pair, the
+    /// ones pass 2 decides, matches the `LexSearch` oracle.
     /// Release only: `cargo test --release -p ftb_rp -- --ignored`.
     #[test]
     #[ignore = "benchmark-size check; run in release with --ignored"]
     fn paths_are_exact_at_benchmark_size() {
-        for family in [WorkloadFamily::LayeredDeep, WorkloadFamily::ErdosRenyi] {
+        for family in [
+            WorkloadFamily::LayeredDeep,
+            WorkloadFamily::ErdosRenyi,
+            WorkloadFamily::GridChords,
+        ] {
             let graph = Workload::new(family, 2000, 7).generate();
             let weights = TieBreakWeights::generate(&graph, 7);
             let (tree, dists, rp) =

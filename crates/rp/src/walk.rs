@@ -1,40 +1,40 @@
-//! The source-divergence walk of `Pcons` pass 2.
+//! The divergence walk of `Pcons` pass 2.
 //!
-//! Pass 2 asks, for every terminal `v` with an uncovered pair, for the
-//! canonical tree of `G'_v = G ∖ π°(s, v) ∖ {(s, a)}`, where `a = π[1]` is
-//! the source child above `v`. These graphs nest down `T0`: a child `c` of
-//! `x` has `G'_c = G'_x ∖ {x}`, so a [`CutTree`] that removes `x` turns the
-//! tree of `x` into the tree of its children.
+//! Level `j` of pass 2 asks, for every terminal `v` below a tree edge
+//! `(u, a)` with `depth(u) = j`, for the canonical tree of
+//! `G ∖ π°(u, v) ∖ {(u, a)}`. These graphs nest down `T0`: a child `c` of
+//! `x` has the graph of `x` less `x`, so a [`CutTree`] that removes `x`
+//! turns the tree of `x` into the tree of its children.
 //!
-//! [`walk`] runs it for one source child `a`. It cuts the edge `(s, a)` from
-//! `T0`, which gives `T_a`, the replacement tree of that edge and `G'_a`'s
-//! tree, then walks down `T0` with an explicit stack, because `T0` can be
-//! `Θ(n)` deep. It enters only the vertices on the way to a target, reads
-//! each target off the current tree, and removes a vertex before it steps
-//! into the vertex's children. The tree's undo log restores the rows when
-//! the walk steps back, and after the walk the rows are `T0`'s again, so a
-//! walk costs its source child's subtree plus its repairs, not `n`.
+//! [`walk`] runs it for one tree edge `(u, a)`. It cuts the edge from `T0`,
+//! which gives its replacement tree, the tree of `a`, then walks down `T0`
+//! with an explicit stack, because `T0` can be `Θ(n)` deep. It enters only
+//! the vertices on the way to a target, reads each target off the current
+//! tree, and removes a vertex before it steps into the vertex's children.
+//! The tree's undo log restores the rows when the walk steps back, and
+//! after the walk the rows are `T0`'s again, so a walk costs the subtree of
+//! `a` plus its repairs, not `n`.
 
 use ftb_graph::{Fault, VertexId};
 use ftb_sp::CutTree;
 
-/// Walk the subtree of the source child `a` above `targets`: a non-empty
-/// list of vertices of that subtree, in preorder and without repeats, on
-/// `rows` holding `T0`. `visit(rows, i)` sees the canonical tree of `G'_v`
-/// for `v = targets[i]`, in order, and the rows are `T0`'s again
-/// afterwards. Returns the number of vertices removed (the distinct proper
-/// ancestors of the targets below the source) and the total size of the
-/// regions their removals repaired.
+/// Walk the subtree of `a`, a vertex below the source, above `targets`: a
+/// non-empty list of vertices of that subtree, in preorder and without
+/// repeats, on `rows` holding `T0`. `visit(rows, i)` sees the canonical
+/// tree of `G ∖ π°(u, v) ∖ {(u, a)}`, where `u` is the parent of `a`, for
+/// `v = targets[i]`, in order, and the rows are `T0`'s again afterwards.
+/// Returns the number of vertices removed (the distinct proper ancestors
+/// of the targets in the subtree of `a`) and the total size of the regions
+/// their removals repaired.
 pub(crate) fn walk(
     rows: &mut CutTree<'_>,
+    a: VertexId,
     targets: &[VertexId],
     mut visit: impl FnMut(&CutTree<'_>, usize),
 ) -> (u64, u64) {
     let tree = rows.tree();
-    let (a, first) = tree
-        .ancestors(targets[0])
-        .last()
-        .expect("targets below the source");
+    let (_, first) = tree.parent(a).expect("a vertex below the source");
+    debug_assert!(tree.in_subtree(a, targets[0]), "targets below a");
     debug_assert_eq!(rows.mark(), 0, "rows left off T0");
     rows.cut(Fault::Edge(first));
     let (mut removals, mut region_vertices) = (0, 0);
@@ -90,7 +90,7 @@ pub(crate) fn walk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftb_graph::{generators, EdgeId, Graph};
+    use ftb_graph::{generators, Graph};
     use ftb_sp::{CanonicalScratch, Path, ShortestPathTree, TieBreakWeights};
     use ftb_workloads::{Workload, WorkloadFamily};
 
@@ -127,115 +127,129 @@ mod tests {
         Some(Path::new(vertices, edges))
     }
 
-    /// The plain search the walk replaces: the subtree of `π[1]` under
-    /// `G ∖ π°(s, v) ∖ {(s, π[1])}`, then the settle of `v`.
-    fn plain_search(
-        scratch: &mut CanonicalScratch,
+    /// The from-source search the walk replaces: the canonical tree of
+    /// `G ∖ {(u, a)} ∖ π°(u, v)`, where `u` is the parent of `a`, read at `v`.
+    fn full_search(
+        full: &mut CanonicalScratch,
         graph: &Graph,
         weights: &TieBreakWeights,
         tree: &ShortestPathTree,
+        a: VertexId,
         v: VertexId,
     ) -> (Option<u32>, Option<Path>) {
-        let above: Vec<(VertexId, EdgeId)> = tree.ancestors(v).collect();
-        let (a, first) = *above.last().unwrap();
-        let filter =
-            |w: VertexId, f: EdgeId| f != first && !above[1..].iter().any(|&(x, _)| x == w);
-        scratch.sweep_subtree(graph, tree, a, None, filter);
-        let d0 = scratch.dist(v);
-        if d0.is_some() {
-            scratch.settle_target(graph, weights, v, filter);
-        }
-        (d0, scratch.path_to(tree, v))
+        let (_, edge) = tree.parent(a).expect("a below the source");
+        let interior = tree
+            .ancestors(v)
+            .skip(1)
+            .take_while(|&(x, _)| tree.in_subtree(a, x));
+        let banned: Vec<Fault> = std::iter::once(Fault::Edge(edge))
+            .chain(interior.map(|(x, _)| Fault::Vertex(x)))
+            .collect();
+        full.run(graph, weights, tree.source(), &banned);
+        (full.dist(v), full.path_to(v))
     }
 
-    /// Walk `targets` (reachable, below the source), one walk per source
-    /// child, and check every target against the plain search; the rows
-    /// must be `T0`'s after every walk. Returns how many targets are
-    /// reached.
-    fn assert_walks_match_plain_searches(
+    /// Walk from the tree edge into `a` through `targets` (vertices of the
+    /// subtree of `a`, in preorder) and check every target against the
+    /// full search; the walk must remove the distinct proper ancestors of
+    /// the targets in the subtree of `a`, and leave the rows `T0`'s.
+    /// Returns how many targets are reached.
+    fn assert_walk_matches_full_searches(
+        rows: &mut CutTree<'_>,
+        full: &mut CanonicalScratch,
         graph: &Graph,
         weights: &TieBreakWeights,
-        tree: &ShortestPathTree,
+        a: VertexId,
         targets: &[VertexId],
         what: &str,
     ) -> usize {
-        let n = graph.num_vertices();
-        let mut rows = CutTree::new(graph, weights, tree);
-        let mut scratch = CanonicalScratch::new(n);
-        let mut targets = targets.to_vec();
-        targets.sort_unstable_by_key(|&v| tree.preorder(v));
+        let tree = rows.tree();
         let mut reached = 0;
-        let source_child = |v: VertexId| tree.ancestors(v).last().unwrap().0;
-        for group in targets.chunk_by(|&v, &w| source_child(v) == source_child(w)) {
-            let (removals, _) = walk(&mut rows, group, |rows, i| {
-                let v = group[i];
-                let (d0, path) = plain_search(&mut scratch, graph, weights, tree, v);
-                assert_eq!(rows.depth(v), d0, "d0 of {v:?} on {what}");
-                assert_eq!(path_in(rows, v), path, "path to {v:?} on {what}");
-                reached += usize::from(d0.is_some());
-            });
-            let mut removed = vec![false; n];
-            for &v in group {
-                for (x, _) in tree.ancestors(v).skip(1) {
-                    removed[x.index()] = true;
+        let (removals, _) = walk(rows, a, targets, |rows, i| {
+            let v = targets[i];
+            let (d, path) = full_search(full, graph, weights, tree, a, v);
+            assert_eq!(rows.depth(v), d, "depth of {v:?} below {a:?} on {what}");
+            assert_eq!(
+                path_in(rows, v),
+                path,
+                "path to {v:?} below {a:?} on {what}"
+            );
+            reached += usize::from(d.is_some());
+        });
+        let mut removed = vec![false; graph.num_vertices()];
+        for &v in targets {
+            for (x, _) in tree.ancestors(v).skip(1) {
+                if !tree.in_subtree(a, x) {
+                    break;
                 }
+                removed[x.index()] = true;
             }
-            let a = source_child(group[0]);
-            let want = removed.iter().filter(|&&r| r).count() as u64;
-            assert_eq!(removals, want, "removals below {a:?} on {what}");
-            for v in graph.vertices() {
-                assert_eq!(rows.depth(v), tree.depth(v), "depth after {a:?} on {what}");
-                assert_eq!(rows.tie(v), tree.tie(v), "tie sum after {a:?} on {what}");
-                assert_eq!(
-                    rows.parent(v),
-                    tree.parent(v),
-                    "parent after {a:?} on {what}"
-                );
-            }
+        }
+        let want = removed.iter().filter(|&&r| r).count() as u64;
+        assert_eq!(removals, want, "removals below {a:?} on {what}");
+        for v in graph.vertices() {
+            assert_eq!(rows.depth(v), tree.depth(v), "depth after {a:?} on {what}");
+            assert_eq!(rows.tie(v), tree.tie(v), "tie sum after {a:?} on {what}");
+            assert_eq!(
+                rows.parent(v),
+                tree.parent(v),
+                "parent after {a:?} on {what}"
+            );
         }
         reached
     }
 
-    /// Every vertex below the source as a target.
-    fn assert_walk_matches_plain_searches(
-        graph: &Graph,
-        weights: &TieBreakWeights,
-        what: &str,
-    ) -> usize {
-        let tree = ShortestPathTree::build(graph, weights, VertexId(0));
-        let all = &tree.euler().order()[1..];
-        assert_walks_match_plain_searches(graph, weights, &tree, all, what)
+    /// One walk per tree edge `(u, a)`, through every vertex of the subtree
+    /// of `a`. Returns how many (walk, target) checks are reached.
+    fn assert_walks_match_full_searches(g: &Graph, weights: &TieBreakWeights, what: &str) -> usize {
+        let tree = ShortestPathTree::build(g, weights, VertexId(0));
+        let mut rows = CutTree::new(g, weights, &tree);
+        let mut full = CanonicalScratch::new(g.num_vertices());
+        let mut reached = 0;
+        for &a in &tree.euler().order()[1..] {
+            let subtree = &tree.euler().order()[tree.euler().subtree(a)];
+            reached += assert_walk_matches_full_searches(
+                &mut rows, &mut full, g, weights, a, subtree, what,
+            );
+        }
+        reached
     }
 
     #[test]
-    fn walk_matches_plain_source_searches() {
-        let (mut reached, mut cut_off) = (0, 0);
+    fn walks_match_full_searches_from_every_tree_edge() {
+        let (mut reached, mut checked) = (0, 0);
         for (what, g) in graphs() {
             for seed in [3u64, 11] {
                 let weights = TieBreakWeights::generate(&g, seed);
-                let r = assert_walk_matches_plain_searches(&g, &weights, &what);
-                reached += r;
-                cut_off += g.num_vertices() - 1 - r;
+                reached += assert_walks_match_full_searches(&g, &weights, &what);
+                let tree = ShortestPathTree::build(&g, &weights, VertexId(0));
+                checked += g
+                    .vertices()
+                    .filter_map(|v| tree.depth(v))
+                    .map(|d| d as usize)
+                    .sum::<usize>();
             }
         }
         assert!(
-            reached > 0 && cut_off > 0,
-            "{reached} reached, {cut_off} cut off"
+            reached > 0 && reached < checked,
+            "{reached} of {checked} reached"
         );
     }
 
     #[test]
-    fn walk_matches_plain_searches_under_uniform_weights() {
+    fn walks_match_full_searches_under_uniform_weights() {
         // Uniform weights make every tie fall to the parent id.
-        for (what, g) in graphs().into_iter().take(4) {
-            assert_walk_matches_plain_searches(&g, &TieBreakWeights::uniform(&g), &what);
+        for (what, g) in graphs() {
+            assert_walks_match_full_searches(&g, &TieBreakWeights::uniform(&g), &what);
         }
     }
 
-    /// The walk at the end-to-end benchmark's size (n = 2000, seed 7), for
-    /// every terminal with an uncovered pair, the ones pass 2 reads off it:
-    /// the same `d0` and, if reached, the same canonical path as the plain
-    /// search of `G ∖ π°(s, v) ∖ {(s, π[1])}`.
+    /// The walks pass 2 runs at the end-to-end benchmark's size (n = 2000,
+    /// seed 7) and on a graph whose pairs diverge at many depths: at every
+    /// level `j`, from the tree edge `(π[j], π[j + 1])` of every terminal
+    /// with an uncovered pair that diverges at depth `j` or deeper, the same
+    /// distance and, if reached, the same canonical path as the full search
+    /// of `G ∖ {(π[j], π[j + 1])} ∖ π°(π[j], v)`.
     /// Release only: `cargo test --release -p ftb_rp -- --ignored`.
     #[test]
     #[ignore = "benchmark-size check; run in release with --ignored"]
@@ -243,23 +257,61 @@ mod tests {
         use crate::ReplacementPaths;
         use ftb_par::ParallelConfig;
         use ftb_sp::ReplacementDistances;
-        for family in [WorkloadFamily::LayeredDeep, WorkloadFamily::ErdosRenyi] {
+        for family in [
+            WorkloadFamily::LayeredDeep,
+            WorkloadFamily::ErdosRenyi,
+            WorkloadFamily::GridChords,
+        ] {
             let graph = Workload::new(family, 2000, 7).generate();
             let weights = TieBreakWeights::generate(&graph, 7);
             let tree = ShortestPathTree::build(&graph, &weights, VertexId(0));
             let config = ParallelConfig::default();
             let dists = ReplacementDistances::compute(&graph, &tree, &config);
             let rp = ReplacementPaths::compute(&graph, &weights, &tree, &dists, &config);
-            let mut terminals: Vec<VertexId> = rp
-                .uncovered()
-                .iter()
-                .map(|&p| rp.get(p).pair.terminal)
-                .collect();
-            terminals.dedup();
+            // Each terminal with an uncovered pair, with the deepest
+            // divergence point of its uncovered pairs.
+            let mut terminals: Vec<(VertexId, u32)> = Vec::new();
+            for &p in rp.uncovered() {
+                let r = rp.get(p);
+                let d = tree
+                    .depth(r.divergence.expect("new-ending"))
+                    .expect("reachable");
+                match terminals.last_mut() {
+                    Some((v, deepest)) if *v == r.pair.terminal => *deepest = (*deepest).max(d),
+                    _ => terminals.push((r.pair.terminal, d)),
+                }
+            }
+            terminals.sort_unstable_by_key(|&(v, _)| tree.preorder(v));
+            let mut rows = CutTree::new(&graph, &weights, &tree);
+            let mut full = CanonicalScratch::new(graph.num_vertices());
             let what = family.name();
-            let reached =
-                assert_walks_match_plain_searches(&graph, &weights, &tree, &terminals, what);
-            assert!(reached > 0, "{what}: no terminal reached at j = 0");
+            let (mut reached, mut level) = (0, 0);
+            loop {
+                let mut walks: Vec<(VertexId, Vec<VertexId>)> = Vec::new();
+                for &(v, deepest) in &terminals {
+                    if deepest < level {
+                        continue;
+                    }
+                    match walks.last_mut() {
+                        Some((a, targets)) if tree.in_subtree(*a, v) => targets.push(v),
+                        _ => {
+                            let up = tree.depth(v).expect("reachable") - level - 1;
+                            let (a, _) = tree.ancestors(v).nth(up as usize).expect("ancestor");
+                            walks.push((a, vec![v]));
+                        }
+                    }
+                }
+                if walks.is_empty() {
+                    break;
+                }
+                for (a, targets) in &walks {
+                    reached += assert_walk_matches_full_searches(
+                        &mut rows, &mut full, &graph, &weights, *a, targets, what,
+                    );
+                }
+                level += 1;
+            }
+            assert!(reached > 0, "{what}: no terminal reached");
         }
     }
 }

@@ -87,9 +87,9 @@ impl LexSearch {
     ///
     /// Costs and parents are exact for every settled vertex (in particular
     /// for `target` if it is reachable); vertices that were not reached
-    /// before termination report as unreachable. This is the oracle for the
-    /// bounded single-target probes of
-    /// [`CanonicalScratch`](crate::CanonicalScratch).
+    /// before termination report as unreachable. Each probe of the
+    /// reference formulation of Algorithm `Pcons`, the test oracle of its
+    /// pair store, is one such search.
     pub fn run_view_target(
         view: &SubgraphView<'_>,
         weights: &TieBreakWeights,

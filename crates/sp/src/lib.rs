@@ -11,8 +11,8 @@
 //!   run by construction's subtree searches and the query engine's misses,
 //! * [`canonical`] — the canonical `(hops, Σ tie-weights)` search
 //!   implementing `SP(·, ·, ·, W)`: the sweep plus a tie-breaking parent
-//!   pass over reusable scratch, with inline edge filters. It builds `T0`,
-//!   the replacement rows and `Pcons`'s hop-bounded probes,
+//!   pass over reusable scratch, with inline edge filters. It builds `T0`
+//!   and the replacement rows, and is the tests' oracle for [`CutTree`],
 //! * [`cut`] — [`CutTree`], `T0` repaired in place under nested faults
 //!   with an undo log: the tree of every construction fault,
 //! * [`lex`] — the heap-based lexicographic Dijkstra the kernel is tested

@@ -71,7 +71,7 @@ impl ReplacementDistances {
             || CanonicalScratch::new(n),
             |scratch, i, row| {
                 let e = edges[i];
-                scratch.sweep_subtree(graph, tree, child(e), None, |_, f| f != e);
+                scratch.sweep_subtree(graph, tree, child(e), |_, f| f != e);
                 for &v in scratch.visited() {
                     row[(preorder[v.index()] - row_root[i]) as usize] =
                         scratch.dist(v).expect("visited");

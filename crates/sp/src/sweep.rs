@@ -15,13 +15,10 @@
 //!    vertex at its best entry `depth0(u) + 1` from it.
 //! 2. **Sweep.** A level-synchronous BFS that merges the seeds level by
 //!    level into its queue, so every distance is final when assigned. It
-//!    stops at the hop bound, or when the caller's `done` says so.
+//!    stops when the caller's `done` says so.
 //!
-//! Under a hop bound `b` the enumeration skips the subtree of every vertex
-//! at depth `≥ b` (but the target) and writes only boundary vertices
-//! shallower than `b`: no fault makes a distance shorter, so a deeper vertex
-//! can neither be reached within the bound nor lead to one that is. A run
-//! resets only what the previous run wrote, so it costs the region, not `n`.
+//! A run resets only what the previous run wrote, so it costs the region,
+//! not `n`.
 //!
 //! A caller that knows its region's seeds another way runs the sweep from
 //! them alone ([`BoundarySweep::search_from_seeds`]): a
@@ -48,20 +45,6 @@ pub struct Region<'a> {
     pub depth0: &'a [u32],
     /// Sorted, disjoint `start..end` ranges of [`EulerTourIndex::order`].
     pub intervals: &'a [(u32, u32)],
-    /// Hop bound ([`UNREACHABLE`] for none).
-    pub max_hops: u32,
-    /// The vertex a hop-bounded probe looks for: kept even at the bound.
-    pub target: Option<VertexId>,
-}
-
-impl Region<'_> {
-    /// `true` if the enumeration skips `w` and its subtree: `w` is at or
-    /// past the hop bound, and is neither at depth 0 nor the target.
-    #[inline]
-    fn prunes(&self, w: VertexId) -> bool {
-        let dw = self.depth0[w.index()];
-        dw >= self.max_hops && dw > 0 && Some(w) != self.target
-    }
 }
 
 /// Reusable scratch of the boundary-seeded sweep (see the
@@ -101,8 +84,8 @@ impl BoundarySweep {
 
     /// Search from the given `(entry, w)` seeds alone: each `w` enters at
     /// `entry` unless the sweep discovers it earlier, and the sweep runs
-    /// with no hop bound and no fence, so `allow` must refuse every vertex
-    /// the search may not discover.
+    /// with no fence, so `allow` must refuse every vertex the search may
+    /// not discover.
     pub fn search_from_seeds<I: Iterator<Item = (VertexId, EdgeId)>>(
         &mut self,
         seeds: impl IntoIterator<Item = (u32, VertexId)>,
@@ -112,11 +95,11 @@ impl BoundarySweep {
         self.clear();
         self.seeds.extend(seeds);
         self.seeds.sort_unstable();
-        self.sweep(UNREACHABLE, neighbors, allow, |_| false);
+        self.sweep(neighbors, allow, |_| false);
     }
 
-    /// Seed `region` from its boundary, then sweep it until the hop bound or
-    /// until `done`, called on every discovered vertex, returns `true`.
+    /// Seed `region` from its boundary, then sweep it until `done`, called
+    /// on every discovered vertex, returns `true`.
     ///
     /// A region vertex at depth 0 (the source) is seeded at 0 whatever
     /// `allow` says. A region vertex left undiscovered is cut off (or lies
@@ -130,7 +113,7 @@ impl BoundarySweep {
     ) {
         self.clear();
         self.seed(region, &neighbors, &allow);
-        self.sweep(region.max_hops, neighbors, allow, done);
+        self.sweep(neighbors, allow, done);
     }
 
     /// The seed scan: enumerate `region`, write its boundary and collect its
@@ -145,22 +128,13 @@ impl BoundarySweep {
             tree,
             depth0,
             intervals,
-            max_hops,
-            ..
         } = region;
         let inside = |u: VertexId| {
             tree.preorder(u)
                 .is_some_and(|t| intervals.iter().any(|&(a, b)| t.wrapping_sub(a) < b - a))
         };
         for &(a, b) in intervals {
-            let mut i = a as usize;
-            while i < b as usize {
-                let w = tree.order()[i];
-                if region.prunes(w) {
-                    i = tree.subtree(w).end;
-                    continue;
-                }
-                i += 1;
+            for &w in &tree.order()[a as usize..b as usize] {
                 if depth0[w.index()] == 0 {
                     self.seeds.push((0, w));
                     continue;
@@ -168,7 +142,7 @@ impl BoundarySweep {
                 let mut entry = UNREACHABLE;
                 for (u, e) in neighbors(w) {
                     let du = depth0[u.index()];
-                    if du >= max_hops || inside(u) {
+                    if du == UNREACHABLE || inside(u) {
                         continue;
                     }
                     if self.dist[u.index()] == UNREACHABLE {
@@ -202,7 +176,6 @@ impl BoundarySweep {
     /// the BFS discovers is in it, so `order` stays sorted by depth.
     fn sweep<I: Iterator<Item = (VertexId, EdgeId)>>(
         &mut self,
-        max_hops: u32,
         neighbors: impl Fn(VertexId) -> I,
         allow: impl Fn(VertexId, EdgeId) -> bool,
         mut done: impl FnMut(VertexId) -> bool,
@@ -221,9 +194,6 @@ impl BoundarySweep {
                         return;
                     }
                 }
-            }
-            if level >= max_hops {
-                return;
             }
             let end = self.order.len();
             if head == end {
@@ -266,7 +236,7 @@ impl BoundarySweep {
     }
 
     /// Vertices outside the region the last run wrote at their fault-free
-    /// depth: the region's reachable neighbours (shallower than the bound).
+    /// depth: the region's reachable neighbours.
     #[inline]
     pub fn boundary(&self) -> &[VertexId] {
         &self.boundary
@@ -347,8 +317,6 @@ mod tests {
             tree: tree.euler(),
             depth0: tree.depth_row(),
             intervals: &intervals,
-            max_hops: UNREACHABLE,
-            target: None,
         };
         let order = tree.euler().order();
         let in_region: Vec<VertexId> = intervals
@@ -434,45 +402,6 @@ mod tests {
             }
         }
         assert!(disjoint_edges > 0 && edge_and_vertex > 0 && nested > 0 && failed_inside > 0);
-    }
-
-    /// A hop-bounded single-target probe over the subtree a tree edge cuts
-    /// off: the target is found at exactly its distance, and a bound one hop
-    /// short finds nothing.
-    #[test]
-    fn hop_bounded_probes_stop_at_the_bound() {
-        for (what, g) in graphs() {
-            let weights = TieBreakWeights::generate(&g, 5);
-            let tree = ShortestPathTree::build(&g, &weights, VertexId(0));
-            let mut sweep = BoundarySweep::new(g.num_vertices());
-            for &e in tree.tree_edges() {
-                let faults = [Fault::Edge(e)];
-                let intervals = region_of(&tree, &faults);
-                let expected = oracle(&g, tree.source(), &faults);
-                let (a, b) = intervals[0];
-                for &t in &tree.euler().order()[a as usize..b as usize] {
-                    let allow = |_: VertexId, f: EdgeId| f != e;
-                    let mut probe = |max_hops: u32| {
-                        let region = Region {
-                            tree: tree.euler(),
-                            depth0: tree.depth_row(),
-                            intervals: &intervals,
-                            max_hops,
-                            target: Some(t),
-                        };
-                        sweep.search(region, |u| g.neighbors(u), allow, |w| w == t);
-                        sweep.dist(t)
-                    };
-                    let d = expected[t.index()];
-                    if d == UNREACHABLE {
-                        assert_eq!(probe(UNREACHABLE), None, "{t:?} cut off on {what}");
-                        continue;
-                    }
-                    assert_eq!(probe(d), Some(d), "{t:?} within {d} on {what}");
-                    assert_eq!(probe(d - 1), None, "{t:?} within {} on {what}", d - 1);
-                }
-            }
-        }
     }
 
     /// A search from caller-given seeds over the subtree a tree edge cuts
