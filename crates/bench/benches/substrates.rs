@@ -44,23 +44,18 @@ fn bench_substrates(c: &mut Criterion) {
         );
     }
 
-    let dists = ReplacementDistances::compute(&graph, &tree, &ParallelConfig::default());
     for threads in [1usize, 4] {
         group.bench_with_input(
             BenchmarkId::new("pcons_n400/threads", threads),
             &threads,
             |b, &threads| {
                 let par = ParallelConfig::with_threads(threads);
-                b.iter(|| {
-                    black_box(ReplacementPaths::compute(
-                        &graph, &weights, &tree, &dists, &par,
-                    ))
-                });
+                b.iter(|| black_box(ReplacementPaths::new(&graph, &weights, &tree, &par)));
             },
         );
     }
 
-    let rp = ReplacementPaths::compute(&graph, &weights, &tree, &dists, &ParallelConfig::default());
+    let rp = ReplacementPaths::new(&graph, &weights, &tree, &ParallelConfig::default());
     let tree_index = TreeIndex::build(&tree);
     group.bench_function("interference_split_n400", |b| {
         b.iter(|| {

@@ -2,8 +2,8 @@
 //!
 //! Driver orchestrating the phases:
 //!
-//! 1. **S0** — tie-break weights `W`, BFS tree `T0`, replacement distances,
-//!    Algorithm `Pcons` (crate `ftb-rp`),
+//! 1. **S0** — tie-break weights `W`, BFS tree `T0`, Algorithm `Pcons`
+//!    (crate `ftb-rp`), whose first pass finds the replacement distances,
 //! 2. split of the uncovered pairs into `I1` / `I2` by `(≁)`-interference,
 //! 3. **S1** — `K = ⌈1/ε⌉ + 2` rounds over `I1` ([`crate::phase_s1`]),
 //! 4. **S2** — heavy-path / segment decomposition covers over the `(∼)`-sets
@@ -30,7 +30,7 @@ use crate::structure::FtBfsStructure;
 use crate::verify::unprotected_edges;
 use ftb_graph::{BitSet, Graph, VertexId};
 use ftb_rp::{InterferenceIndex, ReplacementPaths};
-use ftb_sp::{ReplacementDistances, ShortestPathTree, TieBreakWeights, UNREACHABLE};
+use ftb_sp::{ShortestPathTree, TieBreakWeights, UNREACHABLE};
 use ftb_tree::{HeavyPathDecomposition, TreeIndex};
 use std::time::Instant;
 
@@ -89,8 +89,7 @@ pub(crate) fn build_tradeoff_impl(
     // --- Phase S0 ---------------------------------------------------------
     let weights = TieBreakWeights::generate(graph, config.seed);
     let tree = ShortestPathTree::build(graph, &weights, source);
-    let dists = ReplacementDistances::compute(graph, &tree, &config.parallel);
-    let rp = ReplacementPaths::compute(graph, &weights, &tree, &dists, &config.parallel);
+    let rp = ReplacementPaths::new(graph, &weights, &tree, &config.parallel);
 
     // H starts as the BFS tree.
     let mut h = BitSet::new(graph.num_edges());

@@ -13,7 +13,7 @@ use crate::stats::BuildStats;
 use crate::structure::FtBfsStructure;
 use ftb_graph::{BitSet, Graph, VertexId};
 use ftb_rp::ReplacementPaths;
-use ftb_sp::{ReplacementDistances, ShortestPathTree, TieBreakWeights};
+use ftb_sp::{ShortestPathTree, TieBreakWeights};
 use std::time::Instant;
 
 /// The ESA'13 baseline FT-BFS structure (the `ε ≥ 1/2` branch): `T0` plus
@@ -27,8 +27,7 @@ pub(crate) fn build_baseline_impl(
     let start = Instant::now();
     let weights = TieBreakWeights::generate(graph, config.seed);
     let tree = ShortestPathTree::build(graph, &weights, source);
-    let dists = ReplacementDistances::compute(graph, &tree, &config.parallel);
-    let rp = ReplacementPaths::compute(graph, &weights, &tree, &dists, &config.parallel);
+    let rp = ReplacementPaths::new(graph, &weights, &tree, &config.parallel);
 
     let mut edges = BitSet::new(graph.num_edges());
     for &e in tree.tree_edges() {

@@ -15,9 +15,10 @@ use std::time::Instant;
 /// declared [`AugmentCoverage`].
 ///
 /// The pass enumerates fault sets in the coverage family that can actually
-/// change a canonical shortest path (first-level: tree edges and vertices;
-/// second-level: elements of the first fault's replacement tree — see the
-/// [module docs](super) for why this enumeration is sufficient), computes
+/// change a canonical shortest path and can reach the augmented tier
+/// (first level: vertices and tree edges; second level: edges of the first
+/// fault's replacement tree — see the [module docs](super) for which and
+/// why this enumeration is sufficient), computes
 /// the canonical replacement tree of `G ∖ F` for each, and records the
 /// "last leg" (the rerouted parent edge) of every vertex whose canonical
 /// path changed. Every tree is a [`CutTree`] repair: a fault changes paths
@@ -155,9 +156,11 @@ impl FtBfsAugmenter {
 
         if self.coverage != AugmentCoverage::Off {
             let weights = TieBreakWeights::generate(graph, self.seed);
-            let dual = self.coverage >= AugmentCoverage::DualFailure;
+            let reinforced = structure.reinforced_set();
             for &source in sources {
-                self.augment_one_source(graph, &weights, source, dual, &mut edges, &mut stats);
+                self.augment_one_source(
+                    graph, &weights, source, reinforced, &mut edges, &mut stats,
+                );
             }
         }
         stats.augment_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -183,16 +186,18 @@ impl FtBfsAugmenter {
     }
 
     /// One source's worth of passes: the canonical tree, the single-fault
-    /// sweep, and (when `dual`) the pair sweep.
+    /// sweep, and (with DualFailure coverage) the pair sweep. `reinforced`
+    /// is the seed structure's reinforced set.
     fn augment_one_source(
         &self,
         graph: &Graph,
         weights: &TieBreakWeights,
         source: VertexId,
-        dual: bool,
+        reinforced: &BitSet,
         edges: &mut BitSet,
         stats: &mut AugmentStats,
     ) {
+        let dual = self.coverage >= AugmentCoverage::DualFailure;
         let t_setup = Instant::now();
         let tree = ShortestPathTree::build(graph, weights, source);
 
@@ -206,13 +211,14 @@ impl FtBfsAugmenter {
             }
         }
 
-        // First-level faults: every canonical tree edge (reinforced or not
-        // — the augmented tier also serves reinforced-edge hypotheticals)
-        // and every reachable non-source vertex. Nothing else can change a
-        // canonical path on its own.
+        // First-level faults: every reachable non-source vertex, and the
+        // tree edges the augmented tier can be asked about: the reinforced
+        // ones for SingleFault, all of them for DualFailure (module docs).
+        // Nothing else can change a canonical path on its own.
         let first_level: Vec<Fault> = tree
             .tree_edges()
             .iter()
+            .filter(|e| dual || reinforced.contains(e.index()))
             .map(|&e| Fault::Edge(e))
             .chain(
                 graph

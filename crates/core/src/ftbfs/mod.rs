@@ -12,9 +12,9 @@
 //! over the seed structure:
 //!
 //! * [`FtBfsAugmenter`] — enumerates the fault sets in the coverage family
-//!   that can change a canonical shortest path, computes a canonical
-//!   replacement tree per set, and adds every rerouted vertex's "last leg"
-//!   (its new parent edge) to the structure;
+//!   that can change a canonical shortest path and reach the augmented
+//!   tier, computes a canonical replacement tree per set, and adds every
+//!   rerouted vertex's "last leg" (its new parent edge) to the structure;
 //! * [`AugmentedStructure`] — the result `H⁺ ⊇ H`, carrying the declared
 //!   [`AugmentCoverage`] and [`AugmentStats`];
 //! * the serving side — [`EngineCore::build_augmented`] — answers every
@@ -61,6 +61,19 @@
 //! `|F| ≤ 2` set with **at most one vertex fault**. Two simultaneous vertex
 //! faults have no published sparse structure and keep the exact full-graph
 //! fallback (see the ROADMAP decision record).
+//!
+//! # Which first-level faults each coverage cuts
+//!
+//! The engine sends a single edge `e` to the augmented tier only if `e` is
+//! a reinforced edge of `H`: an edge outside `H` leaves `T0 ⊆ H` intact,
+//! and a non-reinforced one is answered from `H`, exact by Theorem 3.1.
+//! So [`AugmentCoverage::SingleFault`] cuts the vertices and the reinforced
+//! tree edges alone. A single fault `{x}` binds on `∅` or `{x}`, so `x`'s
+//! own pass suffices, and `H⁺ ⊇ T_x` for every fault cut; the other tree
+//! edges stay exact through `H ⊆ H⁺`, and only legs no route reads are
+//! left out. [`AugmentCoverage::DualFailure`] cuts every tree edge: each
+//! can be the first fault of a covered pair, whose second level runs on
+//! that fault's rows.
 //!
 //! # Size
 //!

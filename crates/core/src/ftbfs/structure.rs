@@ -66,8 +66,10 @@ pub struct AugmentStats {
     pub single_added: usize,
     /// Last-leg edges added by the dual-failure passes.
     pub dual_added: usize,
-    /// Single-fault replacement trees computed (one per faulted tree edge or
-    /// vertex, summed over sources).
+    /// Single-fault replacement trees computed, summed over sources: one per
+    /// reachable non-source vertex and per tree edge cut (the reinforced
+    /// ones with [`AugmentCoverage::SingleFault`], all of them with
+    /// [`AugmentCoverage::DualFailure`]).
     pub single_passes: usize,
     /// Dual-failure replacement trees computed.
     pub dual_passes: usize,

@@ -115,7 +115,7 @@ mod tests {
     use super::*;
     use ftb_graph::{Graph, VertexId};
     use ftb_par::ParallelConfig;
-    use ftb_sp::{ReplacementDistances, ShortestPathTree, TieBreakWeights};
+    use ftb_sp::{ShortestPathTree, TieBreakWeights};
     use ftb_tree::TreeIndex;
     use ftb_workloads::families;
 
@@ -128,9 +128,7 @@ mod tests {
     fn fixture(graph: Graph, seed: u64) -> Fixture {
         let weights = TieBreakWeights::generate(&graph, seed);
         let tree = ShortestPathTree::build(&graph, &weights, VertexId(0));
-        let dists = ReplacementDistances::compute(&graph, &tree, &ParallelConfig::serial());
-        let rp =
-            ReplacementPaths::compute(&graph, &weights, &tree, &dists, &ParallelConfig::serial());
+        let rp = ReplacementPaths::new(&graph, &weights, &tree, &ParallelConfig::serial());
         Fixture { graph, tree, rp }
     }
 

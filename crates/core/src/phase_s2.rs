@@ -217,7 +217,7 @@ mod tests {
     use ftb_graph::Graph;
     use ftb_par::ParallelConfig;
     use ftb_rp::InterferenceIndex;
-    use ftb_sp::{ReplacementDistances, TieBreakWeights};
+    use ftb_sp::TieBreakWeights;
     use ftb_tree::TreeIndex;
     use ftb_workloads::families;
 
@@ -231,9 +231,7 @@ mod tests {
     fn fixture(graph: Graph, seed: u64) -> Fixture {
         let weights = TieBreakWeights::generate(&graph, seed);
         let tree = ShortestPathTree::build(&graph, &weights, VertexId(0));
-        let dists = ReplacementDistances::compute(&graph, &tree, &ParallelConfig::serial());
-        let rp =
-            ReplacementPaths::compute(&graph, &weights, &tree, &dists, &ParallelConfig::serial());
+        let rp = ReplacementPaths::new(&graph, &weights, &tree, &ParallelConfig::serial());
         let hld = HeavyPathDecomposition::build(&tree);
         Fixture {
             graph,

@@ -45,8 +45,9 @@ pub struct BuildStats {
     pub used_baseline: bool,
     /// Wall-clock milliseconds spent in construction (excluding verification).
     pub construction_ms: f64,
-    /// Wall-clock ms of Phase S0 (weights, tree, replacement paths, tree
-    /// index) plus the interference split. 0 on the baseline / ε = 0 branches.
+    /// Wall-clock ms of Phase S0 (weights, tree, `Pcons`, whose first pass
+    /// finds the replacement distances; no distance table is built) plus the
+    /// interference split. 0 on the baseline / ε = 0 branches.
     pub s0_ms: f64,
     /// Wall-clock ms of Phase S1.
     pub s1_ms: f64,

@@ -153,10 +153,10 @@ const AUGMENT_CASES: [(WorkloadFamily, usize, u64, AugmentCoverage, u64, bool); 
 };
 
 const AUGMENT_GOLDEN: [&str; 8] = [
-    "erdos-renyi/400/7/single-fault/aug_seed=7/sources=1: H+=801#4bc882d8d5cce31c | base=755 tree_added=0 single_added=46 dual_added=0 single_passes=798 dual_passes=0",
-    "layered-deep/400/7/single-fault/aug_seed=7/sources=1: H+=853#e8231924cb8f269d | base=783 tree_added=0 single_added=70 dual_added=0 single_passes=800 dual_passes=0",
-    "pref-attach/200/3/single-fault/aug_seed=3/sources=2: H+=531#45dde6751ab2aaf7 | base=385 tree_added=72 single_added=74 dual_added=0 single_passes=796 dual_passes=0",
-    "grid-chords/200/1/single-fault/aug_seed=2/sources=1: H+=428#ea7660828f6d863e | base=399 tree_added=9 single_added=20 dual_added=0 single_passes=448 dual_passes=0",
+    "erdos-renyi/400/7/single-fault/aug_seed=7/sources=1: H+=797#08da8494148abab7 | base=755 tree_added=0 single_added=42 dual_added=0 single_passes=399 dual_passes=0",
+    "layered-deep/400/7/single-fault/aug_seed=7/sources=1: H+=850#bcb0a7a70fc13c33 | base=783 tree_added=0 single_added=67 dual_added=0 single_passes=400 dual_passes=0",
+    "pref-attach/200/3/single-fault/aug_seed=3/sources=2: H+=525#0573a8aaa23b6bf9 | base=385 tree_added=76 single_added=64 dual_added=0 single_passes=398 dual_passes=0",
+    "grid-chords/200/1/single-fault/aug_seed=2/sources=1: H+=428#ea7660828f6d863e | base=399 tree_added=9 single_added=20 dual_added=0 single_passes=224 dual_passes=0",
     "erdos-renyi/80/7/dual-failure/aug_seed=7/sources=1: H+=231#72b9cc9dff59dda0 | base=151 tree_added=0 single_added=14 dual_added=66 single_passes=158 dual_passes=12403",
     "layered-deep/80/7/dual-failure/aug_seed=7/sources=1: H+=200#345f94d496ee078a | base=136 tree_added=0 single_added=8 dual_added=56 single_passes=144 dual_passes=10296",
     "pref-attach/60/3/dual-failure/aug_seed=3/sources=2: H+=169#589a2f0cc2035bc5 | base=114 tree_added=3 single_added=4 dual_added=48 single_passes=236 dual_passes=13806",

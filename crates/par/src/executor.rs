@@ -126,7 +126,9 @@ where
 /// segments may differ in length (and be empty). The caller allocates
 /// `data`, so the results land in one buffer owned by the calling thread
 /// instead of in per-item allocations made (and later freed) on
-/// short-lived worker threads. Workers take one segment at a time.
+/// short-lived worker threads. Workers take one segment at a time, so the
+/// chunk size plays no part: two segments already start two workers. The
+/// calling thread is one of them.
 pub fn parallel_segments_mut_init<T, S, I, F>(
     config: &ParallelConfig,
     data: &mut [T],
@@ -152,7 +154,7 @@ pub fn parallel_segments_mut_init<T, S, I, F>(
         rest = tail;
         (i, segment)
     });
-    if config.is_serial() || len <= config.chunk_size() {
+    if config.is_serial() || len == 1 {
         let mut state = init();
         for (i, segment) in segments {
             f(&mut state, i, segment);
@@ -161,22 +163,24 @@ pub fn parallel_segments_mut_init<T, S, I, F>(
     }
     let segments = Mutex::new(segments);
     let workers = config.threads().min(len);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let Some((i, segment)) = segments
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .next()
-                    else {
-                        break;
-                    };
-                    f(&mut state, i, segment);
-                }
-            });
+    let work = || {
+        let mut state = init();
+        loop {
+            let Some((i, segment)) = segments
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .next()
+            else {
+                break;
+            };
+            f(&mut state, i, segment);
         }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
 }
 
@@ -377,5 +381,27 @@ mod tests {
             || (),
             |_, _, _| panic!("must not be called"),
         );
+    }
+
+    #[test]
+    fn segments_mut_goes_parallel_below_the_chunk_size() {
+        // Three segments, fewer than the default chunk size of 16: with two
+        // threads both workers start, each on a thread of its own, and every
+        // segment is still filled once.
+        let cfg = ParallelConfig::with_threads(2);
+        assert!(3 < cfg.chunk_size());
+        let workers = Mutex::new(Vec::new());
+        let mut data = vec![0u32; 6];
+        parallel_segments_mut_init(
+            &cfg,
+            &mut data,
+            &[0, 1, 3, 6],
+            || workers.lock().unwrap().push(std::thread::current().id()),
+            |_, i, segment| segment.fill(i as u32 + 1),
+        );
+        let workers = workers.into_inner().unwrap();
+        assert_eq!(workers.len(), 2);
+        assert_ne!(workers[0], workers[1]);
+        assert_eq!(data, [1, 2, 2, 3, 3, 3]);
     }
 }

@@ -299,7 +299,7 @@ mod tests {
         esa13_lower_bound, multi_source_lower_bound, single_source_lower_bound,
     };
     use ftb_par::ParallelConfig;
-    use ftb_sp::{ReplacementDistances, TieBreakWeights};
+    use ftb_sp::TieBreakWeights;
     use ftb_tree::TreeIndex;
     use ftb_workloads::{families, Workload, WorkloadFamily};
     use proptest::prelude::*;
@@ -313,9 +313,7 @@ mod tests {
     fn fixture(graph: &Graph, seed: u64, source: VertexId) -> Fixture {
         let weights = TieBreakWeights::generate(graph, seed);
         let tree = ShortestPathTree::build(graph, &weights, source);
-        let dists = ReplacementDistances::compute(graph, &tree, &ParallelConfig::serial());
-        let rp =
-            ReplacementPaths::compute(graph, &weights, &tree, &dists, &ParallelConfig::serial());
+        let rp = ReplacementPaths::new(graph, &weights, &tree, &ParallelConfig::serial());
         let index = LiftingIndex::build(&tree);
         Fixture { tree, rp, index }
     }

@@ -13,7 +13,7 @@ use ftb_sp::{
 };
 
 /// All replacement paths, terminal by terminal in the order
-/// [`ReplacementPaths::compute`](crate::ReplacementPaths::compute) uses.
+/// [`ReplacementPaths::new`](crate::ReplacementPaths::new) uses.
 pub(crate) fn lex_pcons(
     graph: &Graph,
     weights: &TieBreakWeights,
@@ -211,11 +211,10 @@ mod tests {
         let weights = TieBreakWeights::generate(graph, seed);
         let tree = ShortestPathTree::build(graph, &weights, source);
         let dists = ReplacementDistances::compute(graph, &tree, &ParallelConfig::serial());
-        let fast = ReplacementPaths::compute(
+        let fast = ReplacementPaths::new(
             graph,
             &weights,
             &tree,
-            &dists,
             &ParallelConfig::with_threads(2).with_chunk_size(8),
         );
         let oracle = lex_pcons(graph, &weights, &tree, &dists);
@@ -307,13 +306,7 @@ mod tests {
             let weights = TieBreakWeights::uniform(&graph);
             let tree = ShortestPathTree::build(&graph, &weights, VertexId(0));
             let dists = ReplacementDistances::compute(&graph, &tree, &ParallelConfig::serial());
-            let fast = ReplacementPaths::compute(
-                &graph,
-                &weights,
-                &tree,
-                &dists,
-                &ParallelConfig::serial(),
-            );
+            let fast = ReplacementPaths::new(&graph, &weights, &tree, &ParallelConfig::serial());
             let oracle = lex_pcons(&graph, &weights, &tree, &dists);
             assert_eq!(
                 format!("{:?}", rebuilt(&fast, &graph, &tree)),

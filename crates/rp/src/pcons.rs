@@ -10,13 +10,15 @@
 //!
 //! The work runs in two passes, each parallel over its tasks:
 //!
-//! * **Pass 1, per failing edge: covered pairs, no probe.** One canonical
-//!   replacement tree of `G ∖ {e}`, `e` cut from `T0`'s rows, answers every
-//!   terminal below `c`. A pair `⟨v, e⟩` is covered iff some tree edge
-//!   `(x, v) ≠ e` has `dist(s, x, G ∖ {e}) = target − 1`: a path to `x` that
-//!   short cannot pass `v`, so it also lives in `G'(v) ∖ {e}` (no non-tree
-//!   edge incident to `v`), and its canonical path and tie sum are those of
-//!   the tree. The canonical covered path is the tree path to the
+//! * **Pass 1, per failing edge: targets and covered pairs, no probe.** One
+//!   canonical replacement tree of `G ∖ {e}`, `e` cut from `T0`'s rows,
+//!   answers every terminal below `c`: `v`'s depth in it is the pair's
+//!   `target`, so no replacement-distance table is read. A pair `⟨v, e⟩`
+//!   is covered iff some tree edge `(x, v) ≠ e` has `dist(s, x, G ∖ {e}) =
+//!   target − 1`: a path to `x` that short cannot pass `v`, so it also
+//!   lives in `G'(v) ∖ {e}` (no non-tree edge incident to `v`), and its
+//!   canonical path and tie sum are those of the tree. The canonical
+//!   covered path is the tree path to the
 //!   `(tie sum + W(x, v), x)`-minimal such `x`, followed by `(x, v)` — the
 //!   parent the canonical search in `G'(v) ∖ {e}` would settle. The pass
 //!   lists the other pairs, with their targets, as uncovered.
@@ -126,12 +128,12 @@ impl ReplacementPaths {
     /// Run Algorithm `Pcons` for every pair, in parallel: pass 1 over
     /// failing tree edges, then pass 2 level by level, each level over the
     /// tree edges at that depth above the terminals of the undecided
-    /// uncovered pairs.
-    pub fn compute(
+    /// uncovered pairs. Pass 1 reads every pair's target off its own
+    /// replacement tree.
+    pub fn new(
         graph: &Graph,
         weights: &TieBreakWeights,
         tree: &ShortestPathTree,
-        dists: &ReplacementDistances,
         config: &ParallelConfig,
     ) -> Self {
         let n = graph.num_vertices();
@@ -172,7 +174,7 @@ impl ReplacementPaths {
             || CutTree::new(graph, weights, tree),
             |rows, c, task| {
                 if let Some((_, e)) = tree.parent(VertexId::new(c)) {
-                    pairs_of_edge(rows, graph, weights, dists, e, &mut task[0]);
+                    pairs_of_edge(rows, graph, weights, e, &mut task[0]);
                 }
             },
         );
@@ -248,10 +250,10 @@ impl ReplacementPaths {
         // drops out once all its pairs are decided.
         let mut ends = vec![NewEnding::default(); pending.len()];
         let mut slots = terminal_slots(&pending_terminals, &pending, &pending_offsets, &mut ends);
-        slots.sort_unstable_by_key(|slot| tree.preorder(slot.terminal));
         let mut buffers = Vec::new();
         let mut level = 0;
         while !slots.is_empty() {
+            slots.sort_unstable_by_key(|slot| tree.preorder(slot.terminal));
             let mut walks: Vec<WalkTask<'_>> = Vec::new();
             for slot in slots {
                 let v = slot.terminal;
@@ -275,6 +277,9 @@ impl ReplacementPaths {
                 walk.terminals.push(v);
                 walk.slots.push(slot);
             }
+            // Largest walks first, so a long one does not start last and
+            // run alone. A walk's detour buffer is its place in this order.
+            walks.sort_by_key(|w| std::cmp::Reverse(w.terminals.len()));
             let first_buffer = buffers.len();
             let one_task_each: Vec<usize> = (0..=walks.len()).collect();
             parallel_segments_mut_init(
@@ -308,6 +313,19 @@ impl ReplacementPaths {
             store.detour_offsets.push(to_u32(store.detours.len()));
         }
         store
+    }
+
+    /// [`ReplacementPaths::new`]; `dists` is not read. Kept only because
+    /// the end-to-end benchmark (`benchmark/src/build.rs`) calls it, and
+    /// goes with the next change to the benchmark.
+    pub fn compute(
+        graph: &Graph,
+        weights: &TieBreakWeights,
+        tree: &ShortestPathTree,
+        _dists: &ReplacementDistances,
+        config: &ParallelConfig,
+    ) -> Self {
+        Self::new(graph, weights, tree, config)
     }
 
     /// The search work of the run that computed the store: identical for
@@ -606,13 +624,13 @@ struct WalkTask<'a> {
 
 /// Pass 1 for tree edge `e = (p, c)`: the canonical replacement tree of
 /// `G ∖ {e}`, cut from `T0`'s rows, and for every pair `⟨v, e⟩` below `c`
-/// whether it is covered, written to `v`'s slot in the cut's region (the
-/// subtree's preorder slice): `preorder(v) − preorder(c)`.
+/// its target `dist(s, v, G ∖ {e})`, `v`'s depth in that tree, and whether
+/// it is covered, written to `v`'s slot in the cut's region (the subtree's
+/// preorder slice): `preorder(v) − preorder(c)`.
 fn pairs_of_edge(
     rows: &mut CutTree<'_>,
     graph: &Graph,
     weights: &TieBreakWeights,
-    dists: &ReplacementDistances,
     e: EdgeId,
     out: &mut EdgeTask<'_>,
 ) {
@@ -623,8 +641,7 @@ fn pairs_of_edge(
         let Some((_, last)) = rows.parent(v) else {
             continue; // cut off
         };
-        let target = dists.dist(e, v).expect("tree edge");
-        debug_assert_eq!(rows.depth(v), Some(target), "row of {e:?} at {v:?}");
+        let target = rows.depth(v).expect("reached");
         // The canonical parent among the tree edges other than `e`.
         let best = canonical_parent(
             graph,
@@ -755,8 +772,8 @@ mod tests {
     use ftb_graph::generators;
     use ftb_workloads::{Workload, WorkloadFamily};
 
-    /// Phase S0 from scratch: weights, `T0`, replacement distances and
-    /// Pcons.
+    /// Phase S0 from scratch: `T0` and Pcons, with the replacement
+    /// distances as the oracle of the pairs' targets.
     fn compute_full(
         graph: &Graph,
         weights: &TieBreakWeights,
@@ -765,7 +782,7 @@ mod tests {
     ) -> (ShortestPathTree, ReplacementDistances, ReplacementPaths) {
         let tree = ShortestPathTree::build(graph, weights, source);
         let dists = ReplacementDistances::compute(graph, &tree, config);
-        let rp = ReplacementPaths::compute(graph, weights, &tree, &dists, config);
+        let rp = ReplacementPaths::new(graph, weights, &tree, config);
         (tree, dists, rp)
     }
 
@@ -946,16 +963,8 @@ mod tests {
         let g = generators::grid(5, 5);
         let weights = TieBreakWeights::generate(&g, 17);
         let tree = ShortestPathTree::build(&g, &weights, VertexId(0));
-        let dists = ReplacementDistances::compute(&g, &tree, &ParallelConfig::serial());
-        let serial =
-            ReplacementPaths::compute(&g, &weights, &tree, &dists, &ParallelConfig::serial());
-        let parallel = ReplacementPaths::compute(
-            &g,
-            &weights,
-            &tree,
-            &dists,
-            &ParallelConfig::with_threads(4),
-        );
+        let serial = ReplacementPaths::new(&g, &weights, &tree, &ParallelConfig::serial());
+        let parallel = ReplacementPaths::new(&g, &weights, &tree, &ParallelConfig::with_threads(4));
         assert_eq!(serial.len(), parallel.len());
         assert_eq!(serial.all(), parallel.all());
         for p in 0..serial.len() {
@@ -983,6 +992,33 @@ mod tests {
                     .dist(item.pair.failing_edge, item.pair.terminal)
                     .unwrap()
             );
+        }
+    }
+
+    /// Pass 1 reads each pair's target off its own replacement tree; every
+    /// rebuilt path has the length the replacement-distance table gives.
+    #[test]
+    fn pass_one_targets_match_the_replacement_distances() {
+        let families = WorkloadFamily::all()
+            .iter()
+            .map(|&family| (family.name(), Workload::new(family, 160, 7).generate()));
+        let fixed = [
+            ("grid", generators::grid(9, 11)),
+            ("hypercube", generators::hypercube(6)),
+            ("cycle", generators::cycle(41)),
+        ];
+        for (what, graph) in families.chain(fixed) {
+            let (_w, tree, dists, rp) = full_setup(&graph, 7);
+            assert!(!rp.is_empty(), "{what}");
+            for p in 0..rp.len() {
+                let full = rp.path(&graph, &tree, p);
+                let (v, e) = (full.pair.terminal, full.pair.failing_edge);
+                assert_eq!(
+                    Some(full.path.len() as u32),
+                    dists.dist(e, v),
+                    "{what}: pair {p}"
+                );
+            }
         }
     }
 

@@ -256,7 +256,6 @@ mod tests {
     fn walk_is_exact_at_benchmark_size() {
         use crate::ReplacementPaths;
         use ftb_par::ParallelConfig;
-        use ftb_sp::ReplacementDistances;
         for family in [
             WorkloadFamily::LayeredDeep,
             WorkloadFamily::ErdosRenyi,
@@ -266,8 +265,7 @@ mod tests {
             let weights = TieBreakWeights::generate(&graph, 7);
             let tree = ShortestPathTree::build(&graph, &weights, VertexId(0));
             let config = ParallelConfig::default();
-            let dists = ReplacementDistances::compute(&graph, &tree, &config);
-            let rp = ReplacementPaths::compute(&graph, &weights, &tree, &dists, &config);
+            let rp = ReplacementPaths::new(&graph, &weights, &tree, &config);
             // Each terminal with an uncovered pair, with the deepest
             // divergence point of its uncovered pairs.
             let mut terminals: Vec<(VertexId, u32)> = Vec::new();

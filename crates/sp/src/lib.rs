@@ -22,7 +22,7 @@
 //!   path extraction,
 //! * [`replacement`] — replacement distances `dist(s, ·, G \ {e})` for
 //!   every tree edge `e`, one row over the subtree `e` cuts off, computed in
-//!   parallel,
+//!   parallel: the tests' oracle for the targets `Pcons` finds itself,
 //! * [`TimestampedVector`] — generation-stamped scratch whose reset is
 //!   `O(1)`, backing the query engine's full-sweep scratch and target marks.
 

@@ -1,7 +1,9 @@
 //! Replacement distances `dist(s, ·, G ∖ {e})` for every tree edge `e`.
 //!
-//! For every failing tree edge `e = (p, c) ∈ T0` the FT-BFS construction
-//! needs the post-failure distances from the source. Only tree edges matter
+//! The table is a test oracle, not a build input: pass 1 of `Pcons` reads
+//! each pair's target, `dist(s, v, G ∖ {e})`, off its own replacement tree
+//! of `G ∖ {e}`, and the tests check those targets, and the lengths of the
+//! rebuilt paths, against this table. Only tree edges matter
 //! (removing a non-tree edge leaves `T0` intact), and removing `e` changes
 //! distances only inside the `T0` subtree of `c`: every other vertex keeps
 //! its `T0` path. So each row holds the subtree of `c` alone, filled by one

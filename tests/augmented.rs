@@ -7,17 +7,17 @@
 //! CI runs this file as a dedicated step with `FTBFS_FORCE_THREADS=4`
 //! alongside the multi-fault suite, so the augmentation sweeps and the
 //! sharded batch path both run multi-threaded even on small runners.
-//! Its `#[ignore]`d benchmark-size check runs in release as a step of its
+//! Its `#[ignore]`d benchmark-size checks run in release as a step of their
 //! own: `cargo test --release --test augmented -- --ignored`.
 
-use ftbfs::graph::{enumerate_fault_sets, Fault, FaultSet, VertexId};
+use ftbfs::graph::{enumerate_fault_sets, BitSet, EdgeId, Fault, FaultSet, Graph, VertexId};
 use ftbfs::par::ParallelConfig;
-use ftbfs::sp::UNREACHABLE;
+use ftbfs::sp::{ShortestPathTree, TieBreakWeights, UNREACHABLE};
 use ftbfs::workloads::{FaultScenario, Workload, WorkloadFamily};
 use ftbfs::{
     cross_check_fault_sets, dist_after_faults_brute, AugmentCoverage, AugmentedStructure,
-    BuildConfig, EngineCore, EngineOptions, FtBfsAugmenter, Sources, StructureBuilder,
-    TradeoffBuilder,
+    BuildConfig, EngineCore, EngineOptions, FtBfsAugmenter, FtBfsStructure, Sources,
+    StructureBuilder, TradeoffBuilder,
 };
 
 const SEED: u64 = 0xA462;
@@ -381,6 +381,148 @@ fn multi_source_augmented_engine_is_exact_for_every_source() {
     );
 }
 
+/// Every single fault of `graph` (each edge, each vertex but the source)
+/// from every source of an augmented SingleFault `core` built with
+/// `force_full_sweep`, so that every target counts in its fault set's tier:
+/// each answer matches brute force, and the augmented tier answers exactly
+/// the vertex faults and the reinforced edges of `H`. Returns how many
+/// fault sets the augmented tier answered.
+fn assert_single_faults_route_by_reinforcement(graph: &Graph, core: &EngineCore) -> usize {
+    assert!(core.options().force_full_sweep);
+    let structure = core.structure();
+    let all: Vec<VertexId> = graph.vertices().collect();
+    let edges = (0..graph.num_edges() as u32).map(|e| Fault::Edge(EdgeId(e)));
+    let faults: Vec<Fault> = edges.chain(graph.vertices().map(Fault::Vertex)).collect();
+    let mut ctx = core.new_context();
+    let mut augmented_sets = 0;
+    for &s in core.sources() {
+        for &fault in &faults {
+            if fault == Fault::Vertex(s) {
+                continue;
+            }
+            let set: FaultSet = [fault].into_iter().collect();
+            let before = ctx.stats().tiers;
+            let got = ctx
+                .dist_many_after_faults_from(core, s, &all, &set)
+                .expect("in range");
+            let tiers = ctx.stats().tiers;
+            let want: Vec<Option<u32>> = dist_after_faults_brute(graph, s, &set)
+                .into_iter()
+                .map(|d| (d != UNREACHABLE).then_some(d))
+                .collect();
+            assert_eq!(got, want, "source {s:?} under {set}");
+            let augmented = match fault {
+                Fault::Vertex(_) => true,
+                Fault::Edge(e) => structure.contains_edge(e) && structure.is_reinforced(e),
+            };
+            let answered = tiers.augmented_bfs - before.augmented_bfs;
+            assert_eq!(
+                answered,
+                if augmented { all.len() } else { 0 },
+                "source {s:?} under {set}"
+            );
+            assert_eq!(tiers.full_graph_bfs, before.full_graph_bfs, "{set}");
+            augmented_sets += usize::from(augmented);
+        }
+    }
+    augmented_sets
+}
+
+/// SingleFault `H⁺` cuts the vertices and the reinforced tree edges of
+/// each source's `T0`: `single_passes`, summed over the sources.
+fn expected_single_passes(graph: &Graph, structure: &AugmentedStructure) -> usize {
+    let weights = TieBreakWeights::generate(graph, SEED);
+    structure
+        .sources()
+        .iter()
+        .map(|&s| {
+            let tree = ShortestPathTree::build(graph, &weights, s);
+            let vertices = graph
+                .vertices()
+                .filter(|&v| v != s && tree.is_reachable(v))
+                .count();
+            let reinforced = tree.tree_edges().iter();
+            let reinforced = reinforced.filter(|&&e| structure.base().is_reinforced(e));
+            vertices + reinforced.count()
+        })
+        .sum()
+}
+
+/// `structure` with every third edge of each source's `T0` marked
+/// reinforced on top of its own reinforced set: still a valid structure
+/// for the other edges.
+fn with_every_third_tree_edge_reinforced(
+    graph: &Graph,
+    structure: FtBfsStructure,
+    sources: &[VertexId],
+) -> FtBfsStructure {
+    let weights = TieBreakWeights::generate(graph, SEED);
+    let mut reinforced: BitSet = structure.reinforced_set().clone();
+    for &s in sources {
+        let tree = ShortestPathTree::build(graph, &weights, s);
+        for &e in tree.tree_edges().iter().step_by(3) {
+            reinforced.insert(e.index());
+        }
+    }
+    structure.with_reinforced(reinforced)
+}
+
+/// Only reinforced edges of `H` and vertex faults reach the augmented tier
+/// of a SingleFault core, and the augmentation cuts exactly those faults:
+/// on a structure with every third tree edge marked reinforced, on a
+/// multi-source union as built (no edge reinforced), and on that union with
+/// every third edge of each source's tree marked.
+#[test]
+fn only_reinforced_edges_and_vertices_reach_the_single_fault_tier() {
+    let options = EngineOptions::new().serial().with_force_full_sweep(true);
+    let augmenter = FtBfsAugmenter::new(AugmentCoverage::SingleFault)
+        .with_seed(SEED)
+        .serial();
+    let check = |graph: &Graph, aug: AugmentedStructure| {
+        assert_eq!(
+            aug.stats().single_passes,
+            expected_single_passes(graph, &aug)
+        );
+        let reinforced = aug.base().num_reinforced();
+        let vertex_faults = aug.sources().len() * (graph.num_vertices() - 1);
+        let core =
+            EngineCore::build_augmented_with(graph, aug, options.clone()).expect("matching graph");
+        let augmented_sets = assert_single_faults_route_by_reinforcement(graph, &core);
+        assert_eq!(
+            augmented_sets,
+            vertex_faults + core.sources().len() * reinforced
+        );
+        reinforced
+    };
+
+    let graph = Workload::new(WorkloadFamily::ErdosRenyi, 40, SEED).generate();
+    let built = TradeoffBuilder::new(0.3)
+        .with_config(|c| c.with_seed(SEED).serial())
+        .build(&graph, &Sources::single(VertexId(0)))
+        .expect("valid input");
+    let structure = with_every_third_tree_edge_reinforced(&graph, built, &[VertexId(0)]);
+    let aug = augmenter
+        .augment(&graph, structure)
+        .expect("matching graph");
+    assert!(check(&graph, aug) > 0);
+
+    let sources = [VertexId(0), VertexId(13), VertexId(27)];
+    let mbfs = TradeoffBuilder::new(0.3)
+        .with_config(|c| c.with_seed(SEED).serial())
+        .build_multi(&graph, &Sources::multi(sources.to_vec()))
+        .expect("valid input");
+    let aug = augmenter
+        .augment_multi(&graph, mbfs.clone())
+        .expect("matching graph");
+    check(&graph, aug);
+    let union =
+        with_every_third_tree_edge_reinforced(&graph, mbfs.into_union_structure(), &sources);
+    let aug = augmenter
+        .augment_sources(&graph, union, &sources)
+        .expect("matching graph");
+    assert!(check(&graph, aug) > 0);
+}
+
 /// Augmentation bookkeeping is visible end to end: structure stats, core
 /// accessors, and the `H ⊆ H⁺ ⊆ G` sandwich.
 #[test]
@@ -467,6 +609,59 @@ fn dual_failure_is_exact_at_benchmark_size() {
         assert_eq!(
             tiers.full_graph_bfs, 0,
             "{name}: a covered set reached the full-graph tier"
+        );
+    }
+}
+
+/// SingleFault at the end-to-end benchmark's size: `H⁺` of both n = 2000
+/// graphs (seed 7), every tree-edge and every vertex fault, every target
+/// against brute-force BFS, with the non-reinforced edges answered from `H`
+/// and none from the full graph. Release only:
+/// `cargo test --release --test augmented -- --ignored`.
+#[test]
+#[ignore = "benchmark-size check; run in release with --ignored"]
+fn single_fault_is_exact_at_benchmark_size() {
+    for family in [WorkloadFamily::ErdosRenyi, WorkloadFamily::LayeredDeep] {
+        let w = Workload::new(family, 2000, 7);
+        let (name, graph) = (w.label(), w.generate());
+        let config = BuildConfig::new(0.3)
+            .with_seed(7)
+            .with_augment(AugmentCoverage::SingleFault);
+        let structure = TradeoffBuilder::from_config(config.clone())
+            .build(&graph, &Sources::single(VertexId(0)))
+            .expect("valid input");
+        let aug = FtBfsAugmenter::from_build_config(&config)
+            .augment(&graph, structure)
+            .expect("matching graph");
+        let core = EngineCore::build_augmented(&graph, aug).expect("matching graph");
+        let tree =
+            ShortestPathTree::build(&graph, &TieBreakWeights::generate(&graph, 7), VertexId(0));
+        let sets = tree
+            .tree_edges()
+            .iter()
+            .map(|&e| FaultSet::single_edge(e))
+            .chain(graph.vertices().skip(1).map(FaultSet::single_vertex));
+        let all: Vec<VertexId> = graph.vertices().collect();
+        let mut ctx = core.new_context();
+        let mut mismatches = 0;
+        for faults in sets {
+            let got = ctx
+                .dist_many_after_faults(&core, &all, &faults)
+                .expect("in range");
+            let brute = dist_after_faults_brute(&graph, VertexId(0), &faults);
+            let want = brute.iter().map(|&d| (d != UNREACHABLE).then_some(d));
+            mismatches += got.iter().zip(want).filter(|(g, w)| **g != *w).count();
+        }
+        assert_eq!(mismatches, 0, "{name}: answers diverged from brute force");
+        let tiers = ctx.stats().tiers;
+        assert!(tiers.sparse_h_bfs > 0, "{name}: the H tier never fired");
+        assert!(
+            tiers.augmented_bfs > 0,
+            "{name}: the augmented tier never fired"
+        );
+        assert_eq!(
+            tiers.full_graph_bfs, 0,
+            "{name}: a single fault reached the full graph"
         );
     }
 }
